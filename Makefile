@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-race race-live bench-obs bench-obs-smoke bench-kernel bench-lattice bench-faults bench-shard bench-checker bench-workload bench
+.PHONY: check build vet lint test test-race race-live bench-obs bench-obs-smoke bench
 
 check: build vet lint bench-obs-smoke test-race
 
@@ -47,8 +47,8 @@ test:
 race-live:
 	$(GO) test -race -count=2 ./internal/live/...
 
-# Observability overhead benchmarks (see BENCH_obs.json for the
-# recorded baseline; the bar is <5% DES-kernel slowdown).
+# Observability overhead benchmarks (the bar is <5% DES-kernel slowdown;
+# cmd/bench reports the end-to-end counterpart as obs.overhead_pct).
 bench-obs:
 	$(GO) test -run xxx -bench DESKernel -benchtime 1s -count 5 .
 
@@ -58,45 +58,10 @@ bench-obs:
 bench-obs-smoke:
 	$(GO) test -run xxx -bench DESKernel -benchtime 1x .
 
-# Kernel fast-path numbers (index-heap event list, zero-alloc hot path,
-# parallel runner wall clock); rewrites the recorded BENCH_kernel.json.
-bench-kernel:
-	$(GO) run ./cmd/benchkernel -o BENCH_kernel.json
-
-# Lattice engine numbers (single-pass Survey vs the recursive-enumerator
-# oracle, 4x4 and 6x6 workloads, suite wall clock); rewrites the recorded
-# BENCH_lattice.json.
-bench-lattice:
-	$(GO) run ./cmd/benchlattice -o BENCH_lattice.json
-
-# Fault-injection overhead (nil-injector fast path vs an active plan);
-# rewrites the recorded BENCH_faults.json. The bar: a run with no plan
-# costs nothing measurable.
-bench-faults:
-	$(GO) run ./cmd/benchfaults -o BENCH_faults.json
-
-# Sharded-engine scale numbers (legacy dense/race-aware configuration vs
-# sparse sharded kernel, shard-count digest identity at p=10240, max-p
-# row); rewrites the recorded BENCH_shard.json. Takes ~20s: the legacy
-# configuration is measured through p=1024 and projected beyond (its
-# O(p^2)-per-strobe race scan would take ~45 minutes at p=10240).
-bench-shard:
-	$(GO) run ./cmd/benchshard -o BENCH_shard.json
-
-# Checker-tree scale numbers (flat StrobeChecker vs the hierarchical
-# checker tree on an aggregate predicate, fan-out sweep, per-aggregator
-# memory bound); rewrites the recorded BENCH_checker.json. Takes ~5s:
-# the flat checker's O(p)-per-report evaluation is measured directly
-# through p=16384.
-bench-checker:
-	$(GO) run ./cmd/benchchecker -o BENCH_checker.json
-
-# Workload-layer numbers (statistical generator throughput, trace-codec
-# bandwidth and bytes/event, record->replay overhead); rewrites the
-# recorded BENCH_workload.json. Every row doubles as a round-trip or
-# replay-identity check.
-bench-workload:
-	$(GO) run ./cmd/benchworkload -o BENCH_workload.json
-
-bench: bench-lattice
+# The repo's one benchmark (BENCHMARK.json: five workloads, six
+# end-to-end metrics, per-layer drills, digest checks; see
+# cmd/bench/README.md), then a one-iteration sweep proving every
+# `go test` benchmark in the module still runs.
+bench:
+	bash cmd/bench/run.sh
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

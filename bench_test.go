@@ -125,8 +125,8 @@ func (m mapState) NumProcs() int                     { return m.n }
 
 // BenchmarkKernelScheduleStep measures the DES kernel's steady-state
 // schedule+step cost: a fixed population of self-rescheduling events, one
-// pop and one push per iteration. The fast-path bar is ~0 allocs/op (see
-// BENCH_kernel.json).
+// pop and one push per iteration. The fast-path bar is 0 allocs/op;
+// cmd/bench runs the same cycle as sim.drill_step_ns.
 func BenchmarkKernelScheduleStep(b *testing.B) {
 	e := sim.NewEngine(1)
 	const depth = 1024

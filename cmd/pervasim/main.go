@@ -64,7 +64,6 @@ func main() {
 		sensors     = flag.Int("sensors", 1024, "scale: fleet size")
 		shards      = flag.Int("shards", 1, "scale: spatial shard count for the parallel kernel")
 		workers     = flag.Int("workers", 1, "scale: intra-epoch worker goroutines (output identical at any setting)")
-		denseClocks = flag.Bool("dense-clocks", false, "scale: force dense vector clocks (sparse by density otherwise)")
 		checkerFan  = flag.Int("checker-fanout", 0, "scale: regional checker-tree aggregators (<=1 runs the flat checker)")
 		specPath    = flag.String("workload", "", "run a workload spec file on the generic spec scenario (replaces -scenario)")
 		recordPath  = flag.String("record", "", "record the run's workload to this trace file (hall, hospital, scale, spec)")
@@ -125,8 +124,7 @@ func main() {
 		effScen = "spec"
 	}
 	scoped := map[string]string{
-		"sensors": "scale", "shards": "scale", "workers": "scale",
-		"dense-clocks": "scale", "checker-fanout": "scale",
+		"sensors": "scale", "shards": "scale", "workers": "scale", "checker-fanout": "scale",
 		"doors": "hall", "capacity": "hall", "initial": "hall", "trace": "hall",
 		"modality": "office", "alarm": "hospital",
 	}
@@ -195,16 +193,12 @@ func main() {
 	case "scale":
 		sc := scenario.NewScale(scenario.ScaleConfig{
 			Seed: *seed, N: *sensors, Shards: *shards, Workers: *workers,
-			Delay: delay, Horizon: hz, DenseClocks: *denseClocks,
-			CheckerFanout: *checkerFan, Workload: replaySrc,
+			Delay: delay, Horizon: hz, CheckerFanout: *checkerFan, Workload: replaySrc,
 			Faults: plan, Obs: reg,
 		})
 		recorded = sc.Harness.Events
 		sr := sc.Run()
-		res = core.Results{
-			Occurrences: sr.Occurrences, Markers: sr.Markers, Truth: sr.Truth,
-			Confusion: sr.Confusion, Net: sr.Net, Horizon: sr.Horizon,
-		}
+		res = sr.Results
 		extra = fmt.Sprintf("fleet: %d sensors over %d shard(s), %d epochs, %d cross-shard msgs, %.1f KB clock state",
 			*sensors, *shards, sr.Epochs, sr.CrossSent, float64(sr.ClockBytes)/1024)
 		if tree := sc.Harness.Tree; tree != nil {

@@ -78,10 +78,10 @@ func DefaultConfig() Config {
 			m + "/internal/live",
 			m + "/internal/network",
 		},
-		// The bench-proven kernels: DES schedule/step (BENCH_kernel's
-		// 0 allocs/op), the strobe stamp/merge kernels, the checker
-		// tree's O(1) incremental clause evaluation, and the workload
-		// trace codec's per-event primitives.
+		// The bench-proven kernels: DES schedule/step (0 allocs/op in
+		// BenchmarkKernelScheduleStep), the strobe stamp/merge kernels,
+		// the checker tree's O(1) incremental clause evaluation, and the
+		// workload trace codec's per-event primitives.
 		HotFuncs: []string{
 			m + "/internal/sim.Engine.AtPri",
 			m + "/internal/sim.Engine.Step",

@@ -8,8 +8,9 @@ import (
 )
 
 // FastPath guards the zero-cost-when-disabled contract of the obs and
-// faults layers (the <5% kernel-overhead budget in BENCH_obs.json and
-// the no-plan bar in BENCH_faults.json rest on it). Three checks:
+// faults layers (the <5% kernel-overhead budget behind `make bench-obs`
+// and cmd/bench's obs.overhead_pct, and the no-plan ≡ empty-plan
+// guarantee of the fault layer, rest on it). Three checks:
 //
 //  1. nil-receiver discipline: every exported method of the no-op
 //     instrument types (obs.Counter/Gauge/Histogram/LocalHist/Registry/

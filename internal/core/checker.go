@@ -372,25 +372,3 @@ func (c *StrobeChecker) Markers() []sim.Time { return c.markers }
 func (c *StrobeChecker) View(proc int, name string) float64 {
 	return checkerState{c.vals}.Get(proc, name)
 }
-
-// StateBytes estimates the checker's resident footprint: per-process
-// admission and value state plus the race-aware reconstruction buffers
-// when allocated. Same per-entry costs as checker.Aggregator.StateBytes,
-// so the flat-vs-tree memory comparison in cmd/benchchecker compares
-// like with like.
-func (c *StrobeChecker) StateBytes() int {
-	b := 96 + c.n*(8+8+8+8+8+32) // headers, slices, lastSeq/lastEpoch/lastChange
-	for _, m := range c.vals {
-		b += 48 + 32*len(m)
-	}
-	for _, v := range c.stamps {
-		b += 8 * cap(v)
-	}
-	for _, v := range c.recon {
-		b += 8 * cap(v)
-	}
-	for _, v := range c.stampBuf {
-		b += 8 * cap(v)
-	}
-	return b
-}

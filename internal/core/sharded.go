@@ -13,7 +13,6 @@ import (
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
-	"pervasive/internal/stats"
 	"pervasive/internal/trace"
 	"pervasive/internal/workload"
 	"pervasive/internal/world"
@@ -106,14 +105,10 @@ type ShardedHarness struct {
 	traces  []*trace.Trace
 }
 
-// ShardedResults of a sharded run.
+// ShardedResults of a sharded run: the classic Results plus the fleet's
+// clock footprint and the lockstep kernel's counters.
 type ShardedResults struct {
-	Occurrences []Occurrence
-	Markers     []sim.Time
-	Truth       []world.Interval
-	Confusion   stats.Confusion
-	Net         network.Stats
-	Horizon     sim.Time
+	Results
 	// ClockBytes is the fleet's summed resident clock-state footprint at
 	// the end of the run (peak for monotonically-growing sparse state).
 	ClockBytes int64
@@ -388,8 +383,7 @@ func (h *ShardedHarness) Run() ShardedResults {
 	}
 
 	res := ShardedResults{
-		Net:       h.Net.TotalStats(),
-		Horizon:   horizon,
+		Results:   Results{Net: h.Net.TotalStats(), Horizon: horizon},
 		Epochs:    h.Sh.Epochs,
 		CrossSent: h.Sh.CrossSent,
 	}

@@ -99,6 +99,6 @@ func E14ScaleSweep(cfg RunConfig) *Table {
 		"scored predicate is the pilot neighborhood (8 sensors, majority high); the rest of the fleet carries full strobe/clock load",
 		fmt.Sprintf("clock state is sparse above %d procs: resident bytes grow with active peers, not with p", clock.DenseSparseCutoff),
 		"'same' compares the cell's full counter digest (net, checker, engine, faults) to the S=1 baseline",
-		"wall-clock column needs -timing (kept out of byte-compared tables); BENCH_shard.json records the calibrated numbers")
+		"wall-clock column needs -timing (kept out of byte-compared tables); cmd/bench measures the p=65536 runs (fleet-wide, fleet-wide-par: wall_s, live_heap_mb, clock.state_bytes)")
 	return t
 }

@@ -114,6 +114,6 @@ func E15CheckerTree(cfg RunConfig) *Table {
 		"R=1 runs the flat checker (the differential oracle); 'same' compares each cell's full counter digest against it",
 		"sync lag is the mean wait before a report's watermark crosses the tier boundary (simulated time, not wall) — the latency cost of batching, paid by the sync channel only, never by detection",
 		"coalesce% is the share of applied reports whose pending sync value was superseded before flushing — the traffic batching saves at dense report volume",
-		"BENCH_checker.json records the calibrated root-throughput numbers (flat O(p)-per-report aggregate evaluation vs the tree's O(1) incremental fold)")
+		"cmd/bench measures root throughput as checker.drill_flat_report_ns vs checker.drill_tree_report_ns (flat O(p)-per-report aggregate evaluation vs the tree's O(1) incremental fold)")
 	return t
 }

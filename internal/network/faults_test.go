@@ -217,3 +217,44 @@ func TestCrashedReceiverDoesNotRelayFlood(t *testing.T) {
 		t.Fatalf("crashed relay forwarded traffic: %v", counts)
 	}
 }
+
+// TestDupReorderParityAcrossTransports pins the fault contract both
+// transports share: reorder jitter applies to every copy scheduled in the
+// window, duplicate-window copies included. Under dup(…,1.0);reorder(…)
+// each send yields two jittered copies, so Reorders = sends + duplicates on
+// the single-heap Net and on the sharded transport alike.
+func TestDupReorderParityAcrossTransports(t *testing.T) {
+	const sends = 20
+	delay := sim.DeltaBounded{Min: 2, Max: 4}
+	plan := faults.NewPlan().Duplicate(0, sim.Never, 1.0).Reorder(0, sim.Never, 50)
+	check := func(name string, f *faults.Injector, sent, delivered int64) {
+		t.Helper()
+		dups, reorders := f.Counts.Duplicates.Load(), f.Counts.Reorders.Load()
+		if sent != sends || dups != sends || delivered != 2*sends {
+			t.Fatalf("%s: sent %d, duplicates %d, delivered %d; want %d, %d, %d",
+				name, sent, dups, delivered, sends, sends, 2*sends)
+		}
+		if reorders != sent+dups {
+			t.Fatalf("%s: %d reorders, want sends + duplicates = %d", name, reorders, sent+dups)
+		}
+	}
+
+	eng, nt := newTestNet(FullMesh{Nodes: 2}, delay)
+	nt.SetFaults(faults.NewInjector(plan))
+	for i := 1; i <= sends; i++ {
+		eng.At(sim.Time(i*100), func(sim.Time) { nt.Send(0, 1, Raw{Size: 1}) })
+	}
+	eng.RunAll()
+	check("Net", nt.Faults(), nt.Stats.Sent, nt.Stats.Delivered)
+
+	sh := sim.NewShards(2, delay.Min, 7)
+	sn := NewSharded(sh, FullMesh{Nodes: 2}, delay, ShardMap{Procs: 2, Shards: 2}, 7)
+	in := faults.NewInjector(plan)
+	sn.SetFaults(in)
+	for i := 1; i <= sends; i++ {
+		sh.Engine(0).At(sim.Time(i*100), func(sim.Time) { sn.Part(0).Send(0, 1, Raw{Size: 1}) })
+	}
+	sh.RunAll()
+	st := sn.TotalStats()
+	check("ShardedNet", in, st.Sent, st.Delivered)
+}

@@ -50,10 +50,6 @@ type ShardedNet struct {
 	rngs     []*stats.RNG // per-source delay/jitter streams
 	seqs     []uint32     // per-source link-transmission counters
 
-	// HeaderBytes is the fixed per-message header size added to every
-	// transmission's byte count (matches Net).
-	HeaderBytes int
-
 	// NeighborScope restricts Broadcast to the source's topology neighbors
 	// plus AlwaysReach (typically the checker index) — the
 	// neighborhood-scoped dissemination that makes p ≥ 10⁴ tractable.
@@ -91,11 +87,10 @@ func NewSharded(sh *sim.Shards, topo Topology, delay sim.DelayModel, smap ShardM
 	}
 	sn := &ShardedNet{
 		sh: sh, topo: topo, delay: delay, smap: smap,
-		parts:       make([]*ShardPart, sh.N()),
-		handlers:    make([]Handler, smap.Procs),
-		rngs:        make([]*stats.RNG, smap.Procs),
-		seqs:        make([]uint32, smap.Procs),
-		HeaderBytes: 8,
+		parts:    make([]*ShardPart, sh.N()),
+		handlers: make([]Handler, smap.Procs),
+		rngs:     make([]*stats.RNG, smap.Procs),
+		seqs:     make([]uint32, smap.Procs),
 	}
 	root := stats.NewRNG(seed)
 	for i := range sn.rngs {
@@ -255,7 +250,7 @@ func (p *ShardPart) BroadcastStamped(src int, pl Payload, st flight.Stamp) uint6
 func (p *ShardPart) transmit(m Message, pri uint64) {
 	sn := p.owner
 	p.Stats.Sent++
-	p.Stats.Bytes += int64(m.Payload.WireSize() + sn.HeaderBytes)
+	p.Stats.Bytes += int64(m.Payload.WireSize() + headerBytes)
 	p.Stats.ByKind[m.Payload.Kind()]++
 	now := p.eng.Now()
 	f := sn.fault
@@ -270,18 +265,12 @@ func (p *ShardPart) transmit(m Message, pri uint64) {
 		p.Stats.Dropped++
 		return
 	}
-	if f != nil {
-		if j := f.ReorderJitter(now); j > 0 {
-			d += sim.Duration(r.Int63n(int64(j) + 1))
-			f.Counts.Reorders.Add(1)
-		}
-	}
-	p.route(m, now+d, pri)
+	p.route(m, now+shapeDelay(f, r, d, now), pri)
 	if f != nil {
 		if pd := f.DupProb(now); pd > 0 && r.Bool(pd) {
 			if d2, dropped2 := sim.SampleDelay(sn.delay, r, now, m.From, m.Dst); !dropped2 {
 				f.Counts.Duplicates.Add(1)
-				p.route(m, now+d2, sn.priFor(m.Src))
+				p.route(m, now+shapeDelay(f, r, d2, now), sn.priFor(m.Src))
 			}
 		}
 	}

@@ -55,6 +55,10 @@ type Stats struct {
 	ByKind    map[string]int64
 }
 
+// headerBytes is the fixed per-message header size both transports add to
+// every link-level transmission's byte count.
+const headerBytes = 8
+
 // Net is the message transport of the network plane. It is not safe for
 // concurrent use; it belongs to the single-threaded DES.
 type Net struct {
@@ -69,9 +73,6 @@ type Net struct {
 	// Flood selects hop-by-hop flooding over the overlay for Broadcast;
 	// when false, Broadcast sends one direct logical message per peer.
 	Flood bool
-	// HeaderBytes is the fixed per-message header size added to every
-	// link-level transmission's byte count.
-	HeaderBytes int
 
 	seen []map[uint64]bool // per-process flood duplicate suppression
 	// inflight refcounts the scheduled (not yet fired) deliveries of each
@@ -180,11 +181,10 @@ func New(eng *sim.Engine, topo Topology, delay sim.DelayModel) *Net {
 	n := topo.N()
 	nt := &Net{
 		eng: eng, topo: topo, delay: delay,
-		rng:         eng.RNG().Fork(),
-		handlers:    make([]Handler, n),
-		seen:        make([]map[uint64]bool, n),
-		inflight:    make(map[uint64]int),
-		HeaderBytes: 8,
+		rng:      eng.RNG().Fork(),
+		handlers: make([]Handler, n),
+		seen:     make([]map[uint64]bool, n),
+		inflight: make(map[uint64]int),
 	}
 	nt.Stats.ByKind = make(map[string]int64)
 	for i := range nt.seen {
@@ -276,7 +276,7 @@ func (nt *Net) newID() uint64 {
 // countSend records one link-level transmission.
 func (nt *Net) countSend(p Payload) {
 	nt.Stats.Sent++
-	nt.Stats.Bytes += int64(p.WireSize() + nt.HeaderBytes)
+	nt.Stats.Bytes += int64(p.WireSize() + headerBytes)
 	nt.Stats.ByKind[p.Kind()]++
 }
 
@@ -285,14 +285,16 @@ func (nt *Net) countDrop() {
 	nt.Stats.Dropped++
 }
 
-// shapeDelay adds active reorder-window jitter to a sampled delay.
-func (nt *Net) shapeDelay(d sim.Duration, at sim.Time) sim.Duration {
-	f := nt.fault
+// shapeDelay adds active reorder-window jitter, drawn from r, to a
+// sampled delay. Both transports pass every scheduled copy through it —
+// first transmissions and duplicate-window copies alike — and the delay
+// only grows, so the sharded lookahead invariant holds.
+func shapeDelay(f *faults.Injector, r *stats.RNG, d sim.Duration, at sim.Time) sim.Duration {
 	if f == nil {
 		return d
 	}
 	if j := f.ReorderJitter(at); j > 0 {
-		d += sim.Duration(nt.rng.Int63n(int64(j) + 1))
+		d += sim.Duration(r.Int63n(int64(j) + 1))
 		f.Counts.Reorders.Add(1)
 	}
 	return d
@@ -318,7 +320,7 @@ func (nt *Net) transmit(m Message) {
 		}
 		return
 	}
-	d = nt.shapeDelay(d, now)
+	d = shapeDelay(nt.fault, nt.rng, d, now)
 	nt.obsDelay.Observe(float64(d))
 	nt.eng.AtPri(now+d, DeliveryPri, func(now sim.Time) { nt.deliver(m, now) })
 	if f := nt.fault; f != nil {
@@ -327,7 +329,7 @@ func (nt *Net) transmit(m Message) {
 		if p := f.DupProb(now); p > 0 && nt.rng.Bool(p) {
 			if d2, dropped2 := sim.SampleDelay(nt.delay, nt.rng, now, m.From, m.Dst); !dropped2 {
 				f.Counts.Duplicates.Add(1)
-				nt.eng.AtPri(now+nt.shapeDelay(d2, now), DeliveryPri, func(now sim.Time) { nt.deliver(m, now) })
+				nt.eng.AtPri(now+shapeDelay(nt.fault, nt.rng, d2, now), DeliveryPri, func(now sim.Time) { nt.deliver(m, now) })
 			}
 		}
 	}
@@ -404,7 +406,7 @@ func (nt *Net) relay(m Message) {
 			}
 			continue
 		}
-		d = nt.shapeDelay(d, now)
+		d = shapeDelay(nt.fault, nt.rng, d, now)
 		nt.obsDelay.Observe(float64(d))
 		nt.inflight[hop.ID]++
 		nt.eng.AtPri(now+d, DeliveryPri, func(now sim.Time) {

@@ -31,7 +31,7 @@ func TestDirectSendDelivers(t *testing.T) {
 	if nt.Stats.Sent != 1 || nt.Stats.Delivered != 1 || nt.Stats.Dropped != 0 {
 		t.Fatalf("stats %+v", nt.Stats)
 	}
-	if nt.Stats.Bytes != int64(4+nt.HeaderBytes) {
+	if nt.Stats.Bytes != int64(4+headerBytes) {
 		t.Fatalf("bytes %d", nt.Stats.Bytes)
 	}
 	if nt.Stats.ByKind["test"] != 1 {

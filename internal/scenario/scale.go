@@ -27,12 +27,6 @@ type ScaleConfig struct {
 	Horizon sim.Time
 	Pilot   int
 	PilotK  int
-	// RaceAware keeps the checker's per-sender vector reconstructions
-	// (O(N) per active sender) for borderline tagging.
-	RaceAware bool
-	// DenseClocks forces dense vector state at every size (the baseline
-	// the benchmarks compare sparse state against).
-	DenseClocks bool
 	// CheckerFanout >= 2 routes detection through the hierarchical
 	// checker tree with that many regional aggregators; <= 1 keeps the
 	// flat checker (the differential oracle).
@@ -70,7 +64,6 @@ func NewScale(cfg ScaleConfig) *Scale {
 		// Long-high dwells keep the pilot majority reachable (the same
 		// workload balance E14 sweeps).
 		MeanHigh: 1200 * sim.Millisecond, MeanLow: 400 * sim.Millisecond,
-		RaceAware: cfg.RaceAware, DenseClocks: cfg.DenseClocks,
 		CheckerFanout: cfg.CheckerFanout, Workload: cfg.Workload,
 		Faults: cfg.Faults, Obs: cfg.Obs, Trace: cfg.Trace,
 	})

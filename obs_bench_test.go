@@ -3,8 +3,8 @@ package pervasive
 // Overhead benchmarks for the always-on observability layers. The
 // acceptance bars: an enabled obs registry slows the DES kernel by <5%
 // versus the nil (no-op) registry, and an attached flight recorder
-// stays within the same <5% bar versus the nil recorder; BENCH_obs.json
-// records the measured numbers. Run with:
+// stays within the same <5% bar versus the nil recorder; cmd/bench
+// reports the registry's end-to-end cost as obs.overhead_pct. Run with:
 //
 //	go test -bench 'DESKernel' -benchtime 2s -count 5 .
 
