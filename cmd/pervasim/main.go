@@ -63,7 +63,7 @@ func main() {
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060")
 		sensors     = flag.Int("sensors", 1024, "scale: fleet size")
 		shards      = flag.Int("shards", 1, "scale: spatial shard count for the parallel kernel")
-		workers     = flag.Int("workers", 1, "scale: intra-epoch worker goroutines (output identical at any setting)")
+		workers     = flag.Int("workers", 1, "scale: >1 runs every shard of an epoch on its own goroutine, else one after another (output identical at any setting)")
 		checkerFan  = flag.Int("checker-fanout", 0, "scale: regional checker-tree aggregators (<=1 runs the flat checker)")
 		specPath    = flag.String("workload", "", "run a workload spec file on the generic spec scenario (replaces -scenario)")
 		recordPath  = flag.String("record", "", "record the run's workload to this trace file (hall, hospital, scale, spec)")

@@ -2,14 +2,20 @@ package pervasive
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestDocsNameOnlyExistingTargets keeps the prose honest when a target or
-// a binary is retired: every `make <target>` a doc quotes must be in the
-// Makefile's .PHONY list, and every ./cmd/<name> it invokes must exist.
+// TestDocsNameOnlyExistingTargets keeps the prose and the CI recipes honest
+// when a target, a binary or a test is retired: every `make <target>` a doc
+// quotes must be in the Makefile's .PHONY list, every ./cmd/<name> it
+// invokes must exist, and every alternative of every `go test -run` pattern
+// in the Makefile and the CI workflow must match a test in the packages its
+// line names — a deleted test must not leave a line that passes by running
+// nothing.
 func TestDocsNameOnlyExistingTargets(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -45,4 +51,69 @@ func TestDocsNameOnlyExistingTargets(t *testing.T) {
 			}
 		}
 	}
+
+	runRef := regexp.MustCompile(`-run\s+(?:'([^']+)'|(\S+))`)
+	for _, recipe := range []string{"Makefile", ".github/workflows/ci.yml"} {
+		text, err := os.ReadFile(recipe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(text), "\n") {
+			m := runRef.FindStringSubmatch(line)
+			// Benchmark lines pass a -run pattern meant to match nothing.
+			if m == nil || !strings.Contains(line, " test ") || strings.Contains(line, "-bench") {
+				continue
+			}
+			var names []string
+			for _, f := range strings.Fields(line) {
+				if f == "." || strings.HasPrefix(f, "./") {
+					names = append(names, testNames(t, f)...)
+				}
+			}
+			for _, alt := range strings.Split(m[1]+m[2], "|") {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s: -run alternative %q: %v", recipe, alt, err)
+					continue
+				}
+				if !slices.ContainsFunc(names, re.MatchString) {
+					t.Errorf("%s: -run alternative %q matches no test in the packages of: %s",
+						recipe, alt, strings.TrimSpace(line))
+				}
+			}
+		}
+	}
+}
+
+// testNames lists the Test functions declared in package path pkg ("." or
+// "./dir", with a trailing "/..." for the whole subtree).
+func testNames(t *testing.T, pkg string) []string {
+	dir, recursive := strings.CutSuffix(pkg, "...")
+	testFunc := regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+	var names []string
+	err := filepath.WalkDir(filepath.Clean(dir), func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if !recursive && filepath.Clean(path) != filepath.Clean(dir) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range testFunc.FindAllSubmatch(src, -1) {
+				names = append(names, string(m[1]))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }

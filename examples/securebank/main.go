@@ -38,9 +38,9 @@ func main() {
 	terminal := w.AddObject("password-terminal", nil)
 	reader := w.AddObject("biometric-reader", nil)
 
-	sensors := core.NewSensors(eng, nt, core.SensorConfig{
+	sensors := core.NewSensors(nt, core.SensorConfig{
 		N: 2, Kind: core.VectorStrobe, CheckerIdx: 2,
-	})
+	}, func(int) (*sim.Engine, core.Transport) { return eng, nt })
 	sensors[0].Bind(w, terminal, "entered", "pw")
 	sensors[1].Bind(w, reader, "presented", "bio")
 

@@ -312,17 +312,6 @@ func (g *CallGraph) Reachable(roots []*types.Func) map[*types.Func]bool {
 	return seen
 }
 
-// FuncAt returns the module function whose declaration (including its
-// body) spans pos, or nil.
-func (g *CallGraph) FuncAt(pos token.Pos) *types.Func {
-	for fn, fd := range g.DeclOf {
-		if fd.Pos() <= pos && pos <= fd.End() {
-			return fn
-		}
-	}
-	return nil
-}
-
 // FuncDisplay renders fn for diagnostics: "pkg.Func" or
 // "pkg.(*Type).Method" with the short package name.
 func FuncDisplay(fn *types.Func) string {

@@ -86,9 +86,6 @@ func (a *Aggregator) Down() bool { return a.down }
 // Epoch returns the regional epoch (recoveries so far).
 func (a *Aggregator) Epoch() int { return a.epoch }
 
-// PendingLen returns the current size of the unflushed sync set.
-func (a *Aggregator) PendingLen() int { return len(a.pending) }
-
 // stage coalesces one applied report into the pending sync set; it
 // reports whether a superseded pending value was overwritten.
 func (a *Aggregator) stage(m Report, now sim.Time) bool {

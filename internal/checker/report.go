@@ -51,12 +51,17 @@ func (m Report) FlightStamp() (epoch, seq int, clk uint64) {
 	return m.Epoch, m.Seq, m.OwnClock()
 }
 
-// Occurrence is one detected period during which the tree's view
-// satisfied the predicate; it mirrors core.Occurrence (the package split
-// keeps checker below core in the import graph).
+// Occurrence is one detected period during which a checker's view
+// satisfied the predicate. Start/End are checker-view times (for strobe
+// checkers: engine time of the flips; for the physical checker: reported
+// physical timestamps). An open occurrence at the end of a run is closed
+// at the horizon. core.Occurrence is this type (checker sits below core in
+// the import graph).
 type Occurrence struct {
 	Start, End sim.Time
 	// Borderline marks an occurrence whose opening flip was
-	// race-ambiguous (Section 5's borderline bin).
+	// race-ambiguous: the checker could not order the flipping event
+	// against a concurrent event that the flip depends on (Section 5's
+	// borderline bin). Only vector-strobe checkers can set it.
 	Borderline bool
 }

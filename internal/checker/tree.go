@@ -75,7 +75,6 @@ type rootView struct {
 	seq         []int
 	regionEpoch []int
 	vals        map[predicate.Key]float64
-	lastBatchAt sim.Time
 }
 
 // Tree is the hierarchical checker: R regional aggregators under one
@@ -487,16 +486,6 @@ func (t *Tree) RootSynced(proc int) (own uint64, seq int) {
 	return t.root.own[proc], t.root.seq[proc]
 }
 
-// RootValue returns the root's batch-synced boundary value for (proc,
-// var), and whether one has been synced.
-func (t *Tree) RootValue(proc int, name string) (float64, bool) {
-	v, ok := t.root.vals[predicate.Key{Proc: proc, Name: name}]
-	return v, ok
-}
-
-// LastBatchAt returns the At stamp of the most recently decoded batch.
-func (t *Tree) LastBatchAt() sim.Time { return t.root.lastBatchAt }
-
 // flushAgg drains one aggregator's pending set into a batch, encodes it,
 // and advances the root's consolidated view from the *decoded* bytes.
 func (t *Tree) flushAgg(a *Aggregator, now sim.Time) {
@@ -547,7 +536,6 @@ func (t *Tree) rootApply(b Batch) {
 	for _, e := range b.Entries {
 		t.root.vals[predicate.Key{Proc: e.Proc, Name: e.Var}] = e.Value
 	}
-	t.root.lastBatchAt = b.At
 }
 
 // CrashRegion takes regional aggregator r down: its pending sync is lost

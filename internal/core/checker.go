@@ -138,14 +138,18 @@ func newStrobeChecker(n int, pred predicate.Cond, raceAware bool) *StrobeChecker
 	return c
 }
 
-// Register installs the checker on transport node idx.
-func (c *StrobeChecker) Register(net *network.Net, idx int) {
+// onStrobes installs fn on transport node idx as the consumer of every
+// strobe delivered there; other payloads are ignored.
+func onStrobes(net Receiver, idx int, fn func(m StrobeMsg, now sim.Time)) {
 	net.Register(idx, func(m network.Message, now sim.Time) {
 		if strobe, ok := m.Payload.(StrobeMsg); ok {
-			c.OnStrobe(strobe, now)
+			fn(strobe, now)
 		}
 	})
 }
+
+// Register installs the checker on transport node idx.
+func (c *StrobeChecker) Register(net Receiver, idx int) { onStrobes(net, idx, c.OnStrobe) }
 
 // state adapts the checker's view to predicate.State.
 type checkerState struct{ vals []map[string]float64 }

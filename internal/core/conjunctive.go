@@ -81,7 +81,7 @@ func NewConjunctiveChecker(n int, m predicate.Modality) *ConjunctiveChecker {
 }
 
 // Register installs the checker on transport node idx.
-func (c *ConjunctiveChecker) Register(net *network.Net, idx int) {
+func (c *ConjunctiveChecker) Register(net Receiver, idx int) {
 	net.Register(idx, func(m network.Message, now sim.Time) {
 		if iv, ok := m.Payload.(IntervalMsg); ok {
 			c.OnInterval(iv, now)
@@ -229,6 +229,14 @@ func (c *ConjunctiveChecker) report(heads []IntervalMsg) {
 
 // Occurrences returns the matched occurrences so far.
 func (c *ConjunctiveChecker) Occurrences() []Occurrence { return c.occ }
+
+// Finish is a no-op: every occurrence is reported closed, by matching
+// complete intervals, so there is nothing to close at the horizon.
+func (c *ConjunctiveChecker) Finish(sim.Time) {}
+
+// Markers returns nil: ambiguity is carried per occurrence (Borderline),
+// not as view-time markers.
+func (c *ConjunctiveChecker) Markers() []sim.Time { return nil }
 
 // Matches returns the number of matched interval sets.
 func (c *ConjunctiveChecker) Matches() int64 { return c.matches }

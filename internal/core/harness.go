@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strconv"
 
 	"pervasive/internal/clock"
@@ -88,9 +87,12 @@ type Harness struct {
 	Sensors  []*Sensor
 	Bindings []Binding
 
+	// Exactly one of the three checkers is non-nil, chosen by Modality and
+	// Kind; det is that one, as the spine sees it.
 	StrobeCk *StrobeChecker
 	PhysCk   *PhysicalChecker
 	ConjCk   *ConjunctiveChecker
+	det      detector
 
 	// Faults is the compiled fault injector; nil when no plan is installed.
 	Faults *faults.Injector
@@ -126,22 +128,11 @@ func NewHarness(cfg HarnessConfig) *Harness {
 	if cfg.Topo == nil {
 		cfg.Topo = network.FullMesh{Nodes: cfg.N + 1}
 	}
-	bound := cfg.Delay.Bound()
 	if cfg.Tol <= 0 {
-		if bound == sim.Never {
-			cfg.Tol = 100 * sim.Millisecond
-		} else {
-			cfg.Tol = bound
-		}
-		cfg.Tol += cfg.Epsilon + sim.Millisecond
+		cfg.Tol = finiteBound(cfg.Delay) + cfg.Epsilon + sim.Millisecond
 	}
 	if cfg.Slack <= 0 {
-		if bound == sim.Never {
-			cfg.Slack = 100 * sim.Millisecond
-		} else {
-			cfg.Slack = bound
-		}
-		cfg.Slack += cfg.Epsilon
+		cfg.Slack = finiteBound(cfg.Delay) + cfg.Epsilon
 	}
 
 	eng := sim.NewEngine(cfg.Seed)
@@ -182,21 +173,18 @@ func NewHarness(cfg HarnessConfig) *Harness {
 		if cfg.Pred == nil {
 			panic("core: Instantaneously modality needs Pred")
 		}
-		switch cfg.Kind {
-		case VectorStrobe, DiffVectorStrobe:
-			h.StrobeCk = NewVectorChecker(cfg.N, cfg.Pred)
-			h.StrobeCk.SetObs(cfg.Obs)
-			h.StrobeCk.SetFlight(cfg.Flight, cfg.N)
-			h.StrobeCk.Register(nt, cfg.N)
-		case ScalarStrobe:
-			h.StrobeCk = NewScalarChecker(cfg.N, cfg.Pred)
-			h.StrobeCk.SetObs(cfg.Obs)
-			h.StrobeCk.SetFlight(cfg.Flight, cfg.N)
-			h.StrobeCk.Register(nt, cfg.N)
-		case PhysicalReport:
+		if cfg.Kind == PhysicalReport {
 			h.PhysCk = NewPhysicalChecker(eng, cfg.N, cfg.Pred, cfg.Slack)
 			h.PhysCk.SetObs(cfg.Obs)
 			h.PhysCk.Register(nt, cfg.N)
+			h.det = h.PhysCk
+		} else {
+			// Race-aware for the vector protocols; scalars cannot see races.
+			h.StrobeCk = newStrobeChecker(cfg.N, cfg.Pred, cfg.Kind != ScalarStrobe)
+			h.StrobeCk.SetObs(cfg.Obs)
+			h.StrobeCk.SetFlight(cfg.Flight, cfg.N)
+			h.StrobeCk.Register(nt, cfg.N)
+			h.det = h.StrobeCk
 		}
 	case predicate.Possibly, predicate.Definitely:
 		if cfg.Kind != VectorStrobe {
@@ -214,69 +202,21 @@ func NewHarness(cfg HarnessConfig) *Harness {
 		h.ConjCk = NewConjunctiveChecker(cfg.N, cfg.Modality)
 		h.ConjCk.SetObs(cfg.Obs)
 		h.ConjCk.Register(nt, cfg.N)
+		h.det = h.ConjCk
 	}
 
-	h.Sensors = NewSensors(eng, nt, scfg)
+	h.Sensors = NewSensors(nt, scfg, func(int) (*sim.Engine, Transport) { return eng, nt })
 	h.InstallFaults(cfg.Faults)
 	return h
 }
 
-// InstallFaults compiles and installs a fault plan: the transport gates
-// sends/deliveries on it, and crash/recover transitions are scheduled as
-// engine events driving Sensor.Crash/Rejoin. Call before Run (transition
-// times must not be in the engine's past). A nil or empty plan is a no-op
-// and leaves the fault-free fast path untouched. Crash/recover events
-// must target sensor processes (0..N-1) — the checker P0 is the one
-// process the model keeps up — though partitions may isolate it by
-// listing index N. Panics on an out-of-range event process.
+// InstallFaults compiles and installs a fault plan on the wired harness
+// (see installFaults for what it gates, schedules and records). Call before
+// Run: transition times must not be in the engine's past. A nil or empty
+// plan is a no-op and leaves the fault-free fast path untouched.
 func (h *Harness) InstallFaults(plan *faults.Plan) {
-	inj := faults.NewInjector(plan)
-	if inj == nil {
-		return
-	}
-	for _, ev := range plan.Events {
-		if ev.Proc < 0 || ev.Proc >= h.Cfg.N {
-			panic(fmt.Sprintf("core: fault plan event targets process %d; crash/recover is limited to sensors 0..%d",
-				ev.Proc, h.Cfg.N-1))
-		}
-	}
-	h.Faults = inj
-	h.Net.SetFaults(inj)
-	crashes := h.Cfg.Obs.Counter("faults.crashes")
-	recoveries := h.Cfg.Obs.Counter("faults.recoveries")
-	spans := make([]obs.Span, h.Cfg.N)
-	for _, ev := range inj.Transitions() {
-		ev := ev
-		h.Eng.At(ev.At, func(now sim.Time) {
-			s := h.Sensors[ev.Proc]
-			fl := h.Cfg.Flight
-			switch ev.Kind {
-			case faults.Crash:
-				s.Crash()
-				crashes.Inc()
-				spans[ev.Proc] = h.Cfg.Obs.StartSpanAt(
-					"faults.down.p"+strconv.Itoa(ev.Proc), now)
-				if fl != nil {
-					fl.Record(flight.Rec{
-						Kind: flight.Crash, Proc: int32(ev.Proc),
-						Peer: flight.NoPeer, Epoch: int32(s.Epoch()), At: now,
-					})
-					fl.TriggerDump("fault:crash(p"+strconv.Itoa(ev.Proc)+")", now)
-				}
-			case faults.Recover:
-				s.Rejoin()
-				recoveries.Inc()
-				spans[ev.Proc].EndAt(now)
-				spans[ev.Proc] = obs.Span{}
-				if fl != nil {
-					fl.Record(flight.Rec{
-						Kind: flight.Recover, Proc: int32(ev.Proc),
-						Peer: flight.NoPeer, Epoch: int32(s.Epoch()), At: now,
-					})
-					fl.TriggerDump("fault:recover(p"+strconv.Itoa(ev.Proc)+")", now)
-				}
-			}
-		})
+	if inj := installFaults(plan, h.Sensors, h.Net.SetFaults, h.Cfg.Obs, h.Cfg.Flight); inj != nil {
+		h.Faults = inj
 	}
 }
 
@@ -297,8 +237,12 @@ func (h *Harness) Bind(proc, obj int, attr, varName string) {
 }
 
 // truthPred evaluates the configured predicate directly against
-// ground-truth world attribute values via the bindings.
+// ground-truth world attribute values via the bindings; nil when the run
+// has no predicate to score.
 func (h *Harness) truthPred() world.StatePredicate {
+	if h.Cfg.Pred == nil {
+		return nil
+	}
 	// index bindings for the adapter
 	byVar := make(map[predicate.Key]Binding, len(h.Bindings))
 	for _, b := range h.Bindings {
@@ -356,22 +300,7 @@ func (h *Harness) Run() Results {
 	sp.EndAt(h.Eng.Now())
 
 	res := Results{Net: h.Net.Stats, Horizon: horizon}
-	switch {
-	case h.StrobeCk != nil:
-		h.StrobeCk.Finish(horizon)
-		res.Occurrences = h.StrobeCk.Occurrences()
-		res.Markers = h.StrobeCk.Markers()
-	case h.PhysCk != nil:
-		h.PhysCk.Finish(horizon)
-		res.Occurrences = h.PhysCk.Occurrences()
-	case h.ConjCk != nil:
-		res.Occurrences = h.ConjCk.Occurrences()
-	}
-	res.Occurrences = clipToHorizon(res.Occurrences, horizon)
-	if h.Cfg.Pred != nil {
-		res.Truth = world.TrueIntervals(h.World.Log(), h.truthPred(), horizon)
-		res.Confusion = Score(res.Occurrences, res.Truth, res.Markers, h.Cfg.Tol, horizon)
-	}
+	finishAndScore(&res, h.det, h.World.Log(), h.truthPred(), h.Cfg.Tol)
 	return res
 }
 

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"pervasive/internal/intervals"
-	"pervasive/internal/network"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
 )
@@ -39,13 +38,7 @@ func NewMultiChecker(n int, preds map[string]predicate.Cond, vector bool) *Multi
 }
 
 // Register installs the fan-out handler on transport node idx.
-func (m *MultiChecker) Register(net *network.Net, idx int) {
-	net.Register(idx, func(msg network.Message, now sim.Time) {
-		if strobe, ok := msg.Payload.(StrobeMsg); ok {
-			m.OnStrobe(strobe, now)
-		}
-	})
-}
+func (m *MultiChecker) Register(net Receiver, idx int) { onStrobes(net, idx, m.OnStrobe) }
 
 // OnStrobe fans one strobe out to every named checker.
 func (m *MultiChecker) OnStrobe(msg StrobeMsg, now sim.Time) {

@@ -1,27 +1,20 @@
 package core
 
 import (
+	"pervasive/internal/checker"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 	"pervasive/internal/world"
 )
 
-// Occurrence is one detected period during which the checker's view
-// satisfied the predicate. Start/End are checker-view times (for strobe
-// checkers: engine time of the flips; for the physical checker: reported
-// physical timestamps). An open occurrence at the end of a run is closed
-// at the horizon.
-type Occurrence struct {
-	Start, End sim.Time
-	// Borderline marks an occurrence whose opening flip was
-	// race-ambiguous: the checker could not order the flipping event
-	// against a concurrent event that the flip depends on (Section 5's
-	// borderline bin). Only vector-strobe checkers can set it.
-	Borderline bool
-}
+// Occurrence is one detected period during which a checker's view
+// satisfied the predicate. The type lives in package checker (which sits
+// below core in the import graph) so the flat checkers and the checker
+// tree report through one type.
+type Occurrence = checker.Occurrence
 
-// Span returns the occurrence as an interval.
-func (o Occurrence) Span() world.Interval { return world.Interval{Start: o.Start, End: o.End} }
+// span returns the occurrence as an interval.
+func span(o Occurrence) world.Interval { return world.Interval{Start: o.Start, End: o.End} }
 
 // Score matches detected occurrences against ground-truth intervals and
 // fills a confusion matrix.
@@ -77,7 +70,7 @@ func Score(dets []Occurrence, truth []world.Interval, markers []sim.Time,
 	for di := range dets {
 		if !matchedDet[di] {
 			c.FP++
-			if dets[di].Borderline || markerNear(dets[di].Span()) {
+			if dets[di].Borderline || markerNear(span(dets[di])) {
 				c.BorderlineFP++
 			}
 		}
@@ -88,7 +81,7 @@ func Score(dets []Occurrence, truth []world.Interval, markers []sim.Time,
 	for _, g := range gaps {
 		clean := true
 		for di, d := range dets {
-			if !matchedDet[di] && g.Overlap(d.Span()) > 0 {
+			if !matchedDet[di] && g.Overlap(span(d)) > 0 {
 				clean = false
 				break
 			}

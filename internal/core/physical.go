@@ -71,7 +71,7 @@ func NewPhysicalChecker(eng *sim.Engine, n int, pred predicate.Cond, slack sim.D
 }
 
 // Register installs the checker on transport node idx.
-func (c *PhysicalChecker) Register(net *network.Net, idx int) {
+func (c *PhysicalChecker) Register(net Receiver, idx int) {
 	net.Register(idx, func(m network.Message, now sim.Time) {
 		if rep, ok := m.Payload.(ReportMsg); ok {
 			c.OnReport(rep, now)
@@ -143,6 +143,10 @@ func (c *PhysicalChecker) Finish(horizon sim.Time) {
 
 // Occurrences returns the detected occurrences (call Finish first).
 func (c *PhysicalChecker) Occurrences() []Occurrence { return c.occ }
+
+// Markers returns nil: physical timestamps are totally ordered, so the
+// checker never observes a race.
+func (c *PhysicalChecker) Markers() []sim.Time { return nil }
 
 // Applied returns the number of reports replayed.
 func (c *PhysicalChecker) Applied() int64 { return c.applied }

@@ -139,7 +139,8 @@ func TestSensorsNeedCheckerSlot(t *testing.T) {
 	}()
 	eng := sim.NewEngine(1)
 	nt := newNetForTest(eng, 2) // only 2 nodes for 2 sensors + checker
-	NewSensors(eng, nt, SensorConfig{N: 2, Kind: VectorStrobe, CheckerIdx: 2})
+	NewSensors(nt, SensorConfig{N: 2, Kind: VectorStrobe, CheckerIdx: 2},
+		func(int) (*sim.Engine, Transport) { return eng, nt })
 }
 
 // newNetForTest builds a minimal transport.

@@ -115,18 +115,22 @@ type SensorConfig struct {
 }
 
 // NewSensors builds the fleet and registers each sensor's message handler
-// on the transport. The transport must have at least N+1 nodes (the extra
-// one being the checker).
-func NewSensors(eng *sim.Engine, net *network.Net, cfg SensorConfig) []*Sensor {
+// on the transport, which must have at least N+1 nodes (the extra one being
+// the checker). place names where sensor i runs: the engine that executes
+// its events and the sending surface it transmits through — the same pair
+// for every sensor on the single-engine kernel, the owning shard's engine
+// and ShardPart on the sharded one.
+func NewSensors(net Receiver, cfg SensorConfig, place func(i int) (*sim.Engine, Transport)) []*Sensor {
 	if net.N() < cfg.N+1 {
 		panic(fmt.Sprintf("core: transport has %d nodes, need %d sensors + checker",
 			net.N(), cfg.N))
 	}
 	out := make([]*Sensor, cfg.N)
 	for i := 0; i < cfg.N; i++ {
+		eng, tx := place(i)
 		s := &Sensor{
 			ID: i, Kind: cfg.Kind, n: cfg.N,
-			eng: eng, net: net, checkerIdx: cfg.CheckerIdx,
+			eng: eng, net: tx, checkerIdx: cfg.CheckerIdx,
 			vals:      make(map[string]float64),
 			localConj: cfg.LocalConj,
 			tr:        cfg.Trace,
@@ -139,7 +143,7 @@ func NewSensors(eng *sim.Engine, net *network.Net, cfg SensorConfig) []*Sensor {
 		case ScalarStrobe:
 			s.sc = &clock.StrobeScalar{}
 		case DiffVectorStrobe:
-			s.dvec = clock.NewDiffStrobeVector(i, cfg.N)
+			s.dvec = clock.NewVectorState(i, cfg.N)
 		case PhysicalReport:
 			if i < len(cfg.Phys) {
 				s.phys = cfg.Phys[i]

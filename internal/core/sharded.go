@@ -32,8 +32,10 @@ type ShardedConfig struct {
 	Seed   uint64
 	N      int // sensor count; the checker is transport index N
 	Shards int
-	// Workers bounds how many shards execute concurrently within an epoch
-	// (<= 1: sequential). Purely a wall-clock knob; results are identical.
+	// Workers selects how an epoch executes: <= 1 runs the shards one after
+	// another; any value > 1 runs every shard of the epoch on its own
+	// goroutine (it is a switch, not a bound). Purely a wall-clock knob;
+	// results are identical.
 	Workers int
 	// Delay must have a positive minimum bound (sim.MinDelayBound) when
 	// Shards > 1; it becomes the conservative lookahead.
@@ -63,8 +65,8 @@ type ShardedConfig struct {
 	// makes per-report work O(1) in the fleet size.
 	CheckerFanout int
 	// DenseClocks forces dense vector state regardless of fleet size (the
-	// single-heap-era baseline the benches compare against); otherwise
-	// clock.NewVectorState picks by density.
+	// tests' reference representation); otherwise clock.NewVectorState
+	// picks by density.
 	DenseClocks bool
 	// Workload overrides the fleet workload with any workload.Source
 	// (objects are global sensor indices, attr "p"); nil uses the default
@@ -90,9 +92,11 @@ type ShardedHarness struct {
 	Worlds  []*world.World // one per shard
 	Sensors []*Sensor
 	// Checker is the flat P0 (CheckerFanout <= 1); Tree the hierarchical
-	// checker (CheckerFanout >= 2). Exactly one is non-nil.
+	// checker (CheckerFanout >= 2). Exactly one is non-nil; det is that
+	// one, as the spine sees it.
 	Checker *StrobeChecker
 	Tree    *checker.Tree
+	det     detector
 	Faults  *faults.Injector
 	Pred    predicate.Cond
 	// Events is the materialized fleet workload driving the run, in
@@ -100,7 +104,6 @@ type ShardedHarness struct {
 	// a recorder would capture, available before Run for encoding.
 	Events []workload.Event
 
-	smap    network.ShardMap
 	objBase []int // first global sensor index hosted by each shard
 	traces  []*trace.Trace
 }
@@ -161,11 +164,7 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 		cfg.PilotK = cfg.Pilot/2 + 1
 	}
 	if cfg.Tol <= 0 {
-		bound := cfg.Delay.Bound()
-		if bound == sim.Never {
-			bound = 100 * sim.Millisecond
-		}
-		cfg.Tol = bound + sim.Millisecond
+		cfg.Tol = finiteBound(cfg.Delay) + sim.Millisecond
 	}
 	if cfg.Topo == nil {
 		cfg.Topo = gridFor(cfg.N)
@@ -180,7 +179,7 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 	snet.AlwaysReach = []int{cfg.N}
 
 	h := &ShardedHarness{
-		Cfg: cfg, Sh: sh, Net: snet, smap: smap,
+		Cfg: cfg, Sh: sh, Net: snet,
 		Worlds:  make([]*world.World, cfg.Shards),
 		objBase: make([]int, cfg.Shards),
 		Pred:    PilotPred(cfg.Pilot, cfg.PilotK),
@@ -199,27 +198,22 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 	// Sensors and objects, all indexed by sensor. Each sensor's world
 	// object lives on its own shard; the per-shard object id is the
 	// sensor's offset from the shard's first sensor.
-	h.Sensors = make([]*Sensor, cfg.N)
-	for i := 0; i < cfg.N; i++ {
+	h.Sensors = NewSensors(snet, SensorConfig{N: cfg.N, Kind: DiffVectorStrobe, CheckerIdx: cfg.N},
+		func(i int) (*sim.Engine, Transport) {
+			k := smap.Of(i)
+			return sh.Engine(k), snet.Part(k)
+		})
+	for i, s := range h.Sensors {
 		k := smap.Of(i)
 		if h.objBase[k] < 0 {
 			h.objBase[k] = i
 		}
-		s := &Sensor{
-			ID: i, Kind: DiffVectorStrobe, n: cfg.N,
-			eng: sh.Engine(k), net: snet.Part(k), checkerIdx: cfg.N,
-			vals: make(map[string]float64),
-		}
 		if cfg.DenseClocks {
 			s.dvec = clock.NewDiffStrobeVector(i, cfg.N)
-		} else {
-			s.dvec = clock.NewVectorState(i, cfg.N)
 		}
 		if h.traces != nil {
 			s.tr = h.traces[k]
 		}
-		snet.Register(i, s.onMessage)
-		h.Sensors[i] = s
 
 		w := h.Worlds[k]
 		obj := w.AddObject("o"+strconv.Itoa(i), nil)
@@ -267,26 +261,20 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 			BatchInterval: look,
 		})
 		h.Tree.SetObs(cfg.Obs)
-		snet.Register(cfg.N, func(m network.Message, now sim.Time) {
-			if strobe, ok := m.Payload.(StrobeMsg); ok {
-				h.Tree.OnReport(treeReport(strobe), now)
-			}
-		})
+		onStrobes(snet, cfg.N, func(m StrobeMsg, now sim.Time) { h.Tree.OnReport(treeReport(m), now) })
+		h.det = h.Tree
 	} else {
 		h.Checker = newStrobeChecker(cfg.N, h.Pred, cfg.RaceAware)
 		h.Checker.SetObs(cfg.Obs)
-		snet.Register(cfg.N, func(m network.Message, now sim.Time) {
-			if strobe, ok := m.Payload.(StrobeMsg); ok {
-				h.Checker.OnStrobe(strobe, now)
-			}
-		})
+		h.Checker.Register(snet, cfg.N)
+		h.det = h.Checker
 	}
 
 	if cfg.Obs != nil {
 		cfg.Obs.SetNow("virtual", sh.Now)
 		snet.SetObs(cfg.Obs)
 	}
-	h.installFaults(cfg.Faults)
+	h.Faults = installFaults(cfg.Faults, h.Sensors, snet.SetFaults, cfg.Obs, nil)
 	return h
 }
 
@@ -298,19 +286,6 @@ func treeReport(m StrobeMsg) checker.Report {
 		Var: m.Var, Value: m.Value,
 		Vec: m.Vec, Scalar: m.Scalar, Sparse: m.Sparse,
 	}
-}
-
-// treeOccurrences converts the tree's occurrences to the core type
-// (nil stays nil so empty runs compare equal across checker shapes).
-func treeOccurrences(occ []checker.Occurrence) []Occurrence {
-	if occ == nil {
-		return nil
-	}
-	out := make([]Occurrence, len(occ))
-	for i, o := range occ {
-		out[i] = Occurrence{Start: o.Start, End: o.End, Borderline: o.Borderline}
-	}
-	return out
 }
 
 // gridFor lays N sensors on a near-square grid (row-major, matching the
@@ -336,66 +311,19 @@ func mix64(seed, domain uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// installFaults schedules crash/recover transitions on each target
-// sensor's own shard. The injector gates the transport everywhere (its
-// state is immutable and its counters atomic, so shards share it).
-func (h *ShardedHarness) installFaults(plan *faults.Plan) {
-	inj := faults.NewInjector(plan)
-	if inj == nil {
-		return
-	}
-	for _, ev := range plan.Events {
-		if ev.Proc < 0 || ev.Proc >= h.Cfg.N {
-			panic(fmt.Sprintf("core: fault plan event targets process %d; crash/recover is limited to sensors 0..%d",
-				ev.Proc, h.Cfg.N-1))
-		}
-	}
-	h.Faults = inj
-	h.Net.SetFaults(inj)
-	crashes := h.Cfg.Obs.Counter("faults.crashes")
-	recoveries := h.Cfg.Obs.Counter("faults.recoveries")
-	for _, ev := range inj.Transitions() {
-		ev := ev
-		s := h.Sensors[ev.Proc]
-		h.Sh.Engine(h.smap.Of(ev.Proc)).At(ev.At, func(now sim.Time) {
-			switch ev.Kind {
-			case faults.Crash:
-				s.Crash()
-				crashes.Inc()
-			case faults.Recover:
-				s.Rejoin()
-				recoveries.Inc()
-			}
-		})
-	}
-}
-
 // Run executes to the horizon, drains in-flight control traffic, and
 // scores against the merged pilot ground truth.
 func (h *ShardedHarness) Run() ShardedResults {
 	horizon := h.Cfg.Horizon
 	h.Sh.Run(horizon)
 	h.Sh.RunAll() // settle in-flight strobes (bounded delay models)
-	if h.Tree != nil {
-		h.Tree.Finish(horizon)
-	} else {
-		h.Checker.Finish(horizon)
-	}
 
 	res := ShardedResults{
 		Results:   Results{Net: h.Net.TotalStats(), Horizon: horizon},
 		Epochs:    h.Sh.Epochs,
 		CrossSent: h.Sh.CrossSent,
 	}
-	if h.Tree != nil {
-		res.Occurrences = clipToHorizon(treeOccurrences(h.Tree.Occurrences()), horizon)
-		res.Markers = h.Tree.Markers()
-	} else {
-		res.Occurrences = clipToHorizon(h.Checker.Occurrences(), horizon)
-		res.Markers = h.Checker.Markers()
-	}
-	res.Truth = world.TrueIntervals(h.mergedPilotLog(), h.truthPred(), horizon)
-	res.Confusion = Score(res.Occurrences, res.Truth, res.Markers, h.Cfg.Tol, horizon)
+	finishAndScore(&res.Results, h.det, h.mergedPilotLog(), h.truthPred(), h.Cfg.Tol)
 	for _, s := range h.Sensors {
 		res.ClockBytes += int64(s.ClockStateBytes())
 	}
@@ -493,14 +421,9 @@ func (h *ShardedHarness) CounterLines() []string {
 	for kind, v := range t.ByKind {
 		lines = append(lines, "net.kind."+kind+"="+strconv.FormatInt(v, 10))
 	}
-	if f := h.Faults; f != nil {
-		lines = append(lines,
-			"faults.suppressed="+strconv.FormatInt(f.Counts.SuppressedSends.Load(), 10),
-			"faults.crash_drops="+strconv.FormatInt(f.Counts.CrashDrops.Load(), 10),
-			"faults.partition_drops="+strconv.FormatInt(f.Counts.PartitionDrops.Load(), 10),
-			"faults.duplicates="+strconv.FormatInt(f.Counts.Duplicates.Load(), 10),
-			"faults.reorders="+strconv.FormatInt(f.Counts.Reorders.Load(), 10))
-	}
+	h.Faults.EachCount(func(name string, v int64) {
+		lines = append(lines, name+"="+strconv.FormatInt(v, 10))
+	})
 	sort.Strings(lines)
 	return lines
 }

@@ -15,7 +15,18 @@ type Transport interface {
 	BroadcastStamped(src int, p network.Payload, st flight.Stamp) uint64
 }
 
+// Receiver is the receiving surface a fleet or a checker registers on: the
+// node count and per-node delivery handlers. Both network.Net and
+// network.ShardedNet satisfy it, which is how one set of Register methods
+// and one NewSensors serve either kernel.
+type Receiver interface {
+	N() int
+	Register(i int, h network.Handler)
+}
+
 var (
 	_ Transport = (*network.Net)(nil)
 	_ Transport = (*network.ShardPart)(nil)
+	_ Receiver  = (*network.Net)(nil)
+	_ Receiver  = (*network.ShardedNet)(nil)
 )

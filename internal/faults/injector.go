@@ -21,6 +21,23 @@ type Counts struct {
 	Reorders atomic.Int64
 }
 
+// EachCount calls fn with every counter's metric name and current value,
+// in declaration order. It is the one enumeration of Counts: the obs
+// mirrors of both DES transports and the live engine, and the sharded
+// harness's CounterLines, all read through it. A nil injector has no
+// counts.
+func (in *Injector) EachCount(fn func(name string, v int64)) {
+	if in == nil {
+		return
+	}
+	c := &in.Counts
+	fn("faults.suppressed_sends", c.SuppressedSends.Load())
+	fn("faults.crash_drops", c.CrashDrops.Load())
+	fn("faults.partition_drops", c.PartitionDrops.Load())
+	fn("faults.duplicates", c.Duplicates.Load())
+	fn("faults.reorders", c.Reorders.Load())
+}
+
 // Injector answers the transports' fault queries for one run. It is
 // immutable after construction (Counts aside), so it is safe for
 // concurrent use by the live engine and adds no hidden state to the DES.

@@ -123,19 +123,6 @@ type Stamp struct {
 	Clock uint64
 }
 
-// StampOf extracts v's stamp when it implements Stamped, the zero Stamp
-// otherwise. Origination-time convenience — callers holding a concrete
-// message type should call its FlightStamp directly, and nothing on a
-// per-delivery path should call this at all (the type assertion here is
-// exactly the cost the Message stamp field exists to avoid).
-func StampOf(v any) Stamp {
-	if st, ok := v.(Stamped); ok {
-		e, s, c := st.FlightStamp()
-		return Stamp{Epoch: int32(e), Seq: uint64(s), Clock: c}
-	}
-	return Stamp{}
-}
-
 // ring is one process's fixed-capacity event history.
 type ring struct {
 	buf   []Rec

@@ -44,9 +44,9 @@ func TestForceStringsBypassesCachedPrep(t *testing.T) {
 }
 
 // Pooled survey scratch from a narrower execution must be regrown when
-// a wider one reuses it: the parallel non-SWAR path decodes cuts into
-// per-worker buffers sized for n and used to panic on the width change.
-func TestParallelScratchReuseAcrossWidths(t *testing.T) {
+// a wider one reuses it: the non-SWAR path decodes cuts into a buffer
+// sized for n.
+func TestScratchReuseAcrossWidths(t *testing.T) {
 	// n=16, maxP=15: value bits 4, 16*4=64 -> packed; guard geometry
 	// 16*6=96>64 -> non-SWAR (the expandPairs path).
 	c1 := make([]int, 16)
@@ -63,10 +63,10 @@ func TestParallelScratchReuseAcrossWidths(t *testing.T) {
 	c2[0] = 7
 	// Independent events: the lattice is the full product, so the count
 	// is prod(counts[i]+1).
-	if sv := ragged(c1).Survey(SurveyOptions{Parallelism: 4}); sv.Count != 16<<15 {
+	if sv := ragged(c1).Survey(SurveyOptions{}); sv.Count != 16<<15 {
 		t.Fatalf("n=16 count %d want %d", sv.Count, 16<<15)
 	}
-	if sv := ragged(c2).Survey(SurveyOptions{Parallelism: 4}); sv.Count != 8<<20 {
+	if sv := ragged(c2).Survey(SurveyOptions{}); sv.Count != 8<<20 {
 		t.Fatalf("n=21 count %d want %d", sv.Count, 8<<20)
 	}
 }

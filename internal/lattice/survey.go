@@ -33,9 +33,7 @@
 // once, with no dedup structure at all. By construction the newly added
 // event is the L-maximum of the successor, so each frontier entry just
 // carries its cut's max rank alongside the key; the rule is one integer
-// compare. This also makes the parallel mode trivially deterministic:
-// chunk expansions share no state and their concatenation is identical
-// to the sequential frontier at any worker count.
+// compare.
 //
 // Representation: a cut is packed into a single uint64 whenever its
 // per-process counters fit, process 0 in the most significant field so
@@ -60,7 +58,6 @@ import (
 	"time"
 
 	"pervasive/internal/obs"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 )
 
@@ -98,11 +95,6 @@ type SurveyOptions struct {
 	// The slice is reused between calls; clone it to retain. Returning
 	// false stops the survey.
 	Visit func(cut []int) bool
-	// Parallelism fans the expansion of large frontier levels across an
-	// internal/runner worker pool (values ≤ 1 run inline). Canonical
-	// generation makes chunk results disjoint by construction, so every
-	// statistic and the Visit sequence are identical at any setting.
-	Parallelism int
 }
 
 // SurveyResult carries every lattice statistic from a single traversal.
@@ -145,8 +137,8 @@ type fent struct {
 // packing geometry, the per-event constraint rows — sparse (pairs) and
 // branch-free packed (prows) forms — and the linear-extension ranks
 // that drive canonical generation. It is built once per Execution
-// (cached; see Execution.prep) and read concurrently by parallel
-// frontier workers.
+// (cached; see Execution.prep) and only read thereafter, so concurrent
+// Survey calls on one Execution share it.
 type surveyPrep struct {
 	n      int
 	lens   []int // events per process
@@ -328,16 +320,12 @@ func (p *surveyPrep) canAdvance(comp []uint64, i int) bool {
 }
 
 // surveyScratch holds one traversal's reusable state: the run header
-// (which escapes into the parallel fan-out closure, so heap-allocating
-// it per call would cost an allocation even on serial surveys) and the
-// frontier, decode and per-worker chunk buffers.
+// and the frontier and decode buffers.
 type surveyScratch struct {
 	run       surveyRun
 	cur, next []fent
 	comp      []uint64
 	cut       []int
-	chunkBuf  [][]fent
-	chunkComp [][]uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(surveyScratch) }}
@@ -381,10 +369,7 @@ func (e *Execution) Survey(opt SurveyOptions) *SurveyResult {
 	return res
 }
 
-// surveyRun is one traversal's mutable state over the shared prep. The
-// expansion kernels keep no scratch here: in parallel mode every worker
-// expands its chunk through the same run header, so anything mutable
-// besides the (single-writer) counters would race.
+// surveyRun is one traversal's mutable state over the shared prep.
 type surveyRun struct {
 	*surveyPrep
 	expanded, dedup, peak int64
@@ -437,11 +422,8 @@ func (s *surveyRun) expandSWAR(keys []fent, out []fent) []fent {
 
 // expandSWAR4 is expandSWAR specialized to 4-bit fields (any execution
 // with at most 6 events per process packs into them) at arbitrary n.
-// Candidates emit by overwrite in field order, so the frontier order —
-// and therefore the parallel chunk concatenation — is independent of
-// how entries are grouped, and the kernel needs no per-run scratch
-// (workers expanding disjoint chunks share nothing but the read-only
-// prep).
+// Candidates emit by overwrite in field order, and the kernel needs no
+// per-run scratch.
 func (s *surveyRun) expandSWAR4(keys []fent, out []fent) []fent {
 	const fw, mask = 4, uint64(0xF)
 	h := s.hmask
@@ -606,40 +588,6 @@ func (s *surveyRun) expandPacked(keys []fent, out []fent, comp []uint64) []fent 
 	return s.expandPairs(keys, out, comp)
 }
 
-// parallelMinFrontier is the frontier size below which fanning a level
-// across workers costs more than it saves.
-const parallelMinFrontier = 2048
-
-// expandParallel fans one frontier level across the worker pool in
-// fixed contiguous chunks. Canonical generation makes the chunks'
-// expansions disjoint, so concatenating them in chunk order yields
-// exactly the sequential frontier — deterministic at any worker count.
-// It lives apart from runPacked so the closure's captures only cost
-// heap allocations on levels that actually fan out.
-func (s *surveyRun) expandParallel(par, workers int, cur, next []fent, sc *surveyScratch) []fent {
-	if sc.chunkBuf == nil || len(sc.chunkBuf) < workers {
-		sc.chunkBuf = make([][]fent, workers)
-		sc.chunkComp = make([][]uint64, workers)
-	}
-	for w := range sc.chunkComp {
-		// Pooled scratch may come from a survey of a narrower execution;
-		// the decode buffers must fit this run's n.
-		if len(sc.chunkComp[w]) < s.n {
-			sc.chunkComp[w] = make([]uint64, s.n)
-		}
-	}
-	parts := runner.Map(par, workers, func(w int) []fent {
-		lo, hi := w*len(cur)/workers, (w+1)*len(cur)/workers
-		return s.expandPacked(cur[lo:hi], sc.chunkBuf[w][:0], sc.chunkComp[w])
-	})
-	next = next[:0]
-	for w, part := range parts {
-		sc.chunkBuf[w] = part // keep grown buffers for the next level
-		next = append(next, part...)
-	}
-	return next
-}
-
 func (s *surveyRun) runPacked(opt SurveyOptions, res *SurveyResult, sc *surveyScratch) {
 	cur, next := append(sc.cur[:0], fent{}), sc.next[:0]
 	if cap(sc.comp) < s.n {
@@ -652,10 +600,6 @@ func (s *surveyRun) runPacked(opt SurveyOptions, res *SurveyResult, sc *surveySc
 			sc.cut = make([]int, s.n)
 		}
 		cut = sc.cut[:s.n]
-	}
-	workers := 1
-	if opt.Parallelism > 1 {
-		workers = runner.Workers(opt.Parallelism)
 	}
 
 	plain := opt.Visit == nil && opt.Limit <= 0
@@ -691,11 +635,7 @@ func (s *surveyRun) runPacked(opt SurveyOptions, res *SurveyResult, sc *surveySc
 			}
 		}
 		s.expanded += int64(len(cur))
-		if workers > 1 && len(cur) >= parallelMinFrontier {
-			next = s.expandParallel(opt.Parallelism, workers, cur, next, sc)
-		} else {
-			next = s.expandPacked(cur, next[:0], comp)
-		}
+		next = s.expandPacked(cur, next[:0], comp)
 		if opt.Visit != nil && len(next) > 1 {
 			// Canonical generation emits in parent order, not key order;
 			// restore the documented lexicographic visit order.

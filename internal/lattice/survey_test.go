@@ -82,7 +82,7 @@ func dangleStamps(e *Execution, src, k, dst int) {
 }
 
 // checkAgainstOracle runs Survey in every mode — packed and string-key
-// representations, sequential and parallel — and requires count, level
+// representations, with and without a visitor — and requires count, level
 // sizes, width and the visited-cut set to match the recursive oracle.
 func checkAgainstOracle(t *testing.T, label string, e *Execution) {
 	t.Helper()
@@ -90,19 +90,17 @@ func checkAgainstOracle(t *testing.T, label string, e *Execution) {
 	modes := []struct {
 		name  string
 		force bool
-		par   int
 		visit bool
 	}{
-		{"packed", false, 0, true},
-		{"packed-par", false, 4, true},
-		{"packed-novisit", false, 0, false},
-		{"strings", true, 0, true},
-		{"strings-par", true, 4, false},
+		{"packed", false, true},
+		{"packed-novisit", false, false},
+		{"strings", true, true},
+		{"strings-novisit", true, false},
 	}
 	for _, m := range modes {
 		forceStringKeys = m.force
 		set := make(map[string]bool)
-		opt := SurveyOptions{Parallelism: m.par}
+		var opt SurveyOptions
 		if m.visit {
 			opt.Visit = func(cut []int) bool {
 				set[fmt.Sprint(cut)] = true
@@ -238,38 +236,6 @@ func TestSurveyStringFallback(t *testing.T) {
 	}
 }
 
-// TestSurveyParallelDeterministic compares the sequential and parallel
-// engines on a frontier large enough (peak level of the 7⁶ grid) to
-// actually trigger the level fan-out, for both the counting path and
-// the ordered visitor path.
-func TestSurveyParallelDeterministic(t *testing.T) {
-	e := independent(6, 6)
-	seq := e.Survey(SurveyOptions{})
-	par := e.Survey(SurveyOptions{Parallelism: 4})
-	if seq.Count != 117649 || par.Count != seq.Count || par.Width != seq.Width {
-		t.Fatalf("parallel diverged: seq %d/%d par %d/%d",
-			seq.Count, seq.Width, par.Count, par.Width)
-	}
-	for l := range seq.LevelSizes {
-		if seq.LevelSizes[l] != par.LevelSizes[l] {
-			t.Fatalf("level %d: %d vs %d", l, seq.LevelSizes[l], par.LevelSizes[l])
-		}
-	}
-	hash := func(par int) uint64 {
-		var h uint64 = 14695981039346656037
-		e.Survey(SurveyOptions{Parallelism: par, Visit: func(cut []int) bool {
-			for _, c := range cut {
-				h = (h ^ uint64(c)) * 1099511628211
-			}
-			return true
-		}})
-		return h
-	}
-	if hash(0) != hash(4) {
-		t.Fatal("parallel visitor sequence diverged from sequential")
-	}
-}
-
 func TestSurveyObsInstrumentation(t *testing.T) {
 	reg := obs.NewRegistry()
 	SetObs(reg)
@@ -373,15 +339,6 @@ func BenchmarkSurvey6x6Full(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Survey(SurveyOptions{})
-	}
-}
-
-func BenchmarkSurvey6x6Parallel(b *testing.B) {
-	e := independent(6, 6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Survey(SurveyOptions{Parallelism: 4})
 	}
 }
 

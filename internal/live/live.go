@@ -201,13 +201,7 @@ func Start(cfg Config) *Network {
 			hw := nw.mailboxHW.Load()
 			nw.obsMailbox.SetWithMax(hw, hw)
 			r.Counter("live.mailbox_drained").Store(nw.drained.Load())
-			if f := nw.fault; f != nil {
-				r.Counter("faults.suppressed_sends").Store(f.Counts.SuppressedSends.Load())
-				r.Counter("faults.crash_drops").Store(f.Counts.CrashDrops.Load())
-				r.Counter("faults.partition_drops").Store(f.Counts.PartitionDrops.Load())
-				r.Counter("faults.duplicates").Store(f.Counts.Duplicates.Load())
-				r.Counter("faults.reorders").Store(f.Counts.Reorders.Load())
-			}
+			nw.fault.EachCount(func(name string, v int64) { r.Counter(name).Store(v) })
 		})
 	}
 	if cfg.MetricsAddr != "" && cfg.Obs != nil {

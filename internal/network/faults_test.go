@@ -241,7 +241,7 @@ func TestDupReorderParityAcrossTransports(t *testing.T) {
 
 	eng, nt := newTestNet(FullMesh{Nodes: 2}, delay)
 	nt.SetFaults(faults.NewInjector(plan))
-	for i := 1; i <= sends; i++ {
+	for i := 0; i < sends; i++ { // first send at t = 0
 		eng.At(sim.Time(i*100), func(sim.Time) { nt.Send(0, 1, Raw{Size: 1}) })
 	}
 	eng.RunAll()
@@ -251,7 +251,7 @@ func TestDupReorderParityAcrossTransports(t *testing.T) {
 	sn := NewSharded(sh, FullMesh{Nodes: 2}, delay, ShardMap{Procs: 2, Shards: 2}, 7)
 	in := faults.NewInjector(plan)
 	sn.SetFaults(in)
-	for i := 1; i <= sends; i++ {
+	for i := 0; i < sends; i++ {
 		sh.Engine(0).At(sim.Time(i*100), func(sim.Time) { sn.Part(0).Send(0, 1, Raw{Size: 1}) })
 	}
 	sh.RunAll()

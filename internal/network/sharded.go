@@ -109,9 +109,6 @@ func (sn *ShardedNet) N() int { return len(sn.handlers) }
 // Part returns shard k's sending facade.
 func (sn *ShardedNet) Part(k int) *ShardPart { return sn.parts[k] }
 
-// PartOf returns the facade of the shard owning process p.
-func (sn *ShardedNet) PartOf(p int) *ShardPart { return sn.parts[sn.smap.Of(p)] }
-
 // Map returns the process→shard partition.
 func (sn *ShardedNet) Map() ShardMap { return sn.smap }
 
@@ -139,34 +136,14 @@ func (sn *ShardedNet) TotalStats() Stats {
 	return out
 }
 
-// SetObs registers a collector mirroring the summed transport counters
-// (net.sent / net.delivered / net.dropped / net.bytes) into the registry
-// at snapshot time. Per-link delay histograms are not sampled on the
-// sharded path — the hot loop stays store-free.
+// SetObs attaches the shared stats mirror (see mirrorStats) over the
+// summed per-shard counters. Per-link delay histograms are not sampled on
+// the sharded path — the hot loop stays store-free.
 func (sn *ShardedNet) SetObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	var (
-		sent      = r.Counter("net.sent")
-		delivered = r.Counter("net.delivered")
-		dropped   = r.Counter("net.dropped")
-		bytes     = r.Counter("net.bytes")
-	)
-	r.RegisterCollector(func(r *obs.Registry) {
-		t := sn.TotalStats()
-		sent.Store(t.Sent)
-		delivered.Store(t.Delivered)
-		dropped.Store(t.Dropped)
-		bytes.Store(t.Bytes)
-		if f := sn.fault; f != nil {
-			r.Counter("faults.suppressed_sends").Store(f.Counts.SuppressedSends.Load())
-			r.Counter("faults.crash_drops").Store(f.Counts.CrashDrops.Load())
-			r.Counter("faults.partition_drops").Store(f.Counts.PartitionDrops.Load())
-			r.Counter("faults.duplicates").Store(f.Counts.Duplicates.Load())
-			r.Counter("faults.reorders").Store(f.Counts.Reorders.Load())
-		}
-	})
+	mirrorStats(r, func() (Stats, *faults.Injector) { return sn.TotalStats(), sn.fault })
 }
 
 // priFor mints the (time-tie-break) priority key and message ID for one

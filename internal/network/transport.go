@@ -102,42 +102,42 @@ type Net struct {
 	flightRec *flight.Recorder
 }
 
-// SetObs attaches runtime metrics: per-link sends, deliveries, drops
-// and bytes as counters, and the sampled link delay (µs) as a
-// histogram. The hot path stays atomic-free — a registered collector
-// mirrors the Stats block and the local delay histogram into the
-// registry at snapshot time. When a fault injector is installed its
-// counts are mirrored too (faults.* counters). SetObs(nil) stops delay
-// sampling; values already mirrored into a previous registry remain
-// there.
-func (nt *Net) SetObs(r *obs.Registry) {
-	if r == nil {
-		nt.obsDelay = nil
-		return
-	}
-	nt.obsDelay = obs.NewLocalHist(obs.DurationBuckets)
+// mirrorStats registers the one transport → obs mirror both transports
+// share: a collector that, at snapshot time, reads the transport's Stats
+// and fault injector through read and stores the four net.* counters and
+// the injector's faults.* counts. The hot path stays atomic-free.
+func mirrorStats(r *obs.Registry, read func() (Stats, *faults.Injector)) {
 	var (
 		sent      = r.Counter("net.sent")
 		delivered = r.Counter("net.delivered")
 		dropped   = r.Counter("net.dropped")
 		bytes     = r.Counter("net.bytes")
-		delay     = r.Histogram("net.delay_us", obs.DurationBuckets)
-		local     = nt.obsDelay
 	)
 	r.RegisterCollector(func(r *obs.Registry) {
-		sent.Store(nt.Stats.Sent)
-		delivered.Store(nt.Stats.Delivered)
-		dropped.Store(nt.Stats.Dropped)
-		bytes.Store(nt.Stats.Bytes)
-		delay.CopyFrom(local)
-		if f := nt.fault; f != nil {
-			r.Counter("faults.suppressed_sends").Store(f.Counts.SuppressedSends.Load())
-			r.Counter("faults.crash_drops").Store(f.Counts.CrashDrops.Load())
-			r.Counter("faults.partition_drops").Store(f.Counts.PartitionDrops.Load())
-			r.Counter("faults.duplicates").Store(f.Counts.Duplicates.Load())
-			r.Counter("faults.reorders").Store(f.Counts.Reorders.Load())
-		}
+		t, f := read()
+		sent.Store(t.Sent)
+		delivered.Store(t.Delivered)
+		dropped.Store(t.Dropped)
+		bytes.Store(t.Bytes)
+		f.EachCount(func(name string, v int64) { r.Counter(name).Store(v) })
 	})
+}
+
+// SetObs attaches runtime metrics: the shared stats mirror (see
+// mirrorStats) plus the sampled link delay (µs) as a histogram, copied
+// from a local, unsynchronized histogram at snapshot time. SetObs(nil)
+// stops delay sampling; values already mirrored into a previous registry
+// remain there.
+func (nt *Net) SetObs(r *obs.Registry) {
+	if r == nil {
+		nt.obsDelay = nil
+		return
+	}
+	local := obs.NewLocalHist(obs.DurationBuckets)
+	nt.obsDelay = local
+	mirrorStats(r, func() (Stats, *faults.Injector) { return nt.Stats, nt.fault })
+	delay := r.Histogram("net.delay_us", obs.DurationBuckets)
+	r.RegisterCollector(func(*obs.Registry) { delay.CopyFrom(local) })
 }
 
 // SetFlight attaches (or, with nil, detaches) a flight recorder: each
@@ -148,9 +148,6 @@ func (nt *Net) SetObs(r *obs.Registry) {
 // receiving end, keeping the per-message cost to one branch + one ring
 // store within the kernel bench's <5% overhead budget.
 func (nt *Net) SetFlight(r *flight.Recorder) { nt.flightRec = r }
-
-// Flight returns the attached flight recorder (nil when none).
-func (nt *Net) Flight() *flight.Recorder { return nt.flightRec }
 
 // recordFlight stamps one Recv/Drop record for m at its destination.
 // m is passed by pointer: this runs once per delivery, and copying the
@@ -199,9 +196,6 @@ func (nt *Net) N() int { return len(nt.handlers) }
 // Register installs the delivery handler for process i (replacing any
 // previous handler).
 func (nt *Net) Register(i int, h Handler) { nt.handlers[i] = h }
-
-// Delay returns the transport's delay model.
-func (nt *Net) Delay() sim.DelayModel { return nt.delay }
 
 // SetDelay replaces the delay model (useful for mid-run degradation
 // experiments).

@@ -20,8 +20,10 @@ type ScaleConfig struct {
 	Seed   uint64
 	N      int // fleet size (default 1024)
 	Shards int
-	// Workers bounds intra-epoch concurrency (results identical at any
-	// setting; 0/1 run shards sequentially).
+	// Workers selects how an epoch runs: 0/1 run the shards one after
+	// another, any value > 1 runs every shard of the epoch on its own
+	// goroutine — a switch, not a bound. Results are identical at any
+	// setting.
 	Workers int
 	Delay   sim.DelayModel
 	Horizon sim.Time

@@ -7,14 +7,12 @@ import (
 	"pervasive/internal/stats"
 )
 
-// crossEvent is one cross-shard delivery in flight between epoch barriers.
-// pri carries the sender-derived priority key; seq is stamped at collection
-// time purely to keep the pending heap's order total (transport-issued pri
-// keys are unique, so seq never decides order between real deliveries).
+// crossEvent is one cross-shard delivery staged in its source shard's
+// outbox until the next epoch barrier. pri carries the sender-derived
+// priority key.
 type crossEvent struct {
 	at  Time
 	pri uint64
-	seq uint64
 	dst int32
 	fn  Handler
 }
@@ -27,29 +25,29 @@ type crossEvent struct {
 // There are no null messages: the time bound itself is the guarantee.
 //
 // Cross-shard sends are staged in per-source outboxes (single writer: the
-// sending shard) and merged into one pending heap at each barrier in
-// deterministic shard order; delivery into the destination engine orders by
-// (time, pri, seq) exactly as a same-shard AtPri call would, which is what
-// makes results byte-identical at any shard count.
+// sending shard) and scheduled into their destination engines at each
+// barrier in deterministic shard order. There is one event queue per shard
+// and no other: the destination engine orders the delivery by (time, pri,
+// seq) exactly as a same-shard AtPri call would, which is what makes
+// results byte-identical at any shard count.
 //
 // With S=1 the barrier machinery short-circuits: Run degenerates to the
 // single engine's Run loop, preserving the original single-heap fast path.
 type Shards struct {
 	engines   []*Engine
 	outboxes  [][]crossEvent
-	pending   []crossEvent // min-heap by (at, pri, seq)
 	lookahead Duration
-	floor     Time // all shards have executed everything at or before floor
-	crossSeq  uint64
-	workers   int
+	// floor: all shards have executed everything at or before it. It starts
+	// before time 0, so events at 0 are still ahead of it and the first
+	// epoch is (floor, floor+L] like every other.
+	floor   Time
+	workers int
 
 	// Epochs counts barrier rounds; CrossSent counts cross-shard events
-	// staged through mailboxes; MaxInFlight is the pending-heap
-	// high-watermark. Plain fields: they are touched only between epochs,
-	// on the coordinating goroutine.
-	Epochs      uint64
-	CrossSent   uint64
-	MaxInFlight int
+	// staged through mailboxes. Plain fields: they are touched only between
+	// epochs, on the coordinating goroutine.
+	Epochs    uint64
+	CrossSent uint64
 }
 
 // NewShards creates s engines with RNG streams forked deterministically
@@ -70,7 +68,7 @@ func NewShards(s int, lookahead Duration, seed uint64) *Shards {
 		engines:   make([]*Engine, s),
 		outboxes:  make([][]crossEvent, s),
 		lookahead: lookahead,
-		workers:   1,
+		floor:     -1,
 	}
 	for k := range sh.engines {
 		sh.engines[k] = NewEngine(root.Uint64())
@@ -88,19 +86,16 @@ func (sh *Shards) Engine(k int) *Engine { return sh.engines[k] }
 func (sh *Shards) Lookahead() Duration { return sh.lookahead }
 
 // Now returns the global time floor: every shard has executed all events
-// at or before it.
-func (sh *Shards) Now() Time { return sh.floor }
+// at or before it. It reads 0 until the first epoch ends.
+func (sh *Shards) Now() Time { return max(sh.floor, 0) }
 
-// SetWorkers sets how many shards run concurrently inside an epoch; w <= 1
-// runs them sequentially in shard order. Either way the outcome is
-// identical — shards share no mutable state during an epoch — so this only
-// trades goroutines for wall clock.
-func (sh *Shards) SetWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	sh.workers = w
-}
+// SetWorkers selects how an epoch runs: w <= 1 runs the shards one after
+// another in shard order on the caller's goroutine; any w > 1 runs every
+// shard of the epoch on its own goroutine (w is a switch, not a bound on
+// their number). Either way the outcome is identical — shards share no
+// mutable state during an epoch — so this only trades goroutines for wall
+// clock.
+func (sh *Shards) SetWorkers(w int) { sh.workers = w }
 
 // CrossFrom stages a delivery from shard src into shard dst at time at with
 // priority key pri. It must be called either from src's goroutine during an
@@ -112,140 +107,61 @@ func (sh *Shards) CrossFrom(src, dst int, at Time, pri uint64, fn Handler) {
 	sh.outboxes[src] = append(sh.outboxes[src], crossEvent{at: at, pri: pri, dst: int32(dst), fn: fn})
 }
 
-// crossLess orders pending cross events by (at, pri, seq).
-func crossLess(a, b crossEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.pri != b.pri {
-		return a.pri < b.pri
-	}
-	return a.seq < b.seq
-}
-
-func (sh *Shards) pendingPush(ev crossEvent) {
-	h := append(sh.pending, ev)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !crossLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	sh.pending = h
-	if len(h) > sh.MaxInFlight {
-		sh.MaxInFlight = len(h)
-	}
-}
-
-func (sh *Shards) pendingPop() crossEvent {
-	h := sh.pending
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = crossEvent{} // drop the fn reference
-	h = h[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && crossLess(h[c+1], h[c]) {
-			c++
-		}
-		if !crossLess(h[c], h[i]) {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-	sh.pending = h
-	return top
-}
-
-// collect drains every outbox into the pending heap, in shard order. An
-// event already at or before the floor means a sender beat the lookahead —
-// the conservative-synchronization invariant is broken — so it panics
-// rather than silently reordering history.
+// collect drains every outbox, in shard order, into the destination
+// engines. Every engine's clock is pinned at the barrier, so the schedule
+// is never into an engine's past; an event at or before the floor means a
+// sender beat the lookahead — the conservative-synchronization invariant is
+// broken — so it panics rather than silently reordering history.
 func (sh *Shards) collect() {
 	for k := range sh.outboxes {
 		for _, ev := range sh.outboxes[k] {
-			if ev.at <= sh.floor && !(sh.floor == 0 && ev.at == 0) {
+			if ev.at <= sh.floor {
 				panic(fmt.Sprintf("sim: cross-shard event at %v violates lookahead (floor %v)", ev.at, sh.floor))
 			}
-			ev.seq = sh.crossSeq
-			sh.crossSeq++
-			sh.pendingPush(ev)
+			sh.engines[ev.dst].AtPri(ev.at, ev.pri, ev.fn)
 			sh.CrossSent++
 		}
 		sh.outboxes[k] = sh.outboxes[k][:0]
 	}
 }
 
-// deliver schedules every pending cross event with at <= end into its
-// destination engine.
-func (sh *Shards) deliver(end Time) {
-	for len(sh.pending) > 0 && sh.pending[0].at <= end {
-		ev := sh.pendingPop()
-		sh.engines[ev.dst].AtPri(ev.at, ev.pri, ev.fn)
-	}
-}
-
-// idle reports whether no work remains anywhere: outboxes must already be
-// collected.
-func (sh *Shards) idle() bool {
-	if len(sh.pending) > 0 {
-		return false
-	}
+// nextEventAt returns the earliest event time across all engines; ok is
+// false when every event list is drained (outboxes must already be
+// collected, so nothing is left anywhere).
+func (sh *Shards) nextEventAt() (next Time, ok bool) {
+	next = Never
 	for _, e := range sh.engines {
-		if e.Pending() > 0 {
-			return false
+		if at, live := e.NextAt(); live && at <= next {
+			next, ok = at, true
 		}
 	}
-	return true
+	return next, ok
 }
 
-// nextEventAt returns the earliest event time across all engines and the
-// pending heap. Call only when not idle.
-func (sh *Shards) nextEventAt() Time {
-	min := Never
-	for _, e := range sh.engines {
-		if at, ok := e.NextAt(); ok && at < min {
-			min = at
-		}
-	}
-	if len(sh.pending) > 0 && sh.pending[0].at < min {
-		min = sh.pending[0].at
-	}
-	return min
+// runTo executes the engine's events up to end and pins its clock there,
+// even when its event list drained earlier.
+func (e *Engine) runTo(end Time) {
+	e.Run(end)
+	e.AdvanceTo(end)
 }
 
 // runEpoch executes every shard up to end. With workers > 1 shards run on
 // their own goroutines; they share no mutable state during the epoch
 // (outboxes are single-writer), so the join is the only synchronization.
 func (sh *Shards) runEpoch(end Time) {
-	if sh.workers > 1 && len(sh.engines) > 1 {
+	if sh.workers > 1 {
 		var wg sync.WaitGroup
 		wg.Add(len(sh.engines))
 		for _, e := range sh.engines {
 			go func(e *Engine) {
 				defer wg.Done()
-				e.Run(end)
-				if e.Now() < end {
-					e.AdvanceTo(end)
-				}
+				e.runTo(end)
 			}(e)
 		}
 		wg.Wait()
 	} else {
 		for _, e := range sh.engines {
-			e.Run(end)
-			if e.Now() < end {
-				e.AdvanceTo(end)
-			}
+			e.runTo(end)
 		}
 	}
 	sh.Epochs++
@@ -260,15 +176,15 @@ func (sh *Shards) Run(until Time) Time {
 		// cross events (src==dst==0) still drain through the mailbox so
 		// the S=1 path exercises the same staging API.
 		sh.collect()
-		sh.deliver(until)
 		e := sh.engines[0]
 		e.Run(until)
 		sh.floor = e.Now()
-		return sh.floor
+		return sh.Now()
 	}
 	for sh.floor < until {
 		sh.collect()
-		if sh.idle() {
+		next, ok := sh.nextEventAt()
+		if !ok {
 			break
 		}
 		end := sh.floor + sh.lookahead
@@ -278,17 +194,16 @@ func (sh *Shards) Run(until Time) Time {
 		// Skip-ahead: if nothing anywhere fires before next, the window
 		// (floor, next] is safe — anything sent at t >= next lands at or
 		// after next+L, strictly past the barrier.
-		if next := sh.nextEventAt(); next > end {
+		if next > end {
 			end = next
 		}
 		if end > until {
 			end = until
 		}
-		sh.deliver(end)
 		sh.runEpoch(end)
 		sh.floor = end
 	}
-	return sh.floor
+	return sh.Now()
 }
 
 // RunAll runs until every event list and cross-shard mailbox is empty. Use

@@ -117,6 +117,25 @@ func TestShardLookaheadViolationPanics(t *testing.T) {
 	sh.RunAll()
 }
 
+// TestShardSendAtTimeZeroWithLookaheadDelay: the tightest legal send — made
+// at t = 0 with delay exactly L — lands at L, after the first epoch, and is
+// delivered rather than reported as a lookahead violation.
+func TestShardSendAtTimeZeroWithLookaheadDelay(t *testing.T) {
+	const look = 5 * Millisecond
+	sh := NewShards(2, look, 1)
+	var got []Time
+	sh.Engine(0).At(0, func(now Time) {
+		sh.CrossFrom(0, 1, now+look, 1, func(at Time) { got = append(got, at) })
+	})
+	if now := sh.Now(); now != 0 {
+		t.Fatalf("Now() before the first epoch = %v, want 0", now)
+	}
+	sh.RunAll()
+	if !reflect.DeepEqual(got, []Time{look}) {
+		t.Fatalf("deliveries = %v, want one at %v", got, Time(look))
+	}
+}
+
 func TestShardZeroLookaheadPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

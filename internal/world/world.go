@@ -87,9 +87,6 @@ func (w *World) AddObject(name string, attrs map[string]float64) int {
 	return o.ID
 }
 
-// NumObjects returns the number of objects in O.
-func (w *World) NumObjects() int { return len(w.objects) }
-
 // Name returns the object's name.
 func (w *World) Name(obj int) string { return w.objects[obj].Name }
 
@@ -177,13 +174,6 @@ type CovertRule struct {
 
 // AddCovertRule installs a covert-channel rule.
 func (w *World) AddCovertRule(r CovertRule) { w.rules = append(w.rules, r) }
-
-// DisableRules detaches the covert-channel overlay. Replays of a
-// recorded ground-truth log call it before pumping the log back in: the
-// rules' effects are already events in the recording, and leaving the
-// overlay live would fire them a second time (and advance the world's
-// RNG), breaking byte-identity.
-func (w *World) DisableRules() { w.rules = nil }
 
 func (w *World) applyRules(ev Event) {
 	for _, r := range w.rules {
