@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-race race-live bench-obs bench-obs-smoke bench
+.PHONY: check build vet lint test test-race fuzz-smoke race-live bench-obs bench-obs-smoke bench
 
 check: build vet lint bench-obs-smoke test-race
 
@@ -21,6 +21,13 @@ test-race:
 	$(GO) test -race ./internal/checker/
 	$(GO) test -race ./internal/workload/
 	$(GO) test -race -run 'RecordReplay|TestLiveReplayMatchesTrace' ./internal/scenario/ ./internal/live/
+
+# Ten seconds of the native fuzzer on the ground-truth oracle: the
+# incremental scorer against world.TrueIntervals over fuzzed predicates
+# and logs (DESIGN.md §1.1). New inputs stay in the Go build cache; only
+# a failing one is written under internal/world/testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzTruthOracle -fuzztime=10s ./internal/world/
 
 build:
 	$(GO) build ./...

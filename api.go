@@ -142,7 +142,9 @@ type (
 )
 
 // TrueIntervals computes ground-truth predicate-true intervals of a world
-// log.
+// log under an arbitrary Go predicate, re-evaluating it after every batch of
+// simultaneous events. Harness and live runs score their Predicate
+// incrementally (world.Oracle) and are held to exactly these intervals.
 func TrueIntervals(log []world.Event, pred world.StatePredicate, horizon Time) []Interval {
 	return world.TrueIntervals(log, pred, horizon)
 }

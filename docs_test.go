@@ -13,9 +13,9 @@ import (
 // when a target, a binary or a test is retired: every `make <target>` a doc
 // quotes must be in the Makefile's .PHONY list, every ./cmd/<name> it
 // invokes must exist, and every alternative of every `go test -run` pattern
-// in the Makefile and the CI workflow must match a test in the packages its
-// line names — a deleted test must not leave a line that passes by running
-// nothing.
+// and every `-fuzz` target in the Makefile and the CI workflow must match a
+// test in the packages its line names — a deleted test must not leave a line
+// that passes by running nothing.
 func TestDocsNameOnlyExistingTargets(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -53,23 +53,25 @@ func TestDocsNameOnlyExistingTargets(t *testing.T) {
 	}
 
 	runRef := regexp.MustCompile(`-run\s+(?:'([^']+)'|(\S+))`)
+	fuzzRef := regexp.MustCompile(`-fuzz[=\s]+(\w+)`)
 	for _, recipe := range []string{"Makefile", ".github/workflows/ci.yml"} {
 		text, err := os.ReadFile(recipe)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, line := range strings.Split(string(text), "\n") {
+			if m := fuzzRef.FindStringSubmatch(line); m != nil && strings.Contains(line, " test ") {
+				if !slices.Contains(linePackagesTests(t, line), m[1]) {
+					t.Errorf("%s: -fuzz target %q is not declared in the packages of: %s",
+						recipe, m[1], strings.TrimSpace(line))
+				}
+			}
 			m := runRef.FindStringSubmatch(line)
 			// Benchmark lines pass a -run pattern meant to match nothing.
 			if m == nil || !strings.Contains(line, " test ") || strings.Contains(line, "-bench") {
 				continue
 			}
-			var names []string
-			for _, f := range strings.Fields(line) {
-				if f == "." || strings.HasPrefix(f, "./") {
-					names = append(names, testNames(t, f)...)
-				}
-			}
+			names := linePackagesTests(t, line)
 			for _, alt := range strings.Split(m[1]+m[2], "|") {
 				re, err := regexp.Compile(alt)
 				if err != nil {
@@ -85,11 +87,22 @@ func TestDocsNameOnlyExistingTargets(t *testing.T) {
 	}
 }
 
-// testNames lists the Test functions declared in package path pkg ("." or
+// linePackagesTests lists the tests of every package path a recipe line names.
+func linePackagesTests(t *testing.T, line string) []string {
+	var names []string
+	for _, f := range strings.Fields(line) {
+		if f == "." || strings.HasPrefix(f, "./") {
+			names = append(names, testNames(t, f)...)
+		}
+	}
+	return names
+}
+
+// testNames lists the Test and Fuzz functions declared in package path pkg ("." or
 // "./dir", with a trailing "/..." for the whole subtree).
 func testNames(t *testing.T, pkg string) []string {
 	dir, recursive := strings.CutSuffix(pkg, "...")
-	testFunc := regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
 	var names []string
 	err := filepath.WalkDir(filepath.Clean(dir), func(path string, d os.DirEntry, err error) error {
 		if err != nil {

@@ -15,7 +15,8 @@
 // detection/occurrence log.
 //
 // Clause decomposition. The predicate is flattened at its top-level
-// conjunction into clauses. A clause whose comparison sides linearize
+// conjunction into clauses (predicate.Compile, the compile step the
+// ground-truth oracle shares). A clause whose comparison sides linearize
 // into ±1-coefficient sums of per-process variables (plus sum()
 // aggregates and constants) is maintained incrementally: each applied
 // report adjusts the owning region's partial and the clause totals in

@@ -2,43 +2,18 @@ package checker
 
 import "pervasive/internal/predicate"
 
-// The evaluation plan: the predicate flattened at its top-level
-// conjunction into clauses, each clause either *linear* (both comparison
-// sides are ±1-weighted sums of per-process variables, sum() aggregates
-// and constants — maintained incrementally) or *opaque* (kept whole,
-// re-evaluated against the distributed view when a variable it reads
-// changes). The plan is immutable after construction; all mutable clause
-// state lives in the Tree.
-
-// term is one ±variable occurrence on a linear side.
-type term struct {
-	proc int
-	name string
-	neg  bool
-}
-
-// aggTerm is one ±sum(name) occurrence on a linear side: every process
-// contributes its value of name.
-type aggTerm struct {
-	name string
-	neg  bool
-}
-
-// linSide is one linearized comparison side: konst + Σ ±var + Σ ±sum().
-type linSide struct {
-	konst float64
-	terms []term
-	aggs  []aggTerm
-}
+// The evaluation plan: the predicate compiled by predicate.Compile into
+// clauses, each either *linear* (both comparison sides are ±1-weighted
+// sums of per-process variables, sum() aggregates and constants —
+// maintained incrementally) or *opaque* (kept whole, re-evaluated against
+// the distributed view when a variable it reads changes). The plan is
+// immutable after construction; all mutable clause state lives in the
+// Tree.
 
 // clause is one conjunct of the predicate.
 type clause struct {
-	idx  int
-	cond predicate.Cond // original AST (opaque evaluation, String)
-
-	linear bool
-	op     predicate.CmpOp
-	sides  [2]linSide
+	idx int
+	predicate.Clause
 
 	// keys are the variables the clause reads; aggregates appear as
 	// Key{Proc: -1}. Used for the opaque affected-check and boundary
@@ -76,28 +51,15 @@ func NewPlan(pred predicate.Cond, n int, regionOf func(int) int) *Plan {
 		byKey:       make(map[predicate.Key][]coef),
 		opaqueByKey: make(map[predicate.Key][]*clause),
 	}
-	var conjuncts []predicate.Cond
-	flattenAnd(pred, &conjuncts)
-	for _, c := range conjuncts {
-		cl := &clause{idx: len(p.clauses), cond: c, home: -1, keys: make(map[predicate.Key]struct{})}
-		c.CollectVars(func(k predicate.Key) { cl.keys[k] = struct{}{} })
-		if cmp, ok := c.(predicate.Cmp); ok {
-			var l, r linSide
-			if linearize(cmp.L, false, &l) && linearize(cmp.R, false, &r) {
-				cl.linear = true
-				cl.op = cmp.Op
-				cl.sides = [2]linSide{l, r}
-			}
-		}
+	for _, c := range predicate.Compile(pred) {
+		cl := &clause{idx: len(p.clauses), Clause: c, home: -1, keys: make(map[predicate.Key]struct{})}
+		c.Cond.CollectVars(func(k predicate.Key) { cl.keys[k] = struct{}{} })
 		cl.home = homeRegion(cl, regionOf)
 		p.clauses = append(p.clauses, cl)
-		if cl.linear {
-			for side := 0; side < 2; side++ {
-				for _, t := range cl.sides[side].terms {
-					p.addCoef(predicate.Key{Proc: t.proc, Name: t.name}, cl, side, t.neg)
-				}
-				for _, a := range cl.sides[side].aggs {
-					p.addCoef(predicate.Key{Proc: -1, Name: a.name}, cl, side, a.neg)
+		if cl.Linear {
+			for side := range cl.Sides {
+				for _, t := range cl.Sides[side].Terms {
+					p.addCoef(t.Key, cl, side, t.Neg)
 				}
 			}
 		} else {
@@ -117,52 +79,6 @@ func (p *Plan) addCoef(k predicate.Key, cl *clause, side int, neg bool) {
 	p.byKey[k] = append(p.byKey[k], coef{cl: cl, side: side, c: c})
 }
 
-// flattenAnd splits the top-level conjunction; anything under an Or/Not
-// stays inside its conjunct.
-func flattenAnd(c predicate.Cond, out *[]predicate.Cond) {
-	if a, ok := c.(predicate.And); ok {
-		flattenAnd(a.L, out)
-		flattenAnd(a.R, out)
-		return
-	}
-	*out = append(*out, c)
-}
-
-// linearize folds e into s as a ±1-weighted sum; it reports false (and
-// may leave s partially written — the caller discards it) when e
-// contains a non-linear construct.
-func linearize(e predicate.Expr, neg bool, s *linSide) bool {
-	switch x := e.(type) {
-	case predicate.Const:
-		if neg {
-			s.konst -= float64(x)
-		} else {
-			s.konst += float64(x)
-		}
-		return true
-	case predicate.Var:
-		s.terms = append(s.terms, term{proc: x.Proc, name: x.Name, neg: neg})
-		return true
-	case predicate.Neg:
-		return linearize(x.X, !neg, s)
-	case predicate.Agg:
-		if x.Op != predicate.AggSum {
-			return false
-		}
-		s.aggs = append(s.aggs, aggTerm{name: x.Name, neg: neg})
-		return true
-	case predicate.Bin:
-		switch x.Op {
-		case predicate.OpAdd:
-			return linearize(x.L, neg, s) && linearize(x.R, neg, s)
-		case predicate.OpSub:
-			return linearize(x.L, neg, s) && linearize(x.R, !neg, s)
-		}
-		return false
-	}
-	return false
-}
-
 // homeRegion returns the single region hosting every variable the clause
 // reads, or -1 when it reads none, spans regions, or aggregates.
 func homeRegion(cl *clause, regionOf func(int) int) int {
@@ -179,24 +95,6 @@ func homeRegion(cl *clause, regionOf func(int) int) int {
 		}
 	}
 	return home
-}
-
-// cmpEval mirrors predicate.Cmp.Holds over pre-computed side values.
-func cmpEval(op predicate.CmpOp, l, r float64) bool {
-	switch op {
-	case predicate.CmpGT:
-		return l > r
-	case predicate.CmpGE:
-		return l >= r
-	case predicate.CmpLT:
-		return l < r
-	case predicate.CmpLE:
-		return l <= r
-	case predicate.CmpEQ:
-		return l == r
-	default:
-		return l != r
-	}
 }
 
 // boundaryKey reports whether (proc, name) is read by any clause that is

@@ -11,7 +11,7 @@ func regOf4(n, r int) func(int) int { return func(p int) int { return p * r / n 
 func TestPlanLinearizesSumsAndAggregates(t *testing.T) {
 	pred := predicate.MustParse("p@0 + p@1 - p@2 >= 2")
 	p := NewPlan(pred, 8, regOf4(8, 4))
-	if len(p.clauses) != 1 || !p.clauses[0].linear {
+	if len(p.clauses) != 1 || !p.clauses[0].Linear {
 		t.Fatalf("expected one linear clause, got %+v", p.clauses)
 	}
 	if got := len(p.byKey[predicate.Key{Proc: 0, Name: "p"}]); got != 1 {
@@ -21,13 +21,13 @@ func TestPlanLinearizesSumsAndAggregates(t *testing.T) {
 	if c.c != -1 || c.side != 0 {
 		t.Errorf("p@2 coefficient = %+v, want -1 on side 0", c)
 	}
-	if p.clauses[0].sides[1].konst != 2 {
-		t.Errorf("right konst = %v, want 2", p.clauses[0].sides[1].konst)
+	if p.clauses[0].Sides[1].Konst != 2 {
+		t.Errorf("right konst = %v, want 2", p.clauses[0].Sides[1].Konst)
 	}
 
 	agg := predicate.MustParse("sum(x) - sum(y) > 200")
 	pa := NewPlan(agg, 8, regOf4(8, 4))
-	if !pa.clauses[0].linear {
+	if !pa.clauses[0].Linear {
 		t.Fatalf("aggregate difference should linearize")
 	}
 	if got := len(pa.byKey[predicate.Key{Proc: -1, Name: "x"}]); got != 1 {
@@ -69,7 +69,7 @@ func TestPlanOpaqueFallback(t *testing.T) {
 	}
 	for _, src := range cases {
 		p := NewPlan(predicate.MustParse(src), 8, regOf4(8, 4))
-		if len(p.clauses) != 1 || p.clauses[0].linear {
+		if len(p.clauses) != 1 || p.clauses[0].Linear {
 			t.Errorf("%q: expected one opaque clause", src)
 		}
 	}

@@ -168,11 +168,11 @@ func New(cfg Config) *Tree {
 	for i, cl := range t.plan.clauses {
 		cs := &t.cs[i]
 		cs.reg = [2][]float64{make([]float64, r), make([]float64, r)}
-		if cl.linear {
-			cs.totals = [2]float64{cl.sides[0].konst, cl.sides[1].konst}
-			cs.truth = cmpEval(cl.op, cs.totals[0], cs.totals[1])
+		if cl.Linear {
+			cs.totals = [2]float64{cl.Sides[0].Konst, cl.Sides[1].Konst}
+			cs.truth = predicate.CmpEval(cl.Op, cs.totals[0], cs.totals[1])
 		} else {
-			cs.truth = cl.cond.Holds(t.state)
+			cs.truth = cl.Cond.Holds(t.state)
 		}
 		if !cs.truth {
 			t.numFalse++
@@ -390,10 +390,10 @@ func (t *Tree) applyDelta(proc int, name string, delta float64, region int) {
 func (t *Tree) refreshClause(cl *clause) {
 	cs := &t.cs[cl.idx]
 	var truth bool
-	if cl.linear {
-		truth = cmpEval(cl.op, cs.totals[0], cs.totals[1])
+	if cl.Linear {
+		truth = predicate.CmpEval(cl.Op, cs.totals[0], cs.totals[1])
 	} else {
-		truth = cl.cond.Holds(t.state)
+		truth = cl.Cond.Holds(t.state)
 	}
 	if truth != cs.truth {
 		cs.truth = truth
@@ -650,7 +650,7 @@ func (t *Tree) buildProbe(iProc int, iName string, jProc int, jName string) *pro
 			return &pr.items[k]
 		}
 		idx[cl] = len(pr.items)
-		pr.items = append(pr.items, probeItem{cl: cl, opaque: !cl.linear})
+		pr.items = append(pr.items, probeItem{cl: cl, opaque: !cl.Linear})
 		return &pr.items[len(pr.items)-1]
 	}
 	addLinear := func(key predicate.Key, which int) {
@@ -696,12 +696,12 @@ func (pr *probe) phi(dI, dJ float64) bool {
 		it := &pr.items[i]
 		var truth bool
 		if it.opaque {
-			truth = it.cl.cond.Holds(pr.t.state)
+			truth = it.cl.Cond.Holds(pr.t.state)
 		} else {
 			cs := &pr.t.cs[it.cl.idx]
 			l := cs.totals[0] + it.cI[0]*dI + it.cJ[0]*dJ
 			r := cs.totals[1] + it.cI[1]*dI + it.cJ[1]*dJ
-			truth = cmpEval(it.cl.op, l, r)
+			truth = predicate.CmpEval(it.cl.Op, l, r)
 		}
 		if !truth {
 			f++

@@ -236,44 +236,26 @@ func (h *Harness) Bind(proc, obj int, attr, varName string) {
 	h.Bindings = append(h.Bindings, Binding{Proc: proc, Object: obj, Attr: attr, Var: varName})
 }
 
-// truthPred evaluates the configured predicate directly against
-// ground-truth world attribute values via the bindings; nil when the run
-// has no predicate to score.
-func (h *Harness) truthPred() world.StatePredicate {
-	if h.Cfg.Pred == nil {
-		return nil
-	}
-	// index bindings for the adapter
-	byVar := make(map[predicate.Key]Binding, len(h.Bindings))
+// truthKeys is the classic stack's truth adapter: the variables each world
+// attribute backs, read off the bindings. One attribute bound at several
+// sensors backs every one of those variables; a variable bound twice reads
+// its last binding.
+func (h *Harness) truthKeys() world.KeysOf {
+	last := make(map[predicate.Key]world.AttrKey, len(h.Bindings))
 	for _, b := range h.Bindings {
-		byVar[predicate.Key{Proc: b.Proc, Name: b.Var}] = b
+		last[predicate.Key{Proc: b.Proc, Name: b.Var}] = world.AttrKey{Object: b.Object, Attr: b.Attr}
 	}
-	pred := h.Cfg.Pred
-	n := h.Cfg.N
-	return func(get func(obj int, attr string) float64) bool {
-		return pred.Holds(worldState{n: n, byVar: byVar, get: get})
+	byAttr := make(map[world.AttrKey][]predicate.Key, len(h.Bindings))
+	for _, b := range h.Bindings {
+		k, a := predicate.Key{Proc: b.Proc, Name: b.Var}, world.AttrKey{Object: b.Object, Attr: b.Attr}
+		if last[k] == a {
+			byAttr[a] = append(byAttr[a], k)
+		}
+	}
+	return func(dst []predicate.Key, obj int, attr string) []predicate.Key {
+		return append(dst, byAttr[world.AttrKey{Object: obj, Attr: attr}]...)
 	}
 }
-
-// worldState adapts ground-truth world values to predicate.State through
-// the harness bindings.
-type worldState struct {
-	n     int
-	byVar map[predicate.Key]Binding
-	get   func(obj int, attr string) float64
-}
-
-// Get implements predicate.State.
-func (s worldState) Get(proc int, name string) float64 {
-	b, ok := s.byVar[predicate.Key{Proc: proc, Name: name}]
-	if !ok {
-		return 0
-	}
-	return s.get(b.Object, b.Attr)
-}
-
-// NumProcs implements predicate.State.
-func (s worldState) NumProcs() int { return s.n }
 
 // RunMany builds and runs n independent harnesses across a bounded worker
 // pool (see runner.Workers for the parallelism convention) and returns
@@ -300,7 +282,8 @@ func (h *Harness) Run() Results {
 	sp.EndAt(h.Eng.Now())
 
 	res := Results{Net: h.Net.Stats, Horizon: horizon}
-	finishAndScore(&res, h.det, h.World.Log(), h.truthPred(), h.Cfg.Tol)
+	truth := world.Oracle{Pred: h.Cfg.Pred, N: h.Cfg.N, KeysOf: h.truthKeys(), Obs: h.Cfg.Obs}
+	finishAndScore(&res, h.det, h.World.Log(), truth, h.Cfg.Tol)
 	return res
 }
 

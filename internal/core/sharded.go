@@ -323,7 +323,9 @@ func (h *ShardedHarness) Run() ShardedResults {
 		Epochs:    h.Sh.Epochs,
 		CrossSent: h.Sh.CrossSent,
 	}
-	finishAndScore(&res.Results, h.det, h.mergedPilotLog(), h.truthPred(), h.Cfg.Tol)
+	// the merged log's binding is identity: sensor i senses object i's "p" as variable "p"
+	truth := world.Oracle{Pred: h.Pred, N: h.Cfg.N, KeysOf: world.IdentityKeys, Obs: h.Cfg.Obs}
+	finishAndScore(&res.Results, h.det, h.mergedPilotLog(), truth, h.Cfg.Tol)
 	for _, s := range h.Sensors {
 		res.ClockBytes += int64(s.ClockStateBytes())
 	}
@@ -356,26 +358,6 @@ func (h *ShardedHarness) mergedPilotLog() []world.Event {
 	})
 	return out
 }
-
-// truthPred adapts the pilot predicate to ground-truth world values: the
-// binding is identity (sensor i senses object i's "p" as variable "p").
-func (h *ShardedHarness) truthPred() world.StatePredicate {
-	pred, n := h.Pred, h.Cfg.N
-	return func(get func(obj int, attr string) float64) bool {
-		return pred.Holds(shardTruthState{n: n, get: get})
-	}
-}
-
-type shardTruthState struct {
-	n   int
-	get func(obj int, attr string) float64
-}
-
-// Get implements predicate.State.
-func (s shardTruthState) Get(proc int, name string) float64 { return s.get(proc, name) }
-
-// NumProcs implements predicate.State.
-func (s shardTruthState) NumProcs() int { return s.n }
 
 // MergedTrace merges the per-shard traces into one deterministic global
 // trace, stably sorted by (time, proc): every proc's records live on

@@ -92,14 +92,14 @@ type detector interface {
 }
 
 // finishAndScore closes det at res.Horizon, moves its clipped occurrences
-// and race markers into res, and — when there is a ground-truth predicate —
-// scores them against the world log with tolerance tol.
-func finishAndScore(res *Results, det detector, log []world.Event, truth world.StatePredicate, tol sim.Duration) {
+// and race markers into res, and — when truth has a predicate — scores
+// them against the world log with tolerance tol.
+func finishAndScore(res *Results, det detector, log []world.Event, truth world.Oracle, tol sim.Duration) {
 	det.Finish(res.Horizon)
 	res.Occurrences = clipToHorizon(det.Occurrences(), res.Horizon)
 	res.Markers = det.Markers()
-	if truth != nil {
-		res.Truth = world.TrueIntervals(log, truth, res.Horizon)
+	if truth.Pred != nil {
+		res.Truth = truth.Intervals(log, res.Horizon)
 		res.Confusion = Score(res.Occurrences, res.Truth, res.Markers, tol, res.Horizon)
 	}
 }

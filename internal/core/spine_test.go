@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"pervasive/internal/faults"
@@ -8,6 +10,7 @@ import (
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
+	"pervasive/internal/world"
 )
 
 // TestFaultInstallParityAcrossHarnesses runs one crash/recover plan through
@@ -91,6 +94,82 @@ func TestCheckersRegisterOnShardedNet(t *testing.T) {
 		sh.RunAll()
 		if got := applied(); got != 1 {
 			t.Errorf("%s on ShardedNet: applied %d deliveries, want 1", tc.name, got)
+		}
+	}
+}
+
+// TestTruthAdapterKeepsBindingSemantics pins what the classic stack's truth
+// adapter must preserve: an attribute bound at two sensors backs both
+// variables, a variable bound twice reads its last binding, an unbound
+// variable reads 0, and an attribute no sensor is bound to resolves to
+// nothing without allocating.
+func TestTruthAdapterKeepsBindingSemantics(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := NewHarness(HarnessConfig{
+		Seed: 1, N: 4, Kind: VectorStrobe, Delay: sim.NewDeltaBounded(sim.Millisecond),
+		Pred: predicate.MustParse("x@0 + x@1 + x@2 + x@3 >= 3"), Horizon: 100 * sim.Millisecond, Obs: reg,
+	})
+	a := h.World.AddObject("a", nil)
+	b := h.World.AddObject("b", nil)
+	h.Bind(0, a, "v", "x")
+	h.Bind(1, a, "v", "x") // the same attribute at a second sensor
+	h.Bind(2, a, "v", "x")
+	h.Bind(2, b, "v", "x") // rebound: x@2 now reads b.v only
+	// x@3 stays unbound
+	at := func(ms int, f func()) { h.Eng.At(sim.Time(ms)*sim.Millisecond, func(sim.Time) { f() }) }
+	at(10, func() { h.World.Set(a, "v", 1) })      // x@0 = x@1 = 1: sum 2
+	at(20, func() { h.World.Set(b, "v", 1) })      // x@2 = 1: sum 3
+	at(30, func() { h.World.Set(b, "unread", 9) }) // no sensor senses it
+	at(40, func() { h.World.Set(a, "v", 0) })      // sum 1
+	res := h.Run()
+	want := []world.Interval{{Start: 20 * sim.Millisecond, End: 40 * sim.Millisecond}}
+	if !reflect.DeepEqual(res.Truth, want) {
+		t.Errorf("truth %v, want %v", res.Truth, want)
+	}
+	if n := reg.Counter("oracle.events").Value(); n != 4 {
+		t.Errorf("oracle.events = %d, want 4", n)
+	}
+	if n := reg.Counter("oracle.demoted_clauses").Value(); n != 0 {
+		t.Errorf("oracle.demoted_clauses = %d, want 0", n)
+	}
+
+	keysOf := h.truthKeys()
+	buf := make([]predicate.Key, 0, 4)
+	if got := keysOf(buf, a, "v"); !reflect.DeepEqual(got, []predicate.Key{{Proc: 0, Name: "x"}, {Proc: 1, Name: "x"}}) {
+		t.Errorf("a.v backs %v, want x@0 and x@1", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf = keysOf(buf[:0], b, "unread") }); allocs != 0 || len(buf) != 0 {
+		t.Errorf("unread attribute: %v allocs, keys %v; want 0 and none", allocs, buf)
+	}
+}
+
+// TestOracleCountersOnShardedRun: a sharded run says on its registry that
+// it was scored incrementally — every pilot log event replayed, no clause
+// demoted — and the counters stay out of the CounterLines digest surface.
+func TestOracleCountersOnShardedRun(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := NewShardedHarness(ShardedConfig{
+		Seed: 3, N: 64, Shards: 4, Pilot: 64, PilotK: 20, CheckerFanout: 4,
+		Horizon: sim.Second, Obs: reg,
+	})
+	res := h.Run()
+	if len(res.Truth) == 0 {
+		t.Fatal("no ground-truth intervals; the test needs a predicate that flips")
+	}
+	if got, want := reg.Counter("oracle.events").Value(), int64(len(h.mergedPilotLog())); got != want || got == 0 {
+		t.Errorf("oracle.events = %d, want the pilot log's %d", got, want)
+	}
+	// one comparison at t = 0 and at most one per event: never a whole
+	// re-evaluation per term
+	if got, max := reg.Counter("oracle.clause_evals").Value(), reg.Counter("oracle.events").Value()+1; got > max {
+		t.Errorf("oracle.clause_evals = %d, want <= %d", got, max)
+	}
+	if got := reg.Counter("oracle.demoted_clauses").Value(); got != 0 {
+		t.Errorf("oracle.demoted_clauses = %d, want 0", got)
+	}
+	for _, line := range h.CounterLines() {
+		if strings.HasPrefix(line, "oracle.") {
+			t.Errorf("CounterLines carries %q", line)
 		}
 	}
 }

@@ -653,24 +653,10 @@ func (nw *Network) Stop(settle time.Duration, tol sim.Duration) Results {
 	nw.sentMu.Unlock()
 
 	if nw.cfg.Pred != nil {
-		pred := func(get func(obj int, attr string) float64) bool {
-			return nw.cfg.Pred.Holds(liveState{n: nw.cfg.N, get: get})
-		}
-		res.Truth = world.TrueIntervals(log, pred, horizon)
+		// the truth log's binding is identity: object index == proc index
+		truth := world.Oracle{Pred: nw.cfg.Pred, N: nw.cfg.N, KeysOf: world.IdentityKeys, Obs: nw.cfg.Obs}
+		res.Truth = truth.Intervals(log, horizon)
 		res.Confusion = core.Score(occ, res.Truth, markers, tol, horizon)
 	}
 	return res
 }
-
-// liveState adapts the truth log convention (object index == proc index)
-// to predicate.State.
-type liveState struct {
-	n   int
-	get func(obj int, attr string) float64
-}
-
-// Get implements predicate.State.
-func (s liveState) Get(proc int, name string) float64 { return s.get(proc, name) }
-
-// NumProcs implements predicate.State.
-func (s liveState) NumProcs() int { return s.n }

@@ -225,23 +225,7 @@ type Cmp struct {
 }
 
 // Holds implements Cond.
-func (c Cmp) Holds(s State) bool {
-	l, r := c.L.Eval(s), c.R.Eval(s)
-	switch c.Op {
-	case CmpGT:
-		return l > r
-	case CmpGE:
-		return l >= r
-	case CmpLT:
-		return l < r
-	case CmpLE:
-		return l <= r
-	case CmpEQ:
-		return l == r
-	default:
-		return l != r
-	}
-}
+func (c Cmp) Holds(s State) bool { return CmpEval(c.Op, c.L.Eval(s), c.R.Eval(s)) }
 
 // CollectVars implements Cond.
 func (c Cmp) CollectVars(add func(Key)) {

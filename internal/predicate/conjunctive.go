@@ -43,11 +43,13 @@ type Conjunct struct {
 }
 
 // SplitAnd flattens nested top-level conjunctions into a list.
-func SplitAnd(c Cond) []Cond {
+func SplitAnd(c Cond) []Cond { return appendAnd(nil, c) }
+
+func appendAnd(out []Cond, c Cond) []Cond {
 	if a, ok := c.(And); ok {
-		return append(SplitAnd(a.L), SplitAnd(a.R)...)
+		return appendAnd(appendAnd(out, a.L), a.R)
 	}
-	return []Cond{c}
+	return append(out, c)
 }
 
 // homeProc returns the single process that c's variables reference, or

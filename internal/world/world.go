@@ -239,52 +239,6 @@ func (iv Interval) Overlap(other Interval) sim.Duration {
 	return hi - lo
 }
 
-// StatePredicate evaluates a global predicate on world-plane attribute
-// values; get returns the current value of (object, attr).
-type StatePredicate func(get func(obj int, attr string) float64) bool
-
-// TrueIntervals replays the log and returns the exact half-open intervals
-// of true global time during which pred held, up to horizon. This is the
-// ground truth for the Instantaneously modality: the paper's detectors are
-// scored against exactly these intervals.
-func TrueIntervals(log []Event, pred StatePredicate, horizon sim.Time) []Interval {
-	state := make(map[AttrKey]float64)
-	get := func(obj int, attr string) float64 { return state[AttrKey{obj, attr}] }
-
-	var out []Interval
-	cur := pred(get)
-	var start sim.Time
-	if cur {
-		start = 0
-	}
-	i := 0
-	for i < len(log) {
-		t := log[i].At
-		if t > horizon {
-			break
-		}
-		// apply all simultaneous events atomically: an instant observer
-		// never sees a half-applied batch
-		for i < len(log) && log[i].At == t {
-			ev := log[i]
-			state[AttrKey{ev.Object, ev.Attr}] = ev.New
-			i++
-		}
-		now := pred(get)
-		if now && !cur {
-			start = t
-		}
-		if !now && cur && t > start {
-			out = append(out, Interval{Start: start, End: t})
-		}
-		cur = now
-	}
-	if cur && horizon > start {
-		out = append(out, Interval{Start: start, End: horizon})
-	}
-	return out
-}
-
 // TotalTrueTime sums the durations of the intervals.
 func TotalTrueTime(ivs []Interval) sim.Duration {
 	var d sim.Duration
