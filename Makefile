@@ -22,12 +22,15 @@ test-race:
 	$(GO) test -race ./internal/workload/
 	$(GO) test -race -run 'RecordReplay|TestLiveReplayMatchesTrace' ./internal/scenario/ ./internal/live/
 
-# Ten seconds of the native fuzzer on the ground-truth oracle: the
-# incremental scorer against world.TrueIntervals over fuzzed predicates
-# and logs (DESIGN.md §1.1). New inputs stay in the Go build cache; only
-# a failing one is written under internal/world/testdata/fuzz.
+# Ten seconds of the native fuzzer on each differential target: the
+# incremental ground-truth scorer against world.TrueIntervals over fuzzed
+# predicates and logs (DESIGN.md §1.1), and the sparse strobe clock
+# against the dense one over fuzzed interleavings of strobes and hostile
+# stamps (DESIGN.md §1.10). New inputs stay in the Go build cache; only a
+# failing one is written under the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTruthOracle -fuzztime=10s ./internal/world/
+	$(GO) test -run='^$$' -fuzz=FuzzSparseOnStrobe -fuzztime=10s ./internal/clock/
 
 build:
 	$(GO) build ./...

@@ -2,7 +2,10 @@ package clock
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+
+	"pervasive/internal/stats"
 )
 
 // Dense-vs-sparse merge and reset costs across system sizes, measuring the
@@ -85,3 +88,100 @@ func BenchmarkClockResetSparse(b *testing.B) {
 		})
 	}
 }
+
+// The two shapes cmd/bench's fleet workloads were measured to put on the
+// sparse clock, which the 8-entry stamps above do not: on fleet-long a
+// sensor that knows ~1300 of 4096 peers merges sorted 146-entry stamps of
+// which ~15 % name peers it has not heard of; on fleet-wide it knows ~60
+// of 65536 and the stamps carry 14 entries. Run with:
+//
+//	go test -run xxx -bench 'SparseFleet' ./internal/clock/
+var fleetShapes = []struct {
+	name                    string
+	n, known, stamp, unseen int
+}{
+	{"long", 4096, 1300, 146, 22},
+	{"wide", 65536, 60, 14, 2},
+}
+
+// fleetCycle is how many stamps a merge benchmark delivers before it puts
+// the receiver back to its starting knowledge, so the first sightings
+// stay first sightings however large b.N is.
+const fleetCycle = 8
+
+// fleetReceiver builds process 0's clock knowing `known` random peers at
+// value 1, and one cycle of sorted stamps as Strobe() would emit them:
+// each names `unseen` peers no earlier stamp of the cycle has named and
+// otherwise raises known ones.
+func fleetReceiver(n, known, stamp, unseen int) (*SparseStrobeVector, []SparseStamp) {
+	r := stats.NewRNG(uint64(n))
+	peers := r.Perm(n - 1) // proc-1 of every peer, shuffled: the first `known` are known
+	s := NewSparseStrobeVector(0, n)
+	base := make(SparseStamp, known)
+	for i := range base {
+		base[i] = SparseEntry{Proc: peers[i] + 1, Val: 1}
+	}
+	s.OnStrobe(base)
+	s.Strobe()
+	stamps := make([]SparseStamp, fleetCycle)
+	for c := range stamps {
+		st := make(SparseStamp, 0, stamp)
+		for _, p := range peers[known+c*unseen:][:unseen] {
+			st = append(st, SparseEntry{Proc: p + 1, Val: uint64(c + 2)})
+		}
+		for _, i := range r.Perm(known)[:stamp-unseen] {
+			st = append(st, SparseEntry{Proc: peers[i] + 1, Val: uint64(c + 2)})
+		}
+		slices.SortFunc(st, func(a, b SparseEntry) int { return a.Proc - b.Proc })
+		stamps[c] = st
+	}
+	return s, stamps
+}
+
+func BenchmarkMergeSparseFleet(b *testing.B) {
+	for _, sh := range fleetShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			s, stamps := fleetReceiver(sh.n, sh.known, sh.stamp, sh.unseen)
+			start := slices.Clone(s.comps)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%fleetCycle == 0 {
+					s.comps, s.dirty = append(s.comps[:0], start...), 0
+				}
+				s.OnStrobe(stamps[i%fleetCycle])
+			}
+		})
+	}
+}
+
+// BenchmarkStrobeSparseFleet prices Strobe() with one stamp's worth of
+// merging behind it: the components that merge left dirty are re-marked
+// before every call, so each strobe walks the whole state and emits a
+// full-size stamp.
+func BenchmarkStrobeSparseFleet(b *testing.B) {
+	for _, sh := range fleetShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			s, stamps := fleetReceiver(sh.n, sh.known, sh.stamp, sh.unseen)
+			s.OnStrobe(stamps[0])
+			var marks []int
+			for i, c := range s.comps {
+				if c.dirty {
+					marks = append(marks, i)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, j := range marks {
+					s.comps[j].dirty = true
+				}
+				s.dirty = len(marks)
+				benchSink = s.Strobe()
+			}
+		})
+	}
+}
+
+// benchSink keeps the compiler from discarding a benchmarked Strobe().
+var benchSink SparseStamp

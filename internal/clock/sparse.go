@@ -1,14 +1,17 @@
 package clock
 
+import "unsafe"
+
 // Sparse strobe vectors complete the Singhal–Kshemkalyani adaptation: the
 // wire format has been sparse since the differential clock landed, but the
 // *local* state was still two dense p-length vectors per process, which is
 // what caps the system size (p processes × O(p) words each = O(p²) memory
 // system-wide). SparseStrobeVector stores only the components this process
 // has actually heard of — O(active peers), not O(p) — as sorted (proc,
-// val, sent-at-last-strobe) triples. In a neighborhood-scoped deployment a
-// sensor hears from its radio neighbors plus the checker, so active peers
-// is bounded by the degree, independent of p.
+// val) pairs, each with a changed-since-last-strobe bit. In a
+// neighborhood-scoped deployment a sensor hears from its radio neighbors
+// plus the checker, so active peers is bounded by the degree, independent
+// of p.
 //
 // The representation is exact, not approximate: an absent component is
 // exactly the dense clock's zero. The equivalence tests drive both
@@ -16,17 +19,18 @@ package clock
 // stamps, so `NewVectorState` can pick by density without changing any
 // observable behaviour.
 
-// sparseComp is one known non-own component: its current merged value and
-// the value at this process's last strobe (the differential baseline).
+// sparseComp is one known non-own component: its current merged value
+// and whether that value differs from the one at this process's last
+// strobe (the differential baseline). The baseline itself is not stored:
+// it is only ever compared with val and only ever assigned val (by
+// Strobe), val only rises, and a new component starts from baseline 0
+// with val > 0 — so "val != baseline" is exactly "raised or inserted
+// since the last Strobe", one bit in the padding after proc.
 type sparseComp struct {
-	proc int32
-	val  uint64
-	sent uint64
+	proc  int32
+	dirty bool
+	val   uint64
 }
-
-// sparseCompBytes is the in-memory footprint of one component (4-byte
-// proc id padded to 8, plus two 8-byte values).
-const sparseCompBytes = 24
 
 // SparseStrobeVector is a strobe vector clock with differential broadcast
 // and O(active peers) local state. It follows the same SVC1/SVC2 rules as
@@ -36,6 +40,7 @@ type SparseStrobeVector struct {
 	n     int
 	own   uint64
 	comps []sparseComp // sorted by proc; never contains me; vals never 0
+	dirty int          // how many comps have dirty set: the next stamp's size less one
 }
 
 // NewSparseStrobeVector returns process me's sparse differential strobe
@@ -54,12 +59,12 @@ func (s *SparseStrobeVector) Me() int { return s.me }
 // its own logical time without materializing a vector.
 func (s *SparseStrobeVector) OwnClock() uint64 { return s.own }
 
-// find returns the insertion index of proc in comps (binary search).
-func (s *SparseStrobeVector) find(proc int) int {
-	lo, hi := 0, len(s.comps)
+// search returns the insertion index of proc within comps[lo:hi], as an
+// index into comps (binary search).
+func search(comps []sparseComp, lo, hi, proc int) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if int(s.comps[mid].proc) < proc {
+		if int(comps[mid].proc) < proc {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -68,34 +73,48 @@ func (s *SparseStrobeVector) find(proc int) int {
 	return lo
 }
 
+// gallop returns the insertion index of proc within comps[from:], as an
+// index into comps: doubling steps from from bracket it, a binary search
+// inside the bracket places it. The cost is logarithmic in the distance
+// moved, not in len(comps) — what makes a sorted stamp one forward pass.
+func gallop(comps []sparseComp, from, proc int) int {
+	lo, hi := from, from
+	for step := 1; hi < len(comps) && int(comps[hi].proc) < proc; step <<= 1 {
+		lo = hi + 1
+		hi += step
+	}
+	return search(comps, lo, min(hi, len(comps)), proc)
+}
+
 // Strobe applies SVC1 and returns the sparse diff to broadcast: every
 // component that changed since this process's previous strobe, in proc
 // order, always including the freshly ticked local component — exactly
-// the stamp DiffStrobeVector emits. One exact-size allocation.
+// the stamp DiffStrobeVector emits. One exact-size allocation, sized by
+// the dirty count; with nothing dirty there is no walk at all.
 func (s *SparseStrobeVector) Strobe() SparseStamp {
 	s.own++ // SVC1
-	changed := 1
-	for i := range s.comps {
-		if s.comps[i].val != s.comps[i].sent {
-			changed++
-		}
+	out := make(SparseStamp, 0, 1+s.dirty)
+	own := SparseEntry{Proc: s.me, Val: s.own}
+	if s.dirty == 0 {
+		return append(out, own)
 	}
-	out := make(SparseStamp, 0, changed)
 	placedOwn := false
 	for i := range s.comps {
 		c := &s.comps[i]
+		if !c.dirty {
+			continue
+		}
 		if !placedOwn && int(c.proc) > s.me {
-			out = append(out, SparseEntry{Proc: s.me, Val: s.own})
+			out = append(out, own)
 			placedOwn = true
 		}
-		if c.val != c.sent {
-			out = append(out, SparseEntry{Proc: int(c.proc), Val: c.val})
-			c.sent = c.val
-		}
+		out = append(out, SparseEntry{Proc: int(c.proc), Val: c.val})
+		c.dirty = false
 	}
 	if !placedOwn {
-		out = append(out, SparseEntry{Proc: s.me, Val: s.own})
+		out = append(out, own)
 	}
+	s.dirty = 0
 	return out
 }
 
@@ -103,30 +122,86 @@ func (s *SparseStrobeVector) Strobe() SparseStamp {
 // carried entries, no local tick. Unknown components are inserted in
 // sorted position; zero-valued entries are no-ops, as they are for the
 // dense merge. Out-of-range entries are ignored.
+//
+// The stamp is merged one maximal strictly-ascending run at a time. A
+// stamp from Strobe is a single run, so it costs one pass; an unsorted or
+// duplicate-carrying stamp falls apart into runs of one, each merged on
+// its own in stamp order — the per-entry semantics, by the same code.
 func (s *SparseStrobeVector) OnStrobe(st SparseStamp) {
-	for _, e := range st {
-		if e.Proc < 0 || e.Proc >= s.n {
-			continue
+	for len(st) > 0 {
+		k := 1
+		for k < len(st) && st[k].Proc > st[k-1].Proc {
+			k++
 		}
-		if e.Proc == s.me {
-			if e.Val > s.own {
+		s.mergeRun(st[:k])
+		st = st[k:]
+	}
+}
+
+// skips reports whether e cannot touch a non-own component: out of
+// range, the local component, or the zero every absent component
+// already is.
+func (s *SparseStrobeVector) skips(e SparseEntry) bool {
+	return e.Proc < 0 || e.Proc >= s.n || e.Proc == s.me || e.Val == 0
+}
+
+// mergeRun merges one strictly-ascending run of entries. Forward pass:
+// a cursor that only moves right max-updates the components the run
+// hits and counts the ones it misses. Only if there were misses, the
+// slice grows once by exactly that count and a backward pass shifts
+// each surviving component at most once while dropping the new ones
+// into place.
+func (s *SparseStrobeVector) mergeRun(run SparseStamp) {
+	comps := s.comps
+	cur, misses := -1, 0
+	for _, e := range run {
+		if s.skips(e) {
+			if e.Proc == s.me && e.Val > s.own {
 				s.own = e.Val
 			}
 			continue
 		}
-		i := s.find(e.Proc)
-		if i < len(s.comps) && int(s.comps[i].proc) == e.Proc {
-			if e.Val > s.comps[i].val {
-				s.comps[i].val = e.Val
+		if cur < 0 {
+			cur = search(comps, 0, len(comps), e.Proc)
+		} else {
+			cur = gallop(comps, cur, e.Proc)
+		}
+		if cur == len(comps) || int(comps[cur].proc) != e.Proc {
+			misses++
+			continue
+		}
+		if c := &comps[cur]; e.Val > c.val {
+			c.val = e.Val
+			if !c.dirty {
+				c.dirty = true
+				s.dirty++
 			}
+		}
+		cur++ // the run ascends strictly: its next entry lies to the right
+	}
+	if misses == 0 {
+		return
+	}
+	r := len(comps)                                      // comps[:r] are still to be placed
+	comps = append(comps, make([]sparseComp, misses)...) //lint:allow hotpath(amortized growth: the component list grows once per stamp that names a newly-seen proc and then stabilizes at the contact-set size)
+	s.comps = comps
+	s.dirty += misses
+	w := len(comps) // comps[w:] are final
+	for j := len(run) - 1; w > r; j-- {
+		e := run[j]
+		if s.skips(e) {
 			continue
 		}
-		if e.Val == 0 {
-			continue
+		for r > 0 && int(comps[r-1].proc) > e.Proc {
+			r--
+			w--
+			comps[w] = comps[r]
 		}
-		s.comps = append(s.comps, sparseComp{}) //lint:allow hotpath(amortized growth: the component list grows once per newly-seen proc and then stabilizes at the contact-set size)
-		copy(s.comps[i+1:], s.comps[i:len(s.comps)-1])
-		s.comps[i] = sparseComp{proc: int32(e.Proc), val: e.Val}
+		if r > 0 && int(comps[r-1].proc) == e.Proc {
+			continue // a hit, already merged by the forward pass
+		}
+		w--
+		comps[w] = sparseComp{proc: int32(e.Proc), dirty: true, val: e.Val}
 	}
 }
 
@@ -146,15 +221,17 @@ func (s *SparseStrobeVector) Snapshot() Vector {
 func (s *SparseStrobeVector) Reset() {
 	s.own = 0
 	s.comps = nil
+	s.dirty = 0
 }
 
 // ActivePeers returns how many non-own components this process has heard
 // of — the quantity the O(active peers) memory claim is about.
 func (s *SparseStrobeVector) ActivePeers() int { return len(s.comps) }
 
-// StateBytes estimates the resident footprint of the clock state.
+// StateBytes is the resident footprint of the clock state: the struct
+// itself plus the component array it owns, as the compiler lays them out.
 func (s *SparseStrobeVector) StateBytes() int {
-	return 32 + cap(s.comps)*sparseCompBytes
+	return int(unsafe.Sizeof(*s)) + cap(s.comps)*int(unsafe.Sizeof(sparseComp{}))
 }
 
 // VectorState is the rule-method surface shared by the dense differential

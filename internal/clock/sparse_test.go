@@ -3,6 +3,7 @@ package clock
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"pervasive/internal/stats"
 )
@@ -65,6 +66,103 @@ func TestSparseStateSublinear(t *testing.T) {
 	dense := NewDiffStrobeVector(0, n).StateBytes()
 	if sb := s.StateBytes(); sb*100 > dense {
 		t.Fatalf("sparse state %dB not sublinear vs dense %dB at n=%d", sb, dense, n)
+	}
+}
+
+// TestSparseStateBytesFollowsLayout: the state is one slice of 16-byte
+// components, and StateBytes — what clock.state_bytes, pervasim's fleet:
+// line and E14's "clock KB" column report — is the struct plus that
+// slice's capacity as the compiler lays them out, not a hand-kept figure.
+func TestSparseStateBytesFollowsLayout(t *testing.T) {
+	if got := unsafe.Sizeof(sparseComp{}); got != 16 {
+		t.Errorf("sparseComp is %d bytes, want 16 (proc and the dirty bit share one word)", got)
+	}
+	slices := 0
+	for typ, i := reflect.TypeOf(SparseStrobeVector{}), 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() == reflect.Slice {
+			slices++
+		}
+	}
+	if slices != 1 {
+		t.Errorf("SparseStrobeVector holds %d slices, want 1 (a second column is a second growth sequence)", slices)
+	}
+	s := NewSparseStrobeVector(0, 4096)
+	if got, want := s.StateBytes(), int(unsafe.Sizeof(*s)); got != want {
+		t.Errorf("empty StateBytes = %d, want the struct's %d", got, want)
+	}
+	var st SparseStamp
+	for p := 1; p <= 37; p++ {
+		st = append(st, SparseEntry{Proc: p * 5, Val: 1})
+	}
+	s.OnStrobe(st)
+	want := int(unsafe.Sizeof(*s)) + cap(s.comps)*int(unsafe.Sizeof(s.comps[0]))
+	if got := s.StateBytes(); got != want {
+		t.Errorf("StateBytes = %d, want %d (struct + cap × component)", got, want)
+	}
+}
+
+// TestSparseAllocations pins the kernels' allocation contracts, beside
+// TestDiffStrobeSingleAllocation: Strobe allocates exactly its stamp,
+// dirty or clean; a merge that only hits allocates nothing; a sorted
+// stamp of k new peers costs nothing into spare capacity and one grow —
+// not k — into a full slice.
+func TestSparseAllocations(t *testing.T) {
+	const n, known, fresh = 4096, 200, 24
+	var hits, news SparseStamp
+	for i := 1; i <= known; i++ {
+		hits = append(hits, SparseEntry{Proc: 2 * i, Val: 1})
+	}
+	for i := 1; i <= fresh; i++ {
+		news = append(news, SparseEntry{Proc: 16*i + 1, Val: 1}) // odd: between the known ones
+	}
+	s := NewSparseStrobeVector(0, n)
+	s.OnStrobe(hits)
+	s.Strobe()
+	if allocs := testing.AllocsPerRun(100, func() { s.Strobe() }); allocs != 1 {
+		t.Errorf("clean strobe: %.1f allocs, want 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := range hits {
+			hits[i].Val++
+		}
+		s.OnStrobe(hits)
+		if len(s.Strobe()) != known+1 {
+			t.Fatal("the raised components were not all stamped")
+		}
+	}); allocs != 1 {
+		t.Errorf("all-hits merge + dirty strobe: %.1f allocs, want 1 (the stamp)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.OnStrobe(hits) }); allocs != 0 {
+		t.Errorf("all-hits merge: %.1f allocs, want 0", allocs)
+	}
+
+	// The grow is append(comps, make([]sparseComp, misses)...), which the
+	// compiler turns into an in-place extension — except in instrumented
+	// (-race) builds, where the make is a real temporary: one allocation
+	// per merge with misses that is the build's, not the kernel's.
+	roomy := make([]sparseComp, known, known+fresh)
+	var extended []sparseComp
+	temp := testing.AllocsPerRun(10, func() { extended = append(roomy[:0], make([]sparseComp, len(news))...) })
+	if len(extended) != fresh {
+		t.Fatalf("probe extended to %d, want %d", len(extended), fresh)
+	}
+
+	full := make([]sparseComp, known) // len == cap
+	copy(full, s.comps)
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.comps, s.dirty = full, 0 // the grow leaves full's array as it was
+		s.OnStrobe(news)
+	}); allocs != 1+temp {
+		t.Errorf("%d new peers into a full slice: %.1f allocs, want %.0f: one grow", fresh, allocs, 1+temp)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.comps, s.dirty = roomy[:copy(roomy, full)], 0 // the merge shifts in place: restore
+		s.OnStrobe(news)
+	}); allocs != temp {
+		t.Errorf("%d new peers into spare capacity: %.1f allocs, want %.0f", fresh, allocs, temp)
+	}
+	if s.ActivePeers() != known+fresh || s.dirty != fresh {
+		t.Errorf("after the merge: %d peers, %d dirty; want %d, %d", s.ActivePeers(), s.dirty, known+fresh, fresh)
 	}
 }
 
