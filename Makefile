@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-race fuzz-smoke race-live bench-obs bench-obs-smoke bench
+.PHONY: check build vet lint test test-race fuzz-smoke race-live bench-obs bench-obs-smoke bench bench-pairs
 
 check: build vet lint bench-obs-smoke test-race
 
@@ -75,3 +75,11 @@ bench-obs-smoke:
 bench:
 	bash cmd/bench/run.sh
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
+
+# Paired evidence for a timing claim: commit OLD against the working tree
+# on one WORKLOAD, PAIRS alternating pairs at SEED, medians, quartiles and
+# pairs won per end-to-end metric (scripts/benchpairs.sh; a stopgap until
+# `bench -alternate` exists).
+#   make bench-pairs OLD=HEAD~1 WORKLOAD=fleet-wide [PAIRS=10] [SEED=1]
+bench-pairs:
+	bash scripts/benchpairs.sh $(OLD) $(WORKLOAD) $(or $(PAIRS),10) $(or $(SEED),1)

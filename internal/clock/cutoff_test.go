@@ -23,7 +23,7 @@ func TestCutoffRepresentationPick(t *testing.T) {
 		{DenseSparseCutoff + 1, true},  // 129: first sparse size
 	}
 	for _, tc := range cases {
-		vs := NewVectorState(0, tc.n)
+		vs := NewVectorState(new(SparseStrobeVector), 0, tc.n)
 		_, sparse := vs.(*SparseStrobeVector)
 		_, dense := vs.(*DiffStrobeVector)
 		if sparse == dense {

@@ -46,10 +46,20 @@ type SparseStrobeVector struct {
 // NewSparseStrobeVector returns process me's sparse differential strobe
 // clock in an n-process system.
 func NewSparseStrobeVector(me, n int) *SparseStrobeVector {
+	s := new(SparseStrobeVector)
+	s.Init(me, n)
+	return s
+}
+
+// Init makes s process me's fresh clock in an n-process system, in place:
+// the form for an owner that embeds the clock by value (a sensor slab) and
+// re-creates it on a reboot. Any previous state, backing array included,
+// is dropped.
+func (s *SparseStrobeVector) Init(me, n int) {
 	if me < 0 || me >= n {
 		panic("clock: process index out of range")
 	}
-	return &SparseStrobeVector{me: me, n: n}
+	*s = SparseStrobeVector{me: me, n: n}
 }
 
 // Me returns the owning process index.
@@ -258,10 +268,13 @@ type VectorState interface {
 const DenseSparseCutoff = 128
 
 // NewVectorState returns the density-appropriate strobe-vector state for
-// process me of n.
-func NewVectorState(me, n int) VectorState {
+// process me of n: a fresh dense clock, or the sparse one initialised in
+// place in sp — storage the caller owns, so a fleet of sparse clocks can
+// live inside its sensors instead of one heap object each.
+func NewVectorState(sp *SparseStrobeVector, me, n int) VectorState {
 	if n <= DenseSparseCutoff {
 		return NewDiffStrobeVector(me, n)
 	}
-	return NewSparseStrobeVector(me, n)
+	sp.Init(me, n)
+	return sp
 }

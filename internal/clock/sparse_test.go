@@ -217,10 +217,10 @@ func TestSparseReset(t *testing.T) {
 // TestNewVectorStatePicksByDensity: the constructor switches representation
 // at the documented cutoff.
 func TestNewVectorStatePicksByDensity(t *testing.T) {
-	if _, ok := NewVectorState(0, DenseSparseCutoff).(*DiffStrobeVector); !ok {
+	if _, ok := NewVectorState(new(SparseStrobeVector), 0, DenseSparseCutoff).(*DiffStrobeVector); !ok {
 		t.Fatal("at the cutoff: want dense")
 	}
-	if _, ok := NewVectorState(0, DenseSparseCutoff+1).(*SparseStrobeVector); !ok {
+	if _, ok := NewVectorState(new(SparseStrobeVector), 0, DenseSparseCutoff+1).(*SparseStrobeVector); !ok {
 		t.Fatal("above the cutoff: want sparse")
 	}
 }

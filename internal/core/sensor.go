@@ -50,42 +50,22 @@ func (k ClockKind) String() string {
 // the protocol's control traffic, and — in conjunctive mode — tracks the
 // truth intervals of its local conjunct.
 type Sensor struct {
-	ID   int
+	// What a delivered strobe reads comes first, so the merge starts on the
+	// cache line the slab index lands on: liveness, the clock, the local
+	// replica and the trace.
+	down bool // crashed: sense nothing, merge nothing
 	Kind ClockKind
-
-	eng        *sim.Engine
-	net        Transport
-	checkerIdx int
-	n          int // fleet size (for fresh clocks on Rejoin)
-
-	vec *clock.StrobeVector
-	sc  *clock.StrobeScalar
+	ID   int
 	// dvec is the differential strobe clock behind the representation
 	// interface: dense below clock.DenseSparseCutoff, sorted-pairs sparse
-	// above (or as the builder chose). Rejoin preserves the representation.
-	dvec clock.VectorState
-	phys clock.Physical
-
-	seq   int
-	epoch int  // bumped on each Rejoin; carried in strobes
-	down  bool // crashed: sense nothing, merge nothing
-	vals  map[string]float64
-
-	// Conjunctive-mode state: the local conjunct and its current interval.
-	localConj   predicate.Cond
-	conjOpen    bool
-	openStamp   clock.Vector
-	openAt      sim.Time
-	intervalIdx int
-
-	tr *trace.Trace // optional event trace
-	fl *flight.Recorder
-
-	// StampLog accumulates (stamp, true time) per sense event for lattice
-	// analysis when enabled.
-	LogStamps bool
-	Stamps    []clock.Vector
-	Times     []sim.Time
+	// above (or as the builder chose). The sparse state lives in sparse, by
+	// value — dvec then points into the sensor itself, so a merge leaves
+	// the slab entry only for the components. Rejoin preserves the
+	// representation.
+	dvec   clock.VectorState
+	sparse clock.SparseStrobeVector
+	vec    *clock.StrobeVector
+	sc     *clock.StrobeScalar
 
 	// Local, if non-nil, is this sensor's own checker replica: since
 	// strobes are system-wide broadcasts, every sensor can evaluate the
@@ -93,6 +73,34 @@ type Sensor struct {
 	// the distinguished root P0. The replica consumes the sensor's own
 	// sense events immediately and remote strobes on receipt.
 	Local *StrobeChecker
+
+	tr *trace.Trace // optional event trace
+	fl *flight.Recorder
+
+	eng        *sim.Engine
+	net        Transport
+	checkerIdx int
+	n          int // fleet size (for fresh clocks on Rejoin)
+	phys       clock.Physical
+
+	seq   int
+	epoch int // bumped on each Rejoin; carried in strobes
+
+	// Conjunctive-mode state: the local conjunct, the sensed values it reads
+	// (nil without a conjunct — nothing else reads them) and its current
+	// interval.
+	localConj   predicate.Cond
+	vals        map[string]float64
+	conjOpen    bool
+	openStamp   clock.Vector
+	openAt      sim.Time
+	intervalIdx int
+
+	// StampLog accumulates (stamp, true time) per sense event for lattice
+	// analysis when enabled.
+	LogStamps bool
+	Stamps    []clock.Vector
+	Times     []sim.Time
 }
 
 // SensorConfig configures a sensor fleet.
@@ -119,23 +127,29 @@ type SensorConfig struct {
 // the checker). place names where sensor i runs: the engine that executes
 // its events and the sending surface it transmits through — the same pair
 // for every sensor on the single-engine kernel, the owning shard's engine
-// and ShardPart on the sharded one.
+// and ShardPart on the sharded one. The fleet is carved from one slab, so
+// neighbouring sensors are neighbouring memory and the collector sees one
+// object, not N.
 func NewSensors(net Receiver, cfg SensorConfig, place func(i int) (*sim.Engine, Transport)) []*Sensor {
 	if net.N() < cfg.N+1 {
 		panic(fmt.Sprintf("core: transport has %d nodes, need %d sensors + checker",
 			net.N(), cfg.N))
 	}
 	out := make([]*Sensor, cfg.N)
+	slab := make([]Sensor, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		eng, tx := place(i)
-		s := &Sensor{
+		s := &slab[i]
+		*s = Sensor{
 			ID: i, Kind: cfg.Kind, n: cfg.N,
 			eng: eng, net: tx, checkerIdx: cfg.CheckerIdx,
-			vals:      make(map[string]float64),
 			localConj: cfg.LocalConj,
 			tr:        cfg.Trace,
 			fl:        cfg.Flight,
 			LogStamps: cfg.LogStamps,
+		}
+		if cfg.LocalConj != nil {
+			s.vals = make(map[string]float64)
 		}
 		switch cfg.Kind {
 		case VectorStrobe:
@@ -143,7 +157,7 @@ func NewSensors(net Receiver, cfg SensorConfig, place func(i int) (*sim.Engine, 
 		case ScalarStrobe:
 			s.sc = &clock.StrobeScalar{}
 		case DiffVectorStrobe:
-			s.dvec = clock.NewVectorState(i, cfg.N)
+			s.dvec = clock.NewVectorState(&s.sparse, i, cfg.N)
 		case PhysicalReport:
 			if i < len(cfg.Phys) {
 				s.phys = cfg.Phys[i]
@@ -173,7 +187,9 @@ func (s *Sensor) onSense(varName string, value float64) {
 	}
 	now := s.eng.Now()
 	s.seq++
-	s.vals[varName] = value
+	if s.vals != nil {
+		s.vals[varName] = value
+	}
 
 	var stamp clock.Vector
 	var ownClock uint64 // this sensor's logical component at the event
@@ -326,16 +342,17 @@ func (s *Sensor) Rejoin() {
 	s.seq = 0
 	s.epoch++
 	s.conjOpen = false
-	s.vals = make(map[string]float64)
+	clear(s.vals)
 	switch s.Kind {
 	case VectorStrobe:
 		s.vec = clock.NewStrobeVector(s.ID, s.n)
 	case ScalarStrobe:
 		s.sc = &clock.StrobeScalar{}
 	case DiffVectorStrobe:
-		// Fresh clock in the same representation the sensor was built with.
-		if _, sparse := s.dvec.(*clock.SparseStrobeVector); sparse {
-			s.dvec = clock.NewSparseStrobeVector(s.ID, s.n)
+		// Fresh clock in the same representation the sensor was built
+		// with; the sparse one is re-initialised where it lies.
+		if sp, sparse := s.dvec.(*clock.SparseStrobeVector); sparse {
+			sp.Init(s.ID, s.n)
 		} else {
 			s.dvec = clock.NewDiffStrobeVector(s.ID, s.n)
 		}

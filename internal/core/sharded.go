@@ -246,12 +246,12 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 	for k, p := range parts {
 		workload.Install(sh.Engine(k), h.Worlds[k], p)
 	}
-	// Ground truth is scored on the pilot only; shards hosting no pilot
-	// sensor skip logging entirely.
+	// Ground truth is scored on the pilot only: each world logs just the
+	// pilot objects it hosts (local ids below Pilot − objBase), which on a
+	// shard past the pilot is none. (A shard hosting only the checker has
+	// objBase −1 and an empty world; any bound does.)
 	for k, w := range h.Worlds {
-		if h.objBase[k] < 0 || h.objBase[k] >= cfg.Pilot {
-			w.DiscardLog()
-		}
+		w.LogBelow(cfg.Pilot - h.objBase[k])
 	}
 
 	if cfg.CheckerFanout >= 2 {
@@ -336,7 +336,11 @@ func (h *ShardedHarness) Run() ShardedResults {
 // log over pilot sensors, remapping per-world object ids to global sensor
 // indices. Shard logs are concatenated in shard order and stably sorted by
 // (time, global object): within a key each event set comes from a single
-// shard in its execution order, so the merge is shard-count invariant.
+// shard in its execution order, so the merge is shard-count invariant —
+// Seq included, renumbered to the position in the merged log (a world's own
+// positions say nothing across shards). The filter stays although every
+// world already bounds its log to the pilot: the bound is memory, this is
+// what gets scored.
 func (h *ShardedHarness) mergedPilotLog() []world.Event {
 	var out []world.Event
 	for k, w := range h.Worlds {
@@ -356,6 +360,9 @@ func (h *ShardedHarness) mergedPilotLog() []world.Event {
 		}
 		return out[i].Object < out[j].Object
 	})
+	for i := range out {
+		out[i].Seq = i
+	}
 	return out
 }
 

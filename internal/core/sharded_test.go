@@ -6,6 +6,7 @@ import (
 
 	"pervasive/internal/faults"
 	"pervasive/internal/sim"
+	"pervasive/internal/world"
 )
 
 // diffConfig is the shared scenario for the differential tests: 24 sensors
@@ -79,6 +80,35 @@ func TestShardedDifferentialAgainstSingleHeap(t *testing.T) {
 			if shards > 1 && got.res.CrossSent == 0 {
 				t.Errorf("%s: no cross-shard traffic; partitioning is not being exercised", label)
 			}
+		}
+	}
+}
+
+// TestShardedPilotLogTracksPilotOnly: ground truth is logged for the pilot
+// alone at every shard count — at S = 1 the one world hosts the whole fleet
+// and must still log only its 8 pilot objects — and the merged pilot log is
+// the same log whatever the partition. In diffConfig the pilot straddles a
+// boundary at S = 4: sensors 0–6 on shard 0, sensor 7 first on shard 1.
+func TestShardedPilotLogTracksPilotOnly(t *testing.T) {
+	var want []world.Event
+	for _, shards := range []int{1, 4} {
+		h := NewShardedHarness(diffConfig(shards, 1))
+		h.Run()
+		for k, w := range h.Worlds {
+			for _, ev := range w.Log() {
+				if g := h.objBase[k] + ev.Object; g >= h.Cfg.Pilot {
+					t.Fatalf("S=%d: world %d logged sensor %d, outside the pilot of %d", shards, k, g, h.Cfg.Pilot)
+				}
+			}
+		}
+		got := h.mergedPilotLog()
+		if len(got) == 0 {
+			t.Fatalf("S=%d: no pilot event logged", shards)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(want, got) {
+			t.Errorf("S=%d: merged pilot log differs from S=1 (%d vs %d events)", shards, len(got), len(want))
 		}
 	}
 }

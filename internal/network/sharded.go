@@ -67,11 +67,30 @@ type ShardPart struct {
 	k     int
 	eng   *sim.Engine
 
+	// fire is p.deliver bound once: the event function of every copy
+	// destined for this shard, whichever shard sent it.
+	fire sim.EventFunc
+	// dsts is the destination scratch of the send in progress; a send
+	// schedules and returns without running a handler, so it never nests.
+	dsts []int
+
 	// Stats is this shard's share of the transport counters: sends are
 	// counted by the sending shard, deliveries and delivery-side drops by
 	// the destination shard, so each block has a single writer. Sum with
 	// TotalStats.
 	Stats Stats
+}
+
+// sendBody is what every link-level copy of one logical send shares: the
+// Message less its destination. One is allocated per Send/Broadcast and
+// never written again, so copies on different shards may read it
+// concurrently; each copy is the event (dstPart.fire, body, dst).
+type sendBody struct {
+	ID      uint64
+	Src     int
+	SentAt  sim.Time
+	Payload Payload
+	Stamp   flight.Stamp
 }
 
 // NewSharded creates a transport over the sharded engine. The shard map
@@ -97,8 +116,10 @@ func NewSharded(sh *sim.Shards, topo Topology, delay sim.DelayModel, smap ShardM
 		sn.rngs[i] = root.Fork()
 	}
 	for k := range sn.parts {
-		sn.parts[k] = &ShardPart{owner: sn, k: k, eng: sh.Engine(k)}
-		sn.parts[k].Stats.ByKind = make(map[string]int64)
+		p := &ShardPart{owner: sn, k: k, eng: sh.Engine(k)}
+		p.fire = p.deliver
+		p.Stats.ByKind = make(map[string]int64)
+		sn.parts[k] = p
 	}
 	return sn
 }
@@ -164,16 +185,11 @@ func (p *ShardPart) Send(src, dst int, pl Payload) uint64 {
 	return p.SendStamped(src, dst, pl, flight.Stamp{})
 }
 
-// SendStamped is Send with the payload's logical identity attached.
+// SendStamped is Send with the payload's logical identity attached: the
+// one-destination case of send.
 func (p *ShardPart) SendStamped(src, dst int, pl Payload, st flight.Stamp) uint64 {
-	sn := p.owner
-	if f := sn.fault; f != nil && f.Down(src, p.eng.Now()) {
-		f.Counts.SuppressedSends.Add(1)
-		return 0
-	}
-	id := sn.priFor(src)
-	p.transmit(Message{ID: id, Src: src, From: src, Dst: dst, SentAt: p.eng.Now(), Payload: pl, Stamp: st}, id)
-	return id
+	p.dsts = append(p.dsts[:0], dst)
+	return p.send(src, -1, pl, st)
 }
 
 // Broadcast delivers pl to every reachable process except src: all of them,
@@ -187,94 +203,104 @@ func (p *ShardPart) Broadcast(src int, pl Payload) uint64 {
 // priority key; the logical message ID is the first key minted.
 func (p *ShardPart) BroadcastStamped(src int, pl Payload, st flight.Stamp) uint64 {
 	sn := p.owner
+	dsts := p.dsts[:0]
+	if sn.NeighborScope && src < sn.topo.N() {
+		dsts = append(sn.topo.AppendNeighbors(dsts, src), sn.AlwaysReach...)
+	} else {
+		for dst := 0; dst < sn.N(); dst++ {
+			dsts = append(dsts, dst)
+		}
+	}
+	p.dsts = dsts
+	return p.send(src, src, pl, st)
+}
+
+// send transmits one logical message from src to every process in p.dsts
+// except skip, and returns its ID (0 when src is crashed or nothing was
+// addressed). The body is allocated with the first copy and shared by the
+// rest, so a copy costs no allocation; Sent, Bytes and ByKind are bumped
+// once, by the copy count.
+func (p *ShardPart) send(src, skip int, pl Payload, st flight.Stamp) uint64 {
+	sn := p.owner
 	now := p.eng.Now()
 	if f := sn.fault; f != nil && f.Down(src, now) {
 		f.Counts.SuppressedSends.Add(1)
 		return 0
 	}
-	var id uint64
-	send := func(dst int) {
+	var body *sendBody
+	var copies int64
+	for _, dst := range p.dsts {
+		if dst == skip {
+			continue
+		}
 		pri := sn.priFor(src)
-		if id == 0 {
-			id = pri
+		if body == nil {
+			body = &sendBody{ID: pri, Src: src, SentAt: now, Payload: pl, Stamp: st}
 		}
-		p.transmit(Message{ID: id, Src: src, From: src, Dst: dst, SentAt: now, Payload: pl, Stamp: st}, pri)
+		p.transmit(body, dst, pri, now)
+		copies++
 	}
-	if sn.NeighborScope && src < sn.topo.N() {
-		for _, dst := range sn.topo.Neighbors(src) {
-			if dst != src {
-				send(dst)
-			}
-		}
-		for _, dst := range sn.AlwaysReach {
-			if dst != src {
-				send(dst)
-			}
-		}
-		return id
+	if body == nil {
+		return 0
 	}
-	for dst := 0; dst < sn.N(); dst++ {
-		if dst != src {
-			send(dst)
-		}
-	}
-	return id
+	p.Stats.Sent += copies
+	p.Stats.Bytes += copies * int64(pl.WireSize()+headerBytes)
+	p.Stats.ByKind[pl.Kind()] += copies
+	return body.ID
 }
 
-// transmit samples the link delay from the source's own stream and routes
-// the delivery: same shard directly into the engine, cross shard through
-// the epoch mailbox — both under the same (time, pri) key.
-func (p *ShardPart) transmit(m Message, pri uint64) {
+// transmit samples the link delay of one copy from the source's own stream
+// and schedules its delivery under key pri; inside a duplicate window it
+// may schedule a second delivery under a freshly minted key.
+func (p *ShardPart) transmit(body *sendBody, dst int, pri uint64, now sim.Time) {
 	sn := p.owner
-	p.Stats.Sent++
-	p.Stats.Bytes += int64(m.Payload.WireSize() + headerBytes)
-	p.Stats.ByKind[m.Payload.Kind()]++
-	now := p.eng.Now()
 	f := sn.fault
-	if f != nil && f.Cut(m.From, m.Dst, now) {
+	if f != nil && f.Cut(body.Src, dst, now) {
 		p.Stats.Dropped++
 		f.Counts.PartitionDrops.Add(1)
 		return
 	}
-	r := sn.rngs[m.Src]
-	d, dropped := sim.SampleDelay(sn.delay, r, now, m.From, m.Dst)
+	r := sn.rngs[body.Src]
+	d, dropped := sim.SampleDelay(sn.delay, r, now, body.Src, dst)
 	if dropped {
 		p.Stats.Dropped++
 		return
 	}
-	p.route(m, now+shapeDelay(f, r, d, now), pri)
+	p.schedule(body, dst, now+shapeDelay(f, r, d, now), pri)
 	if f != nil {
 		if pd := f.DupProb(now); pd > 0 && r.Bool(pd) {
-			if d2, dropped2 := sim.SampleDelay(sn.delay, r, now, m.From, m.Dst); !dropped2 {
+			if d2, dropped2 := sim.SampleDelay(sn.delay, r, now, body.Src, dst); !dropped2 {
 				f.Counts.Duplicates.Add(1)
-				p.route(m, now+shapeDelay(f, r, d2, now), sn.priFor(m.Src))
+				p.schedule(body, dst, now+shapeDelay(f, r, d2, now), sn.priFor(body.Src))
 			}
 		}
 	}
 }
 
-// route schedules the delivery of m at time at under key pri.
-func (p *ShardPart) route(m Message, at sim.Time, pri uint64) {
+// schedule puts one delivery of body to dst on dst's shard: same shard
+// directly into the engine, cross shard through the epoch mailbox — both
+// under the same (time, pri) key.
+func (p *ShardPart) schedule(body *sendBody, dst int, at sim.Time, pri uint64) {
 	sn := p.owner
-	dk := sn.smap.Of(m.Dst)
-	fn := func(now sim.Time) { sn.parts[dk].deliver(m, now) }
-	if dk == p.k {
-		p.eng.AtPri(at, pri, fn)
+	if dk := sn.smap.Of(dst); dk == p.k {
+		p.eng.AtFunc(at, pri, p.fire, body, dst)
 	} else {
-		sn.sh.CrossFrom(p.k, dk, at, pri, fn)
+		sn.sh.CrossFromFunc(p.k, dk, at, pri, sn.parts[dk].fire, body, dst)
 	}
 }
 
-// deliver runs at the destination shard.
-func (p *ShardPart) deliver(m Message, now sim.Time) {
+// deliver runs at the destination shard: body is the *sendBody the copy
+// was scheduled with, dst the process it is addressed to.
+func (p *ShardPart) deliver(now sim.Time, body any, dst int) {
 	sn := p.owner
-	if f := sn.fault; f != nil && f.Down(m.Dst, now) {
+	if f := sn.fault; f != nil && f.Down(dst, now) {
 		p.Stats.Dropped++
 		f.Counts.CrashDrops.Add(1)
 		return
 	}
 	p.Stats.Delivered++
-	if h := sn.handlers[m.Dst]; h != nil {
-		h(m, now)
+	if h := sn.handlers[dst]; h != nil {
+		b := body.(*sendBody)
+		h(Message{ID: b.ID, Src: b.Src, From: b.Src, Dst: dst, SentAt: b.SentAt, Payload: b.Payload, Stamp: b.Stamp}, now)
 	}
 }

@@ -23,8 +23,12 @@ type Topology interface {
 	N() int
 	// Connected reports whether a link i—j currently exists.
 	Connected(i, j int) bool
-	// Neighbors returns the processes adjacent to i.
+	// Neighbors returns the processes adjacent to i in a fresh slice.
 	Neighbors(i int) []int
+	// AppendNeighbors appends the processes adjacent to i to dst, in
+	// Neighbors order, and returns the extended slice: the form for callers
+	// that ask once per message and keep a scratch buffer.
+	AppendNeighbors(dst []int, i int) []int
 }
 
 // FullMesh connects every pair of processes.
@@ -38,13 +42,17 @@ func (m FullMesh) Connected(i, j int) bool { return i != j && inRange(m.Nodes, i
 
 // Neighbors implements Topology.
 func (m FullMesh) Neighbors(i int) []int {
-	out := make([]int, 0, m.Nodes-1)
+	return m.AppendNeighbors(make([]int, 0, m.Nodes-1), i)
+}
+
+// AppendNeighbors implements Topology.
+func (m FullMesh) AppendNeighbors(dst []int, i int) []int {
 	for j := 0; j < m.Nodes; j++ {
 		if j != i {
-			out = append(out, j)
+			dst = append(dst, j)
 		}
 	}
-	return out
+	return dst
 }
 
 // Ring connects process i to (i±1) mod N.
@@ -66,14 +74,17 @@ func (r Ring) Connected(i, j int) bool {
 }
 
 // Neighbors implements Topology.
-func (r Ring) Neighbors(i int) []int {
+func (r Ring) Neighbors(i int) []int { return r.AppendNeighbors(nil, i) }
+
+// AppendNeighbors implements Topology.
+func (r Ring) AppendNeighbors(dst []int, i int) []int {
 	if r.Nodes < 2 {
-		return nil
+		return dst
 	}
 	if r.Nodes == 2 {
-		return []int{1 - i}
+		return append(dst, 1-i)
 	}
-	return []int{(i + r.Nodes - 1) % r.Nodes, (i + 1) % r.Nodes}
+	return append(dst, (i+r.Nodes-1)%r.Nodes, (i+1)%r.Nodes)
 }
 
 // Grid arranges processes row-major in Rows×Cols with 4-neighbour links.
@@ -100,22 +111,24 @@ func (g Grid) Connected(i, j int) bool {
 }
 
 // Neighbors implements Topology.
-func (g Grid) Neighbors(i int) []int {
-	var out []int
+func (g Grid) Neighbors(i int) []int { return g.AppendNeighbors(nil, i) }
+
+// AppendNeighbors implements Topology.
+func (g Grid) AppendNeighbors(dst []int, i int) []int {
 	r, c := i/g.Cols, i%g.Cols
 	if r > 0 {
-		out = append(out, i-g.Cols)
+		dst = append(dst, i-g.Cols)
 	}
 	if r < g.Rows-1 {
-		out = append(out, i+g.Cols)
+		dst = append(dst, i+g.Cols)
 	}
 	if c > 0 {
-		out = append(out, i-1)
+		dst = append(dst, i-1)
 	}
 	if c < g.Cols-1 {
-		out = append(out, i+1)
+		dst = append(dst, i+1)
 	}
-	return out
+	return dst
 }
 
 // Mutable is an adjacency-set topology supporting link churn, modelling
@@ -173,13 +186,17 @@ func (m *Mutable) Connected(i, j int) bool {
 
 // Neighbors implements Topology.
 func (m *Mutable) Neighbors(i int) []int {
-	out := make([]int, 0, len(m.adj[i]))
+	return m.AppendNeighbors(make([]int, 0, len(m.adj[i])), i)
+}
+
+// AppendNeighbors implements Topology.
+func (m *Mutable) AppendNeighbors(dst []int, i int) []int {
 	for j := 0; j < m.n; j++ { // deterministic order
 		if m.adj[i][j] {
-			out = append(out, j)
+			dst = append(dst, j)
 		}
 	}
-	return out
+	return dst
 }
 
 // RandomGeometric places n processes uniformly in the unit square and

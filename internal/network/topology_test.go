@@ -195,3 +195,43 @@ func TestRGGSymmetryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendNeighborsMatchesNeighbors: AppendNeighbors into a dirty,
+// non-empty buffer leaves the prefix alone and appends exactly Neighbors, in
+// order — for every topology, at the degenerate sizes and at each kind of
+// grid position, and on a Mutable after its links were edited.
+func TestAppendNeighborsMatchesNeighbors(t *testing.T) {
+	edited := NewMutableFrom(Grid{Rows: 2, Cols: 3})
+	edited.RemoveLink(0, 1)
+	edited.AddLink(0, 5)
+	edited.AddLink(2, 3)
+	topos := []Topology{
+		FullMesh{Nodes: 1}, FullMesh{Nodes: 6},
+		Ring{Nodes: 1}, Ring{Nodes: 2}, Ring{Nodes: 5},
+		Grid{Rows: 3, Cols: 4}, // corners, edges and the interior nodes 5 and 6
+		Grid{Rows: 1, Cols: 1}, Grid{Rows: 1, Cols: 3},
+		NewMutable(3), edited,
+	}
+	for _, topo := range topos {
+		for i := 0; i < topo.N(); i++ {
+			buf := append(make([]int, 0, 16), -7, -8)
+			buf = append(buf, 99, 98, 97)[:2] // stale values past the prefix
+			got := topo.AppendNeighbors(buf, i)
+			want := topo.Neighbors(i)
+			if len(got) != 2+len(want) || got[0] != -7 || got[1] != -8 {
+				t.Fatalf("%s node %d: AppendNeighbors returned %v over prefix [-7 -8], want it plus %v",
+					Describe(topo), i, got, want)
+			}
+			for k, j := range want {
+				if got[2+k] != j {
+					t.Fatalf("%s node %d: appended %v, Neighbors %v", Describe(topo), i, got[2:], want)
+				}
+			}
+			for _, j := range want {
+				if !topo.Connected(i, j) {
+					t.Fatalf("%s: Neighbors(%d) lists unconnected %d", Describe(topo), i, j)
+				}
+			}
+		}
+	}
+}

@@ -9,14 +9,36 @@ import (
 // Handler is a callback executed at its scheduled virtual time.
 type Handler func(now Time)
 
-// scheduled is one pending event in the engine's slot pool. Slots are
-// recycled through a free list; gen disambiguates a Timer held across a
-// slot's reuse (a stale Timer sees a newer gen and becomes inert).
+// EventFunc is the engine's one event form: a function applied at its
+// scheduled time to the (body, arg) pair it was scheduled with. A sender
+// that schedules many events over shared state passes one fn bound once,
+// the shared state as body and the per-event discriminator as arg, and
+// pays no closure per event; a Handler is the special case whose body is
+// the Handler itself (see runHandler).
+//
+// It is a func value and not an interface on purpose: pervalint's hotpath
+// proof roots at Engine.Step and resolves interface dispatch through the
+// implements-sets, so an interface here would pull every implementer's
+// callees (trace, flight, fmt) into the kernel's allocation proof. A func
+// value is opaque to the call graph, as Handler always was.
+type EventFunc func(now Time, body any, arg int)
+
+// runHandler is the EventFunc behind At/AtPri/After/CrossFrom: the body is
+// the Handler. Func values are pointer-shaped, so the conversion to any
+// does not allocate.
+func runHandler(now Time, body any, _ int) { body.(Handler)(now) }
+
+// scheduled is one pending event in the engine's slot pool: 64 bytes, one
+// cache line. Slots are recycled through a free list; gen disambiguates a
+// Timer held across a slot's reuse (a stale Timer sees a newer gen and
+// becomes inert). fn is nil while the slot is free or cancelled.
 type scheduled struct {
 	at   Time
 	pri  uint64 // caller-supplied tie-break key, ahead of seq (see AtPri)
 	seq  uint64 // FIFO tie-break for equal (timestamp, pri)
-	fn   Handler
+	fn   EventFunc
+	body any
+	arg  int
 	gen  uint32
 	next int32 // free-list link while the slot is free
 }
@@ -44,7 +66,7 @@ func (t Timer) Stop() bool {
 	if s.gen != t.gen || s.fn == nil {
 		return false // fired, already stopped, or slot recycled
 	}
-	s.fn = nil // stays in the heap as a tombstone until popped or swept
+	s.fn, s.body = nil, nil // stays in the heap as a tombstone until popped or swept
 	e.Cancelled++
 	e.live--
 	e.maybeSweep()
@@ -132,11 +154,12 @@ func (e *Engine) alloc() int32 {
 	return int32(len(e.pool) - 1)
 }
 
-// release bumps the slot's generation (invalidating outstanding Timers)
-// and returns it to the free list.
+// release bumps the slot's generation (invalidating outstanding Timers),
+// drops its references so a fired event's body can be collected, and
+// returns it to the free list.
 func (e *Engine) release(s int32) {
 	p := &e.pool[s]
-	p.fn = nil
+	p.fn, p.body = nil, nil
 	p.gen++
 	p.next = e.freeHead
 	e.freeHead = s
@@ -268,12 +291,24 @@ func (e *Engine) AtPri(at Time, pri uint64, fn Handler) Timer {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
+	return e.AtFunc(at, pri, runHandler, fn, 0)
+}
+
+// AtFunc is AtPri for the engine's native event form: at time at, under
+// priority key pri, fn runs as fn(now, body, arg). Handler events and
+// AtFunc events share one slot layout, one (at, pri, seq) order and one
+// dispatch in Step.
+func (e *Engine) AtFunc(at Time, pri uint64, fn EventFunc, body any, arg int) Timer {
+	if fn == nil {
+		panic("sim: nil handler")
+	}
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", at, e.now)) //lint:allow hotpath(cold panic path: the format and boxing run once, immediately before the process dies)
 	}
 	s := e.alloc()
 	p := &e.pool[s]
-	p.at, p.pri, p.seq, p.fn = at, pri, e.seq, fn
+	p.at, p.pri, p.seq = at, pri, e.seq
+	p.fn, p.body, p.arg = fn, body, arg
 	e.seq++
 	e.push(s)
 	e.live++
@@ -302,11 +337,11 @@ func (e *Engine) Step() bool {
 	e.pop()
 	p := &e.pool[s]
 	e.now = p.at
-	fn := p.fn
+	fn, body, arg := p.fn, p.body, p.arg
 	e.release(s) // before fn: a self-Stop inside the handler is a no-op
 	e.live--
 	e.Executed++
-	fn(e.now)
+	fn(e.now, body, arg)
 	return true
 }
 

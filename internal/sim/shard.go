@@ -8,13 +8,15 @@ import (
 )
 
 // crossEvent is one cross-shard delivery staged in its source shard's
-// outbox until the next epoch barrier. pri carries the sender-derived
-// priority key.
+// outbox until the next epoch barrier: the destination shard plus exactly
+// what Engine.AtFunc takes. pri carries the sender-derived priority key.
 type crossEvent struct {
-	at  Time
-	pri uint64
-	dst int32
-	fn  Handler
+	at   Time
+	pri  uint64
+	dst  int32
+	fn   EventFunc
+	body any
+	arg  int
 }
 
 // Shards runs S single-threaded Engines in lockstep epochs under
@@ -104,24 +106,38 @@ func (sh *Shards) CrossFrom(src, dst int, at Time, pri uint64, fn Handler) {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	sh.outboxes[src] = append(sh.outboxes[src], crossEvent{at: at, pri: pri, dst: int32(dst), fn: fn})
+	sh.CrossFromFunc(src, dst, at, pri, runHandler, fn, 0)
+}
+
+// CrossFromFunc is CrossFrom for the engine's native event form (see
+// Engine.AtFunc): the staged triple is scheduled unchanged at the barrier.
+func (sh *Shards) CrossFromFunc(src, dst int, at Time, pri uint64, fn EventFunc, body any, arg int) {
+	if fn == nil {
+		panic("sim: nil handler")
+	}
+	sh.outboxes[src] = append(sh.outboxes[src], crossEvent{at: at, pri: pri, dst: int32(dst), fn: fn, body: body, arg: arg})
 }
 
 // collect drains every outbox, in shard order, into the destination
 // engines. Every engine's clock is pinned at the barrier, so the schedule
 // is never into an engine's past; an event at or before the floor means a
 // sender beat the lookahead — the conservative-synchronization invariant is
-// broken — so it panics rather than silently reordering history.
+// broken — so it panics rather than silently reordering history. A
+// collected outbox is cleared, not just truncated: its backing array is
+// reused every epoch, and a stale entry would keep its body reachable for
+// the rest of the run.
 func (sh *Shards) collect() {
-	for k := range sh.outboxes {
-		for _, ev := range sh.outboxes[k] {
+	for k, box := range sh.outboxes {
+		for i := range box {
+			ev := &box[i]
 			if ev.at <= sh.floor {
 				panic(fmt.Sprintf("sim: cross-shard event at %v violates lookahead (floor %v)", ev.at, sh.floor))
 			}
-			sh.engines[ev.dst].AtPri(ev.at, ev.pri, ev.fn)
+			sh.engines[ev.dst].AtFunc(ev.at, ev.pri, ev.fn, ev.body, ev.arg)
 			sh.CrossSent++
 		}
-		sh.outboxes[k] = sh.outboxes[k][:0]
+		clear(box)
+		sh.outboxes[k] = box[:0]
 	}
 }
 

@@ -12,7 +12,7 @@ package world
 
 import (
 	"fmt"
-	"maps"
+	"math"
 	"sort"
 
 	"pervasive/internal/sim"
@@ -47,52 +47,85 @@ type Event struct {
 // listeners to model their sensing range.
 type Listener func(Event)
 
-// Object is a passive world-plane entity. Objects have no clock and no
-// network presence (Section 2.1's distinguishing features).
-type Object struct {
-	ID    int
-	Name  string
-	attrs map[string]float64
+// object is a passive world-plane entity. Objects have no clock and no
+// network presence (Section 2.1's distinguishing features). Its attributes
+// are cells in first-touch order, found by a linear scan: an object carries
+// a handful of attributes, so the scan over one contiguous slice is shorter
+// than a hash, and the listeners of an attribute sit beside its value.
+type object struct {
+	name  string
+	cells []attrCell
+}
+
+// attrCell is one attribute of one object: its current value and the
+// listeners subscribed to it.
+type attrCell struct {
+	name      string
+	val       float64
+	listeners []Listener
+}
+
+// find returns the index of attr's cell, or -1 if it was never touched.
+func (o *object) find(attr string) int {
+	for i := range o.cells {
+		if o.cells[i].name == attr {
+			return i
+		}
+	}
+	return -1
+}
+
+// cell returns attr's cell, creating it (value 0, no listeners) on first
+// touch. The pointer is valid until the next cell is created.
+func (o *object) cell(attr string) *attrCell {
+	i := o.find(attr)
+	if i < 0 {
+		i = len(o.cells)
+		o.cells = append(o.cells, attrCell{name: attr})
+	}
+	return &o.cells[i]
 }
 
 // World is the ⟨O, C⟩ plane.
 type World struct {
-	eng       *sim.Engine
-	rng       *stats.RNG
-	objects   []*Object
-	log       []Event
-	discard   bool
-	listeners map[AttrKey][]Listener
-	all       []Listener
-	rules     []CovertRule
+	eng     *sim.Engine
+	rng     *stats.RNG
+	objects []object // the object id is the index
+	log     []Event
+	// logBound: only events of objects with id < logBound are logged.
+	logBound int
+	all      []Listener
+	rules    []CovertRule
 }
 
 // New creates an empty world on the given engine.
 func New(eng *sim.Engine) *World {
-	return &World{
-		eng:       eng,
-		rng:       eng.RNG().Fork(),
-		listeners: make(map[AttrKey][]Listener),
-	}
+	return &World{eng: eng, rng: eng.RNG().Fork(), logBound: math.MaxInt}
 }
 
 // AddObject creates an object with the given initial attributes and
 // returns its ID.
 func (w *World) AddObject(name string, attrs map[string]float64) int {
-	o := &Object{ID: len(w.objects), Name: name, attrs: maps.Clone(attrs)}
-	if o.attrs == nil {
-		o.attrs = map[string]float64{}
+	o := object{name: name}
+	for a, v := range attrs {
+		o.cells = append(o.cells, attrCell{name: a, val: v})
 	}
+	// by name: the layout must not depend on map iteration order
+	sort.Slice(o.cells, func(i, j int) bool { return o.cells[i].name < o.cells[j].name })
 	w.objects = append(w.objects, o)
-	return o.ID
+	return len(w.objects) - 1
 }
 
 // Name returns the object's name.
-func (w *World) Name(obj int) string { return w.objects[obj].Name }
+func (w *World) Name(obj int) string { return w.objects[obj].name }
 
 // Get returns the current value of an attribute (0 if never set).
 func (w *World) Get(obj int, attr string) float64 {
-	return w.objects[obj].attrs[attr]
+	o := &w.objects[obj]
+	if i := o.find(attr); i >= 0 {
+		return o.cells[i].val
+	}
+	return 0
 }
 
 // Set changes an attribute spontaneously at the current engine time.
@@ -109,35 +142,34 @@ func (w *World) set(obj int, attr string, v float64, cause int) {
 	if obj < 0 || obj >= len(w.objects) {
 		panic(fmt.Sprintf("world: object %d out of range", obj))
 	}
-	o := w.objects[obj]
-	old := o.attrs[attr]
-	o.attrs[attr] = v
+	c := w.objects[obj].cell(attr)
 	ev := Event{
 		Seq: len(w.log), At: w.eng.Now(),
-		Object: obj, Attr: attr, Old: old, New: v, Cause: cause,
+		Object: obj, Attr: attr, Old: c.val, New: v, Cause: cause,
 	}
-	if !w.discard {
+	c.val = v
+	// A listener may touch a new attribute of this object (or add an
+	// object) and move the slabs, so c is dead once the first one runs: the
+	// listeners of this round are the slice as it stands now.
+	keyed := c.listeners
+	if obj < w.logBound {
 		w.log = append(w.log, ev)
 	}
-	w.fire(ev)
-	w.applyRules(ev)
-}
-
-func (w *World) fire(ev Event) {
-	for _, l := range w.listeners[AttrKey{ev.Object, ev.Attr}] {
+	for _, l := range keyed {
 		l(ev)
 	}
 	for _, l := range w.all {
 		l(ev)
 	}
+	w.applyRules(ev)
 }
 
 // Subscribe attaches a listener to one attribute of one object. This
 // models a sensor whose range covers the object; the listener runs at the
-// true event time on the engine.
+// true event time on the engine, before any SubscribeAll listener.
 func (w *World) Subscribe(obj int, attr string, l Listener) {
-	k := AttrKey{obj, attr}
-	w.listeners[k] = append(w.listeners[k], l)
+	c := w.objects[obj].cell(attr)
+	c.listeners = append(c.listeners, l)
 }
 
 // SubscribeAll attaches a listener to every world event (an omniscient
@@ -148,12 +180,18 @@ func (w *World) SubscribeAll(l Listener) { w.all = append(w.all, l) }
 // live log; callers must not modify it.
 func (w *World) Log() []Event { return w.log }
 
-// DiscardLog stops recording ground-truth events from now on; listeners
-// still fire. Sharded scale runs call it on shards whose objects are
-// outside the scored pilot set, so ground-truth memory tracks the pilot,
-// not the fleet. Event.Seq/Cause bookkeeping stops with the log, so worlds
-// with covert rules should keep logging.
-func (w *World) DiscardLog() { w.discard = true }
+// LogBelow restricts ground-truth recording, from now on, to objects with
+// id < n; listeners still fire for every object. Sharded scale runs bound
+// each world's log to the scored pilot objects it hosts, so ground-truth
+// memory tracks the pilot, not the fleet. Under a bound Event.Seq and
+// Event.Cause stop being log positions (an unlogged event still takes the
+// Seq the next logged one will), so worlds with covert rules should keep
+// the whole log.
+func (w *World) LogBelow(n int) { w.logBound = n }
+
+// DiscardLog stops recording ground-truth events from now on: the bound
+// that admits no object.
+func (w *World) DiscardLog() { w.LogBelow(0) }
 
 // CovertRule is an edge of the covert-channel overlay C: when SrcObj.SrcAttr
 // changes, then with probability Prob, after a Delay drawn in microseconds,
