@@ -24,13 +24,17 @@ test-race:
 
 # Ten seconds of the native fuzzer on each differential target: the
 # incremental ground-truth scorer against world.TrueIntervals over fuzzed
-# predicates and logs (DESIGN.md §1.1), and the sparse strobe clock
-# against the dense one over fuzzed interleavings of strobes and hostile
-# stamps (DESIGN.md §1.10). New inputs stay in the Go build cache; only a
-# failing one is written under the package's testdata/fuzz.
+# predicates and logs (DESIGN.md §1.1), the sparse strobe clock against
+# the dense one over fuzzed interleavings of strobes and hostile stamps
+# (DESIGN.md §1.10), and the flat checker's columnar view against a
+# predicate.MapState model over fuzzed strobes — out-of-range processes,
+# epoch bumps, stale seqs, race probes (DESIGN.md §1.1). New inputs stay in
+# the Go build cache; only a failing one is written under the package's
+# testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTruthOracle -fuzztime=10s ./internal/world/
 	$(GO) test -run='^$$' -fuzz=FuzzSparseOnStrobe -fuzztime=10s ./internal/clock/
+	$(GO) test -run='^$$' -fuzz=FuzzCheckerView -fuzztime=10s ./internal/core/
 
 build:
 	$(GO) build ./...

@@ -27,17 +27,11 @@ type StrobeChecker struct {
 	pred      predicate.Cond
 	raceAware bool
 
-	vals       []map[string]float64
+	view       *checkerState
 	stamps     []clock.Vector // latest applied vector stamp per proc (nil = none)
 	lastSeq    []int
 	lastEpoch  []int // crash/recovery epoch per proc (see StrobeMsg.Epoch)
 	lastChange []change
-	// state is the checker's view pre-boxed as a predicate.State: Holds
-	// is called several times per strobe (once per apply plus the
-	// four-state race probes), and re-boxing checkerState at each call
-	// would allocate on the hot path. vals is never reassigned, so the
-	// boxed header stays valid.
-	state predicate.State
 	// recon reconstructs each sender's full vector from differential
 	// strobes (DiffVectorStrobe protocol); nil entries until first diff.
 	recon []clock.Vector
@@ -125,16 +119,12 @@ func NewScalarChecker(n int, pred predicate.Cond) *StrobeChecker {
 func newStrobeChecker(n int, pred predicate.Cond, raceAware bool) *StrobeChecker {
 	c := &StrobeChecker{
 		n: n, pred: pred, raceAware: raceAware,
-		vals:       make([]map[string]float64, n),
+		view:       &checkerState{n: n},
 		stamps:     make([]clock.Vector, n),
 		lastSeq:    make([]int, n),
 		lastEpoch:  make([]int, n),
 		lastChange: make([]change, n),
 	}
-	for i := range c.vals {
-		c.vals[i] = make(map[string]float64)
-	}
-	c.state = checkerState{c.vals}
 	return c
 }
 
@@ -151,19 +141,55 @@ func onStrobes(net Receiver, idx int, fn func(m StrobeMsg, now sim.Time)) {
 // Register installs the checker on transport node idx.
 func (c *StrobeChecker) Register(net Receiver, idx int) { onStrobes(net, idx, c.OnStrobe) }
 
-// state adapts the checker's view to predicate.State.
-type checkerState struct{ vals []map[string]float64 }
+// checkerState is a flat checker's view of the sensed world: one column of
+// n values per variable name, created by the first write of that name. A
+// predicate names one to three variables, so finding a column is a scan of
+// a list that short, and the view of n processes is a few slices instead
+// of n maps. It implements predicate.State by pointer (no boxing per
+// Holds) and predicate.Columnar.
+type checkerState struct {
+	n    int
+	cols []stateColumn
+}
 
-// Get implements predicate.State.
-func (s checkerState) Get(proc int, name string) float64 {
-	if proc < 0 || proc >= len(s.vals) {
-		return 0
+type stateColumn struct {
+	name string
+	vals []float64
+}
+
+// Column implements predicate.Columnar: nil for a name never written.
+func (s *checkerState) Column(name string) []float64 {
+	for i := range s.cols {
+		if s.cols[i].name == name {
+			return s.cols[i].vals
+		}
 	}
-	return s.vals[proc][name]
+	return nil
+}
+
+// Get implements predicate.State: out-of-range processes and names never
+// written read 0.
+func (s *checkerState) Get(proc int, name string) float64 {
+	if col := s.Column(name); col != nil && proc >= 0 && proc < s.n {
+		return col[proc]
+	}
+	return 0
 }
 
 // NumProcs implements predicate.State.
-func (s checkerState) NumProcs() int { return len(s.vals) }
+func (s *checkerState) NumProcs() int { return s.n }
+
+// set writes the value of name at proc (which must be in range) and
+// returns the value it replaces.
+func (s *checkerState) set(proc int, name string, v float64) (prev float64) {
+	col := s.Column(name)
+	if col == nil {
+		col = make([]float64, s.n)
+		s.cols = append(s.cols, stateColumn{name, col})
+	}
+	prev, col[proc] = col[proc], v
+	return prev
+}
 
 // OnStrobe applies one received strobe to the view and updates detection
 // state. Strobes from a process are applied in increasing Seq order;
@@ -240,10 +266,9 @@ func (c *StrobeChecker) OnStrobe(m StrobeMsg, now sim.Time) {
 		m.Vec = c.stampBuf[m.Proc]
 	}
 
-	prev := c.vals[m.Proc][m.Var]
-	c.vals[m.Proc][m.Var] = m.Value
+	prev := c.view.set(m.Proc, m.Var, m.Value)
 	c.obsEvals.Inc()
-	settled := c.pred.Holds(c.state)
+	settled := c.pred.Holds(c.view)
 
 	race := false
 	if c.raceAware && m.Vec != nil {
@@ -330,17 +355,15 @@ func (c *StrobeChecker) detectRace(m StrobeMsg, prevI float64) bool {
 			return true
 		}
 		ch := c.lastChange[j]
-		curJ := c.vals[j][ch.varName]
-		curI := c.vals[m.Proc][m.Var]
 
 		phi11 := c.phi()
-		c.vals[j][ch.varName] = ch.prev // s10: only e
+		curJ := c.view.set(j, ch.varName, ch.prev) // s10: only e
 		phi10 := c.phi()
-		c.vals[m.Proc][m.Var] = prevI // s00: neither
+		curI := c.view.set(m.Proc, m.Var, prevI) // s00: neither
 		phi00 := c.phi()
-		c.vals[j][ch.varName] = curJ // s01: only e'
+		c.view.set(j, ch.varName, curJ) // s01: only e'
 		phi01 := c.phi()
-		c.vals[m.Proc][m.Var] = curI // restore s11
+		c.view.set(m.Proc, m.Var, curI) // restore s11
 
 		if phi00 == phi11 && phi10 != phi01 {
 			return true
@@ -352,7 +375,7 @@ func (c *StrobeChecker) detectRace(m StrobeMsg, prevI float64) bool {
 // phi evaluates the predicate against the checker's current view.
 func (c *StrobeChecker) phi() bool {
 	c.obsEvals.Inc()
-	return c.pred.Holds(c.state)
+	return c.pred.Holds(c.view)
 }
 
 // Finish closes any open occurrence at the horizon. Further strobes are
@@ -374,5 +397,5 @@ func (c *StrobeChecker) Markers() []sim.Time { return c.markers }
 // View returns the checker's current value of (proc, var) — the evolving
 // "map of the physical world" of Section 1.
 func (c *StrobeChecker) View(proc int, name string) float64 {
-	return checkerState{c.vals}.Get(proc, name)
+	return c.view.Get(proc, name)
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"container/heap"
-
 	"pervasive/internal/network"
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
@@ -31,7 +29,8 @@ type PhysicalChecker struct {
 	pending reportHeap
 	applied int64
 
-	vals     []map[string]float64
+	view     *checkerState
+	drainFn  sim.Handler // c.drain, bound once
 	lastTS   sim.Time
 	cur      bool
 	occ      []Occurrence
@@ -62,11 +61,9 @@ func (c *PhysicalChecker) SetObs(r *obs.Registry) {
 func NewPhysicalChecker(eng *sim.Engine, n int, pred predicate.Cond, slack sim.Duration) *PhysicalChecker {
 	c := &PhysicalChecker{
 		n: n, pred: pred, Slack: slack, eng: eng,
-		vals: make([]map[string]float64, n),
+		view: &checkerState{n: n},
 	}
-	for i := range c.vals {
-		c.vals[i] = make(map[string]float64)
-	}
+	c.drainFn = c.drain
 	return c
 }
 
@@ -84,9 +81,9 @@ func (c *PhysicalChecker) OnReport(m ReportMsg, now sim.Time) {
 	if c.finished {
 		return
 	}
-	heap.Push(&c.pending, m)
-	c.obsQueue.Set(int64(c.pending.Len()))
-	c.eng.After(c.Slack, func(t sim.Time) { c.drain(t) })
+	c.pending.push(m)
+	c.obsQueue.Set(int64(len(c.pending)))
+	c.eng.After(c.Slack, c.drainFn)
 }
 
 // drain replays all buffered reports whose timestamp is at or below the
@@ -97,10 +94,10 @@ func (c *PhysicalChecker) drain(now sim.Time) {
 		return
 	}
 	watermark := now - c.Slack
-	for c.pending.Len() > 0 && c.pending[0].TS <= watermark {
-		c.apply(heap.Pop(&c.pending).(ReportMsg))
+	for len(c.pending) > 0 && c.pending[0].TS <= watermark {
+		c.apply(c.pending.pop())
 	}
-	c.obsQueue.Set(int64(c.pending.Len()))
+	c.obsQueue.Set(int64(len(c.pending)))
 }
 
 func (c *PhysicalChecker) apply(m ReportMsg) {
@@ -114,9 +111,9 @@ func (c *PhysicalChecker) apply(m ReportMsg) {
 	}
 	c.applied++
 	c.obsApplied.Inc()
-	c.vals[m.Proc][m.Var] = m.Value
+	c.view.set(m.Proc, m.Var, m.Value)
 	c.obsEvals.Inc()
-	settled := c.pred.Holds(checkerState{c.vals})
+	settled := c.pred.Holds(c.view)
 	if settled != c.cur {
 		if settled {
 			c.obsDetections.Inc()
@@ -134,8 +131,8 @@ func (c *PhysicalChecker) Finish(horizon sim.Time) {
 	if c.finished {
 		return
 	}
-	for c.pending.Len() > 0 {
-		c.apply(heap.Pop(&c.pending).(ReportMsg))
+	for len(c.pending) > 0 {
+		c.apply(c.pending.pop())
 	}
 	c.finished = true
 	c.occ = closeOpen(c.occ, c.cur, horizon)
@@ -151,18 +148,44 @@ func (c *PhysicalChecker) Markers() []sim.Time { return nil }
 // Applied returns the number of reports replayed.
 func (c *PhysicalChecker) Applied() int64 { return c.applied }
 
-// reportHeap is a min-heap of reports by timestamp (FIFO per equal TS not
-// guaranteed; equal timestamps are genuinely unordered at resolution).
+// reportHeap is a binary min-heap of reports by timestamp. push and pop
+// are container/heap's up and down loops on the concrete type — no report
+// is boxed going in or coming out — and sift exactly as Push and Pop do:
+// equal timestamps are genuinely unordered at the clock's resolution, but
+// the order they leave in is part of every pinned run.
 type reportHeap []ReportMsg
 
-func (h reportHeap) Len() int           { return len(h) }
-func (h reportHeap) Less(i, j int) bool { return h[i].TS < h[j].TS }
-func (h reportHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *reportHeap) Push(x any)        { *h = append(*h, x.(ReportMsg)) }
-func (h *reportHeap) Pop() any {
-	old := *h
-	n := len(old)
-	m := old[n-1]
-	*h = old[:n-1]
-	return m
+func (h *reportHeap) push(m ReportMsg) {
+	s := append(*h, m)
+	*h = s
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(s[j].TS < s[i].TS) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *reportHeap) pop() ReportMsg {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].TS < s[j].TS {
+			j = r
+		}
+		if !(s[j].TS < s[i].TS) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }

@@ -226,7 +226,12 @@ func isAwake(nd *node, at sim.Time) bool {
 
 // meanPairwiseOverlap measures, over the final quarter of the run, the
 // mean over ordered pairs (i, j) of the fraction of i's awake time during
-// which j was also awake.
+// which j was also awake. A node's spans are recorded at non-decreasing
+// wake times (their ends need not be: a full-period scan can outlast the
+// node's next, re-armed wake), so for each span of a the scan of b starts
+// past the leading spans that ended at or before it began — none of which
+// can meet a later span of a either — and stops at the first that begins
+// at or after its end.
 func meanPairwiseOverlap(nodes []*node, cfg Config, horizon sim.Time) float64 {
 	from := horizon - horizon/4
 	var acc stats.Online
@@ -236,6 +241,7 @@ func meanPairwiseOverlap(nodes []*node, cfg Config, horizon sim.Time) float64 {
 				continue
 			}
 			var awakeA, both sim.Duration
+			first := 0
 			for i := 0; i+1 < len(a.awake); i += 2 {
 				lo, hi := a.awake[i], a.awake[i+1]
 				if hi <= from {
@@ -245,7 +251,10 @@ func meanPairwiseOverlap(nodes []*node, cfg Config, horizon sim.Time) float64 {
 					lo = from
 				}
 				awakeA += hi - lo
-				for j := 0; j+1 < len(b.awake); j += 2 {
+				for first+1 < len(b.awake) && b.awake[first+1] <= lo {
+					first += 2
+				}
+				for j := first; j+1 < len(b.awake) && b.awake[j] < hi; j += 2 {
 					blo, bhi := b.awake[j], b.awake[j+1]
 					olo, ohi := maxT(lo, blo), minT(hi, bhi)
 					if ohi > olo {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pervasive/internal/sim"
+	"pervasive/internal/stats"
 )
 
 func TestAlignedNoDriftStaysAligned(t *testing.T) {
@@ -98,5 +99,86 @@ func TestDeterminism(t *testing.T) {
 	a, b := Run(cfg), Run(cfg)
 	if a != b {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// quadraticOverlap is meanPairwiseOverlap as it was first written: every
+// span of b against every span of a in the final quarter.
+func quadraticOverlap(nodes []*node, horizon sim.Time) float64 {
+	from := horizon - horizon/4
+	var acc stats.Online
+	for _, a := range nodes {
+		for _, b := range nodes {
+			if a == b {
+				continue
+			}
+			var awakeA, both sim.Duration
+			for i := 0; i+1 < len(a.awake); i += 2 {
+				lo, hi := a.awake[i], a.awake[i+1]
+				if hi <= from {
+					continue
+				}
+				if lo < from {
+					lo = from
+				}
+				awakeA += hi - lo
+				for j := 0; j+1 < len(b.awake); j += 2 {
+					olo, ohi := maxT(lo, b.awake[j]), minT(hi, b.awake[j+1])
+					if ohi > olo {
+						both += ohi - olo
+					}
+				}
+			}
+			if awakeA > 0 {
+				acc.Add(float64(both) / float64(awakeA))
+			}
+		}
+	}
+	return acc.Mean()
+}
+
+// TestOverlapMatchesQuadraticScan draws span lists the way Run records
+// them — wake times non-decreasing per node, most spans one window long,
+// some a full-period scan that a re-armed wake then interrupts, so a span
+// can end after its successor does — and holds the windowed scan to the
+// quadratic one, bit for bit.
+func TestOverlapMatchesQuadraticScan(t *testing.T) {
+	const period, window = 1000, 100
+	r := stats.NewRNG(41)
+	interrupted, straddling := 0, 0
+	for round := 0; round < 300; round++ {
+		horizon := sim.Time(8*period + r.Intn(8*period))
+		from := horizon - horizon/4
+		nodes := make([]*node, 2+r.Intn(4))
+		for k := range nodes {
+			nd := &node{id: k}
+			at := sim.Time(1 + r.Intn(period))
+			for at <= horizon {
+				end := at + window
+				next := at + period
+				if r.Intn(4) == 0 { // scan: listen for a full period
+					end = at + period
+					if r.Intn(2) == 0 { // a beacon re-arms the wake inside it
+						next = at + sim.Time(1+r.Intn(period-1))
+						interrupted++
+					}
+				} else if r.Intn(8) == 0 {
+					next = at + sim.Time(r.Intn(window)) // re-armed inside a plain window, possibly at once
+				}
+				if at < from && end > from {
+					straddling++
+				}
+				nd.awake = append(nd.awake, at, end)
+				at = next
+			}
+			nodes[k] = nd
+		}
+		got, want := meanPairwiseOverlap(nodes, Config{}, horizon), quadraticOverlap(nodes, horizon)
+		if got != want {
+			t.Fatalf("round %d: overlap %v, the quadratic scan gives %v", round, got, want)
+		}
+	}
+	if interrupted < 100 || straddling < 100 {
+		t.Errorf("drew %d interrupted scans and %d spans straddling the final quarter; want at least 100 of each", interrupted, straddling)
 	}
 }

@@ -81,18 +81,6 @@ type ShardPart struct {
 	Stats Stats
 }
 
-// sendBody is what every link-level copy of one logical send shares: the
-// Message less its destination. One is allocated per Send/Broadcast and
-// never written again, so copies on different shards may read it
-// concurrently; each copy is the event (dstPart.fire, body, dst).
-type sendBody struct {
-	ID      uint64
-	Src     int
-	SentAt  sim.Time
-	Payload Payload
-	Stamp   flight.Stamp
-}
-
 // NewSharded creates a transport over the sharded engine. The shard map
 // must cover at least the topology plus any extra direct-send processes
 // (the checker); seed roots the per-source RNG streams, independently of
@@ -300,7 +288,6 @@ func (p *ShardPart) deliver(now sim.Time, body any, dst int) {
 	}
 	p.Stats.Delivered++
 	if h := sn.handlers[dst]; h != nil {
-		b := body.(*sendBody)
-		h(Message{ID: b.ID, Src: b.Src, From: b.Src, Dst: dst, SentAt: b.SentAt, Payload: b.Payload, Stamp: b.Stamp}, now)
+		h(body.(*sendBody).message(dst), now)
 	}
 }

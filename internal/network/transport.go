@@ -35,6 +35,24 @@ type Message struct {
 	Stamp flight.Stamp
 }
 
+// sendBody is what every link-level copy of one logical direct send
+// shares, on both transports: the Message less its destination. One is
+// allocated per Send/Broadcast and never written again, so copies on
+// different shards may read it concurrently; each copy is the event
+// (fire, body, dst) and costs no allocation of its own.
+type sendBody struct {
+	ID      uint64
+	Src     int
+	SentAt  sim.Time
+	Payload Payload
+	Stamp   flight.Stamp
+}
+
+// message materialises the copy of b addressed to dst, at delivery.
+func (b *sendBody) message(dst int) Message {
+	return Message{ID: b.ID, Src: b.Src, From: b.Src, Dst: dst, SentAt: b.SentAt, Payload: b.Payload, Stamp: b.Stamp}
+}
+
 // Handler receives delivered messages at a process.
 type Handler func(m Message, now sim.Time)
 
@@ -69,6 +87,14 @@ type Net struct {
 
 	handlers []Handler
 	nextID   uint64
+
+	// fire and fireHop are deliverCopy and deliverHop bound once: the event
+	// functions of every direct copy (body *sendBody) and of every flood
+	// copy (body *Message, the wave it belongs to).
+	fire, fireHop sim.EventFunc
+	// dsts is the neighbour scratch of the relay step in progress; a relay
+	// schedules and returns without running a handler, so it never nests.
+	dsts []int
 
 	// Flood selects hop-by-hop flooding over the overlay for Broadcast;
 	// when false, Broadcast sends one direct logical message per peer.
@@ -149,21 +175,23 @@ func (nt *Net) SetObs(r *obs.Registry) {
 // store within the kernel bench's <5% overhead budget.
 func (nt *Net) SetFlight(r *flight.Recorder) { nt.flightRec = r }
 
-// recordFlight stamps one Recv/Drop record for m at its destination.
-// m is passed by pointer: this runs once per delivery, and copying the
-// Message on top of the 64-byte Rec ring store doubles the recorder's
-// kernel overhead. The logical identity comes from m.Stamp — plain
-// field copies, no payload introspection.
-func (nt *Net) recordFlight(kind flight.Kind, m *Message, now sim.Time) {
-	rec := flight.Rec{
-		Kind: kind, Proc: int32(m.Dst), Peer: int32(m.Src), At: now,
-		Epoch: m.Stamp.Epoch, Seq: m.Stamp.Seq, PeerClock: m.Stamp.Clock,
-	}
-	if nt.flightRec.Concurrent() {
-		nt.flightRec.Record(rec)
+// recordDrop stamps one Drop record at dst's ring for a lost copy of the
+// message src originated under logical identity st; a no-op without a
+// recorder. Deliveries build their Recv record in place (see handle).
+func (nt *Net) recordDrop(dst, src int, st flight.Stamp, now sim.Time) {
+	r := nt.flightRec
+	if r == nil {
 		return
 	}
-	nt.flightRec.RecordUnlocked(rec)
+	rec := flight.Rec{
+		Kind: flight.Drop, Proc: int32(dst), Peer: int32(src), At: now,
+		Epoch: st.Epoch, Seq: st.Seq, PeerClock: st.Clock,
+	}
+	if r.Concurrent() {
+		r.Record(rec)
+		return
+	}
+	r.RecordUnlocked(rec)
 }
 
 // SetFaults installs (or, with nil, removes) the fault injector gating
@@ -183,6 +211,7 @@ func New(eng *sim.Engine, topo Topology, delay sim.DelayModel) *Net {
 		seen:     make([]map[uint64]bool, n),
 		inflight: make(map[uint64]int),
 	}
+	nt.fire, nt.fireHop = nt.deliverCopy, nt.deliverHop
 	nt.Stats.ByKind = make(map[string]int64)
 	for i := range nt.seen {
 		nt.seen[i] = make(map[uint64]bool)
@@ -217,13 +246,15 @@ func (nt *Net) Send(src, dst int, p Payload) uint64 {
 // transport itself never type-asserts payloads, so the stamp costs three
 // field copies at origination and nothing per delivery.
 func (nt *Net) SendStamped(src, dst int, p Payload, st flight.Stamp) uint64 {
-	if f := nt.fault; f != nil && f.Down(src, nt.eng.Now()) {
+	now := nt.eng.Now()
+	if f := nt.fault; f != nil && f.Down(src, now) {
 		f.Counts.SuppressedSends.Add(1)
 		return 0
 	}
-	id := nt.newID()
-	nt.transmit(Message{ID: id, Src: src, From: src, Dst: dst, SentAt: nt.eng.Now(), Payload: p, Stamp: st})
-	return id
+	body := &sendBody{ID: nt.newID(), Src: src, SentAt: now, Payload: p, Stamp: st}
+	nt.transmit(body, dst)
+	nt.countSends(p, 1)
+	return body.ID
 }
 
 // Broadcast implements the strobe protocols' System-wide_Broadcast: p is
@@ -239,7 +270,8 @@ func (nt *Net) Broadcast(src int, p Payload) uint64 {
 // BroadcastStamped is Broadcast carrying the payload's logical identity
 // (see SendStamped). A flood stamps once per logical message — every
 // hop's copy inherits the Stamp fields — instead of re-deriving it from
-// the payload at each of the O(edges) relay deliveries.
+// the payload at each of the O(edges) relay deliveries. A direct broadcast
+// allocates the one body its copies share and nothing per copy.
 func (nt *Net) BroadcastStamped(src int, p Payload, st flight.Stamp) uint64 {
 	now := nt.eng.Now()
 	if f := nt.fault; f != nil && f.Down(src, now) {
@@ -254,11 +286,15 @@ func (nt *Net) BroadcastStamped(src int, p Payload, st flight.Stamp) uint64 {
 		nt.flightDone(id)
 		return id
 	}
+	body := &sendBody{ID: id, Src: src, SentAt: now, Payload: p, Stamp: st}
+	var copies int64
 	for dst := 0; dst < nt.N(); dst++ {
 		if dst != src {
-			nt.transmit(Message{ID: id, Src: src, From: src, Dst: dst, SentAt: now, Payload: p, Stamp: st})
+			nt.transmit(body, dst)
+			copies++
 		}
 	}
+	nt.countSends(p, copies)
 	return id
 }
 
@@ -267,16 +303,17 @@ func (nt *Net) newID() uint64 {
 	return nt.nextID
 }
 
-// countSend records one link-level transmission.
-func (nt *Net) countSend(p Payload) {
-	nt.Stats.Sent++
-	nt.Stats.Bytes += int64(p.WireSize() + headerBytes)
-	nt.Stats.ByKind[p.Kind()]++
-}
-
-// countDrop records one dropped transmission.
-func (nt *Net) countDrop() {
-	nt.Stats.Dropped++
+// countSends records the link-level transmissions of one logical send (or
+// one flood relay step): Sent, Bytes and ByKind are bumped once, by the
+// copy count, drops included. A step that sent nothing leaves no ByKind
+// key behind, as counting per copy would not.
+func (nt *Net) countSends(p Payload, copies int64) {
+	if copies == 0 {
+		return
+	}
+	nt.Stats.Sent += copies
+	nt.Stats.Bytes += copies * int64(p.WireSize()+headerBytes)
+	nt.Stats.ByKind[p.Kind()] += copies
 }
 
 // shapeDelay adds active reorder-window jitter, drawn from r, to a
@@ -294,51 +331,72 @@ func shapeDelay(f *faults.Injector, r *stats.RNG, d sim.Duration, at sim.Time) s
 	return d
 }
 
-// transmit schedules one link-level transmission.
-func (nt *Net) transmit(m Message) {
-	nt.countSend(m.Payload)
-	now := nt.eng.Now()
-	if f := nt.fault; f != nil && f.Cut(m.From, m.Dst, now) {
-		nt.countDrop()
+// sampleLink decides the fate of one link-level transmission from → to at
+// now: the partition gate, then the delay model's draw, then reorder
+// jitter, in that order on the transport's one RNG stream. ok is false
+// when the copy is lost (already counted as dropped; the caller records
+// the flight Drop).
+func (nt *Net) sampleLink(from, to int, now sim.Time) (d sim.Duration, ok bool) {
+	f := nt.fault
+	if f != nil && f.Cut(from, to, now) {
+		nt.Stats.Dropped++
 		f.Counts.PartitionDrops.Add(1)
-		if nt.flightRec != nil {
-			nt.recordFlight(flight.Drop, &m, now)
-		}
-		return
+		return 0, false
 	}
-	d, dropped := sim.SampleDelay(nt.delay, nt.rng, now, m.From, m.Dst)
+	d, dropped := sim.SampleDelay(nt.delay, nt.rng, now, from, to)
 	if dropped {
-		nt.countDrop()
-		if nt.flightRec != nil {
-			nt.recordFlight(flight.Drop, &m, now)
-		}
+		nt.Stats.Dropped++
+		return 0, false
+	}
+	d = shapeDelay(f, nt.rng, d, now)
+	nt.obsDelay.Observe(float64(d))
+	return d, true
+}
+
+// transmit schedules one direct copy of body to dst; inside a duplicate
+// window it may schedule a second delivery of the same copy.
+func (nt *Net) transmit(body *sendBody, dst int) {
+	now := nt.eng.Now()
+	d, ok := nt.sampleLink(body.Src, dst, now)
+	if !ok {
+		nt.recordDrop(dst, body.Src, body.Stamp, now)
 		return
 	}
-	d = shapeDelay(nt.fault, nt.rng, d, now)
-	nt.obsDelay.Observe(float64(d))
-	nt.eng.AtPri(now+d, DeliveryPri, func(now sim.Time) { nt.deliver(m, now) })
+	nt.eng.AtFunc(now+d, DeliveryPri, nt.fire, body, dst)
 	if f := nt.fault; f != nil {
 		// Duplicate window: re-deliver with an independently sampled
 		// delay. The checker's Seq discipline must absorb the copy.
 		if p := f.DupProb(now); p > 0 && nt.rng.Bool(p) {
-			if d2, dropped2 := sim.SampleDelay(nt.delay, nt.rng, now, m.From, m.Dst); !dropped2 {
+			if d2, dropped2 := sim.SampleDelay(nt.delay, nt.rng, now, body.Src, dst); !dropped2 {
 				f.Counts.Duplicates.Add(1)
-				nt.eng.AtPri(now+shapeDelay(nt.fault, nt.rng, d2, now), DeliveryPri, func(now sim.Time) { nt.deliver(m, now) })
+				nt.eng.AtFunc(now+shapeDelay(f, nt.rng, d2, now), DeliveryPri, nt.fire, body, dst)
 			}
 		}
 	}
 }
 
-func (nt *Net) deliver(m Message, now sim.Time) {
-	if f := nt.fault; f != nil && f.Down(m.Dst, now) {
-		nt.countDrop() // crashed processes take no deliveries
-		f.Counts.CrashDrops.Add(1)
-		if nt.flightRec != nil {
-			nt.recordFlight(flight.Drop, &m, now)
-		}
+// deliverCopy runs at a direct copy's arrival: body is the *sendBody the
+// copy was scheduled with, dst the process it is addressed to.
+func (nt *Net) deliverCopy(now sim.Time, body any, dst int) {
+	b := body.(*sendBody)
+	if nt.crashDropped(dst, now) {
+		nt.recordDrop(dst, b.Src, b.Stamp, now)
 		return
 	}
-	nt.handle(m, now)
+	nt.handle(b.message(dst), now)
+}
+
+// crashDropped reports whether the copy arriving at dst at now dies there
+// because a fault plan has dst crashed — crashed processes take no
+// deliveries — and counts the drop when so.
+func (nt *Net) crashDropped(dst int, now sim.Time) bool {
+	f := nt.fault
+	if f == nil || !f.Down(dst, now) {
+		return false
+	}
+	nt.Stats.Dropped++
+	f.Counts.CrashDrops.Add(1)
+	return true
 }
 
 // handle invokes the destination's handler (fault gating already done).
@@ -346,12 +404,12 @@ func (nt *Net) deliver(m Message, now sim.Time) {
 // follows its Recv in the destination's ring order.
 func (nt *Net) handle(m Message, now sim.Time) {
 	nt.Stats.Delivered++
-	// The Recv record is built in place rather than through recordFlight:
-	// this is the one per-delivery site (drops go through recordFlight),
-	// and with RecordUnlocked inlined here the compiler stores the Rec
-	// straight into the ring — no call frame, no intermediate copy. That
-	// is what keeps the recorder inside the kernel bench's <5% budget
-	// (~6ns per delivery; a call-based path measures more than double).
+	// The Recv record is built in place rather than through a helper: this
+	// is the one per-delivery site (drops go through recordDrop), and with
+	// RecordUnlocked inlined here the compiler stores the Rec straight into
+	// the ring — no call frame, no intermediate copy. That is what keeps
+	// the recorder inside the kernel bench's <5% budget (~6ns per delivery;
+	// a call-based path measures more than double).
 	if r := nt.flightRec; r != nil {
 		rec := flight.Rec{
 			Kind: flight.Recv, Proc: int32(m.Dst), Peer: int32(m.Src), At: now,
@@ -368,61 +426,60 @@ func (nt *Net) handle(m Message, now sim.Time) {
 	}
 }
 
-// relay floods m from m.From to all current neighbours that have not seen
-// the message. Receivers both consume and re-relay. Dedup is done at
-// delivery time, not at scheduling time: a copy lost in flight leaves
+// relay floods m one hop on: from m.From, which holds it at m.Hops, to
+// every current neighbour that has not seen it. The copies of one relay
+// step share one wave body — m with this hop's From and Hops, Dst unset —
+// allocated with the first copy scheduled; each is the event
+// (fireHop, wave, dst). Receivers both consume and re-relay. Dedup is done
+// at delivery time, not at scheduling time: a copy lost in flight leaves
 // later copies via other paths eligible, which is what lets redundant
 // flood paths mask single-link loss.
 func (nt *Net) relay(m Message) {
 	now := nt.eng.Now()
-	f := nt.fault
-	for _, j := range nt.topo.Neighbors(m.From) {
+	m.Hops++
+	var wave *Message
+	var copies int64
+	nt.dsts = nt.topo.AppendNeighbors(nt.dsts[:0], m.From)
+	for _, j := range nt.dsts {
 		if nt.seen[j][m.ID] {
 			continue
 		}
-		hop := m
-		hop.Dst = j
-		hop.Hops = m.Hops + 1
-		nt.countSend(hop.Payload)
-		if f != nil && f.Cut(hop.From, hop.Dst, now) {
-			nt.countDrop()
-			f.Counts.PartitionDrops.Add(1)
-			if nt.flightRec != nil {
-				nt.recordFlight(flight.Drop, &hop, now)
-			}
+		copies++
+		d, ok := nt.sampleLink(m.From, j, now)
+		if !ok {
+			nt.recordDrop(j, m.Src, m.Stamp, now)
 			continue
 		}
-		d, dropped := sim.SampleDelay(nt.delay, nt.rng, now, hop.From, hop.Dst)
-		if dropped {
-			nt.countDrop()
-			if nt.flightRec != nil {
-				nt.recordFlight(flight.Drop, &hop, now)
-			}
-			continue
+		if wave == nil {
+			w := m
+			wave = &w
 		}
-		d = shapeDelay(nt.fault, nt.rng, d, now)
-		nt.obsDelay.Observe(float64(d))
-		nt.inflight[hop.ID]++
-		nt.eng.AtPri(now+d, DeliveryPri, func(now sim.Time) {
-			defer nt.flightDone(hop.ID)
-			if nt.seen[hop.Dst][hop.ID] {
-				return // duplicate arrived first via another path
-			}
-			if f := nt.fault; f != nil && f.Down(hop.Dst, now) {
-				nt.countDrop() // crashed receivers neither deliver nor relay
-				f.Counts.CrashDrops.Add(1)
-				if nt.flightRec != nil {
-					nt.recordFlight(flight.Drop, &hop, now)
-				}
-				return
-			}
-			nt.seen[hop.Dst][hop.ID] = true
-			nt.handle(hop, now)
-			next := hop
-			next.From = hop.Dst
-			nt.relay(next)
-		})
+		nt.inflight[m.ID]++
+		nt.eng.AtFunc(now+d, DeliveryPri, nt.fireHop, wave, j)
 	}
+	nt.countSends(m.Payload, copies)
+}
+
+// deliverHop runs at a flood copy's arrival: body is the wave (*Message)
+// the copy belongs to, dst the neighbour it was sent to. The copy's
+// in-flight reference is released last, after any re-relay has taken its
+// own.
+func (nt *Net) deliverHop(now sim.Time, body any, dst int) {
+	wave := body.(*Message)
+	defer nt.flightDone(wave.ID)
+	if nt.seen[dst][wave.ID] {
+		return // duplicate arrived first via another path
+	}
+	if nt.crashDropped(dst, now) { // crashed receivers neither deliver nor relay
+		nt.recordDrop(dst, wave.Src, wave.Stamp, now)
+		return
+	}
+	nt.seen[dst][wave.ID] = true
+	hop := *wave
+	hop.Dst = dst
+	nt.handle(hop, now)
+	hop.From = dst
+	nt.relay(hop)
 }
 
 // flightDone releases one scheduled copy of a flood message; the last

@@ -35,6 +35,15 @@ type State interface {
 	NumProcs() int
 }
 
+// Columnar is the optional fast path of a State that keeps each variable
+// as one column over the processes: aggregates read the column directly
+// instead of calling Get once per process.
+type Columnar interface {
+	// Column returns the values of name at processes 0 … NumProcs()-1, or
+	// nil when name is zero everywhere. The caller must not write to it.
+	Column(name string) []float64
+}
+
 // MapState is a simple State backed by a map; the zero value of the map is
 // treated as all-zeros.
 type MapState struct {
@@ -113,26 +122,58 @@ type Agg struct {
 	Name string
 }
 
-// Eval implements Expr.
+// Eval implements Expr. A Columnar state is folded over its column, any
+// other through Get: the same values in the same left-to-right order from
+// process 0, so both give the same bits.
 func (a Agg) Eval(s State) float64 {
 	n := s.NumProcs()
 	if n == 0 {
 		return 0
 	}
-	acc := s.Get(0, a.Name)
-	for i := 1; i < n; i++ {
-		v := s.Get(i, a.Name)
-		switch a.Op {
-		case AggSum, AggAvg:
-			acc += v
-		case AggMin:
-			acc = math.Min(acc, v)
-		case AggMax:
-			acc = math.Max(acc, v)
+	var acc float64
+	if c, ok := s.(Columnar); ok {
+		col := c.Column(a.Name)
+		if col == nil {
+			return 0 // every aggregate of n zeros
+		}
+		acc = a.Op.foldColumn(col[:n])
+	} else {
+		acc = s.Get(0, a.Name)
+		for i := 1; i < n; i++ {
+			v := s.Get(i, a.Name)
+			switch a.Op {
+			case AggSum, AggAvg:
+				acc += v
+			case AggMin:
+				acc = math.Min(acc, v)
+			case AggMax:
+				acc = math.Max(acc, v)
+			}
 		}
 	}
 	if a.Op == AggAvg {
 		acc /= float64(n)
+	}
+	return acc
+}
+
+// foldColumn is Eval's loop over a non-empty column, with the operator
+// chosen once outside it.
+func (op AggOp) foldColumn(col []float64) float64 {
+	acc := col[0]
+	switch op {
+	case AggSum, AggAvg:
+		for _, v := range col[1:] {
+			acc += v
+		}
+	case AggMin:
+		for _, v := range col[1:] {
+			acc = math.Min(acc, v)
+		}
+	case AggMax:
+		for _, v := range col[1:] {
+			acc = math.Max(acc, v)
+		}
 	}
 	return acc
 }

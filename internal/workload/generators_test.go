@@ -50,7 +50,7 @@ func TestGeneratorsDeterministicAndCanonical(t *testing.T) {
 				t.Errorf("%s: event %d past horizon: %+v", name, i, ev)
 				break
 			}
-			if i > 0 && less(ev, a[i-1]) {
+			if i > 0 && compare(ev, a[i-1]) < 0 {
 				t.Errorf("%s: events %d/%d out of canonical order", name, i-1, i)
 				break
 			}
@@ -189,7 +189,7 @@ func TestCombineMergesCanonically(t *testing.T) {
 		t.Fatal("combine lost events")
 	}
 	for i := 1; i < len(evs); i++ {
-		if less(evs[i], evs[i-1]) {
+		if compare(evs[i], evs[i-1]) < 0 {
 			t.Fatalf("combine output out of order at %d", i)
 		}
 	}

@@ -46,7 +46,7 @@ func TestParseSpec(t *testing.T) {
 		t.Fatal("spec workload produced no events")
 	}
 	for i := 1; i < len(evs); i++ {
-		if less(evs[i], evs[i-1]) {
+		if compare(evs[i], evs[i-1]) < 0 {
 			t.Fatalf("spec workload out of canonical order at %d", i)
 		}
 	}

@@ -21,6 +21,8 @@
 package workload
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"pervasive/internal/sim"
@@ -39,26 +41,24 @@ type Event struct {
 	Val  float64
 }
 
-// less is the canonical event order: (At, Obj, Attr). Within one
+// compare is the canonical event order: (At, Obj, Attr). Within one
 // (Obj, Attr) stream, generator emission order is always chronological,
 // so canonical sorting never reorders a stream against itself — it only
 // normalizes cross-object ties, which is what makes the order identical
 // at every shard count.
-func less(a, b Event) bool {
-	if a.At != b.At {
-		return a.At < b.At
+func compare(a, b Event) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
 	}
-	if a.Obj != b.Obj {
-		return a.Obj < b.Obj
+	if c := cmp.Compare(a.Obj, b.Obj); c != 0 {
+		return c
 	}
-	return a.Attr < b.Attr
+	return cmp.Compare(a.Attr, b.Attr)
 }
 
 // Sort orders events canonically, stably (same-key events keep their
 // emission order).
-func Sort(evs []Event) {
-	sort.SliceStable(evs, func(i, j int) bool { return less(evs[i], evs[j]) })
-}
+func Sort(evs []Event) { slices.SortStableFunc(evs, compare) }
 
 // Source produces a fully materialized workload: every event up to and
 // including horizon, in canonical order. Materialization (rather than
