@@ -8,33 +8,32 @@ GO ?= go
 
 check: build vet lint bench-obs-smoke test-race
 
-# The full suite under the race detector, plus the targeted determinism
-# and stress regressions. CI runs this in parallel with the lint job.
+# The full suite under the race detector, each test once: the
+# determinism, live-stress, fault, shard and checker-tree regressions are
+# ordinary tests of their packages. CI runs this in parallel with the lint
+# job.
 test-race:
 	$(GO) test -race ./...
-	$(GO) test -race -run TestTablesByteIdenticalAcrossParallelism ./internal/experiments/ ./internal/runner/
-	$(GO) test -race -run TestSurveyMatchesOracle ./internal/lattice/
-	$(GO) test -race -run 'TestLiveOverload|TestLiveCrashRecovery|TestLiveRecoveryDrainsMailbox' ./internal/live/
-	$(GO) test -race ./internal/faults/ ./internal/network/ -run 'Fault|Crash|Partition|Duplicate|Reorder|FloodDedup'
-	$(GO) test -race -run 'TestShard|TestSharded|TestAtPri' ./internal/sim/ ./internal/core/
-	$(GO) test -race -run 'TestCheckerTree' ./internal/core/
-	$(GO) test -race ./internal/checker/
-	$(GO) test -race ./internal/workload/
-	$(GO) test -race -run 'RecordReplay|TestLiveReplayMatchesTrace' ./internal/scenario/ ./internal/live/
 
-# Ten seconds of the native fuzzer on each differential target: the
-# incremental ground-truth scorer against world.TrueIntervals over fuzzed
-# predicates and logs (DESIGN.md §1.1), the sparse strobe clock against
-# the dense one over fuzzed interleavings of strobes and hostile stamps
-# (DESIGN.md §1.10), and the flat checker's columnar view against a
-# predicate.MapState model over fuzzed strobes — out-of-range processes,
-# epoch bumps, stale seqs, race probes (DESIGN.md §1.1). New inputs stay in
-# the Go build cache; only a failing one is written under the package's
+# Ten seconds of the native fuzzer on each of five targets. Three are
+# differential: the incremental ground-truth scorer against
+# world.TrueIntervals over fuzzed predicates and logs (DESIGN.md §1.1), the
+# sparse strobe clock against the dense one over fuzzed interleavings of
+# strobes and hostile stamps (DESIGN.md §1.10), and the flat checker's
+# columnar view against a predicate.MapState model over fuzzed strobes —
+# out-of-range processes, epoch bumps, stale seqs, race probes (DESIGN.md
+# §1.1). Two feed arbitrary bytes to a decoder — the PVWL workload trace
+# (FuzzWorkloadDecode) and the checker tree's sync batch with the stamp
+# batch inside it (FuzzDecodeBatch): no panic, and whatever decodes
+# re-encodes to bytes that decode to the same value. New inputs stay in the
+# Go build cache; only a failing one is written under the package's
 # testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTruthOracle -fuzztime=10s ./internal/world/
 	$(GO) test -run='^$$' -fuzz=FuzzSparseOnStrobe -fuzztime=10s ./internal/clock/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckerView -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzWorkloadDecode -fuzztime=10s ./internal/workload/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/checker/
 
 build:
 	$(GO) build ./...

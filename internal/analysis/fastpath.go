@@ -134,7 +134,7 @@ func isNilIdent(p *Pass, e ast.Expr) bool {
 // pureDelegation reports whether every use of the receiver in the body
 // is either a nil comparison or a method call/selection on the receiver
 // — such methods are nil-safe because the methods they delegate to are
-// themselves checked (e.g. Registry.StartSpan, Registry.Handler).
+// themselves checked (e.g. Registry.Handler).
 func pureDelegation(p *Pass, body *ast.BlockStmt, recv types.Object) bool {
 	ok := true
 	inspectStack(body, func(n ast.Node, stack []ast.Node) bool {

@@ -74,15 +74,6 @@ func newAggregator(region, lo, hi int) *Aggregator {
 	return a
 }
 
-// Region returns the aggregator's region index.
-func (a *Aggregator) Region() int { return a.region }
-
-// Span returns the global process range [lo, hi) the aggregator owns.
-func (a *Aggregator) Span() (lo, hi int) { return a.lo, a.hi }
-
-// Down reports whether the aggregator is crashed.
-func (a *Aggregator) Down() bool { return a.down }
-
 // Epoch returns the regional epoch (recoveries so far).
 func (a *Aggregator) Epoch() int { return a.epoch }
 

@@ -46,7 +46,7 @@
 // bandwidth cost model.
 //
 // Bounded memory. An aggregator's state is O(region) for values and
-// admission, O(1) histogram/pending bounded by MaxBatch (a full pending
+// admission, O(1) histogram/pending bounded at 256 entries (a full pending
 // set forces a flush), and the race-aware reconstructions — the only
 // O(region·p) component — are allocated lazily and only when race
 // detection is on, mirroring the flat checker's memory gate. Aggregator

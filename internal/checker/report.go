@@ -45,12 +45,6 @@ func (m Report) OwnClock() uint64 {
 	return 0
 }
 
-// FlightStamp implements flight.Stamped (same identity the transport
-// message carries, so tree and flat checker dumps line up).
-func (m Report) FlightStamp() (epoch, seq int, clk uint64) {
-	return m.Epoch, m.Seq, m.OwnClock()
-}
-
 // Occurrence is one detected period during which a checker's view
 // satisfied the predicate. Start/End are checker-view times (for strobe
 // checkers: engine time of the flips; for the physical checker: reported

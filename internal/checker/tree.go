@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pervasive/internal/clock"
-	"pervasive/internal/flight"
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
@@ -21,15 +20,9 @@ type Config struct {
 	// and classifies order-ambiguous flips into the borderline bin; off,
 	// the tree is the race-blind scale configuration.
 	RaceAware bool
-	// NaiveRace switches to the naive any-concurrency race criterion
-	// (the A2 ablation's knob on the flat checker).
-	NaiveRace bool
 	// BatchInterval is the upward sync flush cadence (default 5ms — the
 	// default delivery lookahead, so one batch per delay window).
 	BatchInterval sim.Duration
-	// MaxBatch bounds the pending sync set per aggregator; a full set
-	// forces a flush (default 256). This is the bounded-memory knob.
-	MaxBatch int
 }
 
 // Stats are the tree's cumulative counters.
@@ -68,13 +61,12 @@ type clauseState struct {
 }
 
 // rootView is the root's batch-synced consolidated state: per-process
-// strobe watermarks and boundary values, advanced only by decoding
-// flushed batches (the wire codec is load-bearing).
+// strobe watermarks, advanced only by decoding flushed batches (the wire
+// codec is load-bearing).
 type rootView struct {
 	own         []uint64
 	seq         []int
 	regionEpoch []int
-	vals        map[predicate.Key]float64
 }
 
 // Tree is the hierarchical checker: R regional aggregators under one
@@ -101,11 +93,9 @@ type Tree struct {
 
 	// Notify, if set, is invoked on each detection rising edge.
 	Notify func(o Occurrence)
-	// NaiveRace mirrors Config.NaiveRace (mutable for ablations).
-	NaiveRace bool
 
 	batchInterval sim.Duration
-	maxBatch      int
+	maxBatch      int // pending sync entries per aggregator that force a flush: the memory bound
 	root          rootView
 	wireScratch   []byte
 
@@ -121,9 +111,6 @@ type Tree struct {
 	obsWireBytes  *obs.Counter
 	obsCoalesced  *obs.Counter
 	obsDropped    *obs.Counter
-
-	fl     *flight.Recorder
-	flSelf int32
 }
 
 // New builds the tree: compiles the predicate into the clause plan,
@@ -144,18 +131,14 @@ func New(cfg Config) *Tree {
 	if cfg.BatchInterval <= 0 {
 		cfg.BatchInterval = 5 * sim.Millisecond
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 256
-	}
 	t := &Tree{
 		n: cfg.N, r: r, pred: cfg.Pred,
-		raceAware: cfg.RaceAware, NaiveRace: cfg.NaiveRace,
-		batchInterval: cfg.BatchInterval, maxBatch: cfg.MaxBatch,
+		raceAware:     cfg.RaceAware,
+		batchInterval: cfg.BatchInterval, maxBatch: 256,
 		root: rootView{
 			own:         make([]uint64, cfg.N),
 			seq:         make([]int, cfg.N),
 			regionEpoch: make([]int, r),
-			vals:        make(map[predicate.Key]float64),
 		},
 	}
 	t.state = treeState{t}
@@ -230,13 +213,6 @@ func (t *Tree) SetObs(r *obs.Registry) {
 	t.obsDropped = r.Counter("checker.tree.region_dropped")
 }
 
-// SetFlight attaches a flight recorder at the checker's transport index,
-// recording the same Apply/Stale/Detect/Clear stream as the flat checker.
-func (t *Tree) SetFlight(r *flight.Recorder, self int) {
-	t.fl = r
-	t.flSelf = int32(self)
-}
-
 // OnReport applies one received strobe report. The admission discipline,
 // view update, race probe and flip logic replicate the flat checker's
 // OnStrobe step for step — the differential tests hold the two
@@ -263,7 +239,6 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 	case m.Epoch < a.lastEpoch[li]:
 		t.Stat.Stale++
 		t.obsStale.Inc()
-		t.recordStale(m, now)
 		return
 	case m.Epoch > a.lastEpoch[li]:
 		a.lastEpoch[li] = m.Epoch
@@ -277,20 +252,11 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 	if m.Seq <= a.lastSeq[li] {
 		t.Stat.Stale++
 		t.obsStale.Inc()
-		t.recordStale(m, now)
 		return
 	}
 	a.lastSeq[li] = m.Seq
 	t.Stat.Applied++
 	t.obsApplied.Inc()
-	if t.fl != nil {
-		epoch, seq, clk := m.FlightStamp()
-		t.fl.Record(flight.Rec{
-			Kind: flight.Apply, Proc: t.flSelf, Peer: int32(m.Proc),
-			Epoch: int32(epoch), Seq: uint64(seq), At: now,
-			Attr: t.fl.Intern(m.Var), PeerClock: clk, Value: m.Value,
-		})
-	}
 
 	// Differential strobes: per-sender reconstruction, allocated lazily
 	// per region and only race-aware (the flat checker's memory gate).
@@ -340,19 +306,6 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 	if len(a.pending) >= t.maxBatch || now-a.lastFlush >= t.batchInterval {
 		t.flushAgg(a, now)
 	}
-}
-
-// recordStale stamps one discarded report at the checker's ring.
-func (t *Tree) recordStale(m Report, now sim.Time) {
-	if t.fl == nil {
-		return
-	}
-	epoch, seq, clk := m.FlightStamp()
-	t.fl.Record(flight.Rec{
-		Kind: flight.Stale, Proc: t.flSelf, Peer: int32(m.Proc),
-		Epoch: int32(epoch), Seq: uint64(seq), At: now,
-		Attr: t.fl.Intern(m.Var), PeerClock: clk, Value: m.Value,
-	})
 }
 
 // applyDelta folds one value change into the clause states: O(hooks for
@@ -418,22 +371,10 @@ func (t *Tree) flip(settled, race bool, now sim.Time) {
 		if t.Notify != nil {
 			t.Notify(o)
 		}
-		if t.fl != nil {
-			t.fl.Record(flight.Rec{
-				Kind: flight.Detect, Proc: t.flSelf, Peer: flight.NoPeer,
-				At: now, Value: 1,
-			})
-			t.fl.TriggerDump("detect", now)
-		}
 	} else if len(t.occ) > 0 {
 		t.occ[len(t.occ)-1].End = now
 		if race {
 			t.occ[len(t.occ)-1].Borderline = true
-		}
-		if t.fl != nil {
-			t.fl.Record(flight.Rec{
-				Kind: flight.Clear, Proc: t.flSelf, Peer: flight.NoPeer, At: now,
-			})
 		}
 	}
 	t.cur = settled
@@ -503,7 +444,11 @@ func (t *Tree) flushAgg(a *Aggregator, now sim.Time) {
 		} else {
 			t.Stat.LocalEntries++
 		}
-		t.Stat.SyncLagTotal += now - e.firstAt
+		// Finish flushes at the horizon what the post-horizon drain staged
+		// after it: a report flushed before it was staged waited zero.
+		if lag := now - e.firstAt; lag > 0 {
+			t.Stat.SyncLagTotal += lag
+		}
 		t.Stat.SyncedProcs++
 	}
 	t.wireScratch = b.AppendWire(t.wireScratch[:0])
@@ -532,9 +477,6 @@ func (t *Tree) rootApply(b Batch) {
 	for _, tr := range b.Triples {
 		t.root.own[tr.Proc] = tr.Val
 		t.root.seq[tr.Proc] = int(tr.Sent)
-	}
-	for _, e := range b.Entries {
-		t.root.vals[predicate.Key{Proc: e.Proc, Name: e.Var}] = e.Value
 	}
 }
 
@@ -597,9 +539,6 @@ func (t *Tree) detectRace(m Report, prevI float64) bool {
 		}
 		if !m.Vec.ConcurrentWith(ja.stamps[jli]) {
 			continue
-		}
-		if t.NaiveRace {
-			return true
 		}
 		ch := ja.lastChange[jli]
 		curJ := ja.vals[jli][ch.varName]

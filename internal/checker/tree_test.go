@@ -172,8 +172,9 @@ func TestTreeRecoveryDiscardsStaleRegionalBatches(t *testing.T) {
 func TestTreeBatchCoalescing(t *testing.T) {
 	tr := New(Config{
 		N: 8, Pred: predicate.MustParse("sum(p) >= 99"), Fanout: 2,
-		BatchInterval: 100, MaxBatch: 4,
+		BatchInterval: 100,
 	})
+	tr.maxBatch = 4
 	// Same proc three times inside one window: two coalesces.
 	tr.OnReport(report(0, 1, 1), 1)
 	tr.OnReport(report(0, 2, 0), 2)
@@ -181,7 +182,7 @@ func TestTreeBatchCoalescing(t *testing.T) {
 	if tr.Stat.Coalesced != 2 || tr.Stat.Batches != 0 {
 		t.Fatalf("coalesced/batches = %d/%d, want 2/0", tr.Stat.Coalesced, tr.Stat.Batches)
 	}
-	// Fill the pending set to MaxBatch: forced flush despite the window.
+	// Fill the pending set to maxBatch: forced flush despite the window.
 	tr.OnReport(report(1, 1, 1), 4)
 	tr.OnReport(report(2, 1, 1), 5)
 	tr.OnReport(report(3, 1, 1), 6)

@@ -3,6 +3,7 @@ package clock
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Batched strobe-stamp wire encoding. A regional checker aggregator
@@ -51,21 +52,6 @@ func AppendStampBatch(dst []byte, ts []StampTriple) []byte {
 	return dst
 }
 
-// StampBatchWireBytes returns the encoded size of ts without building
-// the buffer.
-func StampBatchWireBytes(ts []StampTriple) int {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(ts)))
-	prev := -1
-	for _, t := range ts {
-		n += binary.PutUvarint(buf[:], uint64(t.Proc-prev))
-		n += binary.PutUvarint(buf[:], t.Val)
-		n += binary.PutUvarint(buf[:], t.Sent)
-		prev = t.Proc
-	}
-	return n
-}
-
 // DecodeStampBatch decodes one batch from the front of b, returning the
 // triples and the number of bytes consumed.
 func DecodeStampBatch(b []byte) ([]StampTriple, int, error) {
@@ -75,11 +61,16 @@ func DecodeStampBatch(b []byte) ([]StampTriple, int, error) {
 		return nil, 0, fmt.Errorf("clock: stamp batch: bad count varint")
 	}
 	off += n
+	// A triple is at least three bytes: a count the rest of b cannot hold
+	// is rejected before it sizes the allocation.
+	if count > uint64(len(b)-off)/3 {
+		return nil, 0, fmt.Errorf("clock: stamp batch: count %d exceeds the %d bytes left", count, len(b)-off)
+	}
 	out := make([]StampTriple, 0, count)
 	prev := -1
 	for i := uint64(0); i < count; i++ {
 		gap, n := binary.Uvarint(b[off:])
-		if n <= 0 || gap == 0 {
+		if n <= 0 || gap == 0 || gap > uint64(math.MaxInt-1-prev) {
 			return nil, 0, fmt.Errorf("clock: stamp batch: bad proc delta at triple %d", i)
 		}
 		off += n

@@ -15,9 +15,6 @@ func TestStampBatchRoundTrip(t *testing.T) {
 	}
 	for i, ts := range cases {
 		b := AppendStampBatch(nil, ts)
-		if got := StampBatchWireBytes(ts); got != len(b) {
-			t.Errorf("case %d: StampBatchWireBytes=%d, encoded %d bytes", i, got, len(b))
-		}
 		// Concatenate a second batch to prove self-delimiting decode.
 		tail := []StampTriple{{Proc: 2, Val: 4, Sent: 4}}
 		b = AppendStampBatch(b, tail)
@@ -46,7 +43,7 @@ func TestStampBatchContiguousRegionIsCompact(t *testing.T) {
 	for i := range ts {
 		ts[i] = StampTriple{Proc: 1024 + i, Val: uint64(i % 90), Sent: uint64(i % 120)}
 	}
-	n := StampBatchWireBytes(ts)
+	n := len(AppendStampBatch(nil, ts))
 	if n > 4*len(ts) {
 		t.Fatalf("contiguous batch cost %d bytes for %d triples (%.1f/triple), want <= 4/triple", n, len(ts), float64(n)/float64(len(ts)))
 	}

@@ -115,7 +115,15 @@ const fleetCycle = 8
 // otherwise raises known ones.
 func fleetReceiver(n, known, stamp, unseen int) (*SparseStrobeVector, []SparseStamp) {
 	r := stats.NewRNG(uint64(n))
-	peers := r.Perm(n - 1) // proc-1 of every peer, shuffled: the first `known` are known
+	perm := func(n int) []int { // inside-out Fisher–Yates
+		p := make([]int, n)
+		for i := range p {
+			j := r.Intn(i + 1)
+			p[i], p[j] = p[j], i
+		}
+		return p
+	}
+	peers := perm(n - 1) // proc-1 of every peer, shuffled: the first `known` are known
 	s := NewSparseStrobeVector(0, n)
 	base := make(SparseStamp, known)
 	for i := range base {
@@ -129,7 +137,7 @@ func fleetReceiver(n, known, stamp, unseen int) (*SparseStrobeVector, []SparseSt
 		for _, p := range peers[known+c*unseen:][:unseen] {
 			st = append(st, SparseEntry{Proc: p + 1, Val: uint64(c + 2)})
 		}
-		for _, i := range r.Perm(known)[:stamp-unseen] {
+		for _, i := range perm(known)[:stamp-unseen] {
 			st = append(st, SparseEntry{Proc: peers[i] + 1, Val: uint64(c + 2)})
 		}
 		slices.SortFunc(st, func(a, b SparseEntry) int { return a.Proc - b.Proc })

@@ -116,13 +116,3 @@ func (v Vector) Reset() {
 		v[i] = 0
 	}
 }
-
-// Sum returns the total event count across components; it is a useful
-// scalar projection for reports.
-func (v Vector) Sum() uint64 {
-	var s uint64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}

@@ -125,15 +125,6 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-func TestSum(t *testing.T) {
-	if (Vector{1, 2, 3}).Sum() != 6 {
-		t.Fatal("sum wrong")
-	}
-	if (Vector{}).Sum() != 0 {
-		t.Fatal("empty sum wrong")
-	}
-}
-
 func TestOrderString(t *testing.T) {
 	for o, want := range map[Order]string{Same: "=", Before: "<", After: ">", Concurrent: "||"} {
 		if o.String() != want {

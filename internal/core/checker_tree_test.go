@@ -19,7 +19,7 @@ import (
 func treeDiffConfig(fanout, shards, workers int, race bool) ShardedConfig {
 	cfg := diffConfig(shards, workers)
 	cfg.CheckerFanout = fanout
-	cfg.RaceAware = race
+	cfg.raceAware = race
 	return cfg
 }
 
@@ -31,7 +31,7 @@ func TestCheckerTreeDifferentialAgainstFlat(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			base := diffConfig(1, 1)
-			base.RaceAware = race
+			base.raceAware = race
 			want := runSharded(t, base)
 			if len(want.res.Occurrences) == 0 {
 				t.Fatalf("flat baseline detected nothing; scenario too quiet for a differential oracle")
@@ -75,7 +75,7 @@ func TestCheckerTreeDifferentialWithFaults(t *testing.T) {
 	}
 	for _, race := range []bool{false, true} {
 		base := diffConfig(1, 1)
-		base.RaceAware = race
+		base.raceAware = race
 		base.Faults = plan
 		want := runSharded(t, base)
 		for _, fanout := range []int{2, 8} {
@@ -98,7 +98,7 @@ func TestCheckerTreeSparseFleet(t *testing.T) {
 			Seed: 7, N: 140, Shards: 4, Workers: 2,
 			Delay:         sim.NewDeltaBounded(5 * sim.Millisecond),
 			Horizon:       500 * sim.Millisecond,
-			Trace:         true,
+			trace:         true,
 			CheckerFanout: fanout,
 		}
 	}
@@ -148,6 +148,31 @@ func TestCheckerTreeBatchingActive(t *testing.T) {
 	// global clause nothing is local, so just check entries flowed.
 	if st.BatchEntries == 0 {
 		t.Fatalf("no boundary value entries were forwarded: %+v", st)
+	}
+}
+
+// TestCheckerTreeFinishBooksNoNegativeLag: Run drains in-flight strobes
+// after the horizon, the tree stages them with firstAt > horizon, and
+// Finish flushes every aggregator at the horizon — those reports waited
+// zero, not a negative time, so SyncLagTotal may not fall across Finish.
+func TestCheckerTreeFinishBooksNoNegativeLag(t *testing.T) {
+	h := NewShardedHarness(ShardedConfig{
+		Seed: 3, N: 256, Shards: 2, Workers: 1, CheckerFanout: 4,
+		Delay:    sim.NewDeltaBounded(5 * sim.Millisecond),
+		MeanHigh: 40 * sim.Millisecond, MeanLow: 40 * sim.Millisecond,
+		Horizon: 600 * sim.Millisecond,
+	})
+	h.Sh.Run(h.Cfg.Horizon)
+	h.Sh.RunAll()
+	before := h.Tree.Stat
+	h.Tree.Finish(h.Cfg.Horizon)
+	after := h.Tree.Stat
+	if after.SyncedProcs == before.SyncedProcs {
+		t.Fatalf("Finish flushed nothing (%d synced): the drain staged no report past the horizon", after.SyncedProcs)
+	}
+	if after.SyncLagTotal < before.SyncLagTotal {
+		t.Fatalf("Finish took sync lag from %v down to %v over %d flushed reports",
+			before.SyncLagTotal, after.SyncLagTotal, after.SyncedProcs-before.SyncedProcs)
 	}
 }
 

@@ -109,25 +109,3 @@ func ConsensusMergePolicy(replicas [][]Occurrence, horizon sim.Time, policy Cons
 	}
 	return out
 }
-
-// MergeAdjacent joins occurrences separated by gaps shorter than tol —
-// useful after consensus merging, where replica edge jitter can split one
-// episode into fragments.
-func MergeAdjacent(occ []Occurrence, tol sim.Duration) []Occurrence {
-	if len(occ) == 0 {
-		return occ
-	}
-	out := []Occurrence{occ[0]}
-	for _, o := range occ[1:] {
-		last := &out[len(out)-1]
-		if o.Start-last.End <= tol {
-			if o.End > last.End {
-				last.End = o.End
-			}
-			last.Borderline = last.Borderline || o.Borderline
-			continue
-		}
-		out = append(out, o)
-	}
-	return out
-}

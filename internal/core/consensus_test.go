@@ -107,24 +107,6 @@ func TestConsensusBinPolicyKeepsMinority(t *testing.T) {
 	}
 }
 
-func TestMergeAdjacent(t *testing.T) {
-	occ := []Occurrence{
-		{Start: 10, End: 20},
-		{Start: 22, End: 30, Borderline: true},
-		{Start: 100, End: 110},
-	}
-	out := MergeAdjacent(occ, 5)
-	if len(out) != 2 {
-		t.Fatalf("merged %v", out)
-	}
-	if out[0].Start != 10 || out[0].End != 30 || !out[0].Borderline {
-		t.Fatalf("merged %v", out)
-	}
-	if len(MergeAdjacent(nil, 5)) != 0 {
-		t.Fatal("nil input")
-	}
-}
-
 func TestConsensusEndToEnd(t *testing.T) {
 	// Full stack, several seeds: replicas at every sensor, consensus-
 	// merged occurrences scored against truth. The §5 claim under test is
@@ -150,7 +132,7 @@ func TestConsensusEndToEnd(t *testing.T) {
 			lists[i] = r.Occurrences()
 			replicaAgg.Add(Score(lists[i], res.Truth, nil, h.Cfg.Tol, horizon))
 		}
-		m := MergeAdjacent(ConsensusMergePolicy(lists, horizon, ConsensusBin), delta)
+		m := ConsensusMergePolicy(lists, horizon, ConsensusBin)
 		merged.Add(Score(m, res.Truth, nil, h.Cfg.Tol, horizon))
 	}
 	// The bin policy keeps everything any replica saw, so recall matches

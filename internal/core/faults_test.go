@@ -115,7 +115,7 @@ func TestHarnessCrashRecoveryEndToEnd(t *testing.T) {
 		if h.Sensors[1].Epoch() != 1 {
 			t.Errorf("%v: epoch %d after one recovery", kind, h.Sensors[1].Epoch())
 		}
-		if h.Sensors[1].Down() {
+		if h.Sensors[1].down {
 			t.Errorf("%v: sensor still down after recovery", kind)
 		}
 		// Post-recovery strobes must be applied — the checker heard from

@@ -10,7 +10,6 @@ import (
 	"pervasive/internal/network"
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 	"pervasive/internal/trace"
@@ -255,17 +254,6 @@ func (h *Harness) truthKeys() world.KeysOf {
 	return func(dst []predicate.Key, obj int, attr string) []predicate.Key {
 		return append(dst, byAttr[world.AttrKey{Object: obj, Attr: attr}]...)
 	}
-}
-
-// RunMany builds and runs n independent harnesses across a bounded worker
-// pool (see runner.Workers for the parallelism convention) and returns
-// their Results indexed by replication. Each harness owns its engine, RNG
-// fork and world, so replications are isolated by construction; results
-// are collected by index, which keeps any aggregation over them — and
-// therefore every rendered experiment table — byte-identical to a
-// sequential run.
-func RunMany(parallelism, n int, build func(i int) *Harness) []Results {
-	return runner.Map(parallelism, n, func(i int) Results { return build(i).Run() })
 }
 
 // Run executes the simulation to the horizon, finishes the checker, and

@@ -54,9 +54,6 @@ func (m *MultiChecker) Finish(horizon sim.Time) {
 	}
 }
 
-// Names returns the predicate names in deterministic order.
-func (m *MultiChecker) Names() []string { return append([]string(nil), m.order...) }
-
 // Checker returns the underlying checker for a name (nil if unknown).
 func (m *MultiChecker) Checker(name string) *StrobeChecker { return m.checkers[name] }
 

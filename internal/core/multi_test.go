@@ -37,9 +37,8 @@ func TestMultiCheckerFansOut(t *testing.T) {
 	if m.Occurrences("nope") != nil {
 		t.Fatal("unknown name returned occurrences")
 	}
-	names := m.Names()
-	if len(names) != 2 || names[0] != "bio" || names[1] != "pw" {
-		t.Fatalf("names %v not deterministic", names)
+	if len(m.order) != 2 || m.order[0] != "bio" || m.order[1] != "pw" {
+		t.Fatalf("names %v not deterministic", m.order)
 	}
 }
 

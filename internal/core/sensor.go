@@ -373,9 +373,6 @@ func (s *Sensor) ClockStateBytes() int {
 	}
 }
 
-// Down reports whether the sensor is currently crashed.
-func (s *Sensor) Down() bool { return s.down }
-
 // Epoch returns the sensor's current crash/recovery epoch.
 func (s *Sensor) Epoch() int { return s.epoch }
 

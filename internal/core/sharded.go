@@ -53,10 +53,6 @@ type ShardedConfig struct {
 	Horizon           sim.Time
 	// Tol is the scoring tolerance; defaults to the delay bound + 1ms.
 	Tol sim.Duration
-	// RaceAware keeps the checker's per-sender vector reconstructions
-	// (O(N) memory per active sender — O(N²) worst case). Off by default
-	// for scale runs; the differential oracle covers both settings.
-	RaceAware bool
 	// CheckerFanout selects the detection architecture: <= 1 keeps the
 	// flat StrobeChecker (the R=1 fast path and differential oracle);
 	// >= 2 builds a checker tree of that many regional aggregators
@@ -64,10 +60,6 @@ type ShardedConfig struct {
 	// byte-identical either way; the tree bounds per-node state and
 	// makes per-report work O(1) in the fleet size.
 	CheckerFanout int
-	// DenseClocks forces dense vector state regardless of fleet size (the
-	// tests' reference representation); otherwise clock.NewVectorState
-	// picks by density.
-	DenseClocks bool
 	// Workload overrides the fleet workload with any workload.Source
 	// (objects are global sensor indices, attr "p"); nil uses the default
 	// per-sensor toggler fleet parameterized by MeanHigh/MeanLow. The
@@ -79,9 +71,16 @@ type ShardedConfig struct {
 	// scheduled on each target's own shard.
 	Faults *faults.Plan
 	Obs    *obs.Registry
-	// Trace records per-shard sense/receive traces, merged deterministically
-	// by MergedTrace. Test-sized runs only: stamps are materialized densely.
-	Trace bool
+
+	// Set only by the in-package differential tests, which hold every
+	// (Shards, Workers, clock layout, checker) combination to one merged
+	// trace: raceAware keeps the checker's per-sender vector
+	// reconstructions (O(N) memory per active sender), denseClocks forces
+	// dense vector state regardless of fleet size (the reference layout;
+	// otherwise clock.NewVectorState picks by density), and trace records
+	// per-shard sense/receive traces for mergedTrace (stamps are
+	// materialized densely, so test-sized runs only).
+	raceAware, denseClocks, trace bool
 }
 
 // ShardedHarness owns one wired sharded simulation.
@@ -188,7 +187,7 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 		h.Worlds[k] = world.New(sh.Engine(k))
 		h.objBase[k] = -1
 	}
-	if cfg.Trace {
+	if cfg.trace {
 		h.traces = make([]*trace.Trace, cfg.Shards)
 		for k := range h.traces {
 			h.traces[k] = &trace.Trace{N: cfg.N + 1}
@@ -208,7 +207,7 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 		if h.objBase[k] < 0 {
 			h.objBase[k] = i
 		}
-		if cfg.DenseClocks {
+		if cfg.denseClocks {
 			s.dvec = clock.NewDiffStrobeVector(i, cfg.N)
 		}
 		if h.traces != nil {
@@ -257,14 +256,14 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 	if cfg.CheckerFanout >= 2 {
 		h.Tree = checker.New(checker.Config{
 			N: cfg.N, Pred: h.Pred, Fanout: cfg.CheckerFanout,
-			RaceAware:     cfg.RaceAware,
+			RaceAware:     cfg.raceAware,
 			BatchInterval: look,
 		})
 		h.Tree.SetObs(cfg.Obs)
 		onStrobes(snet, cfg.N, func(m StrobeMsg, now sim.Time) { h.Tree.OnReport(treeReport(m), now) })
 		h.det = h.Tree
 	} else {
-		h.Checker = newStrobeChecker(cfg.N, h.Pred, cfg.RaceAware)
+		h.Checker = newStrobeChecker(cfg.N, h.Pred, cfg.raceAware)
 		h.Checker.SetObs(cfg.Obs)
 		h.Checker.Register(snet, cfg.N)
 		h.det = h.Checker
@@ -366,11 +365,11 @@ func (h *ShardedHarness) mergedPilotLog() []world.Event {
 	return out
 }
 
-// MergedTrace merges the per-shard traces into one deterministic global
+// mergedTrace merges the per-shard traces into one deterministic global
 // trace, stably sorted by (time, proc): every proc's records live on
 // exactly one shard in per-proc chronological order, so the result is
-// shard-count invariant. Nil unless Cfg.Trace was set.
-func (h *ShardedHarness) MergedTrace() *trace.Trace {
+// shard-count invariant. Nil unless Cfg.trace was set.
+func (h *ShardedHarness) mergedTrace() *trace.Trace {
 	if h.traces == nil {
 		return nil
 	}

@@ -16,7 +16,7 @@ func diffConfig(shards, workers int) ShardedConfig {
 		Seed: 42, N: 24, Shards: shards, Workers: workers,
 		Delay:   sim.NewDeltaBounded(5 * sim.Millisecond),
 		Horizon: 2 * sim.Second,
-		Trace:   true,
+		trace:   true,
 	}
 }
 
@@ -30,7 +30,7 @@ func runSharded(t *testing.T, cfg ShardedConfig) diffRun {
 	t.Helper()
 	h := NewShardedHarness(cfg)
 	res := h.Run()
-	return diffRun{res: res, counters: h.CounterLines(), trace: h.MergedTrace().Records}
+	return diffRun{res: res, counters: h.CounterLines(), trace: h.mergedTrace().Records}
 }
 
 // assertSameRun checks every shard-count-invariant observable.
@@ -162,7 +162,7 @@ func TestShardedDenseSparseClocksAgree(t *testing.T) {
 			Seed: 7, N: 140, Shards: 4, Workers: 2,
 			Delay:   sim.NewDeltaBounded(5 * sim.Millisecond),
 			Horizon: 500 * sim.Millisecond,
-			Trace:   true, DenseClocks: dense,
+			trace:   true, denseClocks: dense,
 		}
 	}
 	want := runSharded(t, mk(true))
@@ -189,7 +189,7 @@ func TestShardedDenseSparseClocksAgree(t *testing.T) {
 func TestShardedRaceAwareMatchesDetection(t *testing.T) {
 	mk := func(race bool) ShardedConfig {
 		cfg := diffConfig(3, 1)
-		cfg.RaceAware = race
+		cfg.raceAware = race
 		return cfg
 	}
 	spans := func(occ []Occurrence) [][2]sim.Time {

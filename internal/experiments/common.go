@@ -79,18 +79,6 @@ func (pw pulseWorkload) run(seed uint64) core.Results {
 	return pw.build(seed).Run()
 }
 
-// runSeeds runs the workload at seeds base..base+n-1 across cfg's worker
-// pool, returning results in seed order. A cfg-level fault plan (the
-// CLI's -faults flag) applies unless the workload carries its own.
-func (pw pulseWorkload) runSeeds(cfg RunConfig, n int) []core.Results {
-	if pw.Faults == nil {
-		pw.Faults = cfg.Faults
-	}
-	return core.RunMany(cfg.Parallelism, n, func(s int) *core.Harness {
-		return pw.build(cfg.Seed + uint64(s))
-	})
-}
-
 // trimExecution cuts every process's stamp sequence to its first p events
 // and clamps stamp components to the kept prefix lengths (an event that
 // knew more than p events of a peer knows "all kept ones" in the trimmed

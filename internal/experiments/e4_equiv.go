@@ -77,13 +77,6 @@ func E4ScalarVectorEquivalence(cfg RunConfig) *Table {
 	return t
 }
 
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // f is a tiny alias for fmt.Sprintf used in notes.
 func f(format string, args ...any) string { return fmt.Sprintf(format, args...) }
 

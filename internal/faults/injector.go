@@ -76,14 +76,6 @@ func NewInjector(p *Plan) *Injector {
 	return in
 }
 
-// Plan returns the compiled plan (nil for the nil injector).
-func (in *Injector) Plan() *Plan {
-	if in == nil {
-		return nil
-	}
-	return in.plan
-}
-
 // Down reports whether process i is crashed at time t.
 func (in *Injector) Down(i int, t sim.Time) bool {
 	if in == nil || i < 0 || i >= len(in.down) {

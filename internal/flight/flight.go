@@ -191,33 +191,9 @@ func newRecorder(n, perProc int, concurrent bool) *Recorder {
 // (last ~quarter second of a busy sensor) without mattering for memory.
 const DefaultPerProc = 256
 
-// N returns the number of process rings (0 for the nil recorder).
-func (r *Recorder) N() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.rings)
-}
-
-// Cap returns the per-process ring capacity.
-func (r *Recorder) Cap() int {
-	if r == nil || len(r.rings) == 0 {
-		return 0
-	}
-	return len(r.rings[0].buf)
-}
-
 // Concurrent reports whether the recorder was built with NewConcurrent.
 func (r *Recorder) Concurrent() bool {
 	return r != nil && r.locks != nil
-}
-
-// TimeBase returns the label of the time base Rec.At values live in.
-func (r *Recorder) TimeBase() string {
-	if r == nil {
-		return ""
-	}
-	return r.timeBase
 }
 
 // SetTimeBase labels the recorder's time base: "virtual" for DES engine

@@ -118,9 +118,6 @@ func (sn *ShardedNet) N() int { return len(sn.handlers) }
 // Part returns shard k's sending facade.
 func (sn *ShardedNet) Part(k int) *ShardPart { return sn.parts[k] }
 
-// Map returns the process→shard partition.
-func (sn *ShardedNet) Map() ShardMap { return sn.smap }
-
 // Register installs the delivery handler for process i.
 func (sn *ShardedNet) Register(i int, h Handler) { sn.handlers[i] = h }
 

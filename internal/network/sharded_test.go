@@ -23,7 +23,7 @@ func TestShardedSendAllocations(t *testing.T) {
 		for i := 0; i < sn.N(); i++ {
 			sn.Register(i, func(Message, sim.Time) { delivered++ })
 		}
-		part := sn.Part(sn.Map().Of(5))
+		part := sn.Part(ShardMap{Procs: 17, Shards: shards}.Of(5))
 		broadcast := func() { part.Broadcast(5, pl); sh.RunAll() }
 		send := func() { part.Send(5, 16, pl); sh.RunAll() }
 		for i := 0; i < 8; i++ { // slot pools, heaps, mailboxes and scratch reach their size

@@ -12,6 +12,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"pervasive/internal/stats"
 )
@@ -23,13 +24,14 @@ type Topology interface {
 	N() int
 	// Connected reports whether a link i—j currently exists.
 	Connected(i, j int) bool
-	// Neighbors returns the processes adjacent to i in a fresh slice.
-	Neighbors(i int) []int
-	// AppendNeighbors appends the processes adjacent to i to dst, in
-	// Neighbors order, and returns the extended slice: the form for callers
-	// that ask once per message and keep a scratch buffer.
+	// AppendNeighbors appends the processes adjacent to i to dst, in a
+	// deterministic order, and returns the extended slice: callers that ask
+	// once per message keep a scratch buffer.
 	AppendNeighbors(dst []int, i int) []int
 }
+
+// Neighbors returns the processes adjacent to i in a fresh slice.
+func Neighbors(t Topology, i int) []int { return t.AppendNeighbors(nil, i) }
 
 // FullMesh connects every pair of processes.
 type FullMesh struct{ Nodes int }
@@ -40,13 +42,9 @@ func (m FullMesh) N() int { return m.Nodes }
 // Connected implements Topology.
 func (m FullMesh) Connected(i, j int) bool { return i != j && inRange(m.Nodes, i, j) }
 
-// Neighbors implements Topology.
-func (m FullMesh) Neighbors(i int) []int {
-	return m.AppendNeighbors(make([]int, 0, m.Nodes-1), i)
-}
-
 // AppendNeighbors implements Topology.
 func (m FullMesh) AppendNeighbors(dst []int, i int) []int {
+	dst = slices.Grow(dst, m.Nodes-1)
 	for j := 0; j < m.Nodes; j++ {
 		if j != i {
 			dst = append(dst, j)
@@ -72,9 +70,6 @@ func (r Ring) Connected(i, j int) bool {
 	}
 	return d == 1 || d == r.Nodes-1
 }
-
-// Neighbors implements Topology.
-func (r Ring) Neighbors(i int) []int { return r.AppendNeighbors(nil, i) }
 
 // AppendNeighbors implements Topology.
 func (r Ring) AppendNeighbors(dst []int, i int) []int {
@@ -110,9 +105,6 @@ func (g Grid) Connected(i, j int) bool {
 	return dr+dc == 1
 }
 
-// Neighbors implements Topology.
-func (g Grid) Neighbors(i int) []int { return g.AppendNeighbors(nil, i) }
-
 // AppendNeighbors implements Topology.
 func (g Grid) AppendNeighbors(dst []int, i int) []int {
 	r, c := i/g.Cols, i%g.Cols
@@ -147,17 +139,6 @@ func NewMutable(n int) *Mutable {
 	return m
 }
 
-// NewMutableFrom copies the links of t into a mutable topology.
-func NewMutableFrom(t Topology) *Mutable {
-	m := NewMutable(t.N())
-	for i := 0; i < t.N(); i++ {
-		for _, j := range t.Neighbors(i) {
-			m.AddLink(i, j)
-		}
-	}
-	return m
-}
-
 // N implements Topology.
 func (m *Mutable) N() int { return m.n }
 
@@ -170,27 +151,14 @@ func (m *Mutable) AddLink(i, j int) {
 	m.adj[j][i] = true
 }
 
-// RemoveLink deletes the undirected link i—j.
-func (m *Mutable) RemoveLink(i, j int) {
-	if !inRange(m.n, i, j) {
-		return
-	}
-	delete(m.adj[i], j)
-	delete(m.adj[j], i)
-}
-
 // Connected implements Topology.
 func (m *Mutable) Connected(i, j int) bool {
 	return inRange(m.n, i, j) && m.adj[i][j]
 }
 
-// Neighbors implements Topology.
-func (m *Mutable) Neighbors(i int) []int {
-	return m.AppendNeighbors(make([]int, 0, len(m.adj[i])), i)
-}
-
 // AppendNeighbors implements Topology.
 func (m *Mutable) AppendNeighbors(dst []int, i int) []int {
+	dst = slices.Grow(dst, len(m.adj[i]))
 	for j := 0; j < m.n; j++ { // deterministic order
 		if m.adj[i][j] {
 			dst = append(dst, j)
@@ -237,7 +205,7 @@ func IsConnectedGraph(t Topology) bool {
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, j := range t.Neighbors(i) {
+		for _, j := range Neighbors(t, i) {
 			if !seen[j] {
 				seen[j] = true
 				count++
@@ -265,7 +233,7 @@ func BFSTree(t Topology, root int) []int {
 	for len(queue) > 0 {
 		i := queue[0]
 		queue = queue[1:]
-		for _, j := range t.Neighbors(i) {
+		for _, j := range Neighbors(t, i) {
 			if parent[j] == -1 {
 				parent[j] = i
 				queue = append(queue, j)
@@ -281,7 +249,7 @@ func inRange(n, i, j int) bool { return i >= 0 && i < n && j >= 0 && j < n }
 func Describe(t Topology) string {
 	links := 0
 	for i := 0; i < t.N(); i++ {
-		links += len(t.Neighbors(i))
+		links += len(Neighbors(t, i))
 	}
 	return fmt.Sprintf("%T(n=%d, links=%d)", t, t.N(), links/2)
 }

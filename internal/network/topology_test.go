@@ -1,6 +1,7 @@
 package network
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,7 +28,7 @@ func checkNeighborsMatchConnected(t *testing.T, topo Topology) {
 	n := topo.N()
 	for i := 0; i < n; i++ {
 		nbrs := make(map[int]bool)
-		for _, j := range topo.Neighbors(i) {
+		for _, j := range Neighbors(topo, i) {
 			nbrs[j] = true
 		}
 		for j := 0; j < n; j++ {
@@ -43,7 +44,7 @@ func TestFullMesh(t *testing.T) {
 	m := FullMesh{Nodes: 6}
 	checkSymmetric(t, m)
 	checkNeighborsMatchConnected(t, m)
-	if len(m.Neighbors(0)) != 5 {
+	if len(Neighbors(m, 0)) != 5 {
 		t.Fatal("full mesh degree wrong")
 	}
 	if !IsConnectedGraph(m) {
@@ -56,8 +57,8 @@ func TestRing(t *testing.T) {
 	checkSymmetric(t, r)
 	checkNeighborsMatchConnected(t, r)
 	for i := 0; i < 5; i++ {
-		if len(r.Neighbors(i)) != 2 {
-			t.Fatalf("ring degree at %d: %v", i, r.Neighbors(i))
+		if len(Neighbors(r, i)) != 2 {
+			t.Fatalf("ring degree at %d: %v", i, Neighbors(r, i))
 		}
 	}
 	if !IsConnectedGraph(r) {
@@ -79,11 +80,11 @@ func TestGrid(t *testing.T) {
 		t.Fatal("grid size")
 	}
 	// Corner has 2 neighbours, interior 4.
-	if len(g.Neighbors(0)) != 2 {
-		t.Fatalf("corner neighbours %v", g.Neighbors(0))
+	if len(Neighbors(g, 0)) != 2 {
+		t.Fatalf("corner neighbours %v", Neighbors(g, 0))
 	}
-	if len(g.Neighbors(5)) != 4 {
-		t.Fatalf("interior neighbours %v", g.Neighbors(5))
+	if len(Neighbors(g, 5)) != 4 {
+		t.Fatalf("interior neighbours %v", Neighbors(g, 5))
 	}
 	if !IsConnectedGraph(g) {
 		t.Fatal("grid not connected")
@@ -103,27 +104,11 @@ func TestMutable(t *testing.T) {
 	if !IsConnectedGraph(m) {
 		t.Fatal("path graph should be connected")
 	}
-	m.RemoveLink(1, 2)
-	if IsConnectedGraph(m) {
-		t.Fatal("cut graph still connected")
-	}
 	m.AddLink(2, 2) // self-loop ignored
 	if m.Connected(2, 2) {
 		t.Fatal("self-loop accepted")
 	}
 	m.AddLink(-1, 9) // out of range ignored
-}
-
-func TestNewMutableFrom(t *testing.T) {
-	src := Ring{Nodes: 6}
-	m := NewMutableFrom(src)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
-			if m.Connected(i, j) != src.Connected(i, j) {
-				t.Fatalf("copy differs at (%d,%d)", i, j)
-			}
-		}
-	}
 }
 
 func TestRandomGeometric(t *testing.T) {
@@ -138,7 +123,7 @@ func TestRandomGeometric(t *testing.T) {
 	// Radius 0 yields no links.
 	m0 := RandomGeometric(r, 10, 0)
 	for i := 0; i < 10; i++ {
-		if len(m0.Neighbors(i)) != 0 {
+		if len(Neighbors(m0, i)) != 0 {
 			t.Fatal("zero-radius RGG has links")
 		}
 	}
@@ -183,7 +168,7 @@ func TestRGGSymmetryProperty(t *testing.T) {
 		radius := float64(radRaw) / 255.0
 		m := RandomGeometric(stats.NewRNG(seed), n, radius)
 		for i := 0; i < n; i++ {
-			for _, j := range m.Neighbors(i) {
+			for _, j := range Neighbors(m, i) {
 				if !m.Connected(j, i) {
 					return false
 				}
@@ -197,14 +182,15 @@ func TestRGGSymmetryProperty(t *testing.T) {
 }
 
 // TestAppendNeighborsMatchesNeighbors: AppendNeighbors into a dirty,
-// non-empty buffer leaves the prefix alone and appends exactly Neighbors, in
-// order — for every topology, at the degenerate sizes and at each kind of
-// grid position, and on a Mutable after its links were edited.
+// non-empty buffer leaves the prefix alone and appends exactly the processes
+// Connected reports adjacent, each once, in the order the fresh-slice form
+// Neighbors returns them — for every topology, at the degenerate sizes and
+// at each kind of grid position, and on a Mutable with links added.
 func TestAppendNeighborsMatchesNeighbors(t *testing.T) {
-	edited := NewMutableFrom(Grid{Rows: 2, Cols: 3})
-	edited.RemoveLink(0, 1)
-	edited.AddLink(0, 5)
-	edited.AddLink(2, 3)
+	edited := NewMutable(6)
+	for _, l := range [][2]int{{0, 3}, {1, 2}, {1, 4}, {2, 5}, {3, 4}, {4, 5}, {0, 5}, {2, 3}} {
+		edited.AddLink(l[0], l[1])
+	}
 	topos := []Topology{
 		FullMesh{Nodes: 1}, FullMesh{Nodes: 6},
 		Ring{Nodes: 1}, Ring{Nodes: 2}, Ring{Nodes: 5},
@@ -217,20 +203,28 @@ func TestAppendNeighborsMatchesNeighbors(t *testing.T) {
 			buf := append(make([]int, 0, 16), -7, -8)
 			buf = append(buf, 99, 98, 97)[:2] // stale values past the prefix
 			got := topo.AppendNeighbors(buf, i)
-			want := topo.Neighbors(i)
-			if len(got) != 2+len(want) || got[0] != -7 || got[1] != -8 {
-				t.Fatalf("%s node %d: AppendNeighbors returned %v over prefix [-7 -8], want it plus %v",
-					Describe(topo), i, got, want)
+			if len(got) < 2 || got[0] != -7 || got[1] != -8 {
+				t.Fatalf("%s node %d: AppendNeighbors returned %v, prefix [-7 -8] disturbed", Describe(topo), i, got)
 			}
-			for k, j := range want {
-				if got[2+k] != j {
-					t.Fatalf("%s node %d: appended %v, Neighbors %v", Describe(topo), i, got[2:], want)
+			listed := make(map[int]int)
+			for _, j := range got[2:] {
+				listed[j]++
+			}
+			for j := -1; j <= topo.N(); j++ {
+				want := 0
+				if topo.Connected(i, j) {
+					want = 1
+				}
+				if listed[j] != want {
+					t.Fatalf("%s node %d: appended %v lists %d %d times, Connected says %d",
+						Describe(topo), i, got[2:], j, listed[j], want)
 				}
 			}
-			for _, j := range want {
-				if !topo.Connected(i, j) {
-					t.Fatalf("%s: Neighbors(%d) lists unconnected %d", Describe(topo), i, j)
-				}
+			if len(listed) != len(got)-2 {
+				t.Fatalf("%s node %d: appended %v repeats a neighbour", Describe(topo), i, got[2:])
+			}
+			if fresh := Neighbors(topo, i); !slices.Equal(fresh, got[2:]) {
+				t.Fatalf("%s node %d: appended %v, Neighbors %v", Describe(topo), i, got[2:], fresh)
 			}
 		}
 	}

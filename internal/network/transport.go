@@ -226,10 +226,6 @@ func (nt *Net) N() int { return len(nt.handlers) }
 // previous handler).
 func (nt *Net) Register(i int, h Handler) { nt.handlers[i] = h }
 
-// SetDelay replaces the delay model (useful for mid-run degradation
-// experiments).
-func (nt *Net) SetDelay(d sim.DelayModel) { nt.delay = d }
-
 // Send transmits p from src to dst as one logical (direct) message,
 // regardless of overlay links; use for checker traffic where L is assumed
 // routable. It returns the message ID, or 0 when a fault plan has src

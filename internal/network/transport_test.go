@@ -157,21 +157,6 @@ func TestMessageIDsUniquePerLogicalSend(t *testing.T) {
 	}
 }
 
-func TestSetDelayMidRun(t *testing.T) {
-	eng, nt := newTestNet(FullMesh{Nodes: 2}, sim.Synchronous{})
-	var times []sim.Time
-	nt.Register(1, func(_ Message, now sim.Time) { times = append(times, now) })
-	eng.At(0, func(sim.Time) { nt.Send(0, 1, Raw{}) })
-	eng.At(10, func(sim.Time) {
-		nt.SetDelay(sim.DeltaBounded{Min: 100, Max: 100})
-		nt.Send(0, 1, Raw{})
-	})
-	eng.RunAll()
-	if len(times) != 2 || times[0] != 0 || times[1] != 110 {
-		t.Fatalf("times %v", times)
-	}
-}
-
 // TestNetSendAllocations pins the single-heap send path's allocation
 // contract, the one TestShardedSendAllocations pins on the sharded
 // transport: a direct logical send allocates the body its copies share and

@@ -11,13 +11,13 @@
 //
 // Time: spans measure whatever time base the caller passes — virtual
 // sim.Time in the discrete-event engine, wall-clock microseconds in the
-// live engine. A registry can carry a time source (SetNow) so callers
-// that do not thread "now" around can use StartSpan/End; the DES harness
-// installs the engine's virtual clock, the live engine installs
-// wall-µs-since-start. Durations from the two engines are therefore not
-// comparable unit-for-unit semantics-wise ("virtual" vs "wall-us");
-// snapshots always record which base was in use, and tools that compare
-// spans across runs (tracedump -diff) refuse mismatched bases.
+// live engine. A registry carries a time source (SetNow), read through
+// Now() and stamped on snapshots; the DES harness installs the engine's
+// virtual clock, the live engine installs wall-µs-since-start. Durations
+// from the two engines are therefore not comparable unit-for-unit
+// semantics-wise ("virtual" vs "wall-us"); snapshots always record which
+// base was in use, and tools that compare spans across runs (tracedump
+// -diff) refuse mismatched bases.
 package obs
 
 import (
@@ -97,14 +97,6 @@ func (g *Gauge) SetWithMax(cur, max int64) {
 	g.bumpMax(max)
 }
 
-// Add adjusts the current value by delta and updates the watermark.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.bumpMax(g.v.Add(delta))
-}
-
 func (g *Gauge) bumpMax(n int64) {
 	for {
 		m := g.max.Load()
@@ -162,14 +154,6 @@ func (h *Histogram) Observe(v float64) {
 	addFloat(&h.sum, v)
 	minFloat(&h.min, v)
 	maxFloat(&h.max, v)
-}
-
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Sum returns the sum of observations (0 for nil).
@@ -264,22 +248,6 @@ func (h *LocalHist) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations (0 for nil).
-func (h *LocalHist) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Bounds returns the bucket bounds, for creating a matching Histogram.
-func (h *LocalHist) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return h.bounds
-}
-
 // CopyFrom overwrites h's state with l's. Both histograms must share
 // the same bucket bounds; it panics otherwise, which always indicates
 // an instrumentation bug.
@@ -327,14 +295,6 @@ func (s Span) EndAt(at sim.Time) {
 	s.reg.logSpan(SpanSnap{Name: s.name, Start: s.start, End: at})
 }
 
-// End closes the span at the registry's current time (SetNow source).
-func (s Span) End() {
-	if s.reg == nil {
-		return
-	}
-	s.EndAt(s.reg.Now())
-}
-
 // Collector pushes externally maintained values into the registry. The
 // single-threaded DES kernel keeps plain (non-atomic) counters on its
 // own hot path and registers a collector to publish them; collectors run
@@ -373,9 +333,6 @@ func NewRegistry() *Registry {
 		spanCap:  256,
 	}
 }
-
-// Enabled reports whether the registry records anything.
-func (r *Registry) Enabled() bool { return r != nil }
 
 // Counter returns the named counter, creating it if needed. Returns nil
 // on the Noop registry.
@@ -496,30 +453,9 @@ func (r *Registry) StartSpanAt(name string, at sim.Time) Span {
 	return Span{reg: r, name: name, start: at}
 }
 
-// StartSpan opens a span at the registry's current time (SetNow source).
-func (r *Registry) StartSpan(name string) Span {
-	return r.StartSpanAt(name, r.Now())
-}
-
-// SetSpanLogCap bounds the completed-span ring buffer (default 256; 0
-// disables the log, durations are still recorded).
-func (r *Registry) SetSpanLogCap(n int) {
-	if r == nil {
-		return
-	}
-	r.spanMu.Lock()
-	r.spanCap = n
-	r.spanLog = nil
-	r.spanNext = 0
-	r.spanMu.Unlock()
-}
-
 func (r *Registry) logSpan(s SpanSnap) {
 	r.spanMu.Lock()
 	defer r.spanMu.Unlock()
-	if r.spanCap <= 0 {
-		return
-	}
 	if len(r.spanLog) < r.spanCap {
 		r.spanLog = append(r.spanLog, s)
 		return

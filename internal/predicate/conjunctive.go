@@ -101,36 +101,3 @@ func AsConjunctive(c Cond) ([]Conjunct, bool) {
 	}
 	return out, len(out) > 0
 }
-
-// IsRelational reports that the predicate cannot be decomposed into
-// per-process conjuncts.
-func IsRelational(c Cond) bool {
-	_, ok := AsConjunctive(c)
-	return !ok
-}
-
-// singleProcState adapts a State so a local conjunct can be evaluated
-// against one process's variables regardless of the conjunct's Proc index.
-type remapState struct {
-	inner State
-	from  int // conjunct's declared proc
-	to    int // actual proc in inner
-}
-
-// Get implements State.
-func (r remapState) Get(proc int, name string) float64 {
-	if proc == r.from {
-		proc = r.to
-	}
-	return r.inner.Get(proc, name)
-}
-
-// NumProcs implements State.
-func (r remapState) NumProcs() int { return r.inner.NumProcs() }
-
-// EvalAt evaluates a conjunct against process to of state s, remapping the
-// conjunct's declared process index. Used when the same local predicate
-// template is deployed at many sensors.
-func (cj Conjunct) EvalAt(s State, to int) bool {
-	return cj.Cond.Holds(remapState{inner: s, from: cj.Proc, to: to})
-}

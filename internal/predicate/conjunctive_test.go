@@ -32,10 +32,10 @@ func TestRelationalNotConjunctive(t *testing.T) {
 	if _, ok := AsConjunctive(MustParse("x@0 + y@1 > 7")); ok {
 		t.Fatal("cross-process comparison misclassified as conjunctive")
 	}
-	if !IsRelational(MustParse("sum(x) - sum(y) > 200")) {
+	if _, ok := AsConjunctive(MustParse("sum(x) - sum(y) > 200")); ok {
 		t.Fatal("aggregate predicate misclassified")
 	}
-	if IsRelational(MustParse("x@1 == 5 && y@2 > 7")) {
+	if _, ok := AsConjunctive(MustParse("x@1 == 5 && y@2 > 7")); !ok {
 		t.Fatal("conjunctive predicate misclassified as relational")
 	}
 }
@@ -63,20 +63,6 @@ func TestSplitAnd(t *testing.T) {
 	parts := SplitAnd(c)
 	if len(parts) != 3 {
 		t.Fatalf("split %d parts", len(parts))
-	}
-}
-
-func TestConjunctEvalAt(t *testing.T) {
-	cjs, ok := AsConjunctive(MustParse("door@0 == 1"))
-	if !ok {
-		t.Fatal("decomposition failed")
-	}
-	s := st(4, map[Key]float64{{3, "door"}: 1})
-	if !cjs[0].EvalAt(s, 3) {
-		t.Fatal("EvalAt remap failed")
-	}
-	if cjs[0].EvalAt(s, 2) {
-		t.Fatal("EvalAt remap leaked original process")
 	}
 }
 

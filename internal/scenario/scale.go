@@ -39,7 +39,6 @@ type ScaleConfig struct {
 	Workload workload.Source
 	Faults   *faults.Plan
 	Obs      *obs.Registry
-	Trace    bool
 }
 
 // Scale is a wired sharded fleet scenario.
@@ -67,7 +66,7 @@ func NewScale(cfg ScaleConfig) *Scale {
 		// workload balance E14 sweeps).
 		MeanHigh: 1200 * sim.Millisecond, MeanLow: 400 * sim.Millisecond,
 		CheckerFanout: cfg.CheckerFanout, Workload: cfg.Workload,
-		Faults: cfg.Faults, Obs: cfg.Obs, Trace: cfg.Trace,
+		Faults: cfg.Faults, Obs: cfg.Obs,
 	})
 	return &Scale{Cfg: cfg, Harness: h}
 }

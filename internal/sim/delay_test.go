@@ -146,12 +146,3 @@ func TestTimeString(t *testing.T) {
 		}
 	}
 }
-
-func TestFromSeconds(t *testing.T) {
-	if FromSeconds(1.5) != 1500*Millisecond {
-		t.Fatal("FromSeconds(1.5)")
-	}
-	if FromSeconds(-0.001) != -1*Millisecond {
-		t.Fatal("FromSeconds(-0.001)")
-	}
-}

@@ -29,9 +29,8 @@ type EventFunc func(now Time, body any, arg int)
 func runHandler(now Time, body any, _ int) { body.(Handler)(now) }
 
 // scheduled is one pending event in the engine's slot pool: 64 bytes, one
-// cache line. Slots are recycled through a free list; gen disambiguates a
-// Timer held across a slot's reuse (a stale Timer sees a newer gen and
-// becomes inert). fn is nil while the slot is free or cancelled.
+// cache line. Slots are recycled through a free list; fn is nil while the
+// slot is free.
 type scheduled struct {
 	at   Time
 	pri  uint64 // caller-supplied tie-break key, ahead of seq (see AtPri)
@@ -39,39 +38,11 @@ type scheduled struct {
 	fn   EventFunc
 	body any
 	arg  int
-	gen  uint32
 	next int32 // free-list link while the slot is free
 }
 
 // nilSlot terminates the free list.
 const nilSlot int32 = -1
-
-// Timer is a handle to a scheduled event, usable to cancel it. Timers are
-// values: scheduling performs no allocation for the handle, and the zero
-// Timer is inert.
-type Timer struct {
-	eng  *Engine
-	slot int32
-	gen  uint32
-}
-
-// Stop cancels the timer if it has not fired. It reports whether the
-// cancellation prevented the event from firing.
-func (t Timer) Stop() bool {
-	e := t.eng
-	if e == nil {
-		return false
-	}
-	s := &e.pool[t.slot]
-	if s.gen != t.gen || s.fn == nil {
-		return false // fired, already stopped, or slot recycled
-	}
-	s.fn, s.body = nil, nil // stays in the heap as a tombstone until popped or swept
-	e.Cancelled++
-	e.live--
-	e.maybeSweep()
-	return true
-}
 
 // Engine is a deterministic discrete-event simulator. The zero value is not
 // usable; construct with NewEngine.
@@ -79,29 +50,24 @@ func (t Timer) Stop() bool {
 // The event list is a hand-rolled 4-ary index heap: the heap slice holds
 // int32 indices into a slot pool of scheduled entries, recycled through a
 // free list. Compared to container/heap this removes the per-event
-// *scheduled allocation, the heap.Interface boxing on every push/pop, and
-// the Timer-handle allocation (Timers are values). Cancellation is lazy —
-// a stopped event becomes a tombstone skipped by peek — with an amortized
-// sweep that compacts the heap when tombstones outnumber live events.
+// *scheduled allocation and the heap.Interface boxing on every push/pop.
+// There is no cancellation: a scheduled event always fires, as every event
+// of the paper's execution model does (DESIGN.md §1.5).
 type Engine struct {
 	now      Time
 	seq      uint64
 	heap     []int32
 	pool     []scheduled
 	freeHead int32
-	live     int // heap entries whose fn is still set
 	rng      *stats.RNG
-	stopped  bool
 	// Executed counts handlers actually run, for kernel benchmarks.
 	Executed uint64
-	// Scheduled counts events accepted by At/After; Cancelled counts
-	// timers stopped before firing; MaxHeapDepth is the event list's
-	// high-watermark. They are plain fields — the kernel is
+	// Scheduled counts events accepted by At/After; MaxHeapDepth is the
+	// event list's high-watermark. They are plain fields — the kernel is
 	// single-threaded, so instrumentation costs one increment, not an
 	// atomic — published to an obs registry at snapshot time by
 	// obs.CollectEngine (sim cannot import obs, which uses sim.Time).
 	Scheduled    uint64
-	Cancelled    uint64
 	MaxHeapDepth int
 }
 
@@ -117,11 +83,10 @@ func (e *Engine) Now() Time { return e.now }
 // isolated streams should call RNG().Fork() once at setup.
 func (e *Engine) RNG() *stats.RNG { return e.rng }
 
-// Pending returns the number of events still scheduled to fire (cancelled
-// events awaiting their lazy removal are not counted).
-func (e *Engine) Pending() int { return e.live }
+// Pending returns the number of events still scheduled to fire.
+func (e *Engine) Pending() int { return len(e.heap) }
 
-// NextAt returns the timestamp of the earliest live pending event; ok is
+// NextAt returns the timestamp of the earliest pending event; ok is
 // false when the event list is drained. Used by the sharded engine to skip
 // empty epochs during drain.
 func (e *Engine) NextAt() (at Time, ok bool) {
@@ -154,13 +119,11 @@ func (e *Engine) alloc() int32 {
 	return int32(len(e.pool) - 1)
 }
 
-// release bumps the slot's generation (invalidating outstanding Timers),
-// drops its references so a fired event's body can be collected, and
-// returns it to the free list.
+// release drops the slot's references so a fired event's body can be
+// collected, and returns it to the free list.
 func (e *Engine) release(s int32) {
 	p := &e.pool[s]
 	p.fn, p.body = nil, nil
-	p.gen++
 	p.next = e.freeHead
 	e.freeHead = s
 }
@@ -240,43 +203,18 @@ func (e *Engine) pop() int32 {
 	return s
 }
 
-// peek discards cancelled tombstones off the top and returns the slot of
-// the earliest live event, or nilSlot when the list is drained.
+// peek returns the slot of the earliest pending event, or nilSlot when
+// the list is drained.
 func (e *Engine) peek() int32 {
-	for len(e.heap) > 0 {
-		s := e.heap[0]
-		if e.pool[s].fn != nil {
-			return s
-		}
-		e.release(e.pop())
+	if len(e.heap) == 0 {
+		return nilSlot
 	}
-	return nilSlot
-}
-
-// maybeSweep compacts the heap once tombstones outnumber live events:
-// cancelled slots are released and the survivors re-heapified in O(n).
-// The 2× threshold makes the sweep amortized O(1) per cancellation.
-func (e *Engine) maybeSweep() {
-	if len(e.heap) < 64 || 2*e.live >= len(e.heap) {
-		return
-	}
-	kept := e.heap[:0]
-	for _, s := range e.heap {
-		if e.pool[s].fn != nil {
-			kept = append(kept, s)
-		} else {
-			e.release(s)
-		}
-	}
-	e.heap = kept
-	for i := (len(kept) - 2) >> 2; i >= 0; i-- {
-		e.siftDown(i)
-	}
+	return e.heap[0]
 }
 
 // At schedules fn to run at absolute virtual time at. Scheduling into the
 // past panics: that always indicates a model bug.
-func (e *Engine) At(at Time, fn Handler) Timer { return e.AtPri(at, 0, fn) }
+func (e *Engine) At(at Time, fn Handler) { e.AtPri(at, 0, fn) }
 
 // AtPri schedules fn at time at with an explicit priority key: events fire
 // in (at, pri, seq) order. seq is the engine's insertion counter, so it is
@@ -287,18 +225,18 @@ func (e *Engine) At(at Time, fn Handler) Timer { return e.AtPri(at, 0, fn) }
 // (same shard) or staged through an epoch mailbox (cross shard). Local
 // events keep pri 0 and therefore sort ahead of deliveries at the same
 // instant.
-func (e *Engine) AtPri(at Time, pri uint64, fn Handler) Timer {
+func (e *Engine) AtPri(at Time, pri uint64, fn Handler) {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	return e.AtFunc(at, pri, runHandler, fn, 0)
+	e.AtFunc(at, pri, runHandler, fn, 0)
 }
 
 // AtFunc is AtPri for the engine's native event form: at time at, under
 // priority key pri, fn runs as fn(now, body, arg). Handler events and
 // AtFunc events share one slot layout, one (at, pri, seq) order and one
 // dispatch in Step.
-func (e *Engine) AtFunc(at Time, pri uint64, fn EventFunc, body any, arg int) Timer {
+func (e *Engine) AtFunc(at Time, pri uint64, fn EventFunc, body any, arg int) {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
@@ -311,21 +249,16 @@ func (e *Engine) AtFunc(at Time, pri uint64, fn EventFunc, body any, arg int) Ti
 	p.fn, p.body, p.arg = fn, body, arg
 	e.seq++
 	e.push(s)
-	e.live++
 	e.Scheduled++
-	if e.live > e.MaxHeapDepth {
-		e.MaxHeapDepth = e.live
+	if len(e.heap) > e.MaxHeapDepth {
+		e.MaxHeapDepth = len(e.heap)
 	}
-	return Timer{eng: e, slot: s, gen: p.gen}
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
-func (e *Engine) After(d Duration, fn Handler) Timer {
-	return e.At(e.now+d, fn)
+func (e *Engine) After(d Duration, fn Handler) {
+	e.At(e.now+d, fn)
 }
-
-// Stop makes Run return after the currently executing handler.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the single earliest pending event, advancing virtual time.
 // It reports whether an event was available.
@@ -338,19 +271,17 @@ func (e *Engine) Step() bool {
 	p := &e.pool[s]
 	e.now = p.at
 	fn, body, arg := p.fn, p.body, p.arg
-	e.release(s) // before fn: a self-Stop inside the handler is a no-op
-	e.live--
+	e.release(s) // before fn: the handler may schedule into the freed slot
 	e.Executed++
 	fn(e.now, body, arg)
 	return true
 }
 
-// Run executes events in timestamp order until the event list drains, Stop
-// is called, or the next event lies strictly after until. Events scheduled
-// exactly at until still run. It returns the virtual time at exit.
+// Run executes events in timestamp order until the event list drains or
+// the next event lies strictly after until. Events scheduled exactly at
+// until still run. It returns the virtual time at exit.
 func (e *Engine) Run(until Time) Time {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		s := e.peek()
 		if s == nilSlot {
 			break

@@ -3,6 +3,8 @@ package sim
 import (
 	"reflect"
 	"testing"
+
+	"pervasive/internal/stats"
 )
 
 // TestHandlerAndFuncEventsShareOneOrder: the two entry points fill the same
@@ -30,14 +32,12 @@ func TestHandlerAndFuncEventsShareOneOrder(t *testing.T) {
 	}
 }
 
-// staleRefs reports the pool slots that are free or cancelled yet still
-// hold a function or a body.
+// staleRefs reports the pool slots that are free yet still hold a function
+// or a body.
 func staleRefs(e *Engine) (leaks []int32) {
 	pending := make(map[int32]bool)
 	for _, s := range e.heap {
-		if e.pool[s].fn != nil {
-			pending[s] = true
-		}
+		pending[s] = true
 	}
 	for s := range e.pool {
 		if p := &e.pool[s]; !pending[int32(s)] && (p.fn != nil || p.body != nil) {
@@ -47,57 +47,71 @@ func staleRefs(e *Engine) (leaks []int32) {
 	return leaks
 }
 
-// TestStoppedAndFiredSlotsDropTheirBody: Stop prevents either kind of event
-// from firing, and a slot that fired, was stopped (tombstone still in the
-// heap) or was swept no longer references its body — the pool outlives
-// every event, so a stale reference would pin the body for the whole run.
-func TestStoppedAndFiredSlotsDropTheirBody(t *testing.T) {
+// TestFiredSlotsDropTheirBody: a slot that fired no longer references its
+// function or body, for either event form — the pool outlives every event,
+// so a stale reference would pin the body for the whole run.
+func TestFiredSlotsDropTheirBody(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
 	count := func(Time, any, int) { fired++ }
 	body := new([64]byte)
 
-	tmFunc := e.AtFunc(5, 0, count, body, 1)
-	tmHandler := e.At(5, func(Time) { fired++ })
+	e.AtFunc(5, 0, count, body, 1)
+	e.At(5, func(Time) { fired++ })
 	e.AtFunc(6, 0, count, body, 2)
-	if !tmFunc.Stop() || !tmHandler.Stop() {
-		t.Fatal("Stop on a pending event reported false")
-	}
-	if tmFunc.Stop() || tmHandler.Stop() {
-		t.Fatal("second Stop reported true")
+	e.Run(5)
+	if fired != 2 {
+		t.Fatalf("%d events fired by the horizon, want 2", fired)
 	}
 	if leaks := staleRefs(e); leaks != nil {
-		t.Fatalf("tombstoned slots %v still reference their event", leaks)
+		t.Fatalf("fired slots %v still reference their event while another is pending", leaks)
 	}
 	e.RunAll()
-	if fired != 1 {
-		t.Fatalf("%d events fired, want only the one not stopped", fired)
+	if fired != 3 {
+		t.Fatalf("%d events fired, want 3", fired)
 	}
 	if leaks := staleRefs(e); leaks != nil {
-		t.Fatalf("fired or popped slots %v still reference their event", leaks)
+		t.Fatalf("fired slots %v still reference their event", leaks)
 	}
+}
 
-	// Mass cancellation triggers the sweep; the swept slots must be clean
-	// and the survivors intact.
-	timers := make([]Timer, 256)
-	for i := range timers {
-		timers[i] = e.AtFunc(Time(100+i), 0, count, body, i)
-	}
-	for i, tm := range timers {
-		if i%8 != 0 {
-			tm.Stop()
+// TestPendingIsScheduledMinusExecuted: with no cancellation the event list
+// is exactly the events accepted and not yet run, so across a drawn
+// sequence of schedules and steps Pending() == Scheduled − Executed after
+// every operation and MaxHeapDepth is the largest value Pending ever took.
+func TestPendingIsScheduledMinusExecuted(t *testing.T) {
+	e := NewEngine(1)
+	rng := stats.NewRNG(7)
+	nop := func(Time) {}
+	tock := func(Time, any, int) {}
+	scheduled, executed, peak := 0, 0, 0
+	for op := 0; op < 4000; op++ {
+		switch rng.Intn(5) {
+		case 0, 1:
+			e.At(e.Now()+Time(rng.Intn(50)), nop)
+			scheduled++
+		case 2:
+			e.AtFunc(e.Now()+Time(rng.Intn(50)), uint64(rng.Intn(3)), tock, nil, op)
+			scheduled++
+		default:
+			if e.Step() {
+				executed++
+			} else if scheduled != executed {
+				t.Fatalf("op %d: Step found nothing with %d events outstanding", op, scheduled-executed)
+			}
+		}
+		if scheduled-executed > peak {
+			peak = scheduled - executed
+		}
+		if e.Pending() != scheduled-executed {
+			t.Fatalf("op %d: Pending() = %d, want %d scheduled − %d executed", op, e.Pending(), scheduled, executed)
 		}
 	}
-	if len(e.heap) >= len(timers)/2 {
-		t.Fatalf("heap holds %d entries for %d live events: no sweep happened", len(e.heap), e.Pending())
+	if e.Scheduled != uint64(scheduled) || e.Executed != uint64(executed) {
+		t.Fatalf("counters (%d, %d), want (%d, %d)", e.Scheduled, e.Executed, scheduled, executed)
 	}
-	if leaks := staleRefs(e); leaks != nil {
-		t.Fatalf("swept slots %v still reference their event", leaks)
-	}
-	fired = 0
-	e.RunAll()
-	if fired != len(timers)/8 {
-		t.Fatalf("%d survivors fired, want %d", fired, len(timers)/8)
+	if e.MaxHeapDepth != peak || peak < 2 {
+		t.Fatalf("MaxHeapDepth = %d, want the peak %d (> 1)", e.MaxHeapDepth, peak)
 	}
 }
 
@@ -126,9 +140,9 @@ func TestCollectClearsOutbox(t *testing.T) {
 	}
 }
 
-// TestKernelAllocations pins the cycles BenchmarkKernelScheduleStep and
-// BenchmarkKernelTimerCancel time at 0 allocs/op, for both event forms: a
-// Handler rides in the slot's body without boxing.
+// TestKernelAllocations pins the cycle BenchmarkKernelScheduleStep times at
+// 0 allocs/op, for both event forms: a Handler rides in the slot's body
+// without boxing.
 func TestKernelAllocations(t *testing.T) {
 	e := NewEngine(1)
 	var tick Handler
@@ -141,19 +155,5 @@ func TestKernelAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { e.Step() }); allocs != 0 {
 		t.Errorf("schedule+step: %.1f allocs, want 0", allocs)
-	}
-
-	e = NewEngine(1)
-	nop := func(Time) {}
-	cancel := func() {
-		e.After(100, nop).Stop()
-		e.After(1, nop)
-		e.Step()
-	}
-	for i := 0; i < 256; i++ { // past the first sweep, so heap and pool are at size
-		cancel()
-	}
-	if allocs := testing.AllocsPerRun(1000, cancel); allocs != 0 {
-		t.Errorf("schedule+cancel+step: %.1f allocs, want 0", allocs)
 	}
 }

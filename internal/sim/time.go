@@ -57,12 +57,3 @@ func (t Time) String() string {
 		return fmt.Sprintf("%dµs", int64(t))
 	}
 }
-
-// FromSeconds converts floating-point seconds to virtual time, rounding to
-// the nearest microsecond.
-func FromSeconds(s float64) Time {
-	if s >= 0 {
-		return Time(s*float64(Second) + 0.5)
-	}
-	return Time(s*float64(Second) - 0.5)
-}

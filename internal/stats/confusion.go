@@ -40,15 +40,6 @@ func (c Confusion) Recall() float64 {
 	return float64(c.TP) / float64(c.TP+c.FN)
 }
 
-// F1 returns the harmonic mean of precision and recall.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
 // Accuracy returns (TP+TN) / total, or 1 when the matrix is empty.
 func (c Confusion) Accuracy() float64 {
 	total := c.TP + c.FP + c.FN + c.TN
@@ -56,24 +47,6 @@ func (c Confusion) Accuracy() float64 {
 		return 1
 	}
 	return float64(c.TP+c.TN) / float64(total)
-}
-
-// FalsePositiveRate returns FP / (FP + TN), or 0 when there were no real
-// negatives.
-func (c Confusion) FalsePositiveRate() float64 {
-	if c.FP+c.TN == 0 {
-		return 0
-	}
-	return float64(c.FP) / float64(c.FP+c.TN)
-}
-
-// FalseNegativeRate returns FN / (TP + FN), or 0 when there were no real
-// positives.
-func (c Confusion) FalseNegativeRate() float64 {
-	if c.TP+c.FN == 0 {
-		return 0
-	}
-	return float64(c.FN) / float64(c.TP+c.FN)
 }
 
 // BorderlineCoverage returns the fraction of erroneous detections (FP+FN)

@@ -67,9 +67,6 @@ func (r *RNG) Fork() *RNG {
 	return child
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns an integer uniformly distributed in [0, n). It panics if
 // n <= 0.
 func (r *RNG) Intn(n int) int {
@@ -129,25 +126,6 @@ func (r *RNG) NormFloat64() float64 {
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle randomizes the order of n elements using the provided swap
-// function (Fisher–Yates).
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
 	}
 }
 

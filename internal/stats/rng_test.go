@@ -139,20 +139,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(29)
-	for n := 0; n < 30; n++ {
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := NewRNG(31)
 	hits := 0
@@ -171,28 +157,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 	if !r.Bool(1) {
 		t.Fatal("Bool(1) returned false")
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := NewRNG(37)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, v := range xs {
-		seen[v] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	r := NewRNG(41)
-	for i := 0; i < 10000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Online accumulates running mean and variance using Welford's algorithm.
 // The zero value is ready to use.
@@ -11,30 +8,19 @@ type Online struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
 	max  float64
 }
 
 // Add folds x into the accumulator.
 func (o *Online) Add(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
+	if o.n == 1 || x > o.max {
+		o.max = x
 	}
 	d := x - o.mean
 	o.mean += d / float64(o.n)
 	o.m2 += d * (x - o.mean)
 }
-
-// N returns the number of samples.
-func (o *Online) N() int64 { return o.n }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (o *Online) Mean() float64 { return o.mean }
@@ -50,55 +36,8 @@ func (o *Online) Var() float64 {
 // Std returns the sample standard deviation.
 func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
 
-// Min returns the smallest sample seen, or 0 with no samples.
-func (o *Online) Min() float64 { return o.min }
-
 // Max returns the largest sample seen, or 0 with no samples.
 func (o *Online) Max() float64 { return o.max }
-
-// CI95 returns the half-width of the normal-approximation 95% confidence
-// interval for the mean.
-func (o *Online) CI95() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return 1.96 * o.Std() / math.Sqrt(float64(o.n))
-}
-
-// Summary holds descriptive statistics for a fixed sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64
-	Min    float64
-	Max    float64
-	Median float64
-	P90    float64
-	P99    float64
-}
-
-// Summarize computes descriptive statistics of xs. It does not modify xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var o Online
-	for _, x := range sorted {
-		o.Add(x)
-	}
-	return Summary{
-		N:      len(sorted),
-		Mean:   o.Mean(),
-		Std:    o.Std(),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Median: Percentile(sorted, 0.50),
-		P90:    Percentile(sorted, 0.90),
-		P99:    Percentile(sorted, 0.99),
-	}
-}
 
 // Percentile returns the p-quantile (0 <= p <= 1) of sorted data using
 // linear interpolation between order statistics. sorted must be ascending.
@@ -123,54 +62,4 @@ func Percentile(sorted []float64, p float64) float64 {
 		return sorted[n-1]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Histogram counts samples into equal-width bins over [Lo, Hi). Samples
-// outside the range are clamped into the first/last bin so totals are
-// preserved.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins on [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
 }

@@ -27,14 +27,14 @@ func TestOnlineAgainstDirect(t *testing.T) {
 	if math.Abs(o.Var()-wantVar) > 1e-12 {
 		t.Fatalf("online var %.6f direct %.6f", o.Var(), wantVar)
 	}
-	if o.Min() != 1 || o.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", o.Min(), o.Max())
+	if o.Max() != 9 {
+		t.Fatalf("max = %v", o.Max())
 	}
 }
 
 func TestOnlineEmptyAndSingle(t *testing.T) {
 	var o Online
-	if o.Mean() != 0 || o.Var() != 0 || o.CI95() != 0 {
+	if o.Mean() != 0 || o.Var() != 0 || o.Max() != 0 {
 		t.Fatal("empty accumulator should report zeros")
 	}
 	o.Add(7)
@@ -114,83 +114,5 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{5, 1, 3})
-	if s.N != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("summary %+v", s)
-	}
-	if math.Abs(s.Mean-3) > 1e-12 {
-		t.Fatalf("mean %v", s.Mean)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 {
-		t.Fatal("empty summary N != 0")
-	}
-}
-
-func TestSummarizeDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Summarize(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Summarize mutated input")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Fatalf("bin %d count %d", i, c)
-		}
-	}
-	h.Add(-5) // clamps to first bin
-	h.Add(99) // clamps to last bin
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Fatal("clamping failed")
-	}
-	if h.Total() != 12 {
-		t.Fatalf("total %d", h.Total())
-	}
-	if c := h.BinCenter(0); math.Abs(c-0.5) > 1e-12 {
-		t.Fatalf("bin center %v", c)
-	}
-}
-
-func TestHistogramMode(t *testing.T) {
-	h := NewHistogram(0, 3, 3)
-	h.Add(1.5)
-	h.Add(1.4)
-	h.Add(0.1)
-	if m := h.Mode(); math.Abs(m-1.5) > 1e-12 {
-		t.Fatalf("mode %v", m)
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
-func TestOnlineNAndCI95(t *testing.T) {
-	var o Online
-	for i := 0; i < 100; i++ {
-		o.Add(float64(i % 10))
-	}
-	if o.N() != 100 {
-		t.Fatalf("N %d", o.N())
-	}
-	ci := o.CI95()
-	if ci <= 0 || ci > o.Std() {
-		t.Fatalf("CI95 %v implausible (std %v)", ci, o.Std())
 	}
 }

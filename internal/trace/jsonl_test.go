@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,7 +154,9 @@ func TestIndexInvalidatedBySort(t *testing.T) {
 	if got := tr.ByProcess(1); len(got) != 1 || got[0].At != 30 {
 		t.Fatalf("pre-sort %v", got)
 	}
-	tr.SortByTime()
+	// A caller that reorders Records itself must drop the index.
+	slices.SortFunc(tr.Records, func(a, b Record) int { return int(a.At - b.At) })
+	tr.InvalidateIndex()
 	if got := tr.ByProcess(0); len(got) != 1 || got[0].At != 10 {
 		t.Fatalf("post-sort %v", got)
 	}

@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"pervasive/internal/clock"
 	"pervasive/internal/obs"
@@ -92,9 +91,8 @@ func (t *Trace) Append(r Record) {
 // Len returns the number of records.
 func (t *Trace) Len() int { return len(t.Records) }
 
-// InvalidateIndex drops the per-process index. Append and SortByTime
-// maintain or invalidate it automatically; call this only after
-// mutating Records directly.
+// InvalidateIndex drops the per-process index. Append maintains it
+// automatically; call this only after mutating Records directly.
 func (t *Trace) InvalidateIndex() {
 	t.byProc, t.counts = nil, nil
 }
@@ -141,18 +139,6 @@ func (t *Trace) Counts() map[Type]int {
 		m[k] = v
 	}
 	return m
-}
-
-// SortByTime orders records by (At, Proc) stably. It invalidates the
-// per-process index, which refers to records by position.
-func (t *Trace) SortByTime() {
-	sort.SliceStable(t.Records, func(i, j int) bool {
-		if t.Records[i].At != t.Records[j].At {
-			return t.Records[i].At < t.Records[j].At
-		}
-		return t.Records[i].Proc < t.Records[j].Proc
-	})
-	t.InvalidateIndex()
 }
 
 // EncodeJSON writes the trace as a single JSON object.

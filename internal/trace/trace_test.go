@@ -50,20 +50,6 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
-func TestSortByTime(t *testing.T) {
-	tr := New(2)
-	tr.Append(Record{Proc: 1, Type: Sense, At: 30})
-	tr.Append(Record{Proc: 0, Type: Sense, At: 10})
-	tr.Append(Record{Proc: 1, Type: Sense, At: 10})
-	tr.SortByTime()
-	if tr.Records[0].At != 10 || tr.Records[0].Proc != 0 {
-		t.Fatalf("sort order %v", tr.Records)
-	}
-	if tr.Records[1].Proc != 1 || tr.Records[2].At != 30 {
-		t.Fatalf("sort order %v", tr.Records)
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	tr := New(2)
 	tr.Append(Record{Proc: 0, Type: Sense, At: 5, Attr: "temp", Value: 31.5,

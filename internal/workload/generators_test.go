@@ -165,16 +165,11 @@ func TestInstallPumpEquivalence(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		w.AddObject("door", nil)
 	}
-	rec := NewRecorder(w)
 	Install(eng, w, evs)
 	eng.Run(horizon)
 
-	if Digest(rec.Events()) != Digest(evs) {
-		t.Fatalf("recorded stream differs from pumped stream: %d vs %d events",
-			len(rec.Events()), len(evs))
-	}
 	if LogDigest(w.Log()) != Digest(evs) {
-		t.Fatal("world log differs from pumped stream")
+		t.Fatalf("world log differs from pumped stream: %d vs %d events", len(w.Log()), len(evs))
 	}
 }
 

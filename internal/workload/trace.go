@@ -61,10 +61,11 @@ func streamKey(obj int, attrIdx uint64) uint64 {
 	return uint64(obj)<<16 | attrIdx
 }
 
-// integral reports whether v is an exact integer within ±2^52.
+// integral reports whether v is an exact integer within ±2^52 that int64
+// can hold without loss: −0 is not (its sign would not come back).
 func integral(v float64) (int64, bool) {
 	const lim = 1 << 52
-	if v != math.Trunc(v) || v > lim || v < -lim {
+	if v != math.Trunc(v) || v > lim || v < -lim || (v == 0 && math.Signbit(v)) {
 		return 0, false
 	}
 	return int64(v), true
@@ -165,6 +166,20 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// count reads an element count and rejects one the remaining bytes cannot
+// hold at minSize bytes per element, so a hostile header never sizes an
+// allocation: what Decode allocates is bounded by the input's length.
+func (d *decoder) count(what string, minSize int) (uint64, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(d.b)-d.off)/uint64(minSize) {
+		return 0, fmt.Errorf("workload: %s count %d exceeds the %d bytes left at offset %d", what, n, len(d.b)-d.off, d.off)
+	}
+	return n, nil
+}
+
 func (d *decoder) str() (string, error) {
 	n, err := d.uvarint()
 	if err != nil {
@@ -220,9 +235,12 @@ func Decode(data []byte) (*Trace, error) {
 		}
 		t.Meta[k] = v
 	}
-	na, err := d.uvarint()
+	na, err := d.count("attr", 1) // a string is at least its length byte
 	if err != nil {
 		return nil, err
+	}
+	if na >= 1<<16 {
+		return nil, fmt.Errorf("workload: trace declares %d attributes (the format holds 65535)", na)
 	}
 	attrs := make([]string, na)
 	for i := range attrs {
@@ -230,7 +248,7 @@ func Decode(data []byte) (*Trace, error) {
 			return nil, err
 		}
 	}
-	ne, err := d.uvarint()
+	ne, err := d.count("event", 4) // dt, dobj, key and val are at least a byte each
 	if err != nil {
 		return nil, err
 	}
@@ -254,6 +272,9 @@ func Decode(data []byte) (*Trace, error) {
 		ai := key >> 1
 		if ai >= uint64(len(attrs)) {
 			return nil, fmt.Errorf("workload: event %d references attr %d of %d", i, ai, len(attrs))
+		}
+		if dt > uint64(math.MaxInt64-at) {
+			return nil, fmt.Errorf("workload: event %d overflows virtual time", i)
 		}
 		at += sim.Time(dt)
 		obj += int(unzigzag(dobjZ))

@@ -137,26 +137,6 @@ func FromLog(log []world.Event) []Event {
 	return out
 }
 
-// Recorder captures every mutation of a world as workload events, in
-// execution order (which is canonical order per (obj, attr) stream by
-// construction). It works on worlds with a discarded log too: listeners
-// still fire after DiscardLog.
-type Recorder struct {
-	evs []Event
-}
-
-// NewRecorder subscribes a recorder to w. Attach before the run starts.
-func NewRecorder(w *world.World) *Recorder {
-	r := &Recorder{}
-	w.SubscribeAll(func(ev world.Event) {
-		r.evs = append(r.evs, Event{At: ev.At, Obj: ev.Object, Attr: ev.Attr, Val: ev.New})
-	})
-	return r
-}
-
-// Events returns the captured stream so far (live slice; do not modify).
-func (r *Recorder) Events() []Event { return r.evs }
-
 // DeriveSeed maps (seed, domain) to an independent seed (the splitmix64
 // finalizer), so one run seed can feed many generators without stream
 // overlap. Identical to the harness's internal seed-domain derivation.

@@ -16,7 +16,6 @@ type plane interface {
 	AddObject(name string, attrs map[string]float64) int
 	Get(obj int, attr string) float64
 	Set(obj int, attr string, v float64)
-	Add(obj int, attr string, dv float64)
 	Subscribe(obj int, attr string, l Listener)
 	SubscribeAll(l Listener)
 	Log() []Event
@@ -42,9 +41,6 @@ func (m *mapPlane) AddObject(_ string, attrs map[string]float64) int {
 	return len(m.attrs) - 1
 }
 func (m *mapPlane) Get(obj int, attr string) float64 { return m.attrs[obj][attr] }
-func (m *mapPlane) Add(obj int, attr string, dv float64) {
-	m.Set(obj, attr, m.Get(obj, attr)+dv)
-}
 func (m *mapPlane) Set(obj int, attr string, v float64) {
 	ev := Event{Seq: len(m.log), At: m.eng.Now(), Object: obj, Attr: attr,
 		Old: m.attrs[obj][attr], New: v, Cause: NoCause}
@@ -105,7 +101,7 @@ func drive(p plane, eng *sim.Engine, seed uint64) []string {
 			fresh := fmt.Sprintf("grown%d", id)
 			p.Set(ev.Object, fresh, ev.New+1)
 			p.Subscribe(ev.Object, fresh, inner)
-			p.Add(ev.Object, fresh, 0.5)
+			p.Set(ev.Object, fresh, p.Get(ev.Object, fresh)+0.5)
 			p.Subscribe(ev.Object, ev.Attr, late)
 			p.Set(ev.Object, ev.Attr, ev.New+100) // re-enters the attribute being fired
 		}
@@ -137,7 +133,7 @@ func drive(p plane, eng *sim.Engine, seed uint64) []string {
 		case op < 8:
 			p.Set(obj, attr, float64(r.Intn(9)-4))
 		case op < 11:
-			p.Add(obj, attr, float64(r.Intn(3)-1))
+			p.Set(obj, attr, p.Get(obj, attr)+float64(r.Intn(3)-1))
 		case op < 14:
 			trace = append(trace, fmt.Sprintf("get %d.%s = %v", obj, attr, p.Get(obj, attr)))
 		case op < 17:
@@ -157,8 +153,8 @@ func drive(p plane, eng *sim.Engine, seed uint64) []string {
 }
 
 // TestCellsMatchMapModel drives World and the map-based model through the
-// same drawn sequence — objects with and without initial attributes, Set,
-// Add and Get of set and never-set attributes, Subscribe before and after
+// same drawn sequence — objects with and without initial attributes, Set
+// (absolute and read-modify-write) and Get of set and never-set attributes, Subscribe before and after
 // the first Set, SubscribeAll, and listeners that grow the object they are
 // being fired for — and requires the same values, the same listener calls
 // in the same order, and the same log.

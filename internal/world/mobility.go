@@ -75,11 +75,3 @@ func (wp Waypoint) Install(w *World, horizon sim.Time) {
 	}
 	w.eng.At(1, func(now sim.Time) { newLeg(now) })
 }
-
-// DistanceAt returns the Euclidean distance between two objects' (x, y)
-// attributes in the world's current state.
-func DistanceAt(w *World, a, b int) float64 {
-	dx := w.Get(a, "x") - w.Get(b, "x")
-	dy := w.Get(a, "y") - w.Get(b, "y")
-	return math.Hypot(dx, dy)
-}

@@ -59,13 +59,3 @@ func TestWaypointSpeedBound(t *testing.T) {
 		}
 	}
 }
-
-func TestDistanceAt(t *testing.T) {
-	eng := sim.NewEngine(1)
-	w := New(eng)
-	a := w.AddObject("a", map[string]float64{"x": 0, "y": 0})
-	b := w.AddObject("b", map[string]float64{"x": 3, "y": 4})
-	if d := DistanceAt(w, a, b); math.Abs(d-5) > 1e-12 {
-		t.Fatalf("distance %v", d)
-	}
-}

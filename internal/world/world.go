@@ -116,9 +116,6 @@ func (w *World) AddObject(name string, attrs map[string]float64) int {
 	return len(w.objects) - 1
 }
 
-// Name returns the object's name.
-func (w *World) Name(obj int) string { return w.objects[obj].name }
-
 // Get returns the current value of an attribute (0 if never set).
 func (w *World) Get(obj int, attr string) float64 {
 	o := &w.objects[obj]
@@ -131,11 +128,6 @@ func (w *World) Get(obj int, attr string) float64 {
 // Set changes an attribute spontaneously at the current engine time.
 func (w *World) Set(obj int, attr string, v float64) {
 	w.set(obj, attr, v, NoCause)
-}
-
-// Add increments an attribute spontaneously.
-func (w *World) Add(obj int, attr string, dv float64) {
-	w.set(obj, attr, w.Get(obj, attr)+dv, NoCause)
 }
 
 func (w *World) set(obj int, attr string, v float64, cause int) {
@@ -275,15 +267,6 @@ func (iv Interval) Overlap(other Interval) sim.Duration {
 		return 0
 	}
 	return hi - lo
-}
-
-// TotalTrueTime sums the durations of the intervals.
-func TotalTrueTime(ivs []Interval) sim.Duration {
-	var d sim.Duration
-	for _, iv := range ivs {
-		d += iv.End - iv.Start
-	}
-	return d
 }
 
 // CausalPairs extracts the world-plane causality relation from the log as

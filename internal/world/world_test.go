@@ -29,17 +29,6 @@ func TestSetGetAndLog(t *testing.T) {
 	}
 }
 
-func TestAdd(t *testing.T) {
-	eng := sim.NewEngine(1)
-	w := New(eng)
-	door := w.AddObject("door", nil)
-	w.Add(door, "x", 1)
-	w.Add(door, "x", 1)
-	if w.Get(door, "x") != 2 {
-		t.Fatal("Add did not accumulate")
-	}
-}
-
 func TestSubscribe(t *testing.T) {
 	eng := sim.NewEngine(1)
 	w := New(eng)
@@ -188,9 +177,6 @@ func TestTrueIntervals(t *testing.T) {
 	}
 	if ivs[0] != (Interval{10, 30}) || ivs[1] != (Interval{50, 100}) {
 		t.Fatalf("intervals %v", ivs)
-	}
-	if TotalTrueTime(ivs) != 70 {
-		t.Fatalf("total %v", TotalTrueTime(ivs))
 	}
 }
 
