@@ -1,10 +1,14 @@
 package pervasive
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -35,7 +39,7 @@ func TestDocsNameOnlyExistingTargets(t *testing.T) {
 
 	makeRef := regexp.MustCompile("`make\\s+([a-z][a-z0-9-]*)`")
 	cmdRef := regexp.MustCompile(`\./cmd/([a-z][a-z0-9]*)`)
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range docs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -85,6 +89,79 @@ func TestDocsNameOnlyExistingTargets(t *testing.T) {
 			}
 		}
 	}
+}
+
+// docs are the prose files the docs tests hold to the code.
+var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
+// TestDocsQuoteOnlyEmittedMetrics keeps the prose from quoting a metric no
+// code emits: every backticked `<ns>.<name>` in the docs, for the metric
+// namespaces below, must be a string literal in non-test Go (cmd/bench
+// included). A `<i>`-suffixed name is built at run time, so a literal
+// prefix of its stem is enough. `world` is left out: `world.walk` is a Go
+// function, not a metric.
+func TestDocsQuoteOnlyEmittedMetrics(t *testing.T) {
+	metricRef := regexp.MustCompile("`((?:net|live|faults|checker|oracle|lattice|runner|sim|clock|workload|obs)\\.[a-z][a-z0-9_.]*)(<i>)?`")
+	lits := goStringLiterals(t)
+	quoted := 0
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range metricRef.FindAllStringSubmatch(string(text), -1) {
+			quoted++
+			name, indexed := m[1], m[2] != ""
+			emitted := lits[name]
+			for lit := range lits {
+				// The literal must reach the last dotted segment: "faults."
+				// does not vouch for faults.down.p<i>, "faults.down." does.
+				emitted = emitted || indexed && strings.HasPrefix(name, lit) &&
+					strings.Count(lit, ".") == strings.Count(name, ".")
+			}
+			if !emitted {
+				t.Errorf("%s: `%s%s` is no string literal in non-test Go", doc, name, m[2])
+			}
+		}
+	}
+	if quoted == 0 {
+		t.Fatal("the docs quote no metric; the pattern is stale")
+	}
+}
+
+// goStringLiterals collects every string literal of the module's non-test Go
+// files.
+func goStringLiterals(t *testing.T) map[string]bool {
+	lits := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if v, err := strconv.Unquote(lit.Value); err == nil {
+					lits[v] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lits
 }
 
 // linePackagesTests lists the tests of every package path a recipe line names.

@@ -40,7 +40,7 @@ func main() {
 
 	sensors := core.NewSensors(nt, core.SensorConfig{
 		N: 2, Kind: core.VectorStrobe, CheckerIdx: 2,
-	}, func(int) (*sim.Engine, core.Transport) { return eng, nt })
+	}, func(int) core.Transport { return nt })
 	sensors[0].Bind(w, terminal, "entered", "pw")
 	sensors[1].Bind(w, reader, "presented", "bio")
 

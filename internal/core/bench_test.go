@@ -22,12 +22,12 @@ func BenchmarkShardedBroadcast(b *testing.B) {
 	sn.NeighborScope = true
 	sn.AlwaysReach = []int{n}
 	sensors := NewSensors(sn, SensorConfig{N: n, Kind: DiffVectorStrobe, CheckerIdx: n},
-		func(int) (*sim.Engine, Transport) { return sh.Engine(0), sn.Part(0) })
+		func(int) Transport { return sn.Part(0) })
 	sn.Register(n, func(network.Message, sim.Time) {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sensors[i*40503%n].onSense("p", float64(i&1)) // odd stride: every sensor, far apart
+		sensors[i*40503%n].Sense(sh.Engine(0).Now(), "p", float64(i&1)) // odd stride: every sensor, far apart
 		if i%1024 == 1023 {
 			sh.RunAll()
 		}

@@ -204,17 +204,18 @@ func NewHarness(cfg HarnessConfig) *Harness {
 		h.det = h.ConjCk
 	}
 
-	h.Sensors = NewSensors(nt, scfg, func(int) (*sim.Engine, Transport) { return eng, nt })
+	h.Sensors = NewSensors(nt, scfg, func(int) Transport { return nt })
 	h.InstallFaults(cfg.Faults)
 	return h
 }
 
 // InstallFaults compiles and installs a fault plan on the wired harness
-// (see installFaults for what it gates, schedules and records). Call before
+// (see ScheduleFaults for what it gates, schedules and records). Call before
 // Run: transition times must not be in the engine's past. A nil or empty
 // plan is a no-op and leaves the fault-free fast path untouched.
 func (h *Harness) InstallFaults(plan *faults.Plan) {
-	if inj := installFaults(plan, h.Sensors, h.Net.SetFaults, h.Cfg.Obs, h.Cfg.Flight); inj != nil {
+	at := func(_ int, t sim.Time, fn sim.Handler) { h.Eng.At(t, fn) }
+	if inj := ScheduleFaults(plan, h.Sensors, h.Net.SetFaults, at, h.Cfg.Obs, h.Cfg.Flight); inj != nil {
 		h.Faults = inj
 	}
 }

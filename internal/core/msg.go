@@ -75,8 +75,8 @@ func (m StrobeMsg) Kind() string {
 	return "strobe-scalar"
 }
 
-// FlightStamp implements flight.Stamped: the strobe's logical identity
-// for the flight recorder. The clock component is the sender's own
+// FlightStamp is the strobe's logical identity for the flight recorder's
+// checker records. The clock component is the sender's own
 // vector entry (which SVC1 ticked at the emitting sense event, so the
 // differential payload always carries it), or the scalar value.
 func (m StrobeMsg) FlightStamp() (epoch, seq int, clk uint64) {
@@ -114,12 +114,6 @@ func (m ReportMsg) WireSize() int { return 2 + 4 + 2 + 8 + 8 }
 
 // Kind implements network.Payload.
 func (m ReportMsg) Kind() string { return "phys-report" }
-
-// FlightStamp implements flight.Stamped. Physical reports carry no
-// logical clock; the per-process Seq still identifies the sense event.
-func (m ReportMsg) FlightStamp() (epoch, seq int, clk uint64) {
-	return 0, m.Seq, 0
-}
 
 // IntervalMsg reports one closed local-conjunct-true interval to the
 // conjunctive checker: the vector stamps of its delimiting events plus

@@ -140,7 +140,7 @@ func TestSensorsNeedCheckerSlot(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nt := newNetForTest(eng, 2) // only 2 nodes for 2 sensors + checker
 	NewSensors(nt, SensorConfig{N: 2, Kind: VectorStrobe, CheckerIdx: 2},
-		func(int) (*sim.Engine, Transport) { return eng, nt })
+		func(int) Transport { return nt })
 }
 
 // newNetForTest builds a minimal transport.

@@ -77,7 +77,6 @@ type Sensor struct {
 	tr *trace.Trace // optional event trace
 	fl *flight.Recorder
 
-	eng        *sim.Engine
 	net        Transport
 	checkerIdx int
 	n          int // fleet size (for fresh clocks on Rejoin)
@@ -124,13 +123,13 @@ type SensorConfig struct {
 
 // NewSensors builds the fleet and registers each sensor's message handler
 // on the transport, which must have at least N+1 nodes (the extra one being
-// the checker). place names where sensor i runs: the engine that executes
-// its events and the sending surface it transmits through — the same pair
-// for every sensor on the single-engine kernel, the owning shard's engine
-// and ShardPart on the sharded one. The fleet is carved from one slab, so
-// neighbouring sensors are neighbouring memory and the collector sees one
-// object, not N.
-func NewSensors(net Receiver, cfg SensorConfig, place func(i int) (*sim.Engine, Transport)) []*Sensor {
+// the checker). place names the sending surface sensor i transmits through
+// — the one Net on the single-engine kernel, the owning shard's ShardPart
+// on the sharded one, the live engine's links. A sensor holds no engine:
+// each step takes its time from the event that drives it. The fleet is
+// carved from one slab, so neighbouring sensors are neighbouring memory and
+// the collector sees one object, not N.
+func NewSensors(net Receiver, cfg SensorConfig, place func(i int) Transport) []*Sensor {
 	if net.N() < cfg.N+1 {
 		panic(fmt.Sprintf("core: transport has %d nodes, need %d sensors + checker",
 			net.N(), cfg.N))
@@ -138,11 +137,10 @@ func NewSensors(net Receiver, cfg SensorConfig, place func(i int) (*sim.Engine, 
 	out := make([]*Sensor, cfg.N)
 	slab := make([]Sensor, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		eng, tx := place(i)
 		s := &slab[i]
 		*s = Sensor{
 			ID: i, Kind: cfg.Kind, n: cfg.N,
-			eng: eng, net: tx, checkerIdx: cfg.CheckerIdx,
+			net: place(i), checkerIdx: cfg.CheckerIdx,
 			localConj: cfg.LocalConj,
 			tr:        cfg.Trace,
 			fl:        cfg.Flight,
@@ -172,20 +170,20 @@ func NewSensors(net Receiver, cfg SensorConfig, place func(i int) (*sim.Engine, 
 }
 
 // Bind subscribes the sensor to object obj's attribute attr, exposing it
-// as variable varName at this sensor's process index.
+// as variable varName at this sensor's process index. The sense happens at
+// the world event's time.
 func (s *Sensor) Bind(w *world.World, obj int, attr, varName string) {
 	w.Subscribe(obj, attr, func(ev world.Event) {
-		s.onSense(varName, ev.New)
+		s.Sense(ev.At, varName, ev.New)
 	})
 }
 
-// onSense handles one sense (n) event: tick the clock, emit control
+// Sense handles one sense (n) event at now: tick the clock, emit control
 // traffic, maintain the conjunct interval.
-func (s *Sensor) onSense(varName string, value float64) {
+func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 	if s.down {
 		return // a crashed process observes nothing and sends nothing
 	}
-	now := s.eng.Now()
 	s.seq++
 	if s.vals != nil {
 		s.vals[varName] = value
@@ -226,7 +224,7 @@ func (s *Sensor) onSense(varName string, value float64) {
 		}
 	case PhysicalReport:
 		// Physical reports carry no logical clock; the stamp is just the
-		// per-process seq (matching ReportMsg.FlightStamp).
+		// per-process seq.
 		s.net.SendStamped(s.ID, s.checkerIdx, ReportMsg{
 			Proc: s.ID, Seq: s.seq, Var: varName, Value: value,
 			TS: s.phys.Read(now),

@@ -198,10 +198,7 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 	// object lives on its own shard; the per-shard object id is the
 	// sensor's offset from the shard's first sensor.
 	h.Sensors = NewSensors(snet, SensorConfig{N: cfg.N, Kind: DiffVectorStrobe, CheckerIdx: cfg.N},
-		func(i int) (*sim.Engine, Transport) {
-			k := smap.Of(i)
-			return sh.Engine(k), snet.Part(k)
-		})
+		func(i int) Transport { return snet.Part(smap.Of(i)) })
 	for i, s := range h.Sensors {
 		k := smap.Of(i)
 		if h.objBase[k] < 0 {
@@ -273,7 +270,8 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 		cfg.Obs.SetNow("virtual", sh.Now)
 		snet.SetObs(cfg.Obs)
 	}
-	h.Faults = installFaults(cfg.Faults, h.Sensors, snet.SetFaults, cfg.Obs, nil)
+	at := func(i int, t sim.Time, fn sim.Handler) { sh.Engine(smap.Of(i)).At(t, fn) }
+	h.Faults = ScheduleFaults(cfg.Faults, h.Sensors, snet.SetFaults, at, cfg.Obs, nil)
 	return h
 }
 

@@ -12,8 +12,9 @@ import (
 )
 
 // The run spine: everything Harness and ShardedHarness wire the same way,
-// written once. What the two stacks do not share is the kernel and the
-// transport's RNG/priority discipline (see DESIGN.md §1.10).
+// written once (ScheduleFaults serves the live engine too). What the two
+// stacks do not share is the kernel and the transport's RNG/priority
+// discipline (see DESIGN.md §1.10).
 
 // finiteBound is the delay bound the Tol and Slack defaults build on: the
 // model's own bound, or 100 ms when it has none.
@@ -24,19 +25,20 @@ func finiteBound(d sim.DelayModel) sim.Duration {
 	return 100 * sim.Millisecond
 }
 
-// installFaults compiles plan, hands the injector to the transport through
-// setFaults, and schedules every crash/recover transition on its target
-// sensor's own engine, driving Sensor.Crash/Rejoin there. Each transition
-// bumps faults.crashes / faults.recoveries and each outage is one
-// faults.down.pN span in reg (a process's transitions all run on its own
-// engine, so each span has a single writer; the registry itself is safe for
-// concurrent shards). fl, when non-nil, also gets a Crash/Recover record and
-// a dump per transition. A nil or empty plan installs nothing and returns
-// nil. Crash/recover events must target sensors — the checker P0 is the one
-// process the model keeps up — though partitions may isolate it; an
-// out-of-range event process panics.
-func installFaults(plan *faults.Plan, sensors []*Sensor, setFaults func(*faults.Injector),
-	reg *obs.Registry, fl *flight.Recorder) *faults.Injector {
+// ScheduleFaults compiles plan, hands the injector to the transport through
+// setFaults, and schedules every crash/recover transition through at on its
+// target sensor's own executor, driving Sensor.Crash/Rejoin there: the
+// sensor's engine on either DES stack, its node goroutine on the live one.
+// Each transition bumps faults.crashes / faults.recoveries and each outage
+// is one faults.down.pN span in reg (a process's transitions all run where
+// its other steps run, so each span has a single writer; the registry itself
+// is safe for concurrent executors). fl, when non-nil, also gets a
+// Crash/Recover record and a dump per transition. A nil or empty plan
+// installs nothing and returns nil. Crash/recover events must target
+// sensors — the checker P0 is the one process the model keeps up — though
+// partitions may isolate it; an out-of-range event process panics.
+func ScheduleFaults(plan *faults.Plan, sensors []*Sensor, setFaults func(*faults.Injector),
+	at func(proc int, t sim.Time, fn sim.Handler), reg *obs.Registry, fl *flight.Recorder) *faults.Injector {
 
 	inj := faults.NewInjector(plan)
 	if inj == nil {
@@ -55,7 +57,7 @@ func installFaults(plan *faults.Plan, sensors []*Sensor, setFaults func(*faults.
 	for _, ev := range inj.Transitions() {
 		s := sensors[ev.Proc]
 		tag := "p" + strconv.Itoa(ev.Proc)
-		s.eng.At(ev.At, func(now sim.Time) {
+		at(ev.Proc, ev.At, func(now sim.Time) {
 			var kind flight.Kind
 			switch ev.Kind {
 			case faults.Crash:

@@ -6,8 +6,6 @@ import (
 	"pervasive/internal/sim"
 )
 
-// stampedPayload mimics core.StrobeMsg's Stamped implementation.
-
 func BenchmarkRecord(b *testing.B) {
 	r := New(8, DefaultPerProc)
 	rec := Rec{Kind: Recv, Proc: 3, Peer: 1, At: sim.Time(1), Seq: 9, PeerClock: 7}
@@ -34,18 +32,4 @@ func BenchmarkRecordConcurrent(b *testing.B) {
 		rec.At = sim.Time(i)
 		r.Record(rec)
 	}
-}
-
-type notStamped struct{}
-
-func BenchmarkStampAssertMiss(b *testing.B) {
-	var p any = notStamped{}
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		if st, ok := p.(Stamped); ok {
-			_, _, c := st.FlightStamp()
-			sink += c
-		}
-	}
-	_ = sink
 }

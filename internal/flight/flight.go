@@ -101,18 +101,6 @@ type Rec struct {
 	Value     float64
 }
 
-// Stamped is implemented by transport payloads that carry a logical
-// identity (core.StrobeMsg, core.ReportMsg): epoch and seq identify the
-// originating sense event, clock is the sender's own logical component
-// at that event. The stamp is extracted once, at message origination
-// (network.SendStamped / BroadcastStamped carry it in plain Message
-// fields from there) — never on the per-delivery path, where an
-// interface assertion per record would cost more than the ring store
-// itself.
-type Stamped interface {
-	FlightStamp() (epoch int, seq int, clock uint64)
-}
-
 // Stamp is the logical identity of a message as plain values: the field
 // layout Rec uses for its Epoch/Seq/PeerClock columns. Transports carry
 // a Stamp inside each Message so that delivery- and drop-time records

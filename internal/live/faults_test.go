@@ -7,6 +7,7 @@ import (
 
 	"pervasive/internal/core"
 	"pervasive/internal/faults"
+	"pervasive/internal/network"
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
@@ -26,12 +27,13 @@ func TestLiveOverloadStaysBounded(t *testing.T) {
 		Buffer: buffer,
 		Obs:    reg,
 	})
-	// Stall node 1 by ending its goroutine life directly (white-box; not
-	// marked down, so deliveries still target its mailbox). Nothing
-	// drains `in` — the saturated consumer the old code answered with one
-	// permanently blocked goroutine per overflowing message.
-	close(nw.Node(1).die)
-	time.Sleep(5 * time.Millisecond)
+	// Stall node 1 inside a step that blocks (white-box; the node is up,
+	// so deliveries still target its mailbox). Nothing drains `in` — the
+	// saturated consumer the old code answered with one permanently
+	// blocked goroutine per overflowing message.
+	stalled, release := make(chan struct{}), make(chan struct{})
+	nw.Node(1).post(func() { close(stalled); <-release })
+	<-stalled
 	base := runtime.NumGoroutine()
 	const blast = 500
 	for k := 0; k < blast; k++ {
@@ -47,6 +49,7 @@ func TestLiveOverloadStaysBounded(t *testing.T) {
 			got, blast-buffer, buffer, blast)
 	}
 	drops := nw.MailboxDrops()
+	close(release)
 	nw.Stop(10*time.Millisecond, sim.Millisecond)
 	counters := map[string]int64{}
 	for _, c := range reg.Snapshot().Counters {
@@ -117,6 +120,40 @@ func TestLiveMailboxWatermark(t *testing.T) {
 	t.Fatal("live.mailbox_depth gauge missing")
 }
 
+// TestLiveCheckerCopiesGetDuplicateWindow: the checker's copy of a strobe
+// is a link copy like any peer's, so a duplicate window duplicates it too
+// and the checker's Seq discipline discards the second arrival. The live
+// broadcast used to skip the window for the checker copy alone.
+func TestLiveCheckerCopiesGetDuplicateWindow(t *testing.T) {
+	reg := obs.NewRegistry()
+	nw := Start(Config{
+		N: 2, Seed: 6, Kind: core.VectorStrobe,
+		Delay:  sim.Synchronous{},
+		Pred:   predicate.MustParse("x@0 == 1"),
+		Obs:    reg,
+		Faults: faults.NewPlan().Duplicate(0, sim.Time(time.Hour/time.Microsecond), 1),
+	})
+	const senses = 10
+	for k := 0; k < senses; k++ {
+		nw.Node(0).Sense("x", float64(k%2))
+	}
+	nw.Stop(20*time.Millisecond, sim.Millisecond)
+	counters := map[string]int64{}
+	for _, c := range reg.Snapshot().Counters {
+		counters[c.Name] = c.Value
+	}
+	// Zero-delay timers may still reorder two strobes, so Applied is not
+	// pinned; every strobe arriving twice is: at least one discard each.
+	applied, stale := nw.checker.Applied, nw.checker.Stale
+	if applied+stale != 2*senses || stale < senses {
+		t.Errorf("checker applied %d stale %d, want %d arrivals with stale >= %d", applied, stale, 2*senses, senses)
+	}
+	// One peer copy and one checker copy per sense, each duplicated.
+	if got := counters["faults.duplicates"]; got != 2*senses {
+		t.Errorf("faults.duplicates %d, want %d", got, 2*senses)
+	}
+}
+
 // TestLiveCrashRecovery: a mid-run crash silences the node; recovery
 // restarts it with a fresh epoch the checker accepts.
 func TestLiveCrashRecovery(t *testing.T) {
@@ -131,25 +168,24 @@ func TestLiveCrashRecovery(t *testing.T) {
 		Obs:    reg,
 		Faults: plan,
 	})
+	view := func() float64 {
+		nw.checkerMu.Lock()
+		defer nw.checkerMu.Unlock()
+		return nw.checker.View(1, "x")
+	}
 	nw.Node(0).Sense("x", 1)
 	nw.Node(1).Sense("x", 1) // pre-crash life: Seq 1 epoch 0
 	time.Sleep(40 * time.Millisecond)
-	if !nw.Node(1).down.Load() {
-		t.Fatal("node 1 not down after crash time")
-	}
 	nw.Node(1).Sense("x", 0) // unobserved by the crashed sensor
 	time.Sleep(50 * time.Millisecond)
-	if nw.Node(1).down.Load() {
-		t.Fatal("node 1 still down after recovery time")
+	if v := view(); v != 1 {
+		t.Fatalf("the crashed sensor's sense reached the checker: view=%v", v)
 	}
 	// Post-recovery: Seq restarts at 1 under epoch 1; the checker must
 	// apply it (predicate goes false) rather than discard it as stale.
 	nw.Node(1).Sense("x", 0)
 	time.Sleep(30 * time.Millisecond)
-	nw.checkerMu.Lock()
-	v := nw.checker.View(1, "x")
-	nw.checkerMu.Unlock()
-	if v != 0 {
+	if v := view(); v != 0 {
 		t.Fatalf("checker never applied the post-recovery strobe: view=%v", v)
 	}
 	res := nw.Stop(20*time.Millisecond, 5*sim.Millisecond)
@@ -169,31 +205,65 @@ func TestLiveCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestLiveRecoveryDrainsMailbox: messages queued while a node was down
-// must not be replayed into its fresh life.
+// TestLiveRecoveryDrainsMailbox: messages queued for a node's old life
+// must not be replayed into its fresh one. The node is stalled across a
+// planned outage, so its crash and its rejoin queue behind the stall, and
+// so do the copies stuffed into its mailbox meanwhile: each of them is
+// either taken by the old life or drained by the rejoin.
 func TestLiveRecoveryDrainsMailbox(t *testing.T) {
+	reg := obs.NewRegistry()
+	ms := func(d time.Duration) sim.Time { return sim.Time(d / time.Microsecond) }
 	nw := Start(Config{
 		N: 2, Seed: 5, Kind: core.VectorStrobe,
 		Delay:  sim.Synchronous{},
 		Pred:   predicate.MustParse("x@0 == 1"),
-		Faults: faults.NewPlan().Crash(1, 0),
+		Obs:    reg,
+		Faults: faults.NewPlan().Crash(1, ms(10*time.Millisecond)).Recover(1, ms(30*time.Millisecond)),
 	})
-	time.Sleep(5 * time.Millisecond)
-	// Stuff node 1's mailbox directly (deliveries short-circuit on down).
-	for k := 0; k < 10; k++ {
-		nw.Node(1).in <- core.StrobeMsg{Proc: 0, Seq: k + 1}
+	n := nw.Node(1)
+	var old, reborn int // stuffed copies the sensor took before and after its rejoin
+	stalled, release := make(chan struct{}), make(chan struct{})
+	n.post(func() {
+		close(stalled)
+		<-release
+		h := nw.handlers[1]
+		nw.handlers[1] = func(m network.Message, now sim.Time) {
+			if n.s.Epoch() == 0 {
+				old++
+			} else {
+				reborn++
+			}
+			h(m, now)
+		}
+	})
+	<-stalled
+	const stuffed = 10
+	for k := 0; k < stuffed; k++ {
+		n.in <- network.Message{Src: 0, Dst: 1, Payload: core.StrobeMsg{Proc: 0, Seq: k + 1, Vec: []uint64{uint64(k + 1), 0}}}
 	}
-	if !nw.recoverNode(1) {
-		t.Fatal("recoverNode reported no transition")
+	for len(n.cmd) < 2 { // the crash and the rejoin, queued behind the stall
+		time.Sleep(time.Millisecond)
 	}
-	if got := len(nw.Node(1).in); got != 0 {
+	close(release)
+	settled := make(chan struct{})
+	n.post(func() { close(settled) }) // runs after the crash and the rejoin
+	<-settled
+	if reborn != 0 {
+		t.Fatalf("%d stale messages reached the rejoined sensor", reborn)
+	}
+	if got := len(n.in); got != 0 {
 		t.Fatalf("%d stale messages survived recovery", got)
 	}
-	if nw.drained.Load() != 10 {
-		t.Fatalf("drained %d, want 10", nw.drained.Load())
+	if drained := nw.drained.Load(); drained+int64(old) != stuffed {
+		t.Fatalf("drained %d + taken before the rejoin %d, want %d", drained, old, stuffed)
 	}
-	if nw.Node(1).epoch != 1 {
-		t.Fatalf("epoch %d after recovery", nw.Node(1).epoch)
+	if n.s.Epoch() != 1 {
+		t.Fatalf("epoch %d after recovery", n.s.Epoch())
 	}
 	nw.Stop(5*time.Millisecond, sim.Millisecond)
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == "live.mailbox_drained" && c.Value != nw.drained.Load() {
+			t.Fatalf("live.mailbox_drained=%d, drained %d", c.Value, nw.drained.Load())
+		}
+	}
 }

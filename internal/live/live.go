@@ -2,9 +2,11 @@
 // deterministic discrete-event simulator, every sensor process is a real
 // goroutine and every link delivery is a timer-delayed channel send — the
 // natural Go realization of the paper's asynchronous message-passing
-// system model (Section 2). The strobe protocols and the checker logic
-// are shared with the DES engine (package core); only the substrate
-// differs.
+// system model (Section 2). Only the substrate is live. Each node
+// goroutine runs a core.Sensor (SVC/SSC rules, sequence numbers, crash
+// epoch), the checker is a core.StrobeChecker registered as on the DES,
+// every link copy takes its fate from network.LinkDelay/DupDelay, and
+// crash/recover transitions come from core.ScheduleFaults.
 //
 // Virtual time in live mode is wall-clock microseconds since Start. Runs
 // are not bit-reproducible (goroutine scheduling and real timers are not),
@@ -13,16 +15,14 @@
 package live
 
 import (
-	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"pervasive/internal/clock"
 	"pervasive/internal/core"
 	"pervasive/internal/faults"
 	"pervasive/internal/flight"
+	"pervasive/internal/network"
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
@@ -51,10 +51,11 @@ type Config struct {
 	// Network.Metrics.Addr.
 	MetricsAddr string
 	// Faults, if non-nil and non-empty, is the deterministic fault plan
-	// (package faults). Crash stops the node's goroutine; recover drains
-	// its mailbox and restarts it with fresh clocks, Seq 1 and a bumped
-	// epoch. Fault times are wall-clock µs since Start. Partitions and
-	// dup/reorder windows gate deliveries like the DES transport.
+	// (package faults). Crash and recover run on the node's goroutine as
+	// the sensor's Crash/Rejoin; a rejoin drains whatever is still queued
+	// in the mailbox. Fault times are wall-clock µs since Start.
+	// Partitions and dup/reorder windows gate deliveries like the DES
+	// transport.
 	Faults *faults.Plan
 	// Flight, if non-nil, is the causal flight recorder. It must be
 	// built with flight.NewConcurrent over N+1 processes (node
@@ -69,6 +70,9 @@ type Config struct {
 type Network struct {
 	cfg   Config
 	nodes []*Node
+	// handlers are what core registered through links: each sensor's
+	// delivery handler, and the checker's at index N.
+	handlers []network.Handler
 
 	checkerMu sync.Mutex
 	checker   *core.StrobeChecker
@@ -85,12 +89,8 @@ type Network struct {
 	done     chan struct{}
 	wg       sync.WaitGroup
 
-	// lifeMu serializes node crash/recover transitions against each other
-	// and against Stop; stopping blocks restarts once shutdown has begun.
-	lifeMu   sync.Mutex
-	stopping bool
-	fault    *faults.Injector
-	timers   []*time.Timer // pending fault transitions, stopped by Stop
+	fault  *faults.Injector
+	timers []*time.Timer // pending fault transitions, stopped by Stop
 
 	// mailboxHW is the high-watermark of any node's mailbox depth. The old
 	// live.mailbox_depth gauge was Set from every delivery goroutine, so
@@ -125,32 +125,13 @@ type Network struct {
 
 // Node is one goroutine-backed sensor process.
 type Node struct {
-	ID  int
-	nw  *Network
-	in  chan core.StrobeMsg
-	cmd chan senseCmd
-
-	// down marks a crashed node: senders drop instead of enqueueing.
-	down atomic.Bool
-	// die ends the current goroutine life only (unlike nw.done); dead is
-	// closed by the goroutine as it exits, ordering its final clock
-	// accesses before the recovery's reset. Both replaced on each
-	// recovery, guarded by nw.lifeMu.
-	die  chan struct{}
-	dead chan struct{}
-
-	// clock state is owned by the node's goroutine; between a crash and
-	// the matching recovery no goroutine is live, so the reset in
-	// recoverNode is ordered before the restarted loop by the go statement.
-	vec   *clock.StrobeVector
-	sc    *clock.StrobeScalar
-	seq   int
-	epoch int
-}
-
-type senseCmd struct {
-	varName string
-	value   float64
+	ID int
+	nw *Network
+	s  *core.Sensor // owned by the node's goroutine
+	in chan network.Message
+	// cmd carries the sensor's own steps — sense events and fault
+	// transitions — onto its goroutine.
+	cmd chan func()
 }
 
 // Start builds and starts the network; every node's goroutine begins
@@ -169,10 +150,11 @@ func Start(cfg Config) *Network {
 		panic("live: engine supports strobe clock kinds only")
 	}
 	nw := &Network{
-		cfg:   cfg,
-		rng:   stats.NewRNG(cfg.Seed),
-		start: time.Now(), //lint:allow determinism(the live engine's virtual time is wall-clock µs since Start by design; the DES is the reproducible harness)
-		done:  make(chan struct{}),
+		cfg:      cfg,
+		rng:      stats.NewRNG(cfg.Seed),
+		start:    time.Now(), //lint:allow determinism(the live engine's virtual time is wall-clock µs since Start by design; the DES is the reproducible harness)
+		done:     make(chan struct{}),
+		handlers: make([]network.Handler, cfg.N+1),
 	}
 	nw.cfg.Obs.SetNow("wall-us", nw.Now)
 	if cfg.Flight != nil {
@@ -217,139 +199,33 @@ func Start(cfg Config) *Network {
 	}
 	nw.checker.SetObs(cfg.Obs)
 	nw.checker.SetFlight(cfg.Flight, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		n := &Node{
-			ID: i, nw: nw,
-			in:   make(chan core.StrobeMsg, cfg.Buffer),
-			cmd:  make(chan senseCmd, cfg.Buffer),
-			die:  make(chan struct{}),
-			dead: make(chan struct{}),
-		}
-		if cfg.Kind == core.VectorStrobe {
-			n.vec = clock.NewStrobeVector(i, cfg.N)
-		} else {
-			n.sc = &clock.StrobeScalar{}
-		}
-		nw.nodes = append(nw.nodes, n)
+	tx := (*links)(nw)
+	nw.checker.Register(tx, cfg.N)
+	sensors := core.NewSensors(tx, core.SensorConfig{N: cfg.N, Kind: cfg.Kind, CheckerIdx: cfg.N, Flight: cfg.Flight},
+		func(int) core.Transport { return tx })
+	for i, s := range sensors {
+		nw.nodes = append(nw.nodes, &Node{
+			ID: i, nw: nw, s: s,
+			in:  make(chan network.Message, cfg.Buffer),
+			cmd: make(chan func(), cfg.Buffer),
+		})
 	}
+	core.ScheduleFaults(cfg.Faults, sensors, func(f *faults.Injector) { nw.fault = f }, nw.at, cfg.Obs, cfg.Flight)
 	for _, n := range nw.nodes {
 		nw.wg.Add(1)
-		go n.loop(n.die, n.dead)
+		go n.loop()
 	}
-	nw.scheduleFaults(faults.NewInjector(cfg.Faults))
 	return nw
 }
 
-// scheduleFaults arms wall-clock timers for the plan's crash/recover
-// transitions and installs the injector gating deliveries.
-func (nw *Network) scheduleFaults(inj *faults.Injector) {
-	if inj == nil {
-		return
-	}
-	for _, ev := range inj.Transitions() {
-		if ev.Proc < 0 || ev.Proc >= nw.cfg.N {
-			panic(fmt.Sprintf("live: fault plan event targets process %d of %d", ev.Proc, nw.cfg.N))
-		}
-	}
-	nw.fault = inj
-	spans := make([]obs.Span, nw.cfg.N)
-	crashes := nw.cfg.Obs.Counter("faults.crashes")
-	recoveries := nw.cfg.Obs.Counter("faults.recoveries")
-	for _, ev := range inj.Transitions() {
-		ev := ev
-		t := time.AfterFunc(time.Duration(ev.At)*time.Microsecond, func() {
-			switch ev.Kind {
-			case faults.Crash:
-				if nw.crashNode(ev.Proc) {
-					crashes.Inc()
-					nw.lifeMu.Lock()
-					spans[ev.Proc] = nw.cfg.Obs.StartSpanAt(
-						"faults.down.p"+strconv.Itoa(ev.Proc), nw.Now())
-					epoch := nw.nodes[ev.Proc].epoch
-					nw.lifeMu.Unlock()
-					nw.recordTransition(flight.Crash, ev.Proc, epoch, "fault:crash(p")
-				}
-			case faults.Recover:
-				if nw.recoverNode(ev.Proc) {
-					recoveries.Inc()
-					nw.lifeMu.Lock()
-					spans[ev.Proc].EndAt(nw.Now())
-					spans[ev.Proc] = obs.Span{}
-					epoch := nw.nodes[ev.Proc].epoch
-					nw.lifeMu.Unlock()
-					nw.recordTransition(flight.Recover, ev.Proc, epoch, "fault:recover(p")
-				}
-			}
-		})
-		nw.timers = append(nw.timers, t)
-	}
-}
-
-// recordTransition stamps a crash/recover flight record for node i and
-// triggers a full-fleet dump tagged with the transition.
-func (nw *Network) recordTransition(kind flight.Kind, i, epoch int, tag string) {
-	fl := nw.cfg.Flight
-	if fl == nil {
-		return
-	}
-	now := nw.Now()
-	fl.Record(flight.Rec{
-		Kind: kind, Proc: int32(i), Peer: flight.NoPeer,
-		Epoch: int32(epoch), At: now,
-	})
-	fl.TriggerDump(tag+strconv.Itoa(i)+")", now)
-}
-
-// crashNode stops node i's goroutine; queued and future deliveries drop.
-// Reports whether a transition happened.
-func (nw *Network) crashNode(i int) bool {
-	nw.lifeMu.Lock()
-	defer nw.lifeMu.Unlock()
-	n := nw.nodes[i]
-	if nw.stopping || n.down.Load() {
-		return false
-	}
-	n.down.Store(true)
-	close(n.die)
-	return true
-}
-
-// recoverNode restarts a crashed node: whatever accumulated in its
-// mailbox while it was down is drained (a reboot loses volatile state),
-// clocks and Seq restart fresh, and the epoch bump tells the checker.
-// Reports whether a transition happened.
-func (nw *Network) recoverNode(i int) bool {
-	nw.lifeMu.Lock()
-	defer nw.lifeMu.Unlock()
-	n := nw.nodes[i]
-	if nw.stopping || !n.down.Load() {
-		return false
-	}
-	<-n.dead // the dead life's last clock accesses precede the reset
-drain:
-	for {
-		select {
-		case <-n.in:
-			nw.drained.Add(1)
-		case <-n.cmd:
-			nw.drained.Add(1)
-		default:
-			break drain
-		}
-	}
-	if n.vec != nil {
-		n.vec = clock.NewStrobeVector(n.ID, nw.cfg.N)
-	} else {
-		n.sc = &clock.StrobeScalar{}
-	}
-	n.seq = 0
-	n.epoch++
-	n.die = make(chan struct{})
-	n.dead = make(chan struct{})
-	n.down.Store(false)
-	nw.wg.Add(1)
-	go n.loop(n.die, n.dead)
-	return true
+// at is the executor core.ScheduleFaults drives: a wall-clock timer that
+// posts fn onto node proc's goroutine t µs after Start, through the channel
+// sense events take.
+func (nw *Network) at(proc int, t sim.Time, fn sim.Handler) {
+	n := nw.nodes[proc]
+	nw.timers = append(nw.timers, time.AfterFunc(t.Std(), func() {
+		n.post(func() { fn(nw.Now()) })
+	}))
 }
 
 // MailboxHighWatermark returns the deepest any node's mailbox has been.
@@ -384,20 +260,26 @@ func (nw *Network) Now() sim.Time {
 // Node returns node i.
 func (nw *Network) Node(i int) *Node { return nw.nodes[i] }
 
-// Sense injects a sense event at the node: its goroutine ticks the clock,
-// broadcasts the strobe, and the ground-truth log records the true time.
+// Sense injects a sense event at the node: the ground-truth log records
+// the true time, and the node's goroutine runs the sensor's sense step
+// (tick the clock, broadcast the strobe).
 func (n *Node) Sense(varName string, value float64) {
-	n.nw.recordTruth(n.ID, varName, value)
-	if n.down.Load() {
+	nw := n.nw
+	nw.recordTruth(n.ID, varName, value)
+	if f := nw.fault; f.Down(n.ID, nw.Now()) { // a nil injector is never down
 		// The world changed but the crashed sensor did not observe it;
 		// ground truth above still records the change.
-		if f := n.nw.fault; f != nil {
-			f.Counts.SuppressedSends.Add(1)
-		}
+		f.Counts.SuppressedSends.Add(1)
 		return
 	}
+	n.post(func() { n.s.Sense(nw.Now(), varName, value) })
+}
+
+// post queues step for the node's goroutine, behind the steps posted
+// before it; after Stop it is dropped.
+func (n *Node) post(step func()) {
 	select {
-	case n.cmd <- senseCmd{varName: varName, value: value}:
+	case n.cmd <- step:
 	case <-n.nw.done:
 	}
 }
@@ -411,197 +293,162 @@ func (nw *Network) recordTruth(proc int, varName string, value float64) {
 	})
 }
 
-// loop is the node goroutine: it serializes sense commands and incoming
-// strobes, owning the node's clock without locks — share memory by
-// communicating.
-func (n *Node) loop(die, dead chan struct{}) {
+// loop is the node goroutine: it serializes the sensor's steps and its
+// deliveries, so the sensor runs without locks — share memory by
+// communicating. A step that bumps the epoch (a rejoin) drains what is
+// still queued: it was delivered to the old life, and a reboot loses
+// volatile state.
+func (n *Node) loop() {
 	defer n.nw.wg.Done()
-	defer close(dead)
 	for {
 		select {
 		case <-n.nw.done:
 			return
-		case <-die:
-			return // crashed; recoverNode starts a fresh life
-		case cmd := <-n.cmd:
-			n.onSense(cmd)
-		case m := <-n.in:
-			n.onStrobe(m)
-		}
-	}
-}
-
-func (n *Node) onSense(cmd senseCmd) {
-	n.seq++
-	msg := core.StrobeMsg{Proc: n.ID, Seq: n.seq, Epoch: n.epoch, Var: cmd.varName, Value: cmd.value}
-	var ownClock uint64
-	if n.vec != nil {
-		msg.Vec = n.vec.Strobe() // SVC1
-		ownClock = msg.Vec[n.ID]
-	} else {
-		msg.Scalar = n.sc.Strobe() // SSC1
-		ownClock = msg.Scalar
-	}
-	if fl := n.nw.cfg.Flight; fl != nil {
-		fl.Record(flight.Rec{
-			Kind: flight.Sense, Proc: int32(n.ID), Peer: flight.NoPeer,
-			Epoch: int32(n.epoch), Seq: uint64(n.seq), At: n.nw.Now(),
-			Attr: fl.Intern(cmd.varName), Clock: ownClock, Value: cmd.value,
-		})
-	}
-	n.nw.broadcast(n.ID, msg)
-}
-
-func (n *Node) onStrobe(m core.StrobeMsg) {
-	if n.vec != nil && m.Vec != nil {
-		n.vec.OnStrobe(m.Vec) // SVC2
-	} else if n.sc != nil && m.Vec == nil {
-		n.sc.OnStrobe(m.Scalar) // SSC2
-	}
-}
-
-// recordMsg stamps one Recv/Drop flight record for a strobe at dst.
-func (nw *Network) recordMsg(kind flight.Kind, dst int, m core.StrobeMsg) {
-	fl := nw.cfg.Flight
-	if fl == nil {
-		return
-	}
-	epoch, seq, clk := m.FlightStamp()
-	fl.Record(flight.Rec{
-		Kind: kind, Proc: int32(dst), Peer: int32(m.Proc),
-		Epoch: int32(epoch), Seq: uint64(seq), At: nw.Now(), PeerClock: clk,
-	})
-}
-
-// broadcast delivers the strobe to every other node and the checker, each
-// copy after an independently sampled delay.
-func (nw *Network) broadcast(src int, m core.StrobeMsg) {
-	now := nw.Now()
-	f := nw.fault
-	for _, peer := range nw.nodes {
-		if peer.ID == src {
-			continue
-		}
-		peer := peer
-		nw.count(m)
-		if f != nil && f.Cut(src, peer.ID, now) {
-			f.Counts.PartitionDrops.Add(1)
-			nw.obsDrops.Inc()
-			nw.recordMsg(flight.Drop, peer.ID, m)
-			continue
-		}
-		d, dropped := nw.sampleDelay(src, peer.ID)
-		if dropped {
-			nw.obsDrops.Inc()
-			nw.recordMsg(flight.Drop, peer.ID, m)
-			continue
-		}
-		nw.scheduleDelivery(peer, m, d, now)
-		if f != nil {
-			if p := f.DupProb(now); p > 0 && nw.chance(p) {
-				if d2, dropped2 := nw.sampleDelay(src, peer.ID); !dropped2 {
-					f.Counts.Duplicates.Add(1)
-					nw.scheduleDelivery(peer, m, d2, now)
-				}
+		case step := <-n.cmd:
+			epoch := n.s.Epoch()
+			step()
+			if n.s.Epoch() != epoch {
+				n.drain()
 			}
+		case m := <-n.in:
+			n.nw.handlers[n.ID](m, n.nw.Now())
 		}
 	}
-	// checker copy
-	nw.count(m)
-	if f != nil && f.Cut(src, nw.cfg.N, now) {
-		f.Counts.PartitionDrops.Add(1)
-		nw.obsDrops.Inc()
-		nw.recordMsg(flight.Drop, nw.cfg.N, m)
-		return
-	}
-	d, dropped := nw.sampleDelay(src, nw.cfg.N)
-	if dropped {
-		nw.obsDrops.Inc()
-		nw.recordMsg(flight.Drop, nw.cfg.N, m)
-		return
-	}
-	time.AfterFunc(nw.shape(d, now).Std(), func() {
+}
+
+// drain discards the mailbox, counting into live.mailbox_drained.
+func (n *Node) drain() {
+	for {
 		select {
-		case <-nw.done:
-			return
+		case <-n.in:
+			n.nw.drained.Add(1)
 		default:
+			return
 		}
+	}
+}
+
+// links is the live engine's core.Transport and core.Receiver: the
+// Network itself under a type whose method set core drives, so Network's
+// exported surface does not grow. Live copies carry no message ID; the
+// sends return 0.
+type links Network
+
+// N implements core.Receiver: the sensors plus the checker.
+func (l *links) N() int { return l.cfg.N + 1 }
+
+// Register implements core.Receiver.
+func (l *links) Register(i int, h network.Handler) { l.handlers[i] = h }
+
+// Send implements core.Transport.
+func (l *links) Send(src, dst int, p network.Payload) uint64 {
+	return l.SendStamped(src, dst, p, flight.Stamp{})
+}
+
+// SendStamped implements core.Transport: one copy, to dst.
+func (l *links) SendStamped(src, dst int, p network.Payload, st flight.Stamp) uint64 {
+	nw := (*Network)(l)
+	nw.transmit(network.Message{Src: src, From: src, Dst: dst, SentAt: nw.Now(), Payload: p, Stamp: st})
+	return 0
+}
+
+// BroadcastStamped implements core.Transport: one copy to every other
+// node, then the checker's.
+func (l *links) BroadcastStamped(src int, p network.Payload, st flight.Stamp) uint64 {
+	nw := (*Network)(l)
+	m := network.Message{Src: src, From: src, SentAt: nw.Now(), Payload: p, Stamp: st}
+	for m.Dst = 0; m.Dst <= nw.cfg.N; m.Dst++ {
+		if m.Dst != src {
+			nw.transmit(m)
+		}
+	}
+	return 0
+}
+
+// transmit sends one link-level copy: counted, its fate and any duplicate
+// drawn by the network's one link discipline on the locked stream, then a
+// timer per delivery.
+func (nw *Network) transmit(m network.Message) {
+	nw.count(m.Payload)
+	now := nw.Now()
+	nw.delayMu.Lock()
+	defer nw.delayMu.Unlock()
+	d, ok := network.LinkDelay(nw.fault, nw.cfg.Delay, nw.rng, m.Src, m.Dst, now)
+	if !ok {
+		nw.obsDrops.Inc()
+		nw.record(flight.Drop, m)
+		return
+	}
+	time.AfterFunc(d.Std(), func() { nw.arrive(m) })
+	if d2, dup := network.DupDelay(nw.fault, nw.cfg.Delay, nw.rng, m.Src, m.Dst, now); dup {
+		time.AfterFunc(d2.Std(), func() { nw.arrive(m) })
+	}
+}
+
+// arrive runs at a copy's arrival, on its timer's goroutine. A destination
+// the fault plan has down takes nothing (faults.crash_drops, as on the
+// DES). The checker applies its copy under its lock; a node's copy goes to
+// its mailbox. A full mailbox is a counted drop, never a blocked goroutine:
+// the old code parked the timer goroutine on `peer.in <- m` until
+// shutdown, so a saturated node accumulated one goroutine per overflowing
+// message.
+func (nw *Network) arrive(m network.Message) {
+	select {
+	case <-nw.done:
+		return
+	default:
+	}
+	if f := nw.fault; f.Down(m.Dst, nw.Now()) {
+		f.Counts.CrashDrops.Add(1)
+		nw.obsDrops.Inc()
+		nw.record(flight.Drop, m)
+		return
+	}
+	if m.Dst == nw.cfg.N {
 		nw.checkerMu.Lock()
 		defer nw.checkerMu.Unlock()
 		nw.obsChecker.Inc()
-		nw.recordMsg(flight.Recv, nw.cfg.N, m)
-		nw.checker.OnStrobe(m, nw.Now())
-	})
-}
-
-// scheduleDelivery arms the timer-delayed mailbox send for one copy. A
-// full mailbox is a counted drop, never a blocked goroutine: the old code
-// parked the timer goroutine on `peer.in <- m` until shutdown, so a
-// saturated node accumulated one goroutine per overflowing message.
-func (nw *Network) scheduleDelivery(peer *Node, m core.StrobeMsg, d sim.Duration, sentAt sim.Time) {
-	time.AfterFunc(nw.shape(d, sentAt).Std(), func() {
-		if peer.down.Load() {
-			if f := nw.fault; f != nil {
-				f.Counts.CrashDrops.Add(1)
-			}
-			nw.obsDrops.Inc()
-			nw.recordMsg(flight.Drop, peer.ID, m)
-			return
-		}
-		select {
-		case peer.in <- m:
-			nw.recordMsg(flight.Recv, peer.ID, m)
-			depth := int64(len(peer.in))
-			for {
-				cur := nw.mailboxHW.Load()
-				if depth <= cur || nw.mailboxHW.CompareAndSwap(cur, depth) {
-					break
-				}
-			}
-		case <-nw.done:
-		default:
-			nw.mailboxDrops.Add(1)
-			nw.obsMailboxDrops.Inc()
-			nw.recordMsg(flight.Drop, peer.ID, m)
-		}
-	})
-}
-
-// shape adds active reorder-window jitter to a sampled delay.
-func (nw *Network) shape(d sim.Duration, at sim.Time) sim.Duration {
-	f := nw.fault
-	if f == nil {
-		return d
+		nw.record(flight.Recv, m)
+		nw.handlers[m.Dst](m, nw.Now())
+		return
 	}
-	if j := f.ReorderJitter(at); j > 0 {
-		nw.delayMu.Lock()
-		d += sim.Duration(nw.rng.Int63n(int64(j) + 1))
-		nw.delayMu.Unlock()
-		f.Counts.Reorders.Add(1)
+	peer := nw.nodes[m.Dst]
+	select {
+	case peer.in <- m:
+		nw.record(flight.Recv, m)
+		depth := int64(len(peer.in))
+		for {
+			cur := nw.mailboxHW.Load()
+			if depth <= cur || nw.mailboxHW.CompareAndSwap(cur, depth) {
+				break
+			}
+		}
+	case <-nw.done:
+	default:
+		nw.mailboxDrops.Add(1)
+		nw.obsMailboxDrops.Inc()
+		nw.record(flight.Drop, m)
 	}
-	return d
 }
 
-// chance draws one biased coin under the RNG lock.
-func (nw *Network) chance(p float64) bool {
-	nw.delayMu.Lock()
-	defer nw.delayMu.Unlock()
-	return nw.rng.Bool(p)
+// record stamps one Recv/Drop flight record for m at its destination.
+func (nw *Network) record(kind flight.Kind, m network.Message) {
+	if fl := nw.cfg.Flight; fl != nil {
+		fl.Record(flight.Rec{
+			Kind: kind, Proc: int32(m.Dst), Peer: int32(m.Src), At: nw.Now(),
+			Epoch: m.Stamp.Epoch, Seq: m.Stamp.Seq, PeerClock: m.Stamp.Clock,
+		})
+	}
 }
 
-func (nw *Network) sampleDelay(src, dst int) (sim.Duration, bool) {
-	nw.delayMu.Lock()
-	defer nw.delayMu.Unlock()
-	return sim.SampleDelay(nw.cfg.Delay, nw.rng, nw.Now(), src, dst)
-}
-
-func (nw *Network) count(m core.StrobeMsg) {
+func (nw *Network) count(p network.Payload) {
+	size := int64(p.WireSize())
 	nw.sentMu.Lock()
 	nw.sent++
-	nw.bytes += int64(m.WireSize())
+	nw.bytes += size
 	nw.sentMu.Unlock()
 	nw.obsSends.Inc()
-	nw.obsBytes.Add(int64(m.WireSize()))
+	nw.obsBytes.Add(size)
 }
 
 // Results of a live run.
@@ -622,12 +469,9 @@ func (nw *Network) Stop(settle time.Duration, tol sim.Duration) Results {
 	sp := nw.cfg.Obs.StartSpanAt("live.stop", nw.Now())
 	time.Sleep(settle)
 	horizon := nw.Now()
-	nw.lifeMu.Lock()
-	nw.stopping = true // no fault transition may restart a node from here
 	for _, t := range nw.timers {
 		t.Stop()
 	}
-	nw.lifeMu.Unlock()
 	nw.stopOnce.Do(func() { close(nw.done) })
 	nw.wg.Wait()
 	sp.EndAt(nw.Now())

@@ -208,8 +208,7 @@ func (p *ShardPart) BroadcastStamped(src int, pl Payload, st flight.Stamp) uint6
 func (p *ShardPart) send(src, skip int, pl Payload, st flight.Stamp) uint64 {
 	sn := p.owner
 	now := p.eng.Now()
-	if f := sn.fault; f != nil && f.Down(src, now) {
-		f.Counts.SuppressedSends.Add(1)
+	if suppressed(sn.fault, src, now) {
 		return 0
 	}
 	var body *sendBody
@@ -228,9 +227,7 @@ func (p *ShardPart) send(src, skip int, pl Payload, st flight.Stamp) uint64 {
 	if body == nil {
 		return 0
 	}
-	p.Stats.Sent += copies
-	p.Stats.Bytes += copies * int64(pl.WireSize()+headerBytes)
-	p.Stats.ByKind[pl.Kind()] += copies
+	p.Stats.countSends(pl, copies)
 	return body.ID
 }
 
@@ -239,26 +236,15 @@ func (p *ShardPart) send(src, skip int, pl Payload, st flight.Stamp) uint64 {
 // may schedule a second delivery under a freshly minted key.
 func (p *ShardPart) transmit(body *sendBody, dst int, pri uint64, now sim.Time) {
 	sn := p.owner
-	f := sn.fault
-	if f != nil && f.Cut(body.Src, dst, now) {
-		p.Stats.Dropped++
-		f.Counts.PartitionDrops.Add(1)
-		return
-	}
 	r := sn.rngs[body.Src]
-	d, dropped := sim.SampleDelay(sn.delay, r, now, body.Src, dst)
-	if dropped {
+	d, ok := LinkDelay(sn.fault, sn.delay, r, body.Src, dst, now)
+	if !ok {
 		p.Stats.Dropped++
 		return
 	}
-	p.schedule(body, dst, now+shapeDelay(f, r, d, now), pri)
-	if f != nil {
-		if pd := f.DupProb(now); pd > 0 && r.Bool(pd) {
-			if d2, dropped2 := sim.SampleDelay(sn.delay, r, now, body.Src, dst); !dropped2 {
-				f.Counts.Duplicates.Add(1)
-				p.schedule(body, dst, now+shapeDelay(f, r, d2, now), sn.priFor(body.Src))
-			}
-		}
+	p.schedule(body, dst, now+d, pri)
+	if d2, dup := DupDelay(sn.fault, sn.delay, r, body.Src, dst, now); dup {
+		p.schedule(body, dst, now+d2, sn.priFor(body.Src))
 	}
 }
 
@@ -278,9 +264,7 @@ func (p *ShardPart) schedule(body *sendBody, dst int, at sim.Time, pri uint64) {
 // was scheduled with, dst the process it is addressed to.
 func (p *ShardPart) deliver(now sim.Time, body any, dst int) {
 	sn := p.owner
-	if f := sn.fault; f != nil && f.Down(dst, now) {
-		p.Stats.Dropped++
-		f.Counts.CrashDrops.Add(1)
+	if p.Stats.crashDropped(sn.fault, dst, now) {
 		return
 	}
 	p.Stats.Delivered++

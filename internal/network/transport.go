@@ -237,19 +237,18 @@ func (nt *Net) Send(src, dst int, p Payload) uint64 {
 
 // SendStamped is Send with the payload's logical identity attached: st
 // rides in the Message and surfaces as the Epoch/Seq/PeerClock columns
-// of the flight Recv/Drop records at the destination. Callers holding a
-// concrete message type pass its FlightStamp values directly; the
+// of the flight Recv/Drop records at the destination. The originating
+// sensor passes the epoch, seq and clock it already holds; the
 // transport itself never type-asserts payloads, so the stamp costs three
 // field copies at origination and nothing per delivery.
 func (nt *Net) SendStamped(src, dst int, p Payload, st flight.Stamp) uint64 {
 	now := nt.eng.Now()
-	if f := nt.fault; f != nil && f.Down(src, now) {
-		f.Counts.SuppressedSends.Add(1)
+	if suppressed(nt.fault, src, now) {
 		return 0
 	}
 	body := &sendBody{ID: nt.newID(), Src: src, SentAt: now, Payload: p, Stamp: st}
 	nt.transmit(body, dst)
-	nt.countSends(p, 1)
+	nt.Stats.countSends(p, 1)
 	return body.ID
 }
 
@@ -270,8 +269,7 @@ func (nt *Net) Broadcast(src int, p Payload) uint64 {
 // allocates the one body its copies share and nothing per copy.
 func (nt *Net) BroadcastStamped(src int, p Payload, st flight.Stamp) uint64 {
 	now := nt.eng.Now()
-	if f := nt.fault; f != nil && f.Down(src, now) {
-		f.Counts.SuppressedSends.Add(1)
+	if suppressed(nt.fault, src, now) {
 		return 0
 	}
 	id := nt.newID()
@@ -290,7 +288,7 @@ func (nt *Net) BroadcastStamped(src int, p Payload, st flight.Stamp) uint64 {
 			copies++
 		}
 	}
-	nt.countSends(p, copies)
+	nt.Stats.countSends(p, copies)
 	return id
 }
 
@@ -299,52 +297,16 @@ func (nt *Net) newID() uint64 {
 	return nt.nextID
 }
 
-// countSends records the link-level transmissions of one logical send (or
-// one flood relay step): Sent, Bytes and ByKind are bumped once, by the
-// copy count, drops included. A step that sent nothing leaves no ByKind
-// key behind, as counting per copy would not.
-func (nt *Net) countSends(p Payload, copies int64) {
-	if copies == 0 {
-		return
-	}
-	nt.Stats.Sent += copies
-	nt.Stats.Bytes += copies * int64(p.WireSize()+headerBytes)
-	nt.Stats.ByKind[p.Kind()] += copies
-}
-
-// shapeDelay adds active reorder-window jitter, drawn from r, to a
-// sampled delay. Both transports pass every scheduled copy through it —
-// first transmissions and duplicate-window copies alike — and the delay
-// only grows, so the sharded lookahead invariant holds.
-func shapeDelay(f *faults.Injector, r *stats.RNG, d sim.Duration, at sim.Time) sim.Duration {
-	if f == nil {
-		return d
-	}
-	if j := f.ReorderJitter(at); j > 0 {
-		d += sim.Duration(r.Int63n(int64(j) + 1))
-		f.Counts.Reorders.Add(1)
-	}
-	return d
-}
-
 // sampleLink decides the fate of one link-level transmission from → to at
-// now: the partition gate, then the delay model's draw, then reorder
-// jitter, in that order on the transport's one RNG stream. ok is false
-// when the copy is lost (already counted as dropped; the caller records
-// the flight Drop).
+// now on the transport's one RNG stream (see LinkDelay). ok is false when
+// the copy is lost (already counted as dropped; the caller records the
+// flight Drop).
 func (nt *Net) sampleLink(from, to int, now sim.Time) (d sim.Duration, ok bool) {
-	f := nt.fault
-	if f != nil && f.Cut(from, to, now) {
-		nt.Stats.Dropped++
-		f.Counts.PartitionDrops.Add(1)
-		return 0, false
-	}
-	d, dropped := sim.SampleDelay(nt.delay, nt.rng, now, from, to)
-	if dropped {
+	d, ok = LinkDelay(nt.fault, nt.delay, nt.rng, from, to, now)
+	if !ok {
 		nt.Stats.Dropped++
 		return 0, false
 	}
-	d = shapeDelay(f, nt.rng, d, now)
 	nt.obsDelay.Observe(float64(d))
 	return d, true
 }
@@ -359,15 +321,8 @@ func (nt *Net) transmit(body *sendBody, dst int) {
 		return
 	}
 	nt.eng.AtFunc(now+d, DeliveryPri, nt.fire, body, dst)
-	if f := nt.fault; f != nil {
-		// Duplicate window: re-deliver with an independently sampled
-		// delay. The checker's Seq discipline must absorb the copy.
-		if p := f.DupProb(now); p > 0 && nt.rng.Bool(p) {
-			if d2, dropped2 := sim.SampleDelay(nt.delay, nt.rng, now, body.Src, dst); !dropped2 {
-				f.Counts.Duplicates.Add(1)
-				nt.eng.AtFunc(now+shapeDelay(f, nt.rng, d2, now), DeliveryPri, nt.fire, body, dst)
-			}
-		}
+	if d2, dup := DupDelay(nt.fault, nt.delay, nt.rng, body.Src, dst, now); dup {
+		nt.eng.AtFunc(now+d2, DeliveryPri, nt.fire, body, dst)
 	}
 }
 
@@ -375,24 +330,11 @@ func (nt *Net) transmit(body *sendBody, dst int) {
 // copy was scheduled with, dst the process it is addressed to.
 func (nt *Net) deliverCopy(now sim.Time, body any, dst int) {
 	b := body.(*sendBody)
-	if nt.crashDropped(dst, now) {
+	if nt.Stats.crashDropped(nt.fault, dst, now) {
 		nt.recordDrop(dst, b.Src, b.Stamp, now)
 		return
 	}
 	nt.handle(b.message(dst), now)
-}
-
-// crashDropped reports whether the copy arriving at dst at now dies there
-// because a fault plan has dst crashed — crashed processes take no
-// deliveries — and counts the drop when so.
-func (nt *Net) crashDropped(dst int, now sim.Time) bool {
-	f := nt.fault
-	if f == nil || !f.Down(dst, now) {
-		return false
-	}
-	nt.Stats.Dropped++
-	f.Counts.CrashDrops.Add(1)
-	return true
 }
 
 // handle invokes the destination's handler (fault gating already done).
@@ -453,7 +395,7 @@ func (nt *Net) relay(m Message) {
 		nt.inflight[m.ID]++
 		nt.eng.AtFunc(now+d, DeliveryPri, nt.fireHop, wave, j)
 	}
-	nt.countSends(m.Payload, copies)
+	nt.Stats.countSends(m.Payload, copies)
 }
 
 // deliverHop runs at a flood copy's arrival: body is the wave (*Message)
@@ -466,7 +408,7 @@ func (nt *Net) deliverHop(now sim.Time, body any, dst int) {
 	if nt.seen[dst][wave.ID] {
 		return // duplicate arrived first via another path
 	}
-	if nt.crashDropped(dst, now) { // crashed receivers neither deliver nor relay
+	if nt.Stats.crashDropped(nt.fault, dst, now) { // crashed receivers neither deliver nor relay
 		nt.recordDrop(dst, wave.Src, wave.Stamp, now)
 		return
 	}
