@@ -15,25 +15,29 @@ check: build vet lint bench-obs-smoke test-race
 test-race:
 	$(GO) test -race ./...
 
-# Ten seconds of the native fuzzer on each of five targets. Three are
+# Ten seconds of the native fuzzer on each of seven targets. Four are
 # differential: the incremental ground-truth scorer against
 # world.TrueIntervals over fuzzed predicates and logs (DESIGN.md §1.1), the
 # sparse strobe clock against the dense one over fuzzed interleavings of
-# strobes and hostile stamps (DESIGN.md §1.10), and the flat checker's
+# strobes and hostile stamps (DESIGN.md §1.10), the flat checker's
 # columnar view against a predicate.MapState model over fuzzed strobes —
 # out-of-range processes, epoch bumps, stale seqs, race probes (DESIGN.md
-# §1.1). Two feed arbitrary bytes to a decoder — the PVWL workload trace
-# (FuzzWorkloadDecode) and the checker tree's sync batch with the stamp
-# batch inside it (FuzzDecodeBatch): no panic, and whatever decodes
-# re-encodes to bytes that decode to the same value. New inputs stay in the
-# Go build cache; only a failing one is written under the package's
-# testdata/fuzz.
+# §1.1) — and lattice.Survey against the recursive enumerator over fuzzed
+# execution shapes (DESIGN.md §1.6). Three feed arbitrary input to a
+# parser — the PVWL workload trace (FuzzWorkloadDecode), the checker
+# tree's sync batch with the stamp batch inside it (FuzzDecodeBatch) and
+# the -faults plan grammar (FuzzFaultsParse): no panic, allocation bounded
+# by the input's length, and whatever parses re-encodes to a fixed point.
+# New inputs stay in the Go build cache; only a failing one is written
+# under the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTruthOracle -fuzztime=10s ./internal/world/
 	$(GO) test -run='^$$' -fuzz=FuzzSparseOnStrobe -fuzztime=10s ./internal/clock/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckerView -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzSurveyOracle -fuzztime=10s ./internal/lattice/
 	$(GO) test -run='^$$' -fuzz=FuzzWorkloadDecode -fuzztime=10s ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/checker/
+	$(GO) test -run='^$$' -fuzz=FuzzFaultsParse -fuzztime=10s ./internal/faults/
 
 build:
 	$(GO) build ./...
@@ -42,11 +46,11 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific invariants over the module-wide call graph
-# (determinism + interprocedural taint, clock rules, fast paths,
-# hot-path allocations, codec pairing, goroutine hygiene, atomics —
-# see DESIGN.md §1.8) plus a gofmt gate. Suppressions use
-# //lint:allow <analyzer>(<reason>); see cmd/pervalint.
-# `pervalint -why file:line` explains a determtaint finding.
+# (determinism with its interprocedural taint, clock rules, fast paths,
+# hot-path allocations, goroutine hygiene — see DESIGN.md §1.8) plus a
+# gofmt gate. Exits 1 on any finding, an unused or duplicate allow
+# included. Suppressions use //lint:allow <analyzer>(<reason>); see
+# cmd/pervalint. `pervalint -why file:line` explains a boundary crossing.
 lint:
 	$(GO) run ./cmd/pervalint ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \

@@ -2,8 +2,8 @@
 // loads and type-checks every package in the module with only the
 // standard library (go/parser + go/types; no x/tools) and runs the
 // project-specific analyzers that enforce the determinism, clock-rule,
-// fast-path, goroutine-hygiene, atomics, hot-path-allocation and
-// codec-pairing invariants over a module-wide call graph (DESIGN.md §1.8).
+// fast-path, hot-path-allocation and goroutine-hygiene invariants over a
+// module-wide call graph (DESIGN.md §1.8).
 //
 // Usage:
 //
@@ -16,14 +16,11 @@
 // Flags:
 //
 //	-json            emit diagnostics as JSON (schema below)
-//	-analyzers list  comma-separated analyzer subset (default: all)
 //	-list            print the analyzers and exit
 //	-C dir           run as if launched from dir (module root discovery)
-//	-graph           print call-graph statistics (functions, edges,
-//	                 interface sites, unresolved calls) before diagnostics
-//	-why file:line   print the call-graph path behind the determtaint
-//	                 finding at that position (file matched by suffix)
-//	                 instead of the normal diagnostic listing
+//	-why file:line   print the call-graph path behind the determinism
+//	                 boundary-crossing finding at that position (file
+//	                 matched by suffix) instead of the normal listing
 //
 // Suppressions use the //lint:allow grammar checked by the driver
 // itself: `//lint:allow <analyzer>(<reason>)` on the offending line or
@@ -65,21 +62,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pervalint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
-	names := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	list := fs.Bool("list", false, "print the analyzers and exit")
 	chdir := fs.String("C", ".", "directory to resolve the module from")
-	graph := fs.Bool("graph", false, "print call-graph statistics before diagnostics")
-	why := fs.String("why", "", "print the determtaint call-graph path for the finding at file:line")
+	why := fs.String("why", "", "print the determinism call-graph path for the finding at file:line")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	analyzers, err := analysis.ByName(*names)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
 	if *list {
-		for _, a := range analyzers {
+		for _, a := range analysis.All() {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
@@ -102,17 +92,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	res, err := analysis.Run(loader, analysis.DefaultConfig(), analyzers, paths)
+	res, err := analysis.Run(loader, analysis.DefaultConfig(), paths)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	diags := res.Diagnostics
-	if *graph {
-		g := res.Mod.Graph
-		fmt.Fprintf(stdout, "call graph: %d functions, %d static edges, %d dynamic edges (%d interface call sites), %d unresolved function-value calls\n",
-			g.NumFuncs, g.NumStaticEdges, g.NumDynamicEdges, g.NumIfaceSites, g.NumUnresolved)
-	}
 	if *why != "" {
 		file, line, err := parseWhy(*why)
 		if err != nil {
@@ -121,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		path := res.ExplainTaint(file, line)
 		if path == nil {
-			fmt.Fprintf(stderr, "pervalint: no determtaint finding at %s (run without -why to list findings)\n", *why)
+			fmt.Fprintf(stderr, "pervalint: no determinism boundary crossing at %s (run without -why to list findings)\n", *why)
 			return 1
 		}
 		for _, l := range path {

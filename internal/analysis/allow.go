@@ -42,12 +42,9 @@ type allowIndex struct {
 }
 
 // parseAllows scans every comment of the package for allow annotations.
-// Malformed annotations and annotations naming an analyzer outside the
-// full inventory are reported immediately (analyzer "allow"). An allow
-// for a known analyzer that is not in the enabled subset is parsed but
-// not indexed: it cannot suppress anything this run, and it must not be
-// reported as unused just because its analyzer was switched off.
-func parseAllows(fset *token.FileSet, files []*ast.File, analyzers []*Analyzer) (*allowIndex, []Diagnostic) {
+// Malformed annotations and annotations naming no analyzer of the suite
+// are reported immediately (analyzer "allow").
+func parseAllows(fset *token.FileSet, files []*ast.File) (*allowIndex, []Diagnostic) {
 	idx := &allowIndex{byLine: make(map[string]map[int][]*allowEntry)}
 	var diags []Diagnostic
 	report := func(pos token.Position, msg string) {
@@ -58,14 +55,6 @@ func parseAllows(fset *token.FileSet, files []*ast.File, analyzers []*Analyzer) 
 	}
 	known := func(name string) bool {
 		for _, a := range All() {
-			if a.Name == name {
-				return true
-			}
-		}
-		return false
-	}
-	enabled := func(name string) bool {
-		for _, a := range analyzers {
 			if a.Name == name {
 				return true
 			}
@@ -129,9 +118,6 @@ func parseAllows(fset *token.FileSet, files []*ast.File, analyzers []*Analyzer) 
 				}
 				if !known(name) {
 					report(pos, "//lint:allow names unknown analyzer "+name)
-					continue
-				}
-				if !enabled(name) {
 					continue
 				}
 				e := &allowEntry{pos: pos, analyzer: name, reason: reason}

@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Config scopes the analyzers to the packages whose invariants they
@@ -14,10 +13,9 @@ import (
 // repo's real scoping. Fixture tests substitute their own paths.
 type Config struct {
 	// DeterministicPkgs are the packages whose runs must be bit-for-bit
-	// reproducible: wall-clock reads, global rand and map-ordered
-	// iteration are flagged there, and the determtaint analyzer flags
-	// calls out of them into nondeterministic helpers anywhere in the
-	// module.
+	// reproducible: the determinism analyzer flags wall-clock reads,
+	// global rand and map-ordered iteration there, and calls out of them
+	// into nondeterministic helpers anywhere in the module.
 	DeterministicPkgs []string
 	// ClockPkg is the clock package whose SVC/SSC/VC/SC state the
 	// clockrule analyzer guards.
@@ -25,11 +23,12 @@ type Config struct {
 	// ClockRuleFuncs are the clock methods allowed to mutate clock
 	// state (the paper's rule applications), besides New* constructors.
 	ClockRuleFuncs []string
-	// ObsPkg and FaultsPkg hold the nil-receiver no-op instrument types.
-	ObsPkg    string
-	FaultsPkg string
-	// NoopTypes lists, per package import path, the types whose methods
-	// must follow the nil-receiver fast-path discipline.
+	// ObsPkg holds the registry whose string-keyed lookups the fastpath
+	// analyzer keeps out of loops.
+	ObsPkg string
+	// NoopTypes lists, per package import path, the types whose nil
+	// pointer is the disabled fast path and so must not be wrapped in a
+	// non-empty interface.
 	NoopTypes map[string][]string
 	// HotPkgs are the engine packages where string-keyed registry
 	// lookups (Registry.Counter/Gauge/Histogram) inside loops are
@@ -40,10 +39,6 @@ type Config struct {
 	// "pkgpath.Func" for package functions or "pkgpath.Type.Method"
 	// for methods (pointer receivers match the bare type name).
 	HotFuncs []string
-	// CodecPkgs are the wire-format packages where every exported
-	// Encode*/Append*/Write* must have a Decode*/Read* counterpart and
-	// a round-trip test referencing both (codecpair analyzer).
-	CodecPkgs []string
 }
 
 // DefaultConfig is pervalint's scoping for this repository.
@@ -63,7 +58,6 @@ func DefaultConfig() Config {
 		ClockPkg:       m + "/internal/clock",
 		ClockRuleFuncs: []string{"Strobe", "OnStrobe", "Tick", "Send", "Receive", "MergeFrom", "MergeSparse", "Reset"},
 		ObsPkg:         m + "/internal/obs",
-		FaultsPkg:      m + "/internal/faults",
 		NoopTypes: map[string][]string{
 			m + "/internal/obs":    {"Counter", "Gauge", "Histogram", "LocalHist", "Registry", "Span"},
 			m + "/internal/faults": {"Injector"},
@@ -91,11 +85,6 @@ func DefaultConfig() Config {
 			m + "/internal/checker.Tree.applyDelta",
 			m + "/internal/workload.appendUvarint",
 			m + "/internal/workload.decoder.uvarint",
-		},
-		CodecPkgs: []string{
-			m + "/internal/workload",
-			m + "/internal/checker",
-			m + "/internal/clock",
 		},
 	}
 }
@@ -135,14 +124,12 @@ type Module struct {
 	// Pkgs are the packages being analyzed this run, in request order.
 	Pkgs []*Package
 
-	analyzers []*Analyzer
-	allows    map[string]*allowIndex // import path -> parsed allows
-	taint     *taintResult           // memoized by the determtaint analyzer
-	hot       *hotResult             // memoized by the hotpath analyzer
+	allows map[string]*allowIndex // import path -> parsed allows
+	taint  *taintResult           // memoized by the determinism analyzer
+	hot    *hotResult             // memoized by the hotpath analyzer
 
-	clockSanct   map[*types.Func]bool    // memoized by clockrule (graph-sanctioned writers)
-	regLookups   map[*types.Func]string  // memoized by fastpath (helpers doing registry lookups)
-	atomicFields map[types.Object]string // memoized by atomics (module-wide atomic fields)
+	clockSanct map[*types.Func]bool   // memoized by clockrule (graph-sanctioned writers)
+	regLookups map[*types.Func]string // memoized by fastpath (helpers doing registry lookups)
 }
 
 // allowsFor parses (memoized) the //lint:allow annotations of pkg.
@@ -153,7 +140,7 @@ func (m *Module) allowsFor(pkg *Package) (*allowIndex, []Diagnostic) {
 	if idx, ok := m.allows[pkg.ImportPath]; ok {
 		return idx, nil
 	}
-	idx, diags := parseAllows(m.Loader.Fset, pkg.Files, m.analyzers)
+	idx, diags := parseAllows(m.Loader.Fset, pkg.Files)
 	m.allows[pkg.ImportPath] = idx
 	return idx, diags
 }
@@ -217,7 +204,7 @@ type Analyzer struct {
 var allAnalyzers []*Analyzer
 
 func init() {
-	allAnalyzers = []*Analyzer{Determinism, DetermTaint, ClockRule, FastPath, HotPath, CodecPair, Goroutine, Atomics}
+	allAnalyzers = []*Analyzer{Determinism, ClockRule, FastPath, HotPath, Goroutine}
 }
 
 // All returns the full analyzer suite in reporting order.
@@ -225,63 +212,28 @@ func All() []*Analyzer {
 	return allAnalyzers
 }
 
-// ByName resolves a comma-separated analyzer list ("" means all).
-func ByName(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return All(), nil
-	}
-	var out []*Analyzer
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		found := false
-		for _, a := range All() {
-			if a.Name == name {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("analysis: unknown analyzer %q", name)
-		}
-	}
-	return out, nil
-}
-
 // Result is one full run: the diagnostics plus the whole-program
-// context (call graph, taint paths) behind them, for pervalint's
-// -graph and -why output.
+// context (call graph, taint paths) behind them, for pervalint's -why
+// output.
 type Result struct {
 	Diagnostics []Diagnostic
 	Mod         *Module
 }
 
-// RunPackages loads each import path with the loader, runs the given
-// analyzers over it, applies //lint:allow suppression, and reports
-// unused or malformed allow annotations. Diagnostics come back sorted
-// by file, line, column.
-func RunPackages(l *Loader, cfg Config, analyzers []*Analyzer, paths []string) ([]Diagnostic, error) {
-	res, err := Run(l, cfg, analyzers, paths)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
-}
-
-// Run is RunPackages with the whole-program context kept: packages are
-// loaded first (pulling their module-local dependency closure into the
-// loader), the call graph is built once over everything loaded, and
-// only then do the analyzers run — so every pass sees the same
-// module-wide graph. Allow suppression is applied per package after
-// every pass has run, because interprocedural analyzers mark allows
-// used across package boundaries (a determtaint seed suppression in a
-// helper package must not surface as unused).
-func Run(l *Loader, cfg Config, analyzers []*Analyzer, paths []string) (*Result, error) {
+// Run loads each import path with the loader (pulling its module-local
+// dependency closure in), builds the call graph once over everything
+// loaded, runs every analyzer over each requested package — so every
+// pass sees the same module-wide graph — then applies //lint:allow
+// suppression and reports unused or malformed allow annotations.
+// Suppression runs after every pass, because the determinism analyzer
+// marks allows used across package boundaries (a seed waiver in a
+// helper package must not surface as unused). Diagnostics come back
+// sorted by file, line, column.
+func Run(l *Loader, cfg Config, paths []string) (*Result, error) {
 	mod := &Module{
-		Loader:    l,
-		Config:    cfg,
-		analyzers: analyzers,
-		allows:    make(map[string]*allowIndex),
+		Loader: l,
+		Config: cfg,
+		allows: make(map[string]*allowIndex),
 	}
 	for _, path := range paths {
 		pkg, err := l.Load(path)
@@ -303,7 +255,7 @@ func Run(l *Loader, cfg Config, analyzers []*Analyzer, paths []string) (*Result,
 		grammar[i] = gd
 	}
 	for i, pkg := range mod.Pkgs {
-		for _, a := range analyzers {
+		for _, a := range All() {
 			pass := &Pass{
 				Fset:       l.Fset,
 				Files:      pkg.Files,

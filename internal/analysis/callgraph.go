@@ -34,13 +34,6 @@ type CallGraph struct {
 	// linkage, which the module does not use) are absent.
 	DeclOf map[*types.Func]*ast.FuncDecl
 	PkgOf  map[*types.Func]*Package
-
-	// Stats, for pervalint -graph.
-	NumFuncs        int // module functions with bodies
-	NumStaticEdges  int
-	NumDynamicEdges int // interface-call edges after implements-set resolution
-	NumIfaceSites   int // interface call sites resolved
-	NumUnresolved   int // calls through plain function values (no edge)
 }
 
 // CallEdge is one call site: Caller invokes Callee at Pos. Dynamic
@@ -85,7 +78,6 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 				fn = canonFunc(fn)
 				g.DeclOf[fn] = fd
 				g.PkgOf[fn] = pkg
-				g.NumFuncs++
 			}
 		}
 	}
@@ -114,19 +106,11 @@ func canonFunc(fn *types.Func) *types.Func {
 	return fn
 }
 
-// implSets indexes, per interface method, the concrete module methods
-// that can stand behind it.
-type implSets struct {
-	// byIfaceMethod maps an interface's *types.Func (the abstract
-	// method object) to the concrete implementations.
-	byIfaceMethod map[*types.Func][]*types.Func
-	numPairs      int
-}
-
 // buildImplementsSets computes, for every interface type declared in
 // the module, the set of module-declared named types implementing it,
-// and resolves each interface method to the concrete methods.
-func buildImplementsSets(pkgs []*Package, g *CallGraph) *implSets {
+// and maps each interface method (the abstract *types.Func) to the
+// concrete module methods that can stand behind it.
+func buildImplementsSets(pkgs []*Package, g *CallGraph) map[*types.Func][]*types.Func {
 	type ifaceInfo struct {
 		iface *types.Interface
 		tn    *types.TypeName
@@ -153,7 +137,7 @@ func buildImplementsSets(pkgs []*Package, g *CallGraph) *implSets {
 			concrete = append(concrete, tn)
 		}
 	}
-	sets := &implSets{byIfaceMethod: make(map[*types.Func][]*types.Func)}
+	sets := make(map[*types.Func][]*types.Func)
 	for _, ii := range ifaces {
 		for _, tn := range concrete {
 			t := tn.Type()
@@ -166,7 +150,6 @@ func buildImplementsSets(pkgs []*Package, g *CallGraph) *implSets {
 			default:
 				continue
 			}
-			sets.numPairs++
 			for i := 0; i < ii.iface.NumMethods(); i++ {
 				am := ii.iface.Method(i)
 				obj, _, _ := types.LookupFieldOrMethod(impl, true, am.Pkg(), am.Name())
@@ -178,12 +161,12 @@ func buildImplementsSets(pkgs []*Package, g *CallGraph) *implSets {
 				if _, declared := g.DeclOf[cm]; !declared {
 					continue // embedded method from outside the module
 				}
-				sets.byIfaceMethod[am] = append(sets.byIfaceMethod[am], cm)
+				sets[am] = append(sets[am], cm)
 			}
 		}
 	}
-	for am := range sets.byIfaceMethod {
-		ms := sets.byIfaceMethod[am]
+	for am := range sets {
+		ms := sets[am]
 		sort.Slice(ms, func(i, j int) bool { return funcKey(ms[i]) < funcKey(ms[j]) })
 	}
 	return sets
@@ -211,7 +194,7 @@ func derefType(t types.Type) types.Type {
 }
 
 // addEdges walks fn's body (closures included) and records every call.
-func (g *CallGraph) addEdges(fn *types.Func, fd *ast.FuncDecl, pkg *Package, impls *implSets) {
+func (g *CallGraph) addEdges(fn *types.Func, fd *ast.FuncDecl, pkg *Package, impls map[*types.Func][]*types.Func) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -219,28 +202,20 @@ func (g *CallGraph) addEdges(fn *types.Func, fd *ast.FuncDecl, pkg *Package, imp
 		}
 		callee := calleeFunc(pkg.Info, call)
 		if callee == nil {
-			// Conversions and builtins also land here; only count a
-			// genuine function-value call as unresolved.
-			if isFuncValueCall(pkg.Info, call) {
-				g.NumUnresolved++
-			}
-			return true
+			return true // a conversion, a builtin, or a function-value call
 		}
 		callee = canonFunc(callee)
 		if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
 			if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
 				// Interface dispatch: fan out to the implements-set.
-				g.NumIfaceSites++
-				for _, cm := range impls.byIfaceMethod[callee] {
+				for _, cm := range impls[callee] {
 					g.link(CallEdge{Caller: fn, Callee: cm, Pos: call.Pos(), Dynamic: true, Iface: callee})
-					g.NumDynamicEdges++
 				}
 				return true
 			}
 		}
 		if _, declared := g.DeclOf[callee]; declared {
 			g.link(CallEdge{Caller: fn, Callee: callee, Pos: call.Pos()})
-			g.NumStaticEdges++
 		}
 		return true
 	})
@@ -249,32 +224,6 @@ func (g *CallGraph) addEdges(fn *types.Func, fd *ast.FuncDecl, pkg *Package, imp
 func (g *CallGraph) link(e CallEdge) {
 	g.Callees[e.Caller] = append(g.Callees[e.Caller], e)
 	g.Callers[e.Callee] = append(g.Callers[e.Callee], e)
-}
-
-// isFuncValueCall reports whether call invokes a plain function value
-// (a variable, field, or parameter of function type) — the dispatch
-// shape the graph cannot resolve statically.
-func isFuncValueCall(info *types.Info, call *ast.CallExpr) bool {
-	fun := ast.Unparen(call.Fun)
-	tv, ok := info.Types[fun]
-	if !ok || tv.IsType() || tv.IsBuiltin() {
-		return false
-	}
-	_, isSig := tv.Type.Underlying().(*types.Signature)
-	if !isSig {
-		return false
-	}
-	switch f := fun.(type) {
-	case *ast.Ident:
-		_, isVar := info.Uses[f].(*types.Var)
-		return isVar
-	case *ast.SelectorExpr:
-		_, isVar := info.Uses[f.Sel].(*types.Var)
-		return isVar
-	case *ast.FuncLit:
-		return false // immediately-invoked literal: body walked in place
-	}
-	return true
 }
 
 // FuncByName resolves "pkgpath.Func" or "pkgpath.Type.Method" (pointer

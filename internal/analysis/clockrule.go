@@ -184,12 +184,8 @@ func allowedClockWriter(p *Pass, fd *ast.FuncDecl) bool {
 	if directClockWriter(p.Config, fd.Name.Name, fd.Recv != nil) {
 		return true
 	}
-	if p.Mod != nil && p.Mod.Graph != nil {
-		if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-			return p.Mod.clockSanctioned()[canonFunc(fn)]
-		}
-	}
-	return false
+	fn, ok := p.Info.Defs[fd.Name].(*types.Func)
+	return ok && p.Mod.clockSanctioned()[canonFunc(fn)]
 }
 
 // directClockWriter is the non-graph base case: constructors and the

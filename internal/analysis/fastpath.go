@@ -10,158 +10,32 @@ import (
 // FastPath guards the zero-cost-when-disabled contract of the obs and
 // faults layers (the <5% kernel-overhead budget behind `make bench-obs`
 // and cmd/bench's obs.overhead_pct, and the no-plan ≡ empty-plan
-// guarantee of the fault layer, rest on it). Three checks:
+// guarantee of the fault layer, rest on it). Two checks:
 //
-//  1. nil-receiver discipline: every exported method of the no-op
-//     instrument types (obs.Counter/Gauge/Histogram/LocalHist/Registry/
-//     Span, faults.Injector) must begin with a nil guard, or consist
-//     purely of delegation to other methods of the same receiver —
-//     obs.Noop and the nil Injector are the disabled fast path, and an
-//     unguarded method turns "instrumentation off" into a panic.
-//  2. no registry lookups in hot loops: Registry.Counter/Gauge/
+//  1. no registry lookups in hot loops: Registry.Counter/Gauge/
 //     Histogram resolve through a string-keyed map under a lock;
 //     engines must resolve instruments once and hold the pointer, not
 //     look them up per iteration.
-//  3. no typed-nil interface wrapping: storing a possibly-nil *Counter
+//  2. no typed-nil interface wrapping: storing a possibly-nil *Counter
 //     (etc.) into a non-empty interface yields an interface that
 //     compares non-nil, defeating every nil check downstream.
+//
+// That every exported method of the no-op types is safe on the nil
+// receiver is a test, not a rule: TestNoopTypesAreNilSafe calls each one.
 var FastPath = &Analyzer{
 	Name: "fastpath",
-	Doc:  "nil-receiver no-op discipline, no registry lookups in hot loops, no typed-nil interface wrapping",
+	Doc:  "no registry lookups in hot loops, no typed-nil interface wrapping of the no-op instrument types",
 	Run:  runFastPath,
 }
 
 func runFastPath(p *Pass) {
-	if names, ok := p.Config.NoopTypes[p.ImportPath]; ok {
-		checkNilGuards(p, names)
-	}
 	if contains(p.Config.HotPkgs, p.ImportPath) {
 		checkHotLookups(p)
 	}
 	checkTypedNil(p)
 }
 
-// ---- check 1: nil-receiver guards ----
-
-func checkNilGuards(p *Pass, noopNames []string) {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || !fd.Name.IsExported() || fd.Body == nil {
-				continue
-			}
-			if !contains(noopNames, recvBaseName(fd)) {
-				continue
-			}
-			recv := recvIdent(fd)
-			if recv == nil {
-				continue // unnamed receiver cannot be dereferenced
-			}
-			recvObj := p.Info.Defs[recv]
-			if startsWithNilGuard(p, fd.Body, recvObj) || pureDelegation(p, fd.Body, recvObj) {
-				continue
-			}
-			p.Reportf(fd.Name.Pos(), "method %s.%s must start with a nil-receiver guard: the nil %s is the disabled no-op fast path", recvBaseName(fd), fd.Name.Name, recvBaseName(fd))
-		}
-	}
-}
-
-func recvIdent(fd *ast.FuncDecl) *ast.Ident {
-	names := fd.Recv.List[0].Names
-	if len(names) == 0 || names[0].Name == "_" {
-		return nil
-	}
-	return names[0]
-}
-
-// startsWithNilGuard reports whether the body's first statement tests
-// the receiver (or a field of it) against nil — either an if statement
-// or a single comparison return like `return r != nil`.
-func startsWithNilGuard(p *Pass, body *ast.BlockStmt, recv types.Object) bool {
-	if len(body.List) == 0 {
-		return false
-	}
-	switch first := body.List[0].(type) {
-	case *ast.IfStmt:
-		return exprHasNilCompare(p, first.Cond, recv)
-	case *ast.ReturnStmt:
-		for _, r := range first.Results {
-			if exprHasNilCompare(p, r, recv) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// exprHasNilCompare reports whether e contains `x == nil` or `x != nil`
-// where x mentions the receiver.
-func exprHasNilCompare(p *Pass, e ast.Expr, recv types.Object) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-			return !found
-		}
-		var other ast.Expr
-		if isNilIdent(p, be.X) {
-			other = be.Y
-		} else if isNilIdent(p, be.Y) {
-			other = be.X
-		} else {
-			return !found
-		}
-		ast.Inspect(other, func(m ast.Node) bool {
-			if id, ok := m.(*ast.Ident); ok && p.Info.Uses[id] == recv {
-				found = true
-			}
-			return !found
-		})
-		return !found
-	})
-	return found
-}
-
-func isNilIdent(p *Pass, e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNil := p.Info.Uses[id].(*types.Nil)
-	return isNil
-}
-
-// pureDelegation reports whether every use of the receiver in the body
-// is either a nil comparison or a method call/selection on the receiver
-// — such methods are nil-safe because the methods they delegate to are
-// themselves checked (e.g. Registry.Handler).
-func pureDelegation(p *Pass, body *ast.BlockStmt, recv types.Object) bool {
-	ok := true
-	inspectStack(body, func(n ast.Node, stack []ast.Node) bool {
-		id, isIdent := n.(*ast.Ident)
-		if !isIdent || p.Info.Uses[id] != recv {
-			return ok
-		}
-		parent := stack[len(stack)-1]
-		if sel, isSel := parent.(*ast.SelectorExpr); isSel && sel.X == id {
-			if s := p.Info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
-				return ok // method call on the receiver: delegation
-			}
-			ok = false // field access: a deref that nil would crash
-			return false
-		}
-		if be, isCmp := parent.(*ast.BinaryExpr); isCmp && (be.Op == token.EQL || be.Op == token.NEQ) {
-			if isNilIdent(p, be.X) || isNilIdent(p, be.Y) {
-				return ok // nil comparison
-			}
-		}
-		ok = false
-		return false
-	})
-	return ok
-}
-
-// ---- check 2: registry lookups in hot loops ----
+// ---- check 1: registry lookups in hot loops ----
 
 // registryLookupName classifies call as a Registry.Counter/Gauge/
 // Histogram lookup, returning the method name or "".
@@ -174,7 +48,10 @@ func registryLookupName(info *types.Info, call *ast.CallExpr, obsPkg string) str
 		return ""
 	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !typeInPtr(sig.Recv().Type(), obsPkg, "Registry") {
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	if n := namedType(derefType(sig.Recv().Type())); n == nil || n.Obj().Name() != "Registry" {
 		return ""
 	}
 	return fn.Name()
@@ -237,10 +114,7 @@ func checkHotLookups(p *Pass) {
 	if p.Config.ObsPkg == "" || p.ImportPath == p.Config.ObsPkg {
 		return
 	}
-	var helperLookups map[*types.Func]string
-	if p.Mod != nil && p.Mod.Graph != nil {
-		helperLookups = p.Mod.registryLookupFuncs()
-	}
+	helperLookups := p.Mod.registryLookupFuncs()
 	for _, f := range p.Files {
 		inspectStack(f, func(n ast.Node, stack []ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -283,14 +157,7 @@ func checkHotLookups(p *Pass) {
 	}
 }
 
-func typeInPtr(t types.Type, pkgPath string, name string) bool {
-	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	return typeIn(t, pkgPath, name)
-}
-
-// ---- check 3: typed-nil interface wrapping ----
+// ---- check 2: typed-nil interface wrapping ----
 
 func checkTypedNil(p *Pass) {
 	noopPtr := func(t types.Type) (string, bool) {

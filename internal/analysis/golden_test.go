@@ -25,15 +25,11 @@ func fixtureConfig() Config {
 		ClockPkg:          "fix/clockpkg",
 		ClockRuleFuncs:    []string{"Strobe", "OnStrobe", "Tick", "Reset"},
 		ObsPkg:            "fix/fastobs",
-		NoopTypes: map[string][]string{
-			"fix/fastobs":   {"Counter", "Registry"},
-			"fix/flightrec": {"Recorder"},
-		},
-		HotPkgs: []string{"fix/fastuser"},
+		NoopTypes:         map[string][]string{"fix/fastobs": {"Counter", "Registry"}},
+		HotPkgs:           []string{"fix/fastuser"},
 		// fix/hotkern.Missing is deliberately stale: the hotpath
 		// analyzer must report a config entry that resolves to nothing.
-		HotFuncs:  []string{"fix/hotkern.Kernel.Step", "fix/hotkern.Missing"},
-		CodecPkgs: []string{"fix/codec"},
+		HotFuncs: []string{"fix/hotkern.Kernel.Step", "fix/hotkern.Missing"},
 	}
 }
 
@@ -48,26 +44,22 @@ func TestAnalyzersGolden(t *testing.T) {
 		pkgs []string
 	}{
 		{"determinism", []string{"fix/determ"}},
-		{"determtaint", []string{"fix/dtaint", "fix/dthelp"}},
+		{"determtaint", []string{"fix/dtaint", "fix/dthelp"}}, // the taint half of determinism
 		{"allowscope", []string{"fix/allowscope"}},
 		{"clockrule", []string{"fix/clockpkg", "fix/clockuser"}},
 		{"fastpath", []string{"fix/fastobs", "fix/fastuser"}},
-		{"fastpath-flight", []string{"fix/flightrec"}},
 		{"hotpath", []string{"fix/hotkern"}},
-		{"codecpair", []string{"fix/codec"}},
 		{"goroutine", []string{"fix/goro"}},
-		{"atomics", []string{"fix/atom"}},
-		{"atomics-module", []string{"fix/atomuser"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			diags, err := RunPackages(loader, fixtureConfig(), All(), tc.pkgs)
+			res, err := Run(loader, fixtureConfig(), tc.pkgs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, pkg := range tc.pkgs {
 				dir := filepath.Join(root, strings.TrimPrefix(pkg, "fix/"))
-				checkGolden(t, dir, diags)
+				checkGolden(t, dir, res.Diagnostics)
 			}
 		})
 	}
@@ -138,7 +130,7 @@ func checkGolden(t *testing.T, dir string, diags []Diagnostic) {
 	}
 }
 
-// TestExplainTaint drives the -why machinery over the determtaint
+// TestExplainTaint drives the -why machinery over the determinism taint
 // fixture: the two-hop finding in dtaint.go must explain as a rendered
 // path ending at the wall-clock seed in the helper package.
 func TestExplainTaint(t *testing.T) {
@@ -147,7 +139,7 @@ func TestExplainTaint(t *testing.T) {
 		t.Fatal(err)
 	}
 	loader := NewLoader(root, "fix")
-	res, err := Run(loader, fixtureConfig(), All(), []string{"fix/dtaint", "fix/dthelp"})
+	res, err := Run(loader, fixtureConfig(), []string{"fix/dtaint", "fix/dthelp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +185,11 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunPackages(loader, DefaultConfig(), All(), paths)
+	res, err := Run(loader, DefaultConfig(), paths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range diags {
+	for _, d := range res.Diagnostics {
 		t.Errorf("repo not lint-clean: %s", d)
 	}
 }

@@ -19,7 +19,9 @@ import (
 // Named callees are chased through the module call graph: `go s.loop()`
 // and `time.AfterFunc(d, s.fire)` run loop/fire on the new goroutine's
 // terms just as a literal would, so their bodies (wherever declared)
-// are held to the same rule, reported at the spawn site.
+// are held to the same rule, reported at the spawn site. Calls made
+// inside a literal are not chased: the live engine's delivery path (a
+// literal calling Network.arrive) is held by TestLiveOverloadStaysBounded.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
 	Doc:  "channel sends in time.AfterFunc/go closures must be select-guarded (default or done case)",
@@ -91,9 +93,6 @@ func funcValue(p *Pass, e ast.Expr) *types.Func {
 // goroutine is created (that is where the allow belongs, and the callee
 // may be a shared helper that is fine on other goroutines' terms).
 func checkAsyncCallee(p *Pass, at token.Pos, fn *types.Func, where string) {
-	if p.Mod == nil || p.Mod.Graph == nil {
-		return
-	}
 	fn = canonFunc(fn)
 	fd := p.Mod.Graph.DeclOf[fn]
 	if fd == nil || fd.Body == nil {

@@ -65,7 +65,7 @@ func (m *Module) hotClosure() *hotResult {
 }
 
 func runHotPath(p *Pass) {
-	if p.Mod == nil || p.Mod.Graph == nil || len(p.Config.HotFuncs) == 0 {
+	if len(p.Config.HotFuncs) == 0 {
 		return
 	}
 	hr := p.Mod.hotClosure()

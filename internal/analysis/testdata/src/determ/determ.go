@@ -39,6 +39,13 @@ func Listing() ([]os.DirEntry, error) {
 	return os.ReadDir(".") // want `os.ReadDir in deterministic package determ`
 }
 
+// TwoReads reads the wall clock twice: every seed is reported at its
+// own site, not only the first one in the function.
+func TwoReads() int64 {
+	a := time.Now().Unix()       // want `time.Now in deterministic package determ`
+	return a + time.Now().Unix() // want `time.Now in deterministic package determ`
+}
+
 // WallAllowed is the annotated legitimate use: suppressed, no finding.
 func WallAllowed() int64 {
 	return time.Now().Unix() //lint:allow determinism(fixture: sanctioned wall-clock use)
@@ -58,7 +65,7 @@ func SeededRand(seed int64) int {
 // LeakyOrder lets map iteration order reach the output.
 func LeakyOrder(m map[string]int) []string {
 	var out []string
-	for k, v := range m { // want `range over map has nondeterministic iteration order`
+	for k, v := range m { // want `map range in deterministic package determ: iteration order is randomized`
 		if v > 0 {
 			out = append(out, k)
 		}

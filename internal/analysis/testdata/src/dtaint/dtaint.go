@@ -1,8 +1,8 @@
 // Package dtaint is inside the deterministic boundary for the
-// determtaint golden test: every finding here is a call-graph edge
+// determinism taint golden test: every finding here is a call-graph edge
 // crossing out of the boundary into a transitively nondeterministic
-// helper in fix/dthelp — the cross-package shape the package-local
-// determinism analyzer cannot see.
+// helper in fix/dthelp — the cross-package shape a per-package walk
+// cannot see.
 package dtaint
 
 import (
@@ -43,5 +43,5 @@ func Mode() string {
 // Justified is the annotated boundary crossing: the finding is
 // suppressed at the call site.
 func Justified(start time.Time) int64 {
-	return dthelp.Elapsed(start) //lint:allow determtaint(fixture: span epoch, wall clock is the point)
+	return dthelp.Elapsed(start) //lint:allow determinism(fixture: span epoch, wall clock is the point)
 }

@@ -1,9 +1,7 @@
 // Package dthelp is a utility package OUTSIDE the deterministic
-// boundary, for the determtaint golden test: the package-local
-// determinism analyzer never looks at it, so its wall-clock and
-// environment reads are invisible to PR 5's per-file pass — the
-// interprocedural taint analysis has to find them through the call
-// graph.
+// boundary, for the determinism taint golden test: its wall-clock and
+// environment reads are not reported at their own sites, so the taint
+// analysis has to find them through the call graph.
 package dthelp
 
 import (
@@ -54,5 +52,5 @@ func (f FixedSampler) Sample() int64 {
 // site — the one sanctioned ambient read — so callers inside the
 // deterministic boundary are not flagged.
 func Mode() string {
-	return os.Getenv("FIX_MODE") //lint:allow determtaint(fixture: sanctioned ambient read, callers stay clean)
+	return os.Getenv("FIX_MODE") //lint:allow determinism(fixture: sanctioned ambient read, callers stay clean)
 }

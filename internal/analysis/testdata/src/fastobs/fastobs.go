@@ -1,6 +1,6 @@
 // Package fastobs is a miniature instrument package for the fastpath
-// golden test: Counter and Registry must follow the nil-receiver no-op
-// discipline.
+// golden test: a Registry handing out Counters by name, whose nil
+// pointer is the disabled fast path.
 package fastobs
 
 // Counter is a nil-safe no-op instrument.
@@ -14,24 +14,6 @@ func (c *Counter) Inc() {
 		return
 	}
 	c.n++
-}
-
-// Value is likewise guarded.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.n
-}
-
-// Enabled uses the single-comparison return form of the guard.
-func (c *Counter) Enabled() bool {
-	return c != nil
-}
-
-// Add is missing the guard; a nil receiver panics here.
-func (c *Counter) Add(d int64) { // want `method Counter.Add must start with a nil-receiver guard`
-	c.n += d
 }
 
 // Registry hands out instruments by name.
@@ -53,9 +35,4 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge mirrors Counter for the hot-lookup check's method set.
-func (r *Registry) Gauge(name string) *Counter {
-	return r.Counter(name) // pure delegation: nil-safe without its own guard
 }

@@ -60,43 +60,3 @@ func namedType(t types.Type) *types.Named {
 	n, _ := types.Unalias(t).(*types.Named)
 	return n
 }
-
-// typeIn reports whether t is a named type declared in pkgPath with one
-// of the given names (empty names = any named type of that package).
-func typeIn(t types.Type, pkgPath string, names ...string) bool {
-	n := namedType(t)
-	if n == nil || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != pkgPath {
-		return false
-	}
-	if len(names) == 0 {
-		return true
-	}
-	for _, name := range names {
-		if n.Obj().Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
-// recvBaseName returns the receiver's base type name of a method decl
-// ("T" for func (t *T) or func (t T)), or "".
-func recvBaseName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	// Generic receivers (T[P]) do not occur in this codebase.
-	if idx, ok := t.(*ast.IndexExpr); ok {
-		if id, ok := idx.X.(*ast.Ident); ok {
-			return id.Name
-		}
-	}
-	return ""
-}

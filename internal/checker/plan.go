@@ -63,7 +63,7 @@ func NewPlan(pred predicate.Cond, n int, regionOf func(int) int) *Plan {
 				}
 			}
 		} else {
-			for k := range cl.keys { //lint:allow determtaint(order-insensitive: fans the clause out into a map indexed by the ranged key itself, so iteration order cannot reach any output)
+			for k := range cl.keys { //lint:allow determinism(order-insensitive: fans the clause out into a map indexed by the ranged key itself, so iteration order cannot reach any output)
 				p.opaqueByKey[k] = append(p.opaqueByKey[k], cl)
 			}
 		}
@@ -83,7 +83,7 @@ func (p *Plan) addCoef(k predicate.Key, cl *clause, side int, neg bool) {
 // reads, or -1 when it reads none, spans regions, or aggregates.
 func homeRegion(cl *clause, regionOf func(int) int) int {
 	home := -1
-	for k := range cl.keys { //lint:allow determtaint(order-insensitive: the answer is the unique common region or -1, identical whichever key is visited first)
+	for k := range cl.keys { //lint:allow determinism(order-insensitive: the answer is the unique common region or -1, identical whichever key is visited first)
 		if k.Proc < 0 {
 			return -1
 		}

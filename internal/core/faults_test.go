@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"pervasive/internal/clock"
@@ -180,4 +181,39 @@ func TestInstallFaultsRejectsCheckerCrash(t *testing.T) {
 		Pred: pred, Modality: predicate.Instantaneously,
 		Faults: faults.NewPlan().Crash(2, sim.Second), // index N = checker
 	})
+}
+
+// TestScheduleFaultsChecksRangeFirst feeds plans Parse accepts but whose
+// process indices no fleet has. The range check must reject each one
+// before anything is sized by the plan's largest index: the first three
+// asked the runtime for 2^62 slots or a negative length and died with
+// "makeslice: len out of range"; the fourth partitions a process past the
+// checker and used to install silently.
+func TestScheduleFaultsChecksRangeFirst(t *testing.T) {
+	sensors := make([]*Sensor, 2) // the checker is process 2
+	install := func(spec string) (inj *faults.Injector, panicked any) {
+		plan, err := faults.Parse(spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		defer func() { panicked = recover() }()
+		return ScheduleFaults(plan, sensors, func(*faults.Injector) {}, nil, nil, nil), nil
+	}
+	for _, spec := range []string{
+		"crash(4611686018427387903,1s)",
+		"crash(9223372036854775807,1s)",
+		"partition(0|4611686018427387903,1s,2s)",
+		"partition(0|3,1s,2s)",
+	} {
+		_, p := install(spec)
+		if msg, _ := p.(string); !strings.HasPrefix(msg, "core: fault plan") {
+			t.Errorf("%s: want the range check's panic, got %v", spec, p)
+		}
+	}
+	if inj, p := install("partition(0.1|2,1s,2s)"); inj == nil || p != nil {
+		t.Errorf("partitioning the checker off: injector %v, panic %v", inj, p)
+	}
+	if inj, p := install(""); inj != nil || p != nil {
+		t.Errorf("empty plan: injector %v, panic %v", inj, p)
+	}
 }

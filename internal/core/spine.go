@@ -36,12 +36,12 @@ func finiteBound(d sim.DelayModel) sim.Duration {
 // Crash/Recover record and a dump per transition. A nil or empty plan
 // installs nothing and returns nil. Crash/recover events must target
 // sensors — the checker P0 is the one process the model keeps up — though
-// partitions may isolate it; an out-of-range event process panics.
+// partitions may isolate it (index len(sensors)); an out-of-range process
+// panics, checked before anything is sized by the plan's largest index.
 func ScheduleFaults(plan *faults.Plan, sensors []*Sensor, setFaults func(*faults.Injector),
 	at func(proc int, t sim.Time, fn sim.Handler), reg *obs.Registry, fl *flight.Recorder) *faults.Injector {
 
-	inj := faults.NewInjector(plan)
-	if inj == nil {
+	if plan.Empty() {
 		return nil
 	}
 	for _, ev := range plan.Events {
@@ -50,6 +50,17 @@ func ScheduleFaults(plan *faults.Plan, sensors []*Sensor, setFaults func(*faults
 				ev.Proc, len(sensors)-1))
 		}
 	}
+	for _, pt := range plan.Partitions {
+		for _, g := range pt.Groups {
+			for _, m := range g {
+				if m < 0 || m > len(sensors) {
+					panic(fmt.Sprintf("core: fault plan partitions process %d; partitions are limited to 0..%d (the checker included)",
+						m, len(sensors)))
+				}
+			}
+		}
+	}
+	inj := faults.NewInjector(plan)
 	setFaults(inj)
 	crashes := reg.Counter("faults.crashes")
 	recoveries := reg.Counter("faults.recoveries")

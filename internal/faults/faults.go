@@ -229,8 +229,8 @@ func Parse(s string) (*Plan, error) {
 				return nil, fmt.Errorf("faults: %s wants (proc,t): %q", verb, clause)
 			}
 			proc, err := strconv.Atoi(args[0])
-			if err != nil {
-				return nil, fmt.Errorf("faults: bad process in %q: %v", clause, err)
+			if err != nil || proc < 0 {
+				return nil, fmt.Errorf("faults: bad process in %q", clause)
 			}
 			t, err := parseTime(args[1])
 			if err != nil {
@@ -254,8 +254,8 @@ func Parse(s string) (*Plan, error) {
 						continue
 					}
 					m, err := strconv.Atoi(ms)
-					if err != nil {
-						return nil, fmt.Errorf("faults: bad member in %q: %v", clause, err)
+					if err != nil || m < 0 {
+						return nil, fmt.Errorf("faults: bad member in %q", clause)
 					}
 					g = append(g, m)
 				}
@@ -282,7 +282,7 @@ func Parse(s string) (*Plan, error) {
 			from, err1 := parseTime(args[0])
 			to, err2 := parseTime(args[1])
 			prob, err3 := strconv.ParseFloat(args[2], 64)
-			if err1 != nil || err2 != nil || err3 != nil || prob < 0 || prob > 1 {
+			if err1 != nil || err2 != nil || err3 != nil || !(prob >= 0 && prob <= 1) { // NaN fails both
 				return nil, fmt.Errorf("faults: bad dup clause %q", clause)
 			}
 			p.Duplicate(from, to, prob)

@@ -33,6 +33,9 @@ func TestParseErrors(t *testing.T) {
 		"dup(0s,1s,1.5)",         // p out of range
 		"crash(1,-5s)",           // negative time
 		"crash 1 10s",            // no parens
+		"crash(-1,1s)",           // negative proc
+		"partition(0|-2,1s,2s)",  // negative member
+		"dup(0s,1s,NaN)",         // p not a number
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)

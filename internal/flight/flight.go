@@ -3,7 +3,7 @@
 // the run's own logical clocks rather than wall time. Recording is
 // allocation-free and, with the nil *Recorder, free — every exported
 // method is a nil-receiver no-op, the same disabled fast path contract
-// as internal/obs (enforced by pervalint's fastpath analyzer).
+// as internal/obs (held by the root package's TestNoopTypesAreNilSafe).
 //
 // The recorder never keeps a whole-run trace. Each process owns a ring
 // of the last K events; a *trigger* — a fault-plan firing, a checker

@@ -135,7 +135,7 @@ func (sn *ShardedNet) TotalStats() Stats {
 		out.Delivered += p.Stats.Delivered
 		out.Dropped += p.Stats.Dropped
 		out.Bytes += p.Stats.Bytes
-		for k, v := range p.Stats.ByKind { //lint:allow determtaint(order-insensitive: commutative += into a map keyed by the ranged key; consumers sort before printing)
+		for k, v := range p.Stats.ByKind { //lint:allow determinism(order-insensitive: commutative += into a map keyed by the ranged key; consumers sort before printing)
 			out.ByKind[k] += v
 		}
 	}
