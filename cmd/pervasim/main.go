@@ -104,6 +104,7 @@ func main() {
 	installFaults := func(h *core.Harness) {
 		harness = h
 		if plan != nil {
+			checkFaults(plan, len(h.Sensors))
 			h.InstallFaults(plan)
 		}
 	}
@@ -191,6 +192,7 @@ func main() {
 		extra = fmt.Sprintf("spec: %s — %d generators over %d objects, %d workload events\npredicate: %s",
 			*specPath, len(sp.Gens), len(sr.Objects), len(sr.Events), sp.Predicate)
 	case "scale":
+		checkFaults(plan, *sensors)
 		sc := scenario.NewScale(scenario.ScaleConfig{
 			Seed: *seed, N: *sensors, Shards: *shards, Workers: *workers,
 			Delay: delay, Horizon: hz, CheckerFanout: *checkerFan, Workload: replaySrc,
@@ -405,6 +407,14 @@ func countBorderline(occ []core.Occurrence) int {
 		}
 	}
 	return n
+}
+
+// checkFaults exits 2 when the plan names a process the scenario's fleet
+// of sensors does not have.
+func checkFaults(plan *faults.Plan, sensors int) {
+	if err := plan.Check(sensors); err != nil {
+		fatal(fmt.Errorf("-faults: %w", err))
+	}
 }
 
 func fatal(err error) {

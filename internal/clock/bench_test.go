@@ -173,8 +173,8 @@ func BenchmarkStrobeSparseFleet(b *testing.B) {
 			s, stamps := fleetReceiver(sh.n, sh.known, sh.stamp, sh.unseen)
 			s.OnStrobe(stamps[0])
 			var marks []int
-			for i, c := range s.comps {
-				if c.dirty {
+			for i, w := range s.comps {
+				if w&1 != 0 {
 					marks = append(marks, i)
 				}
 			}
@@ -182,7 +182,7 @@ func BenchmarkStrobeSparseFleet(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, j := range marks {
-					s.comps[j].dirty = true
+					s.comps[j] |= 1
 				}
 				s.dirty = len(marks)
 				benchSink = s.Strobe()

@@ -1,14 +1,18 @@
 package clock
 
-import "unsafe"
+import (
+	"math"
+	"math/bits"
+	"unsafe"
+)
 
 // Sparse strobe vectors complete the Singhal–Kshemkalyani adaptation: the
 // wire format has been sparse since the differential clock landed, but the
 // *local* state was still two dense p-length vectors per process, which is
 // what caps the system size (p processes × O(p) words each = O(p²) memory
 // system-wide). SparseStrobeVector stores only the components this process
-// has actually heard of — O(active peers), not O(p) — as sorted (proc,
-// val) pairs, each with a changed-since-last-strobe bit. In a
+// has actually heard of — O(active peers), not O(p) — as sorted words
+// packing proc, value and a changed-since-last-strobe bit. In a
 // neighborhood-scoped deployment a sensor hears from its radio neighbors
 // plus the checker, so active peers is bounded by the degree, independent
 // of p.
@@ -19,29 +23,33 @@ import "unsafe"
 // stamps, so `NewVectorState` can pick by density without changing any
 // observable behaviour.
 
-// sparseComp is one known non-own component: its current merged value
-// and whether that value differs from the one at this process's last
-// strobe (the differential baseline). The baseline itself is not stored:
-// it is only ever compared with val and only ever assigned val (by
-// Strobe), val only rises, and a new component starts from baseline 0
-// with val > 0 — so "val != baseline" is exactly "raised or inserted
-// since the last Strobe", one bit in the padding after proc.
-type sparseComp struct {
-	proc  int32
-	dirty bool
-	val   uint64
-}
-
 // SparseStrobeVector is a strobe vector clock with differential broadcast
 // and O(active peers) local state. It follows the same SVC1/SVC2 rules as
 // DiffStrobeVector and emits byte-identical stamps.
+//
+// Each known non-own component is one 64-bit word: the proc in the top
+// bits.Len(n-1) bits, the merged value below it and, at bit 0, whether
+// that value differs from the one at this process's last strobe (the
+// differential baseline). The baseline itself is not stored: it is only
+// ever compared with the value and only ever assigned the value (by
+// Strobe), values only rise, and a new component starts from baseline 0
+// with a value > 0 — so "value != baseline" is exactly "raised or
+// inserted since the last Strobe", one bit. With the proc on top, words
+// sort as their procs do, so finding a proc is comparing whole words
+// against proc<<shift.
 type SparseStrobeVector struct {
-	me    int
-	n     int
+	me    int32
+	n     int32
 	own   uint64
-	comps []sparseComp // sorted by proc; never contains me; vals never 0
-	dirty int          // how many comps have dirty set: the next stamp's size less one
+	comps []uint64 // proc<<shift | val<<1 | dirty, ascending; never me; vals never 0
+	dirty int      // how many comps have the dirty bit set: the next stamp's size less one
+	shift uint8    // 64 - bits.Len(n-1): where the proc field starts
 }
+
+// errValueBound is the panic for a component value the packed word cannot
+// hold: one above 2^(63-bits.Len(n-1)) - 1, at least 2^32 - 1 for any n
+// that fits an int32. Values count sense events at one process.
+const errValueBound = "clock: component value above the sparse clock's 2^(63-bits.Len(n-1))-1 bound"
 
 // NewSparseStrobeVector returns process me's sparse differential strobe
 // clock in an n-process system.
@@ -56,25 +64,28 @@ func NewSparseStrobeVector(me, n int) *SparseStrobeVector {
 // re-creates it on a reboot. Any previous state, backing array included,
 // is dropped.
 func (s *SparseStrobeVector) Init(me, n int) {
-	if me < 0 || me >= n {
+	if me < 0 || me >= n || n > math.MaxInt32 {
 		panic("clock: process index out of range")
 	}
-	*s = SparseStrobeVector{me: me, n: n}
+	*s = SparseStrobeVector{me: int32(me), n: int32(n), shift: uint8(64 - bits.Len(uint(n-1)))}
 }
 
 // Me returns the owning process index.
-func (s *SparseStrobeVector) Me() int { return s.me }
+func (s *SparseStrobeVector) Me() int { return int(s.me) }
 
 // OwnClock returns the local component — the value a process reports as
 // its own logical time without materializing a vector.
 func (s *SparseStrobeVector) OwnClock() uint64 { return s.own }
 
-// search returns the insertion index of proc within comps[lo:hi], as an
-// index into comps (binary search).
-func search(comps []sparseComp, lo, hi, proc int) int {
+// low is the mask of the bits below the proc field: value and dirty bit.
+func (s *SparseStrobeVector) low() uint64 { return 1<<s.shift - 1 }
+
+// search returns the index of the first word in comps[lo:hi] not below
+// key, as an index into comps (binary search).
+func search(comps []uint64, lo, hi int, key uint64) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if int(comps[mid].proc) < proc {
+		if comps[mid] < key {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -83,17 +94,18 @@ func search(comps []sparseComp, lo, hi, proc int) int {
 	return lo
 }
 
-// gallop returns the insertion index of proc within comps[from:], as an
-// index into comps: doubling steps from from bracket it, a binary search
-// inside the bracket places it. The cost is logarithmic in the distance
-// moved, not in len(comps) — what makes a sorted stamp one forward pass.
-func gallop(comps []sparseComp, from, proc int) int {
+// gallop returns the index of the first word in comps[from:] not below
+// key, as an index into comps: doubling steps from from bracket it, a
+// binary search inside the bracket places it. The cost is logarithmic in
+// the distance moved, not in len(comps) — what makes a sorted stamp one
+// forward pass.
+func gallop(comps []uint64, from int, key uint64) int {
 	lo, hi := from, from
-	for step := 1; hi < len(comps) && int(comps[hi].proc) < proc; step <<= 1 {
+	for step := 1; hi < len(comps) && comps[hi] < key; step <<= 1 {
 		lo = hi + 1
 		hi += step
 	}
-	return search(comps, lo, min(hi, len(comps)), proc)
+	return search(comps, lo, min(hi, len(comps)), key)
 }
 
 // Strobe applies SVC1 and returns the sparse diff to broadcast: every
@@ -104,22 +116,23 @@ func gallop(comps []sparseComp, from, proc int) int {
 func (s *SparseStrobeVector) Strobe() SparseStamp {
 	s.own++ // SVC1
 	out := make(SparseStamp, 0, 1+s.dirty)
-	own := SparseEntry{Proc: s.me, Val: s.own}
+	own := SparseEntry{Proc: int(s.me), Val: s.own}
 	if s.dirty == 0 {
 		return append(out, own)
 	}
+	low := s.low()
 	placedOwn := false
-	for i := range s.comps {
-		c := &s.comps[i]
-		if !c.dirty {
+	for i, w := range s.comps {
+		if w&1 == 0 {
 			continue
 		}
-		if !placedOwn && int(c.proc) > s.me {
+		proc := int(w >> s.shift)
+		if !placedOwn && proc > int(s.me) {
 			out = append(out, own)
 			placedOwn = true
 		}
-		out = append(out, SparseEntry{Proc: int(c.proc), Val: c.val})
-		c.dirty = false
+		out = append(out, SparseEntry{Proc: proc, Val: w & low >> 1})
+		s.comps[i] = w &^ 1
 	}
 	if !placedOwn {
 		out = append(out, own)
@@ -131,7 +144,8 @@ func (s *SparseStrobeVector) Strobe() SparseStamp {
 // OnStrobe applies SVC2 to a sparse stamp: componentwise max over the
 // carried entries, no local tick. Unknown components are inserted in
 // sorted position; zero-valued entries are no-ops, as they are for the
-// dense merge. Out-of-range entries are ignored.
+// dense merge. Out-of-range entries are ignored. A value above the
+// packed word's bound panics (errValueBound).
 //
 // The stamp is merged one maximal strictly-ascending run at a time. A
 // stamp from Strobe is a single run, so it costs one pass; an unsorted or
@@ -152,7 +166,7 @@ func (s *SparseStrobeVector) OnStrobe(st SparseStamp) {
 // range, the local component, or the zero every absent component
 // already is.
 func (s *SparseStrobeVector) skips(e SparseEntry) bool {
-	return e.Proc < 0 || e.Proc >= s.n || e.Proc == s.me || e.Val == 0
+	return e.Proc < 0 || e.Proc >= int(s.n) || e.Proc == int(s.me) || e.Val == 0
 }
 
 // mergeRun merges one strictly-ascending run of entries. Forward pass:
@@ -160,30 +174,35 @@ func (s *SparseStrobeVector) skips(e SparseEntry) bool {
 // hits and counts the ones it misses. Only if there were misses, the
 // slice grows once by exactly that count and a backward pass shifts
 // each surviving component at most once while dropping the new ones
-// into place.
+// into place. A component of proc p is the one word in
+// [p<<shift, p<<shift | low].
 func (s *SparseStrobeVector) mergeRun(run SparseStamp) {
 	comps := s.comps
+	low := s.low()
 	cur, misses := -1, 0
 	for _, e := range run {
 		if s.skips(e) {
-			if e.Proc == s.me && e.Val > s.own {
+			if e.Proc == int(s.me) && e.Val > s.own {
 				s.own = e.Val
 			}
 			continue
 		}
-		if cur < 0 {
-			cur = search(comps, 0, len(comps), e.Proc)
-		} else {
-			cur = gallop(comps, cur, e.Proc)
+		if e.Val > low>>1 {
+			panic(errValueBound)
 		}
-		if cur == len(comps) || int(comps[cur].proc) != e.Proc {
+		key := uint64(e.Proc) << s.shift
+		if cur < 0 {
+			cur = search(comps, 0, len(comps), key)
+		} else {
+			cur = gallop(comps, cur, key)
+		}
+		if cur == len(comps) || comps[cur] > key|low {
 			misses++
 			continue
 		}
-		if c := &comps[cur]; e.Val > c.val {
-			c.val = e.Val
-			if !c.dirty {
-				c.dirty = true
+		if w := comps[cur]; e.Val<<1 > w&low {
+			comps[cur] = key | e.Val<<1 | 1
+			if w&1 == 0 {
 				s.dirty++
 			}
 		}
@@ -192,8 +211,8 @@ func (s *SparseStrobeVector) mergeRun(run SparseStamp) {
 	if misses == 0 {
 		return
 	}
-	r := len(comps)                                      // comps[:r] are still to be placed
-	comps = append(comps, make([]sparseComp, misses)...) //lint:allow hotpath(amortized growth: the component list grows once per stamp that names a newly-seen proc and then stabilizes at the contact-set size)
+	r := len(comps)                                  // comps[:r] are still to be placed
+	comps = append(comps, make([]uint64, misses)...) //lint:allow hotpath(amortized growth: the component list grows once per stamp that names a newly-seen proc and then stabilizes at the contact-set size)
 	s.comps = comps
 	s.dirty += misses
 	w := len(comps) // comps[w:] are final
@@ -202,26 +221,28 @@ func (s *SparseStrobeVector) mergeRun(run SparseStamp) {
 		if s.skips(e) {
 			continue
 		}
-		for r > 0 && int(comps[r-1].proc) > e.Proc {
+		key := uint64(e.Proc) << s.shift
+		for r > 0 && comps[r-1] > key|low {
 			r--
 			w--
 			comps[w] = comps[r]
 		}
-		if r > 0 && int(comps[r-1].proc) == e.Proc {
+		if r > 0 && comps[r-1] >= key {
 			continue // a hit, already merged by the forward pass
 		}
 		w--
-		comps[w] = sparseComp{proc: int32(e.Proc), dirty: true, val: e.Val}
+		comps[w] = key | e.Val<<1 | 1
 	}
 }
 
 // Snapshot materializes the full dense vector. O(n) allocation — callers
 // on hot paths should prefer OwnClock or the stamps themselves.
 func (s *SparseStrobeVector) Snapshot() Vector {
-	v := NewVector(s.n)
+	v := NewVector(int(s.n))
 	v[s.me] = s.own //lint:allow clockrule(materializing a fresh dense copy of this clock for observers; the live sparse state is untouched)
-	for _, c := range s.comps {
-		v[c.proc] = c.val //lint:allow clockrule(same fresh-copy materialization as above)
+	low := s.low()
+	for _, w := range s.comps {
+		v[w>>s.shift] = w & low >> 1 //lint:allow clockrule(same fresh-copy materialization as above)
 	}
 	return v
 }
@@ -241,7 +262,7 @@ func (s *SparseStrobeVector) ActivePeers() int { return len(s.comps) }
 // StateBytes is the resident footprint of the clock state: the struct
 // itself plus the component array it owns, as the compiler lays them out.
 func (s *SparseStrobeVector) StateBytes() int {
-	return int(unsafe.Sizeof(*s)) + cap(s.comps)*int(unsafe.Sizeof(sparseComp{}))
+	return int(unsafe.Sizeof(*s)) + cap(s.comps)*int(unsafe.Sizeof(uint64(0)))
 }
 
 // VectorState is the rule-method surface shared by the dense differential

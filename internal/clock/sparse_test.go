@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -69,13 +70,17 @@ func TestSparseStateSublinear(t *testing.T) {
 	}
 }
 
-// TestSparseStateBytesFollowsLayout: the state is one slice of 16-byte
-// components, and StateBytes — what clock.state_bytes, pervasim's fleet:
+// TestSparseStateBytesFollowsLayout: the state is one slice of 8-byte
+// words, the struct fits the 56 bytes a sensor slab entry budgets for it,
+// and StateBytes — what clock.state_bytes, pervasim's fleet:
 // line and E14's "clock KB" column report — is the struct plus that
 // slice's capacity as the compiler lays them out, not a hand-kept figure.
 func TestSparseStateBytesFollowsLayout(t *testing.T) {
-	if got := unsafe.Sizeof(sparseComp{}); got != 16 {
-		t.Errorf("sparseComp is %d bytes, want 16 (proc and the dirty bit share one word)", got)
+	if got := unsafe.Sizeof(SparseStrobeVector{}.comps[0]); got != 8 {
+		t.Errorf("a component is %d bytes, want 8 (proc, value and dirty bit share one word)", got)
+	}
+	if got := unsafe.Sizeof(SparseStrobeVector{}); got > 56 {
+		t.Errorf("SparseStrobeVector is %d bytes, want at most 56", got)
 	}
 	slices := 0
 	for typ, i := reflect.TypeOf(SparseStrobeVector{}), 0; i < typ.NumField(); i++ {
@@ -98,6 +103,44 @@ func TestSparseStateBytesFollowsLayout(t *testing.T) {
 	want := int(unsafe.Sizeof(*s)) + cap(s.comps)*int(unsafe.Sizeof(s.comps[0]))
 	if got := s.StateBytes(); got != want {
 		t.Errorf("StateBytes = %d, want %d (struct + cap × component)", got, want)
+	}
+}
+
+// TestSparseValueBound: a component value takes the bits between the proc
+// field and the dirty bit, so the largest one a clock of n processes holds
+// is 2^(63-bits.Len(n-1)) - 1. That value merges, strobes and snapshots
+// exactly, next to the highest proc; one above it panics with
+// errValueBound; a re-initialised (rejoined) or reset clock keeps the
+// width.
+func TestSparseValueBound(t *testing.T) {
+	for _, n := range []int{129, 4096, 1 << 16, 1 << 20} {
+		top := uint64(1)<<(63-bits.Len(uint(n-1))) - 1
+		s := NewSparseStrobeVector(1, n)
+		holds := func(stage string) {
+			t.Helper()
+			s.OnStrobe(SparseStamp{{Proc: 0, Val: top - 1}, {Proc: n - 1, Val: top}})
+			s.OnStrobe(SparseStamp{{Proc: 0, Val: top}})
+			want := SparseStamp{{Proc: 0, Val: top}, {Proc: 1, Val: s.OwnClock() + 1}, {Proc: n - 1, Val: top}}
+			if got := s.Strobe(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d %s: stamp %v, want %v", n, stage, got, want)
+			}
+			if v := s.Snapshot(); v[0] != top || v[n-1] != top {
+				t.Fatalf("n=%d %s: snapshot holds %d and %d, want %d", n, stage, v[0], v[n-1], top)
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != errValueBound {
+						t.Fatalf("n=%d %s: value %d merged with %v, want the %q panic", n, stage, top+1, p, errValueBound)
+					}
+				}()
+				s.OnStrobe(SparseStamp{{Proc: 2, Val: top + 1}})
+			}()
+		}
+		holds("fresh")
+		s.Init(1, n)
+		holds("rejoined")
+		s.Reset()
+		holds("reset")
 	}
 }
 
@@ -136,18 +179,18 @@ func TestSparseAllocations(t *testing.T) {
 		t.Errorf("all-hits merge: %.1f allocs, want 0", allocs)
 	}
 
-	// The grow is append(comps, make([]sparseComp, misses)...), which the
+	// The grow is append(comps, make([]uint64, misses)...), which the
 	// compiler turns into an in-place extension — except in instrumented
 	// (-race) builds, where the make is a real temporary: one allocation
 	// per merge with misses that is the build's, not the kernel's.
-	roomy := make([]sparseComp, known, known+fresh)
-	var extended []sparseComp
-	temp := testing.AllocsPerRun(10, func() { extended = append(roomy[:0], make([]sparseComp, len(news))...) })
+	roomy := make([]uint64, known, known+fresh)
+	var extended []uint64
+	temp := testing.AllocsPerRun(10, func() { extended = append(roomy[:0], make([]uint64, len(news))...) })
 	if len(extended) != fresh {
 		t.Fatalf("probe extended to %d, want %d", len(extended), fresh)
 	}
 
-	full := make([]sparseComp, known) // len == cap
+	full := make([]uint64, known) // len == cap
 	copy(full, s.comps)
 	if allocs := testing.AllocsPerRun(100, func() {
 		s.comps, s.dirty = full, 0 // the grow leaves full's array as it was

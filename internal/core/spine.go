@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strconv"
 
 	"pervasive/internal/faults"
@@ -37,28 +36,16 @@ func finiteBound(d sim.DelayModel) sim.Duration {
 // installs nothing and returns nil. Crash/recover events must target
 // sensors — the checker P0 is the one process the model keeps up — though
 // partitions may isolate it (index len(sensors)); an out-of-range process
-// panics, checked before anything is sized by the plan's largest index.
+// panics with faults.Plan.Check's error, checked before anything is sized
+// by the plan's largest index. Entry points call Check first and exit.
 func ScheduleFaults(plan *faults.Plan, sensors []*Sensor, setFaults func(*faults.Injector),
 	at func(proc int, t sim.Time, fn sim.Handler), reg *obs.Registry, fl *flight.Recorder) *faults.Injector {
 
 	if plan.Empty() {
 		return nil
 	}
-	for _, ev := range plan.Events {
-		if ev.Proc < 0 || ev.Proc >= len(sensors) {
-			panic(fmt.Sprintf("core: fault plan event targets process %d; crash/recover is limited to sensors 0..%d",
-				ev.Proc, len(sensors)-1))
-		}
-	}
-	for _, pt := range plan.Partitions {
-		for _, g := range pt.Groups {
-			for _, m := range g {
-				if m < 0 || m > len(sensors) {
-					panic(fmt.Sprintf("core: fault plan partitions process %d; partitions are limited to 0..%d (the checker included)",
-						m, len(sensors)))
-				}
-			}
-		}
+	if err := plan.Check(len(sensors)); err != nil {
+		panic("core: " + err.Error())
 	}
 	inj := faults.NewInjector(plan)
 	setFaults(inj)

@@ -157,6 +157,33 @@ func (p *Plan) MaxProc() int {
 	return max
 }
 
+// Check reports whether every process the plan names exists in a fleet of
+// sensors sensors: crash/recover targets are sensors 0..sensors-1, and
+// partition members 0..sensors, because the checker (process sensors) may
+// be partitioned off too.
+func (p *Plan) Check(sensors int) error {
+	if p == nil {
+		return nil
+	}
+	for _, ev := range p.Events {
+		if ev.Proc < 0 || ev.Proc >= sensors {
+			return fmt.Errorf("fault plan event targets process %d; crash/recover is limited to sensors 0..%d",
+				ev.Proc, sensors-1)
+		}
+	}
+	for _, pt := range p.Partitions {
+		for _, g := range pt.Groups {
+			for _, m := range g {
+				if m < 0 || m > sensors {
+					return fmt.Errorf("fault plan partitions process %d; partitions are limited to 0..%d (the checker included)",
+						m, sensors)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // String renders the plan in the Parse grammar.
 func (p *Plan) String() string {
 	if p == nil {

@@ -43,6 +43,32 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestPlanCheck: in a fleet of n sensors, crash/recover may target
+// sensors 0..n-1 and a partition may also cut off the checker, process n.
+func TestPlanCheck(t *testing.T) {
+	const n = 4
+	for _, c := range []struct {
+		name string
+		plan *Plan
+		ok   bool
+	}{
+		{"nil plan", nil, true},
+		{"empty plan", NewPlan(), true},
+		{"crash 0", NewPlan().Crash(0, sim.Second), true},
+		{"recover n-1", NewPlan().Recover(n-1, sim.Second), true},
+		{"negative crash", NewPlan().Crash(-1, sim.Second), false},
+		{"crash n", NewPlan().Crash(n, sim.Second), false},
+		{"recover n", NewPlan().Recover(n, sim.Second), false},
+		{"partition member n", NewPlan().Partition([][]int{{0}, {n}}, sim.Second, 2*sim.Second), true},
+		{"partition member n+1", NewPlan().Partition([][]int{{0}, {n + 1}}, sim.Second, 2*sim.Second), false},
+		{"negative partition member", NewPlan().Partition([][]int{{-1}, {1}}, sim.Second, 2*sim.Second), false},
+	} {
+		if err := c.plan.Check(n); (err == nil) != c.ok {
+			t.Errorf("%s: Check(%d) = %v, want ok=%v", c.name, n, err, c.ok)
+		}
+	}
+}
+
 func TestDowntimesNormalize(t *testing.T) {
 	p := NewPlan().
 		Crash(0, 10*sim.Second).
