@@ -71,8 +71,9 @@ bench-obs:
 
 # One iteration of every `go test` benchmark in the module (≈ 7 s on
 # 2 vCPUs): proves each still runs — the instrumented and flight-recorder
-# kernels, and the clock benchmarks that reach into the sparse component
-# layout — without paying for a real measurement. Part of `make check`.
+# kernels, the clock benchmarks that reach into the sparse component
+# layout, and the sharded fleet's build (allocs/op and B/op at N = 4096
+# and 65 536) — without paying for a real measurement. Part of `make check`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 

@@ -69,8 +69,28 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if err := checkFaults(plan, selected); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: -faults: %v\n", err)
+		os.Exit(2)
+	}
 	cfg := experiments.RunConfig{Seed: *seed, Quick: *quick, Parallelism: *par, Faults: plan, Timing: *timing}
 	for _, e := range selected {
 		e.Run(cfg).Render(os.Stdout)
 	}
+}
+
+// checkFaults reports whether plan names only processes that exist in the
+// smallest fleet any selected experiment installs it into. Experiments
+// that ignore the flag (Fleet 0) put no bound on it.
+func checkFaults(plan *faults.Plan, selected []experiments.Experiment) error {
+	fleet := 0
+	for _, e := range selected {
+		if e.Fleet > 0 && (fleet == 0 || e.Fleet < fleet) {
+			fleet = e.Fleet
+		}
+	}
+	if fleet == 0 {
+		return nil
+	}
+	return plan.Check(fleet)
 }

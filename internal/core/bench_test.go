@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"testing"
 
 	"pervasive/internal/network"
@@ -33,4 +34,19 @@ func BenchmarkShardedBroadcast(b *testing.B) {
 		}
 	}
 	sh.RunAll()
+}
+
+// BenchmarkShardedHarnessBuild is the cost of wiring a sharded fleet —
+// sensors, worlds, transport, checker — with a workload too short to add
+// anything: B/op is the per-sensor footprint times N, and allocs/op stays
+// flat in N (TestFleetFootprint holds the slope).
+func BenchmarkShardedHarnessBuild(b *testing.B) {
+	for _, n := range []int{4096, 65536} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewShardedHarness(ShardedConfig{Seed: 1, N: n, Horizon: sim.Millisecond})
+			}
+		})
+	}
 }

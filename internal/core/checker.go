@@ -27,10 +27,13 @@ type StrobeChecker struct {
 	pred      predicate.Cond
 	raceAware bool
 
-	view       *checkerState
-	stamps     []clock.Vector // latest applied vector stamp per proc (nil = none)
-	lastSeq    []int
-	lastEpoch  []int // crash/recovery epoch per proc (see StrobeMsg.Epoch)
+	view      *checkerState
+	lastSeq   []int
+	lastEpoch []int // crash/recovery epoch per proc (see StrobeMsg.Epoch)
+	// stamps (the latest applied vector stamp per proc, nil = none) and
+	// lastChange are read only by detectRace, so a race-blind checker
+	// leaves both nil.
+	stamps     []clock.Vector
 	lastChange []change
 	// recon reconstructs each sender's full vector from differential
 	// strobes (DiffVectorStrobe protocol); nil entries until first diff.
@@ -119,11 +122,13 @@ func NewScalarChecker(n int, pred predicate.Cond) *StrobeChecker {
 func newStrobeChecker(n int, pred predicate.Cond, raceAware bool) *StrobeChecker {
 	c := &StrobeChecker{
 		n: n, pred: pred, raceAware: raceAware,
-		view:       &checkerState{n: n},
-		stamps:     make([]clock.Vector, n),
-		lastSeq:    make([]int, n),
-		lastEpoch:  make([]int, n),
-		lastChange: make([]change, n),
+		view:      &checkerState{n: n},
+		lastSeq:   make([]int, n),
+		lastEpoch: make([]int, n),
+	}
+	if raceAware {
+		c.stamps = make([]clock.Vector, n)
+		c.lastChange = make([]change, n)
 	}
 	return c
 }
@@ -218,8 +223,10 @@ func (c *StrobeChecker) OnStrobe(m StrobeMsg, now sim.Time) {
 	case m.Epoch > c.lastEpoch[m.Proc]:
 		c.lastEpoch[m.Proc] = m.Epoch
 		c.lastSeq[m.Proc] = 0
-		c.stamps[m.Proc] = nil
-		c.lastChange[m.Proc] = change{}
+		if c.raceAware {
+			c.stamps[m.Proc] = nil
+			c.lastChange[m.Proc] = change{}
+		}
 		if c.recon != nil {
 			c.recon[m.Proc].Reset()
 		}
@@ -271,13 +278,12 @@ func (c *StrobeChecker) OnStrobe(m StrobeMsg, now sim.Time) {
 	settled := c.pred.Holds(c.view)
 
 	race := false
-	if c.raceAware && m.Vec != nil {
-		race = c.detectRace(m, prev)
-	}
-
-	c.lastChange[m.Proc] = change{varName: m.Var, prev: prev, valid: true}
-	if m.Vec != nil {
-		c.stamps[m.Proc] = m.Vec
+	if c.raceAware {
+		if m.Vec != nil {
+			race = c.detectRace(m, prev)
+			c.stamps[m.Proc] = m.Vec
+		}
+		c.lastChange[m.Proc] = change{varName: m.Var, prev: prev, valid: true}
 	}
 
 	if race {

@@ -301,8 +301,7 @@ func (h *Harness) LatticeExecution() *lattice.Execution {
 		Times:  make([][]sim.Time, len(h.Sensors)),
 	}
 	for i, s := range h.Sensors {
-		ex.Stamps[i] = s.Stamps
-		ex.Times[i] = s.Times
+		ex.Stamps[i], ex.Times[i] = s.StampLog()
 	}
 	return ex
 }

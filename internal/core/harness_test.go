@@ -1,8 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"pervasive/internal/faults"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
 	"pervasive/internal/world"
@@ -12,18 +17,22 @@ import (
 // the conjunction-of-pulses predicate.
 func pulseHarness(seed uint64, n int, kind ClockKind, delay sim.DelayModel,
 	pulseMeanGap, pulseWidth sim.Duration, horizon sim.Time) *Harness {
-
-	pred := ConjunctiveGlobal(predicate.MustParse("p@0 == 1"), n)
-	h := NewHarness(HarnessConfig{
+	return pulseFleet(HarnessConfig{
 		Seed: seed, N: n, Kind: kind, Delay: delay,
-		Pred: pred, Modality: predicate.Instantaneously,
-		Horizon: horizon,
-	})
-	for i := 0; i < n; i++ {
+		Pred:     ConjunctiveGlobal(predicate.MustParse("p@0 == 1"), n),
+		Modality: predicate.Instantaneously,
+		Horizon:  horizon,
+	}, pulseMeanGap, pulseWidth)
+}
+
+// pulseFleet wires cfg's harness with one pulsing object per sensor.
+func pulseFleet(cfg HarnessConfig, pulseMeanGap, pulseWidth sim.Duration) *Harness {
+	h := NewHarness(cfg)
+	for i := 0; i < cfg.N; i++ {
 		obj := h.World.AddObject("obj", nil)
 		h.Bind(i, obj, "p", "p")
 		world.Toggler{Obj: obj, Attr: "p", MeanHigh: pulseWidth,
-			MeanLow: pulseMeanGap}.Install(h.World, horizon)
+			MeanLow: pulseMeanGap}.Install(h.World, cfg.Horizon)
 	}
 	return h
 }
@@ -191,12 +200,12 @@ func TestConjunctiveDefinitelyEndToEnd(t *testing.T) {
 }
 
 func TestHarnessLatticeExecution(t *testing.T) {
-	h := pulseHarness(5, 3, VectorStrobe, sim.NewDeltaBounded(10*sim.Millisecond),
-		400*sim.Millisecond, 300*sim.Millisecond, 5*sim.Second)
-	h.Cfg.LogStamps = true
-	for _, s := range h.Sensors {
-		s.LogStamps = true
-	}
+	h := pulseFleet(HarnessConfig{
+		Seed: 5, N: 3, Kind: VectorStrobe, Delay: sim.NewDeltaBounded(10 * sim.Millisecond),
+		Pred:     ConjunctiveGlobal(predicate.MustParse("p@0 == 1"), 3),
+		Modality: predicate.Instantaneously,
+		Horizon:  5 * sim.Second, LogStamps: true,
+	}, 400*sim.Millisecond, 300*sim.Millisecond)
 	h.Run()
 	ex := h.LatticeExecution()
 	if ex.Events() == 0 {
@@ -204,6 +213,83 @@ func TestHarnessLatticeExecution(t *testing.T) {
 	}
 	if !ex.PathConsistent() {
 		t.Fatal("actual path inconsistent under strobe stamps")
+	}
+}
+
+// A classic diff-vector fleet has no classic block unless LogStamps (or a
+// conjunct) asks for one; with LogStamps in the config it logs the very
+// stamps the full-vector protocol logs on the same run, and without it
+// logs none.
+func TestHarnessDiffVectorLogStamps(t *testing.T) {
+	run := func(kind ClockKind, log bool) *Harness {
+		h := pulseFleet(HarnessConfig{
+			Seed: 9, N: 4, Kind: kind, Delay: sim.NewDeltaBounded(20 * sim.Millisecond),
+			Pred:     ConjunctiveGlobal(predicate.MustParse("p@0 == 1"), 4),
+			Modality: predicate.Instantaneously,
+			Horizon:  10 * sim.Second, LogStamps: log,
+		}, 700*sim.Millisecond, 400*sim.Millisecond)
+		h.Run()
+		return h
+	}
+	vec, diff := run(VectorStrobe, true), run(DiffVectorStrobe, true)
+	for i := range vec.Sensors {
+		want, wantAt := vec.Sensors[i].StampLog()
+		got, gotAt := diff.Sensors[i].StampLog()
+		if len(want) == 0 {
+			t.Fatalf("sensor %d: vector fleet logged no stamps", i)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotAt, wantAt) {
+			t.Fatalf("sensor %d: diff-vector log (%d stamps) differs from vector log (%d)", i, len(got), len(want))
+		}
+	}
+	bare := run(DiffVectorStrobe, false)
+	for i, s := range bare.Sensors {
+		if s.c != nil {
+			t.Fatalf("sensor %d: diff-vector fleet without LogStamps has a classic block", i)
+		}
+		if st, at := s.StampLog(); st != nil || at != nil {
+			t.Fatalf("sensor %d: logged %d stamps without LogStamps", i, len(st))
+		}
+	}
+}
+
+// The classic modes read every field of the sensor's classic block — the
+// dense and scalar clocks, the physical clock, the conjunct and its interval
+// state, through a crash and a rejoin — so their full results are pinned:
+// moving that state must not move a byte of any of them.
+func TestClassicModesPinned(t *testing.T) {
+	local := predicate.MustParse("p@0 == 1")
+	plan, err := faults.Parse("crash(1,5s);recover(1,8s)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		kind     ClockKind
+		modality predicate.Modality
+		want     string
+	}{
+		{"vector", VectorStrobe, predicate.Instantaneously, "388faab01808204e"},
+		{"scalar", ScalarStrobe, predicate.Instantaneously, "fb1c98e0a5778417"},
+		{"physical", PhysicalReport, predicate.Instantaneously, "32351020cc408ff5"},
+		{"possibly", VectorStrobe, predicate.Possibly, "5bda6ab9d8804538"},
+		{"definitely", VectorStrobe, predicate.Definitely, "bfa904d327007866"},
+	}
+	for _, c := range cases {
+		cfg := HarnessConfig{
+			Seed: 3, N: 4, Kind: c.kind, Delay: sim.NewDeltaBounded(20 * sim.Millisecond),
+			Pred: ConjunctiveGlobal(local, 4), Modality: c.modality,
+			Epsilon: 5 * sim.Millisecond, Horizon: 30 * sim.Second, Faults: plan,
+		}
+		if c.modality != predicate.Instantaneously {
+			cfg.LocalConj = local
+		}
+		res := pulseFleet(cfg, 900*sim.Millisecond, 1200*sim.Millisecond).Run()
+		sum := sha256.Sum256([]byte(fmt.Sprint(res.Occurrences, res.Markers, res.Truth, res.Confusion,
+			res.Net.Sent, res.Net.Delivered, res.Net.Dropped, res.Net.Bytes)))
+		if got := hex.EncodeToString(sum[:8]); got != c.want {
+			t.Errorf("%s: results digest %s, pinned %s", c.name, got, c.want)
+		}
 	}
 }
 

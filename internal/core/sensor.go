@@ -49,6 +49,9 @@ func (k ClockKind) String() string {
 // bound world-plane attributes (sense events), maintains its clock, emits
 // the protocol's control traffic, and — in conjunctive mode — tracks the
 // truth intervals of its local conjunct.
+//
+// The struct is one slab entry and holds what a diff-vector fleet touches;
+// everything only the classic stack reads sits behind c (see classic).
 type Sensor struct {
 	// What a delivered strobe reads comes first, so the merge starts on the
 	// cache line the slab index lands on: liveness, the clock, the local
@@ -64,8 +67,6 @@ type Sensor struct {
 	// representation.
 	dvec   clock.VectorState
 	sparse clock.SparseStrobeVector
-	vec    *clock.StrobeVector
-	sc     *clock.StrobeScalar
 
 	// Local, if non-nil, is this sensor's own checker replica: since
 	// strobes are system-wide broadcasts, every sensor can evaluate the
@@ -77,13 +78,26 @@ type Sensor struct {
 	tr *trace.Trace // optional event trace
 	fl *flight.Recorder
 
-	net        Transport
-	checkerIdx int
-	n          int // fleet size (for fresh clocks on Rejoin)
-	phys       clock.Physical
+	net Transport
+	n   int // fleet size (for fresh clocks on Rejoin)
 
 	seq   int
 	epoch int // bumped on each Rejoin; carried in strobes
+
+	c *classic // nil unless the fleet runs a classic mode (see NewSensors)
+}
+
+// classic is a sensor's state that only the classic stack reads: the dense
+// and scalar strobe clocks, the physical clock, the conjunct and the stamp
+// log. NewSensors allocates the fleet's blocks as one slab, and only for a
+// fleet that needs them — a kind other than DiffVectorStrobe, a LocalConj
+// or LogStamps — so a sharded fleet's sensor is its slab entry plus its
+// clock words.
+type classic struct {
+	vec        *clock.StrobeVector
+	sc         *clock.StrobeScalar
+	phys       clock.Physical
+	checkerIdx int
 
 	// Conjunctive-mode state: the local conjunct, the sensed values it reads
 	// (nil without a conjunct — nothing else reads them) and its current
@@ -95,11 +109,11 @@ type Sensor struct {
 	openAt      sim.Time
 	intervalIdx int
 
-	// StampLog accumulates (stamp, true time) per sense event for lattice
-	// analysis when enabled.
-	LogStamps bool
-	Stamps    []clock.Vector
-	Times     []sim.Time
+	// logStamps accumulates (stamp, true time) per sense event in stamps
+	// and times, for lattice analysis.
+	logStamps bool
+	stamps    []clock.Vector
+	times     []sim.Time
 }
 
 // SensorConfig configures a sensor fleet.
@@ -121,14 +135,16 @@ type SensorConfig struct {
 	Flight *flight.Recorder
 }
 
-// NewSensors builds the fleet and registers each sensor's message handler
-// on the transport, which must have at least N+1 nodes (the extra one being
-// the checker). place names the sending surface sensor i transmits through
-// — the one Net on the single-engine kernel, the owning shard's ShardPart
-// on the sharded one, the live engine's links. A sensor holds no engine:
-// each step takes its time from the event that drives it. The fleet is
-// carved from one slab, so neighbouring sensors are neighbouring memory and
-// the collector sees one object, not N.
+// NewSensors builds the fleet and registers its message handler on the
+// transport, which must have at least N+1 nodes (the extra one being the
+// checker). place names the sending surface sensor i transmits through —
+// the one Net on the single-engine kernel, the owning shard's ShardPart on
+// the sharded one, the live engine's links. A sensor holds no engine: each
+// step takes its time from the event that drives it. The fleet is carved
+// from one slab, so neighbouring sensors are neighbouring memory and the
+// collector sees one object, not N; the classic blocks, when the fleet
+// needs them, are a second slab. One handler serves every sensor: it finds
+// the receiver by the delivered copy's Dst, which every transport sets.
 func NewSensors(net Receiver, cfg SensorConfig, place func(i int) Transport) []*Sensor {
 	if net.N() < cfg.N+1 {
 		panic(fmt.Sprintf("core: transport has %d nodes, need %d sensors + checker",
@@ -136,34 +152,41 @@ func NewSensors(net Receiver, cfg SensorConfig, place func(i int) Transport) []*
 	}
 	out := make([]*Sensor, cfg.N)
 	slab := make([]Sensor, cfg.N)
+	var blocks []classic
+	if cfg.Kind != DiffVectorStrobe || cfg.LocalConj != nil || cfg.LogStamps {
+		blocks = make([]classic, cfg.N)
+	}
+	deliver := func(m network.Message, now sim.Time) { slab[m.Dst].onMessage(m, now) }
 	for i := 0; i < cfg.N; i++ {
 		s := &slab[i]
 		*s = Sensor{
 			ID: i, Kind: cfg.Kind, n: cfg.N,
-			net: place(i), checkerIdx: cfg.CheckerIdx,
-			localConj: cfg.LocalConj,
-			tr:        cfg.Trace,
-			fl:        cfg.Flight,
-			LogStamps: cfg.LogStamps,
+			net: place(i),
+			tr:  cfg.Trace,
+			fl:  cfg.Flight,
 		}
-		if cfg.LocalConj != nil {
-			s.vals = make(map[string]float64)
+		if blocks != nil {
+			s.c = &blocks[i]
+			*s.c = classic{checkerIdx: cfg.CheckerIdx, localConj: cfg.LocalConj, logStamps: cfg.LogStamps}
+			if cfg.LocalConj != nil {
+				s.c.vals = make(map[string]float64)
+			}
 		}
 		switch cfg.Kind {
 		case VectorStrobe:
-			s.vec = clock.NewStrobeVector(i, cfg.N)
+			s.c.vec = clock.NewStrobeVector(i, cfg.N)
 		case ScalarStrobe:
-			s.sc = &clock.StrobeScalar{}
+			s.c.sc = &clock.StrobeScalar{}
 		case DiffVectorStrobe:
 			s.dvec = clock.NewVectorState(&s.sparse, i, cfg.N)
 		case PhysicalReport:
 			if i < len(cfg.Phys) {
-				s.phys = cfg.Phys[i]
+				s.c.phys = cfg.Phys[i]
 			} else {
-				s.phys = clock.EpsilonSynced{}
+				s.c.phys = clock.EpsilonSynced{}
 			}
 		}
-		net.Register(i, s.onMessage)
+		net.Register(i, deliver)
 		out[i] = s
 	}
 	return out
@@ -185,15 +208,12 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 		return // a crashed process observes nothing and sends nothing
 	}
 	s.seq++
-	if s.vals != nil {
-		s.vals[varName] = value
-	}
 
 	var stamp clock.Vector
 	var ownClock uint64 // this sensor's logical component at the event
 	switch s.Kind {
 	case VectorStrobe:
-		stamp = s.vec.Strobe() // SVC1
+		stamp = s.c.vec.Strobe() // SVC1
 		ownClock = stamp[s.ID]
 		msg := StrobeMsg{Proc: s.ID, Seq: s.seq, Epoch: s.epoch, Var: varName, Value: value, Vec: stamp}
 		s.net.BroadcastStamped(s.ID, msg, flight.Stamp{Epoch: int32(s.epoch), Seq: uint64(s.seq), Clock: ownClock})
@@ -201,7 +221,7 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 			s.Local.OnStrobe(msg, now)
 		}
 	case ScalarStrobe:
-		sv := s.sc.Strobe() // SSC1
+		sv := s.c.sc.Strobe() // SSC1
 		ownClock = sv
 		msg := StrobeMsg{Proc: s.ID, Seq: s.seq, Epoch: s.epoch, Var: varName, Value: value, Scalar: sv}
 		s.net.BroadcastStamped(s.ID, msg, flight.Stamp{Epoch: int32(s.epoch), Seq: uint64(s.seq), Clock: ownClock})
@@ -212,9 +232,11 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 		sparse := s.dvec.Strobe() // SVC1 with differential wire format
 		ownClock = s.dvec.OwnClock()
 		// Materializing the full vector is O(n); only pay for it when a
-		// consumer actually wants dense stamps. At scale (sparse clocks,
-		// no trace) a sense event touches O(active peers) state only.
-		if s.tr != nil || s.LogStamps || s.localConj != nil {
+		// consumer actually wants dense stamps — the trace, or the stamp log
+		// or conjunct that are the only reasons this kind has a classic
+		// block. At scale (sparse clocks, no trace) a sense event touches
+		// O(active peers) state only.
+		if s.tr != nil || s.c != nil {
 			stamp = s.dvec.Snapshot()
 		}
 		msg := StrobeMsg{Proc: s.ID, Seq: s.seq, Epoch: s.epoch, Var: varName, Value: value, Sparse: sparse}
@@ -225,9 +247,9 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 	case PhysicalReport:
 		// Physical reports carry no logical clock; the stamp is just the
 		// per-process seq.
-		s.net.SendStamped(s.ID, s.checkerIdx, ReportMsg{
+		s.net.SendStamped(s.ID, s.c.checkerIdx, ReportMsg{
 			Proc: s.ID, Seq: s.seq, Var: varName, Value: value,
-			TS: s.phys.Read(now),
+			TS: s.c.phys.Read(now),
 		}, flight.Stamp{Seq: uint64(s.seq)})
 	}
 	if s.tr != nil {
@@ -243,53 +265,69 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 			Attr: s.fl.Intern(varName), Clock: ownClock, Value: value,
 		})
 	}
-	if s.LogStamps && stamp != nil {
-		s.Stamps = append(s.Stamps, stamp)
-		s.Times = append(s.Times, now)
+	if c := s.c; c != nil {
+		if c.vals != nil {
+			c.vals[varName] = value
+		}
+		if c.logStamps && stamp != nil {
+			c.stamps = append(c.stamps, stamp)
+			c.times = append(c.times, now)
+		}
+		s.trackConjunct(now, stamp)
 	}
-	s.trackConjunct(now, stamp)
+}
+
+// StampLog returns the (stamp, true time) of every sense event logged so
+// far; both are nil unless the fleet was built with LogStamps.
+func (s *Sensor) StampLog() ([]clock.Vector, []sim.Time) {
+	if s.c == nil {
+		return nil, nil
+	}
+	return s.c.stamps, s.c.times
 }
 
 // trackConjunct opens/closes the local-conjunct-true interval and reports
-// closed intervals to the checker.
+// closed intervals to the checker. The sensor has a classic block.
 func (s *Sensor) trackConjunct(now sim.Time, stamp clock.Vector) {
-	if s.localConj == nil {
+	c := s.c
+	if c.localConj == nil {
 		return
 	}
-	holds := s.localConj.Holds(localState{proc: s.ID, vals: s.vals})
+	holds := c.localConj.Holds(localState{proc: s.ID, vals: c.vals})
 	switch {
-	case holds && !s.conjOpen:
-		s.conjOpen = true
-		s.openStamp = stamp.Clone()
-		s.openAt = now
-	case !holds && s.conjOpen:
-		s.conjOpen = false
-		s.net.Send(s.ID, s.checkerIdx, IntervalMsg{
-			Proc: s.ID, Index: s.intervalIdx,
-			Open: s.openStamp, Close: stamp.Clone(),
-			OpenAt: s.openAt, CloseAt: now,
+	case holds && !c.conjOpen:
+		c.conjOpen = true
+		c.openStamp = stamp.Clone()
+		c.openAt = now
+	case !holds && c.conjOpen:
+		c.conjOpen = false
+		s.net.Send(s.ID, c.checkerIdx, IntervalMsg{
+			Proc: s.ID, Index: c.intervalIdx,
+			Open: c.openStamp, Close: stamp.Clone(),
+			OpenAt: c.openAt, CloseAt: now,
 		})
-		s.intervalIdx++
+		c.intervalIdx++
 	}
 }
 
 // FlushConjunct closes a still-open conjunct interval at the horizon so
 // trailing occurrences are reported. Call once after the run.
 func (s *Sensor) FlushConjunct(horizon sim.Time) {
-	if s.localConj == nil || !s.conjOpen {
+	c := s.c
+	if c == nil || c.localConj == nil || !c.conjOpen {
 		return
 	}
-	s.conjOpen = false
+	c.conjOpen = false
 	var closeStamp clock.Vector
-	if s.vec != nil {
-		closeStamp = s.vec.Snapshot()
+	if c.vec != nil {
+		closeStamp = c.vec.Snapshot()
 	}
-	s.net.Send(s.ID, s.checkerIdx, IntervalMsg{
-		Proc: s.ID, Index: s.intervalIdx,
-		Open: s.openStamp, Close: closeStamp,
-		OpenAt: s.openAt, CloseAt: horizon,
+	s.net.Send(s.ID, c.checkerIdx, IntervalMsg{
+		Proc: s.ID, Index: c.intervalIdx,
+		Open: c.openStamp, Close: closeStamp,
+		OpenAt: c.openAt, CloseAt: horizon,
 	})
-	s.intervalIdx++
+	c.intervalIdx++
 }
 
 // onMessage merges incoming strobes into the local clock (rules SVC2 /
@@ -306,10 +344,10 @@ func (s *Sensor) onMessage(m network.Message, now sim.Time) {
 	switch s.Kind {
 	case VectorStrobe:
 		if strobe.Vec != nil {
-			s.vec.OnStrobe(strobe.Vec)
+			s.c.vec.OnStrobe(strobe.Vec)
 		}
 	case ScalarStrobe:
-		s.sc.OnStrobe(strobe.Scalar)
+		s.c.sc.OnStrobe(strobe.Scalar)
 	case DiffVectorStrobe:
 		if strobe.Sparse != nil {
 			s.dvec.OnStrobe(strobe.Sparse)
@@ -339,13 +377,15 @@ func (s *Sensor) Rejoin() {
 	s.down = false
 	s.seq = 0
 	s.epoch++
-	s.conjOpen = false
-	clear(s.vals)
+	if c := s.c; c != nil {
+		c.conjOpen = false
+		clear(c.vals)
+	}
 	switch s.Kind {
 	case VectorStrobe:
-		s.vec = clock.NewStrobeVector(s.ID, s.n)
+		s.c.vec = clock.NewStrobeVector(s.ID, s.n)
 	case ScalarStrobe:
-		s.sc = &clock.StrobeScalar{}
+		s.c.sc = &clock.StrobeScalar{}
 	case DiffVectorStrobe:
 		// Fresh clock in the same representation the sensor was built
 		// with; the sparse one is re-initialised where it lies.
@@ -364,7 +404,7 @@ func (s *Sensor) ClockStateBytes() int {
 	switch {
 	case s.dvec != nil:
 		return s.dvec.StateBytes()
-	case s.vec != nil:
+	case s.c != nil && s.c.vec != nil:
 		return 8 * s.n
 	default:
 		return 8

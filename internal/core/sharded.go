@@ -210,10 +210,21 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 		if h.traces != nil {
 			s.tr = h.traces[k]
 		}
-
-		w := h.Worlds[k]
-		obj := w.AddObject("o"+strconv.Itoa(i), nil)
-		s.Bind(w, obj, "p", "p")
+		h.Worlds[k].AddObject("", nil)
+	}
+	// Sensor i senses its own object's "p" as variable "p": one listener
+	// per shard's world does the binding for every object it hosts, where a
+	// Bind per sensor would cost a closure and a listener slice each.
+	for k, w := range h.Worlds {
+		if h.objBase[k] < 0 {
+			continue // the checker's shard alone: no objects
+		}
+		hosted := h.Sensors[h.objBase[k]:]
+		w.SubscribeAll(func(ev world.Event) {
+			if ev.Attr == "p" {
+				hosted[ev.Object].Sense(ev.At, "p", ev.New)
+			}
+		})
 	}
 
 	// Fleet workload: one materialized source over global sensor indices,

@@ -18,12 +18,12 @@ import (
 // design choices (they extend, rather than reproduce, the paper). Run via
 // `cmd/experiments -ablations`.
 var Ablations = []Experiment{
-	{"A1", "borderline-bin policy: positive vs negative", A1BorderlinePolicy},
-	{"A2", "race criterion: four-state vs naive concurrency flagging", A2RaceCriterion},
-	{"A3", "broadcast strategy: direct vs flooding on sparse overlays", A3BroadcastStrategy},
-	{"A4", "differential strobe compression (Singhal–Kshemkalyani)", A4DiffCompression},
-	{"A5", "physical checker reorder slack", A5PhysicalSlack},
-	{"A6", "duty-cycle timer synchronization (§5)", A6DutyCycle},
+	{"A1", "borderline-bin policy: positive vs negative", A1BorderlinePolicy, 0},
+	{"A2", "race criterion: four-state vs naive concurrency flagging", A2RaceCriterion, 5},
+	{"A3", "broadcast strategy: direct vs flooding on sparse overlays", A3BroadcastStrategy, 10},
+	{"A4", "differential strobe compression (Singhal–Kshemkalyani)", A4DiffCompression, 0},
+	{"A5", "physical checker reorder slack", A5PhysicalSlack, 4},
+	{"A6", "duty-cycle timer synchronization (§5)", A6DutyCycle, 0},
 }
 
 // AllWithAblations returns E1–E12 followed by A1–A6.

@@ -67,11 +67,6 @@ func (pw pulseWorkload) build(seed uint64) *core.Harness {
 		}
 	}
 	workload.Install(h.Eng, h.World, src.Events(pw.Horizon))
-	if pw.LogStamps {
-		for _, s := range h.Sensors {
-			s.LogStamps = true
-		}
-	}
 	return h
 }
 

@@ -77,7 +77,6 @@ func hiddenChannelRun(seed uint64, delta, covertDelay sim.Duration, horizon sim.
 	for i := 0; i < n; i++ {
 		objs[i] = h.World.AddObject(fmt.Sprintf("obj-%d", i), nil)
 		h.Bind(i, objs[i], "v", "v")
-		h.Sensors[i].LogStamps = true
 	}
 	// Spontaneous activity at object 0 drives covert chains around the
 	// ring: obj0 → obj1 → obj2 → obj3.
@@ -102,8 +101,8 @@ func hiddenChannelRun(seed uint64, delta, covertDelay sim.Duration, horizon sim.
 		i := ev.Object
 		k := perObj[i]
 		perObj[i]++
-		if k < len(h.Sensors[i].Stamps) {
-			stampOf[ev.Seq] = h.Sensors[i].Stamps[k]
+		if stamps, _ := h.Sensors[i].StampLog(); k < len(stamps) {
+			stampOf[ev.Seq] = stamps[k]
 		}
 	}
 	for _, pair := range world.CausalPairs(log, false) {

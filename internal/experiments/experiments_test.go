@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"pervasive/internal/faults"
 )
 
 func quick() RunConfig { return RunConfig{Seed: 1, Quick: true} }
@@ -242,5 +245,47 @@ func TestE12Shape(t *testing.T) {
 	}
 	if cell(t, tbl, 0, 4) >= cell(t, tbl, 0, 5) {
 		t.Fatalf("strobe lattice not smaller than true lattice at Δ=0: %v", tbl.Rows[0])
+	}
+}
+
+// Every registered experiment's Fleet is exact on the quick sweep: a plan
+// crashing sensor Fleet−1 runs, one crashing sensor Fleet panics with
+// core.ScheduleFaults' range message, and an experiment with Fleet 0 runs
+// a plan naming a process no fleet has — it never installs the plan.
+// (E15's full sweep starts at 1024 sensors; its Fleet is the quick 256,
+// the smaller of the two.)
+func TestFleetMatchesFaultRange(t *testing.T) {
+	run := func(e Experiment, proc int) (msg string) {
+		plan, err := faults.Parse(fmt.Sprintf("crash(%d,1s)", proc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		cfg := quick()
+		cfg.Faults = plan
+		e.Run(cfg)
+		return ""
+	}
+	for _, e := range AllWithAblations() {
+		t.Run(e.ID, func(t *testing.T) {
+			if e.Fleet == 0 {
+				if msg := run(e, 1<<20); msg != "" {
+					t.Fatalf("Fleet 0, but a plan reached a fleet: %s", msg)
+				}
+				return
+			}
+			if msg := run(e, e.Fleet-1); msg != "" {
+				t.Fatalf("Fleet %d, but crashing sensor %d panics: %s", e.Fleet, e.Fleet-1, msg)
+			}
+			want := fmt.Sprintf("limited to sensors 0..%d", e.Fleet-1)
+			if msg := run(e, e.Fleet); !strings.Contains(msg, want) {
+				t.Fatalf("Fleet %d, but crashing sensor %d gives %q, want a panic containing %q",
+					e.Fleet, e.Fleet, msg, want)
+			}
+		})
 	}
 }

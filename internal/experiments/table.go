@@ -127,26 +127,31 @@ type Experiment struct {
 	ID   string
 	Name string
 	Run  func(cfg RunConfig) *Table
+	// Fleet is the sensor count of the smallest fleet Run installs
+	// RunConfig.Faults into, over its quick and full sweeps alike: the
+	// fleet a fault plan has to fit (faults.Plan.Check). 0 means Run never
+	// installs RunConfig.Faults.
+	Fleet int
 }
 
 // All lists the experiments in order.
 var All = []Experiment{
-	{"E1", "strobe detection accuracy vs Δ", E1StrobeAccuracy},
-	{"E2", "physical-clock false negatives below the skew bound", E2TwoEpsilon},
-	{"E3", "slim lattice postulate", E3SlimLattice},
-	{"E4", "scalar ≡ vector strobes at Δ=0", E4ScalarVectorEquivalence},
-	{"E5", "exhibition hall borderline bin", E5ExhibitionHall},
-	{"E6", "Definitely(φ) under growing delay", E6DefinitelyUnderDelay},
-	{"E7", "strobe message overhead O(1) vs O(n)", E7MessageOverhead},
-	{"E8", "loss localization", E8LossLocalization},
-	{"E9", "clock synchronization cost and accuracy", E9ClockSyncCost},
-	{"E10", "every-occurrence vs detect-once", E10EveryOccurrence},
-	{"E11", "hidden channels defeat causality tracking", E11HiddenChannels},
-	{"E12", "strobes as causal clocks inject false causality", E12FalseCausality},
-	{"E13", "crash/recovery churn sweep", E13CrashChurn},
-	{"E14", "sharded-engine scale sweep", E14ScaleSweep},
-	{"E15", "checker-tree fan-out sweep", E15CheckerTree},
-	{"E16", "statistical generator sweep (burstiness, diurnal phase)", E16GeneratorSweep},
+	{"E1", "strobe detection accuracy vs Δ", E1StrobeAccuracy, 6},
+	{"E2", "physical-clock false negatives below the skew bound", E2TwoEpsilon, 0},
+	{"E3", "slim lattice postulate", E3SlimLattice, 4},
+	{"E4", "scalar ≡ vector strobes at Δ=0", E4ScalarVectorEquivalence, 4},
+	{"E5", "exhibition hall borderline bin", E5ExhibitionHall, 0},
+	{"E6", "Definitely(φ) under growing delay", E6DefinitelyUnderDelay, 0},
+	{"E7", "strobe message overhead O(1) vs O(n)", E7MessageOverhead, 4},
+	{"E8", "loss localization", E8LossLocalization, 3},
+	{"E9", "clock synchronization cost and accuracy", E9ClockSyncCost, 0},
+	{"E10", "every-occurrence vs detect-once", E10EveryOccurrence, 0},
+	{"E11", "hidden channels defeat causality tracking", E11HiddenChannels, 0},
+	{"E12", "strobes as causal clocks inject false causality", E12FalseCausality, 3},
+	{"E13", "crash/recovery churn sweep", E13CrashChurn, 0},
+	{"E14", "sharded-engine scale sweep", E14ScaleSweep, 64},
+	{"E15", "checker-tree fan-out sweep", E15CheckerTree, 256},
+	{"E16", "statistical generator sweep (burstiness, diurnal phase)", E16GeneratorSweep, 6},
 }
 
 // ByID finds an experiment or ablation by its ID (case-insensitive).

@@ -47,8 +47,8 @@ type ShardedNet struct {
 	parts []*ShardPart
 
 	handlers []Handler
-	rngs     []*stats.RNG // per-source delay/jitter streams
-	seqs     []uint32     // per-source link-transmission counters
+	rngs     []stats.RNG // per-source delay/jitter streams, by value
+	seqs     []uint32    // per-source link-transmission counters
 
 	// NeighborScope restricts Broadcast to the source's topology neighbors
 	// plus AlwaysReach (typically the checker index) — the
@@ -96,12 +96,12 @@ func NewSharded(sh *sim.Shards, topo Topology, delay sim.DelayModel, smap ShardM
 		sh: sh, topo: topo, delay: delay, smap: smap,
 		parts:    make([]*ShardPart, sh.N()),
 		handlers: make([]Handler, smap.Procs),
-		rngs:     make([]*stats.RNG, smap.Procs),
+		rngs:     make([]stats.RNG, smap.Procs),
 		seqs:     make([]uint32, smap.Procs),
 	}
 	root := stats.NewRNG(seed)
 	for i := range sn.rngs {
-		sn.rngs[i] = root.Fork()
+		sn.rngs[i] = *stats.NewRNG(root.Uint64()) // root.Fork(), kept by value
 	}
 	for k := range sn.parts {
 		p := &ShardPart{owner: sn, k: k, eng: sh.Engine(k)}
@@ -236,7 +236,7 @@ func (p *ShardPart) send(src, skip int, pl Payload, st flight.Stamp) uint64 {
 // may schedule a second delivery under a freshly minted key.
 func (p *ShardPart) transmit(body *sendBody, dst int, pri uint64, now sim.Time) {
 	sn := p.owner
-	r := sn.rngs[body.Src]
+	r := &sn.rngs[body.Src]
 	d, ok := LinkDelay(sn.fault, sn.delay, r, body.Src, dst, now)
 	if !ok {
 		p.Stats.Dropped++

@@ -58,14 +58,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Fork derives a new generator whose stream is independent of the parent's
 // subsequent output. The parent advances by one draw.
-func (r *RNG) Fork() *RNG {
-	sm := r.Uint64()
-	child := &RNG{}
-	for i := range child.s {
-		child.s[i] = splitmix64(&sm)
-	}
-	return child
-}
+func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }
 
 // Intn returns an integer uniformly distributed in [0, n). It panics if
 // n <= 0.

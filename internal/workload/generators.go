@@ -34,7 +34,7 @@ func (g TogglerFleet) Events(horizon sim.Time) []Event {
 	root := stats.NewRNG(g.Seed)
 	var out []Event
 	for i := 0; i < g.N; i++ {
-		r := root.Fork()
+		r := stats.NewRNG(root.Uint64()) // root.Fork(), on the stack
 		obj := g.BaseObj + i
 		cur := 0.0
 		now := sim.Time(0) + expGap(r, g.MeanLow)

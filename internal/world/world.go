@@ -53,7 +53,6 @@ type Listener func(Event)
 // a handful of attributes, so the scan over one contiguous slice is shorter
 // than a hash, and the listeners of an attribute sit beside its value.
 type object struct {
-	name  string
 	cells []attrCell
 }
 
@@ -104,9 +103,10 @@ func New(eng *sim.Engine) *World {
 }
 
 // AddObject creates an object with the given initial attributes and
-// returns its ID.
-func (w *World) AddObject(name string, attrs map[string]float64) int {
-	o := object{name: name}
+// returns its ID. The first argument labels the object at the call site
+// only: the world keeps no name, since nothing reads one.
+func (w *World) AddObject(_ string, attrs map[string]float64) int {
+	var o object
 	for a, v := range attrs {
 		o.cells = append(o.cells, attrCell{name: a, val: v})
 	}
@@ -164,8 +164,10 @@ func (w *World) Subscribe(obj int, attr string, l Listener) {
 	c.listeners = append(c.listeners, l)
 }
 
-// SubscribeAll attaches a listener to every world event (an omniscient
-// observer; used by oracles and traces, not by realistic sensors).
+// SubscribeAll attaches a listener to every world event, after the keyed
+// listeners of the event's attribute. Oracles and traces use it as an
+// omniscient observer; a sharded fleet uses one per world as the binding of
+// every sensor to its own object, filtering by attribute itself.
 func (w *World) SubscribeAll(l Listener) { w.all = append(w.all, l) }
 
 // Log returns the ground-truth event log so far. The returned slice is the
