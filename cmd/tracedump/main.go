@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -308,16 +309,42 @@ func traceSummary(tr *trace.Trace, asJSON bool, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  %-8s %d\n", typeName(ty), counts[ty])
 		}
 	}
-	for i := 0; i < tr.N; i++ {
-		recs := tr.ByProcess(i)
-		var senses int
-		for _, r := range recs {
-			if r.Type == trace.Sense {
-				senses++
-			}
+	// One line per process with records, in process order. The header's N
+	// is whatever the file says, so the output follows the records: each
+	// run of two or more silent processes is one line.
+	type tally struct{ events, senses int }
+	per := map[int]*tally{}
+	for _, r := range tr.Records {
+		c := per[r.Proc]
+		if c == nil {
+			c = &tally{}
+			per[r.Proc] = c
 		}
-		fmt.Fprintf(stdout, "  P%-3d: %5d events (%d sense)\n", i, len(recs), senses)
+		c.events++
+		if r.Type == trace.Sense {
+			c.senses++
+		}
 	}
+	procs := make([]int, 0, len(per))
+	for p := range per {
+		procs = append(procs, p)
+	}
+	sort.Ints(procs)
+	next := 0 // the first process not yet listed
+	silentUpTo := func(end int) {
+		switch k := end - next; {
+		case k == 1:
+			fmt.Fprintf(stdout, "  P%-3d: %5d events (%d sense)\n", next, 0, 0)
+		case k > 1:
+			fmt.Fprintf(stdout, "  P%d..P%d: no events (%d processes)\n", next, end-1, k)
+		}
+	}
+	for _, p := range procs {
+		silentUpTo(p)
+		fmt.Fprintf(stdout, "  P%-3d: %5d events (%d sense)\n", p, per[p].events, per[p].senses)
+		next = p + 1
+	}
+	silentUpTo(tr.N)
 	if tr.Metrics != nil {
 		if err := tr.Metrics.WriteTable(stdout); err != nil {
 			fmt.Fprintln(stderr, "tracedump:", err)
@@ -733,22 +760,24 @@ func typeName(t trace.Type) string {
 	}
 }
 
-// stampedExecution extracts sense events carrying vector stamps.
+// stampedExecution extracts sense events carrying vector stamps (nil when
+// there are none). It sizes the execution by N only once a non-empty stamp
+// exists: the decoders hold every such stamp to N entries, so N is then
+// bounded by the file, whatever its header claims.
 func stampedExecution(tr *trace.Trace) *lattice.Execution {
+	stamped := func(r trace.Record) bool { return r.Type == trace.Sense && len(r.Vector) > 0 }
+	if !slices.ContainsFunc(tr.Records, stamped) {
+		return nil
+	}
 	ex := &lattice.Execution{
 		Stamps: make([][]clock.Vector, tr.N),
 		Times:  make([][]sim.Time, tr.N),
 	}
-	found := false
 	for _, r := range tr.Records {
-		if r.Type == trace.Sense && r.Vector != nil {
+		if stamped(r) {
 			ex.Stamps[r.Proc] = append(ex.Stamps[r.Proc], r.Vector)
 			ex.Times[r.Proc] = append(ex.Times[r.Proc], r.At)
-			found = true
 		}
-	}
-	if !found {
-		return nil
 	}
 	return ex
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -148,6 +149,60 @@ func TestExitCodes(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, bad); code != 2 {
 		t.Error("corrupt input not reported as exit 2")
+	}
+}
+
+// TestHostileTraceHeaders: a trace header may claim any process count. The
+// summary, text and -json, once sized its index and its lattice input by
+// it — makeslice panics at 2^62−1, 24 GB at 10^9 — and listed one line per
+// process up to the highest one with a record. Now neither the decoders
+// nor the summary allocate or print by N until a non-empty stamp has shown
+// N to be real: an empty stamp is no stamp, and the whole run allocates
+// within the trace decoders' fuzz bound. A stamp of the wrong length is a
+// decode error.
+func TestHostileTraceHeaders(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, in := range []string{
+		`{"n": 4611686018427387903, "records": []}`,
+		`{"n": 1000000000, "records": [{"proc": 2, "type": "c"}]}`,
+		`{"n": 1000000000, "records": [{"proc": 999999998, "type": "c"}]}`,
+		`{"n": 4611686018427387903, "records": [{"proc": 0, "type": "n", "vector": []}]}`,
+		"{\"n\":4611686018427387903}\n",
+		"{\"n\":4611686018427387903}\n{\"proc\":0,\"type\":\"n\",\"vector\":[]}\n",
+	} {
+		path := write("hostile.json", in)
+		for _, args := range [][]string{{path}, {"-json", path}} {
+			least := ^uint64(0)
+			var code int
+			var out, errb string
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				code, out, errb = runCLI(t, args...)
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			if code != 0 {
+				t.Errorf("%v on %q: exit %d, stderr %s", args, in, code, errb)
+			}
+			if limit := uint64(128*len(in) + 4096); least > limit {
+				t.Errorf("%v on %q: allocated %d bytes, limit %d", args, in, least, limit)
+			}
+			if args[0] == path && (!strings.Contains(out, "no events (") || strings.Count(out, "\n") > 10) {
+				t.Errorf("%v on %q: the silent processes are not folded:\n%s", args, in, out)
+			}
+		}
+	}
+	mismatched := write("mismatched.json", `{"n": 2, "records": [{"proc": 0, "type": "n", "vector": [1, 2, 3, 4, 5]}]}`)
+	if code, _, errb := runCLI(t, mismatched); code != 2 || !strings.Contains(errb, "vector of 5 entries") {
+		t.Errorf("a 5-entry stamp in a 2-process trace: exit %d, stderr %q; want 2 and the stamp named", code, errb)
 	}
 }
 

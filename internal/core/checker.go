@@ -137,8 +137,8 @@ func newStrobeChecker(n int, pred predicate.Cond, raceAware bool) *StrobeChecker
 // strobe delivered there; other payloads are ignored.
 func onStrobes(net Receiver, idx int, fn func(m StrobeMsg, now sim.Time)) {
 	net.Register(idx, func(m network.Message, now sim.Time) {
-		if strobe, ok := m.Payload.(StrobeMsg); ok {
-			fn(strobe, now)
+		if strobe, ok := m.Payload.(*StrobeMsg); ok {
+			fn(*strobe, now)
 		}
 	})
 }

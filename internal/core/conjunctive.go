@@ -83,8 +83,8 @@ func NewConjunctiveChecker(n int, m predicate.Modality) *ConjunctiveChecker {
 // Register installs the checker on transport node idx.
 func (c *ConjunctiveChecker) Register(net Receiver, idx int) {
 	net.Register(idx, func(m network.Message, now sim.Time) {
-		if iv, ok := m.Payload.(IntervalMsg); ok {
-			c.OnInterval(iv, now)
+		if iv, ok := m.Payload.(*IntervalMsg); ok {
+			c.OnInterval(*iv, now)
 		}
 	})
 }

@@ -29,6 +29,11 @@ import (
 // StrobeMsg is the control message broadcast by a sensor at each relevant
 // (sense) event, per rules SVC1 / SSC1. Exactly one of Vec or Scalar is
 // meaningful, chosen by the emitting sensor's clock kind.
+//
+// The three payloads of this file implement network.Payload on their
+// pointer only: a sender builds the message inside its transport body with
+// network.NewBody, and a receiver asserts the pointer — one arrival form,
+// checked by the compiler.
 type StrobeMsg struct {
 	Proc int
 	Seq  int // per-process sense event counter (1-based)
@@ -50,7 +55,7 @@ type StrobeMsg struct {
 
 // WireSize implements network.Payload: vector strobes carry O(n) state,
 // scalar strobes O(1) (Section 4.2.2).
-func (m StrobeMsg) WireSize() int {
+func (m *StrobeMsg) WireSize() int {
 	base := 2 /*proc*/ + 4 /*seq*/ + 2 /*var id*/ + 8 /*value*/
 	if m.Epoch > 0 {
 		base += 2 // epoch tag, only carried once a process has rebooted
@@ -65,7 +70,7 @@ func (m StrobeMsg) WireSize() int {
 }
 
 // Kind implements network.Payload.
-func (m StrobeMsg) Kind() string {
+func (m *StrobeMsg) Kind() string {
 	switch {
 	case m.Vec != nil:
 		return "strobe-vec"
@@ -79,7 +84,7 @@ func (m StrobeMsg) Kind() string {
 // checker records. The clock component is the sender's own
 // vector entry (which SVC1 ticked at the emitting sense event, so the
 // differential payload always carries it), or the scalar value.
-func (m StrobeMsg) FlightStamp() (epoch, seq int, clk uint64) {
+func (m *StrobeMsg) FlightStamp() (epoch, seq int, clk uint64) {
 	switch {
 	case m.Vec != nil:
 		if m.Proc >= 0 && m.Proc < len(m.Vec) {
@@ -110,10 +115,10 @@ type ReportMsg struct {
 }
 
 // WireSize implements network.Payload.
-func (m ReportMsg) WireSize() int { return 2 + 4 + 2 + 8 + 8 }
+func (m *ReportMsg) WireSize() int { return 2 + 4 + 2 + 8 + 8 }
 
 // Kind implements network.Payload.
-func (m ReportMsg) Kind() string { return "phys-report" }
+func (m *ReportMsg) Kind() string { return "phys-report" }
 
 // IntervalMsg reports one closed local-conjunct-true interval to the
 // conjunctive checker: the vector stamps of its delimiting events plus
@@ -129,7 +134,7 @@ type IntervalMsg struct {
 }
 
 // WireSize implements network.Payload.
-func (m IntervalMsg) WireSize() int { return 2 + 4 + 8*len(m.Open) + 8*len(m.Close) }
+func (m *IntervalMsg) WireSize() int { return 2 + 4 + 8*len(m.Open) + 8*len(m.Close) }
 
 // Kind implements network.Payload.
-func (m IntervalMsg) Kind() string { return "interval" }
+func (m *IntervalMsg) Kind() string { return "interval" }

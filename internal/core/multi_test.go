@@ -50,7 +50,7 @@ func TestMultiCheckerOnTransport(t *testing.T) {
 	}, true)
 	m.Register(nt, 2)
 	eng.At(5, func(sim.Time) {
-		nt.Send(0, 2, StrobeMsg{Proc: 0, Seq: 1, Var: "x", Value: 1, Vec: clock.Vector{1, 0}})
+		nt.SendBody(0, 2, &network.Body{Payload: &StrobeMsg{Proc: 0, Seq: 1, Var: "x", Value: 1, Vec: clock.Vector{1, 0}}})
 	})
 	eng.RunAll()
 	m.Finish(100)

@@ -70,8 +70,8 @@ func NewPhysicalChecker(eng *sim.Engine, n int, pred predicate.Cond, slack sim.D
 // Register installs the checker on transport node idx.
 func (c *PhysicalChecker) Register(net Receiver, idx int) {
 	net.Register(idx, func(m network.Message, now sim.Time) {
-		if rep, ok := m.Payload.(ReportMsg); ok {
-			c.OnReport(rep, now)
+		if rep, ok := m.Payload.(*ReportMsg); ok {
+			c.OnReport(*rep, now)
 		}
 	})
 }

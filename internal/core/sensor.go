@@ -211,25 +211,17 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 
 	var stamp clock.Vector
 	var ownClock uint64 // this sensor's logical component at the event
+	msg := StrobeMsg{Proc: s.ID, Seq: s.seq, Epoch: s.epoch, Var: varName, Value: value}
 	switch s.Kind {
 	case VectorStrobe:
 		stamp = s.c.vec.Strobe() // SVC1
 		ownClock = stamp[s.ID]
-		msg := StrobeMsg{Proc: s.ID, Seq: s.seq, Epoch: s.epoch, Var: varName, Value: value, Vec: stamp}
-		s.net.BroadcastStamped(s.ID, msg, flight.Stamp{Epoch: int32(s.epoch), Seq: uint64(s.seq), Clock: ownClock})
-		if s.Local != nil {
-			s.Local.OnStrobe(msg, now)
-		}
+		msg.Vec = stamp
 	case ScalarStrobe:
-		sv := s.c.sc.Strobe() // SSC1
-		ownClock = sv
-		msg := StrobeMsg{Proc: s.ID, Seq: s.seq, Epoch: s.epoch, Var: varName, Value: value, Scalar: sv}
-		s.net.BroadcastStamped(s.ID, msg, flight.Stamp{Epoch: int32(s.epoch), Seq: uint64(s.seq), Clock: ownClock})
-		if s.Local != nil {
-			s.Local.OnStrobe(msg, now)
-		}
+		msg.Scalar = s.c.sc.Strobe() // SSC1
+		ownClock = msg.Scalar
 	case DiffVectorStrobe:
-		sparse := s.dvec.Strobe() // SVC1 with differential wire format
+		msg.Sparse = s.dvec.Strobe() // SVC1 with differential wire format
 		ownClock = s.dvec.OwnClock()
 		// Materializing the full vector is O(n); only pay for it when a
 		// consumer actually wants dense stamps — the trace, or the stamp log
@@ -239,18 +231,19 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 		if s.tr != nil || s.c != nil {
 			stamp = s.dvec.Snapshot()
 		}
-		msg := StrobeMsg{Proc: s.ID, Seq: s.seq, Epoch: s.epoch, Var: varName, Value: value, Sparse: sparse}
-		s.net.BroadcastStamped(s.ID, msg, flight.Stamp{Epoch: int32(s.epoch), Seq: uint64(s.seq), Clock: ownClock})
-		if s.Local != nil {
-			s.Local.OnStrobe(msg, now)
-		}
 	case PhysicalReport:
 		// Physical reports carry no logical clock; the stamp is just the
 		// per-process seq.
-		s.net.SendStamped(s.ID, s.c.checkerIdx, ReportMsg{
+		s.net.SendBody(s.ID, s.c.checkerIdx, network.NewBody(ReportMsg{
 			Proc: s.ID, Seq: s.seq, Var: varName, Value: value,
 			TS: s.c.phys.Read(now),
-		}, flight.Stamp{Seq: uint64(s.seq)})
+		}, flight.Stamp{Seq: uint64(s.seq)}))
+	}
+	if s.Kind != PhysicalReport {
+		s.net.BroadcastBody(s.ID, network.NewBody(msg, flight.Stamp{Epoch: int32(s.epoch), Seq: uint64(s.seq), Clock: ownClock}))
+		if s.Local != nil {
+			s.Local.OnStrobe(msg, now)
+		}
 	}
 	if s.tr != nil {
 		s.tr.Append(trace.Record{
@@ -301,11 +294,11 @@ func (s *Sensor) trackConjunct(now sim.Time, stamp clock.Vector) {
 		c.openAt = now
 	case !holds && c.conjOpen:
 		c.conjOpen = false
-		s.net.Send(s.ID, c.checkerIdx, IntervalMsg{
+		s.net.SendBody(s.ID, c.checkerIdx, network.NewBody(IntervalMsg{
 			Proc: s.ID, Index: c.intervalIdx,
 			Open: c.openStamp, Close: stamp.Clone(),
 			OpenAt: c.openAt, CloseAt: now,
-		})
+		}, flight.Stamp{}))
 		c.intervalIdx++
 	}
 }
@@ -322,11 +315,11 @@ func (s *Sensor) FlushConjunct(horizon sim.Time) {
 	if c.vec != nil {
 		closeStamp = c.vec.Snapshot()
 	}
-	s.net.Send(s.ID, c.checkerIdx, IntervalMsg{
+	s.net.SendBody(s.ID, c.checkerIdx, network.NewBody(IntervalMsg{
 		Proc: s.ID, Index: c.intervalIdx,
 		Open: c.openStamp, Close: closeStamp,
 		OpenAt: c.openAt, CloseAt: horizon,
-	})
+	}, flight.Stamp{}))
 	c.intervalIdx++
 }
 
@@ -337,7 +330,7 @@ func (s *Sensor) onMessage(m network.Message, now sim.Time) {
 	if s.down {
 		return // defensive: the transport already gates crashed receivers
 	}
-	strobe, ok := m.Payload.(StrobeMsg)
+	strobe, ok := m.Payload.(*StrobeMsg)
 	if !ok {
 		return
 	}
@@ -354,7 +347,7 @@ func (s *Sensor) onMessage(m network.Message, now sim.Time) {
 		}
 	}
 	if s.Local != nil {
-		s.Local.OnStrobe(strobe, now)
+		s.Local.OnStrobe(*strobe, now)
 	}
 	if s.tr != nil {
 		s.tr.Append(trace.Record{

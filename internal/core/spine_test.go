@@ -61,7 +61,7 @@ func TestFaultInstallParityAcrossHarnesses(t *testing.T) {
 // its traffic off a ShardedNet exactly as off a Net.
 func TestCheckersRegisterOnShardedNet(t *testing.T) {
 	pred := predicate.MustParse("x@0 >= 1")
-	strobe := StrobeMsg{Proc: 0, Seq: 1, Var: "x", Value: 1, Scalar: 1}
+	strobe := &StrobeMsg{Proc: 0, Seq: 1, Var: "x", Value: 1, Scalar: 1}
 	cases := []struct {
 		name     string
 		payload  network.Payload
@@ -72,7 +72,7 @@ func TestCheckersRegisterOnShardedNet(t *testing.T) {
 			c.Register(net, idx)
 			return func() int64 { return c.Applied }
 		}},
-		{"PhysicalChecker", ReportMsg{Proc: 0, Seq: 1, Var: "x", Value: 1, TS: 1}, func(net Receiver, eng *sim.Engine, idx int) func() int64 {
+		{"PhysicalChecker", &ReportMsg{Proc: 0, Seq: 1, Var: "x", Value: 1, TS: 1}, func(net Receiver, eng *sim.Engine, idx int) func() int64 {
 			c := NewPhysicalChecker(eng, 2, pred, sim.Millisecond)
 			c.Register(net, idx)
 			return c.Applied
@@ -90,7 +90,7 @@ func TestCheckersRegisterOnShardedNet(t *testing.T) {
 		sn := network.NewSharded(sh, network.FullMesh{Nodes: 3}, delay, smap, 1)
 		const idx = 2 // the checker's node, on the other shard from sensor 0
 		applied := tc.register(sn, sh.Engine(smap.Of(idx)), idx)
-		sh.Engine(0).At(0, func(sim.Time) { sn.Part(0).Send(0, idx, tc.payload) })
+		sh.Engine(0).At(0, func(sim.Time) { sn.Part(0).SendBody(0, idx, &network.Body{Payload: tc.payload}) })
 		sh.RunAll()
 		if got := applied(); got != 1 {
 			t.Errorf("%s on ShardedNet: applied %d deliveries, want 1", tc.name, got)

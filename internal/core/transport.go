@@ -1,18 +1,17 @@
 package core
 
 import (
-	"pervasive/internal/flight"
 	"pervasive/internal/network"
 )
 
 // Transport is the sending surface a sensor needs: direct sends to the
-// checker and the protocol's strobe broadcast. Both the single-engine
-// network.Net and a shard's network.ShardPart satisfy it, which is how one
-// Sensor implementation runs unchanged on either kernel.
+// checker and the protocol's strobe broadcast, each of one body the sender
+// built with network.NewBody. Both the single-engine network.Net and a
+// shard's network.ShardPart satisfy it, which is how one Sensor
+// implementation runs unchanged on either kernel.
 type Transport interface {
-	Send(src, dst int, p network.Payload) uint64
-	SendStamped(src, dst int, p network.Payload, st flight.Stamp) uint64
-	BroadcastStamped(src int, p network.Payload, st flight.Stamp) uint64
+	SendBody(src, dst int, b *network.Body) uint64
+	BroadcastBody(src int, b *network.Body) uint64
 }
 
 // Receiver is the receiving surface a fleet or a checker registers on: the

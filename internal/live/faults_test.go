@@ -239,7 +239,7 @@ func TestLiveRecoveryDrainsMailbox(t *testing.T) {
 	<-stalled
 	const stuffed = 10
 	for k := 0; k < stuffed; k++ {
-		n.in <- network.Message{Src: 0, Dst: 1, Payload: core.StrobeMsg{Proc: 0, Seq: k + 1, Vec: []uint64{uint64(k + 1), 0}}}
+		n.in <- network.Message{Src: 0, Dst: 1, Payload: &core.StrobeMsg{Proc: 0, Seq: k + 1, Vec: []uint64{uint64(k + 1), 0}}}
 	}
 	for len(n.cmd) < 2 { // the crash and the rejoin, queued behind the stall
 		time.Sleep(time.Millisecond)

@@ -340,26 +340,22 @@ func (l *links) N() int { return l.cfg.N + 1 }
 // Register implements core.Receiver.
 func (l *links) Register(i int, h network.Handler) { l.handlers[i] = h }
 
-// Send implements core.Transport.
-func (l *links) Send(src, dst int, p network.Payload) uint64 {
-	return l.SendStamped(src, dst, p, flight.Stamp{})
-}
-
-// SendStamped implements core.Transport: one copy, to dst.
-func (l *links) SendStamped(src, dst int, p network.Payload, st flight.Stamp) uint64 {
+// SendBody implements core.Transport: one copy, to dst.
+func (l *links) SendBody(src, dst int, b *network.Body) uint64 {
 	nw := (*Network)(l)
-	nw.transmit(network.Message{Src: src, From: src, Dst: dst, SentAt: nw.Now(), Payload: p, Stamp: st})
+	b.Seal(src, nw.Now())
+	nw.transmit(b.Message(dst))
 	return 0
 }
 
-// BroadcastStamped implements core.Transport: one copy to every other
-// node, then the checker's.
-func (l *links) BroadcastStamped(src int, p network.Payload, st flight.Stamp) uint64 {
+// BroadcastBody implements core.Transport: one copy to every other node,
+// then the checker's.
+func (l *links) BroadcastBody(src int, b *network.Body) uint64 {
 	nw := (*Network)(l)
-	m := network.Message{Src: src, From: src, SentAt: nw.Now(), Payload: p, Stamp: st}
-	for m.Dst = 0; m.Dst <= nw.cfg.N; m.Dst++ {
-		if m.Dst != src {
-			nw.transmit(m)
+	b.Seal(src, nw.Now())
+	for dst := 0; dst <= nw.cfg.N; dst++ {
+		if dst != src {
+			nw.transmit(b.Message(dst))
 		}
 	}
 	return 0

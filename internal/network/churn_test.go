@@ -20,9 +20,9 @@ func TestFloodUsesNewLinks(t *testing.T) {
 		i := i
 		nt.Register(i, func(Message, sim.Time) { got[i]++ })
 	}
-	eng.At(0, func(sim.Time) { nt.Broadcast(0, Raw{}) }) // node 2 unreachable
+	eng.At(0, func(sim.Time) { netBroadcast(nt, 0, Raw{}) }) // node 2 unreachable
 	eng.At(10, func(sim.Time) { m.AddLink(1, 2) })
-	eng.At(20, func(sim.Time) { nt.Broadcast(0, Raw{}) }) // now reachable
+	eng.At(20, func(sim.Time) { netBroadcast(nt, 0, Raw{}) }) // now reachable
 	eng.RunAll()
 	if got[2] != 1 {
 		t.Fatalf("node 2 received %d broadcasts, want 1", got[2])
@@ -37,7 +37,7 @@ func TestDirectBroadcastIgnoresOverlay(t *testing.T) {
 	nt := New(eng, m, sim.Synchronous{})
 	count := 0
 	nt.Register(2, func(Message, sim.Time) { count++ })
-	eng.At(0, func(sim.Time) { nt.Broadcast(0, Raw{}) })
+	eng.At(0, func(sim.Time) { netBroadcast(nt, 0, Raw{}) })
 	eng.RunAll()
 	if count != 1 {
 		t.Fatalf("direct broadcast delivered %d", count)
@@ -56,7 +56,7 @@ func TestFloodDeliversOncePerBroadcastOnDenseGraph(t *testing.T) {
 	}
 	for k := 0; k < 5; k++ {
 		k := k
-		eng.At(sim.Time(k*1000), func(sim.Time) { nt.Broadcast(k%8, Raw{}) })
+		eng.At(sim.Time(k*1000), func(sim.Time) { netBroadcast(nt, k%8, Raw{}) })
 	}
 	eng.RunAll()
 	for i, c := range counts {

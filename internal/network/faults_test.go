@@ -16,10 +16,10 @@ func TestCrashedProcessNeitherSendsNorReceives(t *testing.T) {
 		i := i
 		nt.Register(i, func(Message, sim.Time) { counts[i]++ })
 	}
-	eng.At(5, func(sim.Time) { nt.Broadcast(1, Raw{Size: 1}) })  // up: delivers to 0 and 2
-	eng.At(12, func(sim.Time) { nt.Broadcast(1, Raw{Size: 1}) }) // down: suppressed
-	eng.At(15, func(sim.Time) { nt.Send(0, 1, Raw{Size: 1}) })   // down dst: dropped
-	eng.At(25, func(sim.Time) { nt.Send(0, 1, Raw{Size: 1}) })   // recovered: delivers
+	eng.At(5, func(sim.Time) { netBroadcast(nt, 1, Raw{Size: 1}) })  // up: delivers to 0 and 2
+	eng.At(12, func(sim.Time) { netBroadcast(nt, 1, Raw{Size: 1}) }) // down: suppressed
+	eng.At(15, func(sim.Time) { netSend(nt, 0, 1, Raw{Size: 1}) })   // down dst: dropped
+	eng.At(25, func(sim.Time) { netSend(nt, 0, 1, Raw{Size: 1}) })   // recovered: delivers
 	eng.RunAll()
 	if counts[0] != 1 || counts[2] != 1 {
 		t.Fatalf("peers received %v", counts)
@@ -34,7 +34,7 @@ func TestCrashedProcessNeitherSendsNorReceives(t *testing.T) {
 	if f.Counts.CrashDrops.Load() != 1 {
 		t.Fatalf("crash drops %d", f.Counts.CrashDrops.Load())
 	}
-	if id := nt.Broadcast(1, Raw{Size: 1}); id == 0 {
+	if id := netBroadcast(nt, 1, Raw{Size: 1}); id == 0 {
 		t.Fatal("recovered process should send again")
 	}
 }
@@ -50,7 +50,7 @@ func TestPartitionCutsBothDirectAndFloodTraffic(t *testing.T) {
 			i := i
 			nt.Register(i, func(Message, sim.Time) { counts[i]++ })
 		}
-		eng.At(10, func(sim.Time) { nt.Broadcast(0, Raw{Size: 1}) })
+		eng.At(10, func(sim.Time) { netBroadcast(nt, 0, Raw{Size: 1}) })
 		eng.RunAll()
 		if counts[1] != 1 {
 			t.Fatalf("flood=%v: same-group peer received %d", flood, counts[1])
@@ -62,7 +62,7 @@ func TestPartitionCutsBothDirectAndFloodTraffic(t *testing.T) {
 			t.Fatalf("flood=%v: no partition drops counted", flood)
 		}
 		// After the window heals, traffic crosses again.
-		eng.At(150, func(sim.Time) { nt.Broadcast(0, Raw{Size: 1}) })
+		eng.At(150, func(sim.Time) { netBroadcast(nt, 0, Raw{Size: 1}) })
 		eng.RunAll()
 		if counts[2] != 1 || counts[3] != 1 {
 			t.Fatalf("flood=%v: post-heal delivery missing: %v", flood, counts)
@@ -76,7 +76,7 @@ func TestDuplicateWindowRedelivers(t *testing.T) {
 	nt.SetFaults(faults.NewInjector(plan))
 	got := 0
 	nt.Register(1, func(Message, sim.Time) { got++ })
-	eng.At(0, func(sim.Time) { nt.Send(0, 1, Raw{Size: 1}) })
+	eng.At(0, func(sim.Time) { netSend(nt, 0, 1, Raw{Size: 1}) })
 	eng.RunAll()
 	if got != 2 {
 		t.Fatalf("deliveries %d, want original + duplicate", got)
@@ -97,7 +97,7 @@ func TestReorderWindowJittersDelays(t *testing.T) {
 	nt.Register(1, func(_ Message, now sim.Time) { ats = append(ats, now) })
 	for i := 0; i < 20; i++ {
 		at := sim.Time(i * 100)
-		eng.At(at, func(sim.Time) { nt.Send(0, 1, Raw{Size: 1}) })
+		eng.At(at, func(sim.Time) { netSend(nt, 0, 1, Raw{Size: 1}) })
 	}
 	eng.RunAll()
 	jittered := false
@@ -133,7 +133,7 @@ func TestFloodDedupStaysBounded(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		at := sim.Time(r * 100) // spaced beyond the max flood settle time
 		src := r % 9
-		eng.At(at, func(sim.Time) { nt.Broadcast(src, Raw{Size: 1}) })
+		eng.At(at, func(sim.Time) { netBroadcast(nt, src, Raw{Size: 1}) })
 	}
 	// Interleave settling checks by running round by round.
 	for r := 0; r < rounds; r++ {
@@ -172,7 +172,7 @@ func TestFloodMasksSingleLinkLoss(t *testing.T) {
 	}
 	const casts = 10
 	for r := 0; r < casts; r++ {
-		eng.At(sim.Time(r*100), func(sim.Time) { nt.Broadcast(0, Raw{Size: 1}) })
+		eng.At(sim.Time(r*100), func(sim.Time) { netBroadcast(nt, 0, Raw{Size: 1}) })
 	}
 	eng.RunAll()
 	if counts[1] != casts || counts[2] != casts || counts[3] != casts {
@@ -187,7 +187,7 @@ func TestFloodMasksSingleLinkLoss(t *testing.T) {
 		ntD.Register(i, func(Message, sim.Time) { countsD[i]++ })
 	}
 	for r := 0; r < casts; r++ {
-		engD.At(sim.Time(r*100), func(sim.Time) { ntD.Broadcast(0, Raw{Size: 1}) })
+		engD.At(sim.Time(r*100), func(sim.Time) { netBroadcast(ntD, 0, Raw{Size: 1}) })
 	}
 	engD.RunAll()
 	if countsD[1] != 0 {
@@ -211,7 +211,7 @@ func TestCrashedReceiverDoesNotRelayFlood(t *testing.T) {
 		i := i
 		nt.Register(i, func(Message, sim.Time) { counts[i]++ })
 	}
-	eng.At(10, func(sim.Time) { nt.Broadcast(0, Raw{Size: 1}) })
+	eng.At(10, func(sim.Time) { netBroadcast(nt, 0, Raw{Size: 1}) })
 	eng.RunAll()
 	if counts[1] != 0 || counts[2] != 0 {
 		t.Fatalf("crashed relay forwarded traffic: %v", counts)
@@ -242,7 +242,7 @@ func TestDupReorderParityAcrossTransports(t *testing.T) {
 	eng, nt := newTestNet(FullMesh{Nodes: 2}, delay)
 	nt.SetFaults(faults.NewInjector(plan))
 	for i := 0; i < sends; i++ { // first send at t = 0
-		eng.At(sim.Time(i*100), func(sim.Time) { nt.Send(0, 1, Raw{Size: 1}) })
+		eng.At(sim.Time(i*100), func(sim.Time) { netSend(nt, 0, 1, Raw{Size: 1}) })
 	}
 	eng.RunAll()
 	check("Net", nt.Faults(), nt.Stats.Sent, nt.Stats.Delivered)
@@ -252,7 +252,7 @@ func TestDupReorderParityAcrossTransports(t *testing.T) {
 	in := faults.NewInjector(plan)
 	sn.SetFaults(in)
 	for i := 0; i < sends; i++ {
-		sh.Engine(0).At(sim.Time(i*100), func(sim.Time) { sn.Part(0).Send(0, 1, Raw{Size: 1}) })
+		sh.Engine(0).At(sim.Time(i*100), func(sim.Time) { sn.Part(0).SendBody(0, 1, &Body{Payload: Raw{Size: 1}}) })
 	}
 	sh.RunAll()
 	st := sn.TotalStats()

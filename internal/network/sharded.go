@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pervasive/internal/faults"
-	"pervasive/internal/flight"
 	"pervasive/internal/obs"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
@@ -50,10 +49,10 @@ type ShardedNet struct {
 	rngs     []stats.RNG // per-source delay/jitter streams, by value
 	seqs     []uint32    // per-source link-transmission counters
 
-	// NeighborScope restricts Broadcast to the source's topology neighbors
-	// plus AlwaysReach (typically the checker index) — the
+	// NeighborScope restricts BroadcastBody to the source's topology
+	// neighbors plus AlwaysReach (typically the checker index) — the
 	// neighborhood-scoped dissemination that makes p ≥ 10⁴ tractable.
-	// Unset, Broadcast reaches every process, exactly like Net.
+	// Unset, a broadcast reaches every process, exactly like Net's.
 	NeighborScope bool
 	AlwaysReach   []int
 
@@ -164,29 +163,25 @@ func (sn *ShardedNet) priFor(src int) uint64 {
 // N returns the number of processes (core.Transport surface).
 func (p *ShardPart) N() int { return p.owner.N() }
 
-// Send transmits a direct logical message (see Net.Send). Returns the
-// message ID, or 0 when a fault plan has src crashed.
-func (p *ShardPart) Send(src, dst int, pl Payload) uint64 {
-	return p.SendStamped(src, dst, pl, flight.Stamp{})
-}
-
-// SendStamped is Send with the payload's logical identity attached: the
-// one-destination case of send.
-func (p *ShardPart) SendStamped(src, dst int, pl Payload, st flight.Stamp) uint64 {
+// SendBody transmits a direct logical message (see Net.SendBody): the
+// one-destination case of send. Returns the message ID, or 0 when a fault
+// plan has src crashed.
+func (p *ShardPart) SendBody(src, dst int, b *Body) uint64 {
 	p.dsts = append(p.dsts[:0], dst)
-	return p.send(src, -1, pl, st)
+	return p.send(src, -1, b)
 }
 
-// Broadcast delivers pl to every reachable process except src: all of them,
-// or the topology neighborhood plus AlwaysReach under NeighborScope.
+// Broadcast broadcasts pl from src in a body of its own with no flight
+// stamp (see BroadcastBody); the network drill of cmd/bench drives it.
 func (p *ShardPart) Broadcast(src int, pl Payload) uint64 {
-	return p.BroadcastStamped(src, pl, flight.Stamp{})
+	return p.BroadcastBody(src, &Body{Payload: pl})
 }
 
-// BroadcastStamped is Broadcast carrying the payload's logical identity.
+// BroadcastBody delivers b to every reachable process except src: all of
+// them, or the topology neighborhood plus AlwaysReach under NeighborScope.
 // Each destination is an independent link-level transmission with its own
 // priority key; the logical message ID is the first key minted.
-func (p *ShardPart) BroadcastStamped(src int, pl Payload, st flight.Stamp) uint64 {
+func (p *ShardPart) BroadcastBody(src int, b *Body) uint64 {
 	sn := p.owner
 	dsts := p.dsts[:0]
 	if sn.NeighborScope && src < sn.topo.N() {
@@ -197,61 +192,57 @@ func (p *ShardPart) BroadcastStamped(src int, pl Payload, st flight.Stamp) uint6
 		}
 	}
 	p.dsts = dsts
-	return p.send(src, src, pl, st)
+	return p.send(src, src, b)
 }
 
-// send transmits one logical message from src to every process in p.dsts
-// except skip, and returns its ID (0 when src is crashed or nothing was
-// addressed). The body is allocated with the first copy and shared by the
-// rest, so a copy costs no allocation; Sent, Bytes and ByKind are bumped
-// once, by the copy count.
-func (p *ShardPart) send(src, skip int, pl Payload, st flight.Stamp) uint64 {
+// send transmits b from src to every process in p.dsts except skip, and
+// returns its ID, the first priority key minted (0 when src is crashed or
+// nothing was addressed). Every copy shares b, so a copy costs no
+// allocation; Sent, Bytes and ByKind are bumped once, by the copy count.
+func (p *ShardPart) send(src, skip int, b *Body) uint64 {
 	sn := p.owner
 	now := p.eng.Now()
+	b.Seal(src, now)
 	if suppressed(sn.fault, src, now) {
 		return 0
 	}
-	var body *sendBody
 	var copies int64
 	for _, dst := range p.dsts {
 		if dst == skip {
 			continue
 		}
 		pri := sn.priFor(src)
-		if body == nil {
-			body = &sendBody{ID: pri, Src: src, SentAt: now, Payload: pl, Stamp: st}
+		if copies == 0 {
+			b.id = pri
 		}
-		p.transmit(body, dst, pri, now)
+		p.transmit(b, src, dst, pri, now)
 		copies++
 	}
-	if body == nil {
-		return 0
-	}
-	p.Stats.countSends(pl, copies)
-	return body.ID
+	p.Stats.countSends(b.Payload, copies)
+	return b.id
 }
 
 // transmit samples the link delay of one copy from the source's own stream
 // and schedules its delivery under key pri; inside a duplicate window it
 // may schedule a second delivery under a freshly minted key.
-func (p *ShardPart) transmit(body *sendBody, dst int, pri uint64, now sim.Time) {
+func (p *ShardPart) transmit(b *Body, src, dst int, pri uint64, now sim.Time) {
 	sn := p.owner
-	r := &sn.rngs[body.Src]
-	d, ok := LinkDelay(sn.fault, sn.delay, r, body.Src, dst, now)
+	r := &sn.rngs[src]
+	d, ok := LinkDelay(sn.fault, sn.delay, r, src, dst, now)
 	if !ok {
 		p.Stats.Dropped++
 		return
 	}
-	p.schedule(body, dst, now+d, pri)
-	if d2, dup := DupDelay(sn.fault, sn.delay, r, body.Src, dst, now); dup {
-		p.schedule(body, dst, now+d2, sn.priFor(body.Src))
+	p.schedule(b, dst, now+d, pri)
+	if d2, dup := DupDelay(sn.fault, sn.delay, r, src, dst, now); dup {
+		p.schedule(b, dst, now+d2, sn.priFor(src))
 	}
 }
 
 // schedule puts one delivery of body to dst on dst's shard: same shard
 // directly into the engine, cross shard through the epoch mailbox — both
 // under the same (time, pri) key.
-func (p *ShardPart) schedule(body *sendBody, dst int, at sim.Time, pri uint64) {
+func (p *ShardPart) schedule(body *Body, dst int, at sim.Time, pri uint64) {
 	sn := p.owner
 	if dk := sn.smap.Of(dst); dk == p.k {
 		p.eng.AtFunc(at, pri, p.fire, body, dst)
@@ -260,8 +251,8 @@ func (p *ShardPart) schedule(body *sendBody, dst int, at sim.Time, pri uint64) {
 	}
 }
 
-// deliver runs at the destination shard: body is the *sendBody the copy
-// was scheduled with, dst the process it is addressed to.
+// deliver runs at the destination shard: body is the *Body the copy was
+// scheduled with, dst the process it is addressed to.
 func (p *ShardPart) deliver(now sim.Time, body any, dst int) {
 	sn := p.owner
 	if p.Stats.crashDropped(sn.fault, dst, now) {
@@ -269,6 +260,6 @@ func (p *ShardPart) deliver(now sim.Time, body any, dst int) {
 	}
 	p.Stats.Delivered++
 	if h := sn.handlers[dst]; h != nil {
-		h(body.(*sendBody).message(dst), now)
+		h(body.(*Body).Message(dst), now)
 	}
 }

@@ -7,10 +7,12 @@ import (
 )
 
 // TestShardedSendAllocations pins the sharded send path's allocation
-// contract: a logical send allocates the body its copies share and nothing
-// per copy — not when it is scheduled, not through the cross-shard mailbox,
-// not when it is delivered. Node 5 of the 4×4 grid is interior; at S = 2 its
-// neighbour 9 and the checker 16 live on the other shard.
+// contract: a logical send allocates the body its copies share — here the
+// Broadcast wrapper's or the test's, with a NewBody sender its payload too —
+// and nothing per copy: not when it is scheduled, not through the
+// cross-shard mailbox, not when it is delivered. Node 5 of the 4×4 grid is
+// interior; at S = 2 its neighbour 9 and the checker 16 live on the other
+// shard.
 func TestShardedSendAllocations(t *testing.T) {
 	delay := sim.DeltaBounded{Min: 2, Max: 4}
 	var pl Payload = Raw{Size: 16} // boxed once, outside the measurement
@@ -25,7 +27,7 @@ func TestShardedSendAllocations(t *testing.T) {
 		}
 		part := sn.Part(ShardMap{Procs: 17, Shards: shards}.Of(5))
 		broadcast := func() { part.Broadcast(5, pl); sh.RunAll() }
-		send := func() { part.Send(5, 16, pl); sh.RunAll() }
+		send := func() { part.SendBody(5, 16, &Body{Payload: pl}); sh.RunAll() }
 		for i := 0; i < 8; i++ { // slot pools, heaps, mailboxes and scratch reach their size
 			broadcast()
 			send()
@@ -63,7 +65,7 @@ func TestShardedStatsCountPerCopy(t *testing.T) {
 		t.Fatal("broadcast returned no id")
 	}
 	part.Broadcast(0, Raw{K: "a", Size: 10}) // corner: 2 neighbours + checker
-	part.Send(3, 16, Raw{K: "b", Size: 1})
+	part.SendBody(3, 16, &Body{Payload: Raw{K: "b", Size: 1}})
 	part.Broadcast(16, Raw{K: "c", Size: 2}) // outside the topology: everyone else
 	sh.RunAll()
 	st := sn.TotalStats()

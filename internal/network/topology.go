@@ -3,7 +3,7 @@
 // logical overlay L over which they exchange asynchronous messages.
 //
 // The overlay is a (possibly dynamically changing) graph; message
-// transmission uses the delay models of internal/sim. Broadcast is either
+// transmission uses the delay models of internal/sim. A broadcast is either
 // direct (one logical hop to every process, the abstraction used by the
 // strobe protocols' System-wide_Broadcast) or flooding over the overlay
 // (hop-by-hop with per-hop delays), and the transport counts messages and

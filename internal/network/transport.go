@@ -27,30 +27,64 @@ type Message struct {
 	Payload Payload
 
 	// Stamp is the payload's logical identity (epoch, seq, sender clock
-	// component), set once at origination by SendStamped/BroadcastStamped
-	// and copied with the message ever after. Flight Recv/Drop records
-	// read these plain fields — a flood stamps once per logical message,
-	// not once per hop, and the delivery path never type-asserts the
-	// payload. Zero for unstamped traffic.
+	// component), set once at origination in the Body and copied with the
+	// message ever after. Flight Recv/Drop records read these plain fields
+	// — a flood stamps once per logical message, not once per hop, and the
+	// delivery path never type-asserts the payload. Zero for unstamped
+	// traffic.
 	Stamp flight.Stamp
 }
 
-// sendBody is what every link-level copy of one logical direct send
-// shares, on both transports: the Message less its destination. One is
-// allocated per Send/Broadcast and never written again, so copies on
-// different shards may read it concurrently; each copy is the event
-// (fire, body, dst) and costs no allocation of its own.
-type sendBody struct {
-	ID      uint64
-	Src     int
-	SentAt  sim.Time
+// Body is one logical send: what every link-level copy of it shares, on
+// every transport — the Message less its destination. The sender fills
+// Payload and Stamp (NewBody builds both in the one allocation a send
+// costs); the transport sets the id, source and send time when it sends.
+// From then on the body is immutable, because copies on other shards read
+// it concurrently, so each body is sent once: a second SendBody or
+// BroadcastBody of it panics. Each copy is the event (fire, body, dst) and
+// costs no allocation of its own.
+type Body struct {
 	Payload Payload
-	Stamp   flight.Stamp
+	// Stamp is the payload's logical identity, carried into every copy's
+	// Message (see Message.Stamp).
+	Stamp flight.Stamp
+
+	id     uint64
+	sentAt sim.Time
+	src    int32
+	sent   bool
 }
 
-// message materialises the copy of b addressed to dst, at delivery.
-func (b *sendBody) message(dst int) Message {
-	return Message{ID: b.ID, Src: b.Src, From: b.Src, Dst: dst, SentAt: b.SentAt, Payload: b.Payload, Stamp: b.Stamp}
+// NewBody returns a body carrying a copy of p and its logical identity st.
+// The body and the copy are one allocation, and Payload points at the
+// copy, so a payload type implements Payload on its pointer and travels by
+// pointer only.
+func NewBody[P any, PP interface {
+	*P
+	Payload
+}](p P, st flight.Stamp) *Body {
+	b := &struct {
+		Body
+		p P
+	}{Body: Body{Stamp: st}, p: p}
+	b.Payload = PP(&b.p)
+	return &b.Body
+}
+
+// Seal marks b sent from src at now, before any copy of it is scheduled —
+// a suppressed send included — and panics if b was sent before. The DES
+// transports then set the message ID; the live engine's copies carry none.
+func (b *Body) Seal(src int, now sim.Time) {
+	if b.sent {
+		panic("network: a body is sent once")
+	}
+	b.src, b.sentAt, b.sent = int32(src), now, true
+}
+
+// Message materialises the copy of b addressed to dst, at delivery.
+func (b *Body) Message(dst int) Message {
+	src := int(b.src)
+	return Message{ID: b.id, Src: src, From: src, Dst: dst, SentAt: b.sentAt, Payload: b.Payload, Stamp: b.Stamp}
 }
 
 // Handler receives delivered messages at a process.
@@ -89,15 +123,15 @@ type Net struct {
 	nextID   uint64
 
 	// fire and fireHop are deliverCopy and deliverHop bound once: the event
-	// functions of every direct copy (body *sendBody) and of every flood
+	// functions of every direct copy (body *Body) and of every flood
 	// copy (body *Message, the wave it belongs to).
 	fire, fireHop sim.EventFunc
 	// dsts is the neighbour scratch of the relay step in progress; a relay
 	// schedules and returns without running a handler, so it never nests.
 	dsts []int
 
-	// Flood selects hop-by-hop flooding over the overlay for Broadcast;
-	// when false, Broadcast sends one direct logical message per peer.
+	// Flood selects hop-by-hop flooding over the overlay for BroadcastBody;
+	// when false, BroadcastBody sends one direct logical message per peer.
 	Flood bool
 
 	seen []map[uint64]bool // per-process flood duplicate suppression
@@ -168,8 +202,8 @@ func (nt *Net) SetObs(r *obs.Registry) {
 
 // SetFlight attaches (or, with nil, detaches) a flight recorder: each
 // delivery records a Recv and each drop a Drop at the destination's
-// ring, carrying the logical identity stamped into the Message at
-// origination (see SendStamped). The sender-side half of a message edge
+// ring, carrying the logical identity the sender stamped into the Body
+// (see Message.Stamp). The sender-side half of a message edge
 // is the sensor's own Sense record — the transport records only the
 // receiving end, keeping the per-message cost to one branch + one ring
 // store within the kernel bench's <5% overhead budget.
@@ -226,70 +260,54 @@ func (nt *Net) N() int { return len(nt.handlers) }
 // previous handler).
 func (nt *Net) Register(i int, h Handler) { nt.handlers[i] = h }
 
-// Send transmits p from src to dst as one logical (direct) message,
+// SendBody transmits b from src to dst as one logical (direct) message,
 // regardless of overlay links; use for checker traffic where L is assumed
 // routable. It returns the message ID, or 0 when a fault plan has src
-// crashed (a crashed process sends nothing). The message carries no
-// flight stamp — payloads with a logical identity go through SendStamped.
-func (nt *Net) Send(src, dst int, p Payload) uint64 {
-	return nt.SendStamped(src, dst, p, flight.Stamp{})
-}
-
-// SendStamped is Send with the payload's logical identity attached: st
-// rides in the Message and surfaces as the Epoch/Seq/PeerClock columns
-// of the flight Recv/Drop records at the destination. The originating
-// sensor passes the epoch, seq and clock it already holds; the
-// transport itself never type-asserts payloads, so the stamp costs three
-// field copies at origination and nothing per delivery.
-func (nt *Net) SendStamped(src, dst int, p Payload, st flight.Stamp) uint64 {
+// crashed (a crashed process sends nothing). b.Stamp rides in the Message
+// and surfaces as the Epoch/Seq/PeerClock columns of the flight Recv/Drop
+// records at the destination: the transport never type-asserts payloads,
+// so the stamp costs nothing per delivery.
+func (nt *Net) SendBody(src, dst int, b *Body) uint64 {
 	now := nt.eng.Now()
+	b.Seal(src, now)
 	if suppressed(nt.fault, src, now) {
 		return 0
 	}
-	body := &sendBody{ID: nt.newID(), Src: src, SentAt: now, Payload: p, Stamp: st}
-	nt.transmit(body, dst)
-	nt.Stats.countSends(p, 1)
-	return body.ID
+	b.id = nt.newID()
+	nt.transmit(b, dst)
+	nt.Stats.countSends(b.Payload, 1)
+	return b.id
 }
 
-// Broadcast implements the strobe protocols' System-wide_Broadcast: p is
-// delivered to every process except src. With Flood unset each peer gets
-// an independent direct transmission; with Flood set the message floods
-// hop-by-hop over the overlay with duplicate suppression. It returns the
-// message ID, or 0 when a fault plan has src crashed. Like Send it
-// attaches no flight stamp; strobe traffic uses BroadcastStamped.
-func (nt *Net) Broadcast(src int, p Payload) uint64 {
-	return nt.BroadcastStamped(src, p, flight.Stamp{})
-}
-
-// BroadcastStamped is Broadcast carrying the payload's logical identity
-// (see SendStamped). A flood stamps once per logical message — every
-// hop's copy inherits the Stamp fields — instead of re-deriving it from
-// the payload at each of the O(edges) relay deliveries. A direct broadcast
-// allocates the one body its copies share and nothing per copy.
-func (nt *Net) BroadcastStamped(src int, p Payload, st flight.Stamp) uint64 {
+// BroadcastBody implements the strobe protocols' System-wide_Broadcast: b
+// is delivered to every process except src. With Flood unset each peer
+// gets an independent direct transmission, all sharing b; with Flood set
+// the message floods hop-by-hop over the overlay with duplicate
+// suppression, every hop's copy inheriting b's Stamp. It returns the
+// message ID, or 0 when a fault plan has src crashed.
+func (nt *Net) BroadcastBody(src int, b *Body) uint64 {
 	now := nt.eng.Now()
+	b.Seal(src, now)
 	if suppressed(nt.fault, src, now) {
 		return 0
 	}
-	id := nt.newID()
+	b.id = nt.newID()
 	if nt.Flood {
-		nt.seen[src][id] = true
-		nt.inflight[id]++ // guard the entry while the first wave schedules
-		nt.relay(Message{ID: id, Src: src, From: src, SentAt: now, Payload: p, Stamp: st})
-		nt.flightDone(id)
-		return id
+		nt.seen[src][b.id] = true
+		nt.inflight[b.id]++      // guard the entry while the first wave schedules
+		nt.relay(b.Message(src)) // the wave's Dst is set per copy at delivery
+		nt.flightDone(b.id)
+		return b.id
 	}
-	body := &sendBody{ID: id, Src: src, SentAt: now, Payload: p, Stamp: st}
 	var copies int64
 	for dst := 0; dst < nt.N(); dst++ {
 		if dst != src {
-			nt.transmit(body, dst)
+			nt.transmit(b, dst)
 			copies++
 		}
 	}
-	nt.Stats.countSends(p, copies)
-	return id
+	nt.Stats.countSends(b.Payload, copies)
+	return b.id
 }
 
 func (nt *Net) newID() uint64 {
@@ -313,28 +331,28 @@ func (nt *Net) sampleLink(from, to int, now sim.Time) (d sim.Duration, ok bool) 
 
 // transmit schedules one direct copy of body to dst; inside a duplicate
 // window it may schedule a second delivery of the same copy.
-func (nt *Net) transmit(body *sendBody, dst int) {
-	now := nt.eng.Now()
-	d, ok := nt.sampleLink(body.Src, dst, now)
+func (nt *Net) transmit(b *Body, dst int) {
+	now, src := nt.eng.Now(), int(b.src)
+	d, ok := nt.sampleLink(src, dst, now)
 	if !ok {
-		nt.recordDrop(dst, body.Src, body.Stamp, now)
+		nt.recordDrop(dst, src, b.Stamp, now)
 		return
 	}
-	nt.eng.AtFunc(now+d, DeliveryPri, nt.fire, body, dst)
-	if d2, dup := DupDelay(nt.fault, nt.delay, nt.rng, body.Src, dst, now); dup {
-		nt.eng.AtFunc(now+d2, DeliveryPri, nt.fire, body, dst)
+	nt.eng.AtFunc(now+d, DeliveryPri, nt.fire, b, dst)
+	if d2, dup := DupDelay(nt.fault, nt.delay, nt.rng, src, dst, now); dup {
+		nt.eng.AtFunc(now+d2, DeliveryPri, nt.fire, b, dst)
 	}
 }
 
-// deliverCopy runs at a direct copy's arrival: body is the *sendBody the
-// copy was scheduled with, dst the process it is addressed to.
+// deliverCopy runs at a direct copy's arrival: body is the *Body the copy
+// was scheduled with, dst the process it is addressed to.
 func (nt *Net) deliverCopy(now sim.Time, body any, dst int) {
-	b := body.(*sendBody)
+	b := body.(*Body)
 	if nt.Stats.crashDropped(nt.fault, dst, now) {
-		nt.recordDrop(dst, b.Src, b.Stamp, now)
+		nt.recordDrop(dst, int(b.src), b.Stamp, now)
 		return
 	}
-	nt.handle(b.message(dst), now)
+	nt.handle(b.Message(dst), now)
 }
 
 // handle invokes the destination's handler (fault gating already done).

@@ -2,8 +2,10 @@ package network
 
 import (
 	"testing"
+	"unsafe"
 
 	"pervasive/internal/faults"
+	"pervasive/internal/flight"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 )
@@ -13,12 +15,22 @@ func newTestNet(topo Topology, delay sim.DelayModel) (*sim.Engine, *Net) {
 	return eng, New(eng, topo, delay)
 }
 
+// netSend and netBroadcast send p from src on the one send path, in a body
+// of their own with no flight stamp.
+func netSend(nt *Net, src, dst int, p Payload) uint64 {
+	return nt.SendBody(src, dst, &Body{Payload: p})
+}
+
+func netBroadcast(nt *Net, src int, p Payload) uint64 {
+	return nt.BroadcastBody(src, &Body{Payload: p})
+}
+
 func TestDirectSendDelivers(t *testing.T) {
 	eng, nt := newTestNet(FullMesh{Nodes: 3}, sim.DeltaBounded{Min: 5, Max: 5})
 	var got []Message
 	var at sim.Time
 	nt.Register(2, func(m Message, now sim.Time) { got = append(got, m); at = now })
-	eng.At(10, func(sim.Time) { nt.Send(0, 2, Raw{K: "test", Size: 4}) })
+	eng.At(10, func(sim.Time) { netSend(nt, 0, 2, Raw{K: "test", Size: 4}) })
 	eng.RunAll()
 	if len(got) != 1 {
 		t.Fatalf("delivered %d messages", len(got))
@@ -48,7 +60,7 @@ func TestDirectBroadcast(t *testing.T) {
 		i := i
 		nt.Register(i, func(Message, sim.Time) { counts[i]++ })
 	}
-	eng.At(0, func(sim.Time) { nt.Broadcast(2, Raw{Size: 1}) })
+	eng.At(0, func(sim.Time) { netBroadcast(nt, 2, Raw{Size: 1}) })
 	eng.RunAll()
 	for i, c := range counts {
 		want := 1
@@ -72,7 +84,7 @@ func TestFloodBroadcastReachesAllOnSparseGraph(t *testing.T) {
 		i := i
 		nt.Register(i, func(Message, sim.Time) { counts[i]++ })
 	}
-	eng.At(0, func(sim.Time) { nt.Broadcast(0, Raw{Size: 2}) })
+	eng.At(0, func(sim.Time) { netBroadcast(nt, 0, Raw{Size: 2}) })
 	eng.RunAll()
 	for i, c := range counts {
 		want := 1
@@ -93,7 +105,7 @@ func TestFloodHopsIncrease(t *testing.T) {
 		i := i
 		nt.Register(i, func(m Message, _ sim.Time) { hops[i] = m.Hops })
 	}
-	eng.At(0, func(sim.Time) { nt.Broadcast(0, Raw{}) })
+	eng.At(0, func(sim.Time) { netBroadcast(nt, 0, Raw{}) })
 	eng.RunAll()
 	if hops[1] != 1 || hops[5] != 1 {
 		t.Fatalf("direct ring neighbours should be 1 hop: %v", hops)
@@ -113,7 +125,7 @@ func TestFloodDoesNotCrossPartitions(t *testing.T) {
 		i := i
 		nt.Register(i, func(Message, sim.Time) { reached[i] = true })
 	}
-	eng.At(0, func(sim.Time) { nt.Broadcast(0, Raw{}) })
+	eng.At(0, func(sim.Time) { netBroadcast(nt, 0, Raw{}) })
 	eng.RunAll()
 	if !reached[1] || reached[2] || reached[3] {
 		t.Fatalf("partition breach: %v", reached)
@@ -124,7 +136,7 @@ func TestLossCounted(t *testing.T) {
 	eng, nt := newTestNet(FullMesh{Nodes: 2}, sim.WithLoss{Inner: sim.Synchronous{}, P: 1})
 	delivered := 0
 	nt.Register(1, func(Message, sim.Time) { delivered++ })
-	eng.At(0, func(sim.Time) { nt.Send(0, 1, Raw{}) })
+	eng.At(0, func(sim.Time) { netSend(nt, 0, 1, Raw{}) })
 	eng.RunAll()
 	if delivered != 0 || nt.Stats.Dropped != 1 {
 		t.Fatalf("delivered=%d dropped=%d", delivered, nt.Stats.Dropped)
@@ -133,7 +145,7 @@ func TestLossCounted(t *testing.T) {
 
 func TestUnregisteredHandlerIsSafe(t *testing.T) {
 	eng, nt := newTestNet(FullMesh{Nodes: 2}, sim.Synchronous{})
-	eng.At(0, func(sim.Time) { nt.Send(0, 1, Raw{}) })
+	eng.At(0, func(sim.Time) { netSend(nt, 0, 1, Raw{}) })
 	eng.RunAll() // must not panic
 	if nt.Stats.Delivered != 1 {
 		t.Fatal("delivery not counted")
@@ -148,8 +160,8 @@ func TestMessageIDsUniquePerLogicalSend(t *testing.T) {
 		nt.Register(i, func(m Message, _ sim.Time) { ids[m.ID] = append(ids[m.ID], i) })
 	}
 	eng.At(0, func(sim.Time) {
-		nt.Broadcast(0, Raw{})
-		nt.Send(1, 2, Raw{})
+		netBroadcast(nt, 0, Raw{})
+		netSend(nt, 1, 2, Raw{})
 	})
 	eng.RunAll()
 	if len(ids) != 2 {
@@ -159,9 +171,10 @@ func TestMessageIDsUniquePerLogicalSend(t *testing.T) {
 
 // TestNetSendAllocations pins the single-heap send path's allocation
 // contract, the one TestShardedSendAllocations pins on the sharded
-// transport: a direct logical send allocates the body its copies share and
-// nothing per copy, scheduled or delivered; a flood allocates one wave body
-// per relaying node, not one closure per copy (56 on this mesh).
+// transport: a direct logical send allocates the body its copies share (the
+// one netSend/netBroadcast make) and nothing per copy, scheduled or delivered; a
+// flood allocates one wave body per relaying node, not one closure per copy
+// (56 on this mesh).
 func TestNetSendAllocations(t *testing.T) {
 	const n = 8
 	eng, nt := newTestNet(FullMesh{Nodes: n}, sim.DeltaBounded{Min: 2, Max: 4})
@@ -170,8 +183,8 @@ func TestNetSendAllocations(t *testing.T) {
 	for i := 0; i < n; i++ {
 		nt.Register(i, func(Message, sim.Time) { delivered++ })
 	}
-	broadcast := func() { nt.Broadcast(0, pl); eng.RunAll() }
-	send := func() { nt.Send(0, 1, pl); eng.RunAll() }
+	broadcast := func() { netBroadcast(nt, 0, pl); eng.RunAll() }
+	send := func() { netSend(nt, 0, 1, pl); eng.RunAll() }
 	warmUp := func() { // slot pool, heap, dedup maps and scratch reach their size
 		for i := 0; i < 8; i++ {
 			broadcast()
@@ -205,6 +218,71 @@ func TestNetSendAllocations(t *testing.T) {
 	}
 }
 
+// TestNewBodyIsOneAllocation: NewBody returns the body and a copy of the
+// payload in one object, and the body's Payload points at that copy. The
+// body stays 64 bytes, so a body holding a strobe fills the 176-byte size
+// class its two objects used to.
+func TestNewBodyIsOneAllocation(t *testing.T) {
+	if sz := unsafe.Sizeof(Body{}); sz > 64 {
+		t.Errorf("Body is %d bytes, budget 64", sz)
+	}
+	p := Raw{K: "k", Size: 3}
+	var b *Body
+	if allocs := testing.AllocsPerRun(100, func() { b = NewBody(p, flight.Stamp{Seq: 9}) }); allocs != 1 {
+		t.Errorf("NewBody: %.1f allocs, want 1", allocs)
+	}
+	p.Size = 4
+	if got, ok := b.Payload.(*Raw); !ok || got.K != "k" || got.Size != 3 || b.Stamp.Seq != 9 {
+		t.Errorf("NewBody carries %#v stamped %+v, want a *Raw copy of the payload stamped seq 9", b.Payload, b.Stamp)
+	}
+}
+
+// TestBodySentOnce: a body is immutable once sent, because copies on other
+// shards read it, so a second SendBody or BroadcastBody of it panics on
+// both transports — after a suppressed send too, and whichever call sent
+// it first.
+func TestBodySentOnce(t *testing.T) {
+	eng, nt := newTestNet(FullMesh{Nodes: 3}, sim.Synchronous{})
+	sh := sim.NewShards(1, 0, 7)
+	part := NewSharded(sh, FullMesh{Nodes: 3}, sim.Synchronous{}, ShardMap{Procs: 3, Shards: 1}, 7).Part(0)
+	transports := []struct {
+		name            string
+		send, broadcast func(*Body) uint64
+	}{
+		{"Net", func(b *Body) uint64 { return nt.SendBody(0, 1, b) }, func(b *Body) uint64 { return nt.BroadcastBody(0, b) }},
+		{"ShardPart", func(b *Body) uint64 { return part.SendBody(0, 1, b) }, func(b *Body) uint64 { return part.BroadcastBody(0, b) }},
+	}
+	panics := func(send func(*Body) uint64, b *Body) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		send(b)
+		return false
+	}
+	for _, tr := range transports {
+		for _, first := range []func(*Body) uint64{tr.send, tr.broadcast} {
+			for _, second := range []func(*Body) uint64{tr.send, tr.broadcast} {
+				b := &Body{Payload: Raw{}}
+				if first(b) == 0 {
+					t.Fatalf("%s: the first send of a body returned no id", tr.name)
+				}
+				if !panics(second, b) {
+					t.Errorf("%s: a body sent twice did not panic", tr.name)
+				}
+			}
+		}
+	}
+	eng.RunAll()
+	sh.RunAll()
+
+	nt.SetFaults(faults.NewInjector(faults.NewPlan().Crash(0, 0)))
+	b := &Body{Payload: Raw{}}
+	if nt.SendBody(0, 1, b) != 0 {
+		t.Fatal("a crashed sender's send returned an id")
+	}
+	if !panics(func(b *Body) uint64 { return nt.BroadcastBody(0, b) }, b) {
+		t.Error("Net: a body sent twice, the first time suppressed, did not panic")
+	}
+}
+
 // sampleCounter counts the delay draws of the model it wraps: one per
 // link-level transmission that reached the link.
 type sampleCounter struct {
@@ -234,8 +312,8 @@ func TestNetStatsCountPerCopy(t *testing.T) {
 		for r := 0; r < 30; r++ { // rounds 10..19 fall inside the partition
 			src := r % n
 			eng.At(sim.Time(10*r), func(sim.Time) {
-				nt.Broadcast(src, Raw{K: "a", Size: 10})
-				nt.Send(src, (src+3)%n, Raw{K: "b", Size: 1})
+				netBroadcast(nt, src, Raw{K: "a", Size: 10})
+				netSend(nt, src, (src+3)%n, Raw{K: "b", Size: 1})
 			})
 		}
 		eng.RunAll()
@@ -272,7 +350,7 @@ func BenchmarkNetBroadcast(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nt.Broadcast(i%n, pl)
+		netBroadcast(nt, i%n, pl)
 		eng.RunAll()
 	}
 }

@@ -227,6 +227,16 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if len(back.Counters) != 1 || back.Counters[0].Value != 3 {
 		t.Fatalf("round trip %+v", back)
 	}
+	if h := back.Histograms; len(h) != 1 || len(h[0].Counts) != 3 || h[0].Count != 1 {
+		t.Fatalf("histogram round trip %+v", h)
+	}
+	// A histogram is one count per bound plus the overflow bucket, or no
+	// histogram: the check runs per element, as the list decodes.
+	for _, bad := range []string{`{"histograms":[{}]}`, `{"histograms":[{"bounds":[1],"counts":[0]}]}`} {
+		if err := json.Unmarshal([]byte(bad), new(Snapshot)); err == nil {
+			t.Errorf("%s decoded", bad)
+		}
+	}
 }
 
 func TestWriteTable(t *testing.T) {

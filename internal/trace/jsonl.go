@@ -51,7 +51,7 @@ func (t *Trace) EncodeJSONL(w io.Writer) error {
 // and that error is returned.
 //
 // Record lines are distinguished from the metrics trailer by shape: a
-// record always carries a "type" key, the trailer a "metrics" key.
+// record always carries a "type", the trailer a "metrics" key and no type.
 func DecodeJSONLFunc(r io.Reader, fn func(Record) error) (int, *obs.Snapshot, error) {
 	dec := json.NewDecoder(r)
 	var hdr jsonlHeader
@@ -61,43 +61,32 @@ func DecodeJSONLFunc(r io.Reader, fn func(Record) error) (int, *obs.Snapshot, er
 	if hdr.N <= 0 {
 		return 0, nil, fmt.Errorf("trace: invalid process count %d", hdr.N)
 	}
+	// Each line is decoded once, into both shapes: the record's fields and
+	// the trailer's key.
+	var line struct {
+		Record
+		Metrics *obs.Snapshot `json:"metrics"`
+	}
 	var metrics *obs.Snapshot
 	for i := 0; ; i++ {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
+		line.Record, line.Metrics = Record{}, nil
+		if err := dec.Decode(&line); err != nil {
 			if errors.Is(err, io.EOF) {
 				return hdr.N, metrics, nil
 			}
 			return hdr.N, metrics, fmt.Errorf("trace: decode jsonl line %d: %w", i+1, err)
 		}
-		var probe struct {
-			Type    *Type            `json:"type"`
-			Metrics *json.RawMessage `json:"metrics"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return hdr.N, metrics, fmt.Errorf("trace: decode jsonl line %d: %w", i+1, err)
-		}
-		if probe.Type == nil {
-			if probe.Metrics == nil {
+		if line.Type == "" {
+			if line.Metrics == nil {
 				return hdr.N, metrics, fmt.Errorf("trace: jsonl line %d is neither record nor metrics", i+1)
 			}
-			metrics = new(obs.Snapshot)
-			if err := json.Unmarshal(*probe.Metrics, metrics); err != nil {
-				return hdr.N, nil, fmt.Errorf("trace: decode jsonl metrics: %w", err)
-			}
+			metrics = line.Metrics
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return hdr.N, metrics, fmt.Errorf("trace: decode jsonl record %d: %w", i+1, err)
+		if err := line.check(hdr.N); err != nil {
+			return hdr.N, metrics, fmt.Errorf("trace: jsonl record %d %w", i+1, err)
 		}
-		if rec.Proc < 0 || rec.Proc >= hdr.N {
-			return hdr.N, metrics, fmt.Errorf("trace: jsonl record %d has process %d out of range", i+1, rec.Proc)
-		}
-		if !rec.Type.Valid() {
-			return hdr.N, metrics, fmt.Errorf("trace: jsonl record %d has invalid type %q", i+1, rec.Type)
-		}
-		if err := fn(rec); err != nil {
+		if err := fn(line.Record); err != nil {
 			return hdr.N, metrics, err
 		}
 	}

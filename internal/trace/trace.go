@@ -6,6 +6,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -43,7 +44,7 @@ type Record struct {
 	Type    Type         `json:"type"`
 	At      sim.Time     `json:"at"`
 	Lamport uint64       `json:"lamport,omitempty"`
-	Vector  clock.Vector `json:"vector,omitempty"`
+	Vector  clock.Vector `json:"vector,omitempty"` // nil, or one entry per process
 	Attr    string       `json:"attr,omitempty"`
 	Value   float64      `json:"value,omitempty"`
 	Peer    int          `json:"peer,omitempty"` // counterpart process of s/r events
@@ -60,12 +61,13 @@ type Trace struct {
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 
 	// Index over Records, built lazily on first ByProcess/Counts and
-	// maintained incrementally by Append. byProc holds, per process,
-	// the indices of its records in recorded order; counts mirrors the
-	// per-type totals. Both are dropped together by InvalidateIndex —
-	// Append's incremental path assumes byProc != nil implies counts is
-	// in sync.
-	byProc [][]int
+	// maintained incrementally by Append. byProc holds, per process that
+	// has records, the indices of its records in recorded order — keyed
+	// by process, so its size follows the records and not N, which a
+	// decoded header may set to anything; counts mirrors the per-type
+	// totals. Both are dropped together by InvalidateIndex — Append's
+	// incremental path assumes byProc != nil implies counts is in sync.
+	byProc map[int][]int
 	counts map[Type]int
 }
 
@@ -98,7 +100,7 @@ func (t *Trace) InvalidateIndex() {
 }
 
 func (t *Trace) buildIndex() {
-	t.byProc = make([][]int, t.N)
+	t.byProc = make(map[int][]int)
 	t.counts = make(map[Type]int, 5)
 	for i, r := range t.Records {
 		t.byProc[r.Proc] = append(t.byProc[r.Proc], i)
@@ -148,22 +150,61 @@ func (t *Trace) EncodeJSON(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// DecodeJSON reads a trace written by EncodeJSON and validates it.
+// DecodeJSON reads a trace written by EncodeJSON and validates it. The
+// records are decoded and checked one at a time, so the first bad one ends
+// the decode before the records behind it cost an allocation: what a
+// decode allocates stays within a constant times the input's length.
 func DecodeJSON(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
+	var doc struct {
+		N       int             `json:"n"`
+		Records json.RawMessage `json:"records"`
+		Metrics *obs.Snapshot   `json:"metrics"`
+	}
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
-	if t.N <= 0 {
-		return nil, fmt.Errorf("trace: invalid process count %d", t.N)
+	if doc.N <= 0 {
+		return nil, fmt.Errorf("trace: invalid process count %d", doc.N)
 	}
-	for i, rec := range t.Records {
-		if rec.Proc < 0 || rec.Proc >= t.N {
-			return nil, fmt.Errorf("trace: record %d has process %d out of range", i, rec.Proc)
-		}
-		if !rec.Type.Valid() {
-			return nil, fmt.Errorf("trace: record %d has invalid type %q", i, rec.Type)
-		}
+	t := &Trace{N: doc.N, Metrics: doc.Metrics}
+	if len(doc.Records) == 0 || string(doc.Records) == "null" {
+		return t, nil
 	}
-	return &t, nil
+	dec := json.NewDecoder(bytes.NewReader(doc.Records))
+	if tok, _ := dec.Token(); tok != json.Delim('[') {
+		return nil, fmt.Errorf("trace: decode: records is not an array")
+	}
+	var rec Record
+	for i := 0; dec.More(); i++ {
+		rec = Record{}
+		if err := dec.Decode(&rec); err != nil {
+			return nil, fmt.Errorf("trace: decode record %d: %w", i, err)
+		}
+		if err := rec.check(t.N); err != nil {
+			return nil, fmt.Errorf("trace: record %d %w", i, err)
+		}
+		t.Records = append(t.Records, rec)
+	}
+	return t, nil
+}
+
+// check reports what makes r no record of a trace over n processes: a
+// process out of range, an invalid type, or a vector stamp whose length is
+// neither 0 (unstamped) nor n. The last bounds n by the input whenever a
+// consumer sizes something by n from the stamps, as the lattice analysis
+// does. An empty stamp ("vector": []) becomes nil, so a decoded record is
+// unstamped in one form only: Vector == nil.
+func (r *Record) check(n int) error {
+	switch {
+	case r.Proc < 0 || r.Proc >= n:
+		return fmt.Errorf("has process %d out of range", r.Proc)
+	case !r.Type.Valid():
+		return fmt.Errorf("has invalid type %q", r.Type)
+	case len(r.Vector) != 0 && len(r.Vector) != n:
+		return fmt.Errorf("has a vector of %d entries in a trace of %d processes", len(r.Vector), n)
+	}
+	if len(r.Vector) == 0 {
+		r.Vector = nil
+	}
+	return nil
 }

@@ -66,12 +66,12 @@ func benchKernel(b *testing.B, instrumented, flightOn bool) {
 			p := p
 			nt.Register(p, func(m network.Message, now sim.Time) {
 				if now < horizon {
-					nt.Send(p, (p+1)%n, benchPayload{})
+					nt.SendBody(p, (p+1)%n, &network.Body{Payload: benchPayload{}})
 				}
 			})
 		}
 		for k := 0; k < 4; k++ {
-			nt.Send(k, (k+1)%n, benchPayload{})
+			nt.SendBody(k, (k+1)%n, &network.Body{Payload: benchPayload{}})
 		}
 		b.StartTimer()
 		eng.RunAll()
