@@ -15,7 +15,7 @@ check: build vet lint bench-smoke test-race
 test-race:
 	$(GO) test -race ./...
 
-# Ten seconds of the native fuzzer on each of eight targets. Four are
+# Ten seconds of the native fuzzer on each of ten targets. Four are
 # differential: the incremental ground-truth scorer against
 # world.TrueIntervals over fuzzed predicates and logs (DESIGN.md §1.1), the
 # sparse strobe clock against the dense one over fuzzed interleavings of
@@ -23,12 +23,14 @@ test-race:
 # columnar view against a predicate.MapState model over fuzzed strobes —
 # out-of-range processes, epoch bumps, stale seqs, race probes (DESIGN.md
 # §1.1) — and lattice.Survey against the recursive enumerator over fuzzed
-# execution shapes (DESIGN.md §1.6). Four feed arbitrary input to a
+# execution shapes (DESIGN.md §1.6). Six feed arbitrary input to a
 # parser — the PVWL workload trace (FuzzWorkloadDecode), the checker
 # tree's sync batch with the stamp batch inside it (FuzzDecodeBatch), the
-# -faults plan grammar (FuzzFaultsParse) and the JSON/JSONL execution
-# trace tracedump reads (FuzzTraceDecode): no panic, allocation bounded
-# by the input's length, and whatever parses re-encodes to a fixed point.
+# -faults plan grammar (FuzzFaultsParse), the JSON/JSONL execution
+# trace tracedump reads (FuzzTraceDecode), the predicate language
+# (FuzzPredicateParse) and the MTL formula language (FuzzTLParse): no
+# panic, allocation bounded by the input's length, and whatever parses
+# re-encodes to a fixed point.
 # New inputs stay in the Go build cache; only a failing one is written
 # under the package's testdata/fuzz.
 fuzz-smoke:
@@ -40,6 +42,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/checker/
 	$(GO) test -run='^$$' -fuzz=FuzzFaultsParse -fuzztime=10s ./internal/faults/
 	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=10s ./internal/trace/
+	$(GO) test -run='^$$' -fuzz=FuzzPredicateParse -fuzztime=10s ./internal/predicate/
+	$(GO) test -run='^$$' -fuzz=FuzzTLParse -fuzztime=10s ./internal/tl/
 
 build:
 	$(GO) build ./...
@@ -49,7 +53,7 @@ vet:
 
 # Project-specific invariants over the module-wide call graph
 # (determinism with its interprocedural taint, clock rules, fast paths,
-# hot-path allocations, goroutine hygiene — see DESIGN.md §1.8) plus a
+# hot-path allocations — see DESIGN.md §1.8) plus a
 # gofmt gate. Exits 1 on any finding, an unused or duplicate allow
 # included. Suppressions use //lint:allow <analyzer>(<reason>); see
 # cmd/pervalint. `pervalint -why file:line` explains a boundary crossing.

@@ -189,7 +189,6 @@ func NewProximity(cfg ProximityConfig) *Proximity { return scenario.NewProximity
 type (
 	LiveConfig  = live.Config
 	LiveNetwork = live.Network
-	LiveResults = live.Results
 )
 
 // StartLive starts a goroutine-per-sensor network.

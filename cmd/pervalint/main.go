@@ -2,8 +2,8 @@
 // loads and type-checks every package in the module with only the
 // standard library (go/parser + go/types; no x/tools) and runs the
 // project-specific analyzers that enforce the determinism, clock-rule,
-// fast-path, hot-path-allocation and goroutine-hygiene invariants over a
-// module-wide call graph (DESIGN.md §1.8).
+// fast-path and hot-path-allocation invariants over a module-wide call
+// graph (DESIGN.md §1.8).
 //
 // Usage:
 //

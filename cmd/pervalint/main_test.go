@@ -9,14 +9,14 @@ import (
 	"testing"
 )
 
-// TestListAnalyzers smoke-tests the -list flag: all five analyzers
+// TestListAnalyzers smoke-tests the -list flag: all four analyzers
 // must be advertised.
 func TestListAnalyzers(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("run(-list) = %d, stderr: %s", code, errb.String())
 	}
-	for _, name := range []string{"determinism", "clockrule", "fastpath", "hotpath", "goroutine"} {
+	for _, name := range []string{"determinism", "clockrule", "fastpath", "hotpath"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, out.String())
 		}

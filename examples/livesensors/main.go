@@ -52,7 +52,7 @@ func main() {
 	fmt.Printf("ground truth: predicate held %d times in %v of wall time\n",
 		len(res.Truth), res.Horizon)
 	fmt.Printf("detected: %d occurrences over %d strobe transmissions (%d bytes)\n",
-		len(res.Occurrences), res.Sent, res.Bytes)
+		len(res.Occurrences), res.Net.Sent, res.Net.Bytes)
 	for i, o := range res.Occurrences {
 		fmt.Printf("  #%d [%v .. %v] borderline=%v\n", i+1, o.Start, o.End, o.Borderline)
 	}

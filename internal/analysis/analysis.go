@@ -204,7 +204,7 @@ type Analyzer struct {
 var allAnalyzers []*Analyzer
 
 func init() {
-	allAnalyzers = []*Analyzer{Determinism, ClockRule, FastPath, HotPath, Goroutine}
+	allAnalyzers = []*Analyzer{Determinism, ClockRule, FastPath, HotPath}
 }
 
 // All returns the full analyzer suite in reporting order.

@@ -52,9 +52,10 @@ var Determinism = &Analyzer{
 var seededRandCtors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true}
 
 // wallClockFuncs are the time package functions that read (or schedule
-// against) the wall clock. time.AfterFunc is deliberately absent: its
-// hygiene is the goroutine analyzer's business, and the live engine is
-// wall-clock paced by design.
+// against) the wall clock. time.AfterFunc is deliberately absent: the live
+// engine, wall-clock paced by design, is its only caller, and the live
+// tests (TestLiveFaultTimerNeverParks, TestLiveOverloadStaysBounded) hold
+// its callbacks to never park a goroutine.
 var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "After": true, "Tick": true}
 
 // envReadFuncs are the os package functions that read ambient machine

@@ -49,7 +49,6 @@ func TestAnalyzersGolden(t *testing.T) {
 		{"clockrule", []string{"fix/clockpkg", "fix/clockuser"}},
 		{"fastpath", []string{"fix/fastobs", "fix/fastuser"}},
 		{"hotpath", []string{"fix/hotkern"}},
-		{"goroutine", []string{"fix/goro"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

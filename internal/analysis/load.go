@@ -1,9 +1,9 @@
 // Package analysis is pervalint's engine: a stdlib-only static-analysis
 // driver (go/parser + go/types, no x/tools) that loads and type-checks
 // every package in the module and runs the project-specific analyzers
-// enforcing the repo's determinism, clock-rule, fast-path, hot-path and
-// goroutine-hygiene invariants. See DESIGN.md §1.8 for the invariant
-// each analyzer guards and the regression no test would catch.
+// enforcing the repo's determinism, clock-rule, fast-path and hot-path
+// invariants. See DESIGN.md §1.8 for the invariant each analyzer guards
+// and the regression no test would catch.
 package analysis
 
 import (

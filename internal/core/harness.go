@@ -91,7 +91,7 @@ type Harness struct {
 	StrobeCk *StrobeChecker
 	PhysCk   *PhysicalChecker
 	ConjCk   *ConjunctiveChecker
-	det      detector
+	det      Detector
 
 	// Faults is the compiled fault injector; nil when no plan is installed.
 	Faults *faults.Injector
@@ -272,7 +272,7 @@ func (h *Harness) Run() Results {
 
 	res := Results{Net: h.Net.Stats, Horizon: horizon}
 	truth := world.Oracle{Pred: h.Cfg.Pred, N: h.Cfg.N, KeysOf: h.truthKeys(), Obs: h.Cfg.Obs}
-	finishAndScore(&res, h.det, h.World.Log(), truth, h.Cfg.Tol)
+	FinishAndScore(&res, h.det, h.World.Log(), truth, h.Cfg.Tol)
 	return res
 }
 

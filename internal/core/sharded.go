@@ -95,7 +95,7 @@ type ShardedHarness struct {
 	// one, as the spine sees it.
 	Checker *StrobeChecker
 	Tree    *checker.Tree
-	det     detector
+	det     Detector
 	Faults  *faults.Injector
 	Pred    predicate.Cond
 	// Events is the materialized fleet workload driving the run, in
@@ -333,7 +333,7 @@ func (h *ShardedHarness) Run() ShardedResults {
 	}
 	// the merged log's binding is identity: sensor i senses object i's "p" as variable "p"
 	truth := world.Oracle{Pred: h.Pred, N: h.Cfg.N, KeysOf: world.IdentityKeys, Obs: h.Cfg.Obs}
-	finishAndScore(&res.Results, h.det, h.mergedPilotLog(), truth, h.Cfg.Tol)
+	FinishAndScore(&res.Results, h.det, h.mergedPilotLog(), truth, h.Cfg.Tol)
 	for _, s := range h.Sensors {
 		res.ClockBytes += int64(s.ClockStateBytes())
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // The run spine: everything Harness and ShardedHarness wire the same way,
-// written once (ScheduleFaults serves the live engine too). What the two
-// stacks do not share is the kernel and the transport's RNG/priority
-// discipline (see DESIGN.md §1.10).
+// written once (ScheduleFaults and FinishAndScore serve the live engine
+// too). What the two stacks do not share is the kernel and the transport's
+// RNG/priority discipline (see DESIGN.md §1.10).
 
 // finiteBound is the delay bound the Tol and Slack defaults build on: the
 // model's own bound, or 100 ms when it has none.
@@ -82,19 +82,19 @@ func ScheduleFaults(plan *faults.Plan, sensors []*Sensor, setFaults func(*faults
 	return inj
 }
 
-// detector is the checker surface the spine finishes and scores. Every
+// Detector is the checker surface the spine finishes and scores. Every
 // checker shape — flat strobe, physical, conjunctive, and the checker
 // tree — satisfies it.
-type detector interface {
+type Detector interface {
 	Finish(horizon sim.Time)
 	Occurrences() []Occurrence
 	Markers() []sim.Time
 }
 
-// finishAndScore closes det at res.Horizon, moves its clipped occurrences
+// FinishAndScore closes det at res.Horizon, moves its clipped occurrences
 // and race markers into res, and — when truth has a predicate — scores
 // them against the world log with tolerance tol.
-func finishAndScore(res *Results, det detector, log []world.Event, truth world.Oracle, tol sim.Duration) {
+func FinishAndScore(res *Results, det Detector, log []world.Event, truth world.Oracle, tol sim.Duration) {
 	det.Finish(res.Horizon)
 	res.Occurrences = clipToHorizon(det.Occurrences(), res.Horizon)
 	res.Markers = det.Markers()

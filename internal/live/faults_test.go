@@ -44,11 +44,11 @@ func TestLiveOverloadStaysBounded(t *testing.T) {
 	if peak > base+50 {
 		t.Fatalf("goroutines grew from %d to %d under overload — deliveries are blocking again", base, peak)
 	}
-	if got := nw.MailboxDrops(); got != blast-buffer {
+	if got := nw.mailboxDrops.Load(); got != blast-buffer {
 		t.Fatalf("mailbox drops %d, want %d (mailbox holds %d of %d deliveries)",
 			got, blast-buffer, buffer, blast)
 	}
-	drops := nw.MailboxDrops()
+	drops := nw.mailboxDrops.Load()
 	close(release)
 	nw.Stop(10*time.Millisecond, sim.Millisecond)
 	counters := map[string]int64{}
@@ -56,8 +56,53 @@ func TestLiveOverloadStaysBounded(t *testing.T) {
 		counters[c.Name] = c.Value
 	}
 	if counters["live.mailbox_drops"] != drops {
-		t.Fatalf("live.mailbox_drops=%d, MailboxDrops()=%d", counters["live.mailbox_drops"], drops)
+		t.Fatalf("live.mailbox_drops=%d, mailboxDrops=%d", counters["live.mailbox_drops"], drops)
 	}
+}
+
+// TestLiveFaultTimerNeverParks: a fault transition's timer posts onto its
+// node's goroutine, and a node stalled in a step with a full command
+// channel leaves that timer's goroutine waiting. Stop must release every
+// such waiter; a bare `n.cmd <- …` in Network.at leaves all but the few the
+// loop drains before it sees done parked forever.
+func TestLiveFaultTimerNeverParks(t *testing.T) {
+	const pairs = 20
+	plan := faults.NewPlan()
+	var last sim.Time
+	for k := 0; k < pairs; k++ {
+		at := sim.Time(10+2*k) * sim.Millisecond
+		last = at + sim.Millisecond
+		plan.Crash(1, at).Recover(1, last)
+	}
+	base := runtime.NumGoroutine()
+	nw := Start(Config{
+		N: 2, Seed: 7, Kind: core.VectorStrobe,
+		Delay:  sim.Synchronous{},
+		Pred:   predicate.MustParse("x@0 == 1"),
+		Buffer: 1,
+		Faults: plan,
+	})
+	stalled, release := make(chan struct{}), make(chan struct{})
+	nw.Node(1).post(func() { close(stalled); <-release })
+	<-stalled
+	await := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before Start", what, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+	// The transitions fire: one sits in the command channel, the rest wait
+	// beside the two node goroutines. The count is a floor, not an equality:
+	// the runtime's finalizer goroutine counts while it runs.
+	await("fault timers never fired", func() bool { return nw.Now() > last && runtime.NumGoroutine() > base+pairs })
+	go func() {
+		<-nw.done
+		close(release)
+	}()
+	nw.Stop(0, sim.Millisecond)
+	await("fault timers parked past Stop", func() bool { return runtime.NumGoroutine() <= base })
 }
 
 // TestLiveOverloadAgainstCrashedNode drives the exact ISSUE scenario: a
@@ -103,7 +148,7 @@ func TestLiveMailboxWatermark(t *testing.T) {
 		nw.Node(1).Sense("x", float64(k%2))
 	}
 	time.Sleep(50 * time.Millisecond)
-	hw := nw.MailboxHighWatermark()
+	hw := nw.mailboxHW.Load()
 	if hw <= 0 {
 		t.Fatal("no mailbox depth observed")
 	}
@@ -189,7 +234,7 @@ func TestLiveCrashRecovery(t *testing.T) {
 		t.Fatalf("checker never applied the post-recovery strobe: view=%v", v)
 	}
 	res := nw.Stop(20*time.Millisecond, 5*sim.Millisecond)
-	if res.Sent == 0 {
+	if res.Net.Sent == 0 {
 		t.Fatal("no traffic")
 	}
 	counters := map[string]int64{}

@@ -5,8 +5,10 @@
 // system model (Section 2). Only the substrate is live. Each node
 // goroutine runs a core.Sensor (SVC/SSC rules, sequence numbers, crash
 // epoch), the checker is a core.StrobeChecker registered as on the DES,
-// every link copy takes its fate from network.LinkDelay/DupDelay, and
-// crash/recover transitions come from core.ScheduleFaults.
+// every link copy takes its fate from network.LinkDelay/DupDelay and is
+// counted in a network.Stats, crash/recover transitions come from
+// core.ScheduleFaults, and Stop scores through core.FinishAndScore into a
+// core.Results, as the DES harnesses do.
 //
 // Virtual time in live mode is wall-clock microseconds since Start. Runs
 // are not bit-reproducible (goroutine scheduling and real timers are not),
@@ -41,9 +43,11 @@ type Config struct {
 	Pred predicate.Cond
 	// Buffer is each node's mailbox capacity (default 1024).
 	Buffer int
-	// Obs, if non-nil, receives runtime metrics (goroutine sends, drops,
-	// mailbox depth, checker strobes); its time source is set to the
-	// network's wall-µs clock. Nil disables instrumentation.
+	// Obs, if non-nil, receives runtime metrics: the net.* and faults.*
+	// counters under the names the DES transports publish, the checker's
+	// own, and live.mailbox_depth/_drops/_drained and live.checker_strobes;
+	// its time source is set to the network's wall-µs clock. Nil disables
+	// instrumentation.
 	Obs *obs.Registry
 	// MetricsAddr, when set together with Obs, serves the registry over
 	// HTTP at /metrics (JSON snapshot) and /debug/vars (expvar) for the
@@ -77,8 +81,10 @@ type Network struct {
 	checkerMu sync.Mutex
 	checker   *core.StrobeChecker
 
-	delayMu sync.Mutex
-	rng     *stats.RNG
+	// linkMu guards the link RNG stream and the transport's counts.
+	linkMu sync.Mutex
+	rng    *stats.RNG
+	stats  network.Stats
 
 	start time.Time
 
@@ -101,10 +107,6 @@ type Network struct {
 	mailboxDrops atomic.Int64
 	drained      atomic.Int64
 
-	sentMu sync.Mutex
-	sent   int64
-	bytes  int64
-
 	// Metrics is the HTTP metrics endpoint when Config.MetricsAddr was
 	// set and the listener bound; nil otherwise. Closed by Stop.
 	Metrics *obs.MetricsServer
@@ -114,13 +116,8 @@ type Network struct {
 	dumpMu sync.Mutex
 	dumps  []*flight.Dump
 
-	// Resolved obs instruments; nil (no-ops) when Config.Obs is nil.
-	obsSends        *obs.Counter
-	obsDrops        *obs.Counter
-	obsBytes        *obs.Counter
-	obsMailbox      *obs.Gauge
-	obsMailboxDrops *obs.Counter
-	obsChecker      *obs.Counter
+	// obsChecker is resolved once; nil (a no-op) when Config.Obs is nil.
+	obsChecker *obs.Counter
 }
 
 // Node is one goroutine-backed sensor process.
@@ -155,6 +152,7 @@ func Start(cfg Config) *Network {
 		start:    time.Now(), //lint:allow determinism(the live engine's virtual time is wall-clock µs since Start by design; the DES is the reproducible harness)
 		done:     make(chan struct{}),
 		handlers: make([]network.Handler, cfg.N+1),
+		stats:    network.Stats{ByKind: make(map[string]int64)},
 	}
 	nw.cfg.Obs.SetNow("wall-us", nw.Now)
 	if cfg.Flight != nil {
@@ -172,26 +170,18 @@ func Start(cfg Config) *Network {
 			nw.dumpMu.Unlock()
 		})
 	}
-	nw.obsSends = cfg.Obs.Counter("live.sends")
-	nw.obsDrops = cfg.Obs.Counter("live.drops")
-	nw.obsBytes = cfg.Obs.Counter("live.bytes")
-	nw.obsMailbox = cfg.Obs.Gauge("live.mailbox_depth")
-	nw.obsMailboxDrops = cfg.Obs.Counter("live.mailbox_drops")
 	nw.obsChecker = cfg.Obs.Counter("live.checker_strobes")
-	if cfg.Obs != nil {
-		cfg.Obs.RegisterCollector(func(r *obs.Registry) {
-			hw := nw.mailboxHW.Load()
-			nw.obsMailbox.SetWithMax(hw, hw)
-			r.Counter("live.mailbox_drained").Store(nw.drained.Load())
-			nw.fault.EachCount(func(name string, v int64) { r.Counter(name).Store(v) })
-		})
-	}
-	if cfg.MetricsAddr != "" && cfg.Obs != nil {
-		cfg.Obs.PublishExpvar("pervasive")
-		if srv, err := cfg.Obs.Serve(cfg.MetricsAddr); err == nil {
-			nw.Metrics = srv
-		}
-	}
+	network.MirrorStats(cfg.Obs, func() (network.Stats, *faults.Injector) {
+		nw.linkMu.Lock()
+		defer nw.linkMu.Unlock()
+		return nw.stats, nw.fault
+	})
+	cfg.Obs.RegisterCollector(func(r *obs.Registry) {
+		hw := nw.mailboxHW.Load()
+		r.Gauge("live.mailbox_depth").SetWithMax(hw, hw)
+		r.Counter("live.mailbox_drops").Store(nw.mailboxDrops.Load())
+		r.Counter("live.mailbox_drained").Store(nw.drained.Load())
+	})
 	if cfg.Kind == core.VectorStrobe {
 		nw.checker = core.NewVectorChecker(cfg.N, cfg.Pred)
 	} else {
@@ -211,6 +201,12 @@ func Start(cfg Config) *Network {
 		})
 	}
 	core.ScheduleFaults(cfg.Faults, sensors, func(f *faults.Injector) { nw.fault = f }, nw.at, cfg.Obs, cfg.Flight)
+	if cfg.MetricsAddr != "" && cfg.Obs != nil {
+		cfg.Obs.PublishExpvar("pervasive")
+		if srv, err := cfg.Obs.Serve(cfg.MetricsAddr); err == nil {
+			nw.Metrics = srv
+		}
+	}
 	for _, n := range nw.nodes {
 		nw.wg.Add(1)
 		go n.loop()
@@ -227,12 +223,6 @@ func (nw *Network) at(proc int, t sim.Time, fn sim.Handler) {
 		n.post(func() { fn(nw.Now()) })
 	}))
 }
-
-// MailboxHighWatermark returns the deepest any node's mailbox has been.
-func (nw *Network) MailboxHighWatermark() int64 { return nw.mailboxHW.Load() }
-
-// MailboxDrops returns deliveries dropped because a mailbox was full.
-func (nw *Network) MailboxDrops() int64 { return nw.mailboxDrops.Load() }
 
 // Dumps returns a copy of the flight dumps collected so far, in
 // trigger order. Call after Stop for the complete set.
@@ -311,7 +301,7 @@ func (n *Node) loop() {
 				n.drain()
 			}
 		case m := <-n.in:
-			n.nw.handlers[n.ID](m, n.nw.Now())
+			n.nw.deliver(m)
 		}
 	}
 }
@@ -361,17 +351,17 @@ func (l *links) BroadcastBody(src int, b *network.Body) uint64 {
 	return 0
 }
 
-// transmit sends one link-level copy: counted, its fate and any duplicate
-// drawn by the network's one link discipline on the locked stream, then a
-// timer per delivery.
+// transmit sends one link-level copy: counted as the DES transports count
+// it, its fate and any duplicate drawn by the network's one link discipline
+// on the locked stream, then a timer per delivery.
 func (nw *Network) transmit(m network.Message) {
-	nw.count(m.Payload)
 	now := nw.Now()
-	nw.delayMu.Lock()
-	defer nw.delayMu.Unlock()
+	nw.linkMu.Lock()
+	defer nw.linkMu.Unlock()
+	nw.stats.CountSends(m.Payload, 1)
 	d, ok := network.LinkDelay(nw.fault, nw.cfg.Delay, nw.rng, m.Src, m.Dst, now)
 	if !ok {
-		nw.obsDrops.Inc()
+		nw.stats.Dropped++
 		nw.record(flight.Drop, m)
 		return
 	}
@@ -382,9 +372,10 @@ func (nw *Network) transmit(m network.Message) {
 }
 
 // arrive runs at a copy's arrival, on its timer's goroutine. A destination
-// the fault plan has down takes nothing (faults.crash_drops, as on the
+// the fault plan has down takes nothing (Stats.CrashDropped, as on the
 // DES). The checker applies its copy under its lock; a node's copy goes to
-// its mailbox. A full mailbox is a counted drop, never a blocked goroutine:
+// its mailbox. A full mailbox is a drop counted in live.mailbox_drops
+// alone, never a blocked goroutine:
 // the old code parked the timer goroutine on `peer.in <- m` until
 // shutdown, so a saturated node accumulated one goroutine per overflowing
 // message.
@@ -394,9 +385,10 @@ func (nw *Network) arrive(m network.Message) {
 		return
 	default:
 	}
-	if f := nw.fault; f.Down(m.Dst, nw.Now()) {
-		f.Counts.CrashDrops.Add(1)
-		nw.obsDrops.Inc()
+	nw.linkMu.Lock()
+	down := nw.stats.CrashDropped(nw.fault, m.Dst, nw.Now())
+	nw.linkMu.Unlock()
+	if down {
 		nw.record(flight.Drop, m)
 		return
 	}
@@ -405,7 +397,7 @@ func (nw *Network) arrive(m network.Message) {
 		defer nw.checkerMu.Unlock()
 		nw.obsChecker.Inc()
 		nw.record(flight.Recv, m)
-		nw.handlers[m.Dst](m, nw.Now())
+		nw.deliver(m)
 		return
 	}
 	peer := nw.nodes[m.Dst]
@@ -422,7 +414,6 @@ func (nw *Network) arrive(m network.Message) {
 	case <-nw.done:
 	default:
 		nw.mailboxDrops.Add(1)
-		nw.obsMailboxDrops.Inc()
 		nw.record(flight.Drop, m)
 	}
 }
@@ -437,34 +428,22 @@ func (nw *Network) record(kind flight.Kind, m network.Message) {
 	}
 }
 
-func (nw *Network) count(p network.Payload) {
-	size := int64(p.WireSize())
-	nw.sentMu.Lock()
-	nw.sent++
-	nw.bytes += size
-	nw.sentMu.Unlock()
-	nw.obsSends.Inc()
-	nw.obsBytes.Add(size)
-}
-
-// Results of a live run.
-type Results struct {
-	Occurrences []core.Occurrence
-	Markers     []sim.Time
-	Truth       []world.Interval
-	Confusion   stats.Confusion
-	Horizon     sim.Time
-	Sent        int64
-	Bytes       int64
+// deliver counts m delivered and runs its destination's handler.
+func (nw *Network) deliver(m network.Message) {
+	nw.linkMu.Lock()
+	nw.stats.Delivered++
+	nw.linkMu.Unlock()
+	nw.handlers[m.Dst](m, nw.Now())
 }
 
 // Stop shuts the network down after draining in-flight deliveries for the
-// settle duration, finishes the checker, and scores against the recorded
-// ground truth with tolerance tol.
-func (nw *Network) Stop(settle time.Duration, tol sim.Duration) Results {
+// settle duration, then finishes the checker and scores it against the
+// recorded ground truth with tolerance tol through the spine's
+// core.FinishAndScore, as the DES harnesses do.
+func (nw *Network) Stop(settle time.Duration, tol sim.Duration) core.Results {
 	sp := nw.cfg.Obs.StartSpanAt("live.stop", nw.Now())
 	time.Sleep(settle)
-	horizon := nw.Now()
+	res := core.Results{Horizon: nw.Now()}
 	for _, t := range nw.timers {
 		t.Stop()
 	}
@@ -475,28 +454,17 @@ func (nw *Network) Stop(settle time.Duration, tol sim.Duration) Results {
 		_ = nw.Metrics.Close()
 	}
 
-	nw.checkerMu.Lock()
-	nw.checker.Finish(horizon)
-	occ := nw.checker.Occurrences()
-	markers := nw.checker.Markers()
-	nw.checkerMu.Unlock()
-
+	nw.linkMu.Lock()
+	res.Net = nw.stats
+	nw.linkMu.Unlock()
 	nw.truthMu.Lock()
 	log := append([]world.Event(nil), nw.truth...)
 	nw.truthMu.Unlock()
 
-	res := Results{
-		Occurrences: occ, Markers: markers, Horizon: horizon,
-	}
-	nw.sentMu.Lock()
-	res.Sent, res.Bytes = nw.sent, nw.bytes
-	nw.sentMu.Unlock()
-
-	if nw.cfg.Pred != nil {
-		// the truth log's binding is identity: object index == proc index
-		truth := world.Oracle{Pred: nw.cfg.Pred, N: nw.cfg.N, KeysOf: world.IdentityKeys, Obs: nw.cfg.Obs}
-		res.Truth = truth.Intervals(log, horizon)
-		res.Confusion = core.Score(occ, res.Truth, markers, tol, horizon)
-	}
+	// the truth log's binding is identity: object index == proc index
+	truth := world.Oracle{Pred: nw.cfg.Pred, N: nw.cfg.N, KeysOf: world.IdentityKeys, Obs: nw.cfg.Obs}
+	nw.checkerMu.Lock()
+	defer nw.checkerMu.Unlock()
+	core.FinishAndScore(&res, nw.checker, log, truth, tol)
 	return res
 }

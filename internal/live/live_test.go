@@ -85,10 +85,10 @@ func TestLiveMessageCounting(t *testing.T) {
 	nw.Node(0).Sense("x", 1)
 	res := nw.Stop(20*time.Millisecond, sim.Millisecond)
 	// One sense event → broadcast to 2 peers + checker = 3 transmissions.
-	if res.Sent != 3 {
-		t.Fatalf("sent %d want 3", res.Sent)
+	if res.Net.Sent != 3 {
+		t.Fatalf("sent %d want 3", res.Net.Sent)
 	}
-	if res.Bytes == 0 {
+	if res.Net.Bytes == 0 {
 		t.Fatal("bytes not counted")
 	}
 }
@@ -143,7 +143,7 @@ func TestLiveConcurrentSensesDoNotRace(t *testing.T) {
 		<-doneCh
 	}
 	res := nw.Stop(30*time.Millisecond, 5*sim.Millisecond)
-	if res.Sent == 0 {
+	if res.Net.Sent == 0 {
 		t.Fatal("no traffic recorded")
 	}
 }
@@ -189,12 +189,13 @@ func TestLiveObsMetricsAndEndpoint(t *testing.T) {
 	for _, c := range final.Counters {
 		counters[c.Name] = c.Value
 	}
-	// 3 senses × (2 peers + checker) = 9 sends.
-	if counters["live.sends"] != res.Sent || counters["live.sends"] != 9 {
-		t.Fatalf("live.sends %d (res.Sent %d)", counters["live.sends"], res.Sent)
+	// 3 senses × (2 peers + checker) = 9 sends, published under the DES's
+	// names.
+	if counters["net.sent"] != res.Net.Sent || counters["net.sent"] != 9 {
+		t.Fatalf("net.sent %d (res.Net.Sent %d)", counters["net.sent"], res.Net.Sent)
 	}
-	if counters["live.bytes"] != res.Bytes {
-		t.Fatalf("live.bytes %d want %d", counters["live.bytes"], res.Bytes)
+	if counters["net.bytes"] != res.Net.Bytes || counters["net.delivered"] != res.Net.Delivered {
+		t.Fatalf("net.bytes %d net.delivered %d, want %+v", counters["net.bytes"], counters["net.delivered"], res.Net)
 	}
 	if counters["live.checker_strobes"] != 3 {
 		t.Fatalf("checker strobes %d", counters["live.checker_strobes"])

@@ -55,7 +55,7 @@ func TestLiveReplayMatchesTrace(t *testing.T) {
 		t.Fatal("identity-bound replay diverged from the decoded trace")
 	}
 	// Detection sanity only: the checker saw the strobes the feed drove.
-	if res.Sent == 0 {
+	if res.Net.Sent == 0 {
 		t.Fatal("replay drove no strobe traffic")
 	}
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -17,9 +18,9 @@ import (
 // The substrate differential: live and the DES run the same core.Sensor
 // and core.StrobeChecker, so one serialized sense script — each sense's
 // deliveries waited out before the next — must leave the same Sense
-// records (proc, epoch, seq, own clock) and the same occurrence count on
-// both. A difference is the substrate's: its delivery, its fault gates,
-// its executor.
+// records (proc, epoch, seq, own clock), the same occurrence count and the
+// same transport counts (Results.Net) on both. A difference is the
+// substrate's: its delivery, its counting, its fault gates, its executor.
 
 type senseStep struct {
 	proc int
@@ -57,7 +58,7 @@ func senseRecords(fl *flight.Recorder) []senseRec {
 	return out
 }
 
-func desSubstrate(kind core.ClockKind, plan *faults.Plan) ([]senseRec, int) {
+func desSubstrate(kind core.ClockKind, plan *faults.Plan) ([]senseRec, core.Results) {
 	fl := flight.New(substrateN+1, 256)
 	h := core.NewHarness(core.HarnessConfig{
 		Seed: 1, N: substrateN, Kind: kind, Delay: sim.Synchronous{},
@@ -72,11 +73,11 @@ func desSubstrate(kind core.ClockKind, plan *faults.Plan) ([]senseRec, int) {
 			h.Eng.At(at, func(sim.Time) { h.World.Set(st.proc, "x", st.val) })
 		}
 	}
-	occ := len(h.Run().Occurrences)
-	return senseRecords(fl), occ
+	res := h.Run()
+	return senseRecords(fl), res
 }
 
-func liveSubstrate(t *testing.T, kind core.ClockKind, plan *faults.Plan) ([]senseRec, int) {
+func liveSubstrate(t *testing.T, kind core.ClockKind, plan *faults.Plan) ([]senseRec, core.Results) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	fl := flight.NewConcurrent(substrateN+1, 256)
@@ -136,13 +137,13 @@ func liveSubstrate(t *testing.T, kind core.ClockKind, plan *faults.Plan) ([]sens
 		}
 	}
 	res := nw.Stop(5*time.Millisecond, sim.Millisecond)
-	return senseRecords(fl), len(res.Occurrences)
+	return senseRecords(fl), res
 }
 
 func checkSubstrates(t *testing.T, plan *faults.Plan) {
 	for _, kind := range []core.ClockKind{core.VectorStrobe, core.ScalarStrobe} {
-		des, desOcc := desSubstrate(kind, plan)
-		live, liveOcc := liveSubstrate(t, kind, plan)
+		des, desRes := desSubstrate(kind, plan)
+		live, liveRes := liveSubstrate(t, kind, plan)
 		if len(des) == 0 || len(des) != len(live) {
 			t.Fatalf("%v: %d DES sense records, %d live", kind, len(des), len(live))
 		}
@@ -151,8 +152,12 @@ func checkSubstrates(t *testing.T, plan *faults.Plan) {
 				t.Fatalf("%v: sense %d: DES %+v, live %+v", kind, i, des[i], live[i])
 			}
 		}
-		if desOcc == 0 || desOcc != liveOcc {
+		if desOcc, liveOcc := len(desRes.Occurrences), len(liveRes.Occurrences); desOcc == 0 || desOcc != liveOcc {
 			t.Fatalf("%v: %d DES occurrences, %d live", kind, desOcc, liveOcc)
+		}
+		if d, l := desRes.Net, liveRes.Net; d.Sent == 0 || d.Sent != l.Sent || d.Delivered != l.Delivered ||
+			d.Dropped != l.Dropped || d.Bytes != l.Bytes || !maps.Equal(d.ByKind, l.ByKind) {
+			t.Fatalf("%v: DES counted %+v, live %+v", kind, d, l)
 		}
 		if plan != nil && !slices.ContainsFunc(des, func(r senseRec) bool { return r.epoch == 1 }) {
 			t.Fatalf("%v: no sense after the rejoin carries epoch 1: %+v", kind, des)

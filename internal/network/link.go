@@ -70,10 +70,10 @@ func suppressed(f *faults.Injector, src int, now sim.Time) bool {
 	return true
 }
 
-// crashDropped is the arrival gate of both DES transports: it reports
+// CrashDropped is the arrival gate of every transport: it reports
 // whether the copy arriving at dst at now dies there because f has dst
 // crashed — crashed processes take no deliveries — and counts the drop.
-func (s *Stats) crashDropped(f *faults.Injector, dst int, now sim.Time) bool {
+func (s *Stats) CrashDropped(f *faults.Injector, dst int, now sim.Time) bool {
 	if f == nil || !f.Down(dst, now) {
 		return false
 	}
@@ -82,11 +82,11 @@ func (s *Stats) crashDropped(f *faults.Injector, dst int, now sim.Time) bool {
 	return true
 }
 
-// countSends records the link-level transmissions of one logical send (or
+// CountSends records the link-level transmissions of one logical send (or
 // one flood relay step): Sent, Bytes and ByKind are bumped once, by the
 // copy count, drops included. A step that sent nothing leaves no ByKind
 // key behind, as counting per copy would not.
-func (s *Stats) countSends(p Payload, copies int64) {
+func (s *Stats) CountSends(p Payload, copies int64) {
 	if copies == 0 {
 		return
 	}

@@ -141,14 +141,14 @@ func (sn *ShardedNet) TotalStats() Stats {
 	return out
 }
 
-// SetObs attaches the shared stats mirror (see mirrorStats) over the
+// SetObs attaches the shared stats mirror (see MirrorStats) over the
 // summed per-shard counters. Per-link delay histograms are not sampled on
 // the sharded path — the hot loop stays store-free.
 func (sn *ShardedNet) SetObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	mirrorStats(r, func() (Stats, *faults.Injector) { return sn.TotalStats(), sn.fault })
+	MirrorStats(r, func() (Stats, *faults.Injector) { return sn.TotalStats(), sn.fault })
 }
 
 // priFor mints the (time-tie-break) priority key and message ID for one
@@ -218,7 +218,7 @@ func (p *ShardPart) send(src, skip int, b *Body) uint64 {
 		p.transmit(b, src, dst, pri, now)
 		copies++
 	}
-	p.Stats.countSends(b.Payload, copies)
+	p.Stats.CountSends(b.Payload, copies)
 	return b.id
 }
 
@@ -255,7 +255,7 @@ func (p *ShardPart) schedule(body *Body, dst int, at sim.Time, pri uint64) {
 // scheduled with, dst the process it is addressed to.
 func (p *ShardPart) deliver(now sim.Time, body any, dst int) {
 	sn := p.owner
-	if p.Stats.crashDropped(sn.fault, dst, now) {
+	if p.Stats.CrashDropped(sn.fault, dst, now) {
 		return
 	}
 	p.Stats.Delivered++

@@ -162,11 +162,11 @@ type Net struct {
 	flightRec *flight.Recorder
 }
 
-// mirrorStats registers the one transport → obs mirror both transports
-// share: a collector that, at snapshot time, reads the transport's Stats
+// MirrorStats registers the one transport → obs mirror every transport
+// shares: a collector that, at snapshot time, reads the transport's Stats
 // and fault injector through read and stores the four net.* counters and
 // the injector's faults.* counts. The hot path stays atomic-free.
-func mirrorStats(r *obs.Registry, read func() (Stats, *faults.Injector)) {
+func MirrorStats(r *obs.Registry, read func() (Stats, *faults.Injector)) {
 	var (
 		sent      = r.Counter("net.sent")
 		delivered = r.Counter("net.delivered")
@@ -184,7 +184,7 @@ func mirrorStats(r *obs.Registry, read func() (Stats, *faults.Injector)) {
 }
 
 // SetObs attaches runtime metrics: the shared stats mirror (see
-// mirrorStats) plus the sampled link delay (µs) as a histogram, copied
+// MirrorStats) plus the sampled link delay (µs) as a histogram, copied
 // from a local, unsynchronized histogram at snapshot time. SetObs(nil)
 // stops delay sampling; values already mirrored into a previous registry
 // remain there.
@@ -195,7 +195,7 @@ func (nt *Net) SetObs(r *obs.Registry) {
 	}
 	local := obs.NewLocalHist(obs.DurationBuckets)
 	nt.obsDelay = local
-	mirrorStats(r, func() (Stats, *faults.Injector) { return nt.Stats, nt.fault })
+	MirrorStats(r, func() (Stats, *faults.Injector) { return nt.Stats, nt.fault })
 	delay := r.Histogram("net.delay_us", obs.DurationBuckets)
 	r.RegisterCollector(func(*obs.Registry) { delay.CopyFrom(local) })
 }
@@ -275,7 +275,7 @@ func (nt *Net) SendBody(src, dst int, b *Body) uint64 {
 	}
 	b.id = nt.newID()
 	nt.transmit(b, dst)
-	nt.Stats.countSends(b.Payload, 1)
+	nt.Stats.CountSends(b.Payload, 1)
 	return b.id
 }
 
@@ -306,7 +306,7 @@ func (nt *Net) BroadcastBody(src int, b *Body) uint64 {
 			copies++
 		}
 	}
-	nt.Stats.countSends(b.Payload, copies)
+	nt.Stats.CountSends(b.Payload, copies)
 	return b.id
 }
 
@@ -348,7 +348,7 @@ func (nt *Net) transmit(b *Body, dst int) {
 // was scheduled with, dst the process it is addressed to.
 func (nt *Net) deliverCopy(now sim.Time, body any, dst int) {
 	b := body.(*Body)
-	if nt.Stats.crashDropped(nt.fault, dst, now) {
+	if nt.Stats.CrashDropped(nt.fault, dst, now) {
 		nt.recordDrop(dst, int(b.src), b.Stamp, now)
 		return
 	}
@@ -413,7 +413,7 @@ func (nt *Net) relay(m Message) {
 		nt.inflight[m.ID]++
 		nt.eng.AtFunc(now+d, DeliveryPri, nt.fireHop, wave, j)
 	}
-	nt.Stats.countSends(m.Payload, copies)
+	nt.Stats.CountSends(m.Payload, copies)
 }
 
 // deliverHop runs at a flood copy's arrival: body is the wave (*Message)
@@ -426,7 +426,7 @@ func (nt *Net) deliverHop(now sim.Time, body any, dst int) {
 	if nt.seen[dst][wave.ID] {
 		return // duplicate arrived first via another path
 	}
-	if nt.Stats.crashDropped(nt.fault, dst, now) { // crashed receivers neither deliver nor relay
+	if nt.Stats.CrashDropped(nt.fault, dst, now) { // crashed receivers neither deliver nor relay
 		nt.recordDrop(dst, wave.Src, wave.Stamp, now)
 		return
 	}

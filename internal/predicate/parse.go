@@ -31,6 +31,9 @@ func Parse(src string) (Cond, error) {
 	p := &parser{src: src}
 	p.next()
 	node, err := p.parseOr()
+	if p.err != nil {
+		err = p.err // a bad character or number ended the token stream early
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -70,11 +73,20 @@ type token struct {
 	val  float64
 }
 
+// maxNesting bounds how deeply parentheses, "!" and unary "-" may nest. The
+// parser recurses once per level, and an input nested past the goroutine
+// stack's limit would crash the process, which no recover can catch. Every
+// predicate in the repository nests a few levels. A flat chain such as
+// a + b + c prints with one parenthesis per operator, so the String form of
+// a chain longer than this is refused too.
+const maxNesting = 1000
+
 type parser struct {
-	src string
-	off int
-	tok token
-	err error
+	src   string
+	off   int
+	tok   token
+	err   error
+	depth int // nesting levels entered, see nest
 }
 
 func (p *parser) errorf(format string, args ...any) error {
@@ -133,6 +145,16 @@ func (p *parser) next() {
 			p.tok = token{kind: tokEOF, pos: start}
 		}
 	}
+}
+
+// nest runs parse one nesting level deeper, or fails past maxNesting.
+func (p *parser) nest(parse func() (node, error)) (node, error) {
+	if p.depth == maxNesting {
+		return nil, p.errorf("nested deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	defer func() { p.depth-- }()
+	return parse()
 }
 
 func (p *parser) accept(text string) bool {
@@ -210,7 +232,7 @@ func (p *parser) parseAnd() (node, error) {
 
 func (p *parser) parseUnary() (node, error) {
 	if p.accept("!") {
-		inner, err := p.parseUnary()
+		inner, err := p.nest(p.parseUnary)
 		if err != nil {
 			return nil, err
 		}
@@ -311,7 +333,7 @@ func (p *parser) parseProd() (node, error) {
 
 func (p *parser) parseNeg() (node, error) {
 	if p.accept("-") {
-		inner, err := p.parseNeg()
+		inner, err := p.nest(p.parseNeg)
 		if err != nil {
 			return nil, err
 		}
@@ -370,7 +392,7 @@ func (p *parser) parsePrim() (node, error) {
 		return Var{Proc: proc, Name: name}, nil
 	case tokOp:
 		if p.accept("(") {
-			inner, err := p.parseOr()
+			inner, err := p.nest(p.parseOr)
 			if err != nil {
 				return nil, err
 			}

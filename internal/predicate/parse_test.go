@@ -111,6 +111,8 @@ func TestParseErrors(t *testing.T) {
 		"x@0 > 5 && && 1":   "unexpected",
 		"$":                 "unexpected character",
 		"(x@0 > 1) + 2 > 0": "numeric expression",
+		"x@0 > 1 $ ignored": "unexpected character",
+		"x@0 > 1 1.2.3":     "bad number",
 	}
 	for src, frag := range bad {
 		_, err := Parse(src)
@@ -138,6 +140,28 @@ func TestParseDeepNesting(t *testing.T) {
 	c := MustParse(src)
 	if !c.Holds(st(1, map[Key]float64{{0, "x"}: 2})) {
 		t.Fatal("nested parens broken")
+	}
+	// A million levels once overflowed the goroutine stack: a fatal error,
+	// not a panic.
+	const deep = 1_000_000
+	for _, src := range []string{
+		strings.Repeat("(", deep) + "x@0 > 1" + strings.Repeat(")", deep),
+		strings.Repeat("!", deep) + "x@0 > 1",
+		"x@0 > " + strings.Repeat("-", deep) + "1",
+		strings.Repeat("(", maxNesting+1) + "x@0 > 1" + strings.Repeat(")", maxNesting+1),
+	} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "nested deeper than") {
+			t.Errorf("Parse of %d bytes nested past the limit: %v", len(src), err)
+		}
+	}
+	if _, err := Parse(strings.Repeat("(", maxNesting) + "x@0 > 1" + strings.Repeat(")", maxNesting)); err != nil {
+		t.Errorf("nesting at the limit refused: %v", err)
+	}
+	// A flat chain is no nesting, but its String form nests one level per
+	// operator.
+	chain := MustParse(strings.Repeat("x@0 + ", maxNesting+1) + "x@0 > 1")
+	if _, err := Parse(chain.String()); err == nil || !strings.Contains(err.Error(), "nested deeper than") {
+		t.Errorf("String form of a chain of %d: %v", maxNesting+1, err)
 	}
 }
 

@@ -116,9 +116,6 @@ type Window struct {
 func (w Window) full() bool { return w.Lo == 0 && w.Hi == Unbounded }
 
 func (w Window) String() string {
-	if w.full() {
-		return ""
-	}
 	if w.Hi == Unbounded {
 		return fmt.Sprintf("[%v,inf]", w.Lo)
 	}
@@ -134,7 +131,7 @@ type Eventually struct {
 // Sat implements Formula.
 func (e Eventually) Sat(tr *Trace) Signal { return e.F.Sat(tr).Eventually(e.W.Lo, e.W.Hi) }
 
-func (e Eventually) String() string { return "F" + e.W.String() + paren(e.F) }
+func (e Eventually) String() string { return temporal("F", e.W, e.F) }
 
 // Always is G[w]φ.
 type Always struct {
@@ -145,7 +142,7 @@ type Always struct {
 // Sat implements Formula.
 func (g Always) Sat(tr *Trace) Signal { return g.F.Sat(tr).Always(g.W.Lo, g.W.Hi) }
 
-func (g Always) String() string { return "G" + g.W.String() + paren(g.F) }
+func (g Always) String() string { return temporal("G", g.W, g.F) }
 
 // Once is the past operator O[w]φ.
 type Once struct {
@@ -156,7 +153,7 @@ type Once struct {
 // Sat implements Formula.
 func (o Once) Sat(tr *Trace) Signal { return o.F.Sat(tr).Once(o.W.Lo, o.W.Hi) }
 
-func (o Once) String() string { return "O" + o.W.String() + paren(o.F) }
+func (o Once) String() string { return temporal("O", o.W, o.F) }
 
 // Historically is the past operator H[w]φ.
 type Historically struct {
@@ -167,7 +164,7 @@ type Historically struct {
 // Sat implements Formula.
 func (h Historically) Sat(tr *Trace) Signal { return h.F.Sat(tr).Historically(h.W.Lo, h.W.Hi) }
 
-func (h Historically) String() string { return "H" + h.W.String() + paren(h.F) }
+func (h Historically) String() string { return temporal("H", h.W, h.F) }
 
 // Until is the untimed φ U ψ.
 type Until struct{ L, R Formula }
@@ -176,6 +173,16 @@ type Until struct{ L, R Formula }
 func (u Until) Sat(tr *Trace) Signal { return u.L.Sat(tr).Until(u.R.Sat(tr)) }
 
 func (u Until) String() string { return paren(u.L) + " U " + paren(u.R) }
+
+// temporal renders a temporal operator, its window and its operand. Without
+// a window a space keeps the operand's name apart from the operator's: F a,
+// not the atom Fa.
+func temporal(op string, w Window, f Formula) string {
+	if w.full() {
+		return op + " " + paren(f)
+	}
+	return op + w.String() + paren(f)
+}
 
 func paren(f Formula) string {
 	s := f.String()

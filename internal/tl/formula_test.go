@@ -128,6 +128,11 @@ func TestParseErrors(t *testing.T) {
 		"@":           "unexpected",
 		"F[abc,5s] x": "bad duration",
 		"F[0,5s x":    "expected ]",
+		// A bound no int64 of µs holds once wrapped to a negative window.
+		"F[99999999999999999999999,inf] x": "bad duration",
+		"F[NaN,1s] x":                      "bad duration",
+		"F[inf,inf] x":                     "bad duration",
+		"\x80":                             "unexpected", // once read as an atom
 	}
 	for src, frag := range bad {
 		_, err := Parse(src)
@@ -157,6 +162,8 @@ func TestFormulaStringsReparse(t *testing.T) {
 		"!a && (b || c)",
 		"H[0,10s] closed",
 		"O[1s,inf] seen",
+		"F a", // once printed as the atom "Fa"
+		"G F b",
 	}
 	tr := demoTrace()
 	tr.Set("hot", []Span{{0, 50 * sim.Second}})
@@ -209,5 +216,28 @@ func TestTraceNames(t *testing.T) {
 	names := tr.Names()
 	if len(names) != 2 || names[0] != "alarm" || names[1] != "occupied" {
 		t.Fatalf("names %v", names)
+	}
+}
+
+func TestParseDeepNesting(t *testing.T) {
+	if f := MustParse("((((a))))"); f != Atom("a") {
+		t.Fatalf("nested parens parse to %v", f)
+	}
+	// A million levels once overflowed the goroutine stack: a fatal error,
+	// not a panic.
+	const deep = 1_000_000
+	for _, src := range []string{
+		strings.Repeat("(", deep) + "a" + strings.Repeat(")", deep),
+		strings.Repeat("!", deep) + "a",
+		strings.Repeat("F ", deep) + "a",
+		strings.Repeat("a -> ", deep) + "a",
+		strings.Repeat("(", maxNesting+1) + "a" + strings.Repeat(")", maxNesting+1),
+	} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "nested deeper than") {
+			t.Errorf("Parse of %d bytes nested past the limit: %v", len(src), err)
+		}
+	}
+	if _, err := Parse(strings.Repeat("(", maxNesting) + "a" + strings.Repeat(")", maxNesting)); err != nil {
+		t.Errorf("nesting at the limit refused: %v", err)
 	}
 }

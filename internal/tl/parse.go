@@ -49,11 +49,25 @@ func MustParse(src string) Formula {
 	return f
 }
 
+// maxNesting bounds how deeply parentheses, "->", "!" and the temporal
+// operators may nest. The parser recurses once per level, and an input
+// nested past the goroutine stack's limit would crash the process, which no
+// recover can catch. A flat chain such as a && b && c prints with one
+// parenthesis per operator, so the String form of a chain longer than this
+// is refused too.
+const maxNesting = 1000
+
+// maxDuration bounds a window bound at 2⁵³ µs (about 285 years): below it
+// the float arithmetic of parseDur and Window.String is exact to the µs, so
+// a printed window reads back as itself.
+const maxDuration = 1 << 53
+
 type tlParser struct {
-	src string
-	off int
-	tok string // current token ("" = EOF)
-	pos int
+	src   string
+	off   int
+	tok   string // current token ("" = EOF)
+	pos   int
+	depth int // nesting levels entered, see nest
 }
 
 func (p *tlParser) errorf(format string, args ...any) error {
@@ -96,9 +110,19 @@ func (p *tlParser) next() {
 				return
 			}
 		}
-		p.tok = string(c)
+		p.tok = p.src[p.off : p.off+1] // the byte itself; string(c) would encode it as a rune
 		p.off++
 	}
+}
+
+// nest runs parse one nesting level deeper, or fails past maxNesting.
+func (p *tlParser) nest(parse func() (Formula, error)) (Formula, error) {
+	if p.depth == maxNesting {
+		return nil, p.errorf("nested deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	defer func() { p.depth-- }()
+	return parse()
 }
 
 func (p *tlParser) accept(tok string) bool {
@@ -115,7 +139,7 @@ func (p *tlParser) parseFormula() (Formula, error) {
 		return nil, err
 	}
 	if p.accept("->") {
-		right, err := p.parseFormula() // right associative
+		right, err := p.nest(p.parseFormula) // right associative
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +198,7 @@ var temporalOps = map[string]bool{"F": true, "G": true, "O": true, "H": true}
 
 func (p *tlParser) parseUnary() (Formula, error) {
 	if p.accept("!") {
-		f, err := p.parseUnary()
+		f, err := p.nest(p.parseUnary)
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +215,7 @@ func (p *tlParser) parseUnary() (Formula, error) {
 				return nil, err
 			}
 		}
-		inner, err := p.parseUnary()
+		inner, err := p.nest(p.parseUnary)
 		if err != nil {
 			return nil, err
 		}
@@ -252,20 +276,25 @@ func (p *tlParser) parseDur() (sim.Duration, error) {
 	if err != nil {
 		return 0, p.errorf("bad duration %q", p.tok)
 	}
+	tok := p.tok
 	p.next()
 	unit := sim.Second
 	if u, ok := durUnits[strings.ToLower(p.tok)]; ok {
 		unit = u
 		p.next()
 	}
-	return sim.Duration(v*float64(unit) + 0.5), nil
+	d := v*float64(unit) + 0.5
+	if !(d >= 0 && d <= maxDuration) { // NaN, ±Inf and what int64 cannot hold included
+		return 0, p.errorf("bad duration %q", tok)
+	}
+	return sim.Duration(d), nil
 }
 
 func (p *tlParser) parsePrim() (Formula, error) {
 	switch {
 	case p.tok == "(":
 		p.next()
-		f, err := p.parseFormula()
+		f, err := p.nest(p.parseFormula)
 		if err != nil {
 			return nil, err
 		}
