@@ -15,7 +15,7 @@ check: build vet lint bench-smoke test-race
 test-race:
 	$(GO) test -race ./...
 
-# Ten seconds of the native fuzzer on each of ten targets. Four are
+# Ten seconds of the native fuzzer on each of eleven targets. Four are
 # differential: the incremental ground-truth scorer against
 # world.TrueIntervals over fuzzed predicates and logs (DESIGN.md §1.1), the
 # sparse strobe clock against the dense one over fuzzed interleavings of
@@ -23,8 +23,9 @@ test-race:
 # columnar view against a predicate.MapState model over fuzzed strobes —
 # out-of-range processes, epoch bumps, stale seqs, race probes (DESIGN.md
 # §1.1) — and lattice.Survey against the recursive enumerator over fuzzed
-# execution shapes (DESIGN.md §1.6). Six feed arbitrary input to a
-# parser — the PVWL workload trace (FuzzWorkloadDecode), the checker
+# execution shapes (DESIGN.md §1.6). Seven feed arbitrary input to a
+# parser — the PVWL workload trace (FuzzWorkloadDecode), the workload
+# spec `pervasim -workload` reads (FuzzWorkloadSpec), the checker
 # tree's sync batch with the stamp batch inside it (FuzzDecodeBatch), the
 # -faults plan grammar (FuzzFaultsParse), the JSON/JSONL execution
 # trace tracedump reads (FuzzTraceDecode), the predicate language
@@ -39,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCheckerView -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzSurveyOracle -fuzztime=10s ./internal/lattice/
 	$(GO) test -run='^$$' -fuzz=FuzzWorkloadDecode -fuzztime=10s ./internal/workload/
+	$(GO) test -run='^$$' -fuzz=FuzzWorkloadSpec -fuzztime=10s ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/checker/
 	$(GO) test -run='^$$' -fuzz=FuzzFaultsParse -fuzztime=10s ./internal/faults/
 	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=10s ./internal/trace/

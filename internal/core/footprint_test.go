@@ -11,34 +11,71 @@ import (
 
 // TestFleetFootprint pins what a sharded fleet costs per sensor: its slab
 // entry, and no heap object of its own at build — one delivery handler per
-// fleet, one world listener per shard, RNG streams by value — plus a flat
-// checker that keeps no race-only arrays when it is race-blind.
+// fleet, one world listener per shard, RNG streams by value, one world
+// column per attribute rather than a cell per object — plus a flat checker
+// that keeps no race-only arrays when it is race-blind, and a build that
+// reads its workload in place rather than copying it per shard.
 func TestFleetFootprint(t *testing.T) {
 	if sz := unsafe.Sizeof(Sensor{}); sz > 168 {
 		t.Errorf("Sensor slab entry is %d bytes, budget 168", sz)
 	}
 
-	// Heap objects allocated by one build, the minimum of three so that a
-	// stray background allocation cannot fail the test. The horizon is
-	// short, so the workload adds next to nothing and the count is the
-	// fleet's wiring.
-	objects := func(n int) uint64 {
-		best := ^uint64(0)
+	// Heap objects and bytes allocated by build, the minimum of three so
+	// that a stray background allocation cannot fail the test.
+	least := func(build func() any) (objects, bytes uint64) {
+		objects, bytes = ^uint64(0), ^uint64(0)
 		for range 3 {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			h := NewShardedHarness(ShardedConfig{Seed: 1, N: n, Horizon: sim.Millisecond})
+			h := build()
 			runtime.ReadMemStats(&after)
 			runtime.KeepAlive(h)
-			best = min(best, after.Mallocs-before.Mallocs)
+			objects = min(objects, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 		}
-		return best
+		return objects, bytes
 	}
-	small, large := objects(1024), objects(4096)
+
+	// One build, then one Set of every object, of an attribute no sensor
+	// senses (so no strobe is sent). The horizon is short, so the workload
+	// adds next to nothing and the count is the fleet's wiring plus the
+	// world's first touch of an attribute on every object.
+	touched := func(n int) uint64 {
+		objects, _ := least(func() any {
+			h := NewShardedHarness(ShardedConfig{Seed: 1, N: n, Horizon: sim.Millisecond})
+			for o := 0; o < n; o++ {
+				h.Worlds[0].Set(o, "q", 1)
+			}
+			return h
+		})
+		return objects
+	}
+	small, large := touched(1024), touched(4096)
 	if per := (float64(large) - float64(small)) / (4096 - 1024); per >= 0.05 {
-		t.Errorf("build allocates %.3f heap objects per added sensor (%d at N=1024, %d at N=4096); want < 0.05",
+		t.Errorf("build and a Set per object allocate %.3f heap objects per added sensor (%d at N=1024, %d at N=4096); want < 0.05",
 			per, small, large)
+	}
+
+	// Bytes a build allocates per workload event, past the fleet: the same
+	// fleet over a short and a long stream of one toggler fleet.
+	const n, horizon = 1024, 8 * sim.Second
+	fleet := workload.TogglerFleet{Seed: 3, N: n, Attr: "p",
+		MeanHigh: 300 * sim.Millisecond, MeanLow: 500 * sim.Millisecond}
+	short, long := fleet.Events(horizon/8), fleet.Events(horizon)
+	for _, shards := range []int{1, 4} {
+		build := func(evs []workload.Event) uint64 {
+			_, bytes := least(func() any {
+				return NewShardedHarness(ShardedConfig{Seed: 1, N: n, Shards: shards,
+					Horizon: horizon, Workload: workload.EventSource(evs)})
+			})
+			return bytes
+		}
+		a, b := build(short), build(long)
+		if per := (float64(b) - float64(a)) / float64(len(long)-len(short)); per >= 8 {
+			t.Errorf("S=%d: build allocates %.1f B per workload event (%d B over %d events, %d B over %d); want < 8",
+				shards, per, a, len(short), b, len(long))
+		}
 	}
 
 	c := newStrobeChecker(65536, PilotPred(8, 5), false)

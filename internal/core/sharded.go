@@ -63,7 +63,8 @@ type ShardedConfig struct {
 	// Workload overrides the fleet workload with any workload.Source
 	// (objects are global sensor indices, attr "p"); nil uses the default
 	// per-sensor toggler fleet parameterized by MeanHigh/MeanLow. The
-	// source is materialized once and partitioned across shards, so the
+	// source is materialized once and every shard's pump reads that one
+	// stream in place, firing the events of the sensors it hosts, so the
 	// stream — and therefore the whole run — is shard- and worker-count
 	// invariant, and Harness.Events can be recorded to a trace.
 	Workload workload.Source
@@ -212,26 +213,11 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 		}
 		h.Worlds[k].AddObject("", nil)
 	}
-	// Sensor i senses its own object's "p" as variable "p": one listener
-	// per shard's world does the binding for every object it hosts, where a
-	// Bind per sensor would cost a closure and a listener slice each.
-	for k, w := range h.Worlds {
-		if h.objBase[k] < 0 {
-			continue // the checker's shard alone: no objects
-		}
-		hosted := h.Sensors[h.objBase[k]:]
-		w.SubscribeAll(func(ev world.Event) {
-			if ev.Attr == "p" {
-				hosted[ev.Object].Sense(ev.At, "p", ev.New)
-			}
-		})
-	}
-
-	// Fleet workload: one materialized source over global sensor indices,
-	// partitioned per shard and pumped locally. The stream is generated
-	// (or replayed) identically at every shard count; the per-sensor
-	// toggler streams match the former in-loop installation exactly (one
-	// workload-root fork per sensor, in sensor order).
+	// Fleet workload: one materialized source over global sensor indices.
+	// The stream is generated (or replayed) identically at every shard
+	// count; the per-sensor toggler streams match the former in-loop
+	// installation exactly (one workload-root fork per sensor, in sensor
+	// order).
 	src := cfg.Workload
 	if src == nil {
 		src = workload.TogglerFleet{
@@ -240,25 +226,36 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 		}
 	}
 	h.Events = src.Events(cfg.Horizon)
-	parts := make([][]workload.Event, cfg.Shards)
 	for _, ev := range h.Events {
 		if ev.Obj < 0 || ev.Obj >= cfg.N {
 			panic(fmt.Sprintf("core: workload event targets object %d; fleet objects are 0..%d",
 				ev.Obj, cfg.N-1))
 		}
-		k := smap.Of(ev.Obj)
-		ev.Obj -= h.objBase[k] // global sensor index -> shard-local object
-		parts[k] = append(parts[k], ev)
 	}
-	for k, p := range parts {
-		workload.Install(sh.Engine(k), h.Worlds[k], p)
-	}
-	// Ground truth is scored on the pilot only: each world logs just the
-	// pilot objects it hosts (local ids below Pilot − objBase), which on a
-	// shard past the pilot is none. (A shard hosting only the checker has
-	// objBase −1 and an empty world; any bound does.)
+	// Each shard's world hosts the sensors [base, end). Sensor i senses its
+	// own object's "p" as variable "p": one listener per world does the
+	// binding for every object it hosts, where a Bind per sensor would cost
+	// a closure and a listener slice each. The shard's pump reads h.Events
+	// in place and fires the events of the sensors it hosts as local
+	// objects. Ground truth is scored on the pilot only: each world logs
+	// just the pilot objects it hosts (local ids below Pilot − base), which
+	// on a shard past the pilot is none.
 	for k, w := range h.Worlds {
-		w.LogBelow(cfg.Pilot - h.objBase[k])
+		base, end := h.objBase[k], cfg.N
+		if base < 0 {
+			continue // the checker's shard alone: no objects
+		}
+		if k+1 < len(h.objBase) && h.objBase[k+1] >= 0 {
+			end = h.objBase[k+1]
+		}
+		hosted := h.Sensors[base:end]
+		w.SubscribeAll(func(ev world.Event) {
+			if ev.Attr == "p" {
+				hosted[ev.Object].Sense(ev.At, "p", ev.New)
+			}
+		})
+		workload.InstallRange(sh.Engine(k), w, h.Events, base, end)
+		w.LogBelow(cfg.Pilot - base)
 	}
 
 	if cfg.CheckerFanout >= 2 {

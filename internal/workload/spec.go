@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -96,6 +97,9 @@ func ParseSpec(src string) (*Spec, error) {
 			if err != nil {
 				return nil, fmt.Errorf("spec line %d: %v", ln, err)
 			}
+			if v < 0 || v > objLimit {
+				return nil, fmt.Errorf("spec line %d: objects %d puts object ids outside [0, %d)", ln, v, objLimit)
+			}
 			sp.Objects = v
 		case "predicate":
 			sp.Predicate = strings.Join(rest, " ")
@@ -110,6 +114,9 @@ func ParseSpec(src string) (*Spec, error) {
 					return nil, fmt.Errorf("spec line %d: argument %q is not key=value", ln, kv)
 				}
 				g.Args[k] = v
+			}
+			if err := g.checkObjects(); err != nil {
+				return nil, err
 			}
 			sp.Gens = append(sp.Gens, g)
 		default:
@@ -138,31 +145,102 @@ func (sp *Spec) Source() (Source, error) {
 	return Combine(srcs...), nil
 }
 
+// String renders the spec in its own grammar, one directive per line in a
+// fixed order: seed and horizon, objects and predicate when set, then the
+// generators with their arguments sorted by key. ParseSpec reads it back
+// as the same spec (generator line numbers aside), whose String is the
+// same text.
+func (sp *Spec) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "seed %d\nhorizon %dus\n", sp.Seed, sp.Horizon)
+	if sp.Objects != 0 {
+		fmt.Fprintf(&b, "objects %d\n", sp.Objects)
+	}
+	if sp.Predicate != "" {
+		b.WriteString("predicate " + sp.Predicate + "\n")
+	}
+	for _, g := range sp.Gens {
+		b.WriteString("generator " + g.Name)
+		keys := make([]string, 0, len(g.Args))
+		for k := range g.Args {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			b.WriteString(" " + k + "=" + g.Args[k])
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // MaxObject returns the largest object index the spec's generators can
 // touch (for sizing a harness); -1 if none is derivable.
 func (sp *Spec) MaxObject() int {
 	maxO := -1
 	for _, g := range sp.Gens {
-		for _, k := range []string{"obj"} {
-			if v, err := strconv.Atoi(g.Args[k]); err == nil && v > maxO {
-				maxO = v
-			}
-		}
-		if lo, hi, err := parseRange(g.Args["objs"]); err == nil && hi > maxO {
-			_ = lo
-			maxO = hi
-		}
-		if n, err := strconv.Atoi(g.Args["doors"]); err == nil {
-			top := n - 1
-			if g.Name == "admissions" {
-				top = n // ward object
-			}
-			if top > maxO {
-				maxO = top
+		for _, key := range objectKeys {
+			if _, hi, ok, err := g.span(key); ok && err == nil {
+				maxO = max(maxO, hi)
 			}
 		}
 	}
 	return maxO
+}
+
+// objLimit bounds every object id a spec names to [0, objLimit): the
+// process-index bound clock.SparseStrobeVector.Init enforces, so a spec
+// that parses never names an object a sensor could not be.
+const objLimit = math.MaxInt32
+
+// objectKeys are the generator arguments that name object ids.
+var objectKeys = [...]string{"obj", "objs", "doors"}
+
+// span returns the inclusive object-id range a directive's key names:
+// obj=o is [o, o], objs=a-b is [a, b], doors=n is [0, n-1] — [0, n] for
+// admissions, whose ward is object n. ok is false when the key is absent.
+func (g GenSpec) span(key string) (lo, hi int, ok bool, err error) {
+	v, ok := g.Args[key]
+	if !ok {
+		return 0, 0, false, nil
+	}
+	if key == "objs" {
+		lo, hi, err = parseRange(v)
+		return lo, hi, true, err
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, 0, true, err
+	}
+	if key == "obj" {
+		return n, n, true, nil
+	}
+	if g.Name == "admissions" {
+		return 0, n, true, nil
+	}
+	return 0, n - 1, true, nil
+}
+
+// checkObjects rejects a directive whose object arguments do not parse or
+// name an id outside [0, objLimit). Generators size slices by these ids,
+// so it runs before any generator is built.
+func (g GenSpec) checkObjects() error {
+	for _, key := range objectKeys {
+		lo, hi, ok, err := g.span(key)
+		switch {
+		case !ok:
+			continue
+		case err != nil:
+		case hi < lo:
+			err = fmt.Errorf("names no object")
+		case lo < 0 || hi >= objLimit:
+			err = fmt.Errorf("object ids %d..%d lie outside [0, %d)", lo, hi, objLimit)
+		default:
+			continue
+		}
+		return fmt.Errorf("spec line %d: generator %s: %s: %v", g.Line, g.Name, key, err)
+	}
+	return nil
 }
 
 // genArgs wraps one directive's arguments with typed, error-collecting
@@ -233,17 +311,24 @@ func (a *genArgs) seed(def uint64) uint64 {
 	return s
 }
 
-func (a *genArgs) objs() []int {
+// objRange returns the inclusive range of the required objs argument,
+// which checkObjects has already bounded.
+func (a *genArgs) objRange() (lo, hi int) {
 	v, ok := a.raw("objs")
 	if !ok {
 		a.fail("objs", fmt.Errorf("required"))
-		return nil
+		return 0, -1
 	}
 	lo, hi, err := parseRange(v)
 	if err != nil {
 		a.fail("objs", err)
-		return nil
+		return 0, -1
 	}
+	return lo, hi
+}
+
+func (a *genArgs) objs() []int {
+	lo, hi := a.objRange()
 	out := make([]int, 0, hi-lo+1)
 	for o := lo; o <= hi; o++ {
 		out = append(out, o)
@@ -304,6 +389,9 @@ func parseDur(s string) (sim.Duration, error) {
 
 // buildGen constructs one generator from its directive.
 func buildGen(g GenSpec, defSeed uint64) (Source, error) {
+	if err := g.checkObjects(); err != nil {
+		return nil, err
+	}
 	a := &genArgs{g: g, used: map[string]bool{}}
 	attr := func() string {
 		v, ok := a.raw("attr")
@@ -315,9 +403,9 @@ func buildGen(g GenSpec, defSeed uint64) (Source, error) {
 	var src Source
 	switch g.Name {
 	case "toggler":
-		objs := a.objs()
+		lo, hi := a.objRange()
 		src = TogglerFleet{
-			Seed: a.seed(defSeed), N: len(objs), BaseObj: first(objs), Attr: attr(),
+			Seed: a.seed(defSeed), N: hi - lo + 1, BaseObj: lo, Attr: attr(),
 			MeanHigh: a.dur("meanhigh", 800*sim.Millisecond),
 			MeanLow:  a.dur("meanlow", 1500*sim.Millisecond),
 		}
@@ -378,11 +466,4 @@ func buildGen(g GenSpec, defSeed uint64) (Source, error) {
 		return nil, err
 	}
 	return src, nil
-}
-
-func first(objs []int) int {
-	if len(objs) == 0 {
-		return 0
-	}
-	return objs[0]
 }

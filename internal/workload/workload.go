@@ -22,6 +22,7 @@ package workload
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -110,20 +111,39 @@ func (c combined) Events(horizon sim.Time) []Event {
 // current time. A run driven by Install is exactly reproducible from evs:
 // replaying a recorded stream re-creates the original execution.
 func Install(eng *sim.Engine, w *world.World, evs []Event) {
-	if len(evs) == 0 {
+	InstallRange(eng, w, evs, 0, math.MaxInt)
+}
+
+// InstallRange is Install over the events whose object lies in [lo, hi),
+// each applied to object Obj−lo: the pump of one shard of a fleet, which
+// hosts a contiguous range of global objects as local ids from 0. The pump
+// walks evs in place and skips the events of other ranges without an
+// engine event, so every shard reads the one canonical stream, fires the
+// sub-stream a partitioned copy would hold, in the same order, and the
+// executed count still equals the events fired.
+func InstallRange(eng *sim.Engine, w *world.World, evs []Event, lo, hi int) {
+	i := nextIn(evs, 0, lo, hi)
+	if i == len(evs) {
 		return
 	}
-	var i int
 	var step func(now sim.Time)
-	step = func(now sim.Time) {
-		ev := evs[i]
-		w.Set(ev.Obj, ev.Attr, ev.Val)
-		i++
-		if i < len(evs) {
+	step = func(sim.Time) {
+		ev := &evs[i]
+		w.Set(ev.Obj-lo, ev.Attr, ev.Val)
+		if i = nextIn(evs, i+1, lo, hi); i < len(evs) {
 			eng.At(evs[i].At, step)
 		}
 	}
-	eng.At(evs[0].At, step)
+	eng.At(evs[i].At, step)
+}
+
+// nextIn returns the index of the first event at or after i whose object
+// lies in [lo, hi), or len(evs) if none does.
+func nextIn(evs []Event, i, lo, hi int) int {
+	for i < len(evs) && (evs[i].Obj < lo || evs[i].Obj >= hi) {
+		i++
+	}
+	return i
 }
 
 // FromLog projects a ground-truth world log onto workload events — the

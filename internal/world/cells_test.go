@@ -23,7 +23,7 @@ type plane interface {
 }
 
 // mapPlane is the reference: one map of values per object and one global
-// map of listeners, the obvious implementation the attribute cells replace.
+// map of listeners, the obvious implementation the attribute columns replace.
 type mapPlane struct {
 	eng       *sim.Engine
 	attrs     []map[string]float64
@@ -82,8 +82,22 @@ func drive(p plane, eng *sim.Engine, seed uint64) []string {
 		nextListener++
 		return func(ev Event) { trace = append(trace, fmt.Sprintf("l%d %+v", id, ev)) }
 	}
+	objs := 0
+	addObject := func() {
+		var init map[string]float64
+		if r.Bool(0.5) {
+			init = map[string]float64{}
+			for k := r.Intn(4); k >= 0; k-- {
+				init[attrs[r.Intn(len(attrs))]] = float64(r.Intn(9) - 4)
+			}
+		}
+		if got := p.AddObject("o", init); got != objs {
+			trace = append(trace, fmt.Sprintf("AddObject returned %d, want %d", got, objs))
+		}
+		objs++
+	}
 	// grower: on its first call it sets a brand-new attribute of the same
-	// object — the cell slice grows, and may move, under the Set that is
+	// object — the world's columns grow, and may move, under the Set that is
 	// calling it — subscribes to it and sets it again, nesting a firing;
 	// then it subscribes a late listener to the attribute being fired, which
 	// the nested Set must call and the round in progress must not.
@@ -102,25 +116,13 @@ func drive(p plane, eng *sim.Engine, seed uint64) []string {
 			p.Set(ev.Object, fresh, ev.New+1)
 			p.Subscribe(ev.Object, fresh, inner)
 			p.Set(ev.Object, fresh, p.Get(ev.Object, fresh)+0.5)
+			addObject()
+			p.Set(objs-1, ev.Attr, ev.New-1)
 			p.Subscribe(ev.Object, ev.Attr, late)
 			p.Set(ev.Object, ev.Attr, ev.New+100) // re-enters the attribute being fired
 		}
 	}
 
-	objs := 0
-	addObject := func() {
-		var init map[string]float64
-		if r.Bool(0.5) {
-			init = map[string]float64{}
-			for k := r.Intn(4); k >= 0; k-- {
-				init[attrs[r.Intn(len(attrs))]] = float64(r.Intn(9) - 4)
-			}
-		}
-		if got := p.AddObject("o", init); got != objs {
-			trace = append(trace, fmt.Sprintf("AddObject returned %d, want %d", got, objs))
-		}
-		objs++
-	}
 	addObject()
 	for step := 0; step < 400; step++ {
 		if r.Bool(0.3) {
@@ -156,7 +158,7 @@ func drive(p plane, eng *sim.Engine, seed uint64) []string {
 // same drawn sequence — objects with and without initial attributes, Set
 // (absolute and read-modify-write) and Get of set and never-set attributes, Subscribe before and after
 // the first Set, SubscribeAll, and listeners that grow the object they are
-// being fired for — and requires the same values, the same listener calls
+// being fired for or add an object — and requires the same values, the same listener calls
 // in the same order, and the same log.
 func TestCellsMatchMapModel(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
@@ -223,7 +225,7 @@ func TestSetAllocations(t *testing.T) {
 	fired := 0
 	w.Subscribe(o, "p", func(Event) { fired++ })
 	w.LogBelow(o)
-	w.Set(o, "p", 1) // first touch creates nothing more: Subscribe made the cell
+	w.Set(o, "p", 1) // first touch creates nothing more: Subscribe made the column
 	if allocs := testing.AllocsPerRun(100, func() { w.Set(o, "p", float64(fired&1)) }); allocs != 0 {
 		t.Errorf("Set with one subscriber, log bounded away: %.1f allocs, want 0", allocs)
 	}
@@ -234,7 +236,7 @@ func TestSetAllocations(t *testing.T) {
 
 // BenchmarkWorldSetFleet is world.Set at fleet-wide's size, read at -cpu 1:
 // 65 536 objects with one subscriber each and the log bounded to a pilot of
-// 8, set round-robin so each Set finds its object's cell cold.
+// 8, set round-robin so each Set finds its object's value cold.
 func BenchmarkWorldSetFleet(b *testing.B) {
 	const n = 65536
 	w := New(sim.NewEngine(1))

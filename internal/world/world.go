@@ -47,50 +47,28 @@ type Event struct {
 // listeners to model their sensing range.
 type Listener func(Event)
 
-// object is a passive world-plane entity. Objects have no clock and no
-// network presence (Section 2.1's distinguishing features). Its attributes
-// are cells in first-touch order, found by a linear scan: an object carries
-// a handful of attributes, so the scan over one contiguous slice is shorter
-// than a hash, and the listeners of an attribute sit beside its value.
-type object struct {
-	cells []attrCell
-}
-
-// attrCell is one attribute of one object: its current value and the
-// listeners subscribed to it.
-type attrCell struct {
+// column is one attribute across every object: its values and its keyed
+// listeners, both indexed by object id. Objects are passive world-plane
+// entities with no clock and no network presence (Section 2.1's
+// distinguishing features), so an object is nothing but its id: a world
+// holds a handful of attributes over up to a fleet of objects, and a column
+// per attribute costs one float per object, allocated when the attribute
+// is first touched, not a header and a cell per object. A column covers
+// the ids below its length and grows to the object count on first touch
+// past it; listeners is nil until the attribute's first Subscribe.
+type column struct {
 	name      string
-	val       float64
-	listeners []Listener
-}
-
-// find returns the index of attr's cell, or -1 if it was never touched.
-func (o *object) find(attr string) int {
-	for i := range o.cells {
-		if o.cells[i].name == attr {
-			return i
-		}
-	}
-	return -1
-}
-
-// cell returns attr's cell, creating it (value 0, no listeners) on first
-// touch. The pointer is valid until the next cell is created.
-func (o *object) cell(attr string) *attrCell {
-	i := o.find(attr)
-	if i < 0 {
-		i = len(o.cells)
-		o.cells = append(o.cells, attrCell{name: attr})
-	}
-	return &o.cells[i]
+	vals      []float64
+	listeners [][]Listener
 }
 
 // World is the ⟨O, C⟩ plane.
 type World struct {
-	eng     *sim.Engine
-	rng     *stats.RNG
-	objects []object // the object id is the index
-	log     []Event
+	eng  *sim.Engine
+	rng  *stats.RNG
+	n    int      // object count; object ids are 0 … n-1
+	cols []column // in first-touch order, found by a linear scan
+	log  []Event
 	// logBound: only events of objects with id < logBound are logged.
 	logBound int
 	all      []Listener
@@ -102,25 +80,58 @@ func New(eng *sim.Engine) *World {
 	return &World{eng: eng, rng: eng.RNG().Fork(), logBound: math.MaxInt}
 }
 
+// find returns the index of attr's column, or -1 if it was never touched.
+func (w *World) find(attr string) int {
+	for i := range w.cols {
+		if w.cols[i].name == attr {
+			return i
+		}
+	}
+	return -1
+}
+
+// column returns attr's column grown to cover obj, creating it on first
+// touch. The pointer is valid until the next column is created.
+func (w *World) column(obj int, attr string) *column {
+	if obj < 0 || obj >= w.n {
+		panic(fmt.Sprintf("world: object %d out of range", obj))
+	}
+	i := w.find(attr)
+	if i < 0 {
+		i = len(w.cols)
+		w.cols = append(w.cols, column{name: attr})
+	}
+	c := &w.cols[i]
+	if obj >= len(c.vals) {
+		c.vals = append(c.vals, make([]float64, w.n-len(c.vals))...)
+	}
+	return c
+}
+
 // AddObject creates an object with the given initial attributes and
 // returns its ID. The first argument labels the object at the call site
 // only: the world keeps no name, since nothing reads one.
 func (w *World) AddObject(_ string, attrs map[string]float64) int {
-	var o object
-	for a, v := range attrs {
-		o.cells = append(o.cells, attrCell{name: a, val: v})
+	obj := w.n
+	w.n++
+	names := make([]string, 0, len(attrs))
+	for a := range attrs {
+		names = append(names, a)
 	}
-	// by name: the layout must not depend on map iteration order
-	sort.Slice(o.cells, func(i, j int) bool { return o.cells[i].name < o.cells[j].name })
-	w.objects = append(w.objects, o)
-	return len(w.objects) - 1
+	sort.Strings(names) // columns in name order, not map iteration order
+	for _, a := range names {
+		w.column(obj, a).vals[obj] = attrs[a]
+	}
+	return obj
 }
 
 // Get returns the current value of an attribute (0 if never set).
 func (w *World) Get(obj int, attr string) float64 {
-	o := &w.objects[obj]
-	if i := o.find(attr); i >= 0 {
-		return o.cells[i].val
+	if obj < 0 || obj >= w.n {
+		panic(fmt.Sprintf("world: object %d out of range", obj))
+	}
+	if i := w.find(attr); i >= 0 && obj < len(w.cols[i].vals) {
+		return w.cols[i].vals[obj]
 	}
 	return 0
 }
@@ -131,19 +142,19 @@ func (w *World) Set(obj int, attr string, v float64) {
 }
 
 func (w *World) set(obj int, attr string, v float64, cause int) {
-	if obj < 0 || obj >= len(w.objects) {
-		panic(fmt.Sprintf("world: object %d out of range", obj))
-	}
-	c := w.objects[obj].cell(attr)
+	c := w.column(obj, attr)
 	ev := Event{
 		Seq: len(w.log), At: w.eng.Now(),
-		Object: obj, Attr: attr, Old: c.val, New: v, Cause: cause,
+		Object: obj, Attr: attr, Old: c.vals[obj], New: v, Cause: cause,
 	}
-	c.val = v
-	// A listener may touch a new attribute of this object (or add an
-	// object) and move the slabs, so c is dead once the first one runs: the
-	// listeners of this round are the slice as it stands now.
-	keyed := c.listeners
+	c.vals[obj] = v
+	// A listener may touch a new attribute (or add an object) and move the
+	// columns, so c is dead once the first one runs: the listeners of this
+	// round are the slice as it stands now.
+	var keyed []Listener
+	if obj < len(c.listeners) {
+		keyed = c.listeners[obj]
+	}
 	if obj < w.logBound {
 		w.log = append(w.log, ev)
 	}
@@ -160,8 +171,11 @@ func (w *World) set(obj int, attr string, v float64, cause int) {
 // models a sensor whose range covers the object; the listener runs at the
 // true event time on the engine, before any SubscribeAll listener.
 func (w *World) Subscribe(obj int, attr string, l Listener) {
-	c := w.objects[obj].cell(attr)
-	c.listeners = append(c.listeners, l)
+	c := w.column(obj, attr)
+	if obj >= len(c.listeners) {
+		c.listeners = append(c.listeners, make([][]Listener, w.n-len(c.listeners))...)
+	}
+	c.listeners[obj] = append(c.listeners[obj], l)
 }
 
 // SubscribeAll attaches a listener to every world event, after the keyed
