@@ -15,20 +15,21 @@ check: build vet lint bench-smoke test-race
 test-race:
 	$(GO) test -race ./...
 
-# Ten seconds of the native fuzzer on each of eleven targets. Four are
+# Ten seconds of the native fuzzer on each of twelve targets. Four are
 # differential: the incremental ground-truth scorer against
 # world.TrueIntervals over fuzzed predicates and logs (DESIGN.md §1.1), the
-# sparse strobe clock against the dense one over fuzzed interleavings of
+# sparse strobe clock against the dense test reference over fuzzed interleavings of
 # strobes and hostile stamps (DESIGN.md §1.10), the flat checker's
 # columnar view against a predicate.MapState model over fuzzed strobes —
 # out-of-range processes, epoch bumps, stale seqs, race probes (DESIGN.md
 # §1.1) — and lattice.Survey against the recursive enumerator over fuzzed
-# execution shapes (DESIGN.md §1.6). Seven feed arbitrary input to a
+# execution shapes (DESIGN.md §1.6). Eight feed arbitrary input to a
 # parser — the PVWL workload trace (FuzzWorkloadDecode), the workload
 # spec `pervasim -workload` reads (FuzzWorkloadSpec), the checker
 # tree's sync batch with the stamp batch inside it (FuzzDecodeBatch), the
 # -faults plan grammar (FuzzFaultsParse), the JSON/JSONL execution
-# trace tracedump reads (FuzzTraceDecode), the predicate language
+# trace tracedump reads (FuzzTraceDecode), the JSONL flight-recorder
+# dump it reads too (FuzzDecodeJSONL), the predicate language
 # (FuzzPredicateParse) and the MTL formula language (FuzzTLParse): no
 # panic, allocation bounded by the input's length, and whatever parses
 # re-encodes to a fixed point.
@@ -44,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/checker/
 	$(GO) test -run='^$$' -fuzz=FuzzFaultsParse -fuzztime=10s ./internal/faults/
 	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=10s ./internal/trace/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeJSONL -fuzztime=10s ./internal/flight/
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateParse -fuzztime=10s ./internal/predicate/
 	$(GO) test -run='^$$' -fuzz=FuzzTLParse -fuzztime=10s ./internal/tl/
 

@@ -306,13 +306,14 @@ func ConsensusMergePolicy(replicas [][]Occurrence, horizon Time, p ConsensusPoli
 
 // ---- differential strobes and fine-grained relations ----
 
-// DiffStrobeVector is a strobe vector clock with Singhal–Kshemkalyani
-// differential broadcast.
-type DiffStrobeVector = clock.DiffStrobeVector
+// SparseStrobeVector is a strobe vector clock with Singhal–Kshemkalyani
+// differential broadcast and O(active peers) local state.
+type SparseStrobeVector = clock.SparseStrobeVector
 
-// NewDiffStrobeVector returns process me's differential strobe clock.
-func NewDiffStrobeVector(me, n int) *DiffStrobeVector {
-	return clock.NewDiffStrobeVector(me, n)
+// NewSparseStrobeVector returns process me's differential strobe clock in
+// an n-process system.
+func NewSparseStrobeVector(me, n int) *SparseStrobeVector {
+	return clock.NewSparseStrobeVector(me, n)
 }
 
 // ---- duty-cycle MAC synchronization (Section 5) ----

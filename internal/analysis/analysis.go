@@ -79,7 +79,7 @@ func DefaultConfig() Config {
 		HotFuncs: []string{
 			m + "/internal/sim.Engine.AtPri",
 			m + "/internal/sim.Engine.Step",
-			m + "/internal/clock.DiffStrobeVector.Strobe",
+			m + "/internal/clock.SparseStrobeVector.Strobe",
 			m + "/internal/clock.Vector.MergeSparse",
 			m + "/internal/clock.SparseStrobeVector.OnStrobe",
 			m + "/internal/checker.Tree.applyDelta",

@@ -17,7 +17,7 @@ import (
 // resolved against the module's implements-sets — one edge per module
 // type whose method set satisfies the interface, marked Dynamic — so
 // taint and allocation analyses see through the repo's deliberate
-// seams (sim.DelayModel, clock.VectorState, workload.Source, ...).
+// seams (sim.DelayModel, workload.Source, ...).
 // Calls through plain function values (fields, parameters) are not
 // resolvable without dataflow and are deliberately out of scope; the
 // repo's invariant-bearing indirection is interface-shaped.

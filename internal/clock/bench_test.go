@@ -29,6 +29,9 @@ func benchStamp(n int) SparseStamp {
 	return st
 }
 
+// BenchmarkMergeSparseDense prices the dense reference on the stamps
+// BenchmarkMergeSparseSparse and BenchmarkMergeSparseFleet feed the sparse
+// clock.
 func BenchmarkMergeSparseDense(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("p=%d", n), func(b *testing.B) {
@@ -39,6 +42,18 @@ func BenchmarkMergeSparseDense(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st[0].Val = uint64(i) // keep the merge from becoming a pure no-op
 				d.OnStrobe(st)
+			}
+		})
+	}
+	for _, sh := range fleetShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			s, stamps := fleetReceiver(sh.n, sh.known, sh.stamp, sh.unseen)
+			d := NewDiffStrobeVector(0, sh.n)
+			d.inner.v = s.Snapshot()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.OnStrobe(stamps[i%fleetCycle])
 			}
 		})
 	}
@@ -89,19 +104,26 @@ func BenchmarkClockResetSparse(b *testing.B) {
 	}
 }
 
-// The two shapes cmd/bench's fleet workloads were measured to put on the
-// sparse clock, which the 8-entry stamps above do not: on fleet-long a
-// sensor that knows ~1300 of 4096 peers merges sorted 146-entry stamps of
-// which ~15 % name peers it has not heard of; on fleet-wide it knows ~60
-// of 65536 and the stamps carry 14 entries. Run with:
+// The shapes cmd/bench's workloads were measured to put on the sparse
+// clock, which the 8-entry stamps above do not: on fleet-long a sensor
+// that knows ~1300 of 4096 peers merges sorted 146-entry stamps of which
+// ~15 % name peers it has not heard of; on fleet-wide it knows ~60 of
+// 65536 and the stamps carry 14 entries; in the tables' small fleets (E7,
+// A4) a warm clock knows every peer and a stamp can name all of them, the
+// direct-index merge. Run with:
 //
-//	go test -run xxx -bench 'SparseFleet' ./internal/clock/
+//	go test -run xxx -bench 'SparseFleet|SparseDense' ./internal/clock/
 var fleetShapes = []struct {
 	name                    string
 	n, known, stamp, unseen int
 }{
 	{"long", 4096, 1300, 146, 22},
 	{"wide", 65536, 60, 14, 2},
+	{"full-4", 4, 3, 3, 0},
+	{"full-8", 8, 7, 7, 0},
+	{"full-32", 32, 31, 31, 0},
+	{"full-64", 64, 63, 63, 0},
+	{"full-128", 128, 127, 127, 0},
 }
 
 // fleetCycle is how many stamps a merge benchmark delivers before it puts

@@ -7,25 +7,25 @@ import (
 )
 
 // Sparse strobe vectors complete the Singhal–Kshemkalyani adaptation: the
-// wire format has been sparse since the differential clock landed, but the
-// *local* state was still two dense p-length vectors per process, which is
-// what caps the system size (p processes × O(p) words each = O(p²) memory
-// system-wide). SparseStrobeVector stores only the components this process
-// has actually heard of — O(active peers), not O(p) — as sorted words
-// packing proc, value and a changed-since-last-strobe bit. In a
+// wire format has been sparse since the differential clock landed, and
+// the *local* state is sparse too. Two dense p-length vectors per process
+// (p processes × O(p) words each = O(p²) memory system-wide) would cap
+// the system size; SparseStrobeVector stores only the components this
+// process has actually heard of — O(active peers), not O(p) — as sorted
+// words packing proc, value and a changed-since-last-strobe bit. In a
 // neighborhood-scoped deployment a sensor hears from its radio neighbors
 // plus the checker, so active peers is bounded by the degree, independent
 // of p.
 //
 // The representation is exact, not approximate: an absent component is
-// exactly the dense clock's zero. The equivalence tests drive both
-// representations through identical rule sequences and require identical
-// stamps, so `NewVectorState` can pick by density without changing any
-// observable behaviour.
+// exactly the dense clock's zero. It is the one production vector strobe
+// at every system size; the dense differential clock, two p-vectors and a
+// diff, lives on as the tests' reference, and the equivalence tests drive
+// both through identical rule sequences and require identical stamps.
 
 // SparseStrobeVector is a strobe vector clock with differential broadcast
-// and O(active peers) local state. It follows the same SVC1/SVC2 rules as
-// DiffStrobeVector and emits byte-identical stamps.
+// and O(active peers) local state: the SVC1/SVC2 rules, with each stamp
+// carrying exactly the components that changed since the previous one.
 //
 // Each known non-own component is one 64-bit word: the proc in the top
 // bits.Len(n-1) bits, the merged value below it and, at bit 0, whether
@@ -70,9 +70,6 @@ func (s *SparseStrobeVector) Init(me, n int) {
 	*s = SparseStrobeVector{me: int32(me), n: int32(n), shift: uint8(64 - bits.Len(uint(n-1)))}
 }
 
-// Me returns the owning process index.
-func (s *SparseStrobeVector) Me() int { return int(s.me) }
-
 // OwnClock returns the local component — the value a process reports as
 // its own logical time without materializing a vector.
 func (s *SparseStrobeVector) OwnClock() uint64 { return s.own }
@@ -110,35 +107,44 @@ func gallop(comps []uint64, from int, key uint64) int {
 
 // Strobe applies SVC1 and returns the sparse diff to broadcast: every
 // component that changed since this process's previous strobe, in proc
-// order, always including the freshly ticked local component — exactly
-// the stamp DiffStrobeVector emits. One exact-size allocation, sized by
-// the dirty count; with nothing dirty there is no walk at all.
+// order, always including the freshly ticked local component. The stamp
+// is its one allocation, at the exact size the dirty count gives, filled
+// by index: the dirty words below the own proc, the own component, the
+// dirty words above it. With nothing dirty there is no walk at all.
 func (s *SparseStrobeVector) Strobe() SparseStamp {
-	s.own++ // SVC1
-	out := make(SparseStamp, 0, 1+s.dirty)
+	// SVC1: tick the own component.
+	s.own++
+	out := make(SparseStamp, 1+s.dirty) //lint:allow hotpath(the stamp escapes to the caller by contract; the dirty count sizes it exactly, so it is the one allocation per strobe)
 	own := SparseEntry{Proc: int(s.me), Val: s.own}
 	if s.dirty == 0 {
-		return append(out, own)
+		out[0] = own
+		return out
 	}
-	low := s.low()
-	placedOwn := false
-	for i, w := range s.comps {
-		if w&1 == 0 {
-			continue
-		}
-		proc := int(w >> s.shift)
-		if !placedOwn && proc > int(s.me) {
-			out = append(out, own)
-			placedOwn = true
-		}
-		out = append(out, SparseEntry{Proc: proc, Val: w & low >> 1})
-		s.comps[i] = w &^ 1
-	}
-	if !placedOwn {
-		out = append(out, own)
-	}
+	below := search(s.comps, 0, len(s.comps), uint64(s.me)<<s.shift)
+	k := s.take(s.comps[:below], out, 0)
+	out[k] = own
+	s.take(s.comps[below:], out, k+1)
 	s.dirty = 0
 	return out
+}
+
+// take copies the dirty words of comps into out from slot k on, in order,
+// clears their dirty bits and returns the next free slot. It stays out of
+// line: inlined at Strobe's two calls its loop spilled to the stack, and
+// BenchmarkStrobeSparseFleet/long read ≈ 3.9 µs against ≈ 2.8 µs (one
+// core of a 2-vCPU Xeon).
+//
+//go:noinline
+func (s *SparseStrobeVector) take(comps []uint64, out SparseStamp, k int) int {
+	shift, low := s.shift, s.low()
+	for i, w := range comps {
+		if w&1 != 0 {
+			out[k] = SparseEntry{Proc: int(w >> shift), Val: w & low >> 1}
+			comps[i] = w &^ 1
+			k++
+		}
+	}
+	return k
 }
 
 // OnStrobe applies SVC2 to a sparse stamp: componentwise max over the
@@ -147,11 +153,31 @@ func (s *SparseStrobeVector) Strobe() SparseStamp {
 // dense merge. Out-of-range entries are ignored. A value above the
 // packed word's bound panics (errValueBound).
 //
-// The stamp is merged one maximal strictly-ascending run at a time. A
-// stamp from Strobe is a single run, so it costs one pass; an unsorted or
-// duplicate-carrying stamp falls apart into runs of one, each merged on
-// its own in stamp order — the per-entry semantics, by the same code.
+// A clock that knows every peer holds proc p's word at comps[p − [p > me]],
+// so each entry is one max-update at that index, in stamp order. Any
+// other clock merges the stamp one maximal strictly-ascending run at a
+// time. A stamp from Strobe is a single run, so it costs one pass; an
+// unsorted or duplicate-carrying stamp falls apart into runs of one, each
+// merged on its own in stamp order. Either way it is the per-entry max,
+// which no order changes.
 func (s *SparseStrobeVector) OnStrobe(st SparseStamp) {
+	if len(s.comps) == int(s.n)-1 {
+		low, me := s.low(), int(s.me)
+		for _, e := range st {
+			i := e.Proc
+			switch {
+			case i > me:
+				i--
+			case i == me:
+				s.own = max(s.own, e.Val)
+				continue
+			}
+			if uint(i) < uint(len(s.comps)) { // a proc below 0 or from n up is ignored
+				s.raise(i, e.Val, low)
+			}
+		}
+		return
+	}
 	for len(st) > 0 {
 		k := 1
 		for k < len(st) && st[k].Proc > st[k-1].Proc {
@@ -169,6 +195,21 @@ func (s *SparseStrobeVector) skips(e SparseEntry) bool {
 	return e.Proc < 0 || e.Proc >= int(s.n) || e.Proc == int(s.me) || e.Val == 0
 }
 
+// raise max-updates comps[i] to val, marking it dirty if it was clean;
+// the proc bits stay as they are. A zero or stale val leaves the word be,
+// and a val above the packed word's bound panics (errValueBound).
+func (s *SparseStrobeVector) raise(i int, val, low uint64) {
+	if w := s.comps[i]; val > w&low>>1 {
+		if val > low>>1 {
+			panic(errValueBound)
+		}
+		s.comps[i] = w&^low | val<<1 | 1
+		if w&1 == 0 {
+			s.dirty++
+		}
+	}
+}
+
 // mergeRun merges one strictly-ascending run of entries. Forward pass:
 // a cursor that only moves right max-updates the components the run
 // hits and counts the ones it misses. Only if there were misses, the
@@ -182,13 +223,10 @@ func (s *SparseStrobeVector) mergeRun(run SparseStamp) {
 	cur, misses := -1, 0
 	for _, e := range run {
 		if s.skips(e) {
-			if e.Proc == int(s.me) && e.Val > s.own {
-				s.own = e.Val
+			if e.Proc == int(s.me) {
+				s.own = max(s.own, e.Val)
 			}
 			continue
-		}
-		if e.Val > low>>1 {
-			panic(errValueBound)
 		}
 		key := uint64(e.Proc) << s.shift
 		if cur < 0 {
@@ -197,15 +235,13 @@ func (s *SparseStrobeVector) mergeRun(run SparseStamp) {
 			cur = gallop(comps, cur, key)
 		}
 		if cur == len(comps) || comps[cur] > key|low {
+			if e.Val > low>>1 {
+				panic(errValueBound)
+			}
 			misses++
 			continue
 		}
-		if w := comps[cur]; e.Val<<1 > w&low {
-			comps[cur] = key | e.Val<<1 | 1
-			if w&1 == 0 {
-				s.dirty++
-			}
-		}
+		s.raise(cur, e.Val, low)
 		cur++ // the run ascends strictly: its next entry lies to the right
 	}
 	if misses == 0 {
@@ -263,39 +299,4 @@ func (s *SparseStrobeVector) ActivePeers() int { return len(s.comps) }
 // itself plus the component array it owns, as the compiler lays them out.
 func (s *SparseStrobeVector) StateBytes() int {
 	return int(unsafe.Sizeof(*s)) + cap(s.comps)*int(unsafe.Sizeof(uint64(0)))
-}
-
-// VectorState is the rule-method surface shared by the dense differential
-// clock and the sparse sorted-pairs clock. Engines hold this interface so
-// the representation is a capacity decision, not a protocol one.
-type VectorState interface {
-	Me() int
-	// Strobe applies SVC1 and returns the differential stamp to broadcast.
-	Strobe() SparseStamp
-	// OnStrobe applies SVC2 to a received differential stamp.
-	OnStrobe(SparseStamp)
-	// Snapshot materializes the full dense vector (O(n); off the hot path).
-	Snapshot() Vector
-	// OwnClock returns the local component without materializing a vector.
-	OwnClock() uint64
-	// StateBytes estimates the resident footprint of the clock state.
-	StateBytes() int
-}
-
-// DenseSparseCutoff is the system size above which NewVectorState picks
-// the sparse representation: below it two dense n-vectors are at most a
-// few KB and the flat arrays win on constant factors; above it the O(n)
-// per-process state is what caps the system.
-const DenseSparseCutoff = 128
-
-// NewVectorState returns the density-appropriate strobe-vector state for
-// process me of n: a fresh dense clock, or the sparse one initialised in
-// place in sp — storage the caller owns, so a fleet of sparse clocks can
-// live inside its sensors instead of one heap object each.
-func NewVectorState(sp *SparseStrobeVector, me, n int) VectorState {
-	if n <= DenseSparseCutoff {
-		return NewDiffStrobeVector(me, n)
-	}
-	sp.Init(me, n)
-	return sp
 }

@@ -23,6 +23,7 @@ const (
 	entryStale           // known proc, smaller value
 	entryRepeat          // proc already named earlier in this stamp
 	entryDescent         // proc below its predecessor's: a run boundary
+	entryAllKnown        // the receiver knows every peer: the direct-index merge
 	entryCases
 )
 
@@ -120,7 +121,7 @@ func sparseVsDense(t *testing.T, ps procSpace, me int, ops []byte) (seen [entryC
 			if op&3 != 1 {
 				slices.SortStableFunc(st, func(a, b SparseEntry) int { return a.Proc - b.Proc })
 			}
-			classify(&seen, dense.Snapshot(), me, st)
+			classify(&seen, dense.Snapshot(), me, ps.n-1, st)
 			dense.OnStrobe(st)
 			sparse.OnStrobe(widen(st))
 		}
@@ -164,10 +165,20 @@ func sparseVsDense(t *testing.T, ps procSpace, me int, ops []byte) (seen [entryC
 }
 
 // classify tallies what each entry of st is to a receiver whose merged
-// knowledge is v, replaying the merge on v (a scratch snapshot).
-func classify(seen *[entryCases]int, v Vector, me int, st SparseStamp) {
+// knowledge is v, replaying the merge on v (a scratch snapshot), in a
+// system where the receiver has peers peers.
+func classify(seen *[entryCases]int, v Vector, me, peers int, st SparseStamp) {
 	named := map[int]bool{}
+	known := 0
+	for c, x := range v {
+		if c != me && x != 0 {
+			known++
+		}
+	}
 	for i, e := range st {
+		if known == peers { // as the stamp arrives: the merge picks its path once
+			seen[entryAllKnown]++
+		}
 		if i > 0 && e.Proc < st[i-1].Proc {
 			seen[entryDescent]++
 		}
@@ -198,10 +209,11 @@ func classify(seen *[entryCases]int, v Vector, me int, st SparseStamp) {
 }
 
 // TestSparseSurvivesHostileStamps is the property at fixed seeds, narrow
-// at n = 300 and at the width of a 65 536-sensor fleet: whatever a peer
-// sends — descending, repeated, out-of-range, negative, own, zero, equal,
-// stale, values up to the packed word's bound — the sparse clock stays the
-// dense clock's twin and keeps its invariants.
+// at n = 300 and at n ≤ 16, where the receiver comes to know every peer
+// and merges by direct index, and at the width of a 65 536-sensor fleet:
+// whatever a peer sends — descending, repeated, out-of-range, negative,
+// own, zero, equal, stale, values up to the packed word's bound — the
+// sparse clock stays the dense clock's twin and keeps its invariants.
 func TestSparseSurvivesHostileStamps(t *testing.T) {
 	draw := func(r *stats.RNG) []byte {
 		ops := make([]byte, 400+r.Intn(3000))
@@ -210,24 +222,35 @@ func TestSparseSurvivesHostileStamps(t *testing.T) {
 		}
 		return ops
 	}
-	require := func(name string, seen [entryCases]int) {
+	// require demands every case below upto: a receiver at n = 300 or in
+	// a fleet-wide system never hears of every peer, one at n ≤ 16 does.
+	require := func(name string, seen [entryCases]int, upto int) {
 		t.Logf("%s: entries by case: %v", name, seen)
-		for c, k := range seen {
+		for c, k := range seen[:upto] {
 			if k < 100 {
 				t.Errorf("%s: the draw reached case %d only %d times", name, c, k)
 			}
 		}
 	}
 
-	const n = 300
 	r := stats.NewRNG(17)
 	var seen [entryCases]int
 	for trial := 0; trial < 150; trial++ {
+		const n = 300
 		for c, k := range sparseVsDense(t, procSpace{n: n, pad: 8}, r.Intn(n), draw(r)) {
 			seen[c] += k
 		}
 	}
-	require("narrow", seen)
+	require("narrow", seen, entryAllKnown)
+
+	r, seen = stats.NewRNG(23), [entryCases]int{}
+	for trial := 0; trial < 150; trial++ {
+		n := 2 + r.Intn(15)
+		for c, k := range sparseVsDense(t, procSpace{n: n, pad: 8}, r.Intn(n), draw(r)) {
+			seen[c] += k
+		}
+	}
+	require("n ≤ 16", seen, entryCases)
 
 	r, seen = stats.NewRNG(19), [entryCases]int{}
 	for trial := 0; trial < 150; trial++ {
@@ -236,7 +259,7 @@ func TestSparseSurvivesHostileStamps(t *testing.T) {
 			seen[c] += k
 		}
 	}
-	require("n = 65536", seen)
+	require("n = 65536", seen, entryAllKnown)
 }
 
 // FuzzSparseOnStrobe is the same body under the native fuzzer. A first
@@ -247,7 +270,9 @@ func TestSparseSurvivesHostileStamps(t *testing.T) {
 // which of them receives; the procs are drawn from an RNG seeded with
 // the header. The checked-in corpus in testdata/fuzz/FuzzSparseOnStrobe
 // has one entry per hostile case (narrow, n = 16, me = 5), one for a
-// sorted run that mixes hits and misses, wide-n (n close to 2^20) and
+// sorted run that mixes hits and misses, all-known (n = 4: a receiver
+// that learns every peer, then merges unsorted, repeated, own, stale and
+// out-of-range entries by direct index), wide-n (n close to 2^20) and
 // max-value (values at the bound, n = 65 536).
 func FuzzSparseOnStrobe(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

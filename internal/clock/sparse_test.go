@@ -1,8 +1,10 @@
 package clock
 
 import (
+	"fmt"
 	"math/bits"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -257,13 +259,80 @@ func TestSparseReset(t *testing.T) {
 	}
 }
 
-// TestNewVectorStatePicksByDensity: the constructor switches representation
-// at the documented cutoff.
-func TestNewVectorStatePicksByDensity(t *testing.T) {
-	if _, ok := NewVectorState(new(SparseStrobeVector), 0, DenseSparseCutoff).(*DiffStrobeVector); !ok {
-		t.Fatal("at the cutoff: want dense")
+// driveCutoffPair runs the same deterministic strobe/receive schedule
+// through the dense reference and the sparse clock for every process and
+// requires bit-identical stamps at each step and bit-identical snapshots
+// at the end. The schedule exercises first-strobe, re-strobe with no
+// change, multi-hop gossip (stamps relayed through a middle process) and
+// an epoch reset, at a fixed set of "active" processes: at n ≤ 5 that is
+// every process, so the clocks come to know every peer; above, the
+// sparse state stays genuinely sparse.
+func driveCutoffPair(t *testing.T, n int) {
+	t.Helper()
+	dense := make([]*DiffStrobeVector, n)
+	sparse := make([]*SparseStrobeVector, n)
+	// Only a handful of processes participate: boundary ids plus a few
+	// in the middle, mimicking a neighborhood-scoped fleet.
+	active := []int{0, 1, n / 2, n - 2, n - 1}
+	slices.Sort(active)
+	active = slices.Compact(active)
+	for _, p := range active {
+		dense[p] = NewDiffStrobeVector(p, n)
+		sparse[p] = NewSparseStrobeVector(p, n)
 	}
-	if _, ok := NewVectorState(new(SparseStrobeVector), 0, DenseSparseCutoff+1).(*SparseStrobeVector); !ok {
-		t.Fatal("above the cutoff: want sparse")
+	// step strobes process p on both representations, checks the stamps
+	// match, and delivers them to every other active process.
+	step := func(p int) {
+		t.Helper()
+		ds := dense[p].Strobe()
+		ss := sparse[p].Strobe()
+		if fmt.Sprint(ds) != fmt.Sprint(ss) {
+			t.Fatalf("n=%d proc=%d: stamp mismatch\n dense:  %v\n sparse: %v", n, p, ds, ss)
+		}
+		for _, q := range active {
+			if q == p {
+				continue
+			}
+			dense[q].OnStrobe(ds)
+			sparse[q].OnStrobe(ss)
+		}
+	}
+	for round := 0; round < 4; round++ {
+		for _, p := range active {
+			step(p)
+		}
+	}
+	// Epoch reset on one process (a rejoin builds a fresh clock in the
+	// same representation, as Sensor.Rejoin does), then more rounds:
+	// the post-reset stamps must also agree.
+	dense[active[1]] = NewDiffStrobeVector(active[1], n)
+	sparse[active[1]] = NewSparseStrobeVector(active[1], n)
+	for round := 0; round < 2; round++ {
+		for _, p := range active {
+			step(p)
+		}
+	}
+	for _, p := range active {
+		dv, sv := dense[p].Snapshot(), sparse[p].Snapshot()
+		if len(dv) != n || len(sv) != n {
+			t.Fatalf("n=%d proc=%d: snapshot lengths %d/%d, want %d", n, p, len(dv), len(sv), n)
+		}
+		for i := range dv {
+			if dv[i] != sv[i] {
+				t.Fatalf("n=%d proc=%d: snapshot[%d] dense=%d sparse=%d", n, p, i, dv[i], sv[i])
+			}
+		}
+		if dense[p].OwnClock() != sparse[p].OwnClock() {
+			t.Fatalf("n=%d proc=%d: OwnClock dense=%d sparse=%d", n, p, dense[p].OwnClock(), sparse[p].OwnClock())
+		}
+	}
+}
+
+// TestCutoffBitIdenticalStamps drives the pair at the smallest fleets,
+// where every clock comes to know every peer, and either side of 128, the
+// size at which the dense layout once gave way to the sparse one.
+func TestCutoffBitIdenticalStamps(t *testing.T) {
+	for _, n := range []int{2, 3, 64, 127, 128, 129} {
+		t.Run(fmt.Sprintf("p=%d", n), func(t *testing.T) { driveCutoffPair(t, n) })
 	}
 }

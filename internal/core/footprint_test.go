@@ -16,8 +16,8 @@ import (
 // that keeps no race-only arrays when it is race-blind, and a build that
 // reads its workload in place rather than copying it per shard.
 func TestFleetFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(Sensor{}); sz > 168 {
-		t.Errorf("Sensor slab entry is %d bytes, budget 168", sz)
+	if sz := unsafe.Sizeof(Sensor{}); sz > 152 {
+		t.Errorf("Sensor slab entry is %d bytes, budget 152", sz)
 	}
 
 	// Heap objects and bytes allocated by build, the minimum of three so

@@ -19,9 +19,8 @@ func TestSenseAllocations(t *testing.T) {
 	const runs = 100 // AllocsPerRun calls once more, to warm up
 	delay := sim.DeltaBounded{Min: 2, Max: 4}
 
-	// A diff-vector sense on the sharded stack: a 16×16 grid is past
-	// clock.DenseSparseCutoff, so every clock is sparse. Sensor 17 is
-	// interior; at S = 2 the checker (256) is on the other shard.
+	// A diff-vector sense on the sharded stack, a 16×16 grid. Sensor 17
+	// is interior; at S = 2 the checker (256) is on the other shard.
 	for _, shards := range []int{1, 2} {
 		const side, n = 16, 256
 		smap := network.ShardMap{Procs: n + 1, Shards: shards}

@@ -59,13 +59,8 @@ type Sensor struct {
 	down bool // crashed: sense nothing, merge nothing
 	Kind ClockKind
 	ID   int
-	// dvec is the differential strobe clock behind the representation
-	// interface: dense below clock.DenseSparseCutoff, sorted-pairs sparse
-	// above (or as the builder chose). The sparse state lives in sparse, by
-	// value — dvec then points into the sensor itself, so a merge leaves
-	// the slab entry only for the components. Rejoin preserves the
-	// representation.
-	dvec   clock.VectorState
+	// sparse is the differential strobe clock of a DiffVectorStrobe fleet,
+	// by value, so a merge leaves the slab entry only for the components.
 	sparse clock.SparseStrobeVector
 
 	// Local, if non-nil, is this sensor's own checker replica: since
@@ -178,7 +173,7 @@ func NewSensors(net Receiver, cfg SensorConfig, place func(i int) Transport) []*
 		case ScalarStrobe:
 			s.c.sc = &clock.StrobeScalar{}
 		case DiffVectorStrobe:
-			s.dvec = clock.NewVectorState(&s.sparse, i, cfg.N)
+			s.sparse.Init(i, cfg.N)
 		case PhysicalReport:
 			if i < len(cfg.Phys) {
 				s.c.phys = cfg.Phys[i]
@@ -221,15 +216,15 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 		msg.Scalar = s.c.sc.Strobe() // SSC1
 		ownClock = msg.Scalar
 	case DiffVectorStrobe:
-		msg.Sparse = s.dvec.Strobe() // SVC1 with differential wire format
-		ownClock = s.dvec.OwnClock()
+		msg.Sparse = s.sparse.Strobe() // SVC1 with differential wire format
+		ownClock = s.sparse.OwnClock()
 		// Materializing the full vector is O(n); only pay for it when a
 		// consumer actually wants dense stamps — the trace, or the stamp log
 		// or conjunct that are the only reasons this kind has a classic
-		// block. At scale (sparse clocks, no trace) a sense event touches
-		// O(active peers) state only.
+		// block. Without them a sense event touches O(active peers) state
+		// only.
 		if s.tr != nil || s.c != nil {
-			stamp = s.dvec.Snapshot()
+			stamp = s.sparse.Snapshot()
 		}
 	case PhysicalReport:
 		// Physical reports carry no logical clock; the stamp is just the
@@ -343,7 +338,7 @@ func (s *Sensor) onMessage(m network.Message, now sim.Time) {
 		s.c.sc.OnStrobe(strobe.Scalar)
 	case DiffVectorStrobe:
 		if strobe.Sparse != nil {
-			s.dvec.OnStrobe(strobe.Sparse)
+			s.sparse.OnStrobe(strobe.Sparse)
 		}
 	}
 	if s.Local != nil {
@@ -380,13 +375,7 @@ func (s *Sensor) Rejoin() {
 	case ScalarStrobe:
 		s.c.sc = &clock.StrobeScalar{}
 	case DiffVectorStrobe:
-		// Fresh clock in the same representation the sensor was built
-		// with; the sparse one is re-initialised where it lies.
-		if sp, sparse := s.dvec.(*clock.SparseStrobeVector); sparse {
-			sp.Init(s.ID, s.n)
-		} else {
-			s.dvec = clock.NewDiffStrobeVector(s.ID, s.n)
-		}
+		s.sparse.Init(s.ID, s.n) // fresh clock, where the old one lay
 	}
 }
 
@@ -394,10 +383,10 @@ func (s *Sensor) Rejoin() {
 // clock state — the quantity the sparse representation keeps O(active
 // peers) instead of O(n).
 func (s *Sensor) ClockStateBytes() int {
-	switch {
-	case s.dvec != nil:
-		return s.dvec.StateBytes()
-	case s.c != nil && s.c.vec != nil:
+	switch s.Kind {
+	case DiffVectorStrobe:
+		return s.sparse.StateBytes()
+	case VectorStrobe:
 		return 8 * s.n
 	default:
 		return 8

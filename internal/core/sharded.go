@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"pervasive/internal/checker"
-	"pervasive/internal/clock"
 	"pervasive/internal/faults"
 	"pervasive/internal/network"
 	"pervasive/internal/obs"
@@ -74,14 +73,12 @@ type ShardedConfig struct {
 	Obs    *obs.Registry
 
 	// Set only by the in-package differential tests, which hold every
-	// (Shards, Workers, clock layout, checker) combination to one merged
-	// trace: raceAware keeps the checker's per-sender vector
-	// reconstructions (O(N) memory per active sender), denseClocks forces
-	// dense vector state regardless of fleet size (the reference layout;
-	// otherwise clock.NewVectorState picks by density), and trace records
-	// per-shard sense/receive traces for mergedTrace (stamps are
-	// materialized densely, so test-sized runs only).
-	raceAware, denseClocks, trace bool
+	// (Shards, Workers, checker) combination to one merged trace:
+	// raceAware keeps the checker's per-sender vector reconstructions
+	// (O(N) memory per active sender), and trace records per-shard
+	// sense/receive traces for mergedTrace (stamps are materialized
+	// densely, so test-sized runs only).
+	raceAware, trace bool
 }
 
 // ShardedHarness owns one wired sharded simulation.
@@ -204,9 +201,6 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 		k := smap.Of(i)
 		if h.objBase[k] < 0 {
 			h.objBase[k] = i
-		}
-		if cfg.denseClocks {
-			s.dvec = clock.NewDiffStrobeVector(i, cfg.N)
 		}
 		if h.traces != nil {
 			s.tr = h.traces[k]

@@ -242,9 +242,9 @@ func A4DiffCompression(cfg RunConfig) *Table {
 	type wire struct{ full, diff int64 }
 	wires := runner.Map(cfg.Parallelism, len(srcSeqs), func(ci int) wire {
 		n := sizes[ci%len(sizes)]
-		diff := make([]*clock.DiffStrobeVector, n)
+		diff := make([]*clock.SparseStrobeVector, n)
 		for i := range diff {
-			diff[i] = clock.NewDiffStrobeVector(i, n)
+			diff[i] = clock.NewSparseStrobeVector(i, n)
 		}
 		var w wire
 		for _, src := range srcSeqs[ci] {

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"pervasive/internal/clock"
 	"pervasive/internal/core"
 	"pervasive/internal/runner"
 	"pervasive/internal/sim"
@@ -97,7 +96,7 @@ func E14ScaleSweep(cfg RunConfig) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"scored predicate is the pilot neighborhood (8 sensors, majority high); the rest of the fleet carries full strobe/clock load",
-		fmt.Sprintf("clock state is sparse above %d procs: resident bytes grow with active peers, not with p", clock.DenseSparseCutoff),
+		"clock state is sparse at every p: resident bytes grow with active peers, not with p",
 		"'same' compares the cell's full counter digest (net, checker, engine, faults) to the S=1 baseline",
 		"wall-clock column needs -timing (kept out of byte-compared tables); cmd/bench measures the p=65536 runs (fleet-wide, fleet-wide-par: wall_s, live_heap_mb, clock.state_bytes)")
 	return t
