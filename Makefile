@@ -15,7 +15,7 @@ check: build vet lint bench-smoke test-race
 test-race:
 	$(GO) test -race ./...
 
-# Ten seconds of the native fuzzer on each of twelve targets. Four are
+# Ten seconds of the native fuzzer on each of thirteen targets. Four are
 # differential: the incremental ground-truth scorer against
 # world.TrueIntervals over fuzzed predicates and logs (DESIGN.md §1.1), the
 # sparse strobe clock against the dense test reference over fuzzed interleavings of
@@ -23,7 +23,10 @@ test-race:
 # columnar view against a predicate.MapState model over fuzzed strobes —
 # out-of-range processes, epoch bumps, stale seqs, race probes (DESIGN.md
 # §1.1) — and lattice.Survey against the recursive enumerator over fuzzed
-# execution shapes (DESIGN.md §1.6). Eight feed arbitrary input to a
+# execution shapes (DESIGN.md §1.6). One is a property: every interval
+# set the conjunctive checker matches, over fuzzed strobe executions and
+# out-of-order, repeated and late deliveries, satisfies its modality
+# (FuzzConjunctiveSoundness). Eight feed arbitrary input to a
 # parser — the PVWL workload trace (FuzzWorkloadDecode), the workload
 # spec `pervasim -workload` reads (FuzzWorkloadSpec), the checker
 # tree's sync batch with the stamp batch inside it (FuzzDecodeBatch), the
@@ -39,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTruthOracle -fuzztime=10s ./internal/world/
 	$(GO) test -run='^$$' -fuzz=FuzzSparseOnStrobe -fuzztime=10s ./internal/clock/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckerView -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzConjunctiveSoundness -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzSurveyOracle -fuzztime=10s ./internal/lattice/
 	$(GO) test -run='^$$' -fuzz=FuzzWorkloadDecode -fuzztime=10s ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzWorkloadSpec -fuzztime=10s ./internal/workload/

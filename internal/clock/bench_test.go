@@ -168,6 +168,12 @@ func fleetReceiver(n, known, stamp, unseen int) (*SparseStrobeVector, []SparseSt
 	return s, stamps
 }
 
+// BenchmarkMergeSparseFleet prices one stamp's merge per op on each
+// fleet shape, the receiver put back to its starting knowledge, capacity
+// kept, every fleetCycle stamps. The grow shape is a cycle of stamps that
+// each name three new peers, delivered to an empty clock, one op a cycle,
+// so that allocs/op counts how often a short component list outgrows its
+// array while it comes to know its first peers a few at a time.
 func BenchmarkMergeSparseFleet(b *testing.B) {
 	for _, sh := range fleetShapes {
 		b.Run(sh.name, func(b *testing.B) {
@@ -183,6 +189,17 @@ func BenchmarkMergeSparseFleet(b *testing.B) {
 			}
 		})
 	}
+	b.Run("grow", func(b *testing.B) {
+		s, stamps := fleetReceiver(1<<16, 0, 3, 3)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Reset()
+			for _, st := range stamps {
+				s.OnStrobe(st)
+			}
+		}
+	})
 }
 
 // BenchmarkStrobeSparseFleet prices Strobe() with one stamp's worth of
@@ -206,7 +223,7 @@ func BenchmarkStrobeSparseFleet(b *testing.B) {
 				for _, j := range marks {
 					s.comps[j] |= 1
 				}
-				s.dirty = len(marks)
+				s.dirty = int32(len(marks))
 				benchSink = s.Strobe()
 			}
 		})

@@ -42,7 +42,7 @@ type SparseStrobeVector struct {
 	n     int32
 	own   uint64
 	comps []uint64 // proc<<shift | val<<1 | dirty, ascending; never me; vals never 0
-	dirty int      // how many comps have the dirty bit set: the next stamp's size less one
+	dirty int32    // how many comps have the dirty bit set: the next stamp's size less one
 	shift uint8    // 64 - bits.Len(n-1): where the proc field starts
 }
 
@@ -114,7 +114,7 @@ func gallop(comps []uint64, from int, key uint64) int {
 func (s *SparseStrobeVector) Strobe() SparseStamp {
 	// SVC1: tick the own component.
 	s.own++
-	out := make(SparseStamp, 1+s.dirty) //lint:allow hotpath(the stamp escapes to the caller by contract; the dirty count sizes it exactly, so it is the one allocation per strobe)
+	out := make(SparseStamp, 1+int(s.dirty)) //lint:allow hotpath(the stamp escapes to the caller by contract; the dirty count sizes it exactly, so it is the one allocation per strobe)
 	own := SparseEntry{Proc: int(s.me), Val: s.own}
 	if s.dirty == 0 {
 		out[0] = own
@@ -213,9 +213,10 @@ func (s *SparseStrobeVector) raise(i int, val, low uint64) {
 // mergeRun merges one strictly-ascending run of entries. Forward pass:
 // a cursor that only moves right max-updates the components the run
 // hits and counts the ones it misses. Only if there were misses, the
-// slice grows once by exactly that count and a backward pass shifts
-// each surviving component at most once while dropping the new ones
-// into place. A component of proc p is the one word in
+// list takes that many more words — in place if its capacity holds them,
+// else in a fresh array (see grow) — and a backward pass moves each
+// surviving component at most once while dropping the new ones into
+// place. A component of proc p is the one word in
 // [p<<shift, p<<shift | low].
 func (s *SparseStrobeVector) mergeRun(run SparseStamp) {
 	comps := s.comps
@@ -247,11 +248,11 @@ func (s *SparseStrobeVector) mergeRun(run SparseStamp) {
 	if misses == 0 {
 		return
 	}
-	r := len(comps)                                  // comps[:r] are still to be placed
-	comps = append(comps, make([]uint64, misses)...) //lint:allow hotpath(amortized growth: the component list grows once per stamp that names a newly-seen proc and then stabilizes at the contact-set size)
-	s.comps = comps
-	s.dirty += misses
-	w := len(comps) // comps[w:] are final
+	r := len(comps) // comps[:r] are still to be placed
+	out := grow(comps, r+misses)
+	s.comps = out
+	s.dirty += int32(misses)
+	w := len(out) // out[w:] are final
 	for j := len(run) - 1; w > r; j-- {
 		e := run[j]
 		if s.skips(e) {
@@ -261,14 +262,40 @@ func (s *SparseStrobeVector) mergeRun(run SparseStamp) {
 		for r > 0 && comps[r-1] > key|low {
 			r--
 			w--
-			comps[w] = comps[r]
+			out[w] = comps[r]
 		}
 		if r > 0 && comps[r-1] >= key {
 			continue // a hit, already merged by the forward pass
 		}
 		w--
-		comps[w] = key | e.Val<<1 | 1
+		out[w] = key | e.Val<<1 | 1
 	}
+	if r > 0 && &out[0] != &comps[0] {
+		copy(out, comps[:r]) // the words below the lowest new one, unmoved
+	}
+}
+
+// growSmall is the list length below which grow leaves headroom.
+const growSmall = 256
+
+// grow returns comps extended to need words. Within capacity that is
+// comps itself. Otherwise it is a fresh array whose contents are left to
+// the caller — append over an empty prefix copies nothing — sized as
+// append sizes it from growSmall words up, and below that to hold need +
+// need/8 + 8 words: room for about one more stamp's new peers, where
+// append, sizing exactly whenever it must more than double, would
+// reallocate a short list on nearly every stamp that names one. Either
+// way the capacity is rounded up to the allocator's size class, as append
+// rounds it.
+func grow(comps []uint64, need int) []uint64 {
+	if need <= cap(comps) {
+		return comps[:need]
+	}
+	old, size := cap(comps), need
+	if len(comps) < growSmall {
+		old, size = 0, need+need/8+8 // from no capacity, append sizes exactly
+	}
+	return append(comps[:0:old], make([]uint64, size)...)[:need] //lint:allow hotpath(amortized growth: the component list grows with headroom for a stamp's new peers and then stabilizes at the contact-set size)
 }
 
 // Snapshot materializes the full dense vector. O(n) allocation — callers

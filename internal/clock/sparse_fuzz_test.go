@@ -10,7 +10,8 @@ import (
 )
 
 // What one decoded stamp entry is to the receiver at the moment it is
-// merged, judged against the dense reference. The tallies prove the
+// merged, judged against the dense reference — and, counted once a stamp,
+// whether merging it outgrew the component list. The tallies prove the
 // fixed-seed draw reaches every case the merge has to get right.
 const (
 	entryNegative = iota // proc < 0
@@ -23,6 +24,7 @@ const (
 	entryStale           // known proc, smaller value
 	entryRepeat          // proc already named earlier in this stamp
 	entryDescent         // proc below its predecessor's: a run boundary
+	mergeGrows           // a stamp whose new peers outgrow the list's capacity
 	entryAllKnown        // the receiver knows every peer: the direct-index merge
 	entryCases
 )
@@ -123,7 +125,11 @@ func sparseVsDense(t *testing.T, ps procSpace, me int, ops []byte) (seen [entryC
 			}
 			classify(&seen, dense.Snapshot(), me, ps.n-1, st)
 			dense.OnStrobe(st)
+			before := cap(sparse.comps)
 			sparse.OnStrobe(widen(st))
+			if cap(sparse.comps) != before {
+				seen[mergeGrows]++
+			}
 		}
 		if dense.OwnClock() != sparse.OwnClock() {
 			t.Fatalf("step %d: own clock dense=%d sparse=%d", step, dense.OwnClock(), sparse.OwnClock())
@@ -152,7 +158,7 @@ func sparseVsDense(t *testing.T, ps procSpace, me int, ops []byte) (seen [entryC
 		if len(sparse.comps) != known {
 			t.Fatalf("step %d: %d components, the dense twin knows %d", step, len(sparse.comps), known)
 		}
-		if dirty != sparse.dirty {
+		if dirty != int(sparse.dirty) {
 			t.Fatalf("step %d: dirty count %d, but %d components are dirty", step, sparse.dirty, dirty)
 		}
 	}
@@ -270,7 +276,9 @@ func TestSparseSurvivesHostileStamps(t *testing.T) {
 // which of them receives; the procs are drawn from an RNG seeded with
 // the header. The checked-in corpus in testdata/fuzz/FuzzSparseOnStrobe
 // has one entry per hostile case (narrow, n = 16, me = 5), one for a
-// sorted run that mixes hits and misses, all-known (n = 4: a receiver
+// sorted run that mixes hits and misses, grow (n = 62: stamps of new
+// peers, some between known ones, that outgrow the list and fit its
+// headroom by turns), all-known (n = 4: a receiver
 // that learns every peer, then merges unsorted, repeated, own, stale and
 // out-of-range entries by direct index), wide-n (n close to 2^20) and
 // max-value (values at the bound, n = 65 536).

@@ -181,10 +181,10 @@ func TestSparseAllocations(t *testing.T) {
 		t.Errorf("all-hits merge: %.1f allocs, want 0", allocs)
 	}
 
-	// The grow is append(comps, make([]uint64, misses)...), which the
-	// compiler turns into an in-place extension — except in instrumented
-	// (-race) builds, where the make is a real temporary: one allocation
-	// per merge with misses that is the build's, not the kernel's.
+	// A grow into a fresh array is append(comps[:0:old], make([]uint64,
+	// size)...), which the compiler turns into one allocation — except in
+	// instrumented (-race) builds, where the make is a real temporary: one
+	// more allocation per grow that is the build's, not the kernel's.
 	roomy := make([]uint64, known, known+fresh)
 	var extended []uint64
 	temp := testing.AllocsPerRun(10, func() { extended = append(roomy[:0], make([]uint64, len(news))...) })
@@ -203,11 +203,75 @@ func TestSparseAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		s.comps, s.dirty = roomy[:copy(roomy, full)], 0 // the merge shifts in place: restore
 		s.OnStrobe(news)
-	}); allocs != temp {
-		t.Errorf("%d new peers into spare capacity: %.1f allocs, want %.0f", fresh, allocs, temp)
+	}); allocs != 0 {
+		t.Errorf("%d new peers into spare capacity: %.1f allocs, want 0", fresh, allocs)
 	}
 	if s.ActivePeers() != known+fresh || s.dirty != fresh {
 		t.Errorf("after the merge: %d peers, %d dirty; want %d, %d", s.ActivePeers(), s.dirty, known+fresh, fresh)
+	}
+}
+
+// TestSparseGrowthHeadroom drives growing merges into an empty clock, one
+// sorted stamp of new peers at a time, past growSmall words, beside the
+// dense reference. A merge that fits the capacity keeps the array; one
+// that does not gets a fresh array of the size class that holds need +
+// need/8 + 8 words while the list is shorter than growSmall, and from
+// there what append gives the old list. Every stamp the receiver emits is
+// bit-identical to the reference's.
+func TestSparseGrowthHeadroom(t *testing.T) {
+	const n = 4096
+	// class is the capacity the allocator's size class gives c words.
+	class := func(c int) int { return cap(append([]uint64(nil), make([]uint64, c)...)) }
+	r := stats.NewRNG(41)
+	peers := make([]int, n-1) // proc-1 of each peer, in order of first sighting
+	for i := range peers {    // inside-out Fisher–Yates
+		j := r.Intn(i + 1)
+		peers[i], peers[j] = peers[j], i
+	}
+	peers = peers[:700]
+	sparse, dense := NewSparseStrobeVector(0, n), NewDiffStrobeVector(0, n)
+	grew := map[bool]int{} // grows by whether the list was below growSmall
+	for len(peers) > 0 {
+		st := make(SparseStamp, 0, 40)
+		for _, p := range peers[:min(1+r.Intn(40), len(peers))] {
+			st = append(st, SparseEntry{Proc: p + 1, Val: uint64(1 + r.Intn(9))})
+		}
+		peers = peers[len(st):]
+		slices.SortFunc(st, func(a, b SparseEntry) int { return a.Proc - b.Proc })
+
+		old := sparse.comps
+		need := len(old) + len(st)
+		dense.OnStrobe(st)
+		sparse.OnStrobe(st)
+		got := sparse.comps
+		switch {
+		case need <= cap(old):
+			if cap(got) != cap(old) || &got[0] != &old[:1][0] {
+				t.Fatalf("%d → %d words within capacity %d: moved to a new array of %d", len(old), need, cap(old), cap(got))
+			}
+		case len(old) < growSmall:
+			grew[true]++
+			if want := class(need + need/8 + 8); cap(got) != want {
+				t.Fatalf("%d → %d words: capacity %d, want %d (need + need/8 + 8, by size class)", len(old), need, cap(got), want)
+			}
+		default:
+			grew[false]++
+			if want := cap(append(make([]uint64, len(old), cap(old)), make([]uint64, len(st))...)); cap(got) != want {
+				t.Fatalf("%d → %d words: capacity %d, want append's %d", len(old), need, cap(got), want)
+			}
+		}
+		if len(got) != need {
+			t.Fatalf("%d words after merging %d new peers into %d", len(got), len(st), len(old))
+		}
+		if ds, ss := dense.Strobe(), sparse.Strobe(); !reflect.DeepEqual(ds, ss) {
+			t.Fatalf("at %d words: stamp diverged\ndense:  %v\nsparse: %v", need, ds, ss)
+		}
+	}
+	if grew[true] < 3 || grew[false] < 2 {
+		t.Errorf("grows below / from %d words: %d / %d; want at least 3 / 2", growSmall, grew[true], grew[false])
+	}
+	if dv, sv := dense.Snapshot(), sparse.Snapshot(); !slices.Equal(dv, sv) {
+		t.Errorf("final snapshot diverged")
 	}
 }
 

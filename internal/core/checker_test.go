@@ -160,3 +160,27 @@ func TestCheckerFinishClosesOpen(t *testing.T) {
 		t.Fatal("strobe applied after Finish")
 	}
 }
+
+// TestFlatViewKeepsUndeclaredKeys: a FuncCond's CollectVars is only what
+// its constructor declared (here x@0), while its function reads y@3 and
+// sums x over every process. The flat view keeps every name and process a
+// strobe carries, so the verdict follows what the function reads.
+func TestFlatViewKeepsUndeclaredKeys(t *testing.T) {
+	sum := predicate.Agg{Op: predicate.AggSum, Name: "x"}
+	pred := predicate.FuncCond{F: func(s predicate.State) bool {
+		return s.Get(3, "y") == 1 && sum.Eval(s) == 2
+	}, Keys: []predicate.Key{{Proc: 0, Name: "x"}}}
+	c := NewScalarChecker(4, pred)
+	c.OnStrobe(StrobeMsg{Proc: 3, Seq: 1, Var: "y", Value: 1}, 10)
+	c.OnStrobe(StrobeMsg{Proc: 0, Seq: 1, Var: "x", Value: 1}, 20)
+	c.OnStrobe(StrobeMsg{Proc: 2, Seq: 1, Var: "x", Value: 1}, 30)
+	c.OnStrobe(StrobeMsg{Proc: 3, Seq: 2, Var: "y", Value: 0}, 40)
+	c.Finish(100)
+	if got := c.View(3, "y") + c.View(2, "x"); got != 1 {
+		t.Fatalf("View(3, y) + View(2, x) = %v, want 1", got)
+	}
+	occ := c.Occurrences()
+	if len(occ) != 1 || occ[0].Start != 30 || occ[0].End != 40 {
+		t.Fatalf("occurrences %v, want one over [30, 40)", occ)
+	}
+}

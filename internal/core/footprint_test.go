@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -16,8 +17,8 @@ import (
 // that keeps no race-only arrays when it is race-blind, and a build that
 // reads its workload in place rather than copying it per shard.
 func TestFleetFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(Sensor{}); sz > 152 {
-		t.Errorf("Sensor slab entry is %d bytes, budget 152", sz)
+	if sz := unsafe.Sizeof(Sensor{}); sz > 104 {
+		t.Errorf("Sensor slab entry is %d bytes, budget 104", sz)
 	}
 
 	// Heap objects and bytes allocated by build, the minimum of three so
@@ -118,4 +119,24 @@ func TestFleetSensesOnlyP(t *testing.T) {
 			t.Errorf("S=%d: net.sent %d with q events, %d without", shards, gotSent, wantSent)
 		}
 	}
+}
+
+// TestSenseSeqBound: a sensor counts its sense events of one epoch in 32
+// bits, so the 2^31-1st sense is the last it sends; the next one panics
+// rather than wrap to a sequence number the checker would discard as
+// stale.
+func TestSenseSeqBound(t *testing.T) {
+	h := NewShardedHarness(ShardedConfig{Seed: 1, N: 2, Horizon: sim.Millisecond})
+	s := h.Sensors[0]
+	s.seq = math.MaxInt32 - 1
+	s.Sense(0, "p", 1)
+	if s.seq != math.MaxInt32 {
+		t.Fatalf("seq %d after a sense from 2^31-2, want 2^31-1", s.seq)
+	}
+	defer func() {
+		if p := recover(); p != errSeqBound {
+			t.Fatalf("the sense past 2^31-1 recovered %v, want the %q panic", p, errSeqBound)
+		}
+	}()
+	s.Sense(0, "p", 0)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"pervasive/internal/clock"
 	"pervasive/internal/flight"
@@ -50,15 +51,16 @@ func (k ClockKind) String() string {
 // the protocol's control traffic, and — in conjunctive mode — tracks the
 // truth intervals of its local conjunct.
 //
-// The struct is one slab entry and holds what a diff-vector fleet touches;
-// everything only the classic stack reads sits behind c (see classic).
+// The struct is one slab entry and holds what a diff-vector fleet touches
+// per sensor; what every sensor of the fleet shares sits behind f (see
+// fleet), and everything only the classic stack reads behind c (see
+// classic).
 type Sensor struct {
 	// What a delivered strobe reads comes first, so the merge starts on the
 	// cache line the slab index lands on: liveness, the clock, the local
-	// replica and the trace.
-	down bool // crashed: sense nothing, merge nothing
-	Kind ClockKind
-	ID   int
+	// replica and the fleet's shared settings.
+	down bool  // crashed: sense nothing, merge nothing
+	ID   int32 // process index; a clock refuses a fleet past MaxInt32
 	// sparse is the differential strobe clock of a DiffVectorStrobe fleet,
 	// by value, so a merge leaves the slab entry only for the components.
 	sparse clock.SparseStrobeVector
@@ -70,17 +72,28 @@ type Sensor struct {
 	// sense events immediately and remote strobes on receipt.
 	Local *StrobeChecker
 
-	tr *trace.Trace // optional event trace
-	fl *flight.Recorder
+	f   *fleet
+	net Transport // per sensor: each live node holds its own links
 
-	net Transport
-	n   int // fleet size (for fresh clocks on Rejoin)
-
-	seq   int
-	epoch int // bumped on each Rejoin; carried in strobes
+	seq   int32 // sense events this epoch; past MaxInt32 a sense panics
+	epoch int32 // bumped on each Rejoin; carried in strobes
 
 	c *classic // nil unless the fleet runs a classic mode (see NewSensors)
 }
+
+// fleet is what every sensor of one fleet shares: NewSensors builds one
+// and points each slab entry at it. A traced sharded harness gives each
+// shard's sensors a copy that holds the shard's trace.
+type fleet struct {
+	kind ClockKind
+	n    int // fleet size (for fresh clocks on Rejoin)
+	tr   *trace.Trace
+	fl   *flight.Recorder
+}
+
+// errSeqBound is the panic for a sense event past the 2^31-1 a sensor's
+// 32-bit sequence number counts in one epoch.
+const errSeqBound = "core: sensor sequence number past 2^31-1 in one epoch"
 
 // classic is a sensor's state that only the classic stack reads: the dense
 // and scalar strobe clocks, the physical clock, the conjunct and the stamp
@@ -151,15 +164,11 @@ func NewSensors(net Receiver, cfg SensorConfig, place func(i int) Transport) []*
 	if cfg.Kind != DiffVectorStrobe || cfg.LocalConj != nil || cfg.LogStamps {
 		blocks = make([]classic, cfg.N)
 	}
+	f := &fleet{kind: cfg.Kind, n: cfg.N, tr: cfg.Trace, fl: cfg.Flight}
 	deliver := func(m network.Message, now sim.Time) { slab[m.Dst].onMessage(m, now) }
 	for i := 0; i < cfg.N; i++ {
 		s := &slab[i]
-		*s = Sensor{
-			ID: i, Kind: cfg.Kind, n: cfg.N,
-			net: place(i),
-			tr:  cfg.Trace,
-			fl:  cfg.Flight,
-		}
+		*s = Sensor{ID: int32(i), f: f, net: place(i)}
 		if blocks != nil {
 			s.c = &blocks[i]
 			*s.c = classic{checkerIdx: cfg.CheckerIdx, localConj: cfg.LocalConj, logStamps: cfg.LogStamps}
@@ -202,15 +211,19 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 	if s.down {
 		return // a crashed process observes nothing and sends nothing
 	}
+	if s.seq == math.MaxInt32 {
+		panic(errSeqBound)
+	}
 	s.seq++
 
+	f, id := s.f, int(s.ID)
 	var stamp clock.Vector
 	var ownClock uint64 // this sensor's logical component at the event
-	msg := StrobeMsg{Proc: s.ID, Seq: s.seq, Epoch: s.epoch, Var: varName, Value: value}
-	switch s.Kind {
+	msg := StrobeMsg{Proc: id, Seq: int(s.seq), Epoch: int(s.epoch), Var: varName, Value: value}
+	switch f.kind {
 	case VectorStrobe:
 		stamp = s.c.vec.Strobe() // SVC1
-		ownClock = stamp[s.ID]
+		ownClock = stamp[id]
 		msg.Vec = stamp
 	case ScalarStrobe:
 		msg.Scalar = s.c.sc.Strobe() // SSC1
@@ -223,34 +236,34 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 		// or conjunct that are the only reasons this kind has a classic
 		// block. Without them a sense event touches O(active peers) state
 		// only.
-		if s.tr != nil || s.c != nil {
+		if f.tr != nil || s.c != nil {
 			stamp = s.sparse.Snapshot()
 		}
 	case PhysicalReport:
 		// Physical reports carry no logical clock; the stamp is just the
 		// per-process seq.
-		s.net.SendBody(s.ID, s.c.checkerIdx, network.NewBody(ReportMsg{
-			Proc: s.ID, Seq: s.seq, Var: varName, Value: value,
+		s.net.SendBody(id, s.c.checkerIdx, network.NewBody(ReportMsg{
+			Proc: id, Seq: int(s.seq), Var: varName, Value: value,
 			TS: s.c.phys.Read(now),
 		}, flight.Stamp{Seq: uint64(s.seq)}))
 	}
-	if s.Kind != PhysicalReport {
-		s.net.BroadcastBody(s.ID, network.NewBody(msg, flight.Stamp{Epoch: int32(s.epoch), Seq: uint64(s.seq), Clock: ownClock}))
+	if f.kind != PhysicalReport {
+		s.net.BroadcastBody(id, network.NewBody(msg, flight.Stamp{Epoch: s.epoch, Seq: uint64(s.seq), Clock: ownClock}))
 		if s.Local != nil {
 			s.Local.OnStrobe(msg, now)
 		}
 	}
-	if s.tr != nil {
-		s.tr.Append(trace.Record{
-			Proc: s.ID, Type: trace.Sense, At: now,
+	if f.tr != nil {
+		f.tr.Append(trace.Record{
+			Proc: id, Type: trace.Sense, At: now,
 			Attr: varName, Value: value, Vector: stamp,
 		})
 	}
-	if s.fl != nil {
-		s.fl.Record(flight.Rec{
-			Kind: flight.Sense, Proc: int32(s.ID), Peer: flight.NoPeer,
-			Epoch: int32(s.epoch), Seq: uint64(s.seq), At: now,
-			Attr: s.fl.Intern(varName), Clock: ownClock, Value: value,
+	if f.fl != nil {
+		f.fl.Record(flight.Rec{
+			Kind: flight.Sense, Proc: s.ID, Peer: flight.NoPeer,
+			Epoch: s.epoch, Seq: uint64(s.seq), At: now,
+			Attr: f.fl.Intern(varName), Clock: ownClock, Value: value,
 		})
 	}
 	if c := s.c; c != nil {
@@ -281,7 +294,7 @@ func (s *Sensor) trackConjunct(now sim.Time, stamp clock.Vector) {
 	if c.localConj == nil {
 		return
 	}
-	holds := c.localConj.Holds(localState{proc: s.ID, vals: c.vals})
+	holds := c.localConj.Holds(localState{proc: int(s.ID), vals: c.vals})
 	switch {
 	case holds && !c.conjOpen:
 		c.conjOpen = true
@@ -289,8 +302,8 @@ func (s *Sensor) trackConjunct(now sim.Time, stamp clock.Vector) {
 		c.openAt = now
 	case !holds && c.conjOpen:
 		c.conjOpen = false
-		s.net.SendBody(s.ID, c.checkerIdx, network.NewBody(IntervalMsg{
-			Proc: s.ID, Index: c.intervalIdx,
+		s.net.SendBody(int(s.ID), c.checkerIdx, network.NewBody(IntervalMsg{
+			Proc: int(s.ID), Index: c.intervalIdx,
 			Open: c.openStamp, Close: stamp.Clone(),
 			OpenAt: c.openAt, CloseAt: now,
 		}, flight.Stamp{}))
@@ -310,8 +323,8 @@ func (s *Sensor) FlushConjunct(horizon sim.Time) {
 	if c.vec != nil {
 		closeStamp = c.vec.Snapshot()
 	}
-	s.net.SendBody(s.ID, c.checkerIdx, network.NewBody(IntervalMsg{
-		Proc: s.ID, Index: c.intervalIdx,
+	s.net.SendBody(int(s.ID), c.checkerIdx, network.NewBody(IntervalMsg{
+		Proc: int(s.ID), Index: c.intervalIdx,
 		Open: c.openStamp, Close: closeStamp,
 		OpenAt: c.openAt, CloseAt: horizon,
 	}, flight.Stamp{}))
@@ -329,7 +342,7 @@ func (s *Sensor) onMessage(m network.Message, now sim.Time) {
 	if !ok {
 		return
 	}
-	switch s.Kind {
+	switch s.f.kind {
 	case VectorStrobe:
 		if strobe.Vec != nil {
 			s.c.vec.OnStrobe(strobe.Vec)
@@ -344,9 +357,9 @@ func (s *Sensor) onMessage(m network.Message, now sim.Time) {
 	if s.Local != nil {
 		s.Local.OnStrobe(*strobe, now)
 	}
-	if s.tr != nil {
-		s.tr.Append(trace.Record{
-			Proc: s.ID, Type: trace.Receive, At: now, Peer: strobe.Proc,
+	if tr := s.f.tr; tr != nil {
+		tr.Append(trace.Record{
+			Proc: int(s.ID), Type: trace.Receive, At: now, Peer: strobe.Proc,
 		})
 	}
 }
@@ -369,13 +382,13 @@ func (s *Sensor) Rejoin() {
 		c.conjOpen = false
 		clear(c.vals)
 	}
-	switch s.Kind {
+	switch id, n := int(s.ID), s.f.n; s.f.kind {
 	case VectorStrobe:
-		s.c.vec = clock.NewStrobeVector(s.ID, s.n)
+		s.c.vec = clock.NewStrobeVector(id, n)
 	case ScalarStrobe:
 		s.c.sc = &clock.StrobeScalar{}
 	case DiffVectorStrobe:
-		s.sparse.Init(s.ID, s.n) // fresh clock, where the old one lay
+		s.sparse.Init(id, n) // fresh clock, where the old one lay
 	}
 }
 
@@ -383,18 +396,18 @@ func (s *Sensor) Rejoin() {
 // clock state — the quantity the sparse representation keeps O(active
 // peers) instead of O(n).
 func (s *Sensor) ClockStateBytes() int {
-	switch s.Kind {
+	switch s.f.kind {
 	case DiffVectorStrobe:
 		return s.sparse.StateBytes()
 	case VectorStrobe:
-		return 8 * s.n
+		return 8 * s.f.n
 	default:
 		return 8
 	}
 }
 
 // Epoch returns the sensor's current crash/recovery epoch.
-func (s *Sensor) Epoch() int { return s.epoch }
+func (s *Sensor) Epoch() int { return int(s.epoch) }
 
 // localState adapts a sensor's local variables to predicate.State; any
 // process index in the conjunct resolves to this sensor's values.

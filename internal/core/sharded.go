@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -201,9 +203,13 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 		k := smap.Of(i)
 		if h.objBase[k] < 0 {
 			h.objBase[k] = i
-		}
-		if h.traces != nil {
-			s.tr = h.traces[k]
+			if h.traces != nil { // the shard's sensors share its trace
+				f := *s.f
+				f.tr = h.traces[k]
+				s.f = &f
+			}
+		} else if h.traces != nil {
+			s.f = h.Sensors[h.objBase[k]].f
 		}
 		h.Worlds[k].AddObject("", nil)
 	}
@@ -341,7 +347,11 @@ func (h *ShardedHarness) Run() ShardedResults {
 // world already bounds its log to the pilot: the bound is memory, this is
 // what gets scored.
 func (h *ShardedHarness) mergedPilotLog() []world.Event {
-	var out []world.Event
+	size := 0
+	for _, w := range h.Worlds {
+		size += len(w.Log())
+	}
+	out := make([]world.Event, 0, size)
 	for k, w := range h.Worlds {
 		base := h.objBase[k]
 		for _, ev := range w.Log() {
@@ -353,11 +363,8 @@ func (h *ShardedHarness) mergedPilotLog() []world.Event {
 			out = append(out, ev)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Object < out[j].Object
+	slices.SortStableFunc(out, func(a, b world.Event) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Object, b.Object))
 	})
 	for i := range out {
 		out[i].Seq = i
