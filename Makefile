@@ -22,8 +22,9 @@ test-race:
 # strobes and hostile stamps (DESIGN.md §1.10), the flat checker's
 # columnar view against a predicate.MapState model over fuzzed strobes —
 # out-of-range processes, epoch bumps, stale seqs, race probes (DESIGN.md
-# §1.1) — and lattice.Survey against the recursive enumerator over fuzzed
-# execution shapes (DESIGN.md §1.6). One is a property: every interval
+# §1.1) — and lattice.Survey's one walk against the recursive enumerator
+# over fuzzed executions, narrow and too wide for one machine word, with
+# empty processes and dangling or overclaiming stamps (DESIGN.md §1.6). One is a property: every interval
 # set the conjunctive checker matches, over fuzzed strobe executions and
 # out-of-order, repeated and late deliveries, satisfies its modality
 # (FuzzConjunctiveSoundness). Eight feed arbitrary input to a

@@ -30,8 +30,6 @@ func main() {
 		"output is byte-identical at every setting")
 	faultsSpec := flag.String("faults", "", "fault plan installed into every pulse workload, "+
 		"e.g. 'crash(1,20s);recover(1,40s)' (experiments that sweep faults themselves ignore it)")
-	timing := flag.Bool("timing", false, "fill measured wall-clock columns (E14); "+
-		"off by default so tables stay byte-identical run to run")
 	flag.Parse()
 
 	if *list {
@@ -73,7 +71,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: -faults: %v\n", err)
 		os.Exit(2)
 	}
-	cfg := experiments.RunConfig{Seed: *seed, Quick: *quick, Parallelism: *par, Faults: plan, Timing: *timing}
+	cfg := experiments.RunConfig{Seed: *seed, Quick: *quick, Parallelism: *par, Faults: plan}
 	for _, e := range selected {
 		e.Run(cfg).Render(os.Stdout)
 	}

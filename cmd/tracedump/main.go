@@ -297,6 +297,7 @@ func traceSummary(tr *trace.Trace, asJSON bool, stdout, stderr io.Writer) int {
 			res, full := latticeSurvey(ex)
 			out["lattice"] = map[string]any{
 				"events": full.Events(), "cuts": res.Count, "width": res.Width,
+				"truncated":       res.Truncated,
 				"path_consistent": full.PathConsistentAlong(full.Path()),
 			}
 		}
@@ -362,8 +363,13 @@ func traceSummary(tr *trace.Trace, asJSON bool, stdout, stderr io.Writer) int {
 	} else {
 		fmt.Fprintf(stdout, "lattice (%d events): ", full.Events())
 	}
-	fmt.Fprintf(stdout, "%d consistent cuts of %d possible, width %d\n",
-		res.Count, full.NumCuts(), res.Width)
+	if res.Truncated {
+		fmt.Fprintf(stdout, "at least %d consistent cuts of %d possible (survey stopped there), width at least %d\n",
+			res.Count, full.NumCuts(), res.Width)
+	} else {
+		fmt.Fprintf(stdout, "%d consistent cuts of %d possible, width %d\n",
+			res.Count, full.NumCuts(), res.Width)
+	}
 	if full.PathConsistentAlong(full.Path()) {
 		fmt.Fprintln(stdout, "actual execution path: consistent under recorded stamps ✓")
 	} else {
@@ -373,13 +379,15 @@ func traceSummary(tr *trace.Trace, asJSON bool, stdout, stderr io.Writer) int {
 }
 
 // latticeSurvey trims the execution to a tractable size and surveys it,
-// returning the surveyed (possibly trimmed) execution alongside.
+// returning the surveyed (possibly trimmed) execution alongside. A trace
+// with more processes than maxEvents keeps one event each, so the
+// survey also stops at maxCuts; the result then says it was truncated.
 func latticeSurvey(ex *lattice.Execution) (*lattice.SurveyResult, *lattice.Execution) {
-	const maxEvents = 24 // keep enumeration tractable
+	const maxEvents, maxCuts = 24, 1 << 18
 	if ex.Events() > maxEvents {
 		ex = trimTo(ex, maxEvents)
 	}
-	return ex.Survey(lattice.SurveyOptions{}), ex
+	return ex.Survey(lattice.SurveyOptions{Limit: maxCuts}), ex
 }
 
 // ---- -dag ----

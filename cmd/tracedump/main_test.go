@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"pervasive/internal/core"
 	"pervasive/internal/faults"
@@ -204,6 +206,49 @@ func TestHostileTraceHeaders(t *testing.T) {
 	if code, _, errb := runCLI(t, mismatched); code != 2 || !strings.Contains(errb, "vector of 5 entries") {
 		t.Errorf("a 5-entry stamp in a 2-process trace: exit %d, stderr %q; want 2 and the stamp named", code, errb)
 	}
+}
+
+// TestWideTraceSurveyStops: a trace with more processes than the lattice
+// report's 24-event budget keeps one event per process, and 34
+// independent senses span 2³⁴ consistent cuts. The survey must stop at
+// its cut limit, print the count as a lower bound and flag the -json
+// output as truncated, in well under a second.
+func TestWideTraceSurveyStops(t *testing.T) {
+	const n = 34
+	var recs []string
+	for i := 0; i < n; i++ {
+		vec := make([]string, n)
+		for j := range vec {
+			vec[j] = "0"
+		}
+		vec[i] = "1"
+		recs = append(recs, fmt.Sprintf(`{"proc": %d, "type": "n", "at": %d, "vector": [%s], "attr": "x", "value": 1}`,
+			i, 1000*(i+1), strings.Join(vec, ", ")))
+	}
+	path := filepath.Join(t.TempDir(), "wide.json")
+	body := fmt.Sprintf(`{"n": %d, "records": [%s]}`, n, strings.Join(recs, ",\n"))
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	code, out, errb := runCLI(t, path)
+	if code != 0 || !strings.Contains(out, "at least 262144 consistent cuts of 17179869184 possible") {
+		t.Errorf("exit %d, stderr %q, lattice line not a lower bound:\n%s", code, errb, out)
+	}
+	code, out, errb = runCLI(t, "-json", path)
+	var doc struct {
+		Lattice struct {
+			Cuts      int64 `json:"cuts"`
+			Truncated bool  `json:"truncated"`
+		} `json:"lattice"`
+	}
+	if err := json.Unmarshal([]byte(out), &doc); code != 0 || err != nil {
+		t.Fatalf("-json: exit %d, stderr %q, decode %v", code, errb, err)
+	}
+	if doc.Lattice.Cuts != 1<<18 || !doc.Lattice.Truncated {
+		t.Errorf("-json lattice %+v, want 262144 cuts, truncated", doc.Lattice)
+	}
+	t.Logf("both runs took %v", time.Since(start))
 }
 
 // mutateDump decodes the fixture, applies f, and writes the result to a

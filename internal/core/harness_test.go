@@ -211,7 +211,7 @@ func TestHarnessLatticeExecution(t *testing.T) {
 	if ex.Events() == 0 {
 		t.Fatal("no stamps logged")
 	}
-	if !ex.PathConsistent() {
+	if !ex.PathConsistentAlong(ex.Path()) {
 		t.Fatal("actual path inconsistent under strobe stamps")
 	}
 }

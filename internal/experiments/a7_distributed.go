@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"pervasive/internal/core"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 )
@@ -38,9 +37,7 @@ func A7DistributedCheckers(cfg RunConfig) *Table {
 		pair, vsP0 []float64
 		conf       stats.Confusion
 	}
-	outcomes := runner.Map(cfg.Parallelism, len(deltas)*seeds, func(i int) outcome {
-		delta := deltas[i/seeds]
-		s := i % seeds
+	outcomes := sweep(cfg, deltas, seeds, func(delta sim.Duration, s uint64) outcome {
 		var delay sim.DelayModel = sim.Synchronous{}
 		if delta > 0 {
 			delay = sim.NewDeltaBounded(delta)
@@ -52,7 +49,7 @@ func A7DistributedCheckers(cfg RunConfig) *Table {
 			Horizon: sim.Time(cfg.pick(40, 15)) * sim.Second,
 			Faults:  cfg.Faults,
 		}
-		h := pw.build(cfg.Seed + uint64(s))
+		h := pw.build(cfg.Seed + s)
 		// Attach a replica to every sensor.
 		replicas := make([]*core.StrobeChecker, pw.N)
 		for i, sn := range h.Sensors {
@@ -81,8 +78,7 @@ func A7DistributedCheckers(cfg RunConfig) *Table {
 	for di, delta := range deltas {
 		var pair, worst, vsP0 stats.Online
 		var agg stats.Confusion
-		for s := 0; s < seeds; s++ {
-			o := outcomes[di*seeds+s]
+		for _, o := range outcomes[di] {
 			for _, d := range o.pair {
 				pair.Add(d)
 				worst.Add(d)

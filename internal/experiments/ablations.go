@@ -93,52 +93,42 @@ func A2RaceCriterion(cfg RunConfig) *Table {
 			"TP-flagged", "border-cov"},
 	}
 	seeds := cfg.pick(6, 2)
-	run := func(naive bool) (occ, flagged, tpFlagged int64, cov float64) {
-		type counts struct {
-			conf         stats.Confusion
-			occ, flagged int64
+	type counts struct {
+		conf         stats.Confusion
+		occ, flagged int64
+	}
+	perSeed := sweep(cfg, []bool{false, true}, seeds, func(naive bool, s uint64) counts {
+		pw := pulseWorkload{
+			N: 5, K: 3,
+			MeanHigh: 400 * sim.Millisecond, MeanLow: 600 * sim.Millisecond,
+			Kind:    core.VectorStrobe,
+			Delay:   sim.NewDeltaBounded(150 * sim.Millisecond),
+			Horizon: sim.Time(cfg.pick(60, 20)) * sim.Second,
+			Faults:  cfg.Faults,
 		}
-		perSeed := runner.Map(cfg.Parallelism, seeds, func(s int) counts {
-			pw := pulseWorkload{
-				N: 5, K: 3,
-				MeanHigh: 400 * sim.Millisecond, MeanLow: 600 * sim.Millisecond,
-				Kind:    core.VectorStrobe,
-				Delay:   sim.NewDeltaBounded(150 * sim.Millisecond),
-				Horizon: sim.Time(cfg.pick(60, 20)) * sim.Second,
-				Faults:  cfg.Faults,
+		h := pw.build(cfg.Seed + s)
+		h.StrobeCk.NaiveRace = naive
+		res := h.Run()
+		c := counts{conf: res.Confusion}
+		for _, o := range res.Occurrences {
+			c.occ++
+			if o.Borderline {
+				c.flagged++
 			}
-			h := pw.build(cfg.Seed + uint64(s))
-			h.StrobeCk.NaiveRace = naive
-			res := h.Run()
-			c := counts{conf: res.Confusion}
-			for _, o := range res.Occurrences {
-				c.occ++
-				if o.Borderline {
-					c.flagged++
-				}
-			}
-			return c
-		})
+		}
+		return c
+	})
+	for i, name := range []string{"four-state", "naive-concurrency"} {
 		var agg stats.Confusion
-		for _, c := range perSeed {
+		var occ, flagged int64
+		for _, c := range perSeed[i] {
 			agg.Add(c.conf)
 			occ += c.occ
 			flagged += c.flagged
 		}
 		// TP-flagged approximation: flagged minus the flagged errors.
-		tpFlagged = flagged - agg.BorderlineFP
-		if tpFlagged < 0 {
-			tpFlagged = 0
-		}
-		return occ, flagged, tpFlagged, agg.BorderlineCoverage()
-	}
-	for _, naive := range []bool{false, true} {
-		name := "four-state"
-		if naive {
-			name = "naive-concurrency"
-		}
-		occ, flagged, tpFlagged, cov := run(naive)
-		t.AddRow(name, occ, flagged, ratio(flagged, occ), tpFlagged, cov)
+		tpFlagged := max(flagged-agg.BorderlineFP, 0)
+		t.AddRow(name, occ, flagged, ratio(flagged, occ), tpFlagged, agg.BorderlineCoverage())
 	}
 	t.Notes = append(t.Notes,
 		"expected shape: similar borderline coverage of real errors, but the naive criterion flags far more correct detections (TP-flagged), diluting definite reports")
@@ -162,13 +152,11 @@ func A3BroadcastStrategy(cfg RunConfig) *Table {
 		conf        stats.Confusion
 		msgs, bytes int64
 	}
-	outcomes := runner.Map(cfg.Parallelism, len(floods)*seeds, func(i int) netOutcome {
-		flood := floods[i/seeds]
-		s := i % seeds
+	outcomes := sweep(cfg, floods, seeds, func(flood bool, s uint64) netOutcome {
 		n := 10
 		// Sparse but connected overlay shared by both strategies.
 		var topo network.Topology = network.RandomGeometric(
-			stats.NewRNG(cfg.Seed+uint64(s)), n+1, 0.45)
+			stats.NewRNG(cfg.Seed+s), n+1, 0.45)
 		if !network.IsConnectedGraph(topo) {
 			topo = network.Ring{Nodes: n + 1}
 		}
@@ -181,14 +169,13 @@ func A3BroadcastStrategy(cfg RunConfig) *Table {
 			Topo:    topo, Flood: flood,
 			Faults: cfg.Faults,
 		}
-		res := pw.run(cfg.Seed + uint64(s))
+		res := pw.run(cfg.Seed + s)
 		return netOutcome{conf: res.Confusion, msgs: res.Net.Sent, bytes: res.Net.Bytes}
 	})
 	for fi, flood := range floods {
 		var agg stats.Confusion
 		var msgs, bytes int64
-		for s := 0; s < seeds; s++ {
-			o := outcomes[fi*seeds+s]
+		for _, o := range outcomes[fi] {
 			agg.Add(o.conf)
 			msgs += o.msgs
 			bytes += o.bytes
@@ -294,9 +281,7 @@ func A5PhysicalSlack(cfg RunConfig) *Table {
 		conf      stats.Confusion
 		reordered int64
 	}
-	outcomes := runner.Map(cfg.Parallelism, len(slacks)*seeds, func(i int) slackOutcome {
-		slack := slacks[i/seeds]
-		s := i % seeds
+	outcomes := sweep(cfg, slacks, seeds, func(slack sim.Duration, s uint64) slackOutcome {
 		pw := pulseWorkload{
 			N: 4, K: 3,
 			MeanHigh: 300 * sim.Millisecond, MeanLow: 400 * sim.Millisecond,
@@ -305,7 +290,7 @@ func A5PhysicalSlack(cfg RunConfig) *Table {
 			Horizon: sim.Time(cfg.pick(60, 20)) * sim.Second,
 		}
 		h := core.NewHarness(core.HarnessConfig{
-			Seed: cfg.Seed + uint64(s), N: pw.N, Kind: pw.Kind,
+			Seed: cfg.Seed + s, N: pw.N, Kind: pw.Kind,
 			Delay: pw.Delay, Pred: pw.pred(), Epsilon: pw.Epsilon,
 			Slack: slack, Horizon: pw.Horizon, Faults: cfg.Faults,
 		})
@@ -321,8 +306,7 @@ func A5PhysicalSlack(cfg RunConfig) *Table {
 	for si, slack := range slacks {
 		var agg stats.Confusion
 		var reordered int64
-		for s := 0; s < seeds; s++ {
-			o := outcomes[si*seeds+s]
+		for _, o := range outcomes[si] {
 			agg.Add(o.conf)
 			reordered += o.reordered
 		}
@@ -345,27 +329,31 @@ func A6DutyCycle(cfg RunConfig) *Table {
 		Header: []string{"mode", "drift", "overlap", "awake-frac", "beacons"},
 	}
 	horizon := sim.Time(cfg.pick(30, 8)) * sim.Minute
-	drifts := []float64{0, 40, 80}
-	syncs := []bool{false, true}
-	results := runner.Map(cfg.Parallelism, len(drifts)*len(syncs), func(i int) mac.Result {
+	type point struct {
+		drift float64
+		sync  bool
+	}
+	var points []point
+	for _, drift := range []float64{0, 40, 80} {
+		for _, syn := range []bool{false, true} {
+			points = append(points, point{drift, syn})
+		}
+	}
+	results := sweep(cfg, points, 1, func(pt point, _ uint64) mac.Result {
 		return mac.Run(mac.Config{
 			N: 6, Seed: cfg.Seed, Period: sim.Second,
-			Window: 100 * sim.Millisecond, DriftPPM: drifts[i/len(syncs)],
-			Sync: syncs[i%len(syncs)], ScanEvery: 16, Horizon: horizon,
+			Window: 100 * sim.Millisecond, DriftPPM: pt.drift,
+			Sync: pt.sync, ScanEvery: 16, Horizon: horizon,
 		})
 	})
-	i := 0
-	for _, drift := range drifts {
-		for _, syn := range syncs {
-			res := results[i]
-			i++
-			mode := "free-running"
-			if syn {
-				mode = "beacon-sync"
-			}
-			t.AddRow(mode, fmt.Sprintf("±%.0fppm", drift),
-				res.Overlap, res.AwakeFraction, res.Beacons)
+	for i, pt := range points {
+		res := results[i][0]
+		mode := "free-running"
+		if pt.sync {
+			mode = "beacon-sync"
 		}
+		t.AddRow(mode, fmt.Sprintf("±%.0fppm", pt.drift),
+			res.Overlap, res.AwakeFraction, res.Beacons)
 	}
 	t.Notes = append(t.Notes,
 		"expected shape: overlap collapses with drift when free-running; beacon sync holds it near 1 at a small awake-fraction premium")

@@ -8,6 +8,7 @@ import (
 	"pervasive/internal/faults"
 	"pervasive/internal/network"
 	"pervasive/internal/predicate"
+	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 	"pervasive/internal/workload"
 )
@@ -72,6 +73,22 @@ func (pw pulseWorkload) build(seed uint64) *core.Harness {
 
 func (pw pulseWorkload) run(seed uint64) core.Results {
 	return pw.build(seed).Run()
+}
+
+// sweep runs run(point, s) for every sweep point and seed index s in
+// [0, seeds) as one runner.Map fan-out, jobs point-major, and returns the
+// results grouped by point, each in seed order. Collection is by job
+// index, so aggregation over the groups is byte-identical at every
+// Parallelism.
+func sweep[P, T any](cfg RunConfig, points []P, seeds int, run func(P, uint64) T) [][]T {
+	flat := runner.Map(cfg.Parallelism, len(points)*seeds, func(i int) T {
+		return run(points[i/seeds], uint64(i%seeds))
+	})
+	out := make([][]T, len(points))
+	for i := range out {
+		out[i] = flat[i*seeds : (i+1)*seeds]
+	}
+	return out
 }
 
 // trimExecution cuts every process's stamp sequence to its first p events

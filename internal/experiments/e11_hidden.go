@@ -6,7 +6,6 @@ import (
 	"pervasive/internal/clock"
 	"pervasive/internal/core"
 	"pervasive/internal/predicate"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 	"pervasive/internal/world"
@@ -38,17 +37,16 @@ func E11HiddenChannels(cfg RunConfig) *Table {
 	}
 	seeds := cfg.pick(5, 2)
 
-	perRun := runner.Map(cfg.Parallelism, len(ratios)*seeds, func(i int) [3]int64 {
-		d := sim.Duration(ratios[i/seeds] * float64(delta))
-		p, r, inv := hiddenChannelRun(cfg.Seed+uint64(i%seeds), delta, d,
+	perRun := sweep(cfg, ratios, seeds, func(rv float64, s uint64) [3]int64 {
+		d := sim.Duration(rv * float64(delta))
+		p, r, inv := hiddenChannelRun(cfg.Seed+s, delta, d,
 			sim.Time(cfg.pick(60, 20))*sim.Second)
 		return [3]int64{p, r, inv}
 	})
 	for ri, rv := range ratios {
 		d := sim.Duration(rv * float64(delta))
 		var pairs, recovered, inverted int64
-		for s := 0; s < seeds; s++ {
-			c := perRun[ri*seeds+s]
+		for _, c := range perRun[ri] {
 			pairs += c[0]
 			recovered += c[1]
 			inverted += c[2]

@@ -3,7 +3,6 @@ package experiments
 import (
 	"pervasive/internal/core"
 	"pervasive/internal/lattice"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 )
 
@@ -39,8 +38,7 @@ func E12FalseCausality(cfg RunConfig) *Table {
 		cross, ordered             int64
 		strobeLattice, trueLattice int64
 	}
-	outcomes := runner.Map(cfg.Parallelism, len(deltas), func(di int) outcome {
-		delta := deltas[di]
+	outcomes := sweep(cfg, deltas, 1, func(delta sim.Duration, _ uint64) outcome {
 		var delay sim.DelayModel = sim.Synchronous{}
 		if delta > 0 {
 			delay = sim.NewDeltaBounded(delta)
@@ -81,7 +79,8 @@ func E12FalseCausality(cfg RunConfig) *Table {
 		}
 		return o
 	})
-	for _, o := range outcomes {
+	for _, seeded := range outcomes {
+		o := seeded[0]
 		if !o.ok {
 			continue
 		}

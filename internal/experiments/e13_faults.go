@@ -6,7 +6,6 @@ import (
 	"pervasive/internal/core"
 	"pervasive/internal/faults"
 	"pervasive/internal/network"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 	"pervasive/internal/world"
@@ -51,17 +50,14 @@ func E13CrashChurn(cfg RunConfig) *Table {
 		{core.ScalarStrobe, true},
 	}
 
-	type job struct {
+	type point struct {
 		cell cell
 		rate int
-		seed uint64
 	}
-	var jobs []job
+	var points []point
 	for _, c := range cells {
 		for _, r := range rates {
-			for s := 0; s < seeds; s++ {
-				jobs = append(jobs, job{cell: c, rate: r, seed: cfg.Seed + uint64(s)})
-			}
+			points = append(points, point{c, r})
 		}
 	}
 
@@ -71,9 +67,9 @@ func E13CrashChurn(cfg RunConfig) *Table {
 		latSum  sim.Duration
 		latN    int
 	}
-	results := runner.Map(cfg.Parallelism, len(jobs), func(i int) out {
-		j := jobs[i]
-		plan := churnPlan(j.seed, j.rate, n, horizon, outage, minGap)
+	results := sweep(cfg, points, seeds, func(j point, s uint64) out {
+		seed := cfg.Seed + s
+		plan := churnPlan(seed, j.rate, n, horizon, outage, minGap)
 		pw := pulseWorkload{
 			N: n, K: k,
 			MeanHigh: 700 * sim.Millisecond, MeanLow: 900 * sim.Millisecond,
@@ -86,7 +82,7 @@ func E13CrashChurn(cfg RunConfig) *Table {
 			pw.Topo = network.Ring{Nodes: n + 1}
 			pw.Flood = true
 		}
-		res := pw.run(j.seed)
+		res := pw.run(seed)
 		o := out{conf: res.Confusion}
 		if plan != nil {
 			o.crashes = len(plan.Events) / 2
@@ -108,33 +104,28 @@ func E13CrashChurn(cfg RunConfig) *Table {
 		return o
 	})
 
-	ri := 0
-	for _, c := range cells {
-		for _, r := range rates {
-			var agg out
-			var tp, fn, fp int64
-			for s := 0; s < seeds; s++ {
-				o := results[ri]
-				ri++
-				agg.crashes += o.crashes
-				agg.latSum += o.latSum
-				agg.latN += o.latN
-				tp += o.conf.TP
-				fn += o.conf.FN
-				fp += o.conf.FP
-			}
-			recall := ratio(tp, tp+fn)
-			precision := ratio(tp, tp+fp)
-			latMs := 0.0
-			if agg.latN > 0 {
-				latMs = float64(agg.latSum) / float64(agg.latN) / float64(sim.Millisecond)
-			}
-			bcast := "direct"
-			if c.flood {
-				bcast = "flood"
-			}
-			t.AddRow(c.kind.String(), bcast, r, agg.crashes, recall, precision, latMs)
+	for pi, pt := range points {
+		var agg out
+		var tp, fn, fp int64
+		for _, o := range results[pi] {
+			agg.crashes += o.crashes
+			agg.latSum += o.latSum
+			agg.latN += o.latN
+			tp += o.conf.TP
+			fn += o.conf.FN
+			fp += o.conf.FP
 		}
+		recall := ratio(tp, tp+fn)
+		precision := ratio(tp, tp+fp)
+		latMs := 0.0
+		if agg.latN > 0 {
+			latMs = float64(agg.latSum) / float64(agg.latN) / float64(sim.Millisecond)
+		}
+		bcast := "direct"
+		if pt.cell.flood {
+			bcast = "flood"
+		}
+		t.AddRow(pt.cell.kind.String(), bcast, pt.rate, agg.crashes, recall, precision, latMs)
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("each crash keeps its process down %v; recovery rejoins with a fresh clock under a bumped epoch", outage),

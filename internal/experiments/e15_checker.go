@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"pervasive/internal/core"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 )
 
@@ -51,18 +50,18 @@ func E15CheckerTree(cfg RunConfig) *Table {
 	}
 	horizon := sim.Time(cfg.pick(2000, 600)) * sim.Millisecond
 
-	type job struct {
+	type point struct {
 		p, fanout int
 		v         vol
 	}
-	var jobs []job
+	var points []point
 	for _, p := range ps {
 		for _, v := range vols {
 			if v.skipBigP && p > 1024 {
 				continue // dense at p=4096 is volume, not insight
 			}
 			for _, r := range fanouts {
-				jobs = append(jobs, job{p, r, v})
+				points = append(points, point{p, r, v})
 			}
 		}
 	}
@@ -71,8 +70,7 @@ func E15CheckerTree(cfg RunConfig) *Table {
 		digest string
 		stat   *core.ShardedHarness
 	}
-	results := runner.Map(cfg.Parallelism, len(jobs), func(i int) out {
-		j := jobs[i]
+	results := sweep(cfg, points, 1, func(j point, _ uint64) out {
 		h := core.NewShardedHarness(core.ShardedConfig{
 			Seed: cfg.Seed, N: j.p, Shards: 4, Workers: 2,
 			Delay:    sim.NewDeltaBounded(5 * sim.Millisecond),
@@ -86,8 +84,8 @@ func E15CheckerTree(cfg RunConfig) *Table {
 	})
 
 	var baseline string
-	for i, o := range results {
-		j := jobs[i]
+	for i, j := range points {
+		o := results[i][0]
 		if j.fanout == fanouts[0] {
 			baseline = o.digest
 		}

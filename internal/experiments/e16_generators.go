@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pervasive/internal/core"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 	"pervasive/internal/workload"
@@ -98,19 +97,9 @@ func E16GeneratorSweep(cfg RunConfig) *Table {
 		conf   stats.Confusion
 		events int
 	}
-	type job struct {
-		cell int
-		seed uint64
-	}
-	var jobs []job
-	for c := range cells {
-		for s := 0; s < seeds; s++ {
-			jobs = append(jobs, job{c, cfg.Seed + uint64(s)})
-		}
-	}
-	results := runner.Map(cfg.Parallelism, len(jobs), func(i int) out {
-		j := jobs[i]
-		src := cells[j.cell].src(j.seed)
+	results := sweep(cfg, cells, seeds, func(cl cell, s uint64) out {
+		seed := cfg.Seed + s
+		src := cl.src(seed)
 		pw := pulseWorkload{
 			N: nSensors, K: 4,
 			Kind:    core.VectorStrobe,
@@ -120,18 +109,16 @@ func E16GeneratorSweep(cfg RunConfig) *Table {
 			Source:  func(uint64) workload.Source { return src },
 		}
 		return out{
-			conf:   pw.run(j.seed).Confusion,
+			conf:   pw.run(seed).Confusion,
 			events: len(src.Events(horizon)),
 		}
 	})
-	i := 0
-	for _, cl := range cells {
+	for i, cl := range cells {
 		var agg stats.Confusion
 		events := 0
-		for s := 0; s < seeds; s++ {
-			agg.Add(results[i].conf)
-			events += results[i].events
-			i++
+		for _, o := range results[i] {
+			agg.Add(o.conf)
+			events += o.events
 		}
 		evPerSec := float64(events) / float64(seeds) / (float64(horizon) / float64(sim.Second))
 		t.AddRow(cl.name, cl.param, evPerSec,

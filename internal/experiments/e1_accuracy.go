@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"pervasive/internal/core"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 )
@@ -48,49 +47,39 @@ func E1StrobeAccuracy(cfg RunConfig) *Table {
 		{"physical(ε=1ms)", core.PhysicalReport},
 	}
 
-	// Flatten the delta × kind × seed sweep into one indexed job list so
-	// every replication fans out; aggregation walks the results in job
-	// order, keeping the table byte-identical at any parallelism.
-	type job struct {
+	type point struct {
 		delta sim.Duration
-		kind  core.ClockKind
-		seed  uint64
+		kind  int // index into kinds
 	}
-	var jobs []job
+	var points []point
 	for _, delta := range deltas {
-		for _, k := range kinds {
-			for s := 0; s < seeds; s++ {
-				jobs = append(jobs, job{delta, k.kind, cfg.Seed + uint64(s)})
-			}
+		for k := range kinds {
+			points = append(points, point{delta, k})
 		}
 	}
-	results := runner.Map(cfg.Parallelism, len(jobs), func(i int) stats.Confusion {
-		j := jobs[i]
+	results := sweep(cfg, points, seeds, func(pt point, s uint64) stats.Confusion {
+		kind := kinds[pt.kind].kind
 		pw := pulseWorkload{
 			N: 6, K: 4,
 			MeanHigh: 300 * sim.Millisecond, MeanLow: 500 * sim.Millisecond,
-			Kind:    j.kind,
-			Delay:   sim.NewDeltaBounded(j.delta),
+			Kind:    kind,
+			Delay:   sim.NewDeltaBounded(pt.delta),
 			Horizon: horizon,
 			Faults:  cfg.Faults,
 		}
-		if j.kind == core.PhysicalReport {
+		if kind == core.PhysicalReport {
 			pw.Epsilon = sim.Millisecond
 		}
-		return pw.run(j.seed).Confusion
+		return pw.run(cfg.Seed + s).Confusion
 	})
-	i := 0
-	for _, delta := range deltas {
-		for _, k := range kinds {
-			var agg stats.Confusion
-			for s := 0; s < seeds; s++ {
-				agg.Add(results[i])
-				i++
-			}
-			t.AddRow(delta, k.name,
-				agg.Recall(), agg.Precision(), agg.FN, agg.FP,
-				agg.FP-agg.BorderlineFP, agg.BorderlineCoverage())
+	for i, pt := range points {
+		var agg stats.Confusion
+		for _, c := range results[i] {
+			agg.Add(c)
 		}
+		t.AddRow(pt.delta, kinds[pt.kind].name,
+			agg.Recall(), agg.Precision(), agg.FN, agg.FP,
+			agg.FP-agg.BorderlineFP, agg.BorderlineCoverage())
 	}
 	t.Notes = append(t.Notes,
 		"workload: 6 togglers, mean high 300ms / low 500ms; predicate sum(p) >= 4",

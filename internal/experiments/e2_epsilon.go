@@ -6,7 +6,6 @@ import (
 	"pervasive/internal/clock"
 	"pervasive/internal/core"
 	"pervasive/internal/predicate"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 )
@@ -36,50 +35,57 @@ func E2TwoEpsilon(cfg RunConfig) *Table {
 	// The clock fleets share one RNG stream across every trial, so draw
 	// them sequentially in (ratio, trial) order before fanning out; the
 	// simulated trials themselves are independent and parallelize freely.
-	fleets := make([][]clock.EpsilonSynced, len(ratios)*trials)
-	for i := range fleets {
-		fleets[i] = clock.NewEpsilonFleet(rng, 2, eps)
+	type point struct {
+		ratio  float64
+		fleets [][]clock.EpsilonSynced // one per trial
+	}
+	points := make([]point, len(ratios))
+	for ri, ratioV := range ratios {
+		points[ri].ratio = ratioV
+		for range trials {
+			points[ri].fleets = append(points[ri].fleets, clock.NewEpsilonFleet(rng, 2, eps))
+		}
 	}
 
-	for ri, ratioV := range ratios {
-		overlap := sim.Duration(ratioV * float64(eps))
-		type outcome struct{ fn, fp bool }
-		outcomes := runner.Map(cfg.Parallelism, trials, func(trial int) outcome { //lint:allow fastpath(amortized: Map resolves its workers gauge once per fan-out of `trials` jobs, not per job)
-			fleet := fleets[ri*trials+trial]
-			eng := sim.NewEngine(uint64(trial))
-			checker := core.NewPhysicalChecker(eng, 2, pred, 50*sim.Millisecond)
+	type outcome struct{ fn, fp bool }
+	outcomes := sweep(cfg, points, trials, func(pt point, trial uint64) outcome {
+		overlap := sim.Duration(pt.ratio * float64(eps))
+		fleet := pt.fleets[trial]
+		eng := sim.NewEngine(trial)
+		checker := core.NewPhysicalChecker(eng, 2, pred, 50*sim.Millisecond)
 
-			// True pulses: p0 [t0, t0+L); p1 [t0+L-overlap, t0+2L-overlap)
-			// → true overlap is exactly `overlap`.
-			const L = 200 * sim.Millisecond
-			t0 := 100 * sim.Millisecond
-			events := []struct {
-				proc int
-				at   sim.Time
-				val  float64
-			}{
-				{0, t0, 1},
-				{1, t0 + L - overlap, 1},
-				{0, t0 + L, 0},
-				{1, t0 + 2*L - overlap, 0},
-			}
-			for i, ev := range events {
-				ev := ev
-				seq := i/2 + 1
-				eng.At(ev.at, func(now sim.Time) {
-					checker.OnReport(core.ReportMsg{
-						Proc: ev.proc, Seq: seq, Var: "x", Value: ev.val,
-						TS: fleet[ev.proc].Read(now),
-					}, now)
-				})
-			}
-			eng.RunAll()
-			checker.Finish(sim.Second)
-			occ := checker.Occurrences()
-			return outcome{fn: len(occ) == 0, fp: len(occ) > 1}
-		})
+		// True pulses: p0 [t0, t0+L); p1 [t0+L-overlap, t0+2L-overlap)
+		// → true overlap is exactly `overlap`.
+		const L = 200 * sim.Millisecond
+		t0 := 100 * sim.Millisecond
+		events := []struct {
+			proc int
+			at   sim.Time
+			val  float64
+		}{
+			{0, t0, 1},
+			{1, t0 + L - overlap, 1},
+			{0, t0 + L, 0},
+			{1, t0 + 2*L - overlap, 0},
+		}
+		for i, ev := range events {
+			ev := ev
+			seq := i/2 + 1
+			eng.At(ev.at, func(now sim.Time) {
+				checker.OnReport(core.ReportMsg{
+					Proc: ev.proc, Seq: seq, Var: "x", Value: ev.val,
+					TS: fleet[ev.proc].Read(now),
+				}, now)
+			})
+		}
+		eng.RunAll()
+		checker.Finish(sim.Second)
+		occ := checker.Occurrences()
+		return outcome{fn: len(occ) == 0, fp: len(occ) > 1}
+	})
+	for ri, pt := range points {
 		var fn, fp int
-		for _, o := range outcomes {
+		for _, o := range outcomes[ri] {
 			if o.fn {
 				fn++
 			}
@@ -87,7 +93,7 @@ func E2TwoEpsilon(cfg RunConfig) *Table {
 				fp++
 			}
 		}
-		t.AddRow(fmt.Sprintf("%.2f", ratioV), overlap, trials,
+		t.AddRow(fmt.Sprintf("%.2f", pt.ratio), sim.Duration(pt.ratio*float64(eps)), trials,
 			float64(fn)/float64(trials), float64(fp)/float64(trials))
 	}
 	t.Notes = append(t.Notes,

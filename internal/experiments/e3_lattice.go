@@ -5,7 +5,6 @@ import (
 
 	"pervasive/internal/core"
 	"pervasive/internal/lattice"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 )
@@ -47,26 +46,30 @@ func E3SlimLattice(cfg RunConfig) *Table {
 	// One job per (block, regime, seed); the ordered walk below reproduces
 	// the sequential aggregation (Online means in seed order, `possible`
 	// from the last seed whose execution survived trimming).
+	type point struct{ block, regime int }
+	var points []point
+	for bi := range blocks {
+		for ri := range regimes {
+			points = append(points, point{bi, ri})
+		}
+	}
 	type outcome struct {
 		ok          bool
 		cuts, width float64
 		possible    int64
 	}
-	perBlock := len(regimes) * seeds
-	outcomes := runner.Map(cfg.Parallelism, len(blocks)*perBlock, func(i int) outcome {
-		blk := blocks[i/perBlock]
-		reg := regimes[i/seeds%len(regimes)]
-		s := i % seeds
+	outcomes := sweep(cfg, points, seeds, func(pt point, s uint64) outcome {
+		blk := blocks[pt.block]
 		// Run long enough to collect ≥ p events per sensor, then trim.
 		pw := pulseWorkload{
 			N: blk.n, K: blk.n, // predicate irrelevant here
 			MeanHigh: 400 * sim.Millisecond, MeanLow: 600 * sim.Millisecond,
-			Kind: core.VectorStrobe, Delay: reg.delay,
+			Kind: core.VectorStrobe, Delay: regimes[pt.regime].delay,
 			Horizon:   30 * sim.Second,
 			LogStamps: true,
 			Faults:    cfg.Faults,
 		}
-		h := pw.build(cfg.Seed + uint64(s))
+		h := pw.build(cfg.Seed + s)
 		h.Run()
 		ex := h.LatticeExecution()
 		if !trimExecution(ex.Stamps, ex.Times, blk.p) {
@@ -81,25 +84,23 @@ func E3SlimLattice(cfg RunConfig) *Table {
 			possible: ex.NumCuts(),
 		}
 	})
-	for bi, blk := range blocks {
-		if bi > 0 {
+	for i, pt := range points {
+		if blk := blocks[pt.block]; pt.block > 0 && pt.regime == 0 {
 			t.AddRow(fmt.Sprintf("— n=%d, p=%d —", blk.n, blk.p), "", "", "", "")
 		}
-		for ri, reg := range regimes {
-			var cuts, width stats.Online
-			var possible int64
-			for s := 0; s < seeds; s++ {
-				o := outcomes[bi*perBlock+ri*seeds+s]
-				if !o.ok {
-					continue
-				}
-				cuts.Add(o.cuts)
-				width.Add(o.width)
-				possible = o.possible
+		var cuts, width stats.Online
+		var possible int64
+		for _, o := range outcomes[i] {
+			if !o.ok {
+				continue
 			}
-			t.AddRow(reg.name, fmtDelta(reg.delay),
-				cuts.Mean(), possible, width.Mean())
+			cuts.Add(o.cuts)
+			width.Add(o.width)
+			possible = o.possible
 		}
+		reg := regimes[pt.regime]
+		t.AddRow(reg.name, fmtDelta(reg.delay),
+			cuts.Mean(), possible, width.Mean())
 	}
 	t.Notes = append(t.Notes,
 		"Δ=0 row must equal n·p+1 = 17 with width 1 (a chain); the no-strobe row equals (p+1)^n = 625",

@@ -5,7 +5,6 @@ import (
 
 	"pervasive/internal/clock"
 	"pervasive/internal/core"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 )
@@ -28,21 +27,24 @@ func E4ScalarVectorEquivalence(cfg RunConfig) *Table {
 	}
 	seeds := cfg.pick(8, 3)
 
-	compare := func(delay sim.DelayModel) (identical int, vecErrs, scaErrs int64) {
-		type pair struct{ v, sc stats.Confusion }
-		pairs := runner.Map(cfg.Parallelism, seeds, func(s int) pair {
-			mk := func(kind core.ClockKind) stats.Confusion {
-				return pulseWorkload{
-					N: 4, K: 3,
-					MeanHigh: 300 * sim.Millisecond, MeanLow: 400 * sim.Millisecond,
-					Kind: kind, Delay: delay,
-					Horizon: sim.Time(cfg.pick(60, 15)) * sim.Second,
-					Faults:  cfg.Faults,
-				}.run(cfg.Seed + uint64(s)).Confusion
-			}
-			return pair{v: mk(core.VectorStrobe), sc: mk(core.ScalarStrobe)}
-		})
-		for _, p := range pairs {
+	type pair struct{ v, sc stats.Confusion }
+	delays := []sim.DelayModel{sim.Synchronous{}, sim.NewDeltaBounded(250 * sim.Millisecond)}
+	pairs := sweep(cfg, delays, seeds, func(delay sim.DelayModel, s uint64) pair {
+		mk := func(kind core.ClockKind) stats.Confusion {
+			return pulseWorkload{
+				N: 4, K: 3,
+				MeanHigh: 300 * sim.Millisecond, MeanLow: 400 * sim.Millisecond,
+				Kind: kind, Delay: delay,
+				Horizon: sim.Time(cfg.pick(60, 15)) * sim.Second,
+				Faults:  cfg.Faults,
+			}.run(cfg.Seed + s).Confusion
+		}
+		return pair{v: mk(core.VectorStrobe), sc: mk(core.ScalarStrobe)}
+	})
+	for i, delta := range []string{"0", "250ms"} {
+		var identical int
+		var vecErrs, scaErrs int64
+		for _, p := range pairs[i] {
 			v, sc := p.v, p.sc
 			if v.TP == sc.TP && v.FP == sc.FP && v.FN == sc.FN {
 				identical++
@@ -53,13 +55,8 @@ func E4ScalarVectorEquivalence(cfg RunConfig) *Table {
 			vecErrs += (v.FP - v.BorderlineFP) + (v.FN - v.BorderlineFN)
 			scaErrs += (sc.FP - sc.BorderlineFP) + (sc.FN - sc.BorderlineFN)
 		}
-		return identical, vecErrs, scaErrs
+		t.AddRow("strobe scalar vs vector", delta, seeds, identical, vecErrs, scaErrs)
 	}
-
-	idSync, vecSync, scaSync := compare(sim.Synchronous{})
-	t.AddRow("strobe scalar vs vector", "0", seeds, idSync, vecSync, scaSync)
-	idAsync, vecAsync, scaAsync := compare(sim.NewDeltaBounded(250 * sim.Millisecond))
-	t.AddRow("strobe scalar vs vector", "250ms", seeds, idAsync, vecAsync, scaAsync)
 
 	// Causal clocks: even with instant delivery, Lamport scalars order
 	// concurrent events (cannot certify concurrency) while vectors

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"pervasive/internal/runner"
 	"pervasive/internal/scenario"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
@@ -31,27 +30,23 @@ func E5ExhibitionHall(cfg RunConfig) *Table {
 	seeds := cfg.pick(6, 2)
 
 	deltas := []sim.Duration{50 * sim.Millisecond, 300 * sim.Millisecond}
-	type job struct {
+	type point struct {
 		doors int
 		delta sim.Duration
-		seed  uint64
 	}
-	var jobs []job
+	var points []point
 	for _, d := range doorCounts {
 		for _, delta := range deltas {
-			for s := 0; s < seeds; s++ {
-				jobs = append(jobs, job{d, delta, cfg.Seed + uint64(s)})
-			}
+			points = append(points, point{d, delta})
 		}
 	}
 	type outcome struct {
 		conf   stats.Confusion
 		truths int
 	}
-	outcomes := runner.Map(cfg.Parallelism, len(jobs), func(i int) outcome {
-		j := jobs[i]
+	outcomes := sweep(cfg, points, seeds, func(j point, s uint64) outcome {
 		hl := scenario.NewHall(scenario.HallConfig{
-			Seed: j.seed, Doors: j.doors,
+			Seed: cfg.Seed + s, Doors: j.doors,
 			Capacity: 200, InitialOccupancy: 197,
 			MeanArrival: 120 * sim.Millisecond,
 			MeanStay:    20 * sim.Second,
@@ -61,19 +56,15 @@ func E5ExhibitionHall(cfg RunConfig) *Table {
 		res := hl.Run()
 		return outcome{conf: res.Confusion, truths: len(res.Truth)}
 	})
-	i := 0
-	for _, d := range doorCounts {
-		for _, delta := range deltas {
-			var agg stats.Confusion
-			truths := 0
-			for s := 0; s < seeds; s++ {
-				agg.Add(outcomes[i].conf)
-				truths += outcomes[i].truths
-				i++
-			}
-			t.AddRow(d, delta, truths, agg.Recall(), agg.Precision(),
-				agg.FP, agg.FN, agg.BorderlineCoverage())
+	for i, pt := range points {
+		var agg stats.Confusion
+		truths := 0
+		for _, o := range outcomes[i] {
+			agg.Add(o.conf)
+			truths += o.truths
 		}
+		t.AddRow(pt.doors, pt.delta, truths, agg.Recall(), agg.Precision(),
+			agg.FP, agg.FN, agg.BorderlineCoverage())
 	}
 	t.Notes = append(t.Notes,
 		"hall seeded near capacity (197 inside) so the predicate crosses its threshold repeatedly",

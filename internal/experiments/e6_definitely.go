@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pervasive/internal/predicate"
-	"pervasive/internal/runner"
 	"pervasive/internal/scenario"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
@@ -30,12 +29,11 @@ func E6DefinitelyUnderDelay(cfg RunConfig) *Table {
 	}
 	seeds := cfg.pick(6, 2)
 
-	results := runner.Map(cfg.Parallelism, len(multipliers)*seeds, func(i int) stats.Confusion {
-		delta := base * sim.Duration(multipliers[i/seeds])
+	results := sweep(cfg, multipliers, seeds, func(m int, s uint64) stats.Confusion {
 		of := scenario.NewOffice(scenario.OfficeConfig{
-			Seed: cfg.Seed + uint64(i%seeds), Rooms: 1,
+			Seed: cfg.Seed + s, Rooms: 1,
 			Modality: predicate.Definitely,
-			Delay:    sim.NewDeltaBounded(delta),
+			Delay:    sim.NewDeltaBounded(base * sim.Duration(m)),
 			Horizon:  sim.Time(cfg.pick(300, 60)) * sim.Second,
 			// Long dwell times: human-scale context changes.
 			MeanOccupied: 10 * sim.Second, MeanEmpty: 5 * sim.Second,
@@ -46,8 +44,8 @@ func E6DefinitelyUnderDelay(cfg RunConfig) *Table {
 	for mi, m := range multipliers {
 		delta := base * sim.Duration(m)
 		var agg stats.Confusion
-		for s := 0; s < seeds; s++ {
-			agg.Add(results[mi*seeds+s])
+		for _, c := range results[mi] {
+			agg.Add(c)
 		}
 		t.AddRow(delta, fmt.Sprintf("×%d", m),
 			agg.TP+agg.FN, agg.TP, agg.Recall())

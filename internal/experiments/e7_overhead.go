@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"pervasive/internal/core"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 )
 
@@ -38,9 +37,15 @@ func E7MessageOverhead(cfg RunConfig) *Table {
 	type outcome struct {
 		events, sent, bytes int64
 	}
-	outcomes := runner.Map(cfg.Parallelism, len(sizes)*len(kinds), func(i int) outcome {
-		n := sizes[i/len(kinds)]
-		k := kinds[i%len(kinds)]
+	type point struct{ n, kind int }
+	var points []point
+	for _, n := range sizes {
+		for k := range kinds {
+			points = append(points, point{n, k})
+		}
+	}
+	outcomes := sweep(cfg, points, 1, func(pt point, _ uint64) outcome {
+		n, k := pt.n, kinds[pt.kind]
 		pw := pulseWorkload{
 			N: n, K: n/2 + 1,
 			MeanHigh: 300 * sim.Millisecond, MeanLow: 300 * sim.Millisecond,
@@ -56,12 +61,10 @@ func E7MessageOverhead(cfg RunConfig) *Table {
 			sent:   res.Net.Sent, bytes: res.Net.Bytes,
 		}
 	})
-	for ni, n := range sizes {
-		for ki, k := range kinds {
-			o := outcomes[ni*len(kinds)+ki]
-			t.AddRow(n, k.name, o.events, o.sent, o.bytes,
-				ratio(o.bytes, o.events), ratio(o.sent, o.events))
-		}
+	for i, pt := range points {
+		o := outcomes[i][0]
+		t.AddRow(pt.n, kinds[pt.kind].name, o.events, o.sent, o.bytes,
+			ratio(o.bytes, o.events), ratio(o.sent, o.events))
 	}
 	t.Notes = append(t.Notes,
 		"same seed → identical world workload across detectors for each n",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pervasive/internal/clocksync"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 )
@@ -38,39 +37,38 @@ func E9ClockSyncCost(cfg RunConfig) *Table {
 		{"TPSN", clocksync.TPSN},
 		{"on-demand", clocksync.OnDemand},
 	}
-	results := runner.Map(cfg.Parallelism, len(sizes)*len(protos)*seeds,
-		func(i int) clocksync.Result {
-			n := sizes[i/(len(protos)*seeds)]
-			p := protos[i/seeds%len(protos)]
-			return p.run(clocksync.Config{
-				N: n, Seed: cfg.Seed + uint64(i%seeds),
-				MaxOffset: 100 * sim.Millisecond,
-				DriftPPM:  50,
-				JitterStd: 20 * sim.Microsecond,
-				MinDelay:  sim.Millisecond, MaxDelay: 3 * sim.Millisecond,
-				Rounds: 8,
-			})
-		})
-	i := 0
+	type point struct{ n, proto int }
+	var points []point
 	for _, n := range sizes {
-		for _, p := range protos {
-			var eps, mean, after stats.Online
-			var msgs, bytes int64
-			for s := 0; s < seeds; s++ {
-				res := results[i]
-				i++
-				eps.Add(float64(res.Eps))
-				mean.Add(res.MeanAbsErr)
-				after.Add(float64(res.EpsAfter))
-				msgs += res.Messages
-				bytes += res.Bytes
-			}
-			t.AddRow(p.name, n,
-				sim.Duration(eps.Mean()).String(),
-				fmt.Sprintf("%.0fµs", mean.Mean()),
-				sim.Duration(after.Mean()).String(),
-				msgs/int64(seeds), bytes/int64(seeds))
+		for p := range protos {
+			points = append(points, point{n, p})
 		}
+	}
+	results := sweep(cfg, points, seeds, func(pt point, s uint64) clocksync.Result {
+		return protos[pt.proto].run(clocksync.Config{
+			N: pt.n, Seed: cfg.Seed + s,
+			MaxOffset: 100 * sim.Millisecond,
+			DriftPPM:  50,
+			JitterStd: 20 * sim.Microsecond,
+			MinDelay:  sim.Millisecond, MaxDelay: 3 * sim.Millisecond,
+			Rounds: 8,
+		})
+	})
+	for i, pt := range points {
+		var eps, mean, after stats.Online
+		var msgs, bytes int64
+		for _, res := range results[i] {
+			eps.Add(float64(res.Eps))
+			mean.Add(res.MeanAbsErr)
+			after.Add(float64(res.EpsAfter))
+			msgs += res.Messages
+			bytes += res.Bytes
+		}
+		t.AddRow(protos[pt.proto].name, pt.n,
+			sim.Duration(eps.Mean()).String(),
+			fmt.Sprintf("%.0fµs", mean.Mean()),
+			sim.Duration(after.Mean()).String(),
+			msgs/int64(seeds), bytes/int64(seeds))
 	}
 	t.Notes = append(t.Notes,
 		"hardware clocks: offsets ≤100ms, drift ±50ppm, 20µs receive jitter, 1–3ms links",

@@ -107,11 +107,6 @@ type RunConfig struct {
 	// -faults flag). Experiments that sweep fault plans themselves (E13)
 	// ignore it.
 	Faults *faults.Plan
-	// Timing fills measured wall-clock columns in the tables that have
-	// them (E14). Off by default: those cells render "-" so tables stay
-	// byte-identical run to run and across worker counts, which is what
-	// the determinism regression compares.
-	Timing bool
 }
 
 // pick returns quick when cfg.Quick, else full.

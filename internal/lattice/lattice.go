@@ -30,8 +30,8 @@ type Execution struct {
 	Stamps [][]clock.Vector
 	Times  [][]sim.Time
 
-	// surveyPrep caches the survey engine's preprocessing of Stamps
-	// (sparse constraint rows, cut-key packing geometry); it is built
+	// surveyPrep caches the survey's preprocessing of Stamps
+	// (constraint rows, linear-extension ranks); it is built
 	// lazily on the first lattice statistic and assumes Stamps are not
 	// mutated afterwards. See survey.go.
 	surveyPrep atomic.Pointer[surveyPrep]
@@ -98,10 +98,10 @@ func (e *Execution) ConsistentCut(cut []int) bool {
 // inconsistent is never extended.
 //
 // Enumerate is the legacy recursive enumerator, retained as the
-// differential-testing oracle for the level-synchronous Survey engine
+// differential-testing oracle for the level-synchronous Survey walk
 // (see survey.go and TestSurveyMatchesOracle). Every statistic consumer
 // should use Survey, which walks the lattice once with an incremental
-// O(n) consistency check instead of once per statistic with an O(n²)
+// consistency check instead of once per statistic with an O(n²)
 // pairwise check.
 func (e *Execution) Enumerate(limit int64, fn func(cut []int) bool) int64 {
 	n := e.N()
@@ -159,27 +159,6 @@ func (e *Execution) partialConsistent(cut []int, upto int) bool {
 	return true
 }
 
-// CountConsistent returns the number of consistent cuts, up to limit
-// (limit <= 0 counts all), via a single Survey traversal. Callers that
-// need more than one statistic should call Survey directly so the
-// lattice is walked only once.
-func (e *Execution) CountConsistent(limit int64) int64 {
-	return e.Survey(SurveyOptions{Limit: limit}).Count
-}
-
-// LevelSizes returns, for each level ℓ (total number of included events),
-// how many consistent cuts have exactly ℓ events. The maximum entry is the
-// lattice's width; a totally ordered (slim) execution has all entries 1.
-func (e *Execution) LevelSizes() []int64 {
-	return e.Survey(SurveyOptions{}).LevelSizes
-}
-
-// Width returns the size of the largest level — 1 means the consistent
-// cuts form a single chain (the linear order of Δ=0 strobing).
-func (e *Execution) Width() int64 {
-	return e.Survey(SurveyOptions{}).Width
-}
-
 // Path returns the sequence of cuts the execution actually traversed in
 // true time, from the empty cut to the full cut — the "one path through np
 // of the O(p^n) states" of Section 4.2.4. It requires Times. Simultaneous
@@ -213,17 +192,11 @@ func (e *Execution) Path() [][]int {
 	return path
 }
 
-// PathConsistent reports whether every cut along the actual path is
-// consistent under the execution's stamps. This is an invariant for both
-// causal and strobe stamps — a timestamp can only know events that already
-// happened — and serves as a sanity check that stamps were collected
-// correctly.
-func (e *Execution) PathConsistent() bool {
-	return e.PathConsistentAlong(e.Path())
-}
-
-// PathConsistentAlong is PathConsistent over an already computed path;
-// callers that hold the Path() result avoid re-sorting the event times.
+// PathConsistentAlong reports whether every cut along path (typically
+// Path()) is consistent under the execution's stamps. This is an
+// invariant for both causal and strobe stamps — a timestamp can only
+// know events that already happened — and serves as a sanity check that
+// stamps were collected correctly.
 func (e *Execution) PathConsistentAlong(path [][]int) bool {
 	for _, cut := range path {
 		if !e.ConsistentCut(cut) {

@@ -44,7 +44,7 @@ func chain(n, p int) *Execution {
 func TestIndependentLatticeIsFull(t *testing.T) {
 	// With no ordering constraints, every cut is consistent: (p+1)^n.
 	e := independent(3, 2)
-	if got := e.CountConsistent(0); got != 27 {
+	if got := e.Survey(SurveyOptions{}).Count; got != 27 {
 		t.Fatalf("count %d want 27", got)
 	}
 	if e.NumCuts() != 27 {
@@ -57,10 +57,10 @@ func TestChainLatticeIsLinear(t *testing.T) {
 	// the Δ=0 claim of §4.2.4.
 	e := chain(3, 2)
 	want := int64(3*2 + 1)
-	if got := e.CountConsistent(0); got != want {
+	if got := e.Survey(SurveyOptions{}).Count; got != want {
 		t.Fatalf("count %d want %d", got, want)
 	}
-	if w := e.Width(); w != 1 {
+	if w := e.Survey(SurveyOptions{}).Width; w != 1 {
 		t.Fatalf("width %d want 1", w)
 	}
 }
@@ -68,7 +68,8 @@ func TestChainLatticeIsLinear(t *testing.T) {
 func TestIndependentWidth(t *testing.T) {
 	e := independent(2, 2)
 	// Levels of the full 3x3 grid lattice: 1,2,3,2,1.
-	sizes := e.LevelSizes()
+	sv := e.Survey(SurveyOptions{})
+	sizes := sv.LevelSizes
 	want := []int64{1, 2, 3, 2, 1}
 	if len(sizes) != len(want) {
 		t.Fatalf("levels %v", sizes)
@@ -78,8 +79,8 @@ func TestIndependentWidth(t *testing.T) {
 			t.Fatalf("levels %v want %v", sizes, want)
 		}
 	}
-	if e.Width() != 3 {
-		t.Fatalf("width %d", e.Width())
+	if sv.Width != 3 {
+		t.Fatalf("width %d", sv.Width)
 	}
 }
 
@@ -101,7 +102,7 @@ func TestConsistentCut(t *testing.T) {
 	if !e.ConsistentCut([]int{0, 0}) {
 		t.Fatal("empty cut should be consistent")
 	}
-	if got := e.CountConsistent(0); got != 3 {
+	if got := e.Survey(SurveyOptions{}).Count; got != 3 {
 		t.Fatalf("count %d want 3", got)
 	}
 }
@@ -123,7 +124,7 @@ func TestConsistentCutPanics(t *testing.T) {
 
 func TestEnumerateLimit(t *testing.T) {
 	e := independent(3, 3)
-	if got := e.CountConsistent(10); got != 10 {
+	if got := e.Survey(SurveyOptions{Limit: 10}).Count; got != 10 {
 		t.Fatalf("limited count %d", got)
 	}
 	var visited int
@@ -143,7 +144,7 @@ func TestEnumerateMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 2 + r.Intn(2)
 		e := randomExecution(r, n, 3)
-		fast := e.CountConsistent(0)
+		fast := e.Survey(SurveyOptions{}).Count
 		var slow int64
 		cut := make([]int, n)
 		var rec func(i int)
@@ -166,28 +167,15 @@ func TestEnumerateMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// randomExecution builds an execution with random strobe-style merges:
-// each new event merges a random subset of current knowledge.
+// randomExecution builds an execution of n processes with p events each
+// and random strobe-style merges: each new event merges a random earlier
+// strobe 70 % of the time (models delayed arrival).
 func randomExecution(r *stats.RNG, n, p int) *Execution {
-	e := &Execution{Stamps: make([][]clock.Vector, n), Times: make([][]sim.Time, n)}
-	clocks := make([]*clock.StrobeVector, n)
-	for i := range clocks {
-		clocks[i] = clock.NewStrobeVector(i, n)
+	counts := make([]int, n)
+	for i := range counts {
+		counts[i] = p
 	}
-	var published []clock.Vector
-	for step := 0; step < n*p; step++ {
-		i := step % n
-		// merge a random previously published strobe (models delayed
-		// arrival)
-		if len(published) > 0 && r.Bool(0.7) {
-			clocks[i].OnStrobe(published[r.Intn(len(published))])
-		}
-		v := clocks[i].Strobe()
-		published = append(published, v)
-		e.Stamps[i] = append(e.Stamps[i], v)
-		e.Times[i] = append(e.Times[i], sim.Time(step))
-	}
-	return e
+	return strobedExecution(r, counts, 0.7, 0)
 }
 
 func TestStrobeSlimsLattice(t *testing.T) {
@@ -196,9 +184,9 @@ func TestStrobeSlimsLattice(t *testing.T) {
 	// Δ=0 chain yields the fewest.
 	r := stats.NewRNG(5)
 	n, p := 3, 3
-	full := independent(n, p).CountConsistent(0)
-	strobed := randomExecution(r, n, p).CountConsistent(0)
-	linear := chain(n, p).CountConsistent(0)
+	full := independent(n, p).Survey(SurveyOptions{}).Count
+	strobed := randomExecution(r, n, p).Survey(SurveyOptions{}).Count
+	linear := chain(n, p).Survey(SurveyOptions{}).Count
 	if !(linear <= strobed && strobed <= full) {
 		t.Fatalf("lattice sizes not ordered: linear=%d strobed=%d full=%d",
 			linear, strobed, full)
@@ -251,7 +239,7 @@ func TestPathConsistentInvariant(t *testing.T) {
 	r := stats.NewRNG(11)
 	for trial := 0; trial < 20; trial++ {
 		e := randomExecution(r, 2+r.Intn(3), 4)
-		if !e.PathConsistent() {
+		if !e.PathConsistentAlong(e.Path()) {
 			t.Fatalf("trial %d: actual path hit an inconsistent cut", trial)
 		}
 	}
@@ -294,14 +282,5 @@ func TestNumCutsSaturates(t *testing.T) {
 func TestEventsCount(t *testing.T) {
 	if independent(3, 4).Events() != 12 {
 		t.Fatal("events count")
-	}
-}
-
-func BenchmarkCountConsistent4x4(b *testing.B) {
-	r := stats.NewRNG(3)
-	e := randomExecution(r, 4, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.CountConsistent(0)
 	}
 }

@@ -34,9 +34,12 @@ func oracleStats(e *Execution) (int64, []int64, int64, map[string]bool) {
 	return count, sizes, width, set
 }
 
-// randomExecutionCounts is randomExecution with a per-process event
-// budget, so empty processes and ragged executions are covered.
-func randomExecutionCounts(r *stats.RNG, counts []int) *Execution {
+// strobedExecution builds a strobe-stamped execution with counts[i]
+// events on process i, the processes taking turns. Before each event
+// its process merges one earlier strobe with probability merge, drawn
+// uniformly from the latest window strobes (window 0: from all of them;
+// merge 1 and window 1 make a Δ=0 chain).
+func strobedExecution(r *stats.RNG, counts []int, merge float64, window int) *Execution {
 	n := len(counts)
 	e := &Execution{Stamps: make([][]clock.Vector, n), Times: make([][]sim.Time, n)}
 	clocks := make([]*clock.StrobeVector, n)
@@ -58,8 +61,12 @@ func randomExecutionCounts(r *stats.RNG, counts []int) *Execution {
 			break
 		}
 		remaining[i]--
-		if len(published) > 0 && r.Bool(0.7) {
-			clocks[i].OnStrobe(published[r.Intn(len(published))])
+		if len(published) > 0 && r.Bool(merge) {
+			k := r.Intn(len(published))
+			if window > 0 {
+				k = len(published) - 1 - r.Intn(min(window, len(published)))
+			}
+			clocks[i].OnStrobe(published[k])
 		}
 		v := clocks[i].Strobe()
 		published = append(published, v)
@@ -72,7 +79,7 @@ func randomExecutionCounts(r *stats.RNG, counts []int) *Execution {
 // dangleStamps makes proc src's events from index k on reference one
 // more event of proc dst than exists — the inconsistent-stamp edge case
 // a bad trim produces. Per-process monotonicity is preserved (earlier
-// components never exceed dst's true event count), so both engines must
+// components never exceed dst's true event count), so both walks must
 // agree that those events are unincludable.
 func dangleStamps(e *Execution, src, k, dst int) {
 	bogus := uint64(len(e.Stamps[dst]) + 1)
@@ -81,90 +88,183 @@ func dangleStamps(e *Execution, src, k, dst int) {
 	}
 }
 
-// checkAgainstOracle runs Survey in every mode — packed and string-key
-// representations, with and without a visitor — and requires count, level
-// sizes, width and the visited-cut set to match the recursive oracle.
+// overclaimStamps makes proc src's events from index k on claim one more
+// own event than their index allows (event m says it is the (m+2)-th),
+// as a decoded trace may: nothing bounds a stamp's own component. No cut
+// that includes them is consistent.
+func overclaimStamps(e *Execution, src, k int) {
+	for m := k; m < len(e.Stamps[src]); m++ {
+		e.Stamps[src][m][src] = uint64(m + 2)
+	}
+}
+
+// checkAgainstOracle runs Survey with and without a visitor and under a
+// limit one short of the lattice, and requires count, level sizes, width
+// and the visited cuts — each once, level by level — to match the
+// recursive oracle.
 func checkAgainstOracle(t *testing.T, label string, e *Execution) {
 	t.Helper()
 	wantCount, wantSizes, wantWidth, wantSet := oracleStats(e)
-	modes := []struct {
-		name  string
-		force bool
-		visit bool
-	}{
-		{"packed", false, true},
-		{"packed-novisit", false, false},
-		{"strings", true, true},
-		{"strings-novisit", true, false},
-	}
-	for _, m := range modes {
-		forceStringKeys = m.force
+	for _, visit := range []bool{true, false} {
 		set := make(map[string]bool)
 		var opt SurveyOptions
-		if m.visit {
+		level := 0
+		if visit {
 			opt.Visit = func(cut []int) bool {
-				set[fmt.Sprint(cut)] = true
+				l := 0
+				for _, c := range cut {
+					l += c
+				}
+				if l < level {
+					t.Fatalf("%s: cut %v of level %d visited after level %d", label, cut, l, level)
+				}
+				level = l
+				key := fmt.Sprint(cut)
+				if set[key] {
+					t.Fatalf("%s: cut %v visited twice", label, cut)
+				}
+				set[key] = true
 				return true
 			}
 		}
 		sv := e.Survey(opt)
-		forceStringKeys = false
 		if sv.Count != wantCount {
-			t.Fatalf("%s/%s: count %d want %d", label, m.name, sv.Count, wantCount)
+			t.Fatalf("%s/visit=%v: count %d want %d", label, visit, sv.Count, wantCount)
 		}
 		if sv.Width != wantWidth {
-			t.Fatalf("%s/%s: width %d want %d", label, m.name, sv.Width, wantWidth)
+			t.Fatalf("%s/visit=%v: width %d want %d", label, visit, sv.Width, wantWidth)
 		}
 		if sv.Truncated {
-			t.Fatalf("%s/%s: unlimited survey reported truncation", label, m.name)
+			t.Fatalf("%s/visit=%v: unlimited survey reported truncation", label, visit)
 		}
-		if len(sv.LevelSizes) != len(wantSizes) {
-			t.Fatalf("%s/%s: levels %v want %v", label, m.name, sv.LevelSizes, wantSizes)
+		if fmt.Sprint(sv.LevelSizes) != fmt.Sprint(wantSizes) {
+			t.Fatalf("%s/visit=%v: levels %v want %v", label, visit, sv.LevelSizes, wantSizes)
 		}
-		for l := range wantSizes {
-			if sv.LevelSizes[l] != wantSizes[l] {
-				t.Fatalf("%s/%s: levels %v want %v", label, m.name, sv.LevelSizes, wantSizes)
-			}
-		}
-		if m.visit {
+		if visit {
 			if len(set) != len(wantSet) {
-				t.Fatalf("%s/%s: visited %d cuts want %d", label, m.name, len(set), len(wantSet))
+				t.Fatalf("%s: visited %d cuts want %d", label, len(set), len(wantSet))
 			}
 			for c := range wantSet {
 				if !set[c] {
-					t.Fatalf("%s/%s: cut %s not visited", label, m.name, c)
+					t.Fatalf("%s: cut %s not visited", label, c)
 				}
 			}
 		}
 	}
+	if wantCount > 1 {
+		sv := e.Survey(SurveyOptions{Limit: wantCount - 1})
+		if sv.Count != wantCount-1 || !sv.Truncated {
+			t.Fatalf("%s: limit %d: count %d truncated %v", label, wantCount-1, sv.Count, sv.Truncated)
+		}
+	}
 }
 
-// TestSurveyMatchesOracle is the engine's differential property test:
-// on randomized small executions — ragged event counts, empty
-// processes, trimmed/dangling stamps — every Survey mode must agree
-// with the legacy recursive enumerator on count, level sizes, width and
-// the visited-cut set. make check runs it under -race, which exercises
-// the parallel frontier fan-out.
+// The shapes of execution the fixed-seed draw must each reach.
+const (
+	shapeNarrow    = iota // n ≤ 4, each event merging any earlier strobe
+	shapeWide             // n ≥ 17: more processes than one 64-bit word packs
+	shapeOverclaim        // events claiming more own events than their index
+	shapeDangle           // stamps naming an event their peer never had
+	shapeEmpty            // a process with no events
+	shapeCases
+)
+
+// surveyVsOracle decodes data into an execution and holds Survey to the
+// recursive oracle on it. data[0] picks the width: below 128, n = 1 +
+// data[0]%4 with 0–4 events a process, each merging a uniformly drawn
+// earlier strobe 70 % of the time; from 128 up, n = 17 + data[0]%16 with
+// 0–3 events a process, each merging one of the latest two strobes —
+// or the latest, a Δ=0 chain, when data[1]&4 is set — which keeps the
+// oracle tractable at that width. data[1]&1 dangles one process's stamps
+// past a peer's last event, data[1]&2 has one process overclaim its own
+// component. The remaining bytes seed the draws.
+func surveyVsOracle(t *testing.T, data []byte) (seen [shapeCases]int) {
+	t.Helper()
+	if len(data) < 2 {
+		return seen
+	}
+	var seed uint64
+	for _, b := range data {
+		seed = seed*131 + uint64(b)
+	}
+	r := stats.NewRNG(seed)
+	shape, flags := data[0], data[1]
+	var e *Execution
+	var counts []int
+	if shape < 128 {
+		counts = make([]int, 1+int(shape)%4)
+		for i := range counts {
+			counts[i] = r.Intn(5)
+		}
+		e = strobedExecution(r, counts, 0.7, 0)
+		seen[shapeNarrow]++
+	} else {
+		counts = make([]int, 17+int(shape)%16)
+		for i := range counts {
+			counts[i] = r.Intn(4)
+		}
+		window := 2
+		if flags&4 != 0 {
+			window = 1
+		}
+		e = strobedExecution(r, counts, 1, window)
+		seen[shapeWide]++
+	}
+	n := len(counts)
+	for _, c := range counts {
+		if c == 0 {
+			seen[shapeEmpty]++
+			break
+		}
+	}
+	if src, dst := r.Intn(n), r.Intn(n); flags&1 != 0 && src != dst && counts[src] > 0 {
+		dangleStamps(e, src, r.Intn(counts[src]), dst)
+		seen[shapeDangle]++
+	}
+	if src := r.Intn(n); flags&2 != 0 && counts[src] > 0 {
+		overclaimStamps(e, src, r.Intn(counts[src]))
+		seen[shapeOverclaim]++
+	}
+	checkAgainstOracle(t, fmt.Sprintf("data %x (counts %v)", data, counts), e)
+	return seen
+}
+
+// TestSurveyMatchesOracle is the walk's differential property at a fixed
+// seed: on drawn executions — narrow and wide, ragged, with empty
+// processes, dangling and overclaiming stamps — Survey must agree with
+// the legacy recursive enumerator on count, level sizes, width, the
+// visited cuts and truncation. Every shape must be reached.
 func TestSurveyMatchesOracle(t *testing.T) {
 	r := stats.NewRNG(123)
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + r.Intn(4)
-		counts := make([]int, n)
-		for i := range counts {
-			counts[i] = r.Intn(5) // 0..4 events; 0 covers empty processes
+	var seen [shapeCases]int
+	for trial := 0; trial < 250; trial++ {
+		data := make([]byte, 2+r.Intn(8))
+		for i := range data {
+			data[i] = byte(r.Intn(256))
 		}
-		e := randomExecutionCounts(r, counts)
-		label := fmt.Sprintf("trial%d(counts=%v)", trial, counts)
-		if r.Bool(0.3) {
-			src := r.Intn(n)
-			dst := r.Intn(n)
-			if len(e.Stamps[src]) > 0 && dst != src {
-				dangleStamps(e, src, r.Intn(len(e.Stamps[src])), dst)
-				label += "+dangle"
-			}
+		for c, k := range surveyVsOracle(t, data) {
+			seen[c] += k
 		}
-		checkAgainstOracle(t, label, e)
 	}
+	t.Logf("shapes: %v", seen)
+	for c, k := range seen {
+		if k < 30 {
+			t.Errorf("the draw reached shape %d only %d times", c, k)
+		}
+	}
+}
+
+// FuzzSurveyOracle is the same body under the native fuzzer. The
+// checked-in corpus in testdata/fuzz/FuzzSurveyOracle has one entry per
+// shape: narrow, wide (strobed, and a Δ=0 chain), overclaim, dangle and
+// empty processes.
+func FuzzSurveyOracle(f *testing.F) {
+	f.Add([]byte{3, 0, 9})
+	f.Add([]byte{2, 1, 7})
+	f.Add([]byte{130, 4, 42})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		surveyVsOracle(t, data)
+	})
 }
 
 func TestSurveyKnownLattices(t *testing.T) {
@@ -194,6 +294,25 @@ func TestSurveyLimit(t *testing.T) {
 		if limit < 64 && !sv.Truncated {
 			t.Fatalf("limit %d below lattice size not reported truncated", limit)
 		}
+		if limit >= 64 && sv.Truncated {
+			t.Fatalf("limit %d covers the lattice but reported truncated", limit)
+		}
+	}
+}
+
+// A limited survey holds no level larger than its limit (plus the one
+// cut that tells it to stop), however wide the lattice: 2²⁰ cuts of a
+// 20-process antichain, cut off at 1000.
+func TestSurveyLimitBoundsFrontier(t *testing.T) {
+	reg := obs.NewRegistry()
+	SetObs(reg)
+	defer SetObs(nil)
+	sv := independent(20, 1).Survey(SurveyOptions{Limit: 1000})
+	if sv.Count != 1000 || !sv.Truncated {
+		t.Fatalf("count %d truncated %v", sv.Count, sv.Truncated)
+	}
+	if peak := reg.Gauge("lattice.frontier").Max(); peak > 1001 {
+		t.Fatalf("frontier peaked at %d cuts under a limit of 1000", peak)
 	}
 }
 
@@ -209,26 +328,11 @@ func TestSurveyVisitorAbort(t *testing.T) {
 	}
 }
 
-// TestSurveyVisitOrder pins the documented deterministic order: level by
-// level from the empty cut, lexicographic within each level.
-func TestSurveyVisitOrder(t *testing.T) {
-	e := independent(2, 1)
-	var got [][]int
-	e.Survey(SurveyOptions{Visit: func(cut []int) bool {
-		got = append(got, append([]int(nil), cut...))
-		return true
-	}})
-	want := [][]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("visit order %v want %v", got, want)
-	}
-}
-
-// TestSurveyStringFallback covers executions whose packed keys do not
-// fit in 64 bits: chain(25,3) has 75 totally ordered events (7 bits per
-// component × 25 processes), so the engine must fall back to string keys
-// and still find the 76-cut chain.
-func TestSurveyStringFallback(t *testing.T) {
+// TestSurveyWideChain covers an execution with more events per process
+// and more processes than one 64-bit word packs: chain(25,3) has 75
+// totally ordered events (7 bits per component × 25 processes), and the
+// walk must still find the 76-cut chain.
+func TestSurveyWideChain(t *testing.T) {
 	e := chain(25, 3)
 	sv := e.Survey(SurveyOptions{})
 	if sv.Count != 76 || sv.Width != 1 {
@@ -251,41 +355,12 @@ func TestSurveyObsInstrumentation(t *testing.T) {
 	if reg.Counter("lattice.expanded").Value() == 0 {
 		t.Fatal("lattice.expanded not counted")
 	}
-	if got := reg.Counter("lattice.dedup_hits").Value(); got != 0 {
-		t.Fatalf("canonical generation must not produce duplicates, dedup_hits = %d", got)
-	}
 	if peak := reg.Gauge("lattice.frontier").Max(); peak != sv.Width {
 		t.Fatalf("frontier peak %d want width %d", peak, sv.Width)
 	}
 	if spans := reg.Snapshot().Spans; len(spans) == 0 || spans[0].Name != "lattice.survey" {
 		t.Fatal("survey span not recorded")
 	}
-	// The string-key fallback has no canonical rule; its map still
-	// merges the grid's shared successors.
-	forceStringKeys = true
-	independent(3, 3).Survey(SurveyOptions{})
-	forceStringKeys = false
-	if reg.Counter("lattice.dedup_hits").Value() == 0 {
-		t.Fatal("the 4^3 grid has shared successors; the fallback's dedup_hits must be > 0")
-	}
-}
-
-// FuzzSurveyOracle drives the differential test from fuzzed shape bytes:
-// each byte pair is (process count seed, event budget seed).
-func FuzzSurveyOracle(f *testing.F) {
-	f.Add(uint64(1), uint8(3), uint8(9))
-	f.Add(uint64(7), uint8(2), uint8(0))
-	f.Add(uint64(42), uint8(4), uint8(200))
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw, budget uint8) {
-		r := stats.NewRNG(seed)
-		n := 1 + int(nRaw)%4
-		counts := make([]int, n)
-		for i := range counts {
-			counts[i] = (int(budget) + i) % 5
-		}
-		e := randomExecutionCounts(r, counts)
-		checkAgainstOracle(t, fmt.Sprintf("fuzz(n=%d,budget=%d)", n, budget), e)
-	})
 }
 
 // benchCountWidthOracle reproduces the pre-Survey cost of E3's per-run
