@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-race fuzz-smoke race-live bench-obs bench-smoke bench bench-pairs
+.PHONY: check build vet lint test test-race fuzz-smoke race-live bench-obs bench-smoke bench bench-pairs tables-diff
 
 check: build vet lint bench-smoke test-race
 
@@ -106,3 +106,12 @@ bench:
 #   make bench-pairs OLD=HEAD~1 WORKLOAD=fleet-wide [PAIRS=10] [SEED=1]
 bench-pairs:
 	bash scripts/benchpairs.sh $(OLD) $(WORKLOAD) $(or $(PAIRS),10) $(or $(SEED),1)
+
+# Every table byte-identical to BASE's: cmd/experiments -run all -ablations,
+# quick and full, at -p 1 and -p 2, built from a `git archive` of BASE in
+# a temporary directory and from the working tree (scripts/tablesdiff.sh;
+# ~10 s, writes nothing inside the checkout). The bar for a change that
+# claims no table moves.
+#   make tables-diff BASE=HEAD~1
+tables-diff:
+	bash scripts/tablesdiff.sh $(BASE)

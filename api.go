@@ -16,6 +16,7 @@ import (
 	"pervasive/internal/stats"
 	"pervasive/internal/timing"
 	"pervasive/internal/tl"
+	"pervasive/internal/workload"
 	"pervasive/internal/world"
 )
 
@@ -131,14 +132,15 @@ func NewHarness(cfg HarnessConfig) *Harness { return core.NewHarness(cfg) }
 // conjunct template.
 func ConjunctiveGlobal(local Cond, n int) Cond { return core.ConjunctiveGlobal(local, n) }
 
-// ---- world-plane generators ----
+// ---- world-plane activity ----
 
-// Generators for world activity.
+// World activity. Toggler is an open-loop workload Source: pass it to
+// Harness.Install, seeded explicitly. RandomWalk and CovertRule act on
+// the world as it stands when they fire.
 type (
-	Toggler       = world.Toggler
-	RandomWalk    = world.RandomWalk
-	PoissonPulses = world.PoissonPulses
-	CovertRule    = world.CovertRule
+	Toggler    = workload.Toggler
+	RandomWalk = world.RandomWalk
+	CovertRule = world.CovertRule
 )
 
 // TrueIntervals computes ground-truth predicate-true intervals of a world
@@ -151,8 +153,10 @@ func TrueIntervals(log []world.Event, pred world.StatePredicate, horizon Time) [
 
 // ---- scenarios (Section 5) ----
 
-// Scenario configurations and handles.
+// Scenario configurations and handles. The hall, hospital, habitat and
+// proximity configurations share their run fields through ScenarioRun.
 type (
+	ScenarioRun          = scenario.Run
 	ExhibitionHallConfig = scenario.HallConfig
 	ExhibitionHall       = scenario.Hall
 	SmartOfficeConfig    = scenario.OfficeConfig

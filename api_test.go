@@ -17,8 +17,8 @@ func TestFacadeQuickstart(t *testing.T) {
 	b := h.World.AddObject("b", nil)
 	h.Bind(0, a, "p", "x")
 	h.Bind(1, b, "p", "x")
-	Toggler{Obj: a, Attr: "p", MeanHigh: Second, MeanLow: Second}.Install(h.World, 30*Second)
-	Toggler{Obj: b, Attr: "p", MeanHigh: Second, MeanLow: Second}.Install(h.World, 30*Second)
+	h.Install(Toggler{Seed: 1, Obj: a, Attr: "p", MeanHigh: Second, MeanLow: Second},
+		Toggler{Seed: 2, Obj: b, Attr: "p", MeanHigh: Second, MeanLow: Second})
 	res := h.Run()
 	if len(res.Truth) == 0 {
 		t.Fatal("no truth intervals")
@@ -29,16 +29,16 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFacadeScenarios(t *testing.T) {
-	if NewExhibitionHall(ExhibitionHallConfig{Horizon: Second}) == nil {
+	if NewExhibitionHall(ExhibitionHallConfig{Run: ScenarioRun{Horizon: Second}}) == nil {
 		t.Fatal("hall")
 	}
 	if NewSmartOffice(SmartOfficeConfig{Horizon: Second}) == nil {
 		t.Fatal("office")
 	}
-	if NewHospital(HospitalConfig{Horizon: Second}) == nil {
+	if NewHospital(HospitalConfig{Run: ScenarioRun{Horizon: Second}}) == nil {
 		t.Fatal("hospital")
 	}
-	if NewHabitat(HabitatConfig{Horizon: Second}) == nil {
+	if NewHabitat(HabitatConfig{Run: ScenarioRun{Horizon: Second}}) == nil {
 		t.Fatal("habitat")
 	}
 }

@@ -148,9 +148,9 @@ func BenchmarkHallScenarioEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		hall := NewExhibitionHall(ExhibitionHallConfig{
-			Seed: uint64(i), Doors: 4, Capacity: 100, InitialOccupancy: 95,
+			Run:   ScenarioRun{Seed: uint64(i), Horizon: 20 * Second},
+			Doors: 4, Capacity: 100, InitialOccupancy: 95,
 			MeanArrival: 200 * Millisecond, MeanStay: 10 * Second,
-			Horizon: 20 * Second,
 		})
 		hall.Run()
 	}

@@ -8,7 +8,7 @@
 //	pervasim -scenario habitat -horizon 1h
 //	pervasim -scenario hospital -alarm ward
 //	pervasim -scenario hall -trace run.json   # write a JSON event trace
-//	pervasim -scenario hall -trace run.jsonl  # same, streaming JSONL form
+//	pervasim -scenario habitat -trace run.jsonl  # streaming JSONL form
 //	pervasim -scenario hall -metrics m.json   # runtime metrics: JSON file
 //	                                          # + table on stderr
 //	pervasim -scenario hall -faults 'crash(1,20s);recover(1,40s)'
@@ -17,11 +17,19 @@
 //	pervasim -scenario hall -record run.pvwl  # record the workload trace
 //	pervasim -scenario hall -replay run.pvwl  # replay it byte-identically
 //	pervasim -workload spec.txt               # compose generators from a spec
+//
+// Hall, hospital, habitat, proximity and -workload runs are wired by one
+// scenario builder and take all of its run flags: -kind, -epsilon,
+// -trace, -record and -replay. Office and scale have their own
+// constructors with fixed clocks and refuse -kind, -epsilon and -trace;
+// scale records and replays its fleet workload, while the office, whose
+// thermostat walk reads what actuation writes, has none to record.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
@@ -42,71 +50,83 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// ownConstructor says, for the two scenarios the builder does not wire,
+// why its run flags do not apply to them.
+var ownConstructor = map[string]string{
+	"office": "office runs fixed strobe-vector clocks, and its thermostat walk reads what " +
+		"actuation writes: a closed loop, with no materialized workload to trace, record or replay",
+	"scale": "scale runs fixed strobe-diff-vector clocks on the sharded kernel, which keeps no event trace",
+}
+
+// run executes one pervasim invocation and returns its exit status: 0 on
+// success, 2 on a usage or run error (printed to stderr).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pervasim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scen     = flag.String("scenario", "hall", "hall | office | hospital | habitat | proximity | scale")
-		kindName = flag.String("kind", "vector", "vector | scalar | physical | diff")
-		delta    = flag.Duration("delta", 100*time.Millisecond, "message delay bound Δ")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		horizon  = flag.Duration("horizon", 2*time.Minute, "simulated duration")
-		doors    = flag.Int("doors", 4, "hall: number of doors")
-		capacity = flag.Int("capacity", 200, "hall: room capacity")
-		initial  = flag.Int("initial", 195, "hall: initial occupancy")
-		modality = flag.String("modality", "instantaneously",
+		scen     = fs.String("scenario", "hall", "hall | office | hospital | habitat | proximity | scale")
+		kindName = fs.String("kind", "vector", "vector | scalar | physical | diff (not office, scale)")
+		delta    = fs.Duration("delta", 100*time.Millisecond, "message delay bound Δ")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		horizon  = fs.Duration("horizon", 2*time.Minute, "simulated duration")
+		doors    = fs.Int("doors", 4, "hall: number of doors")
+		capacity = fs.Int("capacity", 200, "hall: room capacity")
+		initial  = fs.Int("initial", 195, "hall: initial occupancy")
+		modality = fs.String("modality", "instantaneously",
 			"office: instantaneously | possibly | definitely")
-		alarm       = flag.String("alarm", "crowding", "hospital: crowding | ward")
-		epsilon     = flag.Duration("epsilon", time.Millisecond, "physical: sync skew bound ε")
-		tracePath   = flag.String("trace", "", "hall: write JSON event trace to this file (.jsonl for streaming form)")
-		metricsPath = flag.String("metrics", "", "write a runtime-metrics JSON snapshot to this file and a table to stderr")
-		faultsSpec  = flag.String("faults", "", "fault plan, e.g. 'crash(1,20s);recover(1,40s);partition(0.1|2,10s,30s)'")
-		flightDir   = flag.String("flight", "", "attach the flight recorder; write trigger-scoped dumps (JSONL) into this directory")
-		flightK     = flag.Int("flight-k", flight.DefaultPerProc, "flight recorder capacity: last K events kept per process")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060")
-		sensors     = flag.Int("sensors", 1024, "scale: fleet size")
-		shards      = flag.Int("shards", 1, "scale: spatial shard count for the parallel kernel")
-		workers     = flag.Int("workers", 1, "scale: >1 runs every shard of an epoch on its own goroutine, else one after another (output identical at any setting)")
-		checkerFan  = flag.Int("checker-fanout", 0, "scale: regional checker-tree aggregators (<=1 runs the flat checker)")
-		specPath    = flag.String("workload", "", "run a workload spec file on the generic spec scenario (replaces -scenario)")
-		recordPath  = flag.String("record", "", "record the run's workload to this trace file (hall, hospital, scale, spec)")
-		replayPath  = flag.String("replay", "", "replay a recorded workload trace; its horizon replaces -horizon")
+		alarm       = fs.String("alarm", "crowding", "hospital: crowding | ward")
+		epsilon     = fs.Duration("epsilon", time.Millisecond, "physical: sync skew bound ε (not office, scale)")
+		tracePath   = fs.String("trace", "", "write JSON event trace to this file, .jsonl for the streaming form (not office, scale)")
+		metricsPath = fs.String("metrics", "", "write a runtime-metrics JSON snapshot to this file and a table to stderr")
+		faultsSpec  = fs.String("faults", "", "fault plan, e.g. 'crash(1,20s);recover(1,40s);partition(0.1|2,10s,30s)'")
+		flightDir   = fs.String("flight", "", "attach the flight recorder; write trigger-scoped dumps (JSONL) into this directory")
+		flightK     = fs.Int("flight-k", flight.DefaultPerProc, "flight recorder capacity: last K events kept per process")
+		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060")
+		sensors     = fs.Int("sensors", 1024, "scale: fleet size")
+		shards      = fs.Int("shards", 1, "scale: spatial shard count for the parallel kernel")
+		workers     = fs.Int("workers", 1, "scale: >1 runs every shard of an epoch on its own goroutine, else one after another (output identical at any setting)")
+		checkerFan  = fs.Int("checker-fanout", 0, "scale: regional checker-tree aggregators (<=1 runs the flat checker)")
+		specPath    = fs.String("workload", "", "run a workload spec file on the generic spec scenario (replaces -scenario)")
+		recordPath  = fs.String("record", "", "record the run's workload to this trace file (not office)")
+		replayPath  = fs.String("replay", "", "replay a recorded workload trace; its horizon replaces -horizon")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "pervasim:", err)
+		return 2
+	}
 
 	if *pprofAddr != "" {
 		ln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
-			fatal(fmt.Errorf("-pprof: %w", err))
+			return fail(fmt.Errorf("-pprof: %w", err))
 		}
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof\n", ln.Addr())
+		fmt.Fprintf(stderr, "pprof: http://%s/debug/pprof\n", ln.Addr())
 		go func() { _ = http.Serve(ln, nil) }()
 	}
 
 	kind, err := parseKind(*kindName)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	mod, err := parseModality(*modality)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	var plan *faults.Plan
 	if *faultsSpec != "" {
 		if plan, err = faults.Parse(*faultsSpec); err != nil {
-			fatal(fmt.Errorf("-faults: %w", err))
+			return fail(fmt.Errorf("-faults: %w", err))
 		}
 	}
 	perProc := 0 // 0 keeps the flight recorder detached
 	if *flightDir != "" {
 		perProc = *flightK
-	}
-	// installFaults arms the plan on the wired scenario before it runs,
-	// and keeps the harness in reach for the flight-dump export below.
-	var harness *core.Harness
-	installFaults := func(h *core.Harness) {
-		harness = h
-		if plan != nil {
-			checkFaults(plan, len(h.Sensors))
-			h.InstallFaults(plan)
-		}
 	}
 	delay := sim.NewDeltaBounded(dur(*delta))
 	hz := dur(*horizon)
@@ -116,204 +136,194 @@ func main() {
 		reg = obs.NewRegistry()
 	}
 
-	// Scenario-scoped flags fail loudly when set for the wrong scenario:
-	// a silently ignored -sensors or -doors reads as a run that honored
-	// it. flag.Visit only sees flags the user actually set, so defaults
-	// never trip this.
+	// Flags fail loudly when set for a scenario that would ignore them: a
+	// silently ignored -sensors or -epsilon reads as a run that honored
+	// it. Visit only sees flags the user actually set, so defaults never
+	// trip this.
 	effScen := *scen
 	if *specPath != "" {
 		effScen = "spec"
 	}
 	scoped := map[string]string{
 		"sensors": "scale", "shards": "scale", "workers": "scale", "checker-fanout": "scale",
-		"doors": "hall", "capacity": "hall", "initial": "hall", "trace": "hall",
+		"doors": "hall", "capacity": "hall", "initial": "hall",
 		"modality": "office", "alarm": "hospital",
 	}
-	flag.Visit(func(f *flag.Flag) {
-		if effScen == "spec" && f.Name == "scenario" {
-			fatal(fmt.Errorf("-workload replaces -scenario; drop -scenario %s", *scen))
-		}
-		if want, ok := scoped[f.Name]; ok && effScen != want {
-			fatal(fmt.Errorf("-%s applies only to -scenario %s (running %s)", f.Name, want, effScen))
+	var usage error
+	fs.Visit(func(f *flag.Flag) {
+		own := ownConstructor[effScen]
+		switch {
+		case usage != nil:
+		case effScen == "spec" && f.Name == "scenario":
+			usage = fmt.Errorf("-workload replaces -scenario; drop -scenario %s", *scen)
+		case scoped[f.Name] != "" && scoped[f.Name] != effScen:
+			usage = fmt.Errorf("-%s applies only to -scenario %s (running %s)", f.Name, scoped[f.Name], effScen)
+		case own != "" && (f.Name == "kind" || f.Name == "epsilon" || f.Name == "trace"):
+			usage = fmt.Errorf("-%s applies only to builder-wired scenarios; %s", f.Name, own)
+		case effScen == "office" && (f.Name == "record" || f.Name == "replay"):
+			usage = fmt.Errorf("-%s: %s", f.Name, own)
 		}
 	})
+	if usage != nil {
+		return fail(usage)
+	}
 
 	var replaySrc workload.Source
 	if *replayPath != "" {
 		rt, err := workload.ReadFile(*replayPath)
 		if err != nil {
-			fatal(fmt.Errorf("-replay: %w", err))
+			return fail(fmt.Errorf("-replay: %w", err))
 		}
 		if m := rt.Meta["scenario"]; m != "" && m != effScen {
-			fatal(fmt.Errorf("-replay: trace was recorded from scenario %q, running %q", m, effScen))
+			return fail(fmt.Errorf("-replay: trace was recorded from scenario %q, running %q", m, effScen))
 		}
 		replaySrc = workload.EventSource(rt.Events)
 		hz = rt.Horizon // byte-identity needs the recorded horizon
 	}
-
-	switch effScen {
-	case "hall", "hospital", "scale", "spec":
-	default:
-		if *replayPath != "" || *recordPath != "" {
-			fatal(fmt.Errorf("-record/-replay support hall, hospital, scale and -workload runs; scenario %s has no materialized workload", effScen))
-		}
+	var tr *trace.Trace
+	if *tracePath != "" {
+		tr = trace.New(0) // the builder sizes it to the fleet
+	}
+	rc := scenario.Run{
+		Seed: *seed, Kind: kind, Delay: delay, Epsilon: dur(*epsilon), Horizon: hz,
+		Workload: replaySrc, Trace: tr, Obs: reg, FlightPerProc: perProc,
 	}
 
 	var (
-		res   core.Results
-		extra string
-		tr    *trace.Trace
-		// recorded is the run's materialized workload (scenarios that
-		// expose one), written out when -record is set.
+		res core.Results
+		// describe returns the report's scenario lines, read after the run.
+		describe func() string
+		// wired is a builder-wired scenario; harness the classic harness
+		// of every scenario but scale, kept for the flight-dump export.
+		wired   *scenario.Wired
+		harness *core.Harness
+		// recorded is the run's materialized workload, written out when
+		// -record is set.
 		recorded []workload.Event
 		recSeed  = *seed
+		clocks   = kind
 	)
 	switch effScen {
 	case "spec":
 		sp, err := workload.ParseSpecFile(*specPath)
 		if err != nil {
-			fatal(fmt.Errorf("-workload: %w", err))
+			return fail(fmt.Errorf("-workload: %w", err))
 		}
 		if *replayPath == "" {
 			hz = sp.Horizon
 		} else {
 			sp.Horizon = hz
 		}
-		sr, err := scenario.NewSpecRun(scenario.SpecConfig{
-			Spec: sp, Workload: replaySrc, Kind: kind, Delay: delay,
-			Epsilon: dur(*epsilon), Obs: reg, FlightPerProc: perProc,
-		})
+		sr, err := scenario.NewSpecRun(scenario.SpecConfig{Run: rc, Spec: sp})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		installFaults(sr.Harness)
-		res = sr.Run()
-		recorded, recSeed = sr.Events, sp.Seed
-		extra = fmt.Sprintf("spec: %s — %d generators over %d objects, %d workload events\npredicate: %s",
-			*specPath, len(sp.Gens), len(sr.Objects), len(sr.Events), sp.Predicate)
-	case "scale":
-		checkFaults(plan, *sensors)
-		sc := scenario.NewScale(scenario.ScaleConfig{
-			Seed: *seed, N: *sensors, Shards: *shards, Workers: *workers,
-			Delay: delay, Horizon: hz, CheckerFanout: *checkerFan, Workload: replaySrc,
-			Faults: plan, Obs: reg,
-		})
-		recorded = sc.Harness.Events
-		sr := sc.Run()
-		res = sr.Results
-		extra = fmt.Sprintf("fleet: %d sensors over %d shard(s), %d epochs, %d cross-shard msgs, %.1f KB clock state",
-			*sensors, *shards, sr.Epochs, sr.CrossSent, float64(sr.ClockBytes)/1024)
-		if tree := sc.Harness.Tree; tree != nil {
-			extra += fmt.Sprintf("\nchecker tree: %d regions, %d batches (%d triples, %d coalesced), %.1f KB sync wire",
-				tree.Fanout(), tree.Stat.Batches, tree.Stat.BatchTriples,
-				tree.Stat.Coalesced, float64(tree.Stat.WireBytes)/1024)
+		wired, recSeed = &sr.Wired, sp.Seed
+		describe = func() string {
+			return fmt.Sprintf("spec: %s — %d generators over %d objects, %d workload events\npredicate: %s",
+				*specPath, len(sp.Gens), len(sr.Objects), len(sr.Events), sp.Predicate)
 		}
 	case "hall":
-		cfg := scenario.HallConfig{
-			Seed: *seed, Doors: *doors, Capacity: *capacity,
-			InitialOccupancy: *initial, Kind: kind, Delay: delay,
-			Epsilon: dur(*epsilon), Horizon: hz, Obs: reg, FlightPerProc: perProc,
-			Workload: replaySrc,
+		hl := scenario.NewHall(scenario.HallConfig{
+			Run: rc, Doors: *doors, Capacity: *capacity, InitialOccupancy: *initial,
+		})
+		wired = &hl.Wired
+		describe = func() string { return fmt.Sprintf("predicate: %s", scenario.OccupancyPredicate(*capacity)) }
+	case "hospital":
+		hp := scenario.NewHospital(scenario.HospitalConfig{Run: rc, Alarm: *alarm})
+		wired = &hp.Wired
+		describe = func() string { return fmt.Sprintf("alarm: %s, raised: %d", *alarm, hp.Alarms) }
+	case "habitat":
+		wired = &scenario.NewHabitat(scenario.HabitatConfig{Run: rc}).Wired
+		describe = func() string { return "predicate: herd congregation (≥2 waterholes occupied)" }
+	case "proximity":
+		px := scenario.NewProximity(scenario.ProximityConfig{Run: rc})
+		wired = &px.Wired
+		describe = func() string {
+			return fmt.Sprintf("predicate: visitor within %gm of patient; alarms: %d", px.Cfg.Radius, px.Alarms)
 		}
-		if *tracePath != "" {
-			tr = trace.New(*doors)
-			cfg.Trace = tr
-		}
-		hl := scenario.NewHall(cfg)
-		recorded = hl.Events
-		installFaults(hl.Harness)
-		res = hl.Run()
-		extra = fmt.Sprintf("predicate: %s", scenario.OccupancyPredicate(*capacity))
 	case "office":
 		of := scenario.NewOffice(scenario.OfficeConfig{
 			Seed: *seed, Rooms: 1, Modality: mod, Delay: delay,
 			Horizon: hz, Actuate: true, Obs: reg, FlightPerProc: perProc,
 		})
-		installFaults(of.Harness)
-		res = of.Run()
-		extra = fmt.Sprintf("modality: %v, thermostat actuations: %d", mod, of.Actuations)
-	case "hospital":
-		hp := scenario.NewHospital(scenario.HospitalConfig{
-			Seed: *seed, Alarm: *alarm, Kind: kind, Delay: delay, Horizon: hz,
-			Obs: reg, FlightPerProc: perProc, Workload: replaySrc,
+		harness, clocks = of.Harness, of.Harness.Cfg.Kind
+		describe = func() string { return fmt.Sprintf("modality: %v, thermostat actuations: %d", mod, of.Actuations) }
+	case "scale":
+		if err := plan.Check(*sensors); err != nil {
+			return fail(fmt.Errorf("-faults: %w", err))
+		}
+		sc := scenario.NewScale(scenario.ScaleConfig{
+			Seed: *seed, N: *sensors, Shards: *shards, Workers: *workers,
+			Delay: delay, Horizon: hz, CheckerFanout: *checkerFan, Workload: replaySrc,
+			Faults: plan, Obs: reg,
 		})
-		recorded = hp.Events
-		installFaults(hp.Harness)
-		res = hp.Run()
-		extra = fmt.Sprintf("alarm: %s, raised: %d", *alarm, hp.Alarms)
-	case "habitat":
-		hb := scenario.NewHabitat(scenario.HabitatConfig{
-			Seed: *seed, Kind: kind, Delay: delay, Horizon: hz, Obs: reg, FlightPerProc: perProc,
-		})
-		installFaults(hb.Harness)
-		res = hb.Run()
-		extra = "predicate: herd congregation (≥2 waterholes occupied)"
-	case "proximity":
-		px := scenario.NewProximity(scenario.ProximityConfig{
-			Seed: *seed, Kind: kind, Delay: delay, Horizon: hz, Obs: reg, FlightPerProc: perProc,
-		})
-		installFaults(px.Harness)
-		res = px.Run()
-		extra = fmt.Sprintf("predicate: visitor within %gm of patient; alarms: %d",
-			px.Cfg.Radius, px.Alarms)
+		recorded, clocks = sc.Harness.Events, core.DiffVectorStrobe
+		sr := sc.Run()
+		res = sr.Results
+		describe = func() string {
+			s := fmt.Sprintf("fleet: %d sensors over %d shard(s), %d epochs, %d cross-shard msgs, %.1f KB clock state",
+				*sensors, *shards, sr.Epochs, sr.CrossSent, float64(sr.ClockBytes)/1024)
+			if tree := sc.Harness.Tree; tree != nil {
+				s += fmt.Sprintf("\nchecker tree: %d regions, %d batches (%d triples, %d coalesced), %.1f KB sync wire",
+					tree.Fanout(), tree.Stat.Batches, tree.Stat.BatchTriples,
+					tree.Stat.Coalesced, float64(tree.Stat.WireBytes)/1024)
+			}
+			return s
+		}
 	default:
-		fatal(fmt.Errorf("unknown scenario %q", *scen))
+		return fail(fmt.Errorf("unknown scenario %q", *scen))
+	}
+	if wired != nil {
+		harness, recorded = wired.Harness, wired.Events
+	}
+	if harness != nil {
+		if err := plan.Check(len(harness.Sensors)); err != nil {
+			return fail(fmt.Errorf("-faults: %w", err))
+		}
+		harness.InstallFaults(plan)
+		res = harness.Run()
 	}
 
-	fmt.Printf("scenario: %s  clocks: %v  Δ: %v  seed: %d  horizon: %v\n",
-		effScen, kind, *delta, recSeed, hz)
-	if extra != "" {
-		fmt.Println(extra)
-	}
-	fmt.Printf("true occurrences:     %d\n", len(res.Truth))
-	fmt.Printf("detected occurrences: %d (%d borderline)\n",
+	fmt.Fprintf(stdout, "scenario: %s  clocks: %v  Δ: %v  seed: %d  horizon: %v\n",
+		effScen, clocks, *delta, recSeed, hz)
+	fmt.Fprintln(stdout, describe())
+	fmt.Fprintf(stdout, "true occurrences:     %d\n", len(res.Truth))
+	fmt.Fprintf(stdout, "detected occurrences: %d (%d borderline)\n",
 		len(res.Occurrences), countBorderline(res.Occurrences))
-	fmt.Printf("confusion:            %v\n", res.Confusion)
-	fmt.Printf("recall %.3f  precision %.3f  accuracy %.3f  borderline-coverage %.3f\n",
+	fmt.Fprintf(stdout, "confusion:            %v\n", res.Confusion)
+	fmt.Fprintf(stdout, "recall %.3f  precision %.3f  accuracy %.3f  borderline-coverage %.3f\n",
 		res.Confusion.Recall(), res.Confusion.Precision(),
 		res.Confusion.Accuracy(), res.Confusion.BorderlineCoverage())
-	fmt.Printf("network: %d msgs sent, %d delivered, %d dropped, %d bytes\n",
+	fmt.Fprintf(stdout, "network: %d msgs sent, %d delivered, %d dropped, %d bytes\n",
 		res.Net.Sent, res.Net.Delivered, res.Net.Dropped, res.Net.Bytes)
 	if plan != nil {
-		fmt.Printf("faults: plan %q\n", plan)
+		fmt.Fprintf(stdout, "faults: plan %q\n", plan)
 	}
 
 	var snap *obs.Snapshot
 	if reg != nil {
 		s := reg.Snapshot()
 		snap = &s
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			fatal(err)
+		if err := writeFile(*metricsPath, snap.WriteJSON); err != nil {
+			return fail(err)
 		}
-		if err := snap.WriteJSON(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics: snapshot written to %s\n", *metricsPath)
-		if err := snap.WriteTable(os.Stderr); err != nil {
-			fatal(err)
+		fmt.Fprintf(stdout, "metrics: snapshot written to %s\n", *metricsPath)
+		if err := snap.WriteTable(stderr); err != nil {
+			return fail(err)
 		}
 	}
 
 	if tr != nil {
 		tr.Metrics = snap // embed the run's metrics when both are requested
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
+		encode := tr.EncodeJSON
 		if strings.HasSuffix(*tracePath, ".jsonl") {
-			err = tr.EncodeJSONL(f)
-		} else {
-			err = tr.EncodeJSON(f)
+			encode = tr.EncodeJSONL
 		}
-		if err != nil {
-			fatal(err)
+		if err := writeFile(*tracePath, encode); err != nil {
+			return fail(err)
 		}
-		fmt.Printf("trace: %d records written to %s\n", tr.Len(), *tracePath)
+		fmt.Fprintf(stdout, "trace: %d records written to %s\n", tr.Len(), *tracePath)
 	}
 
 	if *recordPath != "" {
@@ -326,30 +336,37 @@ func main() {
 			Events: recorded,
 		}
 		if err := wt.WriteFile(*recordPath); err != nil {
-			fatal(fmt.Errorf("-record: %w", err))
+			return fail(fmt.Errorf("-record: %w", err))
 		}
-		fmt.Printf("workload: %d events recorded to %s\n", len(recorded), *recordPath)
+		fmt.Fprintf(stdout, "workload: %d events recorded to %s\n", len(recorded), *recordPath)
 	}
 
 	if *flightDir != "" && harness != nil {
 		if err := os.MkdirAll(*flightDir, 0o755); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		for i, d := range harness.Dumps {
 			name := fmt.Sprintf("%03d-%s.dump.jsonl", i, sanitizeTrigger(d.Trigger))
-			f, err := os.Create(filepath.Join(*flightDir, name))
-			if err != nil {
-				fatal(err)
-			}
-			if err := d.EncodeJSONL(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
+			if err := writeFile(filepath.Join(*flightDir, name), d.EncodeJSONL); err != nil {
+				return fail(err)
 			}
 		}
-		fmt.Printf("flight: %d dumps written to %s\n", len(harness.Dumps), *flightDir)
+		fmt.Fprintf(stdout, "flight: %d dumps written to %s\n", len(harness.Dumps), *flightDir)
 	}
+	return 0
+}
+
+// writeFile creates path and writes it with encode.
+func writeFile(path string, encode func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := encode(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // sanitizeTrigger maps a dump trigger like "fault:crash(p1)" to a
@@ -407,17 +424,4 @@ func countBorderline(occ []core.Occurrence) int {
 		}
 	}
 	return n
-}
-
-// checkFaults exits 2 when the plan names a process the scenario's fleet
-// of sensors does not have.
-func checkFaults(plan *faults.Plan, sensors int) {
-	if err := plan.Check(sensors); err != nil {
-		fatal(fmt.Errorf("-faults: %w", err))
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pervasim:", err)
-	os.Exit(2)
 }

@@ -1,0 +1,139 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// pervasim runs one invocation in-process and returns its exit status,
+// stdout and stderr.
+func pervasim(args ...string) (int, string, string) {
+	var out, errb bytes.Buffer
+	code := run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// TestRefusedFlags: every flag combination a scenario would ignore exits
+// 2, names the scenario it was refused for, and prints no report.
+func TestRefusedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string // substrings of stderr
+	}{
+		// Office and scale wire their own fixed clocks: -kind, -epsilon
+		// and -trace would be ignored.
+		{[]string{"-scenario", "office", "-kind", "scalar"}, []string{"-kind", "office", "strobe-vector"}},
+		{[]string{"-scenario", "office", "-epsilon", "3s"}, []string{"-epsilon", "office"}},
+		{[]string{"-scenario", "office", "-trace", "t.json"}, []string{"-trace", "office"}},
+		{[]string{"-scenario", "scale", "-kind", "physical"}, []string{"-kind", "scale", "strobe-diff-vector"}},
+		{[]string{"-scenario", "scale", "-epsilon", "1us"}, []string{"-epsilon", "scale"}},
+		{[]string{"-scenario", "scale", "-trace", "t.json"}, []string{"-trace", "scale"}},
+		// The office's closed loop has no workload to record or replay.
+		{[]string{"-scenario", "office", "-record", "w.pvwl"}, []string{"-record", "office", "closed loop"}},
+		{[]string{"-scenario", "office", "-replay", "w.pvwl"}, []string{"-replay", "office", "closed loop"}},
+		// Flags of one scenario, set for another.
+		{[]string{"-scenario", "hall", "-sensors", "64"}, []string{"-sensors", "-scenario scale", "running hall"}},
+		{[]string{"-scenario", "hospital", "-doors", "3"}, []string{"-doors", "-scenario hall", "running hospital"}},
+		{[]string{"-scenario", "habitat", "-alarm", "ward"}, []string{"-alarm", "running habitat"}},
+		{[]string{"-scenario", "proximity", "-modality", "possibly"}, []string{"-modality", "running proximity"}},
+		{[]string{"-scenario", "office", "-shards", "2"}, []string{"-shards", "running office"}},
+		{[]string{"-workload", "spec.txt", "-scenario", "hall"}, []string{"-workload replaces -scenario", "hall"}},
+		{[]string{"-workload", "spec.txt", "-initial", "3"}, []string{"-initial", "running spec"}},
+		{[]string{"-scenario", "bogus"}, []string{`unknown scenario "bogus"`}},
+	} {
+		code, out, errb := pervasim(tc.args...)
+		if code != 2 || out != "" {
+			t.Errorf("%v: exit %d, stdout %q; want 2 and no report", tc.args, code, out)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(errb, w) {
+				t.Errorf("%v: stderr %q lacks %q", tc.args, errb, w)
+			}
+		}
+	}
+}
+
+// TestEpsilonReachesBuilderScenarios: -epsilon sets the physical clocks'
+// skew bound on every builder-wired scenario, so a bound far past the
+// delay bound changes the report.
+func TestEpsilonReachesBuilderScenarios(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scenario", "hall"},
+		{"-scenario", "hospital", "-horizon", "5m"},
+		{"-scenario", "habitat"},
+		{"-scenario", "proximity"},
+	} {
+		report := func(eps string) string {
+			code, out, errb := pervasim(append(args, "-kind", "physical", "-epsilon", eps)...)
+			if code != 0 {
+				t.Fatalf("%v at ε = %s: exit %d: %s", args, eps, code, errb)
+			}
+			return out
+		}
+		if tight := report("1us"); tight == report("30s") {
+			t.Errorf("%v: ε = 1µs and ε = 30s print the same report:\n%s", args, tight)
+		}
+	}
+}
+
+// TestRecordReplaySameReport: a replay of a recorded workload prints the
+// recording run's report, on every scenario that has a workload.
+func TestRecordReplaySameReport(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "spec.txt")
+	if err := os.WriteFile(spec, []byte(`seed 3
+horizon 20s
+predicate sum(p) >= 2
+generator toggler objs=0-3 attr=p meanhigh=800ms meanlow=1200ms
+generator walk obj=4 w=10 h=10 speed=2 tick=500ms
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-scenario", "hall", "-horizon", "30s", "-initial", "20", "-capacity", "22"},
+		{"-scenario", "hospital", "-horizon", "1m", "-alarm", "ward"},
+		{"-scenario", "habitat", "-horizon", "20m"},
+		{"-scenario", "proximity", "-horizon", "5m"},
+		{"-workload", spec},
+		{"-scenario", "scale", "-sensors", "64", "-horizon", "1s"},
+	} {
+		trace := filepath.Join(dir, filepath.Base(args[1])+".pvwl")
+		code, rec, errb := pervasim(append(args, "-record", trace)...)
+		if code != 0 {
+			t.Fatalf("%v -record: exit %d: %s", args, code, errb)
+		}
+		recorded, tail, ok := strings.Cut(rec, "workload: ")
+		if !ok || !strings.Contains(tail, " events recorded to ") || strings.HasPrefix(tail, "0 ") {
+			t.Fatalf("%v -record: no events recorded:\n%s", args, rec)
+		}
+		code, rep, errb := pervasim(append(args, "-replay", trace)...)
+		if code != 0 {
+			t.Fatalf("%v -replay: exit %d: %s", args, code, errb)
+		}
+		if rep != recorded {
+			t.Errorf("%v: replay report differs from the recording run's:\n%s\nvs\n%s", args, rep, recorded)
+		}
+	}
+}
+
+// TestTraceOnEveryBuilderScenario: -trace writes the event trace of any
+// builder-wired scenario, sized to its fleet.
+func TestTraceOnEveryBuilderScenario(t *testing.T) {
+	dir := t.TempDir()
+	for _, scen := range []string{"hall", "hospital", "habitat", "proximity"} {
+		path := filepath.Join(dir, scen+".jsonl")
+		code, out, errb := pervasim("-scenario", scen, "-horizon", "30s", "-trace", path)
+		if code != 0 {
+			t.Fatalf("%s: exit %d: %s", scen, code, errb)
+		}
+		if !strings.Contains(out, "records written to "+path) {
+			t.Errorf("%s: no trace line in\n%s", scen, out)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: trace file: %v", scen, err)
+		}
+	}
+}

@@ -18,7 +18,7 @@ import (
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
-	"pervasive/internal/world"
+	"pervasive/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -354,8 +354,8 @@ func TestFaultRunDumpRoundTrip(t *testing.T) {
 		for i := 0; i < n; i++ {
 			obj := h.World.AddObject("obj", nil)
 			h.Bind(i, obj, "p", "p")
-			world.Toggler{Obj: obj, Attr: "p", MeanHigh: 3 * sim.Second,
-				MeanLow: 2 * sim.Second}.Install(h.World, 60*sim.Second)
+			h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: obj, Attr: "p", MeanHigh: 3 * sim.Second,
+				MeanLow: 2 * sim.Second})
 		}
 		h.Run()
 		if len(h.Dumps) == 0 {

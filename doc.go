@@ -33,12 +33,13 @@
 //		Pred: pred, Modality: pervasive.Instantaneously,
 //		Horizon: pervasive.Minute,
 //	})
-//	// create world objects, h.Bind sensors, install generators ...
+//	// create world objects, h.Bind sensors, h.Install(workload sources) ...
 //	res := h.Run()
 //	fmt.Println(res.Confusion)
 //
 // Ready-made scenarios from the paper's Section 5 are available via
-// NewExhibitionHall, NewSmartOffice, NewHospital and NewHabitat. The
-// experiment suite that regenerates every quantitative claim of the paper
-// is exposed through Experiments and RunExperiment; see EXPERIMENTS.md.
+// NewExhibitionHall, NewSmartOffice, NewHospital, NewHabitat and
+// NewProximity. The experiment suite that regenerates every quantitative
+// claim of the paper is exposed through Experiments and RunExperiment
+// (EXPERIMENTS.md).
 package pervasive

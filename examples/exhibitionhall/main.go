@@ -14,14 +14,16 @@ import (
 
 func main() {
 	hall := pervasive.NewExhibitionHall(pervasive.ExhibitionHallConfig{
-		Seed:             7,
+		Run: pervasive.ScenarioRun{
+			Seed:    7,
+			Delay:   pervasive.DeltaBounded(100 * pervasive.Millisecond),
+			Horizon: 3 * pervasive.Minute,
+		},
 		Doors:            4,
 		Capacity:         200,
 		InitialOccupancy: 196, // start close to the limit
 		MeanArrival:      150 * pervasive.Millisecond,
 		MeanStay:         25 * pervasive.Second,
-		Delay:            pervasive.DeltaBounded(100 * pervasive.Millisecond),
-		Horizon:          3 * pervasive.Minute,
 	})
 	res := hall.Run()
 

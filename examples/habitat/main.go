@@ -22,9 +22,7 @@ func main() {
 		10 * pervasive.Second,
 	} {
 		hb := pervasive.NewHabitat(pervasive.HabitatConfig{
-			Seed:    3,
-			Delay:   pervasive.DeltaBounded(delta),
-			Horizon: 2 * pervasive.Hour,
+			Run: pervasive.ScenarioRun{Seed: 3, Delay: pervasive.DeltaBounded(delta), Horizon: 2 * pervasive.Hour},
 		})
 		res := hb.Run()
 		fmt.Printf("Δ = %-12v  %.3f   %.3f      %d\n",

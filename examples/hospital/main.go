@@ -14,13 +14,12 @@ func main() {
 	fmt.Println("hospital monitors (strobe vector clocks, Δ = 100ms)")
 
 	crowding := pervasive.NewHospital(pervasive.HospitalConfig{
-		Seed:            5,
+		Run:             pervasive.ScenarioRun{Seed: 5, Horizon: 5 * pervasive.Minute},
 		Alarm:           "crowding",
 		WaitingDoors:    2,
 		WaitingCapacity: 12,
 		MeanArrival:     800 * pervasive.Millisecond,
 		MeanStay:        20 * pervasive.Second,
-		Horizon:         5 * pervasive.Minute,
 	})
 	res := crowding.Run()
 	fmt.Printf("\nwaiting-room overcrowding (capacity 12):\n")
@@ -28,10 +27,9 @@ func main() {
 	fmt.Printf("  score: %v\n", res.Confusion)
 
 	ward := pervasive.NewHospital(pervasive.HospitalConfig{
-		Seed:          5,
+		Run:           pervasive.ScenarioRun{Seed: 5, Horizon: 5 * pervasive.Minute},
 		Alarm:         "ward",
 		WardMeanVisit: 25 * pervasive.Second,
-		Horizon:       5 * pervasive.Minute,
 	})
 	res = ward.Run()
 	fmt.Printf("\ninfectious-ward restricted entry:\n")

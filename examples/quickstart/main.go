@@ -23,15 +23,16 @@ func main() {
 	})
 
 	// World plane: two objects whose attribute "p" toggles; each sensor
-	// observes one of them as variable "x".
+	// observes one of them as variable "x". The togglers are workload
+	// data, each seeded explicitly, pumped into the world by one call.
 	a := h.World.AddObject("object-a", nil)
 	b := h.World.AddObject("object-b", nil)
 	h.Bind(0, a, "p", "x")
 	h.Bind(1, b, "p", "x")
-	pervasive.Toggler{Obj: a, Attr: "p",
-		MeanHigh: 2 * pervasive.Second, MeanLow: pervasive.Second}.Install(h.World, time60s())
-	pervasive.Toggler{Obj: b, Attr: "p",
-		MeanHigh: 2 * pervasive.Second, MeanLow: pervasive.Second}.Install(h.World, time60s())
+	h.Install(
+		pervasive.Toggler{Seed: 1, Obj: a, Attr: "p", MeanHigh: 2 * pervasive.Second, MeanLow: pervasive.Second},
+		pervasive.Toggler{Seed: 2, Obj: b, Attr: "p", MeanHigh: 2 * pervasive.Second, MeanLow: pervasive.Second},
+	)
 
 	res := h.Run()
 

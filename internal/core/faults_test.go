@@ -8,7 +8,7 @@ import (
 	"pervasive/internal/faults"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
-	"pervasive/internal/world"
+	"pervasive/internal/workload"
 )
 
 // TestCheckerEpochBumpDoesNotMergePreCrashState is the regression test
@@ -97,8 +97,8 @@ func crashHarness(t *testing.T, kind ClockKind) (*Harness, Results) {
 	for i := 0; i < n; i++ {
 		obj := h.World.AddObject("obj", nil)
 		h.Bind(i, obj, "p", "p")
-		world.Toggler{Obj: obj, Attr: "p", MeanHigh: 3 * sim.Second,
-			MeanLow: 2 * sim.Second}.Install(h.World, 60*sim.Second)
+		h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: obj, Attr: "p", MeanHigh: 3 * sim.Second,
+			MeanLow: 2 * sim.Second})
 	}
 	return h, h.Run()
 }
@@ -151,8 +151,8 @@ func TestHarnessCrashDegradesVsCleanRun(t *testing.T) {
 		for i := 0; i < n; i++ {
 			obj := h.World.AddObject("obj", nil)
 			h.Bind(i, obj, "p", "p")
-			world.Toggler{Obj: obj, Attr: "p", MeanHigh: 2 * sim.Second,
-				MeanLow: 2 * sim.Second}.Install(h.World, 40*sim.Second)
+			h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: obj, Attr: "p", MeanHigh: 2 * sim.Second,
+				MeanLow: 2 * sim.Second})
 		}
 		return h
 	}

@@ -13,7 +13,7 @@ import (
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
-	"pervasive/internal/world"
+	"pervasive/internal/workload"
 )
 
 // saveDumpsOnFailure writes h's flight dumps into $FLIGHT_DUMP_DIR when
@@ -64,8 +64,8 @@ func flightHarness(kind ClockKind) *Harness {
 	for i := 0; i < n; i++ {
 		obj := h.World.AddObject("obj", nil)
 		h.Bind(i, obj, "p", "p")
-		world.Toggler{Obj: obj, Attr: "p", MeanHigh: 3 * sim.Second,
-			MeanLow: 2 * sim.Second}.Install(h.World, 60*sim.Second)
+		h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: obj, Attr: "p", MeanHigh: 3 * sim.Second,
+			MeanLow: 2 * sim.Second})
 	}
 	return h
 }

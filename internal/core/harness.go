@@ -13,6 +13,7 @@ import (
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 	"pervasive/internal/trace"
+	"pervasive/internal/workload"
 	"pervasive/internal/world"
 )
 
@@ -113,7 +114,7 @@ type Results struct {
 
 // NewHarness wires engine, world plane, transport, sensor fleet and
 // checker. Callers then create world objects, call Bind for each sensed
-// attribute, install world generators, and Run.
+// attribute, Install the workload, and Run.
 func NewHarness(cfg HarnessConfig) *Harness {
 	if cfg.N <= 0 {
 		panic("core: harness needs at least one sensor")
@@ -228,6 +229,12 @@ func (h *Harness) SignalDump(reason string) {
 		return
 	}
 	h.Cfg.Flight.TriggerDump("signal:"+reason, h.Eng.Now())
+}
+
+// Install pumps the sources' merged stream, materialized to the horizon,
+// into the world as one chained pump (see workload.Install).
+func (h *Harness) Install(srcs ...workload.Source) {
+	workload.Install(h.Eng, h.World, workload.Combine(srcs...).Events(h.Cfg.Horizon))
 }
 
 // Bind connects object obj's attr to variable varName at sensor proc.

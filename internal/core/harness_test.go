@@ -10,7 +10,7 @@ import (
 	"pervasive/internal/faults"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
-	"pervasive/internal/world"
+	"pervasive/internal/workload"
 )
 
 // pulseHarness wires n sensors each watching its own pulsing object, with
@@ -31,8 +31,8 @@ func pulseFleet(cfg HarnessConfig, pulseMeanGap, pulseWidth sim.Duration) *Harne
 	for i := 0; i < cfg.N; i++ {
 		obj := h.World.AddObject("obj", nil)
 		h.Bind(i, obj, "p", "p")
-		world.Toggler{Obj: obj, Attr: "p", MeanHigh: pulseWidth,
-			MeanLow: pulseMeanGap}.Install(h.World, cfg.Horizon)
+		h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: obj, Attr: "p", MeanHigh: pulseWidth,
+			MeanLow: pulseMeanGap})
 	}
 	return h
 }
@@ -187,8 +187,8 @@ func TestConjunctiveDefinitelyEndToEnd(t *testing.T) {
 	for i := 0; i < n; i++ {
 		obj := h.World.AddObject("obj", nil)
 		h.Bind(i, obj, "p", "p")
-		world.Toggler{Obj: obj, Attr: "p", MeanHigh: 3 * sim.Second,
-			MeanLow: 1 * sim.Second}.Install(h.World, h.Cfg.Horizon)
+		h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: obj, Attr: "p", MeanHigh: 3 * sim.Second,
+			MeanLow: 1 * sim.Second})
 	}
 	res := h.Run()
 	if len(res.Truth) < 3 {

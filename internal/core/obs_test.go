@@ -6,7 +6,7 @@ import (
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
-	"pervasive/internal/world"
+	"pervasive/internal/workload"
 )
 
 // runInstrumentedHall wires a tiny two-sensor harness with an obs
@@ -26,10 +26,10 @@ func runInstrumentedHall(t *testing.T, kind ClockKind) (*obs.Registry, Results) 
 	b := h.World.AddObject("b", nil)
 	h.Bind(0, a, "v", "x")
 	h.Bind(1, b, "v", "x")
-	world.Toggler{Obj: a, Attr: "v", MeanHigh: 200 * sim.Millisecond,
-		MeanLow: 200 * sim.Millisecond}.Install(h.World, 2*sim.Second)
-	world.Toggler{Obj: b, Attr: "v", MeanHigh: 200 * sim.Millisecond,
-		MeanLow: 200 * sim.Millisecond}.Install(h.World, 2*sim.Second)
+	h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: a, Attr: "v", MeanHigh: 200 * sim.Millisecond,
+		MeanLow: 200 * sim.Millisecond})
+	h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: b, Attr: "v", MeanHigh: 200 * sim.Millisecond,
+		MeanLow: 200 * sim.Millisecond})
 	return reg, h.Run()
 }
 
@@ -120,10 +120,10 @@ func TestHarnessObsNilIsNoop(t *testing.T) {
 	b := h.World.AddObject("b", nil)
 	h.Bind(0, a, "v", "x")
 	h.Bind(1, b, "v", "x")
-	world.Toggler{Obj: a, Attr: "v", MeanHigh: 200 * sim.Millisecond,
-		MeanLow: 200 * sim.Millisecond}.Install(h.World, 2*sim.Second)
-	world.Toggler{Obj: b, Attr: "v", MeanHigh: 200 * sim.Millisecond,
-		MeanLow: 200 * sim.Millisecond}.Install(h.World, 2*sim.Second)
+	h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: a, Attr: "v", MeanHigh: 200 * sim.Millisecond,
+		MeanLow: 200 * sim.Millisecond})
+	h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: b, Attr: "v", MeanHigh: 200 * sim.Millisecond,
+		MeanLow: 200 * sim.Millisecond})
 	res2 := h.Run()
 	if res1.Net.Sent != res2.Net.Sent || len(res1.Occurrences) != len(res2.Occurrences) {
 		t.Fatalf("instrumentation changed behaviour: %+v vs %+v", res1.Net, res2.Net)

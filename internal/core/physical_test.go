@@ -7,7 +7,7 @@ import (
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
-	"pervasive/internal/world"
+	"pervasive/internal/workload"
 )
 
 func TestPhysicalCheckerReplaysInTimestampOrder(t *testing.T) {
@@ -84,10 +84,10 @@ func TestPhysicalCheckerEndToEnd(t *testing.T) {
 	b := h.World.AddObject("b", nil)
 	h.Bind(0, a, "p", "x")
 	h.Bind(1, b, "p", "x")
-	world.Toggler{Obj: a, Attr: "p", MeanHigh: 300 * sim.Millisecond,
-		MeanLow: 300 * sim.Millisecond}.Install(h.World, h.Cfg.Horizon)
-	world.Toggler{Obj: b, Attr: "p", MeanHigh: 300 * sim.Millisecond,
-		MeanLow: 300 * sim.Millisecond}.Install(h.World, h.Cfg.Horizon)
+	h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: a, Attr: "p", MeanHigh: 300 * sim.Millisecond,
+		MeanLow: 300 * sim.Millisecond})
+	h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: b, Attr: "p", MeanHigh: 300 * sim.Millisecond,
+		MeanLow: 300 * sim.Millisecond})
 	res := h.Run()
 	if len(res.Truth) < 5 {
 		t.Fatalf("workload produced only %d true intervals", len(res.Truth))

@@ -6,7 +6,7 @@ import (
 	"pervasive/internal/network"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
-	"pervasive/internal/world"
+	"pervasive/internal/workload"
 )
 
 // Failure-injection and edge-case tests for the detection stack.
@@ -70,8 +70,8 @@ func TestPossiblyEndToEnd(t *testing.T) {
 		for i := 0; i < n; i++ {
 			obj := h.World.AddObject("obj", nil)
 			h.Bind(i, obj, "p", "p")
-			world.Toggler{Obj: obj, Attr: "p", MeanHigh: 900 * sim.Millisecond,
-				MeanLow: 1100 * sim.Millisecond}.Install(h.World, h.Cfg.Horizon)
+			h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: obj, Attr: "p", MeanHigh: 900 * sim.Millisecond,
+				MeanLow: 1100 * sim.Millisecond})
 		}
 		return len(h.Run().Occurrences)
 	}
@@ -99,8 +99,8 @@ func TestPhysicalCheckerUnderLoss(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		obj := h.World.AddObject("o", nil)
 		h.Bind(i, obj, "p", "x")
-		world.Toggler{Obj: obj, Attr: "p", MeanHigh: 2 * sim.Second,
-			MeanLow: sim.Second}.Install(h.World, h.Cfg.Horizon)
+		h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: obj, Attr: "p", MeanHigh: 2 * sim.Second,
+			MeanLow: sim.Second})
 	}
 	res := h.Run()
 	if len(res.Truth) > 3 && res.Confusion.Recall() < 0.5 {

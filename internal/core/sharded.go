@@ -173,7 +173,7 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 	sh := sim.NewShards(cfg.Shards, look, cfg.Seed)
 	sh.SetWorkers(cfg.Workers)
 	smap := network.ShardMap{Procs: cfg.N + 1, Shards: cfg.Shards}
-	snet := network.NewSharded(sh, cfg.Topo, cfg.Delay, smap, mix64(cfg.Seed, 0x1))
+	snet := network.NewSharded(sh, cfg.Topo, cfg.Delay, smap, workload.DeriveSeed(cfg.Seed, 0x1))
 	snet.NeighborScope = true
 	snet.AlwaysReach = []int{cfg.N}
 
@@ -221,7 +221,7 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 	src := cfg.Workload
 	if src == nil {
 		src = workload.TogglerFleet{
-			Seed: mix64(cfg.Seed, 0x2), N: cfg.N, Attr: "p",
+			Seed: workload.DeriveSeed(cfg.Seed, 0x2), N: cfg.N, Attr: "p",
 			MeanHigh: cfg.MeanHigh, MeanLow: cfg.MeanLow,
 		}
 	}
@@ -306,14 +306,6 @@ func gridFor(n int) network.Topology {
 		return network.Ring{Nodes: n}
 	}
 	return network.Grid{Rows: rows, Cols: cols}
-}
-
-// mix64 derives an independent seed domain (splitmix64 finalizer).
-func mix64(seed, domain uint64) uint64 {
-	z := seed + 0x9e3779b97f4a7c15*(domain+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Run executes to the horizon, drains in-flight control traffic, and

@@ -11,7 +11,7 @@ import (
 	"pervasive/internal/scenario"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
-	"pervasive/internal/world"
+	"pervasive/internal/workload"
 )
 
 // Ablations are additional experiments probing this implementation's own
@@ -47,12 +47,11 @@ func A1BorderlinePolicy(cfg RunConfig) *Table {
 	type polPair struct{ pos, neg stats.Confusion }
 	pairs := runner.Map(cfg.Parallelism, seeds, func(s int) polPair {
 		hl := scenario.NewHall(scenario.HallConfig{
-			Seed: cfg.Seed + uint64(s), Doors: 4, Capacity: 60,
-			InitialOccupancy: 57,
-			MeanArrival:      150 * sim.Millisecond,
-			MeanStay:         10 * sim.Second,
-			Delay:            sim.NewDeltaBounded(250 * sim.Millisecond),
-			Horizon:          sim.Time(cfg.pick(120, 40)) * sim.Second,
+			Run: scenario.Run{Seed: cfg.Seed + uint64(s), Delay: sim.NewDeltaBounded(250 * sim.Millisecond),
+				Horizon: sim.Time(cfg.pick(120, 40)) * sim.Second},
+			Doors: 4, Capacity: 60, InitialOccupancy: 57,
+			MeanArrival: 150 * sim.Millisecond,
+			MeanStay:    10 * sim.Second,
 		})
 		res := hl.Run()
 
@@ -297,8 +296,8 @@ func A5PhysicalSlack(cfg RunConfig) *Table {
 		for i := 0; i < pw.N; i++ {
 			obj := h.World.AddObject(fmt.Sprintf("obj-%d", i), nil)
 			h.Bind(i, obj, "p", "p")
-			world.Toggler{Obj: obj, Attr: "p", MeanHigh: pw.MeanHigh,
-				MeanLow: pw.MeanLow}.Install(h.World, pw.Horizon)
+			h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: obj, Attr: "p",
+				MeanHigh: pw.MeanHigh, MeanLow: pw.MeanLow})
 		}
 		res := h.Run()
 		return slackOutcome{conf: res.Confusion, reordered: h.PhysCk.Reordered}

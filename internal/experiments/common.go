@@ -67,7 +67,7 @@ func (pw pulseWorkload) build(seed uint64) *core.Harness {
 			MeanHigh: pw.MeanHigh, MeanLow: pw.MeanLow,
 		}
 	}
-	workload.Install(h.Eng, h.World, src.Events(pw.Horizon))
+	h.Install(src)
 	return h
 }
 

@@ -4,7 +4,7 @@ import (
 	"pervasive/internal/core"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
-	"pervasive/internal/world"
+	"pervasive/internal/workload"
 )
 
 // E10EveryOccurrence reproduces §3.3's critique of prior detection
@@ -41,8 +41,8 @@ func E10EveryOccurrence(cfg RunConfig) *Table {
 		for i := 0; i < n; i++ {
 			obj := h.World.AddObject("obj", nil)
 			h.Bind(i, obj, "p", "p")
-			world.Toggler{Obj: obj, Attr: "p",
-				MeanHigh: 4 * sim.Second, MeanLow: sim.Second}.Install(h.World, horizon)
+			h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: obj, Attr: "p",
+				MeanHigh: 4 * sim.Second, MeanLow: sim.Second})
 		}
 		res := h.Run()
 		return counts{int64(len(res.Truth)), int64(len(res.Occurrences))}

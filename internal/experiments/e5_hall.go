@@ -46,12 +46,11 @@ func E5ExhibitionHall(cfg RunConfig) *Table {
 	}
 	outcomes := sweep(cfg, points, seeds, func(j point, s uint64) outcome {
 		hl := scenario.NewHall(scenario.HallConfig{
-			Seed: cfg.Seed + s, Doors: j.doors,
-			Capacity: 200, InitialOccupancy: 197,
+			Run: scenario.Run{Seed: cfg.Seed + s, Delay: sim.NewDeltaBounded(j.delta),
+				Horizon: sim.Time(cfg.pick(180, 45)) * sim.Second},
+			Doors: j.doors, Capacity: 200, InitialOccupancy: 197,
 			MeanArrival: 120 * sim.Millisecond,
 			MeanStay:    20 * sim.Second,
-			Delay:       sim.NewDeltaBounded(j.delta),
-			Horizon:     sim.Time(cfg.pick(180, 45)) * sim.Second,
 		})
 		res := hl.Run()
 		return outcome{conf: res.Confusion, truths: len(res.Truth)}

@@ -3,11 +3,9 @@ package scenario
 import (
 	"fmt"
 
-	"pervasive/internal/core"
-	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
-	"pervasive/internal/world"
+	"pervasive/internal/workload"
 )
 
 // HabitatConfig parameterizes an in-the-wild habitat-monitoring
@@ -17,22 +15,13 @@ import (
 // animal presence; the predicate is "at least K waterholes occupied at the
 // same instant" (e.g. herd congregation).
 type HabitatConfig struct {
-	Seed       uint64
+	Run
 	Waterholes int
 	K          int // congregation threshold
 	// MeanVisit/MeanAbsence shape animal presence at each waterhole; in
 	// the wild both are long relative to Δ.
 	MeanVisit   sim.Duration
 	MeanAbsence sim.Duration
-	Kind        core.ClockKind
-	Delay       sim.DelayModel
-	Horizon     sim.Time
-	// Obs, if non-nil, receives runtime metrics (see core.HarnessConfig).
-	Obs *obs.Registry
-	// FlightPerProc, when positive, attaches a causal flight recorder
-	// keeping the last FlightPerProc events per process (sensors plus
-	// checker); trigger-scoped dumps land in Harness.Dumps.
-	FlightPerProc int
 }
 
 func (c *HabitatConfig) fill() {
@@ -57,29 +46,21 @@ func (c *HabitatConfig) fill() {
 	}
 }
 
-// Habitat is a wired habitat-monitoring scenario.
+// Habitat is a wired habitat-monitoring scenario; Objects[i] is
+// waterhole i, with attribute "present".
 type Habitat struct {
-	Cfg     HabitatConfig
-	Harness *core.Harness
+	Cfg HabitatConfig
+	Wired
 }
 
-// NewHabitat wires the scenario.
+// NewHabitat wires the scenario: one sensor per waterhole, each
+// waterhole's presence a workload.Toggler of the fleet.
 func NewHabitat(cfg HabitatConfig) *Habitat {
 	cfg.fill()
 	pred := predicate.MustParse(fmt.Sprintf("sum(present) >= %d", cfg.K))
-	h := core.NewHarness(core.HarnessConfig{
-		Seed: cfg.Seed, N: cfg.Waterholes, Kind: cfg.Kind, Delay: cfg.Delay,
-		Pred: pred, Modality: predicate.Instantaneously, Horizon: cfg.Horizon,
-		Obs: cfg.Obs, Flight: flightFor(cfg.FlightPerProc, cfg.Waterholes),
-	})
-	for i := 0; i < cfg.Waterholes; i++ {
-		wh := h.World.AddObject(fmt.Sprintf("waterhole-%d", i), nil)
-		h.Bind(i, wh, "present", "present")
-		world.Toggler{Obj: wh, Attr: "present",
-			MeanHigh: cfg.MeanVisit, MeanLow: cfg.MeanAbsence}.Install(h.World, cfg.Horizon)
+	src := workload.TogglerFleet{
+		Seed: workload.DeriveSeed(cfg.Seed, 0x2), N: cfg.Waterholes, Attr: "present",
+		MeanHigh: cfg.MeanVisit, MeanLow: cfg.MeanAbsence,
 	}
-	return &Habitat{Cfg: cfg, Harness: h}
+	return &Habitat{Cfg: cfg, Wired: build(cfg.Run, pred, cfg.Waterholes, src)}
 }
-
-// Run executes the scenario.
-func (hb *Habitat) Run() core.Results { return hb.Harness.Run() }

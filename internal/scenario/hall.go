@@ -1,58 +1,46 @@
 // Package scenario builds the paper's application scenarios (Section 5)
 // on top of the detection harness: the convention-center exhibition hall,
-// the hospital ward, the smart office of Sections 3.1/3.3, and an
-// in-the-wild habitat-monitoring deployment. Each builder returns a wired
-// core.Harness ready to Run, so examples, the CLI, and the experiment
+// the hospital ward and its proximity alarm, an in-the-wild
+// habitat-monitoring deployment, the smart office of Sections 3.1/3.3,
+// the sharded sensor fleet, and any workload spec. Each builder returns a
+// wired harness ready to Run, so examples, the CLI, and the experiment
 // suite share one implementation.
 //
-// Scenario activity comes from internal/workload Sources: builders
-// materialize the workload up front and pump it through the engine, so
-// any scenario run can be recorded to a trace and replayed byte-
-// identically (pass a decoded trace as the config's Workload).
+// Scenario activity comes from internal/workload Sources: hall, hospital,
+// habitat, proximity and spec differ only in their stream, predicate and
+// fleet size, and one builder wires them all (see Run and Wired). It
+// materializes the workload up front and pumps it through the engine, so
+// any of their runs can be recorded to a trace and replayed
+// byte-identically (pass a decoded trace as Run.Workload); so can scale's.
+// The one exception is the office: its thermostat walk reads what
+// actuation writes, a closed loop no materialized stream can hold.
 package scenario
 
 import (
 	"fmt"
 
-	"pervasive/internal/core"
-	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
-	"pervasive/internal/trace"
 	"pervasive/internal/workload"
 )
 
 // HallConfig parameterizes the exhibition-hall occupancy monitor: d doors,
 // each with an RFID sensor tracking xᵢ (people entered through door i) and
 // yᵢ (people left through it); the predicate is Σ(xᵢ−yᵢ) > Capacity,
-// detected under Instantaneously to prevent overcrowding.
+// detected under Instantaneously to prevent overcrowding. The default
+// workload is the workload.HallTraffic generator derived from Seed,
+// MeanArrival, MeanStay and InitialOccupancy.
 type HallConfig struct {
-	Seed     uint64
+	Run
 	Doors    int
 	Capacity int
 	// MeanArrival is the mean gap between visitor arrivals; MeanStay is a
 	// visitor's mean dwell time inside the hall.
 	MeanArrival sim.Duration
 	MeanStay    sim.Duration
-	Kind        core.ClockKind
-	Delay       sim.DelayModel
-	Epsilon     sim.Duration // PhysicalReport only
-	Horizon     sim.Time
 	// InitialOccupancy seeds the hall with visitors already inside
 	// (spread across doors' entry counters) so runs start near capacity.
 	InitialOccupancy int
-	// Workload overrides the visitor flow (e.g. a replayed trace); nil
-	// uses the default workload.HallTraffic generator derived from Seed,
-	// MeanArrival, MeanStay and InitialOccupancy.
-	Workload workload.Source
-	// Trace, if non-nil, records every sensor event (for cmd/tracedump).
-	Trace *trace.Trace
-	// Obs, if non-nil, receives runtime metrics (see core.HarnessConfig).
-	Obs *obs.Registry
-	// FlightPerProc, when positive, attaches a causal flight recorder
-	// keeping the last FlightPerProc events per process (sensors plus
-	// checker); trigger-scoped dumps land in Harness.Dumps.
-	FlightPerProc int
 }
 
 func (c *HallConfig) fill() {
@@ -68,23 +56,16 @@ func (c *HallConfig) fill() {
 	if c.MeanStay <= 0 {
 		c.MeanStay = 100 * sim.Second
 	}
-	if c.Delay == nil {
-		c.Delay = sim.NewDeltaBounded(100 * sim.Millisecond)
-	}
 	if c.Horizon <= 0 {
 		c.Horizon = 5 * sim.Minute
 	}
 }
 
-// Hall is a wired exhibition-hall scenario.
+// Hall is a wired exhibition-hall scenario; Objects[i] is door i, with
+// attributes "x" and "y".
 type Hall struct {
-	Cfg     HallConfig
-	Harness *core.Harness
-	// Doors[i] is the world object of door i (attributes "x" and "y").
-	Doors []int
-	// Events is the materialized visitor flow driving the run — the
-	// stream a recorder would capture, available before Run for encoding.
-	Events []workload.Event
+	Cfg HallConfig
+	Wired
 }
 
 // OccupancyPredicate returns Σx − Σy > capacity.
@@ -99,37 +80,12 @@ func OccupancyPredicate(capacity int) predicate.Cond {
 // workload.HallTraffic).
 func NewHall(cfg HallConfig) *Hall {
 	cfg.fill()
-	h := core.NewHarness(core.HarnessConfig{
-		Seed: cfg.Seed, N: cfg.Doors, Kind: cfg.Kind, Delay: cfg.Delay,
-		Pred:     OccupancyPredicate(cfg.Capacity),
-		Modality: predicate.Instantaneously,
-		Epsilon:  cfg.Epsilon,
-		Horizon:  cfg.Horizon,
-		Trace:    cfg.Trace,
-		Obs:      cfg.Obs,
-		Flight:   flightFor(cfg.FlightPerProc, cfg.Doors),
-	})
-	hall := &Hall{Cfg: cfg, Harness: h}
-	for i := 0; i < cfg.Doors; i++ {
-		door := h.World.AddObject(fmt.Sprintf("door-%d", i), nil)
-		hall.Doors = append(hall.Doors, door)
-		h.Bind(i, door, "x", "x")
-		h.Bind(i, door, "y", "y")
+	src := workload.HallTraffic{
+		Seed:             workload.DeriveSeed(cfg.Seed, 0x2),
+		Doors:            cfg.Doors,
+		MeanArrival:      cfg.MeanArrival,
+		MeanStay:         cfg.MeanStay,
+		InitialOccupancy: cfg.InitialOccupancy,
 	}
-	src := cfg.Workload
-	if src == nil {
-		src = workload.HallTraffic{
-			Seed:             workload.DeriveSeed(cfg.Seed, 0x2),
-			Doors:            cfg.Doors,
-			MeanArrival:      cfg.MeanArrival,
-			MeanStay:         cfg.MeanStay,
-			InitialOccupancy: cfg.InitialOccupancy,
-		}
-	}
-	hall.Events = src.Events(cfg.Horizon)
-	workload.Install(h.Eng, h.World, hall.Events)
-	return hall
+	return &Hall{Cfg: cfg, Wired: build(cfg.Run, OccupancyPredicate(cfg.Capacity), cfg.Doors, src)}
 }
-
-// Run executes the scenario.
-func (hl *Hall) Run() core.Results { return hl.Harness.Run() }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pervasive/internal/core"
-	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
 	"pervasive/internal/workload"
@@ -19,8 +18,10 @@ import (
 //     (Σ(xᵢ−yᵢ) > cap over the waiting-room door sensors);
 //   - Restricted entry: any visitor inside the infectious ward
 //     (ward occupancy > 0).
+//
+// The default workload is the workload.Admissions generator.
 type HospitalConfig struct {
-	Seed            uint64
+	Run
 	WaitingDoors    int
 	WaitingCapacity int
 	// Alarm selects which predicate to detect: "crowding" (default) or
@@ -30,18 +31,6 @@ type HospitalConfig struct {
 	MeanStay    sim.Duration
 	// WardMeanVisit is the mean gap between (disallowed) ward entries.
 	WardMeanVisit sim.Duration
-	Kind          core.ClockKind
-	Delay         sim.DelayModel
-	Horizon       sim.Time
-	// Workload overrides the admission flow (e.g. a replayed trace); nil
-	// uses the default workload.Admissions generator.
-	Workload workload.Source
-	// Obs, if non-nil, receives runtime metrics (see core.HarnessConfig).
-	Obs *obs.Registry
-	// FlightPerProc, when positive, attaches a causal flight recorder
-	// keeping the last FlightPerProc events per process (sensors plus
-	// checker); trigger-scoped dumps land in Harness.Dumps.
-	FlightPerProc int
 }
 
 func (c *HospitalConfig) fill() {
@@ -63,21 +52,17 @@ func (c *HospitalConfig) fill() {
 	if c.WardMeanVisit <= 0 {
 		c.WardMeanVisit = 30 * sim.Second
 	}
-	if c.Delay == nil {
-		c.Delay = sim.NewDeltaBounded(100 * sim.Millisecond)
-	}
 	if c.Horizon <= 0 {
 		c.Horizon = 5 * sim.Minute
 	}
 }
 
 // Hospital is a wired hospital scenario. Sensor processes: one per
-// waiting-room door, plus the last one at the ward entrance.
+// waiting-room door (attributes "x" and "y"), plus the last one at the
+// ward entrance ("occupancy").
 type Hospital struct {
-	Cfg     HospitalConfig
-	Harness *core.Harness
-	// Events is the materialized admission flow driving the run.
-	Events []workload.Event
+	Cfg HospitalConfig
+	Wired
 	// Alarms counts raised alarms (actuation hook).
 	Alarms int
 }
@@ -85,53 +70,27 @@ type Hospital struct {
 // NewHospital wires the scenario.
 func NewHospital(cfg HospitalConfig) *Hospital {
 	cfg.fill()
-	n := cfg.WaitingDoors + 1 // + ward sensor
-	wardProc := cfg.WaitingDoors
+	wardProc := cfg.WaitingDoors // workload.Admissions's ward object
 
 	var pred predicate.Cond
 	switch cfg.Alarm {
 	case "crowding":
 		pred = OccupancyPredicate(cfg.WaitingCapacity)
 	case "ward":
-		pred = predicate.MustParse(fmt.Sprintf("ward@%d > 0", wardProc))
+		pred = predicate.MustParse(fmt.Sprintf("occupancy@%d > 0", wardProc))
 	default:
 		panic("scenario: unknown hospital alarm " + cfg.Alarm)
 	}
-
-	h := core.NewHarness(core.HarnessConfig{
-		Seed: cfg.Seed, N: n, Kind: cfg.Kind, Delay: cfg.Delay,
-		Pred: pred, Modality: predicate.Instantaneously, Horizon: cfg.Horizon,
-		Obs: cfg.Obs, Flight: flightFor(cfg.FlightPerProc, n),
-	})
-	hp := &Hospital{Cfg: cfg, Harness: h}
-	if h.StrobeCk != nil {
-		h.StrobeCk.Notify = func(core.Occurrence) { hp.Alarms++ }
+	src := workload.Admissions{
+		Seed:          workload.DeriveSeed(cfg.Seed, 0x2),
+		Doors:         cfg.WaitingDoors,
+		MeanArrival:   cfg.MeanArrival,
+		MeanStay:      cfg.MeanStay,
+		WardMeanVisit: cfg.WardMeanVisit,
 	}
-
-	// Waiting-room doors are objects 0 … WaitingDoors-1, the ward is the
-	// next object — matching workload.Admissions's numbering.
-	for i := 0; i < cfg.WaitingDoors; i++ {
-		door := h.World.AddObject(fmt.Sprintf("waiting-door-%d", i), nil)
-		h.Bind(i, door, "x", "x")
-		h.Bind(i, door, "y", "y")
+	hp := &Hospital{Cfg: cfg, Wired: build(cfg.Run, pred, wardProc+1, src)}
+	if ck := hp.Harness.StrobeCk; ck != nil {
+		ck.Notify = func(core.Occurrence) { hp.Alarms++ }
 	}
-	ward := h.World.AddObject("infectious-ward", nil)
-	h.Bind(wardProc, ward, "occupancy", "ward")
-
-	src := cfg.Workload
-	if src == nil {
-		src = workload.Admissions{
-			Seed:          workload.DeriveSeed(cfg.Seed, 0x2),
-			Doors:         cfg.WaitingDoors,
-			MeanArrival:   cfg.MeanArrival,
-			MeanStay:      cfg.MeanStay,
-			WardMeanVisit: cfg.WardMeanVisit,
-		}
-	}
-	hp.Events = src.Events(cfg.Horizon)
-	workload.Install(h.Eng, h.World, hp.Events)
 	return hp
 }
-
-// Run executes the scenario.
-func (hp *Hospital) Run() core.Results { return hp.Harness.Run() }

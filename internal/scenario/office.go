@@ -7,6 +7,7 @@ import (
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
+	"pervasive/internal/workload"
 	"pervasive/internal/world"
 )
 
@@ -28,8 +29,8 @@ type OfficeConfig struct {
 	// Actuate resets every room's thermostat to 28 °C on detection,
 	// closing the sense→detect→actuate loop.
 	Actuate bool
-	// MeanOccupied/MeanEmpty shape the motion toggler; MeanTempStep the
-	// temperature walk.
+	// MeanOccupied/MeanEmpty shape the motion workload.Toggler;
+	// MeanTempStep the temperature walk.
 	MeanOccupied sim.Duration
 	MeanEmpty    sim.Duration
 	MeanTempStep sim.Duration
@@ -121,8 +122,11 @@ func NewOffice(cfg OfficeConfig) *Office {
 		of.Rooms = append(of.Rooms, room)
 		h.Bind(2*i, room, "motion", "motion")
 		h.Bind(2*i+1, room, "temp", "temp")
-		world.Toggler{Obj: room, Attr: "motion",
-			MeanHigh: cfg.MeanOccupied, MeanLow: cfg.MeanEmpty}.Install(h.World, cfg.Horizon)
+		// Motion is open-loop: a pump seeded from the world's stream. The
+		// thermostat walk reads what actuation writes, so it stays a
+		// world generator and the office has no materialized workload.
+		h.Install(workload.Toggler{Seed: h.World.RNG().Uint64(), Obj: room, Attr: "motion",
+			MeanHigh: cfg.MeanOccupied, MeanLow: cfg.MeanEmpty})
 		world.RandomWalk{Obj: room, Attr: "temp", Step: 1, Min: 20, Max: 36,
 			MeanGap: cfg.MeanTempStep}.Install(h.World, cfg.Horizon)
 	}

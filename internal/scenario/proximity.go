@@ -4,34 +4,25 @@ import (
 	"fmt"
 
 	"pervasive/internal/core"
-	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
-	"pervasive/internal/world"
+	"pervasive/internal/workload"
 )
 
 // ProximityConfig parameterizes §5's third hospital monitor: "we could
 // raise alarms when a visitor approaches a patient whom he is not
-// visiting." A visitor badge and a patient badge move through the ward
-// under random-waypoint mobility; two sensors track their positions; the
+// visiting." A visitor badge moves through the ward under random-waypoint
+// mobility (workload.MobilityWalk, resting 5 s on average at each
+// waypoint) while the patient badge stays in bed at the center,
+// beaconing its position every second. Two sensors track the badges; the
 // alarm predicate is squared-distance < Radius², a relational predicate
-// over both sensors' variables, detected under Instantaneously with
-// strobe vector clocks.
+// over both sensors' variables, detected under Instantaneously.
 type ProximityConfig struct {
-	Seed uint64
+	Run
 	// W, H is the ward floor size; Radius the exclusion distance.
-	W, H    float64
-	Radius  float64
-	Speed   float64
-	Kind    core.ClockKind
-	Delay   sim.DelayModel
-	Horizon sim.Time
-	// Obs, if non-nil, receives runtime metrics (see core.HarnessConfig).
-	Obs *obs.Registry
-	// FlightPerProc, when positive, attaches a causal flight recorder
-	// keeping the last FlightPerProc events per process (sensors plus
-	// checker); trigger-scoped dumps land in Harness.Dumps.
-	FlightPerProc int
+	W, H   float64
+	Radius float64
+	Speed  float64
 }
 
 func (c *ProximityConfig) fill() {
@@ -47,9 +38,6 @@ func (c *ProximityConfig) fill() {
 	if c.Speed == 0 {
 		c.Speed = 1.3 // walking pace, m/s
 	}
-	if c.Delay == nil {
-		c.Delay = sim.NewDeltaBounded(100 * sim.Millisecond)
-	}
 	if c.Horizon <= 0 {
 		c.Horizon = 10 * sim.Minute
 	}
@@ -57,46 +45,37 @@ func (c *ProximityConfig) fill() {
 
 // Proximity is a wired proximity-alarm scenario.
 type Proximity struct {
-	Cfg     ProximityConfig
-	Harness *core.Harness
+	Cfg ProximityConfig
+	Wired
 	Visitor int // world objects
 	Patient int
 	Alarms  int
 }
 
 // NewProximity wires the scenario: sensor 0 tracks the visitor badge,
-// sensor 1 the (stationary) patient badge.
+// sensor 1 the (stationary) patient badge, each through "x" and "y".
 func NewProximity(cfg ProximityConfig) *Proximity {
 	cfg.fill()
 	pred := predicate.MustParse(fmt.Sprintf(
-		"(vx@0 - px@1) * (vx@0 - px@1) + (vy@0 - py@1) * (vy@0 - py@1) < %g",
+		"(x@0 - x@1) * (x@0 - x@1) + (y@0 - y@1) * (y@0 - y@1) < %g",
 		cfg.Radius*cfg.Radius))
-	h := core.NewHarness(core.HarnessConfig{
-		Seed: cfg.Seed, N: 2, Kind: cfg.Kind, Delay: cfg.Delay,
-		Pred: pred, Modality: predicate.Instantaneously, Horizon: cfg.Horizon,
-		Obs: cfg.Obs, Flight: flightFor(cfg.FlightPerProc, 2),
-	})
-	p := &Proximity{Cfg: cfg, Harness: h}
-	if h.StrobeCk != nil {
-		h.StrobeCk.Notify = func(core.Occurrence) { p.Alarms++ }
+	// The patient's badge beacons its bed's position every second. A lone
+	// report would not do: its y strobe can overtake its x, which the
+	// checker then discards as stale, leaving the patient at x = 0 in its
+	// view for the rest of the run.
+	var bed workload.EventSource
+	for at := sim.Time(0); at <= cfg.Horizon; at += sim.Second {
+		bed = append(bed, workload.Event{At: at, Obj: 1, Attr: "x", Val: cfg.W / 2},
+			workload.Event{At: at, Obj: 1, Attr: "y", Val: cfg.H / 2})
 	}
-
-	p.Visitor = h.World.AddObject("visitor-badge", nil)
-	p.Patient = h.World.AddObject("patient-badge", nil)
-	h.Bind(0, p.Visitor, "x", "vx")
-	h.Bind(0, p.Visitor, "y", "vy")
-	h.Bind(1, p.Patient, "x", "px")
-	h.Bind(1, p.Patient, "y", "py")
-
-	// The visitor wanders; the patient stays in bed at the center.
-	world.Waypoint{
-		Obj: p.Visitor, W: cfg.W, H: cfg.H, Speed: cfg.Speed,
-		Pause: 5 * sim.Second, StartX: 0, StartY: 0,
-	}.Install(h.World, cfg.Horizon)
-	h.World.Set(p.Patient, "x", cfg.W/2)
-	h.World.Set(p.Patient, "y", cfg.H/2)
+	walk := workload.MobilityWalk{
+		Seed: workload.DeriveSeed(cfg.Seed, 0x2), Obj: 0, W: cfg.W, H: cfg.H,
+		Speed: cfg.Speed, Tick: 200 * sim.Millisecond, Pause: 5 * sim.Second,
+	}
+	p := &Proximity{Cfg: cfg, Wired: build(cfg.Run, pred, 2, workload.Combine(walk, bed))}
+	p.Visitor, p.Patient = p.Objects[0], p.Objects[1]
+	if ck := p.Harness.StrobeCk; ck != nil {
+		ck.Notify = func(core.Occurrence) { p.Alarms++ }
+	}
 	return p
 }
-
-// Run executes the scenario.
-func (p *Proximity) Run() core.Results { return p.Harness.Run() }

@@ -40,9 +40,9 @@ func roundTrip(t *testing.T, evs []workload.Event, horizon sim.Time, scenarioNam
 
 func TestHallRecordReplayByteIdentical(t *testing.T) {
 	cfg := HallConfig{
-		Seed: 1, Doors: 3, Capacity: 30,
-		MeanArrival: 200 * sim.Millisecond, MeanStay: 10 * sim.Second,
-		Horizon: 2 * sim.Minute, InitialOccupancy: 20,
+		Run:   Run{Seed: 1, Horizon: 2 * sim.Minute},
+		Doors: 3, Capacity: 30, MeanArrival: 200 * sim.Millisecond,
+		MeanStay: 10 * sim.Second, InitialOccupancy: 20,
 	}
 	orig := NewHall(cfg)
 	resA := orig.Run()
@@ -76,9 +76,10 @@ func TestHallRecordReplayByteIdentical(t *testing.T) {
 
 func TestHospitalRecordReplayByteIdentical(t *testing.T) {
 	cfg := HospitalConfig{
-		Seed: 2, WaitingDoors: 2, WaitingCapacity: 8,
+		Run:          Run{Seed: 2, Horizon: sim.Minute},
+		WaitingDoors: 2, WaitingCapacity: 8,
 		MeanArrival: 300 * sim.Millisecond, MeanStay: 5 * sim.Second,
-		WardMeanVisit: 4 * sim.Second, Horizon: sim.Minute,
+		WardMeanVisit: 4 * sim.Second,
 	}
 	orig := NewHospital(cfg)
 	resA := orig.Run()
@@ -139,9 +140,9 @@ func TestScaleRecordReplayAcrossShardsAndWorkers(t *testing.T) {
 // cumulative exits must not exceed cumulative entries.
 func TestHallOccupancyNeverNegative(t *testing.T) {
 	hl := NewHall(HallConfig{
-		Seed: 4, Doors: 4, Capacity: 25,
-		MeanArrival: 100 * sim.Millisecond, MeanStay: 3 * sim.Second,
-		Horizon: sim.Minute, InitialOccupancy: 15,
+		Run:   Run{Seed: 4, Horizon: sim.Minute},
+		Doors: 4, Capacity: 25, MeanArrival: 100 * sim.Millisecond,
+		MeanStay: 3 * sim.Second, InitialOccupancy: 15,
 	})
 	hl.Run()
 	log := hl.Harness.World.Log()
@@ -176,14 +177,14 @@ func TestHallDeparturesClampedToHorizon(t *testing.T) {
 	// MeanStay far beyond the horizon: under the old guard almost every
 	// departure would have been dropped.
 	hl := NewHall(HallConfig{
-		Seed: 5, Doors: 3, Capacity: 10,
-		MeanArrival: 500 * sim.Millisecond, MeanStay: 10 * sim.Minute,
-		Horizon: 30 * sim.Second, InitialOccupancy: 5,
+		Run:   Run{Seed: 5, Horizon: 30 * sim.Second},
+		Doors: 3, Capacity: 10, MeanArrival: 500 * sim.Millisecond,
+		MeanStay: 10 * sim.Minute, InitialOccupancy: 5,
 	})
 	hl.Run()
 	w := hl.Harness.World
 	var entered, left float64
-	for _, door := range hl.Doors {
+	for _, door := range hl.Objects {
 		entered += w.Get(door, "x")
 		left += w.Get(door, "y")
 	}

@@ -15,16 +15,16 @@ func worldKey(obj int, attr string) world.AttrKey {
 
 func TestHallOccupancyConservation(t *testing.T) {
 	hl := NewHall(HallConfig{
-		Seed: 1, Doors: 3, Capacity: 30,
-		MeanArrival: 200 * sim.Millisecond, MeanStay: 10 * sim.Second,
-		Horizon: 2 * sim.Minute,
+		Run:   Run{Seed: 1, Horizon: 2 * sim.Minute},
+		Doors: 3, Capacity: 30, MeanArrival: 200 * sim.Millisecond,
+		MeanStay: 10 * sim.Second,
 	})
 	hl.Run()
 	// Ground truth sanity: Σx − Σy is the number of visitors inside; it
 	// must never go negative.
 	var x, y float64
 	state := hl.Harness.World.StateAt(hl.Cfg.Horizon)
-	for _, d := range hl.Doors {
+	for _, d := range hl.Objects {
 		for k, v := range state {
 			if k.Object == d && k.Attr == "x" {
 				x += v
@@ -45,10 +45,9 @@ func TestHallOccupancyConservation(t *testing.T) {
 func TestHallDetectsOvercrowding(t *testing.T) {
 	// Start near capacity so crossings happen; fast arrivals.
 	hl := NewHall(HallConfig{
-		Seed: 2, Doors: 4, Capacity: 50, InitialOccupancy: 48,
+		Run:   Run{Seed: 2, Delay: sim.NewDeltaBounded(50 * sim.Millisecond), Horizon: 3 * sim.Minute},
+		Doors: 4, Capacity: 50, InitialOccupancy: 48,
 		MeanArrival: 300 * sim.Millisecond, MeanStay: 20 * sim.Second,
-		Delay:   sim.NewDeltaBounded(50 * sim.Millisecond),
-		Horizon: 3 * sim.Minute,
 	})
 	res := hl.Run()
 	if len(res.Truth) == 0 {
@@ -65,10 +64,9 @@ func TestHallBorderlineCoversVectorErrors(t *testing.T) {
 	var total, covered int64
 	for seed := uint64(0); seed < 6; seed++ {
 		hl := NewHall(HallConfig{
-			Seed: seed, Doors: 4, Capacity: 40, InitialOccupancy: 38,
+			Run:   Run{Seed: seed, Delay: sim.NewDeltaBounded(200 * sim.Millisecond), Horizon: 2 * sim.Minute},
+			Doors: 4, Capacity: 40, InitialOccupancy: 38,
 			MeanArrival: 150 * sim.Millisecond, MeanStay: 8 * sim.Second,
-			Delay:   sim.NewDeltaBounded(200 * sim.Millisecond),
-			Horizon: 2 * sim.Minute,
 		})
 		res := hl.Run()
 		total += res.Confusion.FP + res.Confusion.FN
@@ -120,8 +118,8 @@ func TestOfficeDefinitely(t *testing.T) {
 
 func TestHospitalWardAlarm(t *testing.T) {
 	hp := NewHospital(HospitalConfig{
-		Seed: 5, Alarm: "ward", WardMeanVisit: 20 * sim.Second,
-		Horizon: 5 * sim.Minute,
+		Run:   Run{Seed: 5, Horizon: 5 * sim.Minute},
+		Alarm: "ward", WardMeanVisit: 20 * sim.Second,
 	})
 	res := hp.Run()
 	if len(res.Truth) == 0 {
@@ -137,9 +135,9 @@ func TestHospitalWardAlarm(t *testing.T) {
 
 func TestHospitalCrowding(t *testing.T) {
 	hp := NewHospital(HospitalConfig{
-		Seed: 6, Alarm: "crowding", WaitingCapacity: 10,
+		Run:   Run{Seed: 6, Horizon: 4 * sim.Minute},
+		Alarm: "crowding", WaitingCapacity: 10,
 		MeanArrival: 500 * sim.Millisecond, MeanStay: 15 * sim.Second,
-		Horizon: 4 * sim.Minute,
 	})
 	res := hp.Run()
 	if len(res.Truth) == 0 {
@@ -153,7 +151,7 @@ func TestHospitalCrowding(t *testing.T) {
 func TestHabitatHighAccuracyInFavourableRegime(t *testing.T) {
 	// Event dwell times (minutes) ≫ Δ (2s): the strobe clock's favourable
 	// regime; detection should be near-perfect even with big delays.
-	hb := NewHabitat(HabitatConfig{Seed: 7, Horizon: 2 * sim.Hour})
+	hb := NewHabitat(HabitatConfig{Run: Run{Seed: 7, Horizon: 2 * sim.Hour}})
 	res := hb.Run()
 	if len(res.Truth) < 3 {
 		t.Fatalf("thin workload: %d congregations", len(res.Truth))
@@ -169,10 +167,10 @@ func TestHabitatHighAccuracyInFavourableRegime(t *testing.T) {
 
 func TestScenarioDefaultsFill(t *testing.T) {
 	// All builders must work with zero configs.
-	NewHall(HallConfig{Horizon: sim.Second}).Run()
+	NewHall(HallConfig{Run: Run{Horizon: sim.Second}}).Run()
 	NewOffice(OfficeConfig{Horizon: sim.Second}).Run()
-	NewHospital(HospitalConfig{Horizon: sim.Second}).Run()
-	NewHabitat(HabitatConfig{Horizon: sim.Second}).Run()
+	NewHospital(HospitalConfig{Run: Run{Horizon: sim.Second}}).Run()
+	NewHabitat(HabitatConfig{Run: Run{Horizon: sim.Second}}).Run()
 }
 
 func TestHospitalUnknownAlarmPanics(t *testing.T) {
@@ -187,17 +185,21 @@ func TestHospitalUnknownAlarmPanics(t *testing.T) {
 func TestHallScalarVsVectorSameWorkload(t *testing.T) {
 	// The workload (world plane) must be identical across clock kinds for
 	// a given seed — different detector, same truth.
-	a := NewHall(HallConfig{Seed: 9, Doors: 3, Capacity: 20, InitialOccupancy: 18,
-		Horizon: sim.Minute, Kind: core.VectorStrobe}).Run()
-	b := NewHall(HallConfig{Seed: 9, Doors: 3, Capacity: 20, InitialOccupancy: 18,
-		Horizon: sim.Minute, Kind: core.ScalarStrobe}).Run()
+	a := NewHall(HallConfig{
+		Run:   Run{Seed: 9, Horizon: sim.Minute, Kind: core.VectorStrobe},
+		Doors: 3, Capacity: 20, InitialOccupancy: 18,
+	}).Run()
+	b := NewHall(HallConfig{
+		Run:   Run{Seed: 9, Horizon: sim.Minute, Kind: core.ScalarStrobe},
+		Doors: 3, Capacity: 20, InitialOccupancy: 18,
+	}).Run()
 	if len(a.Truth) != len(b.Truth) {
 		t.Fatalf("truth differs across kinds: %d vs %d", len(a.Truth), len(b.Truth))
 	}
 }
 
 func TestProximityAlarm(t *testing.T) {
-	p := NewProximity(ProximityConfig{Seed: 12, Horizon: 20 * sim.Minute})
+	p := NewProximity(ProximityConfig{Run: Run{Seed: 12, Horizon: 20 * sim.Minute}})
 	res := p.Run()
 	if len(res.Truth) == 0 {
 		t.Fatal("visitor never approached the patient in 20 minutes of wandering")
@@ -213,7 +215,7 @@ func TestProximityAlarm(t *testing.T) {
 func TestProximityGroundTruthMatchesGeometry(t *testing.T) {
 	// The oracle's truth intervals must agree with direct geometric
 	// distance checks at sampled instants.
-	p := NewProximity(ProximityConfig{Seed: 13, Horizon: 5 * sim.Minute})
+	p := NewProximity(ProximityConfig{Run: Run{Seed: 13, Horizon: 5 * sim.Minute}})
 	res := p.Run()
 	w := p.Harness.World
 	for _, iv := range res.Truth {

@@ -2,49 +2,32 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 
-	"pervasive/internal/core"
-	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
-	"pervasive/internal/sim"
 	"pervasive/internal/workload"
 )
 
-// SpecConfig wires a workload spec (see workload.ParseSpecFile) into a
-// generic detection harness: one sensor per world object, every attribute
-// the workload touches bound under its own name, and the spec's predicate
+// SpecConfig wires a workload spec (see workload.ParseSpecFile) into the
+// generic builder: one sensor per world object, every attribute the
+// workload touches bound under its own name, and the spec's predicate
 // checked Instantaneously. This is the scenario behind
 // `pervasim -workload spec.txt` — generators compose in data, not code.
+// The spec sets the run's Seed and Horizon.
 type SpecConfig struct {
+	Run
 	Spec *workload.Spec
-	// Workload overrides the spec's generators (e.g. a replayed trace).
-	Workload workload.Source
-	Kind     core.ClockKind
-	Delay    sim.DelayModel
-	Epsilon  sim.Duration // PhysicalReport only
-	Obs      *obs.Registry
-	// FlightPerProc, when positive, attaches the causal flight recorder
-	// (see HallConfig.FlightPerProc).
-	FlightPerProc int
 }
 
 // SpecRun is a wired spec-driven scenario.
 type SpecRun struct {
-	Cfg     SpecConfig
-	Harness *core.Harness
-	// Objects[i] is the world object sensed by sensor i.
-	Objects []int
-	// Events is the materialized workload driving the run, available
-	// before Run for trace encoding.
-	Events []workload.Event
+	Cfg SpecConfig
+	Wired
 }
 
 // NewSpecRun builds the harness the spec describes. The sensor fleet is
 // sized by the spec's `objects` directive, the generators' reach, and the
-// materialized events, whichever is largest; each sensor binds every
-// attribute its object's events carry, so the spec's predicate can refer
-// to them directly (e.g. `sum(x) - sum(y) > 10`).
+// materialized events, whichever is largest, so the spec's predicate can
+// refer to every attribute directly (e.g. `sum(x) - sum(y) > 10`).
 func NewSpecRun(cfg SpecConfig) (*SpecRun, error) {
 	sp := cfg.Spec
 	if sp == nil {
@@ -57,63 +40,12 @@ func NewSpecRun(cfg SpecConfig) (*SpecRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spec scenario: predicate: %w", err)
 	}
-	src := cfg.Workload
-	if src == nil {
+	var src workload.Source
+	if cfg.Workload == nil {
 		if src, err = sp.Source(); err != nil {
 			return nil, err
 		}
 	}
-	evs := src.Events(sp.Horizon)
-
-	n := sp.Objects
-	if m := sp.MaxObject() + 1; m > n {
-		n = m
-	}
-	attrs := make(map[int]map[string]bool)
-	for _, ev := range evs {
-		if ev.Obj < 0 {
-			return nil, fmt.Errorf("spec scenario: workload touches negative object %d", ev.Obj)
-		}
-		if ev.Obj+1 > n {
-			n = ev.Obj + 1
-		}
-		if attrs[ev.Obj] == nil {
-			attrs[ev.Obj] = map[string]bool{}
-		}
-		attrs[ev.Obj][ev.Attr] = true
-	}
-	if n < 1 {
-		n = 1
-	}
-
-	if cfg.Delay == nil {
-		cfg.Delay = sim.NewDeltaBounded(100 * sim.Millisecond)
-	}
-	h := core.NewHarness(core.HarnessConfig{
-		Seed: sp.Seed, N: n, Kind: cfg.Kind, Delay: cfg.Delay,
-		Pred:     pred,
-		Modality: predicate.Instantaneously,
-		Epsilon:  cfg.Epsilon,
-		Horizon:  sp.Horizon,
-		Obs:      cfg.Obs,
-		Flight:   flightFor(cfg.FlightPerProc, n),
-	})
-	run := &SpecRun{Cfg: cfg, Harness: h, Events: evs}
-	for i := 0; i < n; i++ {
-		obj := h.World.AddObject(fmt.Sprintf("obj-%d", i), nil)
-		run.Objects = append(run.Objects, obj)
-		names := make([]string, 0, len(attrs[i]))
-		for a := range attrs[i] {
-			names = append(names, a)
-		}
-		sort.Strings(names) // deterministic binding order
-		for _, a := range names {
-			h.Bind(i, obj, a, a)
-		}
-	}
-	workload.Install(h.Eng, h.World, evs)
-	return run, nil
+	cfg.Seed, cfg.Horizon = sp.Seed, sp.Horizon
+	return &SpecRun{Cfg: cfg, Wired: build(cfg.Run, pred, max(sp.Objects, sp.MaxObject()+1), src)}, nil
 }
-
-// Run executes the scenario.
-func (s *SpecRun) Run() core.Results { return s.Harness.Run() }

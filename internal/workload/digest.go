@@ -48,5 +48,12 @@ func ValuesDigest(evs []Event) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// LogDigest is Digest over a ground-truth world log.
-func LogDigest(log []world.Event) string { return Digest(FromLog(log)) }
+// LogDigest is Digest over a ground-truth world log, each entry read as
+// the workload event that would have set it.
+func LogDigest(log []world.Event) string {
+	evs := make([]Event, len(log))
+	for i, ev := range log {
+		evs[i] = Event{At: ev.At, Obj: ev.Object, Attr: ev.Attr, Val: ev.New}
+	}
+	return Digest(evs)
+}

@@ -7,19 +7,49 @@ import (
 	"pervasive/internal/stats"
 )
 
-// Scenario generators: materialized equivalents of the hand-rolled
-// togglers and Poisson flows that previously lived inside the scenario
-// and experiment builders. Every generator owns an explicit Seed and
-// draws from its own xoshiro stream in a fixed order, so the produced
-// stream is a pure function of the config — independent of engine,
-// shard count, worker count, and parallelism.
+// Scenario generators: the open-loop world activity of the scenario and
+// experiment builders, materialized. Every generator owns an explicit
+// Seed and draws from its own xoshiro stream in a fixed order, so the
+// produced stream is a pure function of the config — independent of
+// engine, shard count, worker count, and parallelism.
 
-// TogglerFleet is N independent on/off togglers (objects BaseObj …
-// BaseObj+N-1), each flipping Attr between 0 and 1 with exponential
-// dwells — the sharded scale scenario's fleet workload. Stream
-// discipline matches the harness convention: one root RNG from Seed,
-// one Fork per object in index order, so the draws per object are
-// identical to the former per-sensor world.Toggler installation.
+// Toggler flips one object's attribute between 0 and 1 with exponential
+// dwells — the canonical on/off local predicate workload ("motion
+// detected", "lights off"). The attribute starts low and first rises
+// after a low dwell. Seeding it with a value drawn from a world's stream
+// (w.RNG().Uint64()) draws what a fork of that stream would.
+type Toggler struct {
+	Seed uint64
+	Obj  int
+	Attr string
+	// MeanHigh / MeanLow are the mean dwell times at 1 / 0.
+	MeanHigh, MeanLow sim.Duration
+}
+
+// Events implements Source.
+func (g Toggler) Events(horizon sim.Time) []Event {
+	return g.append(nil, stats.NewRNG(g.Seed), horizon)
+}
+
+// append appends the toggler's stream, drawn from r, to out.
+func (g Toggler) append(out []Event, r *stats.RNG, horizon sim.Time) []Event {
+	cur := 0.0
+	now := sim.Time(0) + expGap(r, g.MeanLow)
+	for now <= horizon {
+		dwell := g.MeanHigh
+		if cur = 1 - cur; cur == 0 {
+			dwell = g.MeanLow
+		}
+		out = append(out, Event{At: now, Obj: g.Obj, Attr: g.Attr, Val: cur})
+		now += expGap(r, dwell)
+	}
+	return out
+}
+
+// TogglerFleet is N independent Togglers (objects BaseObj …
+// BaseObj+N-1) — the sharded scale scenario's and the experiments'
+// fleet workload. Object i's toggler is seeded with the i-th draw of
+// one root stream from Seed.
 type TogglerFleet struct {
 	Seed    uint64
 	N       int
@@ -35,21 +65,8 @@ func (g TogglerFleet) Events(horizon sim.Time) []Event {
 	var out []Event
 	for i := 0; i < g.N; i++ {
 		r := stats.NewRNG(root.Uint64()) // root.Fork(), on the stack
-		obj := g.BaseObj + i
-		cur := 0.0
-		now := sim.Time(0) + expGap(r, g.MeanLow)
-		for now <= horizon {
-			var dwell sim.Duration
-			if cur == 0 {
-				cur = 1
-				dwell = g.MeanHigh
-			} else {
-				cur = 0
-				dwell = g.MeanLow
-			}
-			out = append(out, Event{At: now, Obj: obj, Attr: g.Attr, Val: cur})
-			now += expGap(r, dwell)
-		}
+		tg := Toggler{Obj: g.BaseObj + i, Attr: g.Attr, MeanHigh: g.MeanHigh, MeanLow: g.MeanLow}
+		out = tg.append(out, r, horizon)
 	}
 	Sort(out)
 	return out

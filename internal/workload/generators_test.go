@@ -1,10 +1,10 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"pervasive/internal/sim"
-	"pervasive/internal/stats"
 	"pervasive/internal/world"
 )
 
@@ -87,32 +87,92 @@ func TestGeneratorsDeterministicAndCanonical(t *testing.T) {
 }
 
 func TestTogglerFleetMatchesWorldToggler(t *testing.T) {
-	// The fleet generator must reproduce the exact draw sequence of the
-	// former per-sensor world.Toggler installation: one root fork per
-	// object in index order, then InstallWith's alternation.
-	const (
-		n       = 8
-		seed    = 99
-		horizon = 3 * sim.Second
-		hi      = 300 * sim.Millisecond
-		lo      = 500 * sim.Millisecond
-	)
-	eng := sim.NewEngine(seed)
-	w := world.New(eng)
-	root := stats.NewRNG(seed)
-	for i := 0; i < n; i++ {
-		obj := w.AddObject("o", nil)
-		world.Toggler{Obj: obj, Attr: "p", MeanHigh: hi, MeanLow: lo}.
-			InstallWith(w, root.Fork(), horizon)
+	// The fleet's stream is pinned by digest to the one the
+	// closure-scheduled world.Toggler it replaced drew, draw for draw (one
+	// root draw per object in index order, then the alternation): every
+	// experiment and bench digest seeded through it depends on it.
+	const want = "fd62c8d15e645715dd95aae9944e161510e49a531f58a2d7c6c007f1c452f5bc"
+	got := TogglerFleet{Seed: 99, N: 8, Attr: "p",
+		MeanHigh: 300 * sim.Millisecond, MeanLow: 500 * sim.Millisecond}.Events(3 * sim.Second)
+	if d := Digest(got); d != want || len(got) != 59 {
+		t.Fatalf("fleet stream changed: %d events, digest %s", len(got), d)
 	}
-	eng.Run(horizon)
+}
 
-	want := FromLog(w.Log())
-	Sort(want)
-	got := TogglerFleet{Seed: seed, N: n, Attr: "p", MeanHigh: hi, MeanLow: lo}.Events(horizon)
-	if Digest(got) != Digest(want) {
-		t.Fatalf("fleet stream differs from world.Toggler reference: %d vs %d events",
-			len(got), len(want))
+func TestTogglerAlternates(t *testing.T) {
+	evs := Toggler{Seed: 7, Obj: 3, Attr: "on", MeanHigh: 100, MeanLow: 100}.Events(100000)
+	if len(evs) < 10 {
+		t.Fatalf("toggler produced only %d events", len(evs))
+	}
+	want := 1.0
+	for i, ev := range evs {
+		if ev.Val != want || ev.Obj != 3 || ev.Attr != "on" {
+			t.Fatalf("toggler out of phase at %d: %+v", i, ev)
+		}
+		want = 1 - want
+	}
+}
+
+func TestTogglerMeanDwell(t *testing.T) {
+	const high, low = 50 * sim.Millisecond, 200 * sim.Millisecond
+	evs := Toggler{Seed: 11, Attr: "on", MeanHigh: high, MeanLow: low}.Events(20 * sim.Minute)
+	var tot float64
+	pulses := 0
+	for i := 0; i+1 < len(evs); i += 2 {
+		tot += float64(evs[i+1].At - evs[i].At)
+		pulses++
+	}
+	if pulses < 100 {
+		t.Fatalf("too few pulses: %d", pulses)
+	}
+	if mean := tot / float64(pulses); math.Abs(mean-float64(high))/float64(high) > 0.15 {
+		t.Fatalf("mean high dwell %.0fµs want ~%dµs", mean, high)
+	}
+}
+
+// positions replays a walk's stream as one (x, y) pair per report.
+func positions(t *testing.T, evs []Event) [][2]float64 {
+	t.Helper()
+	var out [][2]float64
+	for i := 0; i+1 < len(evs); i += 2 {
+		if evs[i].Attr != "x" || evs[i+1].Attr != "y" || evs[i].At != evs[i+1].At {
+			t.Fatalf("report %d is not an x, y pair: %+v %+v", i/2, evs[i], evs[i+1])
+		}
+		out = append(out, [2]float64{evs[i].Val, evs[i+1].Val})
+	}
+	return out
+}
+
+func TestMobilityWalkStaysInBounds(t *testing.T) {
+	g := MobilityWalk{Seed: 1, W: 10, H: 5, Speed: 2, Tick: 200 * sim.Millisecond, Pause: sim.Second}
+	pos := positions(t, g.Events(5*sim.Minute))
+	for _, p := range pos {
+		if p[0] < 0 || p[0] > 10 || p[1] < 0 || p[1] > 5 {
+			t.Fatalf("walker escaped bounds: %v", p)
+		}
+	}
+	// Resting at waypoints reports nothing, so a pausing walk reports
+	// fewer than every tick of the horizon, yet keeps moving.
+	if len(pos) < 100 || len(pos) >= 1500 {
+		t.Fatalf("%d reports over 1500 ticks", len(pos))
+	}
+}
+
+func TestMobilityWalkSpeedBound(t *testing.T) {
+	const speed = 1.5
+	for _, pause := range []sim.Duration{0, sim.Second} {
+		g := MobilityWalk{Seed: 2, W: 20, H: 20, Speed: speed, Tick: 100 * sim.Millisecond, Pause: pause}
+		evs := g.Events(2 * sim.Minute)
+		pos := positions(t, evs)
+		stride := speed*g.Tick.Seconds() + 1e-9
+		for i := 1; i < len(pos); i++ {
+			// A report after a rest may come ticks later; the bound is
+			// per tick elapsed.
+			ticks := float64(evs[2*i].At-evs[2*i-2].At) / float64(g.Tick)
+			if d := math.Hypot(pos[i][0]-pos[i-1][0], pos[i][1]-pos[i-1][1]); d > stride*ticks {
+				t.Fatalf("pause %v: teleport: moved %.3f in %.0f ticks (max %.3f a tick)", pause, d, ticks, stride)
+			}
+		}
 	}
 }
 

@@ -197,11 +197,11 @@ func (g Cohort) Events(horizon sim.Time) []Event {
 	return out
 }
 
-// MobilityWalk is a random-waypoint mobility model: the object moves at
-// Speed through a W×H area, re-targeting a uniform waypoint on arrival,
-// and reports its position ("x", "y") every Tick. Positions are raw
-// float64 readings — the codec path that exercises the trace format's
-// non-integral encoding.
+// MobilityWalk is a random-waypoint mobility model: the object starts
+// at a uniform point of a W×H area, moves at Speed toward a uniform
+// waypoint, re-targets on arrival, and reports its position ("x", "y")
+// every Tick. Positions are raw float64 readings — the codec path that
+// exercises the trace format's non-integral encoding.
 type MobilityWalk struct {
 	Seed uint64
 	Obj  int
@@ -209,6 +209,9 @@ type MobilityWalk struct {
 	W, H  float64
 	Speed float64
 	Tick  sim.Duration
+	// Pause, when positive, is the mean exponential rest at each
+	// waypoint reached; a resting object reports nothing.
+	Pause sim.Duration
 }
 
 // Events implements Source.
@@ -218,7 +221,11 @@ func (g MobilityWalk) Events(horizon sim.Time) []Event {
 	tx, ty := g.W*r.Float64(), g.H*r.Float64()
 	step := g.Speed * float64(g.Tick) / float64(sim.Second)
 	var out []Event
-	for now := g.Tick; sim.Time(now) <= horizon; now += g.Tick {
+	var resume sim.Time // a rest ends here
+	for now := sim.Time(g.Tick); now <= horizon; now += g.Tick {
+		if now < resume {
+			continue
+		}
 		for left := step; left > 0; {
 			dx, dy := tx-x, ty-y
 			dist := math.Hypot(dx, dy)
@@ -226,14 +233,18 @@ func (g MobilityWalk) Events(horizon sim.Time) []Event {
 				x, y = tx, ty
 				left -= dist
 				tx, ty = g.W*r.Float64(), g.H*r.Float64()
+				if g.Pause > 0 {
+					resume = now + expGap(r, g.Pause)
+					break
+				}
 				continue
 			}
 			x += dx / dist * left
 			y += dy / dist * left
 			left = 0
 		}
-		out = append(out, Event{At: sim.Time(now), Obj: g.Obj, Attr: "x", Val: x})
-		out = append(out, Event{At: sim.Time(now), Obj: g.Obj, Attr: "y", Val: y})
+		out = append(out, Event{At: now, Obj: g.Obj, Attr: "x", Val: x})
+		out = append(out, Event{At: now, Obj: g.Obj, Attr: "y", Val: y})
 	}
 	return out
 }

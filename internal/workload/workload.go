@@ -81,8 +81,12 @@ func (s EventSource) Events(horizon sim.Time) []Event {
 	return s[:n]
 }
 
-// Combine merges sources into one canonically ordered stream.
+// Combine merges sources into one canonically ordered stream; one source
+// is returned as is.
 func Combine(srcs ...Source) Source {
+	if len(srcs) == 1 {
+		return srcs[0]
+	}
 	return combined(srcs)
 }
 
@@ -146,20 +150,9 @@ func nextIn(evs []Event, i, lo, hi int) int {
 	return i
 }
 
-// FromLog projects a ground-truth world log onto workload events — the
-// recording half of record/replay for runs whose mutations do not all
-// come from a Source (covert rules, actuation feedback).
-func FromLog(log []world.Event) []Event {
-	out := make([]Event, len(log))
-	for i, ev := range log {
-		out[i] = Event{At: ev.At, Obj: ev.Object, Attr: ev.Attr, Val: ev.New}
-	}
-	return out
-}
-
 // DeriveSeed maps (seed, domain) to an independent seed (the splitmix64
 // finalizer), so one run seed can feed many generators without stream
-// overlap. Identical to the harness's internal seed-domain derivation.
+// overlap. Every harness and scenario derives its seed domains here.
 func DeriveSeed(seed, domain uint64) uint64 {
 	z := seed + 0x9e3779b97f4a7c15*(domain+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -168,8 +161,7 @@ func DeriveSeed(seed, domain uint64) uint64 {
 }
 
 // clampGap converts a sampled real-valued duration to at least one
-// microsecond — the shared convention of every generator in this package
-// (and of world.Toggler before it).
+// microsecond — the shared convention of every generator in this package.
 func clampGap(v float64) sim.Duration {
 	d := sim.Duration(v)
 	if d < 1 {

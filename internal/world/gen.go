@@ -5,8 +5,10 @@ import (
 	"pervasive/internal/stats"
 )
 
-// Generators synthesize world-plane activity. Each generator owns a forked
-// RNG stream so that adding one never perturbs another's randomness.
+// Open-loop world activity, which no detector output feeds back into, is
+// a workload.Source. What stays here reads the world's current value when
+// it fires, so actuation writes steer it; it owns a stream forked from the
+// world's, so adding one never perturbs another's randomness.
 
 // Repeat schedules fn at inter-arrival gaps drawn from gap (in
 // microseconds) until the horizon. fn runs at the drawn instants; the
@@ -30,60 +32,9 @@ func Repeat(eng *sim.Engine, r *stats.RNG, gap stats.Dist, start, horizon sim.Ti
 	schedule(start)
 }
 
-// Toggler flips an object attribute between 0 and 1 with separate mean
-// dwell times in each phase — the canonical on/off local predicate
-// workload ("motion detected", "lights off").
-type Toggler struct {
-	Obj      int
-	Attr     string
-	MeanHigh sim.Duration // mean dwell at 1
-	MeanLow  sim.Duration // mean dwell at 0
-}
-
-// Install starts the toggler on w until the horizon. The attribute starts
-// low and first rises after an exponential low dwell.
-func (tg Toggler) Install(w *World, horizon sim.Time) {
-	tg.InstallWith(w, w.rng.Fork(), horizon)
-}
-
-// InstallWith is Install with an explicit random stream. Sharded runs use
-// it with per-sensor streams forked from a workload root: the world's own
-// RNG is forked from its shard's engine, so its draw order depends on the
-// partitioning, while an explicit per-entity stream is shard-count
-// invariant.
-func (tg Toggler) InstallWith(w *World, r *stats.RNG, horizon sim.Time) {
-	var flip func(now sim.Time)
-	flip = func(now sim.Time) {
-		cur := w.Get(tg.Obj, tg.Attr)
-		var next float64
-		var dwell sim.Duration
-		if cur == 0 {
-			next = 1
-			dwell = tg.MeanHigh
-		} else {
-			next = 0
-			dwell = tg.MeanLow
-		}
-		w.Set(tg.Obj, tg.Attr, next)
-		d := sim.Duration(stats.Exponential{MeanV: float64(dwell)}.Sample(r))
-		if d < 1 {
-			d = 1
-		}
-		if now+d <= horizon {
-			w.eng.At(now+d, flip)
-		}
-	}
-	first := sim.Duration(stats.Exponential{MeanV: float64(tg.MeanLow)}.Sample(r))
-	if first < 1 {
-		first = 1
-	}
-	if first <= horizon {
-		w.eng.At(first, flip)
-	}
-}
-
-// RandomWalk makes an attribute perform a ±Step random walk, optionally
-// clamped to [Min, Max], at exponential intervals with the given mean.
+// RandomWalk makes an attribute perform a ±Step random walk from its
+// current value, optionally clamped to [Min, Max], at exponential
+// intervals with the given mean.
 type RandomWalk struct {
 	Obj      int
 	Attr     string
@@ -112,30 +63,5 @@ func (rw RandomWalk) Install(w *World, horizon sim.Time) {
 				}
 			}
 			w.Set(rw.Obj, rw.Attr, v)
-		})
-}
-
-// PoissonPulses raises an attribute to 1 for a fixed Width at Poisson
-// arrivals with the given mean gap — isolated spikes whose overlap across
-// processes is the raw material of race conditions.
-type PoissonPulses struct {
-	Obj     int
-	Attr    string
-	MeanGap sim.Duration
-	Width   sim.Duration
-}
-
-// Install starts the pulse train on w until the horizon.
-func (pp PoissonPulses) Install(w *World, horizon sim.Time) {
-	r := w.rng.Fork()
-	Repeat(w.eng, r, stats.Exponential{MeanV: float64(pp.MeanGap)}, 0, horizon,
-		func(now sim.Time) {
-			if w.Get(pp.Obj, pp.Attr) == 1 {
-				return // still inside a previous pulse
-			}
-			w.Set(pp.Obj, pp.Attr, 1)
-			w.eng.At(now+pp.Width, func(sim.Time) {
-				w.Set(pp.Obj, pp.Attr, 0)
-			})
 		})
 }

@@ -1,7 +1,6 @@
 package world
 
 import (
-	"math"
 	"testing"
 
 	"pervasive/internal/sim"
@@ -37,48 +36,6 @@ func TestRepeatClampsTinyGaps(t *testing.T) {
 	}
 }
 
-func TestTogglerAlternates(t *testing.T) {
-	eng := sim.NewEngine(7)
-	w := New(eng)
-	o := w.AddObject("motion", nil)
-	Toggler{Obj: o, Attr: "on", MeanHigh: 100, MeanLow: 100}.Install(w, 100000)
-	eng.RunAll()
-	log := w.Log()
-	if len(log) < 10 {
-		t.Fatalf("toggler produced only %d events", len(log))
-	}
-	want := 1.0
-	for _, ev := range log {
-		if ev.New != want {
-			t.Fatalf("toggler out of phase at seq %d: %v", ev.Seq, ev.New)
-		}
-		want = 1 - want
-	}
-}
-
-func TestTogglerMeanDwell(t *testing.T) {
-	eng := sim.NewEngine(11)
-	w := New(eng)
-	o := w.AddObject("motion", nil)
-	high := 50 * sim.Millisecond
-	low := 200 * sim.Millisecond
-	Toggler{Obj: o, Attr: "on", MeanHigh: high, MeanLow: low}.Install(w, 20*sim.Minute)
-	eng.RunAll()
-	pred := func(get func(int, string) float64) bool { return get(o, "on") == 1 }
-	ivs := TrueIntervals(w.Log(), pred, 20*sim.Minute)
-	if len(ivs) < 100 {
-		t.Fatalf("too few pulses: %d", len(ivs))
-	}
-	var tot float64
-	for _, iv := range ivs {
-		tot += float64(iv.End - iv.Start)
-	}
-	mean := tot / float64(len(ivs))
-	if math.Abs(mean-float64(high))/float64(high) > 0.15 {
-		t.Fatalf("mean high dwell %.0fµs want ~%dµs", mean, high)
-	}
-}
-
 func TestRandomWalkClamps(t *testing.T) {
 	eng := sim.NewEngine(3)
 	w := New(eng)
@@ -96,32 +53,11 @@ func TestRandomWalkClamps(t *testing.T) {
 	}
 }
 
-func TestPoissonPulsesShape(t *testing.T) {
-	eng := sim.NewEngine(5)
-	w := New(eng)
-	o := w.AddObject("spike", nil)
-	width := 20 * sim.Millisecond
-	PoissonPulses{Obj: o, Attr: "p", MeanGap: 200 * sim.Millisecond, Width: width}.
-		Install(w, 30*sim.Second)
-	eng.RunAll()
-	pred := func(get func(int, string) float64) bool { return get(o, "p") == 1 }
-	ivs := TrueIntervals(w.Log(), pred, 30*sim.Second)
-	if len(ivs) < 50 {
-		t.Fatalf("too few pulses: %d", len(ivs))
-	}
-	for _, iv := range ivs {
-		if iv.End-iv.Start != width {
-			t.Fatalf("pulse width %v want %v", iv.End-iv.Start, width)
-		}
-	}
-}
-
 func TestGeneratorDeterminism(t *testing.T) {
 	run := func() int {
 		eng := sim.NewEngine(42)
 		w := New(eng)
 		o := w.AddObject("x", nil)
-		Toggler{Obj: o, Attr: "a", MeanHigh: 100, MeanLow: 300}.Install(w, 1000000)
 		RandomWalk{Obj: o, Attr: "b", Step: 1, MeanGap: 70}.Install(w, 1000000)
 		eng.RunAll()
 		return len(w.Log())

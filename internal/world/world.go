@@ -80,6 +80,11 @@ func New(eng *sim.Engine) *World {
 	return &World{eng: eng, rng: eng.RNG().Fork(), logBound: math.MaxInt}
 }
 
+// RNG returns the world's random stream, forked from its engine's. A
+// workload seeded with one draw of it, workload.Toggler{Seed:
+// w.RNG().Uint64()}, draws what a generator forking it there would.
+func (w *World) RNG() *stats.RNG { return w.rng }
+
 // find returns the index of attr's column, or -1 if it was never touched.
 func (w *World) find(attr string) int {
 	for i := range w.cols {
