@@ -177,6 +177,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if m := rt.Meta["scenario"]; m != "" && m != effScen {
 			return fail(fmt.Errorf("-replay: trace was recorded from scenario %q, running %q", m, effScen))
 		}
+		// The fleet is sized by the largest object the trace names: bound
+		// it before wiring, as a spec's objs= is bounded, or by -sensors.
+		limit, bound := workload.ObjLimit, "the objs= bound of a workload spec"
+		if effScen == "scale" {
+			limit, bound = *sensors, "the -sensors fleet"
+		}
+		for _, ev := range rt.Events {
+			if ev.Obj < 0 || ev.Obj >= limit {
+				return fail(fmt.Errorf("-replay: trace names object %d, outside [0, %d) (%s)", ev.Obj, limit, bound))
+			}
+		}
 		replaySrc = workload.EventSource(rt.Events)
 		hz = rt.Horizon // byte-identity needs the recorded horizon
 	}

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pervasive/internal/sim"
+	"pervasive/internal/workload"
 )
 
 // pervasim runs one invocation in-process and returns its exit status,
@@ -134,6 +137,32 @@ func TestTraceOnEveryBuilderScenario(t *testing.T) {
 		}
 		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 			t.Errorf("%s: trace file: %v", scen, err)
+		}
+	}
+}
+
+// TestReplayRefusesObjectsOutsideTheFleet: a replayed trace sizes the
+// fleet by the largest object it names, so an object past a spec's objs=
+// bound (builder-wired scenarios) or at or past -sensors (scale) exits 2
+// with one line naming it, before anything is allocated for it.
+func TestReplayRefusesObjectsOutsideTheFleet(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		obj  int
+		args []string
+		want string
+	}{
+		{1_000_000_000_000, []string{"-scenario", "hall"}, "trace names object 1000000000000, outside [0, 2147483647)"},
+		{64, []string{"-scenario", "scale", "-sensors", "64"}, "trace names object 64, outside [0, 64)"},
+	} {
+		path := filepath.Join(dir, "hostile.pvwl")
+		tr := workload.Trace{Horizon: sim.Second, Events: []workload.Event{{At: 1, Obj: tc.obj, Attr: "p", Val: 1}}}
+		if err := tr.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		code, out, errb := pervasim(append(tc.args, "-replay", path)...)
+		if code != 2 || out != "" || !strings.Contains(errb, tc.want) || strings.Count(errb, "\n") != 1 {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2, no report and one line naming %q", tc.args, code, out, errb, tc.want)
 		}
 	}
 }

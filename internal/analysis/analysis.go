@@ -74,15 +74,16 @@ func DefaultConfig() Config {
 		},
 		// The bench-proven kernels: DES schedule/step (0 allocs/op in
 		// BenchmarkKernelScheduleStep), the strobe stamp/merge kernels,
-		// the checker tree's O(1) incremental clause evaluation, and the
-		// workload trace codec's per-event primitives.
+		// the incremental clause evaluator's O(1) update (checker tree and
+		// oracle scoring), and the workload trace codec's per-event
+		// primitives.
 		HotFuncs: []string{
 			m + "/internal/sim.Engine.AtPri",
 			m + "/internal/sim.Engine.Step",
 			m + "/internal/clock.SparseStrobeVector.Strobe",
 			m + "/internal/clock.Vector.MergeSparse",
 			m + "/internal/clock.SparseStrobeVector.OnStrobe",
-			m + "/internal/checker.Tree.applyDelta",
+			m + "/internal/predicate.Incremental.Set",
 			m + "/internal/workload.appendUvarint",
 			m + "/internal/workload.decoder.uvarint",
 		},

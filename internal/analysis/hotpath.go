@@ -8,10 +8,10 @@ import (
 
 // HotPath turns the repo's "0 allocs/op" bench claims into a lint-time
 // proof: for the configured kernel roots (Config.HotFuncs — the DES
-// schedule/step, the strobe stamp/merge kernels, the checker tree's
-// incremental clause evaluation, the workload codec primitives) it
-// computes the transitive call closure over the module call graph
-// (interface dispatch resolved through the implements-sets) and flags
+// schedule/step, the strobe stamp/merge kernels, the incremental clause
+// evaluator's update, the workload codec primitives) it computes the
+// transitive call closure over the module call graph (interface
+// dispatch resolved through the implements-sets) and flags
 // every allocation-inducing construct anywhere in that closure:
 //
 //   - escaping composite literals (&T{...}) and new/make

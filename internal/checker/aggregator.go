@@ -37,8 +37,8 @@ type Aggregator struct {
 	region int
 	lo, hi int
 	down   bool
-	// epoch is the regional epoch, bumped on every recovery; batches and
-	// clause partials from before the bump are dead.
+	// epoch is the regional epoch, bumped on every recovery; batches from
+	// before the bump are dead.
 	epoch int
 
 	vals       []map[string]float64
@@ -100,6 +100,17 @@ func (a *Aggregator) drain() []int {
 	}
 	sort.Ints(procs)
 	return procs
+}
+
+// names returns the variable names region-local process li holds, sorted
+// (collect-then-sort: map iteration order must never reach an observable).
+func (a *Aggregator) names(li int) []string {
+	names := make([]string, 0, len(a.vals[li]))
+	for name := range a.vals[li] {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // reset wipes every piece of regional state — values, stamps, admission,

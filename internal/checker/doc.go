@@ -11,25 +11,25 @@
 // deployment). Each regional aggregator owns the per-process admission
 // state (seq/epoch discipline), the latest sensed values, and — when
 // race-aware — the per-sender strobe-vector reconstructions for its
-// region only. The root owns only the predicate's clause states and the
+// region only. The root owns only the predicate's evaluator and the
 // detection/occurrence log.
 //
-// Clause decomposition. The predicate is flattened at its top-level
-// conjunction into clauses (predicate.Compile, the compile step the
-// ground-truth oracle shares). A clause whose comparison sides linearize
-// into ±1-coefficient sums of per-process variables (plus sum()
-// aggregates and constants) is maintained incrementally: each applied
-// report adjusts the owning region's partial and the clause totals in
-// O(coefficients-of-that-variable), and the root's verdict is a
-// zero-false-clause counter — O(1) per report, independent of p.
-// Clauses that do not linearize (products, ratios, avg/min/max,
-// disjunctions, opaque functions) are kept whole and re-evaluated
-// against the distributed view only when a variable they read changes.
-// Incremental maintenance is exact for the integer-valued sensor
-// readings this system carries (0/1 occupancy toggles and small counts
-// are exact in float64, as are their ±1-weighted sums); the race-probe
-// machinery never trusts incremental restores at all — probes evaluate
-// functionally against pending deltas and restore saved values verbatim.
+// Clause decomposition. The root's verdict is predicate.Incremental, the
+// evaluator the ground-truth oracle drives: the predicate is flattened at
+// its top-level conjunction into clauses, and a clause whose comparison
+// sides linearize into ±1-coefficient sums of per-process variables (plus
+// sum() aggregates and constants) is maintained incrementally — each
+// applied report sets its key, adjusting the clause sums in
+// O(coefficients-of-that-variable), and the verdict is a
+// zero-false-clause counter: O(1) per report, independent of p. Clauses
+// that do not linearize (products, ratios, avg/min/max, disjunctions) are
+// re-evaluated when a variable they read changes, a FuncCond on every
+// report. A running sum is trusted only while every value folded into it
+// is an exact integer (0/1 occupancy toggles and small counts are); the
+// first fractional reading demotes its clause to AST evaluation for the
+// rest of the run, so the verdict never depends on the order reports
+// arrive in. The race probe sets, evaluates and restores keys through the
+// same evaluator; under that rule the restore is exact.
 //
 // Batched upward sync. Detection itself rides the immediate delta
 // channel: every admitted report updates clause state at once, which is
@@ -51,7 +51,7 @@
 // O(region·p) component — are allocated lazily and only when race
 // detection is on, mirroring the flat checker's memory gate. Aggregator
 // crash/recovery resets the regional state wholesale (values, stamps,
-// admission, partials) under a bumped regional epoch, so a rejoined
-// aggregator can never merge pre-crash regional state into its fresh
-// view.
+// admission) and zeroes the region's keys in the evaluator under a bumped
+// regional epoch, so a rejoined aggregator can never merge pre-crash
+// regional state into its fresh view.
 package checker

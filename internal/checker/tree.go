@@ -49,17 +49,6 @@ type Stats struct {
 	SyncLagTotal sim.Duration
 }
 
-// clauseState is the root's mutable evaluation state for one clause.
-type clauseState struct {
-	// totals are the two comparison side values (konst baked in);
-	// meaningful only for linear clauses.
-	totals [2]float64
-	// reg are the per-region partial contributions to each side — what
-	// RecoverRegion subtracts to forget a crashed region.
-	reg   [2][]float64
-	truth bool
-}
-
 // rootView is the root's batch-synced consolidated state: per-process
 // strobe watermarks, advanced only by decoding flushed batches (the wire
 // codec is load-bearing).
@@ -75,16 +64,18 @@ type rootView struct {
 // delivered on the checker's home shard.
 type Tree struct {
 	n, r      int
-	pred      predicate.Cond
 	raceAware bool
-	plan      *Plan
 	aggs      []*Aggregator
 
-	cs       []clauseState
-	numFalse int
-	// state is the distributed view pre-boxed as a predicate.State (same
-	// hot-path boxing note as the flat checker).
-	state predicate.State
+	// eval is the root's verdict: every applied report sets its key there,
+	// and the race probe sets, evaluates and restores keys through it.
+	eval predicate.Incremental
+	// boundary[name][p] says a cross-region clause reads name@p (an
+	// aggregate reads name at every p); boundaryAll says an untracked
+	// clause may read any key. Only boundary values ride a sync batch's
+	// entries.
+	boundary    map[string][]bool
+	boundaryAll bool
 
 	cur      bool
 	occ      []Occurrence
@@ -113,10 +104,10 @@ type Tree struct {
 	obsDropped    *obs.Counter
 }
 
-// New builds the tree: compiles the predicate into the clause plan,
-// carves [0, N) into Fanout contiguous regions, and initializes clause
-// truth at the all-zero view (the same implicit initial view the flat
-// checker starts from).
+// New builds the tree: carves [0, N) into Fanout contiguous regions,
+// compiles the predicate into the incremental evaluator at the all-zero
+// view (the same implicit initial view the flat checker starts from), and
+// marks the keys that cross-region clauses read.
 func New(cfg Config) *Tree {
 	if cfg.N <= 0 {
 		panic("checker: tree needs at least one process")
@@ -132,7 +123,7 @@ func New(cfg Config) *Tree {
 		cfg.BatchInterval = 5 * sim.Millisecond
 	}
 	t := &Tree{
-		n: cfg.N, r: r, pred: cfg.Pred,
+		n: cfg.N, r: r,
 		raceAware:     cfg.RaceAware,
 		batchInterval: cfg.BatchInterval, maxBatch: 256,
 		root: rootView{
@@ -141,27 +132,55 @@ func New(cfg Config) *Tree {
 			regionEpoch: make([]int, r),
 		},
 	}
-	t.state = treeState{t}
-	t.plan = NewPlan(cfg.Pred, cfg.N, t.RegionOf)
 	t.aggs = make([]*Aggregator, r)
 	for i := 0; i < r; i++ {
 		t.aggs[i] = newAggregator(i, t.regionLo(i), t.regionLo(i+1))
 	}
-	t.cs = make([]clauseState, len(t.plan.clauses))
-	for i, cl := range t.plan.clauses {
-		cs := &t.cs[i]
-		cs.reg = [2][]float64{make([]float64, r), make([]float64, r)}
-		if cl.Linear {
-			cs.totals = [2]float64{cl.Sides[0].Konst, cl.Sides[1].Konst}
-			cs.truth = predicate.CmpEval(cl.Op, cs.totals[0], cs.totals[1])
-		} else {
-			cs.truth = cl.Cond.Holds(t.state)
-		}
-		if !cs.truth {
-			t.numFalse++
+	t.eval.Init(cfg.Pred, cfg.N)
+	t.boundary = make(map[string][]bool)
+	for _, cl := range predicate.Compile(cfg.Pred) {
+		t.boundaryAll = t.boundaryAll || cl.Untracked
+		home, spans := -1, false // home: the region of the last key read
+		cl.Cond.CollectVars(func(k predicate.Key) {
+			r := -1 // an aggregate reads every region
+			if k.Proc >= 0 {
+				r = t.RegionOf(k.Proc)
+			}
+			spans = spans || r < 0 || home >= 0 && r != home
+			home = r
+		})
+		if spans {
+			cl.Cond.CollectVars(t.markBoundary)
 		}
 	}
 	return t
+}
+
+// markBoundary marks k as read by a clause spanning regions.
+func (t *Tree) markBoundary(k predicate.Key) {
+	if k.Proc >= t.n {
+		return // no report ever carries it
+	}
+	b := t.boundary[k.Name]
+	if b == nil {
+		b = make([]bool, t.n)
+		t.boundary[k.Name] = b
+	}
+	if k.Proc >= 0 {
+		b[k.Proc] = true
+		return
+	}
+	for p := range b {
+		b[p] = true
+	}
+}
+
+// boundaryKey reports whether (proc, name) is read by a clause not
+// settled inside proc's region — the criterion for forwarding the value
+// upward in a sync batch.
+func (t *Tree) boundaryKey(proc int, name string) bool {
+	b := t.boundary[name]
+	return t.boundaryAll || b != nil && b[proc]
 }
 
 // RegionOf returns the region owning process p — the same proportional
@@ -182,21 +201,6 @@ func (t *Tree) Fanout() int { return t.r }
 
 // Aggregators exposes the regional nodes (tests, memory accounting).
 func (t *Tree) Aggregators() []*Aggregator { return t.aggs }
-
-// treeState adapts the distributed regional values to predicate.State.
-type treeState struct{ t *Tree }
-
-// Get implements predicate.State.
-func (s treeState) Get(proc int, name string) float64 {
-	if proc < 0 || proc >= s.t.n {
-		return 0
-	}
-	a, li := s.t.aggFor(proc)
-	return a.vals[li][name]
-}
-
-// NumProcs implements predicate.State.
-func (s treeState) NumProcs() int { return s.t.n }
 
 // SetObs attaches runtime metrics. The checker.* names match the flat
 // checker's so dashboards are checker-implementation agnostic; the
@@ -276,11 +280,8 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 
 	prev := a.vals[li][m.Var]
 	a.vals[li][m.Var] = m.Value
-	t.obsEvals.Inc()
-	if delta := m.Value - prev; delta != 0 {
-		t.applyDelta(m.Proc, m.Var, delta, a.region)
-	}
-	settled := t.numFalse == 0
+	t.eval.Set(predicate.Key{Proc: m.Proc, Name: m.Var}, m.Value)
+	settled := t.phi()
 
 	race := false
 	if t.raceAware && m.Vec != nil {
@@ -308,54 +309,11 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 	}
 }
 
-// applyDelta folds one value change into the clause states: O(hooks for
-// that variable), independent of the fleet size — the per-report cost
-// the flat checker pays O(p) for on aggregate predicates.
-func (t *Tree) applyDelta(proc int, name string, delta float64, region int) {
-	kc := t.plan.byKey[predicate.Key{Proc: proc, Name: name}]
-	ka := t.plan.byKey[predicate.Key{Proc: -1, Name: name}]
-	for _, c := range kc {
-		cs := &t.cs[c.cl.idx]
-		cs.totals[c.side] += c.c * delta
-		cs.reg[c.side][region] += c.c * delta
-	}
-	for _, c := range ka {
-		cs := &t.cs[c.cl.idx]
-		cs.totals[c.side] += c.c * delta
-		cs.reg[c.side][region] += c.c * delta
-	}
-	for _, c := range kc {
-		t.refreshClause(c.cl)
-	}
-	for _, c := range ka {
-		t.refreshClause(c.cl)
-	}
-	for _, cl := range t.plan.opaqueByKey[predicate.Key{Proc: proc, Name: name}] {
-		t.refreshClause(cl)
-	}
-	for _, cl := range t.plan.opaqueByKey[predicate.Key{Proc: -1, Name: name}] {
-		t.refreshClause(cl)
-	}
-}
-
-// refreshClause re-derives one clause's truth and maintains numFalse.
-// Idempotent: refreshing an unchanged clause is a no-op.
-func (t *Tree) refreshClause(cl *clause) {
-	cs := &t.cs[cl.idx]
-	var truth bool
-	if cl.Linear {
-		truth = predicate.CmpEval(cl.Op, cs.totals[0], cs.totals[1])
-	} else {
-		truth = cl.Cond.Holds(t.state)
-	}
-	if truth != cs.truth {
-		cs.truth = truth
-		if truth {
-			t.numFalse--
-		} else {
-			t.numFalse++
-		}
-	}
+// phi evaluates the predicate at the evaluator's current values; each
+// call counts as one predicate evaluation, as the flat checker counts.
+func (t *Tree) phi() bool {
+	t.obsEvals.Inc()
+	return t.eval.Holds()
 }
 
 // flip updates detection state on a settled-truth edge, mirroring the
@@ -405,7 +363,11 @@ func (t *Tree) Markers() []sim.Time { return t.markers }
 
 // View returns the tree's current value of (proc, var).
 func (t *Tree) View(proc int, name string) float64 {
-	return t.state.Get(proc, name)
+	if proc < 0 || proc >= t.n {
+		return 0
+	}
+	a, li := t.aggFor(proc)
+	return a.vals[li][name]
 }
 
 // MaxAggregatorBytes returns the largest regional node footprint — the
@@ -439,7 +401,7 @@ func (t *Tree) flushAgg(a *Aggregator, now sim.Time) {
 	for _, p := range procs {
 		e := a.pending[p]
 		b.Triples = append(b.Triples, clock.StampTriple{Proc: p, Val: e.own, Sent: uint64(e.seq)})
-		if t.plan.boundaryKey(p, e.varName, a.region) {
+		if t.boundaryKey(p, e.varName) {
 			b.Entries = append(b.Entries, BatchEntry{Proc: p, Epoch: e.epoch, Var: e.varName, Value: e.value})
 		} else {
 			t.Stat.LocalEntries++
@@ -493,42 +455,38 @@ func (t *Tree) CrashRegion(r int) {
 }
 
 // RecoverRegion brings aggregator r back with wholly fresh regional
-// state: values, stamps, admission and clause partials are reset under a
-// bumped regional epoch, so nothing pre-crash can be merged back in. If
-// forgetting the region flips the predicate, the edge is recorded at the
-// recovery time.
+// state: values, stamps and admission are reset under a bumped regional
+// epoch, and the region's keys read 0 in the evaluator, so nothing
+// pre-crash can be merged back in. If forgetting the region flips the
+// predicate, the edge is recorded at the recovery time.
 func (t *Tree) RecoverRegion(r int, now sim.Time) {
 	a := t.aggs[r]
 	if !a.down {
 		return
 	}
 	a.down = false
-	for i := range t.cs {
-		cs := &t.cs[i]
-		cs.totals[0] -= cs.reg[0][r]
-		cs.totals[1] -= cs.reg[1][r]
-		cs.reg[0][r] = 0
-		cs.reg[1][r] = 0
+	for li := range a.vals {
+		for _, name := range a.names(li) {
+			t.eval.Set(predicate.Key{Proc: a.lo + li, Name: name}, 0)
+		}
 	}
 	a.reset()
 	a.lastFlush = now
 	// Fence the root against pre-crash stragglers immediately: the epoch
 	// bump must take effect before any batch under the new epoch arrives.
 	t.root.regionEpoch[r] = a.epoch
-	for _, cl := range t.plan.clauses {
-		t.refreshClause(cl)
-	}
-	t.flip(t.numFalse == 0, false, now)
+	t.flip(t.eval.Holds(), false, now)
 }
 
 // detectRace replicates the flat checker's four-state probe (see
 // core.StrobeChecker.detectRace for the criterion): processes are
-// scanned in global order across regions, probes mutate the distributed
-// view exactly as the flat probe mutates its map — but the clause states
-// are never touched; probe evaluation is functional over pending deltas,
-// so restoring the saved values restores the tree bit-exactly.
+// scanned in global order across regions, and each probe sets, evaluates
+// and restores the two keys through the evaluator exactly as the flat
+// probe does through its view. The restore is exact: the evaluator keeps
+// a running sum only while every value folded into it is an exact
+// integer.
 func (t *Tree) detectRace(m Report, prevI float64) bool {
-	ia, ili := t.aggFor(m.Proc)
+	keyI := predicate.Key{Proc: m.Proc, Name: m.Var}
 	for j := 0; j < t.n; j++ {
 		if j == m.Proc {
 			continue
@@ -541,110 +499,20 @@ func (t *Tree) detectRace(m Report, prevI float64) bool {
 			continue
 		}
 		ch := ja.lastChange[jli]
-		curJ := ja.vals[jli][ch.varName]
-		curI := ia.vals[ili][m.Var]
-		pr := t.buildProbe(m.Proc, m.Var, j, ch.varName)
+		keyJ := predicate.Key{Proc: j, Name: ch.varName}
 
-		phi11 := pr.phi(0, 0)
-		ja.vals[jli][ch.varName] = ch.prev // s10: only e
-		phi10 := pr.phi(0, ch.prev-curJ)
-		ia.vals[ili][m.Var] = prevI // s00: neither
-		phi00 := pr.phi(prevI-curI, ch.prev-curJ)
-		ja.vals[jli][ch.varName] = curJ // s01: only e'
-		phi01 := pr.phi(prevI-curI, 0)
-		ia.vals[ili][m.Var] = curI // restore s11
+		phi11 := t.phi()
+		t.eval.Set(keyJ, ch.prev) // s10: only e
+		phi10 := t.phi()
+		t.eval.Set(keyI, prevI) // s00: neither
+		phi00 := t.phi()
+		t.eval.Set(keyJ, ja.vals[jli][ch.varName]) // s01: only e'
+		phi01 := t.phi()
+		t.eval.Set(keyI, m.Value) // restore s11
 
 		if phi00 == phi11 && phi10 != phi01 {
 			return true
 		}
 	}
 	return false
-}
-
-// probe is the functional evaluation context for one four-state race
-// probe over the pair of keys (i: the applied event's variable, j: the
-// concurrent process's last-changed variable).
-type probe struct {
-	t         *Tree
-	items     []probeItem
-	baseFalse int
-}
-
-type probeItem struct {
-	cl     *clause
-	opaque bool
-	// cI / cJ are the clause's net ±1 coefficients of key i / key j per
-	// side (linear clauses only).
-	cI, cJ [2]float64
-}
-
-// buildProbe collects the clauses affected by either key with their net
-// coefficients; every other clause keeps its stored truth during the
-// probe.
-func (t *Tree) buildProbe(iProc int, iName string, jProc int, jName string) *probe {
-	pr := &probe{t: t}
-	idx := make(map[*clause]int)
-	item := func(cl *clause) *probeItem {
-		if k, ok := idx[cl]; ok {
-			return &pr.items[k]
-		}
-		idx[cl] = len(pr.items)
-		pr.items = append(pr.items, probeItem{cl: cl, opaque: !cl.Linear})
-		return &pr.items[len(pr.items)-1]
-	}
-	addLinear := func(key predicate.Key, which int) {
-		for _, c := range t.plan.byKey[key] {
-			it := item(c.cl)
-			if which == 0 {
-				it.cI[c.side] += c.c
-			} else {
-				it.cJ[c.side] += c.c
-			}
-		}
-	}
-	addLinear(predicate.Key{Proc: iProc, Name: iName}, 0)
-	addLinear(predicate.Key{Proc: -1, Name: iName}, 0)
-	addLinear(predicate.Key{Proc: jProc, Name: jName}, 1)
-	addLinear(predicate.Key{Proc: -1, Name: jName}, 1)
-	for _, key := range []predicate.Key{
-		{Proc: iProc, Name: iName}, {Proc: -1, Name: iName},
-		{Proc: jProc, Name: jName}, {Proc: -1, Name: jName},
-	} {
-		for _, cl := range t.plan.opaqueByKey[key] {
-			item(cl)
-		}
-	}
-	pr.baseFalse = t.numFalse
-	for _, it := range pr.items {
-		if !t.cs[it.cl.idx].truth {
-			pr.baseFalse--
-		}
-	}
-	return pr
-}
-
-// phi evaluates the predicate under the probe's pending deltas (dI on
-// key i, dJ on key j, both relative to the committed view). Opaque
-// clauses read the mutated distributed view directly; linear clauses are
-// adjusted arithmetically. Each call counts as one predicate evaluation,
-// matching the flat checker's instrumentation.
-func (pr *probe) phi(dI, dJ float64) bool {
-	pr.t.obsEvals.Inc()
-	f := pr.baseFalse
-	for i := range pr.items {
-		it := &pr.items[i]
-		var truth bool
-		if it.opaque {
-			truth = it.cl.Cond.Holds(pr.t.state)
-		} else {
-			cs := &pr.t.cs[it.cl.idx]
-			l := cs.totals[0] + it.cI[0]*dI + it.cJ[0]*dJ
-			r := cs.totals[1] + it.cI[1]*dI + it.cJ[1]*dJ
-			truth = predicate.CmpEval(it.cl.Op, l, r)
-		}
-		if !truth {
-			f++
-		}
-	}
-	return f == 0
 }

@@ -88,14 +88,14 @@ func TestTreeAdmissionDiscipline(t *testing.T) {
 // TestTreeAggregatorCrashRecovery is the regional-node counterpart of
 // the sensor epoch-reset tests: when the crashing process is a regional
 // aggregator, rejoin must not merge any pre-crash regional state — not
-// values, not admission watermarks, not clause partials.
+// values, not admission watermarks, not the region's keys in the evaluator.
 func TestTreeAggregatorCrashRecovery(t *testing.T) {
 	tr := sumTree(8, 4, 3)
 	// Region 1 owns procs 2..3. Drive the predicate true through them.
 	tr.OnReport(report(2, 5, 1), 10)
 	tr.OnReport(report(3, 5, 1), 20) // sum=2
 	tr.OnReport(report(0, 1, 1), 25) // sum=3: open occurrence
-	if got := tr.numFalse; got != 0 {
+	if !tr.cur {
 		t.Fatalf("predicate should hold before the crash")
 	}
 
@@ -109,7 +109,7 @@ func TestTreeAggregatorCrashRecovery(t *testing.T) {
 	}
 
 	tr.RecoverRegion(1, 40)
-	// Recovery forgets the region wholesale: values and clause partials.
+	// Recovery forgets the region wholesale: values and evaluator keys.
 	if got := tr.View(2, "p"); got != 0 {
 		t.Fatalf("post-recovery view of proc 2 = %v, want 0", got)
 	}
@@ -132,11 +132,11 @@ func TestTreeAggregatorCrashRecovery(t *testing.T) {
 	if got := tr.View(2, "p"); got != 1 {
 		t.Fatalf("post-recovery report rejected: view = %v", got)
 	}
-	if tr.numFalse == 0 {
-		t.Fatalf("sum should be 2 only after proc 3 reports again — pre-crash partials leaked")
+	if tr.cur {
+		t.Fatalf("sum should be 2 only after proc 3 reports again — pre-crash values leaked")
 	}
 	tr.OnReport(report(3, 1, 1), 60)
-	if tr.numFalse != 0 {
+	if !tr.cur {
 		t.Fatalf("predicate should hold again after both procs re-report")
 	}
 	occ = tr.Occurrences()
@@ -249,8 +249,63 @@ func TestTreeMatchesCmpSemantics(t *testing.T) {
 	for _, tc := range cases {
 		tr := New(Config{N: 2, Pred: predicate.MustParse(tc.src), Fanout: 2})
 		tr.OnReport(report(0, 1, tc.v), 1)
-		if got := tr.numFalse == 0; got != tc.want {
+		if got := tr.cur; got != tc.want {
 			t.Errorf("%q with p@0=%v: settled=%v, want %v", tc.src, tc.v, got, tc.want)
 		}
 	}
+}
+
+// TestTreeBoundaryKeys: a value rides a sync batch's entries only when a
+// clause not settled inside its region reads it — a clause spanning two
+// regions, an aggregate, or an untracked clause, which may read anything.
+func TestTreeBoundaryKeys(t *testing.T) {
+	// Four regions of two over eight processes: p@0 >= 1 is settled in
+	// region 0, p@6 + p@7 >= 1 in region 3; p@0 + p@7 >= 1 spans.
+	tr := New(Config{N: 8, Fanout: 4,
+		Pred: predicate.MustParse("p@0 >= 1 && p@6 + p@7 >= 1 && p@0 + p@7 >= 1")})
+	for _, c := range []struct {
+		proc int
+		want bool
+	}{{0, true}, {7, true}, {6, false}, {1, false}} {
+		if got := tr.boundaryKey(c.proc, "p"); got != c.want {
+			t.Errorf("p@%d boundary-relevant = %v, want %v", c.proc, got, c.want)
+		}
+	}
+
+	agg := New(Config{N: 8, Fanout: 4, Pred: predicate.MustParse("sum(x) - sum(y) > 200")})
+	if !agg.boundaryKey(3, "x") || !agg.boundaryKey(5, "y") || agg.boundaryKey(5, "z") {
+		t.Errorf("an aggregate must make exactly its variable boundary-relevant at every process")
+	}
+
+	fc := predicate.FuncCond{F: func(s predicate.State) bool { return s.Get(0, "y") > 0 }, Keys: []predicate.Key{{Proc: 0, Name: "x"}}}
+	un := New(Config{N: 8, Fanout: 4, Pred: fc})
+	if !un.boundaryKey(5, "z") {
+		t.Errorf("an untracked clause may read any key; z@5 must be boundary-relevant")
+	}
+}
+
+// TestTreeOpaqueMatchesDirectEval drives a tree holding an opaque
+// predicate and checks its settled verdicts equal direct evaluation.
+func TestTreeOpaqueMatchesDirectEval(t *testing.T) {
+	pred := predicate.MustParse("p@0 * p@1 >= 1 || p@2 >= 3")
+	tr := New(Config{N: 4, Pred: pred, Fanout: 2})
+	seq := make([]int, 4)
+	set := func(proc int, v float64) {
+		seq[proc]++
+		tr.OnReport(Report{Proc: proc, Seq: seq[proc], Var: "p", Value: v}, 1)
+	}
+	check := func(want bool) {
+		t.Helper()
+		if tr.cur != want {
+			t.Fatalf("settled = %v, want %v", tr.cur, want)
+		}
+	}
+	set(0, 1)
+	check(false)
+	set(1, 1)
+	check(true) // product path
+	set(1, 0)
+	check(false)
+	set(2, 3)
+	check(true) // disjunct path
 }

@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"pervasive/internal/checker"
 	"pervasive/internal/faults"
 	"pervasive/internal/obs"
+	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
 )
 
@@ -206,6 +208,50 @@ func TestCheckerTreeObsCountersMatchFlat(t *testing.T) {
 		got := run(fanout)
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("R=%d: obs counters diverge:\nflat %v\ntree %v", fanout, want, got)
+		}
+	}
+}
+
+// TestCheckerTreeFractionsAndUndeclaredReads: a tree's verdict is the
+// flat checker's on values whose sums round by order and on a FuncCond
+// reading a variable it never declares — one occurrence each, opened by
+// the last report, at R = 1 and R = 2.
+func TestCheckerTreeFractionsAndUndeclaredReads(t *testing.T) {
+	type rep struct {
+		proc int
+		name string
+		v    float64
+	}
+	for _, tc := range []struct {
+		pred predicate.Cond
+		reps []rep
+	}{
+		{predicate.MustParse("p@0 + p@1 + p@2 >= 1"), []rep{{2, "p", 0.7}, {1, "p", 0.2}, {0, "p", 0.1}}},
+		{predicate.FuncCond{
+			F:    func(s predicate.State) bool { return s.Get(0, "y") >= 1 && s.Get(1, "x") >= 1 },
+			Keys: []predicate.Key{{Proc: 1, Name: "x"}},
+		}, []rep{{1, "x", 1}, {0, "y", 1}}},
+	} {
+		flat := NewVectorChecker(3, tc.pred)
+		trees := []*checker.Tree{
+			checker.New(checker.Config{N: 3, Pred: tc.pred, Fanout: 1, RaceAware: true}),
+			checker.New(checker.Config{N: 3, Pred: tc.pred, Fanout: 2, RaceAware: true}),
+		}
+		for i, r := range tc.reps {
+			m := StrobeMsg{Proc: r.proc, Seq: 1, Var: r.name, Value: r.v}
+			flat.OnStrobe(m, sim.Time(i+1))
+			for _, tr := range trees {
+				tr.OnReport(treeReport(m), sim.Time(i+1))
+			}
+		}
+		want := []Occurrence{{Start: sim.Time(len(tc.reps))}}
+		if got := flat.Occurrences(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: flat checker found %v, want %v", tc.pred, got, want)
+		}
+		for _, tr := range trees {
+			if got := tr.Occurrences(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v at R = %d: tree found %v, the flat checker %v", tc.pred, tr.Fanout(), got, want)
+			}
 		}
 	}
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"pervasive/internal/checker"
 	"pervasive/internal/clock"
 	"pervasive/internal/predicate"
+	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 )
 
@@ -13,15 +16,17 @@ import (
 // against the model. The tallies prove the fixed-seed draw reaches every
 // path through OnStrobe that reads or writes the view.
 const (
-	strobeBelow     = iota // proc < 0
-	strobeBeyond           // proc >= n
-	strobeOldEpoch         // epoch below the process's current one
-	strobeEpochBump        // epoch above it: order state resets, the view does not
-	strobeStaleSeq         // seq at or below the last applied
-	strobeApplied          // applied to a column that exists
-	strobeNewColumn        // applied, and the first write of its name
-	strobeProbed           // applied concurrently with another process's latest event: four-state probe
-	strobeFlipped          // applied, and the predicate changed
+	strobeBelow      = iota // proc < 0
+	strobeBeyond            // proc >= n
+	strobeOldEpoch          // epoch below the process's current one
+	strobeEpochBump         // epoch above it: order state resets, the view does not
+	strobeStaleSeq          // seq at or below the last applied
+	strobeApplied           // applied to a column that exists
+	strobeNewColumn         // applied, and the first write of its name
+	strobeProbed            // applied concurrently with another process's latest event: four-state probe
+	strobeFlipped           // applied, and the predicate changed
+	strobeDemoted           // applied a value that demotes a linear clause of linearPred
+	strobeUndeclared        // applied y@0, which undeclaredPred reads without declaring, and flipped it
 	strobeCases
 )
 
@@ -31,15 +36,39 @@ var viewNames = [...]string{"x", "y", "z"}
 
 var viewPred = predicate.MustParse("sum(x) + min(y) >= max(z) + y@1 + max(w) + 1")
 
+// viewFractions are the values a strobe draws one time in four: sums of
+// them round differently in different orders (0.1 + 0.2 + 0.7 is 1, but
+// 0.7 + 0.2 + 0.1 is not), so they demote linearPred's clauses.
+var viewFractions = [...]float64{0.1, 0.2, 0.7, 0.5}
+
+// linearPred's two clauses are linear: each comparison side is a running
+// sum in the incremental evaluator until a drawn fraction demotes it.
+var linearPred = predicate.MustParse("x@0 + x@1 + x@2 >= 1 && sum(y) - z@0 < 3")
+
+// undeclaredPred reads y@0 but declares only x@1: an untracked clause,
+// re-evaluated on every report.
+var undeclaredPred = predicate.FuncCond{
+	F:    func(s predicate.State) bool { return s.Get(0, "y")+s.Get(1, "x") >= 2 },
+	Keys: []predicate.Key{{Proc: 1, Name: "x"}},
+	Desc: "y@0 + x@1 >= 2",
+}
+
+// treePreds are the predicates race-aware trees are held to the flat
+// checker on, strobe by strobe.
+var treePreds = [...]predicate.Cond{viewPred, linearPred, undeclaredPred}
+
 // checkerVsModel decodes ops into strobes, drives a race-aware
 // StrobeChecker over n processes and a predicate.MapState model of its view
 // through them side by side, and after every strobe demands the same value
 // at every (process, name) pair — out-of-range processes and the
 // never-written name included — the same bits from every aggregate over
 // both, the same predicate verdict, columns that agree with Get, and the
-// same applied/stale split. A strobe is 3 + n bytes: proc drawn from
-// [-2, n+2); name and a value in [0, 4), small so the predicate flips
-// often; seq and epoch relative to the process's current ones (seq −2 … +5,
+// same applied/stale split. Beside it, for each of treePreds, a flat
+// checker and race-aware checker trees at R = 1, 2 and n take the same
+// strobes and must keep the same occurrences, markers and applied/stale
+// counts. A strobe is 3 + n bytes: proc drawn from [-2, n+2); name and a
+// value in [0, 4), small so the predicate flips often — or, one time in
+// four, from viewFractions; seq and epoch relative to the process's current ones (seq −2 … +5,
 // epoch −1 one time in eight and +1 one time in eight); then one byte per
 // vector component, two bits each, so concurrent stamps are common and the
 // race probe sets and restores view cells on most applies.
@@ -47,6 +76,20 @@ func checkerVsModel(t *testing.T, n int, ops []byte) (seen [strobeCases]int) {
 	t.Helper()
 	c := NewVectorChecker(n, viewPred)
 	model := predicate.MapState{N: n, Vals: map[predicate.Key]float64{}}
+	// flats[k] and trees[k] check treePreds[k]; shadow tallies demotions.
+	var flats [len(treePreds)]*StrobeChecker
+	var trees [len(treePreds)][]*checker.Tree
+	for k, pred := range treePreds {
+		flats[k] = c
+		if k > 0 {
+			flats[k] = NewVectorChecker(n, pred)
+		}
+		for _, r := range [...]int{1, 2, n} {
+			trees[k] = append(trees[k], checker.New(checker.Config{N: n, Pred: pred, Fanout: r, RaceAware: true}))
+		}
+	}
+	var shadow predicate.Incremental
+	shadow.Init(linearPred, n)
 	lastSeq, lastEpoch := make([]int, n), make([]int, n)
 	var applied, stale int64
 	holds := false
@@ -56,6 +99,9 @@ func checkerVsModel(t *testing.T, n int, ops []byte) (seen [strobeCases]int) {
 			Var:   viewNames[int(ops[1]&3)%len(viewNames)],
 			Value: float64(ops[1] >> 2 & 3),
 			Vec:   clock.NewVector(n),
+		}
+		if ops[1]>>4&3 == 3 {
+			m.Value = viewFractions[ops[1]>>2&3]
 		}
 		seqStep, epochStep := int(ops[2]&7)-2, 0
 		switch ops[2] >> 3 & 7 {
@@ -105,16 +151,36 @@ func checkerVsModel(t *testing.T, n int, ops []byte) (seen [strobeCases]int) {
 					break
 				}
 			}
-			model.Vals[predicate.Key{Proc: m.Proc, Name: m.Var}] = m.Value
+			key := predicate.Key{Proc: m.Proc, Name: m.Var}
+			demoted, was := shadow.Demoted, undeclaredPred.Holds(model)
+			if shadow.Set(key, m.Value); shadow.Demoted > demoted {
+				seen[strobeDemoted]++
+			}
+			model.Vals[key] = m.Value
 			if now := viewPred.Holds(model); now != holds {
 				seen[strobeFlipped]++
 				holds = now
+			}
+			if key == (predicate.Key{Proc: 0, Name: "y"}) && undeclaredPred.Holds(model) != was {
+				seen[strobeUndeclared]++
 			}
 		} else {
 			stale++
 		}
 
-		c.OnStrobe(m, 0)
+		now := sim.Time(step + 1)
+		for k, f := range flats {
+			f.OnStrobe(m, now)
+			for _, tr := range trees[k] {
+				tr.OnReport(treeReport(m), now)
+				if tr.Stat.Applied != f.Applied || tr.Stat.Stale != f.Stale ||
+					!reflect.DeepEqual(tr.Occurrences(), f.Occurrences()) || !reflect.DeepEqual(tr.Markers(), f.Markers()) {
+					t.Fatalf("step %d (%+v), %v at R = %d: applied %d, stale %d, occurrences %v, markers %v; the flat checker %d, %d, %v, %v",
+						step, m, treePreds[k], tr.Fanout(), tr.Stat.Applied, tr.Stat.Stale, tr.Occurrences(), tr.Markers(),
+						f.Applied, f.Stale, f.Occurrences(), f.Markers())
+				}
+			}
+		}
 
 		if c.Applied != applied || c.Stale != stale {
 			t.Fatalf("step %d (%+v): checker applied %d and discarded %d, the model %d and %d", step, m, c.Applied, c.Stale, applied, stale)
@@ -171,7 +237,10 @@ func TestCheckerViewMatchesMapModel(t *testing.T) {
 
 // FuzzCheckerView is the same body under the native fuzzer, the first byte
 // choosing n in [1, 16]. The checked-in corpus in
-// testdata/fuzz/FuzzCheckerView has one entry per case (n = 4).
+// testdata/fuzz/FuzzCheckerView has one entry per view case (n = 4), plus
+// fraction-sum (x@2 = 0.7, x@1 = 0.2, x@0 = 0.1: the flat checker's
+// x@0 + x@1 + x@2 is 1, a running sum in arrival order falls short) and
+// undeclared-read (x@1 = 1, then y@0 = 1 flips undeclaredPred).
 func FuzzCheckerView(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {

@@ -130,10 +130,10 @@ func TestConsensusEndToEnd(t *testing.T) {
 		for i, r := range replicas {
 			r.Finish(horizon)
 			lists[i] = r.Occurrences()
-			replicaAgg.Add(Score(lists[i], res.Truth, nil, h.Cfg.Tol, horizon))
+			replicaAgg.Add(Score(lists[i], res.Truth, nil, h.Tol(), horizon))
 		}
 		m := ConsensusMergePolicy(lists, horizon, ConsensusBin)
-		merged.Add(Score(m, res.Truth, nil, h.Cfg.Tol, horizon))
+		merged.Add(Score(m, res.Truth, nil, h.Tol(), horizon))
 	}
 	// The bin policy keeps everything any replica saw, so recall matches
 	// the replicas'.

@@ -53,11 +53,8 @@ type HarnessConfig struct {
 	Epsilon sim.Duration
 	// Slack is the physical checker's reordering buffer; defaults to the
 	// delay bound plus Epsilon.
-	Slack   sim.Duration
-	Horizon sim.Time
-	// Tol is the scoring tolerance; defaults to the delay bound (or
-	// 100 ms when unbounded) plus Epsilon.
-	Tol       sim.Duration
+	Slack     sim.Duration
+	Horizon   sim.Time
 	Trace     *trace.Trace
 	LogStamps bool
 	// Obs, if non-nil, receives runtime metrics from the engine, the
@@ -127,9 +124,6 @@ func NewHarness(cfg HarnessConfig) *Harness {
 	}
 	if cfg.Topo == nil {
 		cfg.Topo = network.FullMesh{Nodes: cfg.N + 1}
-	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = finiteBound(cfg.Delay) + cfg.Epsilon + sim.Millisecond
 	}
 	if cfg.Slack <= 0 {
 		cfg.Slack = finiteBound(cfg.Delay) + cfg.Epsilon
@@ -264,6 +258,12 @@ func (h *Harness) truthKeys() world.KeysOf {
 	}
 }
 
+// Tol is the scoring tolerance: the delay bound (100 ms when unbounded)
+// plus Epsilon plus 1 ms.
+func (h *Harness) Tol() sim.Duration {
+	return finiteBound(h.Cfg.Delay) + h.Cfg.Epsilon + sim.Millisecond
+}
+
 // Run executes the simulation to the horizon, finishes the checker, and
 // scores against ground truth.
 func (h *Harness) Run() Results {
@@ -279,7 +279,7 @@ func (h *Harness) Run() Results {
 
 	res := Results{Net: h.Net.Stats, Horizon: horizon}
 	truth := world.Oracle{Pred: h.Cfg.Pred, N: h.Cfg.N, KeysOf: h.truthKeys(), Obs: h.Cfg.Obs}
-	FinishAndScore(&res, h.det, h.World.Log(), truth, h.Cfg.Tol)
+	FinishAndScore(&res, h.det, h.World.Log(), truth, h.Tol())
 	return res
 }
 

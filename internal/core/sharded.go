@@ -52,8 +52,6 @@ type ShardedConfig struct {
 	// 800ms / 1.5s).
 	MeanHigh, MeanLow sim.Duration
 	Horizon           sim.Time
-	// Tol is the scoring tolerance; defaults to the delay bound + 1ms.
-	Tol sim.Duration
 	// CheckerFanout selects the detection architecture: <= 1 keeps the
 	// flat StrobeChecker (the R=1 fast path and differential oracle);
 	// >= 2 builds a checker tree of that many regional aggregators
@@ -161,9 +159,6 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 	}
 	if cfg.PilotK <= 0 {
 		cfg.PilotK = cfg.Pilot/2 + 1
-	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = finiteBound(cfg.Delay) + sim.Millisecond
 	}
 	if cfg.Topo == nil {
 		cfg.Topo = gridFor(cfg.N)
@@ -308,6 +303,10 @@ func gridFor(n int) network.Topology {
 	return network.Grid{Rows: rows, Cols: cols}
 }
 
+// Tol is the scoring tolerance: the delay bound (100 ms when unbounded)
+// plus 1 ms.
+func (h *ShardedHarness) Tol() sim.Duration { return finiteBound(h.Cfg.Delay) + sim.Millisecond }
+
 // Run executes to the horizon, drains in-flight control traffic, and
 // scores against the merged pilot ground truth.
 func (h *ShardedHarness) Run() ShardedResults {
@@ -322,7 +321,7 @@ func (h *ShardedHarness) Run() ShardedResults {
 	}
 	// the merged log's binding is identity: sensor i senses object i's "p" as variable "p"
 	truth := world.Oracle{Pred: h.Pred, N: h.Cfg.N, KeysOf: world.IdentityKeys, Obs: h.Cfg.Obs}
-	FinishAndScore(&res.Results, h.det, h.mergedPilotLog(), truth, h.Cfg.Tol)
+	FinishAndScore(&res.Results, h.det, h.mergedPilotLog(), truth, h.Tol())
 	for _, s := range h.Sensors {
 		res.ClockBytes += int64(s.ClockStateBytes())
 	}

@@ -15,7 +15,7 @@ import (
 // too). What the two stacks do not share is the kernel and the transport's
 // RNG/priority discipline (see DESIGN.md §1.10).
 
-// finiteBound is the delay bound the Tol and Slack defaults build on: the
+// finiteBound is the delay bound Tol and the Slack default build on: the
 // model's own bound, or 100 ms when it has none.
 func finiteBound(d sim.DelayModel) sim.Duration {
 	if b := d.Bound(); b != sim.Never {

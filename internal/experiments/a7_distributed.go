@@ -72,7 +72,7 @@ func A7DistributedCheckers(cfg RunConfig) *Table {
 		}
 		// Score replica 0 against ground truth like any detector.
 		o.conf = core.Score(replicas[0].Occurrences(), res.Truth, nil,
-			h.Cfg.Tol, horizon)
+			h.Tol(), horizon)
 		return o
 	})
 	for di, delta := range deltas {

@@ -64,7 +64,7 @@ func A1BorderlinePolicy(cfg RunConfig) *Table {
 		}
 		return polPair{
 			pos: res.Confusion,
-			neg: core.Score(strict, res.Truth, nil, hl.Harness.Cfg.Tol, res.Horizon),
+			neg: core.Score(strict, res.Truth, nil, hl.Harness.Tol(), res.Horizon),
 		}
 	})
 	var pos, neg stats.Confusion

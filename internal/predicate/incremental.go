@@ -1,0 +1,243 @@
+package predicate
+
+import "math"
+
+// Incremental is the one incremental evaluator of compiled clauses, driven
+// by the ground-truth oracle (internal/world) and the checker tree
+// (internal/checker): Set one key's value, then ask Holds. Its verdict is
+// bit for bit what evaluating the predicate whole over the same values
+// gives, in O(1) per Set for the conjuncts that allow it: each linear
+// comparison side is a running ±1 sum updated by new − previous, trusted
+// while every constant and value folded into the conjunct is an ExactInt
+// and their summed magnitudes stay below 2⁵³ (so no evaluation order can
+// round, and setting a key back restores the sum exactly); the first value
+// that breaks the rule demotes the conjunct, for the rest of the run, to
+// re-evaluation of its AST against the evaluator's own value table. Opaque
+// conjuncts are re-evaluated only after a variable they read changed,
+// untracked ones (a FuncCond inside) on every Holds.
+//
+// Every variable a tracked conjunct reads (aggregates expanded over the n
+// processes) owns a slot: slot maps its key to an index into vals, and
+// hooks[hookAt[s]:hookAt[s+1]] are the conjuncts reading slot s.
+type Incremental struct {
+	n      int
+	slot   map[Key]int32
+	vals   []float64
+	hookAt []int32
+	hooks  []hook
+
+	cls []incClause
+	// dirty[:nDirty] are the tracked clauses touched since the last Holds;
+	// each is listed once, so len(cls) entries always suffice.
+	dirty    []int32
+	nDirty   int
+	numFalse int // tracked clauses currently false
+	// untracked clauses (Clause.Untracked) are evaluated on every Holds;
+	// extra holds the variables no slot covers, kept only for them to read.
+	untracked []int32
+	extra     map[Key]float64
+
+	// Evals counts conjunct evaluations, incremental or whole; Demoted
+	// counts linear conjuncts evaluated whole because a constant or value
+	// failed the exactness rule.
+	Evals, Demoted int64
+}
+
+// incClause is the evaluator's state for one conjunct.
+type incClause struct {
+	cond Cond
+	op   CmpOp
+	// exact: sum holds the two side values and mag < 2⁵³ bounds them.
+	exact bool
+	sum   [2]float64
+	mag   float64
+	truth bool
+	dirty bool
+}
+
+// hook says that a slot's value feeds side `side` of clause `clause` with
+// weight ±1; for clauses that are not exact only the clause matters.
+type hook struct {
+	clause int32
+	side   int8
+	neg    bool
+}
+
+// Init compiles pred over n processes, every variable at 0, discarding
+// whatever e held. Consumers embed the evaluator by value and Init it.
+func (e *Incremental) Init(pred Cond, n int) {
+	*e = Incremental{n: n}
+	clauses := Compile(pred)
+	e.cls = make([]incClause, len(clauses))
+	e.dirty = make([]int32, len(clauses))
+
+	// Pass 1: assign slots and list every (slot, hook) pair in clause order.
+	type pair struct {
+		slot int32
+		h    hook
+	}
+	var pairs []pair
+	e.slot = make(map[Key]int32)
+	read := func(k Key, h hook) {
+		lo, hi := k.Proc, k.Proc+1
+		if k.Proc == -1 { // aggregate: every process's k.Name
+			lo, hi = 0, n
+		}
+		for p := lo; p < hi; p++ {
+			key := Key{Proc: p, Name: k.Name}
+			s, ok := e.slot[key]
+			if !ok {
+				s = int32(len(e.slot))
+				e.slot[key] = s
+			}
+			pairs = append(pairs, pair{slot: s, h: h})
+		}
+	}
+	for i, cl := range clauses {
+		c := &e.cls[i]
+		c.cond, c.op = cl.Cond, cl.Op
+		if cl.Untracked {
+			e.untracked = append(e.untracked, int32(i))
+			continue
+		}
+		if cl.Linear {
+			c.sum = [2]float64{cl.Sides[0].Konst, cl.Sides[1].Konst}
+			c.mag = cl.Sides[0].Mag + cl.Sides[1].Mag
+			c.exact = c.mag < 1<<53
+			if !c.exact {
+				e.Demoted++
+			}
+		}
+		if c.exact {
+			for side := range cl.Sides {
+				for _, t := range cl.Sides[side].Terms {
+					read(t.Key, hook{clause: int32(i), side: int8(side), neg: t.Neg})
+				}
+			}
+		} else {
+			cl.Cond.CollectVars(func(k Key) { read(k, hook{clause: int32(i)}) })
+		}
+	}
+	if len(e.untracked) > 0 {
+		e.extra = make(map[Key]float64)
+	}
+
+	// Pass 2: bucket the pairs by slot (counting sort keeps clause order).
+	e.vals = make([]float64, len(e.slot))
+	e.hookAt = make([]int32, len(e.slot)+1)
+	for _, p := range pairs {
+		e.hookAt[p.slot+1]++
+	}
+	for s := range e.vals {
+		e.hookAt[s+1] += e.hookAt[s]
+	}
+	e.hooks = make([]hook, len(pairs))
+	next := make([]int32, len(e.vals))
+	copy(next, e.hookAt)
+	for _, p := range pairs {
+		e.hooks[next[p.slot]] = p.h
+		next[p.slot]++
+	}
+
+	// Initial truth at the all-zero state: start every tracked clause at
+	// true and let refresh count the false ones.
+	for i := range e.cls {
+		if !clauses[i].Untracked {
+			e.cls[i].truth = true
+			e.refresh(&e.cls[i])
+		}
+	}
+}
+
+// Get implements State over the evaluator's own values.
+func (e *Incremental) Get(proc int, name string) float64 {
+	k := Key{Proc: proc, Name: name}
+	if s, ok := e.slot[k]; ok {
+		return e.vals[s]
+	}
+	return e.extra[k]
+}
+
+// NumProcs implements State.
+func (e *Incremental) NumProcs() int { return e.n }
+
+// Set gives key k the value v. A key no conjunct reads is dropped unless
+// an untracked conjunct might read it.
+func (e *Incremental) Set(k Key, v float64) {
+	s, ok := e.slot[k]
+	if !ok {
+		if e.extra != nil {
+			e.extra[k] = v
+		}
+		return
+	}
+	old := e.vals[s]
+	e.vals[s] = v
+	for _, h := range e.hooks[e.hookAt[s]:e.hookAt[s+1]] {
+		c := &e.cls[h.clause]
+		if c.exact {
+			e.fold(c, h, old, v)
+		}
+		if !c.dirty {
+			c.dirty = true
+			e.dirty[e.nDirty] = h.clause
+			e.nDirty++
+		}
+	}
+}
+
+// fold moves one hooked value from old to v inside an exact clause, or
+// demotes the clause when v breaks the exactness rule. old was folded
+// while the clause was exact, so it is an ExactInt.
+func (e *Incremental) fold(c *incClause, h hook, old, v float64) {
+	c.mag += math.Abs(v) - math.Abs(old)
+	if !ExactInt(v) || c.mag >= 1<<53 {
+		c.exact = false
+		e.Demoted++
+		return
+	}
+	d := v - old
+	if h.neg {
+		d = -d
+	}
+	c.sum[h.side] += d
+}
+
+// Holds reports whether the predicate holds at the current values.
+func (e *Incremental) Holds() bool {
+	for _, i := range e.dirty[:e.nDirty] {
+		c := &e.cls[i]
+		c.dirty = false
+		e.refresh(c)
+	}
+	e.nDirty = 0
+	if e.numFalse > 0 {
+		return false
+	}
+	for _, i := range e.untracked {
+		e.Evals++
+		if !e.cls[i].cond.Holds(e) {
+			return false
+		}
+	}
+	return true
+}
+
+// refresh re-derives one tracked clause's truth and maintains numFalse.
+func (e *Incremental) refresh(c *incClause) {
+	e.Evals++
+	var truth bool
+	if c.exact {
+		truth = CmpEval(c.op, c.sum[0], c.sum[1])
+	} else {
+		truth = c.cond.Holds(e)
+	}
+	if truth != c.truth {
+		c.truth = truth
+		if truth {
+			e.numFalse--
+		} else {
+			e.numFalse++
+		}
+	}
+}

@@ -97,8 +97,8 @@ func ParseSpec(src string) (*Spec, error) {
 			if err != nil {
 				return nil, fmt.Errorf("spec line %d: %v", ln, err)
 			}
-			if v < 0 || v > objLimit {
-				return nil, fmt.Errorf("spec line %d: objects %d puts object ids outside [0, %d)", ln, v, objLimit)
+			if v < 0 || v > ObjLimit {
+				return nil, fmt.Errorf("spec line %d: objects %d puts object ids outside [0, %d)", ln, v, ObjLimit)
 			}
 			sp.Objects = v
 		case "predicate":
@@ -188,10 +188,11 @@ func (sp *Spec) MaxObject() int {
 	return maxO
 }
 
-// objLimit bounds every object id a spec names to [0, objLimit): the
+// ObjLimit bounds every object id a spec names to [0, ObjLimit): the
 // process-index bound clock.SparseStrobeVector.Init enforces, so a spec
-// that parses never names an object a sensor could not be.
-const objLimit = math.MaxInt32
+// that parses never names an object a sensor could not be. pervasim holds
+// a replayed trace to the same bound.
+const ObjLimit = math.MaxInt32
 
 // objectKeys are the generator arguments that name object ids.
 var objectKeys = [...]string{"obj", "objs", "doors"}
@@ -222,7 +223,7 @@ func (g GenSpec) span(key string) (lo, hi int, ok bool, err error) {
 }
 
 // checkObjects rejects a directive whose object arguments do not parse or
-// name an id outside [0, objLimit). Generators size slices by these ids,
+// name an id outside [0, ObjLimit). Generators size slices by these ids,
 // so it runs before any generator is built.
 func (g GenSpec) checkObjects() error {
 	for _, key := range objectKeys {
@@ -233,8 +234,8 @@ func (g GenSpec) checkObjects() error {
 		case err != nil:
 		case hi < lo:
 			err = fmt.Errorf("names no object")
-		case lo < 0 || hi >= objLimit:
-			err = fmt.Errorf("object ids %d..%d lie outside [0, %d)", lo, hi, objLimit)
+		case lo < 0 || hi >= ObjLimit:
+			err = fmt.Errorf("object ids %d..%d lie outside [0, %d)", lo, hi, ObjLimit)
 		default:
 			continue
 		}

@@ -17,7 +17,7 @@ const (
 	specDirective  = iota // an unknown directive
 	specShape             // a directive with the wrong number of fields, or an argument that is not key=value
 	specValue             // a number, duration or range that does not parse
-	specObject            // an object id outside [0, objLimit), or a door count naming none
+	specObject            // an object id outside [0, ObjLimit), or a door count naming none
 	specIncomplete        // no positive horizon, or no generator
 	specCanonical         // a spec, spelled as String spells it
 	specRespelled         // a spec, spelled another way
@@ -78,7 +78,7 @@ func sameSpec(a, b *Spec) bool {
 // specHostile feeds arbitrary text to ParseSpec, the `-workload` flag's
 // parser. It must return a spec or an error, never panic, and allocate no
 // more than a constant times the input's length. A spec must name no
-// object outside [0, objLimit), and its String form must parse back to the
+// object outside [0, ObjLimit), and its String form must parse back to the
 // same spec, whose String is the same text.
 func specHostile(t *testing.T, src string) int {
 	t.Helper()
@@ -92,7 +92,7 @@ func specHostile(t *testing.T, src string) int {
 		}
 		return specOutcome(t, err)
 	}
-	if m := sp.MaxObject(); m < -1 || m >= objLimit || sp.Objects < 0 || sp.Objects > objLimit {
+	if m := sp.MaxObject(); m < -1 || m >= ObjLimit || sp.Objects < 0 || sp.Objects > ObjLimit {
 		t.Fatalf("ParseSpec(%q) accepted objects %d, max object %d", src, sp.Objects, m)
 	}
 	once := sp.String()
