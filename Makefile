@@ -15,21 +15,24 @@ check: build vet lint bench-smoke test-race
 test-race:
 	$(GO) test -race ./...
 
-# Ten seconds of the native fuzzer on each of thirteen targets. Four are
+# Ten seconds of the native fuzzer on each of fourteen targets. Five are
 # differential: the incremental ground-truth scorer against
 # world.TrueIntervals over fuzzed predicates and logs (DESIGN.md §1.1), the
 # sparse strobe clock against the dense test reference over fuzzed interleavings of
 # strobes and hostile stamps (DESIGN.md §1.10), the flat checker's
 # columnar view against a predicate.MapState model over fuzzed strobes —
 # out-of-range processes, epoch bumps, stale seqs, race probes (DESIGN.md
-# §1.1) — and lattice.Survey's one walk against the recursive enumerator
+# §1.1) — lattice.Survey's one walk against the recursive enumerator
 # over fuzzed executions, narrow and too wide for one machine word, with
-# empty processes and dangling or overclaiming stamps (DESIGN.md §1.6). One is a property: every interval
+# empty processes and dangling or overclaiming stamps (DESIGN.md §1.6), and
+# workload.Sort's time-bucket sort against sort.SliceStable over fuzzed
+# counts, spreads and tie densities (FuzzSort, DESIGN.md §1.12). One is a property: every interval
 # set the conjunctive checker matches, over fuzzed strobe executions and
 # out-of-order, repeated and late deliveries, satisfies its modality
 # (FuzzConjunctiveSoundness). Eight feed arbitrary input to a
 # parser — the PVWL workload trace (FuzzWorkloadDecode), the workload
-# spec `pervasim -workload` reads (FuzzWorkloadSpec), the checker
+# spec `pervasim -workload` reads, each spec it accepts materialized
+# (FuzzWorkloadSpec), the checker
 # tree's sync batch with the stamp batch inside it (FuzzDecodeBatch), the
 # -faults plan grammar (FuzzFaultsParse), the JSON/JSONL execution
 # trace tracedump reads (FuzzTraceDecode), the JSONL flight-recorder
@@ -47,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSurveyOracle -fuzztime=10s ./internal/lattice/
 	$(GO) test -run='^$$' -fuzz=FuzzWorkloadDecode -fuzztime=10s ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzWorkloadSpec -fuzztime=10s ./internal/workload/
+	$(GO) test -run='^$$' -fuzz=FuzzSort -fuzztime=10s ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/checker/
 	$(GO) test -run='^$$' -fuzz=FuzzFaultsParse -fuzztime=10s ./internal/faults/
 	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=10s ./internal/trace/

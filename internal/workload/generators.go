@@ -1,7 +1,9 @@
 package workload
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
@@ -62,7 +64,7 @@ type TogglerFleet struct {
 // Events implements Source.
 func (g TogglerFleet) Events(horizon sim.Time) []Event {
 	root := stats.NewRNG(g.Seed)
-	var out []Event
+	out := make([]Event, 0, g.expected(horizon))
 	for i := 0; i < g.N; i++ {
 		r := stats.NewRNG(root.Uint64()) // root.Fork(), on the stack
 		tg := Toggler{Obj: g.BaseObj + i, Attr: g.Attr, MeanHigh: g.MeanHigh, MeanLow: g.MeanLow}
@@ -70,6 +72,22 @@ func (g TogglerFleet) Events(horizon sim.Time) []Event {
 	}
 	Sort(out)
 	return out
+}
+
+// expected is a presize for the fleet's stream: N·(horizon / mean dwell
+// + 2), a toggler's expected flips plus slack, or 0 when the product
+// would overflow an int. The dwell is clamped to a microsecond, as every
+// drawn gap is.
+func (g TogglerFleet) expected(horizon sim.Time) int {
+	dwell := max((g.MeanHigh+g.MeanLow)/2, 1)
+	if g.N <= 0 || horizon < 0 {
+		return 0
+	}
+	per := int64(horizon/dwell) + 2
+	if per > math.MaxInt/int64(g.N) {
+		return 0
+	}
+	return g.N * int(per)
 }
 
 // HallTraffic is the exhibition-hall visitor flow (paper §5): Poisson
@@ -117,7 +135,7 @@ func (g HallTraffic) Events(horizon sim.Time) []Event {
 		}
 		arrivals = append(arrivals, now)
 	}
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i] < arrivals[j] })
+	slices.Sort(arrivals)
 
 	// Walk arrivals chronologically: draw the visitor's doors and stay at
 	// entry time, clamp the departure to the horizon.
@@ -140,7 +158,7 @@ func (g HallTraffic) Events(horizon sim.Time) []Event {
 		}
 		deps = append(deps, departure{at: d, door: r.Intn(g.Doors)})
 	}
-	sort.SliceStable(deps, func(i, j int) bool { return deps[i].at < deps[j].at })
+	slices.SortStableFunc(deps, func(a, b departure) int { return cmp.Compare(a.at, b.at) })
 	y := make([]float64, g.Doors)
 	for _, dep := range deps {
 		y[dep.door]++
@@ -193,7 +211,7 @@ func (g Admissions) Events(horizon sim.Time) []Event {
 		}
 		changes = append(changes, change{at: leave, d: -1})
 	}
-	sort.SliceStable(changes, func(i, j int) bool { return changes[i].at < changes[j].at })
+	slices.SortStableFunc(changes, func(a, b change) int { return cmp.Compare(a.at, b.at) })
 	occ, ward := 0.0, g.Doors
 	for _, c := range changes {
 		occ += c.d
@@ -212,7 +230,7 @@ type interval struct{ start, end sim.Time }
 // attribute is exactly 1 inside a pulse and 0 outside — overlapping
 // pulses extend the busy period instead of double-setting.
 func pulsesToEvents(obj int, attr string, pulses []interval, horizon sim.Time) []Event {
-	sort.SliceStable(pulses, func(i, j int) bool { return pulses[i].start < pulses[j].start })
+	slices.SortStableFunc(pulses, func(a, b interval) int { return cmp.Compare(a.start, b.start) })
 	var out []Event
 	var cur interval
 	flush := func() {

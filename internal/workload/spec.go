@@ -223,8 +223,10 @@ func (g GenSpec) span(key string) (lo, hi int, ok bool, err error) {
 }
 
 // checkObjects rejects a directive whose object arguments do not parse or
-// name an id outside [0, ObjLimit). Generators size slices by these ids,
-// so it runs before any generator is built.
+// name an id outside [0, ObjLimit), and an admissions flow without a
+// waiting-room door (its doors=0 still names the ward, object 0).
+// Generators size slices and draw doors by these ids, so it runs before
+// any generator is built.
 func (g GenSpec) checkObjects() error {
 	for _, key := range objectKeys {
 		lo, hi, ok, err := g.span(key)
@@ -234,6 +236,8 @@ func (g GenSpec) checkObjects() error {
 		case err != nil:
 		case hi < lo:
 			err = fmt.Errorf("names no object")
+		case key == "doors" && g.Name == "admissions" && hi < 1:
+			err = fmt.Errorf("names no door")
 		case lo < 0 || hi >= ObjLimit:
 			err = fmt.Errorf("object ids %d..%d lie outside [0, %d)", lo, hi, ObjLimit)
 		default:
@@ -454,11 +458,15 @@ func buildGen(g GenSpec, defSeed uint64) (Source, error) {
 			Jitter:  a.dur("jitter", 40*sim.Millisecond),
 		}
 	case "walk":
+		tick := a.dur("tick", 500*sim.Millisecond)
+		if tick <= 0 {
+			a.fail("tick", fmt.Errorf("non-positive tick never advances the walk"))
+		}
 		src = MobilityWalk{
 			Seed: a.seed(defSeed), Obj: a.num("obj", 0),
 			W: a.float("w", 100), H: a.float("h", 100),
 			Speed: a.float("speed", 1.4),
-			Tick:  a.dur("tick", 500*sim.Millisecond),
+			Tick:  tick,
 		}
 	default:
 		return nil, fmt.Errorf("spec line %d: unknown generator %q", g.Line, g.Name)

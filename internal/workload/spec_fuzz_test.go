@@ -31,7 +31,7 @@ func specOutcome(t *testing.T, err error) int {
 		specDirective:  {"unknown directive"},
 		specShape:      {"takes one", "needs a name", "is not key=value"},
 		specValue:      {"invalid syntax", "value out of range", "time: ", "negative duration", "inverted", "empty range"},
-		specObject:     {"lie outside", "names no object", "puts object ids outside"},
+		specObject:     {"lie outside", "names no object", "names no door", "puts object ids outside"},
 		specIncomplete: {"non-positive horizon", "no generators"},
 	} {
 		for _, m := range marks {
@@ -75,11 +75,17 @@ func sameSpec(a, b *Spec) bool {
 	return true
 }
 
+// specHorizon is the longest horizon specHostile materializes a spec at.
+const specHorizon = 20 * sim.Millisecond
+
 // specHostile feeds arbitrary text to ParseSpec, the `-workload` flag's
 // parser. It must return a spec or an error, never panic, and allocate no
 // more than a constant times the input's length. A spec must name no
 // object outside [0, ObjLimit), and its String form must parse back to the
-// same spec, whose String is the same text.
+// same spec, whose String is the same text. A spec over fewer than 16
+// objects is also materialized, at its horizon clipped to specHorizon:
+// Source may refuse it, but what it builds must produce a canonical
+// stream without panicking.
 func specHostile(t *testing.T, src string) int {
 	t.Helper()
 	if got, limit := specAllocBytes(src), uint64(128*len(src)+4096); got > limit {
@@ -105,6 +111,14 @@ func specHostile(t *testing.T, src string) int {
 	}
 	if twice := again.String(); twice != once {
 		t.Fatalf("String is not a fixed point after one round\nfirst:  %s\nsecond: %s", once, twice)
+	}
+	if s, err := sp.Source(); err == nil && sp.MaxObject() < 16 {
+		evs := s.Events(min(sp.Horizon, specHorizon))
+		for i := 1; i < len(evs); i++ {
+			if compare(evs[i-1], evs[i]) > 0 {
+				t.Fatalf("%q: events %d and %d out of canonical order: %+v, %+v", src, i-1, i, evs[i-1], evs[i])
+			}
+		}
 	}
 	if once == src {
 		return specCanonical
@@ -161,7 +175,8 @@ var badSpecLines = [specIncomplete][]string{
 		"generator toggler objs=", "generator diurnal obj=x", "generator hall doors=9223372036854775808"},
 	specObject: {"generator toggler objs=0-9223372036854775807", "generator toggler objs=0-9999999999",
 		"objects 9999999999", "objects -1", "generator diurnal obj=-1", "generator walk obj=2147483647",
-		"generator hall doors=0", "generator admissions doors=2147483647", "generator cohort objs=2147483640-2147483647"},
+		"generator hall doors=0", "generator admissions doors=0", "generator admissions doors=2147483647",
+		"generator cohort objs=2147483640-2147483647"},
 }
 
 // mutateSpec turns the lines of a valid spec into one of the shapes a
@@ -252,7 +267,9 @@ func TestSpecRejectsHostileObjectRanges(t *testing.T) {
 // FuzzWorkloadSpec is the same body under the native fuzzer. The checked-in
 // corpus in testdata/fuzz/FuzzWorkloadSpec holds a valid spec, a respelled
 // one, the two object ranges that killed `pervasim -workload`, a negative
-// object, a door count of zero and an object count past the bound.
+// object, a door count of zero and an object count past the bound, and the
+// two specs that killed it once materialized: an admissions flow with no
+// door and a walk whose tick is zero.
 func FuzzWorkloadSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		specHostile(t, src)

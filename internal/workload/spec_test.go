@@ -74,6 +74,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"bad duration":      "horizon 1s\ngenerator toggler objs=0-3 meanhigh=fast\n",
 		"bad range":         "horizon 1s\ngenerator toggler objs=3-0\n",
 		"bare argument":     "horizon 1s\ngenerator toggler objs\n",
+		"walk without tick": "horizon 1s\ngenerator walk obj=2 tick=0s\n",
 	}
 	for name, src := range cases {
 		sp, err := ParseSpec(src)
@@ -100,5 +101,29 @@ func TestSpecGeneratorSeedOverride(t *testing.T) {
 	}
 	if Digest(sa.Events(sim.Second)) != Digest(sb.Events(sim.Second)) {
 		t.Fatal("explicit generator seed should override the spec seed")
+	}
+}
+
+// TestSpecRefusesAdmissionsWithoutDoors pins a spec that killed
+// `pervasim -workload` with "stats: Intn with non-positive n": doors=0
+// names the ward (object 0) but no waiting-room door, so HallTraffic drew
+// a door among none. ParseSpec, and Source on a spec built without it,
+// must refuse it naming the line.
+func TestSpecRefusesAdmissionsWithoutDoors(t *testing.T) {
+	const line = "generator admissions doors=0"
+	if _, err := ParseSpec("horizon 2s\npredicate occupancy@0 >= 1\n" + line + "\n"); err == nil || !strings.Contains(err.Error(), "spec line 3:") {
+		t.Errorf("ParseSpec(%q): error %v, want one naming spec line 3", line, err)
+	}
+	sp := &Spec{Horizon: 2 * sim.Second, Gens: []GenSpec{{Name: "admissions", Args: map[string]string{"doors": "0"}, Line: 3}}}
+	if _, err := sp.Source(); err == nil || !strings.Contains(err.Error(), "spec line 3:") {
+		t.Errorf("Source over %q: error %v, want one naming spec line 3", line, err)
+	}
+	sp.Gens[0].Args["doors"] = "1"
+	src, err := sp.Source()
+	if err != nil {
+		t.Fatalf("Source over admissions doors=1: %v", err)
+	}
+	if evs := src.Events(sp.Horizon); len(evs) == 0 {
+		t.Error("admissions doors=1 produced no events")
 	}
 }

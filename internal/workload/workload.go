@@ -23,7 +23,6 @@ package workload
 import (
 	"cmp"
 	"math"
-	"slices"
 	"sort"
 
 	"pervasive/internal/sim"
@@ -56,10 +55,6 @@ func compare(a, b Event) int {
 	}
 	return cmp.Compare(a.Attr, b.Attr)
 }
-
-// Sort orders events canonically, stably (same-key events keep their
-// emission order).
-func Sort(evs []Event) { slices.SortStableFunc(evs, compare) }
 
 // Source produces a fully materialized workload: every event up to and
 // including horizon, in canonical order. Materialization (rather than
