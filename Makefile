@@ -15,7 +15,7 @@ check: build vet lint bench-smoke test-race
 test-race:
 	$(GO) test -race ./...
 
-# Ten seconds of the native fuzzer on each of fourteen targets. Five are
+# Ten seconds of the native fuzzer on each of fourteen targets. Six are
 # differential: the incremental ground-truth scorer against
 # world.TrueIntervals over fuzzed predicates and logs (DESIGN.md §1.1), the
 # sparse strobe clock against the dense test reference over fuzzed interleavings of
@@ -26,20 +26,22 @@ test-race:
 # over fuzzed executions, narrow and too wide for one machine word, with
 # empty processes and dangling or overclaiming stamps (DESIGN.md §1.6), and
 # workload.Sort's time-bucket sort against sort.SliceStable over fuzzed
-# counts, spreads and tie densities (FuzzSort, DESIGN.md §1.12). One is a property: every interval
+# counts, spreads and tie densities (FuzzSort, DESIGN.md §1.12), and the
+# relative timing relations and their one-to-one session matching against a
+# per-instant reading of world.TrueIntervals spans over fuzzed toggles and
+# specs (FuzzTimingOracle, DESIGN.md §1.2). One is a property: every interval
 # set the conjunctive checker matches, over fuzzed strobe executions and
 # out-of-order, repeated and late deliveries, satisfies its modality
-# (FuzzConjunctiveSoundness). Eight feed arbitrary input to a
+# (FuzzConjunctiveSoundness). Seven feed arbitrary input to a
 # parser — the PVWL workload trace (FuzzWorkloadDecode), the workload
 # spec `pervasim -workload` reads, each spec it accepts materialized
 # (FuzzWorkloadSpec), the checker
 # tree's sync batch with the stamp batch inside it (FuzzDecodeBatch), the
 # -faults plan grammar (FuzzFaultsParse), the JSON/JSONL execution
 # trace tracedump reads (FuzzTraceDecode), the JSONL flight-recorder
-# dump it reads too (FuzzDecodeJSONL), the predicate language
-# (FuzzPredicateParse) and the MTL formula language (FuzzTLParse): no
-# panic, allocation bounded by the input's length, and whatever parses
-# re-encodes to a fixed point.
+# dump it reads too (FuzzDecodeJSONL) and the predicate language
+# (FuzzPredicateParse): no panic, allocation bounded by the input's
+# length, and whatever parses re-encodes to a fixed point.
 # New inputs stay in the Go build cache; only a failing one is written
 # under the package's testdata/fuzz.
 fuzz-smoke:
@@ -56,7 +58,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=10s ./internal/trace/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeJSONL -fuzztime=10s ./internal/flight/
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateParse -fuzztime=10s ./internal/predicate/
-	$(GO) test -run='^$$' -fuzz=FuzzTLParse -fuzztime=10s ./internal/tl/
+	$(GO) test -run='^$$' -fuzz=FuzzTimingOracle -fuzztime=10s ./internal/timing/
 
 build:
 	$(GO) build ./...

@@ -1,23 +1,17 @@
 package pervasive
 
 import (
-	"pervasive/internal/advisor"
 	"pervasive/internal/clock"
 	"pervasive/internal/clocksync"
 	"pervasive/internal/core"
 	"pervasive/internal/experiments"
-	"pervasive/internal/lattice"
 	"pervasive/internal/live"
-	"pervasive/internal/mac"
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/scenario"
 	"pervasive/internal/sim"
-	"pervasive/internal/stats"
 	"pervasive/internal/timing"
-	"pervasive/internal/tl"
 	"pervasive/internal/workload"
-	"pervasive/internal/world"
 )
 
 // ---- time ----
@@ -42,20 +36,9 @@ const (
 // DelayModel abstracts message transmission delay.
 type DelayModel = sim.DelayModel
 
-// Synchronous returns the ideal Δ=0 delay model.
-func Synchronous() DelayModel { return sim.Synchronous{} }
-
 // DeltaBounded returns the asynchronous Δ-bounded model with delays
 // uniform in [Δ/10, Δ].
 func DeltaBounded(delta Duration) DelayModel { return sim.NewDeltaBounded(delta) }
-
-// UnboundedDelay returns the asynchronous unbounded (exponential) model.
-func UnboundedDelay(mean Duration) DelayModel { return sim.Unbounded{Mean: mean} }
-
-// WithLoss wraps a delay model with i.i.d. message loss probability p.
-func WithLoss(inner DelayModel, p float64) DelayModel {
-	return sim.WithLoss{Inner: inner, P: p}
-}
 
 // ---- predicates and modalities (Section 3.1) ----
 
@@ -72,11 +55,9 @@ const (
 	Definitely      = predicate.Definitely
 )
 
-// ParsePredicate compiles the expression language, e.g.
-// "sum(x) - sum(y) > 200" or "temp@1 > 30 && motion@0 == 1".
-func ParsePredicate(src string) (Cond, error) { return predicate.Parse(src) }
-
-// MustParsePredicate is ParsePredicate that panics on error.
+// MustParsePredicate compiles the expression language, e.g.
+// "sum(x) - sum(y) > 200" or "temp@1 > 30 && motion@0 == 1", and panics
+// on error.
 func MustParsePredicate(src string) Cond { return predicate.MustParse(src) }
 
 // ---- clocks (Sections 3.2, 4.2) ----
@@ -120,41 +101,21 @@ type (
 	HarnessConfig = core.HarnessConfig
 	Results       = core.Results
 	Occurrence    = core.Occurrence
-	Confusion     = stats.Confusion
-	Interval      = world.Interval
-	World         = world.World
 )
 
 // NewHarness builds a detection run; see core.HarnessConfig.
 func NewHarness(cfg HarnessConfig) *Harness { return core.NewHarness(cfg) }
 
-// ConjunctiveGlobal builds ∧ᵢ local(i) over n sensors from a local
-// conjunct template.
-func ConjunctiveGlobal(local Cond, n int) Cond { return core.ConjunctiveGlobal(local, n) }
-
 // ---- world-plane activity ----
 
-// World activity. Toggler is an open-loop workload Source: pass it to
-// Harness.Install, seeded explicitly. RandomWalk and CovertRule act on
-// the world as it stands when they fire.
-type (
-	Toggler    = workload.Toggler
-	RandomWalk = world.RandomWalk
-	CovertRule = world.CovertRule
-)
-
-// TrueIntervals computes ground-truth predicate-true intervals of a world
-// log under an arbitrary Go predicate, re-evaluating it after every batch of
-// simultaneous events. Harness and live runs score their Predicate
-// incrementally (world.Oracle) and are held to exactly these intervals.
-func TrueIntervals(log []world.Event, pred world.StatePredicate, horizon Time) []Interval {
-	return world.TrueIntervals(log, pred, horizon)
-}
+// Toggler is an open-loop workload Source: pass it to Harness.Install,
+// seeded explicitly.
+type Toggler = workload.Toggler
 
 // ---- scenarios (Section 5) ----
 
-// Scenario configurations and handles. The hall, hospital, habitat and
-// proximity configurations share their run fields through ScenarioRun.
+// Scenario configurations and handles. The hall, hospital and habitat
+// configurations share their run fields through ScenarioRun.
 type (
 	ScenarioRun          = scenario.Run
 	ExhibitionHallConfig = scenario.HallConfig
@@ -165,8 +126,6 @@ type (
 	Hospital             = scenario.Hospital
 	HabitatConfig        = scenario.HabitatConfig
 	Habitat              = scenario.Habitat
-	ProximityConfig      = scenario.ProximityConfig
-	Proximity            = scenario.Proximity
 )
 
 // NewExhibitionHall wires the §5 convention-center occupancy monitor.
@@ -182,10 +141,6 @@ func NewHospital(cfg HospitalConfig) *Hospital { return scenario.NewHospital(cfg
 // NewHabitat wires an in-the-wild habitat monitor (the strobe clocks'
 // favourable regime).
 func NewHabitat(cfg HabitatConfig) *Habitat { return scenario.NewHabitat(cfg) }
-
-// NewProximity wires §5's visitor-approaches-patient proximity alarm with
-// random-waypoint badge mobility.
-func NewProximity(cfg ProximityConfig) *Proximity { return scenario.NewProximity(cfg) }
 
 // ---- live engine ----
 
@@ -206,26 +161,15 @@ type (
 	SyncResult = clocksync.Result
 )
 
-// Synchronization protocol runners.
-var (
-	RunRBS      = clocksync.RBS
-	RunTPSN     = clocksync.TPSN
-	RunOnDemand = clocksync.OnDemand
-	RunUnsynced = clocksync.Unsynced
-)
-
-// ---- lattice analysis (Section 4.2.4) ----
-
-// LatticeExecution is a stamped execution for consistent-cut analysis.
-type LatticeExecution = lattice.Execution
+// RunRBS simulates reference-broadcast synchronization.
+var RunRBS = clocksync.RBS
 
 // ---- relative timing relations (Section 3.1.1.a.ii) ----
 
 // Relative-timing specification types; see examples/securebank.
 type (
-	TimingSpec    = timing.Spec
-	TimingMatcher = timing.Matcher
-	TimingRel     = timing.Rel
+	TimingSpec = timing.Spec
+	TimingRel  = timing.Rel
 )
 
 // Relative timing relations.
@@ -236,66 +180,7 @@ const (
 	XMeetsY    = timing.XMeetsY
 )
 
-// MultiChecker detects several named predicates over one strobe stream.
-type MultiChecker = core.MultiChecker
-
-// NewMultiChecker builds one strobe checker per named predicate.
-func NewMultiChecker(n int, preds map[string]Cond, vector bool) *MultiChecker {
-	return core.NewMultiChecker(n, preds, vector)
-}
-
-// ---- temporal logic (Section 3.1.1.a.iv) ----
-
-// MTL monitoring types; formulas like "G(occupied -> F[0,5s] alarm)".
-type (
-	TLFormula = tl.Formula
-	TLTrace   = tl.Trace
-	TLSignal  = tl.Signal
-	TLSpan    = tl.Span
-)
-
-// ParseTL compiles an MTL formula.
-func ParseTL(src string) (TLFormula, error) { return tl.Parse(src) }
-
-// MustParseTL is ParseTL that panics on error.
-func MustParseTL(src string) TLFormula { return tl.MustParse(src) }
-
-// NewTLTrace creates an empty proposition trace over [0, horizon).
-func NewTLTrace(horizon Time) *TLTrace { return tl.NewTrace(horizon) }
-
-// MonitorTL evaluates the formula at time 0 over the trace.
-func MonitorTL(f TLFormula, tr *TLTrace) bool { return tl.Monitor(f, tr) }
-
-// TLViolations returns the intervals where the formula fails.
-func TLViolations(f TLFormula, tr *TLTrace) []TLSpan { return tl.Violations(f, tr) }
-
-// DetectionSignal converts detector occurrences into a TL signal.
-func DetectionSignal(occ []Occurrence, horizon Time) TLSignal {
-	return core.SignalOf(occ, horizon)
-}
-
-// TruthSignal converts ground-truth intervals into a TL signal.
-func TruthSignal(ivs []Interval, horizon Time) TLSignal {
-	spans := make([]tl.Span, 0, len(ivs))
-	for _, iv := range ivs {
-		spans = append(spans, tl.Span{Lo: iv.Start, Hi: iv.End})
-	}
-	return tl.NewSignal(spans, horizon)
-}
-
-// Divergence is the fraction of time two detectors' views disagree.
-func Divergence(a, b []Occurrence, horizon Time) float64 {
-	return core.Divergence(a, b, horizon)
-}
-
-// ConsensusPolicy selects the §5 consensus treatment of partial agreement.
-type ConsensusPolicy = core.ConsensusPolicy
-
-// Consensus policies.
-const (
-	ConsensusMajority = core.ConsensusMajority
-	ConsensusBin      = core.ConsensusBin
-)
+// ---- consensus over replicated checkers (Section 5) ----
 
 // ConsensusMerge merges replicated checkers' views by majority vote,
 // flagging disagreement as borderline (§5's consensus-based algorithm).
@@ -303,57 +188,14 @@ func ConsensusMerge(replicas [][]Occurrence, horizon Time) []Occurrence {
 	return core.ConsensusMerge(replicas, horizon)
 }
 
-// ConsensusMergePolicy is ConsensusMerge with an explicit policy.
-func ConsensusMergePolicy(replicas [][]Occurrence, horizon Time, p ConsensusPolicy) []Occurrence {
-	return core.ConsensusMergePolicy(replicas, horizon, p)
-}
-
-// ---- differential strobes and fine-grained relations ----
-
-// SparseStrobeVector is a strobe vector clock with Singhal–Kshemkalyani
-// differential broadcast and O(active peers) local state.
-type SparseStrobeVector = clock.SparseStrobeVector
-
-// NewSparseStrobeVector returns process me's differential strobe clock in
-// an n-process system.
-func NewSparseStrobeVector(me, n int) *SparseStrobeVector {
-	return clock.NewSparseStrobeVector(me, n)
-}
-
-// ---- duty-cycle MAC synchronization (Section 5) ----
-
-// Duty-cycle simulation types.
-type (
-	DutyCycleConfig = mac.Config
-	DutyCycleResult = mac.Result
-)
-
-// RunDutyCycle executes a duty-cycle timer-synchronization simulation.
-func RunDutyCycle(cfg DutyCycleConfig) DutyCycleResult { return mac.Run(cfg) }
-
-// ---- deployment advisor (§3.3, §6) ----
-
-// Advisor types: executable form of the paper's decision guidance.
-type (
-	Deployment = advisor.Deployment
-	Advice     = advisor.Advice
-)
-
-// Advise ranks the time-implementation options for a deployment using the
-// criteria of Sections 3.3 and 6.
-func Advise(d Deployment) Advice { return advisor.Advise(d) }
-
 // ---- observability (runtime metrics & spans) ----
 
 // Metrics is a registry of runtime counters, gauges, histograms and
-// spans shared by both execution engines; MetricsSnapshot is a
-// point-in-time export of one. A nil *Metrics disables every
+// spans shared by both execution engines; its Snapshot is a
+// point-in-time export. A nil *Metrics disables every
 // instrumented path at zero cost, so components hold resolved
 // instruments rather than checking flags.
-type (
-	Metrics         = obs.Registry
-	MetricsSnapshot = obs.Snapshot
-)
+type Metrics = obs.Registry
 
 // NewMetrics returns an enabled metrics registry. Pass it via the Obs
 // fields of HarnessConfig, the scenario configs, or LiveConfig; read it
@@ -371,13 +213,11 @@ type (
 	ExperimentConfig = experiments.RunConfig
 )
 
-// Experiments lists E1–E15 in order.
+// Experiments lists E1–E16 in order.
 func Experiments() []Experiment { return experiments.All }
 
-// Ablations lists the A-series design-choice ablations.
-func Ablations() []Experiment { return experiments.Ablations }
-
-// RunExperiment runs one experiment by ID ("E1" … "E12").
+// RunExperiment runs one experiment or ablation by ID ("E1" … "E16",
+// "A1" … "A7").
 func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentTable, bool) {
 	e, ok := experiments.ByID(id)
 	if !ok {

@@ -167,6 +167,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if usage != nil {
 		return fail(usage)
 	}
+	if *initial > workload.MaxInitialOccupancy {
+		return fail(fmt.Errorf("-initial %d is more than %d (one arrival per µs of the hall's one-second ramp)",
+			*initial, workload.MaxInitialOccupancy))
+	}
 
 	var replaySrc workload.Source
 	if *replayPath != "" {

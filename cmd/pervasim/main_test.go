@@ -20,7 +20,8 @@ func pervasim(args ...string) (int, string, string) {
 }
 
 // TestRefusedFlags: every flag combination a scenario would ignore exits
-// 2, names the scenario it was refused for, and prints no report.
+// 2, names the scenario it was refused for, and prints no report; so does
+// a hall ramp past workload.MaxInitialOccupancy.
 func TestRefusedFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -46,6 +47,8 @@ func TestRefusedFlags(t *testing.T) {
 		{[]string{"-workload", "spec.txt", "-scenario", "hall"}, []string{"-workload replaces -scenario", "hall"}},
 		{[]string{"-workload", "spec.txt", "-initial", "3"}, []string{"-initial", "running spec"}},
 		{[]string{"-scenario", "bogus"}, []string{`unknown scenario "bogus"`}},
+		// A ramp the horizon does not bound: one arrival per visitor.
+		{[]string{"-scenario", "hall", "-initial", "10000000000"}, []string{"-initial", "1000000"}},
 	} {
 		code, out, errb := pervasim(tc.args...)
 		if code != 2 || out != "" {

@@ -38,8 +38,7 @@
 //	fmt.Println(res.Confusion)
 //
 // Ready-made scenarios from the paper's Section 5 are available via
-// NewExhibitionHall, NewSmartOffice, NewHospital, NewHabitat and
-// NewProximity. The experiment suite that regenerates every quantitative
+// NewExhibitionHall, NewSmartOffice, NewHospital and NewHabitat. The experiment suite that regenerates every quantitative
 // claim of the paper is exposed through Experiments and RunExperiment
 // (EXPERIMENTS.md).
 package pervasive

@@ -51,16 +51,6 @@ func ExampleConsensusMerge() {
 	// Output: [11,20) borderline=true
 }
 
-// ExampleMustParseTL monitors a response property over a hand-built trace.
-func ExampleMustParseTL() {
-	tr := pervasive.NewTLTrace(100 * pervasive.Second)
-	tr.Set("door_open", []pervasive.TLSpan{{Lo: 10 * pervasive.Second, Hi: 12 * pervasive.Second}})
-	tr.Set("alarm", []pervasive.TLSpan{{Lo: 11 * pervasive.Second, Hi: 13 * pervasive.Second}})
-	f := pervasive.MustParseTL("G(door_open -> F[0,2s] alarm)")
-	fmt.Println(pervasive.MonitorTL(f, tr))
-	// Output: true
-}
-
 // ExampleTimingSpec checks the secure-banking relation of §3.1.1.a.ii.
 func ExampleTimingSpec() {
 	spec := pervasive.TimingSpec{Rel: pervasive.XBeforeY, MaxGap: 30 * pervasive.Second}

@@ -1,22 +1,37 @@
 package core
 
 import (
+	"sort"
+
 	"pervasive/internal/sim"
-	"pervasive/internal/tl"
+	"pervasive/internal/world"
 )
 
-// occSignal converts an occurrence stream into a boolean signal over
-// [0, horizon).
-func occSignal(occ []Occurrence, horizon sim.Time) tl.Signal {
-	spans := make([]tl.Span, 0, len(occ))
+// occIntervals normalizes an occurrence stream into the sorted, disjoint,
+// non-empty intervals it covers within [0, horizon): an open occurrence
+// (End == 0) and one running past the horizon end at the horizon, and
+// overlapping or adjacent occurrences merge.
+func occIntervals(occ []Occurrence, horizon sim.Time) []world.Interval {
+	out := make([]world.Interval, 0, len(occ))
 	for _, o := range occ {
-		end := o.End
-		if end == 0 || end > horizon {
-			end = horizon
+		iv := world.Interval{Start: max(o.Start, 0), End: o.End}
+		if iv.End == 0 || iv.End > horizon {
+			iv.End = horizon
 		}
-		spans = append(spans, tl.Span{Lo: o.Start, Hi: end})
+		if iv.End > iv.Start {
+			out = append(out, iv)
+		}
 	}
-	return tl.NewSignal(spans, horizon)
+	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	merged := out[:0]
+	for _, iv := range out {
+		if n := len(merged); n > 0 && iv.Start <= merged[n-1].End {
+			merged[n-1].End = max(merged[n-1].End, iv.End)
+			continue
+		}
+		merged = append(merged, iv)
+	}
+	return merged
 }
 
 // Divergence returns the fraction of [0, horizon) during which two
@@ -24,18 +39,27 @@ func occSignal(occ []Occurrence, horizon sim.Time) tl.Signal {
 // (in-network) detection: each replica sees the strobes in its own arrival
 // order, so replicas flip at slightly different instants. With Δ-bounded
 // delays the disagreement is confined to O(Δ) windows around each flip.
+// The disagreement is |A| + |B| − 2·|A ∩ B| in integer µs, the
+// intersection taken by one sweep over both normalized streams.
 func Divergence(a, b []Occurrence, horizon sim.Time) float64 {
 	if horizon <= 0 {
 		return 0
 	}
-	sa := occSignal(a, horizon)
-	sb := occSignal(b, horizon)
-	xor := sa.And(sb.Not()).Or(sb.And(sa.Not()))
-	return float64(xor.TrueTime()) / float64(horizon)
-}
-
-// SignalOf exposes a detector occurrence stream as a tl.Signal so MTL
-// properties (Section 3.1.1.a.iv) can be monitored over detector output.
-func SignalOf(occ []Occurrence, horizon sim.Time) tl.Signal {
-	return occSignal(occ, horizon)
+	ia, ib := occIntervals(a, horizon), occIntervals(b, horizon)
+	var xor sim.Duration
+	for _, iv := range ia {
+		xor += iv.End - iv.Start
+	}
+	for _, iv := range ib {
+		xor += iv.End - iv.Start
+	}
+	for i, j := 0, 0; i < len(ia) && j < len(ib); {
+		xor -= 2 * ia[i].Overlap(ib[j])
+		if ia[i].End < ib[j].End {
+			i++
+		} else {
+			j++
+		}
+	}
+	return float64(xor) / float64(horizon)
 }

@@ -22,8 +22,8 @@ type Rel int
 // Supported relations. XBeforeY admits an optional real-time gap window;
 // the pure Allen relations need none.
 const (
-	// XBeforeY: X ends before Y starts, with gap in [MinGap, MaxGap]
-	// (MaxGap 0 means unbounded).
+	// XBeforeY: X ends before Y starts, with gap in (MinGap, MaxGap]
+	// (MinGap 0 admits X meeting Y; MaxGap 0 means unbounded).
 	XBeforeY Rel = iota
 	// XOverlapsY: the intervals share at least one instant.
 	XOverlapsY
@@ -79,7 +79,7 @@ func (s Spec) Holds(x, y intervals.Span) bool {
 			return false
 		}
 		gap := y.Lo - x.Hi
-		if gap < s.MinGap {
+		if s.MinGap > 0 && gap <= s.MinGap {
 			return false
 		}
 		if s.MaxGap > 0 && gap > s.MaxGap {
@@ -108,29 +108,9 @@ type Match struct {
 	XIdx, YIdx int
 }
 
-// Pairs returns all (x, y) pairs from the two occurrence streams that
-// satisfy the spec. Streams must be in increasing start order (detector
-// output order); the scan exploits that to stay near-linear for the
-// gap-bounded relations.
+// Matcher pairs the occurrence streams of X and Y under one spec.
 type Matcher struct {
 	Spec Spec
-}
-
-// Pairs computes all matches.
-func (m Matcher) Pairs(xs, ys []intervals.Span) []Match {
-	var out []Match
-	for xi, x := range xs {
-		for yi, y := range ys {
-			if m.Spec.Rel == XBeforeY && m.Spec.MaxGap > 0 &&
-				y.Lo > x.Hi+m.Spec.MaxGap {
-				break // ys are start-ordered: no later y can match this x
-			}
-			if m.Spec.Holds(x, y) {
-				out = append(out, Match{X: x, Y: y, XIdx: xi, YIdx: yi})
-			}
-		}
-	}
-	return out
 }
 
 // PairsOneToOne matches every Y to at most one X and vice versa: each Y
@@ -160,23 +140,6 @@ func (m Matcher) PairsOneToOne(xs, ys []intervals.Span) []Match {
 func (m Matcher) UnmatchedYOneToOne(xs, ys []intervals.Span) []int {
 	matched := make([]bool, len(ys))
 	for _, mt := range m.PairsOneToOne(xs, ys) {
-		matched[mt.YIdx] = true
-	}
-	var out []int
-	for i, ok := range matched {
-		if !ok {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// UnmatchedY returns the indices of Y occurrences with no matching X —
-// e.g. biometric presentations with no preceding password entry, the
-// alarm condition of the secure-banking scenario.
-func (m Matcher) UnmatchedY(xs, ys []intervals.Span) []int {
-	matched := make([]bool, len(ys))
-	for _, mt := range m.Pairs(xs, ys) {
 		matched[mt.YIdx] = true
 	}
 	var out []int

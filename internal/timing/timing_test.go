@@ -82,30 +82,6 @@ func TestEmptySpansNeverMatch(t *testing.T) {
 	}
 }
 
-func TestMatcherPairs(t *testing.T) {
-	xs := []intervals.Span{sp(0, 10), sp(100, 110)}
-	ys := []intervals.Span{sp(20, 30), sp(120, 130), sp(500, 510)}
-	m := Matcher{Spec: Spec{Rel: XBeforeY, MaxGap: 50}}
-	pairs := m.Pairs(xs, ys)
-	// x0→y0 (gap 10), x1→y1 (gap 10); x?→y2 gaps too large.
-	if len(pairs) != 2 {
-		t.Fatalf("pairs %v", pairs)
-	}
-	if pairs[0].XIdx != 0 || pairs[0].YIdx != 0 || pairs[1].XIdx != 1 || pairs[1].YIdx != 1 {
-		t.Fatalf("pairs %v", pairs)
-	}
-}
-
-func TestMatcherUnmatchedY(t *testing.T) {
-	xs := []intervals.Span{sp(0, 10)}
-	ys := []intervals.Span{sp(20, 30), sp(500, 510)}
-	m := Matcher{Spec: Spec{Rel: XBeforeY, MaxGap: 50}}
-	un := m.UnmatchedY(xs, ys)
-	if len(un) != 1 || un[0] != 1 {
-		t.Fatalf("unmatched %v", un)
-	}
-}
-
 // Property: XBeforeY with no gap constraints agrees with the Allen
 // classification Before/Meets.
 func TestBeforeAgreesWithAllenProperty(t *testing.T) {

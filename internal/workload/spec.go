@@ -115,7 +115,7 @@ func ParseSpec(src string) (*Spec, error) {
 				}
 				g.Args[k] = v
 			}
-			if err := g.checkObjects(); err != nil {
+			if err := g.check(); err != nil {
 				return nil, err
 			}
 			sp.Gens = append(sp.Gens, g)
@@ -246,6 +246,55 @@ func (g GenSpec) checkObjects() error {
 		return fmt.Errorf("spec line %d: generator %s: %s: %v", g.Line, g.Name, key, err)
 	}
 	return nil
+}
+
+// MaxInitialOccupancy bounds a hall's initial occupancy: the visitors
+// enter during a one-second ramp, one arrival per µs at most, and the
+// ramp is generated whole whatever the horizon. pervasim's -initial is
+// held to the same bound.
+const MaxInitialOccupancy = 1_000_000
+
+// maxHarmonics bounds a diurnal profile's harmonics, each of which costs
+// a sine per sampled instant (E16 uses 3).
+const maxHarmonics = 64
+
+// checkWork rejects a directive whose arguments ask for work the horizon
+// does not bound: a hall ramp of more than MaxInitialOccupancy visitors, a
+// pareto burst with a non-positive pulse gap (every pulse of the burst at
+// one instant, which the horizon never clips), and a diurnal profile of
+// more than maxHarmonics harmonics. A value that does not parse is left to
+// the generator's own accessor.
+func (g GenSpec) checkWork() error {
+	var err error
+	switch g.Name {
+	case "hall":
+		if n, perr := strconv.Atoi(g.Args["initial"]); perr == nil && n > MaxInitialOccupancy {
+			err = fmt.Errorf("initial: %d is more than %d (one arrival per µs of the one-second ramp)", n, MaxInitialOccupancy)
+		}
+	case "pareto":
+		if v, ok := g.Args["pulsegap"]; ok {
+			if d, perr := parseDur(v); perr == nil && d <= 0 {
+				err = fmt.Errorf("pulsegap: %s puts every pulse of a burst at one instant", v)
+			}
+		}
+	case "diurnal":
+		if n, perr := strconv.Atoi(g.Args["harmonics"]); perr == nil && n > maxHarmonics {
+			err = fmt.Errorf("harmonics: %d is more than %d", n, maxHarmonics)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("spec line %d: generator %s: %v", g.Line, g.Name, err)
+	}
+	return nil
+}
+
+// check runs checkObjects and checkWork: ParseSpec and buildGen both call
+// it before any generator is built.
+func (g GenSpec) check() error {
+	if err := g.checkObjects(); err != nil {
+		return err
+	}
+	return g.checkWork()
 }
 
 // genArgs wraps one directive's arguments with typed, error-collecting
@@ -394,7 +443,7 @@ func parseDur(s string) (sim.Duration, error) {
 
 // buildGen constructs one generator from its directive.
 func buildGen(g GenSpec, defSeed uint64) (Source, error) {
-	if err := g.checkObjects(); err != nil {
+	if err := g.check(); err != nil {
 		return nil, err
 	}
 	a := &genArgs{g: g, used: map[string]bool{}}

@@ -16,7 +16,7 @@ import (
 const (
 	specDirective  = iota // an unknown directive
 	specShape             // a directive with the wrong number of fields, or an argument that is not key=value
-	specValue             // a number, duration or range that does not parse
+	specValue             // a number, duration or range that does not parse, or asks for work the horizon does not bound
 	specObject            // an object id outside [0, ObjLimit), or a door count naming none
 	specIncomplete        // no positive horizon, or no generator
 	specCanonical         // a spec, spelled as String spells it
@@ -30,7 +30,7 @@ func specOutcome(t *testing.T, err error) int {
 	for out, marks := range [specCanonical][]string{
 		specDirective:  {"unknown directive"},
 		specShape:      {"takes one", "needs a name", "is not key=value"},
-		specValue:      {"invalid syntax", "value out of range", "time: ", "negative duration", "inverted", "empty range"},
+		specValue:      {"invalid syntax", "value out of range", "time: ", "negative duration", "inverted", "empty range", "is more than", "at one instant"},
 		specObject:     {"lie outside", "names no object", "names no door", "puts object ids outside"},
 		specIncomplete: {"non-positive horizon", "no generators"},
 	} {
@@ -167,12 +167,18 @@ func drawSpec(r *stats.RNG) []string {
 
 // The lines that fail each check, one family per outcome. The two object
 // ranges at the head of specObject killed `pervasim -workload`: the first
-// with makeslice: cap out of range, the second out of memory.
+// with makeslice: cap out of range, the second out of memory. So did the
+// three lines at the tail of specValue once materialized: the hall ramp
+// and the stacked pareto burst ran out of memory, and the diurnal
+// harmonics never returned.
 var badSpecLines = [specIncomplete][]string{
 	specDirective: {"foo bar", "generators toggler objs=0-1", "Seed 1"},
 	specShape:     {"seed", "seed 1 2", "horizon", "objects 1 2", "generator", "generator toggler objs"},
 	specValue: {"seed -1", "seed x", "horizon fast", "horizon -1s", "objects x", "generator toggler objs=3-0",
-		"generator toggler objs=", "generator diurnal obj=x", "generator hall doors=9223372036854775808"},
+		"generator toggler objs=", "generator diurnal obj=x", "generator hall doors=9223372036854775808",
+		"generator hall doors=4 initial=10000000000",
+		"generator pareto obj=0 burstgap=100ms pulsegap=0s maxburst=1000000000 xm=1000000000",
+		"generator diurnal obj=0 harmonics=10000000000"},
 	specObject: {"generator toggler objs=0-9223372036854775807", "generator toggler objs=0-9999999999",
 		"objects 9999999999", "objects -1", "generator diurnal obj=-1", "generator walk obj=2147483647",
 		"generator hall doors=0", "generator admissions doors=0", "generator admissions doors=2147483647",
@@ -268,8 +274,10 @@ func TestSpecRejectsHostileObjectRanges(t *testing.T) {
 // corpus in testdata/fuzz/FuzzWorkloadSpec holds a valid spec, a respelled
 // one, the two object ranges that killed `pervasim -workload`, a negative
 // object, a door count of zero and an object count past the bound, and the
-// two specs that killed it once materialized: an admissions flow with no
-// door and a walk whose tick is zero.
+// five specs that killed it once materialized: an admissions flow with no
+// door, a walk whose tick is zero, a hall ramp of 10¹⁰ visitors, a pareto
+// burst of 10⁹ pulses at one instant and a diurnal profile of 10¹⁰
+// harmonics.
 func FuzzWorkloadSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		specHostile(t, src)
