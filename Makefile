@@ -37,9 +37,10 @@ test-race:
 # spec `pervasim -workload` reads, each spec it accepts materialized
 # (FuzzWorkloadSpec), the checker
 # tree's sync batch with the stamp batch inside it (FuzzDecodeBatch), the
-# -faults plan grammar (FuzzFaultsParse), the JSON/JSONL execution
-# trace tracedump reads (FuzzTraceDecode), the JSONL flight-recorder
-# dump it reads too (FuzzDecodeJSONL) and the predicate language
+# -faults plan grammar (FuzzFaultsParse), the JSONL flight dump
+# tracedump reads, as a flight-recorder flush (FuzzDecodeJSONL) and as a
+# run record with vector stamps (FuzzDecodeRunRecord), and the predicate
+# language
 # (FuzzPredicateParse): no panic, allocation bounded by the input's
 # length, and whatever parses re-encodes to a fixed point.
 # New inputs stay in the Go build cache; only a failing one is written
@@ -55,8 +56,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSort -fuzztime=10s ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/checker/
 	$(GO) test -run='^$$' -fuzz=FuzzFaultsParse -fuzztime=10s ./internal/faults/
-	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=10s ./internal/trace/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeJSONL -fuzztime=10s ./internal/flight/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRunRecord -fuzztime=10s ./internal/flight/
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateParse -fuzztime=10s ./internal/predicate/
 	$(GO) test -run='^$$' -fuzz=FuzzTimingOracle -fuzztime=10s ./internal/timing/
 

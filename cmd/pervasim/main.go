@@ -7,8 +7,7 @@
 //	pervasim -scenario office -modality definitely
 //	pervasim -scenario habitat -horizon 1h
 //	pervasim -scenario hospital -alarm ward
-//	pervasim -scenario hall -trace run.json   # write a JSON event trace
-//	pervasim -scenario habitat -trace run.jsonl  # streaming JSONL form
+//	pervasim -scenario hall -trace run.jsonl  # write the run record (JSONL)
 //	pervasim -scenario hall -metrics m.json   # runtime metrics: JSON file
 //	                                          # + table on stderr
 //	pervasim -scenario hall -faults 'crash(1,20s);recover(1,40s)'
@@ -45,7 +44,6 @@ import (
 	"pervasive/internal/predicate"
 	"pervasive/internal/scenario"
 	"pervasive/internal/sim"
-	"pervasive/internal/trace"
 	"pervasive/internal/workload"
 )
 
@@ -79,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"office: instantaneously | possibly | definitely")
 		alarm       = fs.String("alarm", "crowding", "hospital: crowding | ward")
 		epsilon     = fs.Duration("epsilon", time.Millisecond, "physical: sync skew bound ε (not office, scale)")
-		tracePath   = fs.String("trace", "", "write JSON event trace to this file, .jsonl for the streaming form (not office, scale)")
+		tracePath   = fs.String("trace", "", "write the run record, every stamped sense event as a JSONL flight dump, to this file (not office, scale)")
 		metricsPath = fs.String("metrics", "", "write a runtime-metrics JSON snapshot to this file and a table to stderr")
 		faultsSpec  = fs.String("faults", "", "fault plan, e.g. 'crash(1,20s);recover(1,40s);partition(0.1|2,10s,30s)'")
 		flightDir   = fs.String("flight", "", "attach the flight recorder; write trigger-scoped dumps (JSONL) into this directory")
@@ -195,13 +193,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		replaySrc = workload.EventSource(rt.Events)
 		hz = rt.Horizon // byte-identity needs the recorded horizon
 	}
-	var tr *trace.Trace
-	if *tracePath != "" {
-		tr = trace.New(0) // the builder sizes it to the fleet
-	}
 	rc := scenario.Run{
 		Seed: *seed, Kind: kind, Delay: delay, Epsilon: dur(*epsilon), Horizon: hz,
-		Workload: replaySrc, Trace: tr, Obs: reg, FlightPerProc: perProc,
+		Workload: replaySrc, Record: *tracePath != "", Obs: reg, FlightPerProc: perProc,
 	}
 
 	var (
@@ -329,16 +323,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if tr != nil {
-		tr.Metrics = snap // embed the run's metrics when both are requested
-		encode := tr.EncodeJSON
-		if strings.HasSuffix(*tracePath, ".jsonl") {
-			encode = tr.EncodeJSONL
-		}
-		if err := writeFile(*tracePath, encode); err != nil {
+	if rc.Record {
+		rec := harness.RunRecord()
+		rec.Metrics = snap // embed the run's metrics when both are requested
+		if err := writeFile(*tracePath, rec.EncodeJSONL); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "trace: %d records written to %s\n", tr.Len(), *tracePath)
+		fmt.Fprintf(stdout, "trace: %d records written to %s\n", len(rec.Events), *tracePath)
 	}
 
 	if *recordPath != "" {

@@ -1,22 +1,21 @@
 // Command tracedump inspects run artifacts written by pervasim and the
-// harnesses: full execution traces (internal/trace), flight-recorder
-// dumps (internal/flight), and recorded workload traces
+// harnesses: flight dumps (internal/flight) — trigger-scoped flushes of
+// the flight recorder, and run records (`pervasim -trace`), which hold
+// every stamped sense event of a run — and recorded workload traces
 // (internal/workload, `pervasim -record`). The input kind is sniffed
 // from the file itself, not the name: a "PVWL" magic marks a binary
-// workload trace; a JSONL stream whose first line carries a "flight"
-// key is a dump; anything else is a trace (JSONL header {"n":N}, or a
-// single JSON object).
+// workload trace; anything else must be a JSONL dump.
 //
 // Usage:
 //
-//	tracedump run.json                  # trace summary + lattice analysis
+//	tracedump run.jsonl                 # run record: summary, DAG check, lattice analysis
 //	tracedump run.pvwl                  # workload-trace summary + digest
 //	tracedump detect.dump.jsonl         # dump summary + DAG validation
 //	tracedump -dag detect.dump.jsonl    # happens-before DAG detail
 //	tracedump -critical detect.dump.jsonl
-//	tracedump -report run.json          # instrument + span report card
+//	tracedump -report run.jsonl         # instrument + span report card
 //	tracedump -diff live.dump.jsonl des.dump.jsonl
-//	tracedump -json -report run.json    # machine-readable output
+//	tracedump -json -report run.jsonl   # machine-readable output
 //
 // Exit status: 0 clean, 1 findings (validation issues, diff mismatches,
 // missing detection), 2 usage or decode errors.
@@ -29,16 +28,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"sort"
 	"strings"
 
-	"pervasive/internal/clock"
 	"pervasive/internal/flight"
 	"pervasive/internal/lattice"
 	"pervasive/internal/obs"
 	"pervasive/internal/sim"
-	"pervasive/internal/trace"
 	"pervasive/internal/workload"
 )
 
@@ -53,11 +49,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dag      = fs.Bool("dag", false, "print the happens-before DAG of a flight dump and validate it")
 		critical = fs.Bool("critical", false, "print the causal critical path of the detection in a flight dump")
 		report   = fs.Bool("report", false, "print the run report card: instruments, span roll-ups, fault timeline")
-		diffWith = fs.String("diff", "", "diff the input against a second trace/dump `file`, keyed by logical stamp")
+		diffWith = fs.String("diff", "", "diff the input against a second dump `file`, keyed by logical stamp")
 		asJSON   = fs.Bool("json", false, "emit machine-readable JSON instead of text")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: tracedump [-dag|-critical|-report|-diff file] [-json] <trace.json|dump.jsonl>")
+		fmt.Fprintln(stderr, "usage: tracedump [-dag|-critical|-report|-diff file] [-json] <dump.jsonl|workload.pvwl>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -102,10 +98,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return runSummary(in, *asJSON, stdout, stderr)
 }
 
-// input is one loaded artifact: exactly one of tr/dump/wl is non-nil.
+// input is one loaded artifact: exactly one of dump/wl is non-nil.
 type input struct {
 	path string
-	tr   *trace.Trace
 	dump *flight.Dump
 	wl   *workload.Trace
 }
@@ -114,60 +109,37 @@ func (in *input) metrics() *obs.Snapshot {
 	if in.dump != nil {
 		return in.dump.Metrics
 	}
-	if in.tr != nil {
-		return in.tr.Metrics
-	}
 	return nil
 }
 
 // timeBase returns the artifact's time base: the dump header's for
-// dumps, the embedded snapshot's for traces ("" when a trace carries no
-// metrics — nothing duration-valued to compare).
+// dumps, virtual for workload traces.
 func (in *input) timeBase() string {
 	if in.dump != nil {
 		return in.dump.TimeBase
 	}
-	if in.tr != nil && in.tr.Metrics != nil {
-		return in.tr.Metrics.TimeBase
-	}
-	if in.wl != nil {
-		return "virtual"
-	}
-	return ""
+	return "virtual"
 }
 
 func (in *input) kind() string {
-	switch {
-	case in.dump != nil:
+	if in.dump != nil {
 		return "dump"
-	case in.wl != nil:
-		return "workload"
 	}
-	return "trace"
+	return "workload"
 }
 
-// load reads path and sniffs its format from content: flight-dump JSONL
-// ({"flight":...} first line), trace JSONL ({"n":N} first line), or a
-// whole-file JSON trace.
+// load reads path and sniffs its format from content: a PVWL workload
+// trace, else a JSONL flight dump.
 func load(path string) (*input, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	firstLine := data
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		firstLine = data[:i]
-	}
 	in := &input{path: path}
-	switch {
-	case workload.IsTraceHeader(data):
+	if workload.IsTraceHeader(data) {
 		in.wl, err = workload.Decode(data)
-	case flight.IsDumpHeader(firstLine):
+	} else {
 		in.dump, err = flight.DecodeJSONL(bytes.NewReader(data))
-	case isTraceJSONLHeader(firstLine):
-		in.tr, err = trace.DecodeJSONL(bytes.NewReader(data))
-	default:
-		in.tr, err = trace.DecodeJSON(bytes.NewReader(data))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -175,27 +147,13 @@ func load(path string) (*input, error) {
 	return in, nil
 }
 
-// isTraceJSONLHeader reports whether line is exactly a {"n":N} trace
-// header — a full-trace JSON object also begins with an "n" key but
-// spans multiple lines and fails the single-line unmarshal here.
-func isTraceJSONLHeader(line []byte) bool {
-	var probe struct {
-		N       *int             `json:"n"`
-		Records *json.RawMessage `json:"records"`
-	}
-	return json.Unmarshal(line, &probe) == nil && probe.N != nil && probe.Records == nil
-}
-
 // ---- default summary ----
 
 func runSummary(in *input, asJSON bool, stdout, stderr io.Writer) int {
-	if in.dump != nil {
-		return dumpSummary(in.dump, asJSON, stdout, stderr)
-	}
 	if in.wl != nil {
 		return workloadSummary(in.wl, asJSON, stdout, stderr)
 	}
-	return traceSummary(in.tr, asJSON, stdout, stderr)
+	return dumpSummary(in.dump, asJSON, stdout, stderr)
 }
 
 // workloadSummary describes a recorded workload trace: header fields,
@@ -242,15 +200,28 @@ func workloadSummary(wt *workload.Trace, asJSON bool, stdout, stderr io.Writer) 
 	return 0
 }
 
+// dumpSummary describes a dump — header, kind counts, per-process
+// counts, metrics table, DAG verdict — and, when any sense carries a
+// vector stamp (a run record of a vector clock kind), the lattice of
+// consistent cuts those stamps span.
 func dumpSummary(d *flight.Dump, asJSON bool, stdout, stderr io.Writer) int {
 	g := flight.BuildDAG(d)
 	issues := g.Validate()
+	ex := d.Execution()
 	if asJSON {
 		out := map[string]any{
 			"kind": "dump", "trigger": d.Trigger, "at": d.At,
 			"time_base": d.TimeBase, "n": d.N, "procs": d.Procs,
 			"events": len(d.Events), "kinds": kindCounts(d),
 			"dag": map[string]any{"nodes": len(g.Events), "edges": edgeCount(g), "issues": issues},
+		}
+		if ex != nil {
+			res, full := latticeSurvey(ex)
+			out["lattice"] = map[string]any{
+				"events": full.Events(), "cuts": res.Count, "width": res.Width,
+				"truncated":       res.Truncated,
+				"path_consistent": full.PathConsistentAlong(full.Path()),
+			}
 		}
 		return emitJSON(stdout, stderr, out, len(issues) > 0)
 	}
@@ -281,84 +252,16 @@ func dumpSummary(d *flight.Dump, asJSON bool, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "happens-before DAG: %d nodes, %d edges, acyclic, clock rules hold\n",
 		len(g.Events), edgeCount(g))
+	if ex != nil {
+		printLattice(stdout, ex)
+	}
 	return 0
 }
 
-func traceSummary(tr *trace.Trace, asJSON bool, stdout, stderr io.Writer) int {
-	if asJSON {
-		counts := map[string]int{}
-		for ty, n := range tr.Counts() {
-			counts[typeName(ty)] = n
-		}
-		out := map[string]any{
-			"kind": "trace", "n": tr.N, "records": tr.Len(), "counts": counts,
-		}
-		if ex := stampedExecution(tr); ex != nil {
-			res, full := latticeSurvey(ex)
-			out["lattice"] = map[string]any{
-				"events": full.Events(), "cuts": res.Count, "width": res.Width,
-				"truncated":       res.Truncated,
-				"path_consistent": full.PathConsistentAlong(full.Path()),
-			}
-		}
-		return emitJSON(stdout, stderr, out, false)
-	}
-	fmt.Fprintf(stdout, "processes: %d, records: %d\n", tr.N, tr.Len())
-	counts := tr.Counts()
-	for _, ty := range []trace.Type{trace.Compute, trace.Sense, trace.Actuate, trace.Send, trace.Receive} {
-		if counts[ty] > 0 {
-			fmt.Fprintf(stdout, "  %-8s %d\n", typeName(ty), counts[ty])
-		}
-	}
-	// One line per process with records, in process order. The header's N
-	// is whatever the file says, so the output follows the records: each
-	// run of two or more silent processes is one line.
-	type tally struct{ events, senses int }
-	per := map[int]*tally{}
-	for _, r := range tr.Records {
-		c := per[r.Proc]
-		if c == nil {
-			c = &tally{}
-			per[r.Proc] = c
-		}
-		c.events++
-		if r.Type == trace.Sense {
-			c.senses++
-		}
-	}
-	procs := make([]int, 0, len(per))
-	for p := range per {
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	next := 0 // the first process not yet listed
-	silentUpTo := func(end int) {
-		switch k := end - next; {
-		case k == 1:
-			fmt.Fprintf(stdout, "  P%-3d: %5d events (%d sense)\n", next, 0, 0)
-		case k > 1:
-			fmt.Fprintf(stdout, "  P%d..P%d: no events (%d processes)\n", next, end-1, k)
-		}
-	}
-	for _, p := range procs {
-		silentUpTo(p)
-		fmt.Fprintf(stdout, "  P%-3d: %5d events (%d sense)\n", p, per[p].events, per[p].senses)
-		next = p + 1
-	}
-	silentUpTo(tr.N)
-	if tr.Metrics != nil {
-		if err := tr.Metrics.WriteTable(stdout); err != nil {
-			fmt.Fprintln(stderr, "tracedump:", err)
-			return 2
-		}
-	}
-	ex := stampedExecution(tr)
-	if ex == nil {
-		fmt.Fprintln(stdout, "no vector stamps recorded; skipping lattice analysis")
-		return 0
-	}
+// printLattice prints the lattice section of a summary.
+func printLattice(stdout io.Writer, ex *lattice.Execution) {
 	res, full := latticeSurvey(ex)
-	if full != ex {
+	if full.Events() < ex.Events() {
 		fmt.Fprintf(stdout, "lattice (first %d events): ", full.Events())
 	} else {
 		fmt.Fprintf(stdout, "lattice (%d events): ", full.Events())
@@ -375,17 +278,17 @@ func traceSummary(tr *trace.Trace, asJSON bool, stdout, stderr io.Writer) int {
 	} else {
 		fmt.Fprintln(stdout, "WARNING: actual path inconsistent — stamps corrupted?")
 	}
-	return 0
 }
 
-// latticeSurvey trims the execution to a tractable size and surveys it,
-// returning the surveyed (possibly trimmed) execution alongside. A trace
-// with more processes than maxEvents keeps one event each, so the
-// survey also stops at maxCuts; the result then says it was truncated.
+// latticeSurvey cuts the execution to a tractable prefix — about
+// maxEvents, evenly across processes — and surveys it, returning the
+// surveyed execution alongside. A record with more processes than
+// maxEvents keeps one event each, so the survey also stops at maxCuts;
+// the result then says it was truncated.
 func latticeSurvey(ex *lattice.Execution) (*lattice.SurveyResult, *lattice.Execution) {
 	const maxEvents, maxCuts = 24, 1 << 18
 	if ex.Events() > maxEvents {
-		ex = trimTo(ex, maxEvents)
+		ex, _ = ex.Prefix(max(maxEvents/ex.N(), 1))
 	}
 	return ex.Survey(lattice.SurveyOptions{Limit: maxCuts}), ex
 }
@@ -394,7 +297,7 @@ func latticeSurvey(ex *lattice.Execution) (*lattice.SurveyResult, *lattice.Execu
 
 func runDAG(in *input, asJSON bool, stdout, stderr io.Writer) int {
 	if in.dump == nil {
-		fmt.Fprintln(stderr, "tracedump: -dag requires a flight dump (traces carry no per-event causal stamps)")
+		fmt.Fprintln(stderr, "tracedump: -dag requires a flight dump or run record")
 		return 2
 	}
 	g := flight.BuildDAG(in.dump)
@@ -491,7 +394,7 @@ func rollupSpans(spans []obs.SpanSnap) []spanRollup {
 }
 
 // faultTimeline extracts crash/recover/drop events from a dump in time
-// order. Traces have no fault events, so it returns nil for them.
+// order. Workload traces have no fault events, so it returns nil for them.
 func faultTimeline(in *input) []flight.Event {
 	if in.dump == nil {
 		return nil
@@ -629,21 +532,19 @@ func runDiff(a, b *input, asJSON bool, stdout, stderr io.Writer) int {
 	}
 
 	var onlyA, onlyB []string
-	if a.dump != nil && b.dump != nil {
-		ka, kb := stampKeys(a.dump), stampKeys(b.dump)
-		for k, n := range ka {
-			if kb[k] < n {
-				onlyA = append(onlyA, stampString(k, n-kb[k]))
-			}
+	ka, kb := stampKeys(a.dump), stampKeys(b.dump)
+	for k, n := range ka {
+		if kb[k] < n {
+			onlyA = append(onlyA, stampString(k, n-kb[k]))
 		}
-		for k, n := range kb {
-			if ka[k] < n {
-				onlyB = append(onlyB, stampString(k, n-ka[k]))
-			}
-		}
-		sort.Strings(onlyA)
-		sort.Strings(onlyB)
 	}
+	for k, n := range kb {
+		if ka[k] < n {
+			onlyB = append(onlyB, stampString(k, n-ka[k]))
+		}
+	}
+	sort.Strings(onlyA)
+	sort.Strings(onlyB)
 
 	differs := len(counterDeltas) > 0 || len(onlyA) > 0 || len(onlyB) > 0
 	if asJSON {
@@ -751,71 +652,4 @@ func edgeCount(g *flight.DAG) int {
 		n += len(tos)
 	}
 	return n
-}
-
-func typeName(t trace.Type) string {
-	switch t {
-	case trace.Compute:
-		return "compute"
-	case trace.Sense:
-		return "sense"
-	case trace.Actuate:
-		return "actuate"
-	case trace.Send:
-		return "send"
-	default:
-		return "receive"
-	}
-}
-
-// stampedExecution extracts sense events carrying vector stamps (nil when
-// there are none). It sizes the execution by N only once a non-empty stamp
-// exists: the decoders hold every such stamp to N entries, so N is then
-// bounded by the file, whatever its header claims.
-func stampedExecution(tr *trace.Trace) *lattice.Execution {
-	stamped := func(r trace.Record) bool { return r.Type == trace.Sense && len(r.Vector) > 0 }
-	if !slices.ContainsFunc(tr.Records, stamped) {
-		return nil
-	}
-	ex := &lattice.Execution{
-		Stamps: make([][]clock.Vector, tr.N),
-		Times:  make([][]sim.Time, tr.N),
-	}
-	for _, r := range tr.Records {
-		if stamped(r) {
-			ex.Stamps[r.Proc] = append(ex.Stamps[r.Proc], r.Vector)
-			ex.Times[r.Proc] = append(ex.Times[r.Proc], r.At)
-		}
-	}
-	return ex
-}
-
-// trimTo keeps roughly budget events, evenly across processes, clamping
-// dangling stamp references.
-func trimTo(ex *lattice.Execution, budget int) *lattice.Execution {
-	per := budget / len(ex.Stamps)
-	if per < 1 {
-		per = 1
-	}
-	out := &lattice.Execution{
-		Stamps: make([][]clock.Vector, len(ex.Stamps)),
-		Times:  make([][]sim.Time, len(ex.Times)),
-	}
-	for i := range ex.Stamps {
-		k := per
-		if k > len(ex.Stamps[i]) {
-			k = len(ex.Stamps[i])
-		}
-		for _, v := range ex.Stamps[i][:k] {
-			c := v.Clone()
-			for j := range c {
-				if j < len(ex.Stamps) && c[j] > uint64(per) {
-					c[j] = uint64(per) //lint:allow clockrule(offline truncation of a cloned stamp for the lattice report, not live protocol state)
-				}
-			}
-			out.Stamps[i] = append(out.Stamps[i], c)
-		}
-		out.Times[i] = append(out.Times[i], ex.Times[i][:k]...)
-	}
-	return out
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pervasive/internal/clock"
 	"pervasive/internal/core"
 	"pervasive/internal/faults"
 	"pervasive/internal/flight"
@@ -49,11 +50,12 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestTraceSummaryGolden pins the full trace output — event counts,
-// per-process breakdown, embedded metrics table, lattice analysis —
-// against a checked-in trace. Regenerate with: go test ./cmd/tracedump -update
+// TestTraceSummaryGolden pins the full run-record output — event counts,
+// per-process breakdown, embedded metrics table, DAG verdict, lattice
+// analysis — against a checked-in run record. Regenerate with: go test
+// ./cmd/tracedump -update
 func TestTraceSummaryGolden(t *testing.T) {
-	code, out, errb := runCLI(t, filepath.Join("testdata", "sample.json"))
+	code, out, errb := runCLI(t, filepath.Join("testdata", "sample.jsonl"))
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
@@ -103,7 +105,7 @@ func TestJSONSchemas(t *testing.T) {
 		keys []string
 	}{
 		{[]string{"-json", dump}, []string{"kind", "trigger", "time_base", "events", "kinds", "dag"}},
-		{[]string{"-json", filepath.Join("testdata", "sample.json")}, []string{"kind", "n", "records", "counts", "lattice"}},
+		{[]string{"-json", filepath.Join("testdata", "sample.jsonl")}, []string{"kind", "n", "events", "kinds", "dag", "lattice"}},
 		{[]string{"-json", "-dag", dump}, []string{"nodes", "edges", "issues"}},
 		{[]string{"-json", "-critical", dump}, []string{"critical_path"}},
 		{[]string{"-json", "-report", dump}, []string{"kind", "time_base", "counters", "histograms", "spans", "faults"}},
@@ -128,7 +130,10 @@ func TestJSONSchemas(t *testing.T) {
 
 func TestExitCodes(t *testing.T) {
 	dump := filepath.Join("testdata", "detect.dump.jsonl")
-	trace := filepath.Join("testdata", "sample.json")
+	wl := filepath.Join(t.TempDir(), "w.pvwl")
+	if err := (&workload.Trace{Horizon: sim.Second}).WriteFile(wl); err != nil {
+		t.Fatal(err)
+	}
 
 	// Usage and IO errors → 2.
 	for _, args := range [][]string{
@@ -136,8 +141,9 @@ func TestExitCodes(t *testing.T) {
 		{"a", "b"},                // too many inputs
 		{"-dag", "-report", dump}, // exclusive modes
 		{"no-such-file.json"},     // missing file
-		{"-dag", trace},           // -dag needs a dump
-		{"-critical", trace},      // -critical needs a dump
+		{"-dag", wl},              // -dag needs a dump
+		{"-critical", wl},         // -critical needs a dump
+		{"-diff", wl, dump},       // -diff needs two dumps
 		{"-diff", "missing.jsonl", dump},
 	} {
 		if code, _, _ := runCLI(t, args...); code != 2 {
@@ -154,14 +160,14 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestHostileTraceHeaders: a trace header may claim any process count. The
-// summary, text and -json, once sized its index and its lattice input by
-// it — makeslice panics at 2^62−1, 24 GB at 10^9 — and listed one line per
-// process up to the highest one with a record. Now neither the decoders
-// nor the summary allocate or print by N until a non-empty stamp has shown
-// N to be real: an empty stamp is no stamp, and the whole run allocates
-// within the trace decoders' fuzz bound. A stamp of the wrong length is a
-// decode error.
+// TestHostileTraceHeaders: a run record's header may claim any process
+// count. The summary, text and -json, once sized its index and its
+// lattice input by it — makeslice panics at 2^62−1, 24 GB at 10^9 — and
+// listed one line per process up to the highest one with a record. Now
+// neither the decoder nor the summary allocates or prints by N until a
+// non-empty stamp has shown N to be real: an empty stamp is no stamp, and
+// the whole run allocates within the decoder's fuzz bound. A stamp of the
+// wrong length is a decode error.
 func TestHostileTraceHeaders(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, body string) string {
@@ -171,15 +177,16 @@ func TestHostileTraceHeaders(t *testing.T) {
 		}
 		return path
 	}
+	const huge, big = `{"flight":{"version":1,"trigger":"run","n":4611686018427387903`, `{"flight":{"version":1,"trigger":"run","n":1000000000`
 	for _, in := range []string{
-		`{"n": 4611686018427387903, "records": []}`,
-		`{"n": 1000000000, "records": [{"proc": 2, "type": "c"}]}`,
-		`{"n": 1000000000, "records": [{"proc": 999999998, "type": "c"}]}`,
-		`{"n": 4611686018427387903, "records": [{"proc": 0, "type": "n", "vector": []}]}`,
-		"{\"n\":4611686018427387903}\n",
-		"{\"n\":4611686018427387903}\n{\"proc\":0,\"type\":\"n\",\"vector\":[]}\n",
+		huge + `,"procs":[]}}` + "\n",
+		big + `,"procs":[2]}}` + "\n" + `{"kind":"sense","proc":2,"peer":-1}` + "\n",
+		big + `,"procs":[999999998]}}` + "\n" + `{"kind":"sense","proc":999999998,"peer":-1,"seq":1}` + "\n",
+		huge + `,"procs":[0]}}` + "\n" + `{"kind":"sense","proc":0,"peer":-1,"vector":[]}` + "\n",
+		huge + `}}`,
+		huge + `}}` + "\n" + `{"kind":"sense","proc":0,"peer":-1,"vector":[]}`,
 	} {
-		path := write("hostile.json", in)
+		path := write("hostile.jsonl", in)
 		for _, args := range [][]string{{path}, {"-json", path}} {
 			least := ^uint64(0)
 			var code int
@@ -197,39 +204,35 @@ func TestHostileTraceHeaders(t *testing.T) {
 			if limit := uint64(128*len(in) + 4096); least > limit {
 				t.Errorf("%v on %q: allocated %d bytes, limit %d", args, in, least, limit)
 			}
-			if args[0] == path && (!strings.Contains(out, "no events (") || strings.Count(out, "\n") > 10) {
-				t.Errorf("%v on %q: the silent processes are not folded:\n%s", args, in, out)
+			if args[0] == path && (strings.Contains(out, "lattice") || strings.Count(out, "\n") > 10) {
+				t.Errorf("%v on %q: the summary follows N, not the records:\n%s", args, in, out)
 			}
 		}
 	}
-	mismatched := write("mismatched.json", `{"n": 2, "records": [{"proc": 0, "type": "n", "vector": [1, 2, 3, 4, 5]}]}`)
+	mismatched := write("mismatched.jsonl", `{"flight":{"version":1,"trigger":"run","n":2,"procs":[0]}}`+"\n"+
+		`{"kind":"sense","proc":0,"peer":-1,"vector":[1,2,3,4,5]}`+"\n")
 	if code, _, errb := runCLI(t, mismatched); code != 2 || !strings.Contains(errb, "vector of 5 entries") {
-		t.Errorf("a 5-entry stamp in a 2-process trace: exit %d, stderr %q; want 2 and the stamp named", code, errb)
+		t.Errorf("a 5-entry stamp in a 2-process record: exit %d, stderr %q; want 2 and the stamp named", code, errb)
 	}
 }
 
-// TestWideTraceSurveyStops: a trace with more processes than the lattice
-// report's 24-event budget keeps one event per process, and 34
+// TestWideTraceSurveyStops: a run record with more processes than the
+// lattice report's 24-event budget keeps one event per process, and 34
 // independent senses span 2³⁴ consistent cuts. The survey must stop at
 // its cut limit, print the count as a lower bound and flag the -json
 // output as truncated, in well under a second.
 func TestWideTraceSurveyStops(t *testing.T) {
 	const n = 34
-	var recs []string
+	d := &flight.Dump{Version: flight.DumpVersion, Trigger: flight.RunTrigger, TimeBase: "virtual", N: n}
 	for i := 0; i < n; i++ {
-		vec := make([]string, n)
-		for j := range vec {
-			vec[j] = "0"
-		}
-		vec[i] = "1"
-		recs = append(recs, fmt.Sprintf(`{"proc": %d, "type": "n", "at": %d, "vector": [%s], "attr": "x", "value": 1}`,
-			i, 1000*(i+1), strings.Join(vec, ", ")))
+		vec := make(clock.Vector, n)
+		vec[i] = 1
+		d.Procs = append(d.Procs, i)
+		d.Events = append(d.Events, flight.Event{Kind: "sense", Proc: i, At: sim.Time(1000 * (i + 1)),
+			Peer: -1, Seq: 1, Attr: "x", Value: 1, Clock: 1, Vector: vec})
 	}
-	path := filepath.Join(t.TempDir(), "wide.json")
-	body := fmt.Sprintf(`{"n": %d, "records": [%s]}`, n, strings.Join(recs, ",\n"))
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "wide.jsonl")
+	writeDump(t, path, d)
 	start := time.Now()
 	code, out, errb := runCLI(t, path)
 	if code != 0 || !strings.Contains(out, "at least 262144 consistent cuts of 17179869184 possible") {
@@ -251,6 +254,18 @@ func TestWideTraceSurveyStops(t *testing.T) {
 	t.Logf("both runs took %v", time.Since(start))
 }
 
+// writeDump writes d to path as JSONL.
+func writeDump(t *testing.T, path string, d *flight.Dump) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.EncodeJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // mutateDump decodes the fixture, applies f, and writes the result to a
 // temp file.
 func mutateDump(t *testing.T, f func(*flight.Dump)) string {
@@ -265,13 +280,7 @@ func mutateDump(t *testing.T, f func(*flight.Dump)) string {
 	}
 	f(d)
 	path := filepath.Join(t.TempDir(), "mutated.dump.jsonl")
-	var buf bytes.Buffer
-	if err := d.EncodeJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeDump(t, path, d)
 	return path
 }
 
@@ -333,23 +342,28 @@ func TestReportWithoutMetricsExitOne(t *testing.T) {
 }
 
 // TestFaultRunDumpRoundTrip is the acceptance check: a DES fault-plan
-// run produces dumps that tracedump validates clean (acyclic DAG, clock
-// rules hold), and the serialized bytes are identical across runs — the
-// dump pipeline is deterministic regardless of test parallelism.
+// run, on vector and physical clocks, produces dumps and a run record
+// that tracedump validates clean (acyclic DAG, clock rules hold), and the
+// serialized bytes are identical across runs — the dump pipeline is
+// deterministic regardless of test parallelism. A physical report carries
+// no logical clock, so its senses' Clock is 0: the validator once called
+// every physical dump INCONSISTENT for it.
 func TestFaultRunDumpRoundTrip(t *testing.T) {
-	runOnce := func() []byte {
+	runOnce := func(kind core.ClockKind) ([]*flight.Dump, []byte) {
 		n := 3
 		h := core.NewHarness(core.HarnessConfig{
-			Seed: 23, N: n, Kind: core.VectorStrobe,
+			Seed: 23, N: n, Kind: kind,
 			Delay:    sim.NewDeltaBounded(20 * sim.Millisecond),
 			Pred:     core.ConjunctiveGlobal(predicate.MustParse("p@0 == 1"), n),
 			Modality: predicate.Instantaneously,
+			Epsilon:  2 * sim.Second,
 			Horizon:  60 * sim.Second,
 			Faults: faults.NewPlan().
 				Crash(1, 20*sim.Second).
 				Recover(1, 30*sim.Second),
 			Obs:    obs.NewRegistry(),
 			Flight: flight.New(n+1, 128),
+			Record: true,
 		})
 		for i := 0; i < n; i++ {
 			obj := h.World.AddObject("obj", nil)
@@ -359,39 +373,42 @@ func TestFaultRunDumpRoundTrip(t *testing.T) {
 		}
 		h.Run()
 		if len(h.Dumps) == 0 {
-			t.Fatal("fault-plan run produced no dumps")
+			t.Fatalf("%v: fault-plan run produced no dumps", kind)
 		}
+		dumps := append(h.Dumps, h.RunRecord())
 		var buf bytes.Buffer
-		for _, d := range h.Dumps {
+		for _, d := range dumps {
 			if err := d.EncodeJSONL(&buf); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return buf.Bytes()
+		return dumps, buf.Bytes()
 	}
 
-	a := runOnce()
-	if !bytes.Equal(a, runOnce()) {
-		t.Fatal("dump bytes differ across identical runs")
-	}
-
-	// Write the first dump out and push it through the CLI: summary and
-	// -dag must both validate it clean.
-	first := a
-	if i := bytes.Index(a[1:], []byte(`{"flight":`)); i >= 0 {
-		first = a[:i+1]
-	}
-	path := filepath.Join(t.TempDir(), "fault.dump.jsonl")
-	if err := os.WriteFile(path, first, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, args := range [][]string{{path}, {"-dag", path}, {"-critical", path}} {
-		code, out, errb := runCLI(t, args...)
-		if args[0] == "-critical" && code == 1 {
-			continue // first dump may be a crash dump with no detection
+	for _, kind := range []core.ClockKind{core.VectorStrobe, core.PhysicalReport} {
+		dumps, a := runOnce(kind)
+		if _, b := runOnce(kind); !bytes.Equal(a, b) {
+			t.Fatalf("%v: dump bytes differ across identical runs", kind)
 		}
-		if code != 0 {
-			t.Errorf("%v: exit %d\nstdout: %s\nstderr: %s", args, code, out, errb)
+		// Push every dump, the run record last, through the CLI: summary
+		// and -dag must validate each clean, and a run record has stamps
+		// (a lattice) exactly when its clock kind is a vector.
+		for i, d := range dumps {
+			path := filepath.Join(t.TempDir(), fmt.Sprintf("%d.dump.jsonl", i))
+			writeDump(t, path, d)
+			for _, args := range [][]string{{path}, {"-dag", path}, {"-diff", path, path}, {"-critical", path}} {
+				code, out, errb := runCLI(t, args...)
+				if args[0] == "-critical" && code == 1 {
+					continue // a crash dump or the run record has no detection
+				}
+				if code != 0 {
+					t.Errorf("%v %s: %v: exit %d\nstdout: %s\nstderr: %s", kind, d.Trigger, args, code, out, errb)
+				}
+				if lattice := strings.Contains(out, "lattice ("); args[0] == path && d.Trigger == flight.RunTrigger &&
+					lattice != (kind == core.VectorStrobe) {
+					t.Errorf("%v run record: lattice section %v\n%s", kind, lattice, out)
+				}
+			}
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // The checker-tree differential oracle: the hierarchical checker at any
 // fan-out must produce byte-identical detection output — occurrences
-// (definite and borderline bins), race markers, scores, counters, merged
-// traces — to the flat StrobeChecker, across shard counts, worker
+// (definite and borderline bins), race markers, scores, counters, run
+// records, delivery orders — to the flat StrobeChecker, across shard counts, worker
 // counts, race-aware and race-blind, and under fault plans. The flat
 // checker (CheckerFanout <= 1) is the oracle.
 
@@ -100,7 +100,7 @@ func TestCheckerTreeSparseFleet(t *testing.T) {
 			Seed: 7, N: 140, Shards: 4, Workers: 2,
 			Delay:         sim.NewDeltaBounded(5 * sim.Millisecond),
 			Horizon:       500 * sim.Millisecond,
-			trace:         true,
+			record:        true,
 			CheckerFanout: fanout,
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"strconv"
 
 	"pervasive/internal/clock"
@@ -12,7 +14,6 @@ import (
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
-	"pervasive/internal/trace"
 	"pervasive/internal/workload"
 	"pervasive/internal/world"
 )
@@ -53,10 +54,11 @@ type HarnessConfig struct {
 	Epsilon sim.Duration
 	// Slack is the physical checker's reordering buffer; defaults to the
 	// delay bound plus Epsilon.
-	Slack     sim.Duration
-	Horizon   sim.Time
-	Trace     *trace.Trace
-	LogStamps bool
+	Slack   sim.Duration
+	Horizon sim.Time
+	// Record keeps every sense event with its stamps, for RunRecord and
+	// LatticeExecution.
+	Record bool
 	// Obs, if non-nil, receives runtime metrics from the engine, the
 	// transport and the active checker; its time source is set to the
 	// engine's virtual clock. Nil (the default) disables instrumentation
@@ -155,8 +157,7 @@ func NewHarness(cfg HarnessConfig) *Harness {
 
 	scfg := SensorConfig{
 		N: cfg.N, Kind: cfg.Kind, CheckerIdx: cfg.N,
-		Trace: cfg.Trace, LogStamps: cfg.LogStamps,
-		Flight: cfg.Flight,
+		Record: cfg.Record, Flight: cfg.Flight,
 	}
 	if cfg.Kind == PhysicalReport {
 		scfg.Phys = clock.NewEpsilonFleet(eng.RNG().Fork(), cfg.N, cfg.Epsilon)
@@ -300,17 +301,43 @@ func clipToHorizon(occ []Occurrence, horizon sim.Time) []Occurrence {
 	return out
 }
 
-// LatticeExecution assembles the stamped-event execution for lattice
-// analysis (requires LogStamps).
+// RunRecord is the run record of a harness built with Record: every
+// sensor's sense events as one flight.Dump (trigger flight.RunTrigger,
+// time base "virtual"), taken at the engine's current time. Nil without
+// Record.
+func (h *Harness) RunRecord() *flight.Dump {
+	return runRecord(h.Sensors, h.Eng.Now())
+}
+
+// LatticeExecution is the run record's stamped-event execution for lattice
+// analysis; nil unless the harness records a vector clock kind.
 func (h *Harness) LatticeExecution() *lattice.Execution {
-	ex := &lattice.Execution{
-		Stamps: make([][]clock.Vector, len(h.Sensors)),
-		Times:  make([][]sim.Time, len(h.Sensors)),
+	return h.RunRecord().Execution()
+}
+
+// runRecord merges the sensors' recorded sense events into one run record,
+// stably sorted by (time, process): each sensor's events are in its own
+// program order and each sensor is one process, so the merge is the same
+// however the sensors were scheduled. Nil when the fleet records nothing.
+func runRecord(sensors []*Sensor, at sim.Time) *flight.Dump {
+	if len(sensors) == 0 || sensors[0].c == nil || !sensors[0].c.record {
+		return nil
 	}
-	for i, s := range h.Sensors {
-		ex.Stamps[i], ex.Times[i] = s.StampLog()
+	d := &flight.Dump{
+		Version: flight.DumpVersion, Trigger: flight.RunTrigger, At: at,
+		TimeBase: "virtual", N: len(sensors), Procs: make([]int, len(sensors)),
 	}
-	return ex
+	total := 0
+	for _, s := range sensors {
+		total += len(s.c.senses)
+	}
+	d.Events = make([]flight.Event, 0, total)
+	for i, s := range sensors {
+		d.Procs[i] = i
+		d.Events = append(d.Events, s.c.senses...)
+	}
+	slices.SortStableFunc(d.Events, func(a, b flight.Event) int { return cmp.Compare(a.At, b.At) })
+	return d
 }
 
 // ConjunctiveGlobal builds the global predicate ∧ᵢ local(i) over n

@@ -204,7 +204,7 @@ func TestHarnessLatticeExecution(t *testing.T) {
 		Seed: 5, N: 3, Kind: VectorStrobe, Delay: sim.NewDeltaBounded(10 * sim.Millisecond),
 		Pred:     ConjunctiveGlobal(predicate.MustParse("p@0 == 1"), 3),
 		Modality: predicate.Instantaneously,
-		Horizon:  5 * sim.Second, LogStamps: true,
+		Horizon:  5 * sim.Second, Record: true,
 	}, 400*sim.Millisecond, 300*sim.Millisecond)
 	h.Run()
 	ex := h.LatticeExecution()
@@ -216,40 +216,37 @@ func TestHarnessLatticeExecution(t *testing.T) {
 	}
 }
 
-// A classic diff-vector fleet has no classic block unless LogStamps (or a
-// conjunct) asks for one; with LogStamps in the config it logs the very
-// stamps the full-vector protocol logs on the same run, and without it
-// logs none.
-func TestHarnessDiffVectorLogStamps(t *testing.T) {
-	run := func(kind ClockKind, log bool) *Harness {
+// A classic diff-vector fleet has no classic block unless Record (or a
+// conjunct) asks for one; with Record in the config its run record carries
+// the very stamps the full-vector protocol records on the same run, and
+// without it there is no record.
+func TestHarnessDiffVectorRecord(t *testing.T) {
+	run := func(kind ClockKind, record bool) *Harness {
 		h := pulseFleet(HarnessConfig{
 			Seed: 9, N: 4, Kind: kind, Delay: sim.NewDeltaBounded(20 * sim.Millisecond),
 			Pred:     ConjunctiveGlobal(predicate.MustParse("p@0 == 1"), 4),
 			Modality: predicate.Instantaneously,
-			Horizon:  10 * sim.Second, LogStamps: log,
+			Horizon:  10 * sim.Second, Record: record,
 		}, 700*sim.Millisecond, 400*sim.Millisecond)
 		h.Run()
 		return h
 	}
-	vec, diff := run(VectorStrobe, true), run(DiffVectorStrobe, true)
-	for i := range vec.Sensors {
-		want, wantAt := vec.Sensors[i].StampLog()
-		got, gotAt := diff.Sensors[i].StampLog()
-		if len(want) == 0 {
-			t.Fatalf("sensor %d: vector fleet logged no stamps", i)
-		}
-		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotAt, wantAt) {
-			t.Fatalf("sensor %d: diff-vector log (%d stamps) differs from vector log (%d)", i, len(got), len(want))
-		}
+	want := run(VectorStrobe, true).LatticeExecution()
+	got := run(DiffVectorStrobe, true).LatticeExecution()
+	if want == nil || want.Events() == 0 {
+		t.Fatal("vector fleet recorded no stamps")
+	}
+	if !reflect.DeepEqual(got.Stamps, want.Stamps) || !reflect.DeepEqual(got.Times, want.Times) {
+		t.Fatalf("diff-vector record (%d stamps) differs from vector record (%d)", got.Events(), want.Events())
 	}
 	bare := run(DiffVectorStrobe, false)
 	for i, s := range bare.Sensors {
 		if s.c != nil {
-			t.Fatalf("sensor %d: diff-vector fleet without LogStamps has a classic block", i)
+			t.Fatalf("sensor %d: diff-vector fleet without Record has a classic block", i)
 		}
-		if st, at := s.StampLog(); st != nil || at != nil {
-			t.Fatalf("sensor %d: logged %d stamps without LogStamps", i, len(st))
-		}
+	}
+	if d := bare.RunRecord(); d != nil {
+		t.Fatalf("a fleet without Record has a run record of %d events", len(d.Events))
 	}
 }
 

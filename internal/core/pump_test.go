@@ -60,7 +60,7 @@ func TestInPlacePumpMatchesPartitionedPumps(t *testing.T) {
 					w.LogBelow(math.MaxInt) // log every object, not just the pilot
 				}
 			}
-			gotRes, wantRes := got.Run(), want.Run()
+			gotRun, wantRun := recordedRun(got), recordedRun(want)
 			if !reflect.DeepEqual(logs(got), logs(want)) {
 				t.Errorf("%s: world logs diverge from the partitioned pumps'", label)
 			}
@@ -74,9 +74,7 @@ func TestInPlacePumpMatchesPartitionedPumps(t *testing.T) {
 			if g, w := got.Sh.ExecutedTotal(), want.Sh.ExecutedTotal(); g != w {
 				t.Errorf("%s: sim.executed %d, partitioned pumps %d", label, g, w)
 			}
-			assertSameRun(t, label,
-				diffRun{res: wantRes, counters: want.CounterLines(), trace: want.mergedTrace().Records},
-				diffRun{res: gotRes, counters: got.CounterLines(), trace: got.mergedTrace().Records})
+			assertSameRun(t, label, wantRun, gotRun)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"pervasive/internal/network"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
-	"pervasive/internal/trace"
 	"pervasive/internal/world"
 )
 
@@ -82,12 +81,10 @@ type Sensor struct {
 }
 
 // fleet is what every sensor of one fleet shares: NewSensors builds one
-// and points each slab entry at it. A traced sharded harness gives each
-// shard's sensors a copy that holds the shard's trace.
+// and points each slab entry at it.
 type fleet struct {
 	kind ClockKind
 	n    int // fleet size (for fresh clocks on Rejoin)
-	tr   *trace.Trace
 	fl   *flight.Recorder
 }
 
@@ -96,11 +93,11 @@ type fleet struct {
 const errSeqBound = "core: sensor sequence number past 2^31-1 in one epoch"
 
 // classic is a sensor's state that only the classic stack reads: the dense
-// and scalar strobe clocks, the physical clock, the conjunct and the stamp
-// log. NewSensors allocates the fleet's blocks as one slab, and only for a
-// fleet that needs them — a kind other than DiffVectorStrobe, a LocalConj
-// or LogStamps — so a sharded fleet's sensor is its slab entry plus its
-// clock words.
+// and scalar strobe clocks, the physical clock, the conjunct and the run
+// record's sense events. NewSensors allocates the fleet's blocks as one
+// slab, and only for a fleet that needs them — a kind other than
+// DiffVectorStrobe, a LocalConj or Record — so a sharded fleet's sensor is
+// its slab entry plus its clock words.
 type classic struct {
 	vec        *clock.StrobeVector
 	sc         *clock.StrobeScalar
@@ -117,11 +114,10 @@ type classic struct {
 	openAt      sim.Time
 	intervalIdx int
 
-	// logStamps accumulates (stamp, true time) per sense event in stamps
-	// and times, for lattice analysis.
-	logStamps bool
-	stamps    []clock.Vector
-	times     []sim.Time
+	// record keeps every sense event, stamped, in senses: this sensor's
+	// share of the run record (see Harness.RunRecord).
+	record bool
+	senses []flight.Event
 }
 
 // SensorConfig configures a sensor fleet.
@@ -135,8 +131,9 @@ type SensorConfig struct {
 	// conjunct is evaluated on the sensor's own variables (its Proc index
 	// is remapped to this sensor).
 	LocalConj predicate.Cond
-	Trace     *trace.Trace
-	LogStamps bool
+	// Record keeps every sense event with its stamps for the run record
+	// (see Harness.RunRecord); it gives the fleet classic blocks.
+	Record bool
 	// Flight, if non-nil, records each sense event — the sender-side
 	// half of the flight recorder's message edges (the transport records
 	// the receiving half). Nil costs one branch per sense.
@@ -161,17 +158,17 @@ func NewSensors(net Receiver, cfg SensorConfig, place func(i int) Transport) []*
 	out := make([]*Sensor, cfg.N)
 	slab := make([]Sensor, cfg.N)
 	var blocks []classic
-	if cfg.Kind != DiffVectorStrobe || cfg.LocalConj != nil || cfg.LogStamps {
+	if cfg.Kind != DiffVectorStrobe || cfg.LocalConj != nil || cfg.Record {
 		blocks = make([]classic, cfg.N)
 	}
-	f := &fleet{kind: cfg.Kind, n: cfg.N, tr: cfg.Trace, fl: cfg.Flight}
+	f := &fleet{kind: cfg.Kind, n: cfg.N, fl: cfg.Flight}
 	deliver := func(m network.Message, now sim.Time) { slab[m.Dst].onMessage(m, now) }
 	for i := 0; i < cfg.N; i++ {
 		s := &slab[i]
 		*s = Sensor{ID: int32(i), f: f, net: place(i)}
 		if blocks != nil {
 			s.c = &blocks[i]
-			*s.c = classic{checkerIdx: cfg.CheckerIdx, localConj: cfg.LocalConj, logStamps: cfg.LogStamps}
+			*s.c = classic{checkerIdx: cfg.CheckerIdx, localConj: cfg.LocalConj, record: cfg.Record}
 			if cfg.LocalConj != nil {
 				s.c.vals = make(map[string]float64)
 			}
@@ -232,11 +229,10 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 		msg.Sparse = s.sparse.Strobe() // SVC1 with differential wire format
 		ownClock = s.sparse.OwnClock()
 		// Materializing the full vector is O(n); only pay for it when a
-		// consumer actually wants dense stamps — the trace, or the stamp log
-		// or conjunct that are the only reasons this kind has a classic
-		// block. Without them a sense event touches O(active peers) state
-		// only.
-		if f.tr != nil || s.c != nil {
+		// consumer actually wants dense stamps — the run record or the
+		// conjunct, the only reasons this kind has a classic block. Without
+		// them a sense event touches O(active peers) state only.
+		if s.c != nil {
 			stamp = s.sparse.Snapshot()
 		}
 	case PhysicalReport:
@@ -253,12 +249,6 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 			s.Local.OnStrobe(msg, now)
 		}
 	}
-	if f.tr != nil {
-		f.tr.Append(trace.Record{
-			Proc: id, Type: trace.Sense, At: now,
-			Attr: varName, Value: value, Vector: stamp,
-		})
-	}
 	if f.fl != nil {
 		f.fl.Record(flight.Rec{
 			Kind: flight.Sense, Proc: s.ID, Peer: flight.NoPeer,
@@ -270,21 +260,15 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 		if c.vals != nil {
 			c.vals[varName] = value
 		}
-		if c.logStamps && stamp != nil {
-			c.stamps = append(c.stamps, stamp)
-			c.times = append(c.times, now)
+		if c.record {
+			c.senses = append(c.senses, flight.Event{
+				Kind: flight.Sense.String(), Proc: id, At: now, Peer: int(flight.NoPeer),
+				Epoch: int(s.epoch), Seq: uint64(s.seq), Attr: varName, Value: value,
+				Clock: ownClock, Vector: stamp,
+			})
 		}
 		s.trackConjunct(now, stamp)
 	}
-}
-
-// StampLog returns the (stamp, true time) of every sense event logged so
-// far; both are nil unless the fleet was built with LogStamps.
-func (s *Sensor) StampLog() ([]clock.Vector, []sim.Time) {
-	if s.c == nil {
-		return nil, nil
-	}
-	return s.c.stamps, s.c.times
 }
 
 // trackConjunct opens/closes the local-conjunct-true interval and reports
@@ -356,11 +340,6 @@ func (s *Sensor) onMessage(m network.Message, now sim.Time) {
 	}
 	if s.Local != nil {
 		s.Local.OnStrobe(*strobe, now)
-	}
-	if tr := s.f.tr; tr != nil {
-		tr.Append(trace.Record{
-			Proc: int(s.ID), Type: trace.Receive, At: now, Peer: strobe.Proc,
-		})
 	}
 }
 

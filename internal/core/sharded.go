@@ -14,7 +14,6 @@ import (
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
-	"pervasive/internal/trace"
 	"pervasive/internal/workload"
 	"pervasive/internal/world"
 )
@@ -73,12 +72,11 @@ type ShardedConfig struct {
 	Obs    *obs.Registry
 
 	// Set only by the in-package differential tests, which hold every
-	// (Shards, Workers, checker) combination to one merged trace:
-	// raceAware keeps the checker's per-sender vector reconstructions
-	// (O(N) memory per active sender), and trace records per-shard
-	// sense/receive traces for mergedTrace (stamps are materialized
-	// densely, so test-sized runs only).
-	raceAware, trace bool
+	// (Shards, Workers, checker) combination to one run record: raceAware
+	// keeps the checker's per-sender vector reconstructions (O(N) memory
+	// per active sender), and record keeps each sensor's sense events for
+	// runRecord (stamps are materialized densely, so test-sized runs only).
+	raceAware, record bool
 }
 
 // ShardedHarness owns one wired sharded simulation.
@@ -102,7 +100,6 @@ type ShardedHarness struct {
 	Events []workload.Event
 
 	objBase []int // first global sensor index hosted by each shard
-	traces  []*trace.Trace
 }
 
 // ShardedResults of a sharded run: the classic Results plus the fleet's
@@ -182,29 +179,16 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 		h.Worlds[k] = world.New(sh.Engine(k))
 		h.objBase[k] = -1
 	}
-	if cfg.trace {
-		h.traces = make([]*trace.Trace, cfg.Shards)
-		for k := range h.traces {
-			h.traces[k] = &trace.Trace{N: cfg.N + 1}
-		}
-	}
 
 	// Sensors and objects, all indexed by sensor. Each sensor's world
 	// object lives on its own shard; the per-shard object id is the
 	// sensor's offset from the shard's first sensor.
-	h.Sensors = NewSensors(snet, SensorConfig{N: cfg.N, Kind: DiffVectorStrobe, CheckerIdx: cfg.N},
+	h.Sensors = NewSensors(snet, SensorConfig{N: cfg.N, Kind: DiffVectorStrobe, CheckerIdx: cfg.N, Record: cfg.record},
 		func(i int) Transport { return snet.Part(smap.Of(i)) })
-	for i, s := range h.Sensors {
+	for i := range h.Sensors {
 		k := smap.Of(i)
 		if h.objBase[k] < 0 {
 			h.objBase[k] = i
-			if h.traces != nil { // the shard's sensors share its trace
-				f := *s.f
-				f.tr = h.traces[k]
-				s.f = &f
-			}
-		} else if h.traces != nil {
-			s.f = h.Sensors[h.objBase[k]].f
 		}
 		h.Worlds[k].AddObject("", nil)
 	}
@@ -360,28 +344,6 @@ func (h *ShardedHarness) mergedPilotLog() []world.Event {
 	for i := range out {
 		out[i].Seq = i
 	}
-	return out
-}
-
-// mergedTrace merges the per-shard traces into one deterministic global
-// trace, stably sorted by (time, proc): every proc's records live on
-// exactly one shard in per-proc chronological order, so the result is
-// shard-count invariant. Nil unless Cfg.trace was set.
-func (h *ShardedHarness) mergedTrace() *trace.Trace {
-	if h.traces == nil {
-		return nil
-	}
-	out := &trace.Trace{N: h.Cfg.N + 1}
-	for _, t := range h.traces {
-		out.Records = append(out.Records, t.Records...)
-	}
-	sort.SliceStable(out.Records, func(i, j int) bool {
-		a, b := out.Records[i], out.Records[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		return a.Proc < b.Proc
-	})
 	return out
 }
 

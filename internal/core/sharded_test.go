@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"pervasive/internal/faults"
+	"pervasive/internal/flight"
+	"pervasive/internal/network"
 	"pervasive/internal/sim"
 	"pervasive/internal/world"
 )
@@ -16,21 +18,50 @@ func diffConfig(shards, workers int) ShardedConfig {
 		Seed: 42, N: 24, Shards: shards, Workers: workers,
 		Delay:   sim.NewDeltaBounded(5 * sim.Millisecond),
 		Horizon: 2 * sim.Second,
-		trace:   true,
+		record:  true,
 	}
 }
 
 type diffRun struct {
-	res      ShardedResults
-	counters []string
-	trace    interface{}
+	res        ShardedResults
+	counters   []string
+	senses     []flight.Event // the run record's events
+	deliveries [][]delivery   // per sensor, in delivery order
+}
+
+// delivery is one strobe a live sensor was handed: when, and whose.
+type delivery struct {
+	at   sim.Time
+	peer int
+}
+
+// logDeliveries wraps every sensor's handler to log the strobes delivered
+// to it. Each sensor lives on one shard, so its log needs no lock; the
+// returned logs fill in as the harness runs.
+func logDeliveries(h *ShardedHarness) [][]delivery {
+	logs := make([][]delivery, len(h.Sensors))
+	for i, s := range h.Sensors {
+		h.Net.Register(i, func(m network.Message, now sim.Time) {
+			if strobe, ok := m.Payload.(*StrobeMsg); ok && !s.down {
+				logs[i] = append(logs[i], delivery{at: now, peer: strobe.Proc})
+			}
+			s.onMessage(m, now)
+		})
+	}
+	return logs
+}
+
+// recordedRun runs a harness built with record, its deliveries logged.
+func recordedRun(h *ShardedHarness) diffRun {
+	deliveries := logDeliveries(h)
+	res := h.Run()
+	return diffRun{res: res, counters: h.CounterLines(),
+		senses: runRecord(h.Sensors, 0).Events, deliveries: deliveries}
 }
 
 func runSharded(t *testing.T, cfg ShardedConfig) diffRun {
 	t.Helper()
-	h := NewShardedHarness(cfg)
-	res := h.Run()
-	return diffRun{res: res, counters: h.CounterLines(), trace: h.mergedTrace().Records}
+	return recordedRun(NewShardedHarness(cfg))
 }
 
 // assertSameRun checks every shard-count-invariant observable.
@@ -54,16 +85,19 @@ func assertSameRun(t *testing.T, label string, want, got diffRun) {
 	if want.res.ClockBytes != got.res.ClockBytes {
 		t.Errorf("%s: clock bytes diverge: want %d got %d", label, want.res.ClockBytes, got.res.ClockBytes)
 	}
-	if !reflect.DeepEqual(want.trace, got.trace) {
-		t.Errorf("%s: merged traces diverge", label)
+	if len(want.senses) == 0 || !reflect.DeepEqual(want.senses, got.senses) {
+		t.Errorf("%s: run records diverge (or are empty)", label)
+	}
+	if !reflect.DeepEqual(want.deliveries, got.deliveries) {
+		t.Errorf("%s: delivery orders diverge", label)
 	}
 }
 
 // TestShardedDifferentialAgainstSingleHeap is the differential oracle for
 // the sharded engine: the identical seeded scenario through the S=1 fast
-// path and through S ∈ {2, 4, 7} must produce byte-identical traces,
-// checker verdicts, scores and counters — sequentially and with worker
-// goroutines.
+// path and through S ∈ {2, 4, 7} must produce byte-identical run records,
+// delivery orders, checker verdicts, scores and counters — sequentially
+// and with worker goroutines.
 func TestShardedDifferentialAgainstSingleHeap(t *testing.T) {
 	want := runSharded(t, diffConfig(1, 1))
 	if len(want.res.Occurrences) == 0 {

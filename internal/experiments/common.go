@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"pervasive/internal/clock"
 	"pervasive/internal/core"
 	"pervasive/internal/faults"
 	"pervasive/internal/network"
@@ -13,27 +12,24 @@ import (
 	"pervasive/internal/workload"
 )
 
-// clockVector keeps trimExecution's signature readable.
-type clockVector = clock.Vector
-
 // pulseWorkload builds the standard racy workload used across
 // experiments: n sensors, each watching a toggling boolean attribute, and
 // the global predicate "at least k of n are up". Thresholded counts flip
 // often and race whenever two sensors toggle within Δ of each other —
 // exactly the regime Section 3.3 analyses.
 type pulseWorkload struct {
-	N         int
-	K         int
-	MeanHigh  sim.Duration
-	MeanLow   sim.Duration
-	Kind      core.ClockKind
-	Delay     sim.DelayModel
-	Epsilon   sim.Duration
-	Horizon   sim.Time
-	LogStamps bool
-	Topo      network.Topology
-	Flood     bool
-	Faults    *faults.Plan
+	N        int
+	K        int
+	MeanHigh sim.Duration
+	MeanLow  sim.Duration
+	Kind     core.ClockKind
+	Delay    sim.DelayModel
+	Epsilon  sim.Duration
+	Horizon  sim.Time
+	Record   bool
+	Topo     network.Topology
+	Flood    bool
+	Faults   *faults.Plan
 	// Source overrides the default toggler fleet (E16's generator sweep);
 	// the seed passed to build is ignored for the workload when set.
 	Source func(seed uint64) workload.Source
@@ -48,7 +44,7 @@ func (pw pulseWorkload) build(seed uint64) *core.Harness {
 	h := core.NewHarness(core.HarnessConfig{
 		Seed: seed, N: pw.N, Kind: pw.Kind, Delay: pw.Delay,
 		Pred: pw.pred(), Modality: predicate.Instantaneously,
-		Epsilon: pw.Epsilon, Horizon: pw.Horizon, LogStamps: pw.LogStamps,
+		Epsilon: pw.Epsilon, Horizon: pw.Horizon, Record: pw.Record,
 		Topo: pw.Topo, Flood: pw.Flood, Faults: pw.Faults,
 	})
 	for i := 0; i < pw.N; i++ {
@@ -89,31 +85,6 @@ func sweep[P, T any](cfg RunConfig, points []P, seeds int, run func(P, uint64) T
 		out[i] = flat[i*seeds : (i+1)*seeds]
 	}
 	return out
-}
-
-// trimExecution cuts every process's stamp sequence to its first p events
-// and clamps stamp components to the kept prefix lengths (an event that
-// knew more than p events of a peer knows "all kept ones" in the trimmed
-// execution). Without clamping, dangling references would make valid cuts
-// look inconsistent.
-func trimExecution(stamps [][]clockVector, times [][]sim.Time, p int) bool {
-	for i := range stamps {
-		if len(stamps[i]) < p {
-			return false
-		}
-		stamps[i] = stamps[i][:p]
-		times[i] = times[i][:p]
-	}
-	for i := range stamps {
-		for _, v := range stamps[i] {
-			for j := range v {
-				if j < len(stamps) && v[j] > uint64(p) {
-					v[j] = uint64(p) //lint:allow clockrule(offline trimming of recorded stamps to a prefix workload, not live protocol state)
-				}
-			}
-		}
-	}
-	return true
 }
 
 // fmtDelta renders a delay model compactly for table rows.

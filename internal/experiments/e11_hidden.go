@@ -69,7 +69,7 @@ func hiddenChannelRun(seed uint64, delta, covertDelay sim.Duration, horizon sim.
 		Delay:    sim.NewDeltaBounded(delta),
 		Pred:     predicate.MustParse("sum(v) >= 0"), // detection irrelevant here
 		Modality: predicate.Instantaneously,
-		Horizon:  horizon, LogStamps: true,
+		Horizon:  horizon, Record: true,
 	})
 	objs := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -91,7 +91,8 @@ func hiddenChannelRun(seed uint64, delta, covertDelay sim.Duration, horizon sim.
 	h.Run()
 
 	// Map each world event to its sensor stamp: object i's k-th event is
-	// sensor i's k-th sense event.
+	// sensor i's k-th sense event in the run record.
+	stamps := h.LatticeExecution().Stamps
 	log := h.World.Log()
 	perObj := make([]int, n)
 	stampOf := make([]clock.Vector, len(log))
@@ -99,8 +100,8 @@ func hiddenChannelRun(seed uint64, delta, covertDelay sim.Duration, horizon sim.
 		i := ev.Object
 		k := perObj[i]
 		perObj[i]++
-		if stamps, _ := h.Sensors[i].StampLog(); k < len(stamps) {
-			stampOf[ev.Seq] = stamps[k]
+		if k < len(stamps[i]) {
+			stampOf[ev.Seq] = stamps[i][k]
 		}
 	}
 	for _, pair := range world.CausalPairs(log, false) {

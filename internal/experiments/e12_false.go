@@ -47,13 +47,13 @@ func E12FalseCausality(cfg RunConfig) *Table {
 			N: n, K: n,
 			MeanHigh: 400 * sim.Millisecond, MeanLow: 600 * sim.Millisecond,
 			Kind: core.VectorStrobe, Delay: delay,
-			Horizon: 30 * sim.Second, LogStamps: true,
+			Horizon: 30 * sim.Second, Record: true,
 			Faults: cfg.Faults,
 		}
 		h := pw.build(cfg.Seed)
 		h.Run()
-		ex := h.LatticeExecution()
-		if !trimExecution(ex.Stamps, ex.Times, p) {
+		ex, full := h.LatticeExecution().Prefix(p)
+		if !full {
 			return outcome{}
 		}
 

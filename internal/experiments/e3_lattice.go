@@ -65,14 +65,14 @@ func E3SlimLattice(cfg RunConfig) *Table {
 			N: blk.n, K: blk.n, // predicate irrelevant here
 			MeanHigh: 400 * sim.Millisecond, MeanLow: 600 * sim.Millisecond,
 			Kind: core.VectorStrobe, Delay: regimes[pt.regime].delay,
-			Horizon:   30 * sim.Second,
-			LogStamps: true,
-			Faults:    cfg.Faults,
+			Horizon: 30 * sim.Second,
+			Record:  true,
+			Faults:  cfg.Faults,
 		}
 		h := pw.build(cfg.Seed + s)
 		h.Run()
-		ex := h.LatticeExecution()
-		if !trimExecution(ex.Stamps, ex.Times, blk.p) {
+		ex, full := h.LatticeExecution().Prefix(blk.p)
+		if !full {
 			return outcome{}
 		}
 		// Count and width from a single level-synchronous walk.

@@ -74,8 +74,10 @@ func BuildDAG(d *Dump) *DAG {
 //
 //  1. acyclicity — a cycle means recorded time inverted a causal edge;
 //  2. per (proc, epoch), Sense events carry strictly increasing Seq
-//     and strictly increasing Clock (rules SVC1/SSC1: the emitter
-//     ticks its own component at every relevant event);
+//     and, when either of two consecutive ones is stamped (Clock ≠ 0),
+//     strictly increasing Clock (rules SVC1/SSC1: the emitter ticks its
+//     own component at every relevant event; a physical report carries
+//     no logical clock, so its Clock is 0, as rule 4 reads it);
 //  3. per (checker proc, sender, sender epoch), Apply events carry
 //     strictly increasing Seq (the checker's staleness discipline);
 //  4. a Recv/Apply whose PeerClock disagrees with the matched Sense's
@@ -123,7 +125,7 @@ func (g *DAG) Validate() []string {
 			if ev.Seq <= prev.Seq {
 				issues = append(issues, fmt.Sprintf("p%d epoch %d: sense seq %d after %d (must strictly increase)", ev.Proc, ev.Epoch, ev.Seq, prev.Seq))
 			}
-			if ev.Clock <= prev.Clock {
+			if (ev.Clock != 0 || prev.Clock != 0) && ev.Clock <= prev.Clock {
 				issues = append(issues, fmt.Sprintf("p%d epoch %d: sense clock %d after %d (own component must tick)", ev.Proc, ev.Epoch, ev.Clock, prev.Clock))
 			}
 		}

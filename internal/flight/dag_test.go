@@ -74,6 +74,39 @@ func TestValidateFlagsViolations(t *testing.T) {
 	}
 }
 
+// TestValidateUnstampedSenses: a physical report carries no logical clock,
+// so a physical run's senses all have Clock 0. Rule 2 once demanded a
+// strictly increasing Clock of them, and every physical dump read
+// INCONSISTENT; it now checks the clock only when either side is stamped,
+// and the seq check stays.
+func TestValidateUnstampedSenses(t *testing.T) {
+	d := &Dump{Version: DumpVersion, Trigger: "fault:crash(1)", N: 3, Procs: []int{0, 1, 2},
+		Events: []Event{
+			{Kind: "sense", Proc: 0, At: 10, Peer: -1, Seq: 1},
+			{Kind: "sense", Proc: 1, At: 11, Peer: -1, Seq: 1},
+			{Kind: "recv", Proc: 2, At: 12, Peer: 0, Seq: 1},
+			{Kind: "sense", Proc: 0, At: 20, Peer: -1, Seq: 2},
+			{Kind: "sense", Proc: 1, At: 21, Peer: -1, Seq: 2},
+			{Kind: "crash", Proc: 1, At: 22, Peer: -1, Epoch: 0},
+			{Kind: "sense", Proc: 1, At: 30, Peer: -1, Epoch: 1, Seq: 1},
+		}}
+	if issues := BuildDAG(d).Validate(); len(issues) != 0 {
+		t.Fatalf("unstamped senses reported issues: %v", issues)
+	}
+	for name, mutate := range map[string]func(*Dump){
+		"seq regression":      func(d *Dump) { d.Events[3].Seq = 1 },
+		"stamp then none":     func(d *Dump) { d.Events[0].Clock = 4 },
+		"stamped clock stuck": func(d *Dump) { d.Events[1].Clock, d.Events[4].Clock = 5, 5 },
+	} {
+		bad := *d
+		bad.Events = append([]Event(nil), d.Events...)
+		mutate(&bad)
+		if issues := BuildDAG(&bad).Validate(); len(issues) == 0 {
+			t.Errorf("%s: no issue reported", name)
+		}
+	}
+}
+
 func TestValidateDetectsCycle(t *testing.T) {
 	d := sampleDump()
 	// Move the first sense after its own delivery in recorded order:

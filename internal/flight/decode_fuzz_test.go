@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pervasive/internal/clock"
 	"pervasive/internal/obs"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
@@ -20,6 +21,7 @@ const (
 	outCount          // a process count below 1
 	outKind           // an event of no known kind
 	outProc           // an event at a process outside 0..N−1
+	outVector         // a vector stamp of neither 0 nor N entries
 	outDecoded        // a dump
 	outCases
 )
@@ -33,6 +35,7 @@ func decodeOutcome(t *testing.T, err error) int {
 		outCount:   {"invalid process count"},
 		outKind:    {"unknown kind"},
 		outProc:    {"out of range"},
+		outVector:  {"entries in a dump of"},
 	} {
 		for _, m := range marks {
 			if strings.Contains(err.Error(), m) {
@@ -81,7 +84,8 @@ func encode(t *testing.T, d *Dump) []byte {
 // decodeHostile feeds arbitrary bytes to DecodeJSONL. It must return an
 // error or a dump, never panic, and allocate no more than 128 bytes per
 // input byte plus 4096. A dump must hold only events of a known kind at a
-// process in 0..N−1, and survive EncodeJSONL → DecodeJSONL, with
+// process in 0..N−1, each unstamped (Vector nil) or stamped with N
+// entries, and survive EncodeJSONL → DecodeJSONL, with
 // EncodeJSONL a fixed point from then on (the input may spell the dump
 // differently: spacing, field order, an empty list, a metrics line in the
 // middle).
@@ -98,7 +102,8 @@ func decodeHostile(t *testing.T, data []byte) int {
 		return decodeOutcome(t, err)
 	}
 	for i, ev := range d.Events {
-		if ParseKind(ev.Kind) == KindNone || ev.Proc < 0 || ev.Proc >= d.N {
+		if ParseKind(ev.Kind) == KindNone || ev.Proc < 0 || ev.Proc >= d.N ||
+			(ev.Vector != nil && len(ev.Vector) != d.N) {
 			t.Fatalf("event %d decoded as %+v in a dump of %d processes: %.200q", i, ev, d.N, data)
 		}
 	}
@@ -117,7 +122,7 @@ func decodeHostile(t *testing.T, data []byte) int {
 }
 
 // drawDump draws a small valid dump: every event kind, peers and none,
-// now and then a metrics snapshot.
+// now and then a vector stamp on a sense or a metrics snapshot.
 func drawDump(r *stats.RNG) *Dump {
 	n := 1 + r.Intn(5)
 	d := &Dump{
@@ -137,6 +142,45 @@ func drawDump(r *stats.RNG) *Dump {
 		}
 		if r.Intn(2) == 0 {
 			ev.Attr, ev.Value = "x", float64(r.Intn(9)-4)/2
+		}
+		if ev.Kind == Sense.String() && r.Intn(2) == 0 {
+			ev.Vector = make(clock.Vector, n)
+			for j := range ev.Vector {
+				ev.Vector[j] = uint64(r.Intn(4))
+			}
+		}
+		d.Events = append(d.Events, ev)
+	}
+	if r.Intn(4) == 0 {
+		reg := obs.NewRegistry()
+		reg.Counter("net.sent").Add(int64(r.Intn(100)))
+		snap := reg.Snapshot()
+		d.Metrics = &snap
+	}
+	return d
+}
+
+// drawRunRecord draws a small valid run record: sense events of every
+// process, each stamped with an N-entry vector when the clock kind has
+// one and unstamped otherwise, now and then a metrics snapshot.
+func drawRunRecord(r *stats.RNG) *Dump {
+	n := 1 + r.Intn(5)
+	d := &Dump{Version: DumpVersion, Trigger: RunTrigger, At: sim.Time(r.Intn(1 << 20)), TimeBase: "virtual", N: n}
+	for p := 0; p < n; p++ {
+		d.Procs = append(d.Procs, p)
+	}
+	stamped := r.Intn(2) == 0
+	for k := r.Intn(10); k > 0; k-- {
+		ev := Event{
+			Kind: Sense.String(), Proc: r.Intn(n), At: sim.Time(r.Intn(1 << 20)), Peer: -1,
+			Epoch: r.Intn(2), Seq: uint64(1 + r.Intn(5)), Attr: "x", Value: float64(r.Intn(9)-4) / 2,
+		}
+		if stamped {
+			ev.Vector = make(clock.Vector, n)
+			for j := range ev.Vector {
+				ev.Vector[j] = uint64(r.Intn(4))
+			}
+			ev.Clock = ev.Vector[ev.Proc]
 		}
 		d.Events = append(d.Events, ev)
 	}
@@ -158,7 +202,7 @@ func damage(t *testing.T, r *stats.RNG, d *Dump) []byte {
 		}
 		return &d.Events[r.Intn(len(d.Events))]
 	}
-	switch r.Intn(11) {
+	switch r.Intn(12) {
 	case 0: // not a dump at all
 		out := make([]byte, 1+r.Intn(40))
 		for i := range out {
@@ -184,8 +228,15 @@ func damage(t *testing.T, r *stats.RNG, d *Dump) []byte {
 		return out
 	case 8: // a huge process count: nothing may be sized by it
 		d.N = []int{1e9, 1<<62 - 1}[r.Intn(2)]
+	case 9: // a stamp of the wrong length; an empty one is none
+		ev := pick()
+		ev.Kind, ev.Vector = Sense.String(), make(clock.Vector, []int{0, 1, d.N + 1 + r.Intn(3)}[r.Intn(3)])
+		if len(ev.Vector) == 0 {
+			out := encode(t, d)
+			return bytes.Replace(out, []byte(`"peer":`), []byte(`"vector":[],"peer":`), 1)
+		}
 	}
-	return encode(t, d) // cases 8, 9, 10: a valid encoding
+	return encode(t, d) // cases 8, 10, 11 and an empty stamp: a valid encoding
 }
 
 // TestDecodeBoundsNesting feeds an event line nested past encoding/json's
@@ -203,14 +254,33 @@ func TestDecodeBoundsNesting(t *testing.T) {
 	}
 }
 
-// TestDecodeSurvivesHostileDumps is the property at a fixed seed: every
-// outcome is reached, nothing panics or allocates past the bound, and every
-// dump that decodes round-trips.
-func TestDecodeSurvivesHostileDumps(t *testing.T) {
-	r := stats.NewRNG(31)
+// TestDecodeRejectsEmptyElementsEarly pins the inputs the allocation bound
+// is tightest on: long lists of empty objects, three bytes each. Decoded
+// whole and checked afterwards, an empty histogram costs its 96 bytes,
+// times about five for the list's growth — past 128 per input byte.
+// Checked as they decode, the first one ends the decode; so does the
+// first line of empty events.
+func TestDecodeRejectsEmptyElementsEarly(t *testing.T) {
+	empties := strings.TrimSuffix(strings.Repeat("{},", 10000), ",")
+	for _, in := range []string{
+		`{"flight":{"version":1,"n":1}}` + "\n" + `{"metrics":{"histograms":[` + empties + `]}}` + "\n",
+		`{"flight":{"version":1,"n":1}}` + "\n" + strings.Repeat("{}\n", 10000),
+	} {
+		if got := decodeHostile(t, []byte(in)); got != outSyntax {
+			t.Errorf("%.40s…: outcome %d, want a syntax rejection", in, got)
+		}
+	}
+}
+
+// surviveHostile is the property at a fixed seed over the dumps draw
+// makes: every outcome is reached, nothing panics or allocates past the
+// bound, and every dump that decodes round-trips.
+func surviveHostile(t *testing.T, seed uint64, draw func(*stats.RNG) *Dump) {
+	t.Helper()
+	r := stats.NewRNG(seed)
 	var seen [outCases]int
 	for trial := 0; trial < 3000; trial++ {
-		d := drawDump(r)
+		d := draw(r)
 		if back, err := DecodeJSONL(bytes.NewReader(encode(t, d))); err != nil || !sameDump(d, back) {
 			t.Fatalf("a drawn dump changed across encode → decode (err %v)\ndrawn:   %+v\ndecoded: %+v", err, d, back)
 		}
@@ -224,12 +294,34 @@ func TestDecodeSurvivesHostileDumps(t *testing.T) {
 	}
 }
 
+// TestDecodeSurvivesHostileDumps is the property over flight-recorder
+// flushes.
+func TestDecodeSurvivesHostileDumps(t *testing.T) {
+	surviveHostile(t, 31, drawDump)
+}
+
+// TestDecodeSurvivesHostileRunRecords is the property over run records,
+// whose senses carry the vector stamps the lattice survey reads.
+func TestDecodeSurvivesHostileRunRecords(t *testing.T) {
+	surviveHostile(t, 29, drawRunRecord)
+}
+
 // FuzzDecodeJSONL is the same body under the native fuzzer. The checked-in
 // corpus in testdata/fuzz/FuzzDecodeJSONL holds a valid dump with a
 // metrics line, the same dump cut short, a header with a huge process
 // count, an event of an unknown kind, one at an out-of-range process, a
 // line of neither shape and a metrics block of empty histograms.
 func FuzzDecodeJSONL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decodeHostile(t, data)
+	})
+}
+
+// FuzzDecodeRunRecord is the same body seeded with run records. The
+// checked-in corpus in testdata/fuzz/FuzzDecodeRunRecord holds them
+// stamped and not, whole and cut short, a huge process count with no
+// stamp or an empty one, and a stamp of the wrong length.
+func FuzzDecodeRunRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeHostile(t, data)
 	})

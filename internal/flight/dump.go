@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
+	"pervasive/internal/clock"
+	"pervasive/internal/lattice"
 	"pervasive/internal/obs"
 	"pervasive/internal/sim"
 )
@@ -16,28 +19,36 @@ import (
 // header so readers can reject formats they do not understand.
 const DumpVersion = 1
 
+// RunTrigger is the trigger of a run record: a Dump, in the "virtual"
+// time base, of every sense event of a whole run, each carrying its
+// vector stamp when the clock kind has one (see core.Harness.RunRecord).
+const RunTrigger = "run"
+
 // Event is one decoded flight record in a dump: Rec with the kind and
 // attribute resolved to strings. Peer is -1 when the event has no
 // counterpart process (the field is always emitted — 0 is a valid
-// process index, so omitempty would be ambiguous).
+// process index, so omitempty would be ambiguous). Vector is set only on
+// the sense events of a run record, and then has one entry per process.
 type Event struct {
-	Kind      string   `json:"kind"`
-	Proc      int      `json:"proc"`
-	At        sim.Time `json:"at"`
-	Peer      int      `json:"peer"`
-	Epoch     int      `json:"epoch,omitempty"`
-	Seq       uint64   `json:"seq,omitempty"`
-	Attr      string   `json:"attr,omitempty"`
-	Value     float64  `json:"value,omitempty"`
-	Clock     uint64   `json:"clock,omitempty"`
-	PeerClock uint64   `json:"peer_clock,omitempty"`
+	Kind      string       `json:"kind"`
+	Proc      int          `json:"proc"`
+	At        sim.Time     `json:"at"`
+	Peer      int          `json:"peer"`
+	Epoch     int          `json:"epoch,omitempty"`
+	Seq       uint64       `json:"seq,omitempty"`
+	Attr      string       `json:"attr,omitempty"`
+	Value     float64      `json:"value,omitempty"`
+	Clock     uint64       `json:"clock,omitempty"`
+	PeerClock uint64       `json:"peer_clock,omitempty"`
+	Vector    clock.Vector `json:"vector,omitempty"`
 }
 
 // Dump is one trigger-scoped flush of the recorder: the last-K events
 // of every involved process, merged into one (At, Proc, record order)
 // sequence, plus the trigger that fired and — when the harness attaches
 // one — the obs snapshot of the run at dump time. A dump is the recent
-// causal context of a detection or fault, not a whole-run trace.
+// causal context of a detection or fault; only a run record (RunTrigger)
+// holds a whole run.
 type Dump struct {
 	Version  int      `json:"version"`
 	Trigger  string   `json:"trigger"`
@@ -124,13 +135,34 @@ func (r *Recorder) Snapshot(trigger string, at sim.Time, procs ...int) *Dump {
 	return d
 }
 
+// Execution is the lattice execution of d's stamped sense events: per
+// process, in dump order, each vector-stamped Sense event's stamp and
+// time. It is nil when no sense carries a vector — and only a stamp sizes
+// it by N, which DecodeJSONL holds to every stamp's length, so a decoded
+// header cannot size it past its input.
+func (d *Dump) Execution() *lattice.Execution {
+	stamped := func(ev Event) bool { return ev.Kind == Sense.String() && len(ev.Vector) > 0 }
+	if d == nil || !slices.ContainsFunc(d.Events, stamped) {
+		return nil
+	}
+	ex := &lattice.Execution{
+		Stamps: make([][]clock.Vector, d.N),
+		Times:  make([][]sim.Time, d.N),
+	}
+	for _, ev := range d.Events {
+		if stamped(ev) {
+			ex.Stamps[ev.Proc] = append(ex.Stamps[ev.Proc], ev.Vector)
+			ex.Times[ev.Proc] = append(ex.Times[ev.Proc], ev.At)
+		}
+	}
+	return ex
+}
+
 // ---- JSONL codec ----
 //
-// A dump serializes as a JSONL stream, mirroring trace.EncodeJSONL: a
-// header line {"flight":{version, trigger, at, time_base, n, procs}},
-// one Event object per line, and — when present — a trailing
-// {"metrics":{...}} line. The "flight" header key is what lets
-// cmd/tracedump sniff dump files apart from trace files.
+// A dump serializes as a JSONL stream: a header line {"flight":{version,
+// trigger, at, time_base, n, procs}}, one Event object per line, and —
+// when present — a trailing {"metrics":{...}} line.
 
 type dumpHeader struct {
 	Version  int      `json:"version"`
@@ -176,18 +208,12 @@ func (d *Dump) EncodeJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// IsDumpHeader reports whether a JSONL first line belongs to a flight
-// dump (as opposed to a trace, whose header is {"n":N}).
-func IsDumpHeader(line []byte) bool {
-	var probe struct {
-		Flight *json.RawMessage `json:"flight"`
-	}
-	return json.Unmarshal(line, &probe) == nil && probe.Flight != nil
-}
-
 // DecodeJSONL reads a dump written by EncodeJSONL and validates it:
-// version must be known, every event kind must parse and every process
-// index must be in range.
+// version must be known, every event kind must parse, every process
+// index must be in range and every vector stamp must have 0 or N entries.
+// The last bounds N by the input whenever a stamp is present, as
+// Execution needs; an empty stamp decodes as none, so a decoded event is
+// unstamped in one form only: Vector == nil.
 func DecodeJSONL(r io.Reader) (*Dump, error) {
 	dec := json.NewDecoder(r)
 	var hdr dumpHeaderLine
@@ -239,6 +265,12 @@ func DecodeJSONL(r io.Reader) (*Dump, error) {
 		}
 		if ev.Proc < 0 || ev.Proc >= d.N {
 			return nil, fmt.Errorf("flight: event line %d has process %d out of range", i+2, ev.Proc)
+		}
+		if len(ev.Vector) != 0 && len(ev.Vector) != d.N {
+			return nil, fmt.Errorf("flight: event line %d has a vector of %d entries in a dump of %d processes", i+2, len(ev.Vector), d.N)
+		}
+		if len(ev.Vector) == 0 {
+			ev.Vector = nil
 		}
 		d.Events = append(d.Events, ev)
 	}

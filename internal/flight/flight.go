@@ -12,7 +12,9 @@
 // just happened, ordered by (engine time, process, record order) and
 // carrying the strobe epoch, per-process sequence number and logical
 // clock component of every event. cmd/tracedump reconstructs the
-// happens-before DAG from those stamps (see dag.go).
+// happens-before DAG from those stamps (see dag.go). The one whole-run
+// record is a Dump too, built by the harness rather than the rings: a
+// run record (RunTrigger) of every sense event with its vector stamp.
 //
 // Two construction modes mirror the two engines: New builds a
 // single-threaded recorder for the DES (plain stores, no locks on the

@@ -205,3 +205,41 @@ func (e *Execution) PathConsistentAlong(path [][]int) bool {
 	}
 	return true
 }
+
+// Prefix returns the execution cut to each process's first p events (a
+// process with fewer keeps them all) and whether every process had p to
+// give. Each kept stamp is a clone with every component clamped to the
+// kept prefix of its process: an event that knew more of a peer than the
+// prefix keeps knows all of it in the cut execution, where a dangling
+// reference would make valid cuts look inconsistent. A nil execution has
+// no prefix.
+func (e *Execution) Prefix(p int) (*Execution, bool) {
+	if e == nil {
+		return nil, false
+	}
+	out := &Execution{Stamps: make([][]clock.Vector, e.N())}
+	if e.Times != nil {
+		out.Times = make([][]sim.Time, e.N())
+	}
+	full := true
+	for i, st := range e.Stamps {
+		k := min(p, len(st))
+		full = full && k == p
+		out.Stamps[i] = make([]clock.Vector, k)
+		if out.Times != nil {
+			out.Times[i] = e.Times[i][:k]
+		}
+	}
+	for i, kept := range out.Stamps {
+		for k := range kept {
+			c := e.Stamps[i][k].Clone()
+			for j := range c {
+				if j < len(out.Stamps) && c[j] > uint64(len(out.Stamps[j])) {
+					c[j] = uint64(len(out.Stamps[j])) //lint:allow clockrule(offline trimming of a cloned recorded stamp to a prefix, not live protocol state)
+				}
+			}
+			kept[k] = c
+		}
+	}
+	return out, full
+}

@@ -284,3 +284,34 @@ func TestEventsCount(t *testing.T) {
 		t.Fatal("events count")
 	}
 }
+
+// TestPrefixClampsDanglingReferences: p1's first event knows two events of
+// p0, but the one-event prefix keeps only p0's first. Prefix must clamp
+// the reference to the kept prefix — without it the full prefix cut reads
+// inconsistent — clone rather than touch the recorded stamps, and report
+// whether every process had p events to give.
+func TestPrefixClampsDanglingReferences(t *testing.T) {
+	ex := &Execution{
+		Stamps: [][]clock.Vector{{{1, 0}, {2, 0}, {3, 0}}, {{2, 1}, {3, 2}}},
+		Times:  [][]sim.Time{{10, 20, 30}, {25, 35}},
+	}
+	pre, full := ex.Prefix(1)
+	if !full || pre.Events() != 2 {
+		t.Fatalf("Prefix(1): %d events, full %v; want 2, true", pre.Events(), full)
+	}
+	if !pre.ConsistentCut([]int{1, 1}) {
+		t.Errorf("the full prefix cut is inconsistent: stamps %v", pre.Stamps)
+	}
+	if n := pre.Survey(SurveyOptions{}).Count; n != 3 {
+		t.Errorf("prefix lattice has %d consistent cuts, want 3", n)
+	}
+	if ex.Stamps[1][0][0] != 2 || len(pre.Times[1]) != 1 || pre.Times[1][0] != 25 {
+		t.Errorf("Prefix touched the recorded stamps or lost the times: %v, %v", ex.Stamps, pre.Times)
+	}
+	if _, full := ex.Prefix(3); full {
+		t.Error("Prefix(3) reports every process full, but p1 has 2 events")
+	}
+	if pre, full := (*Execution)(nil).Prefix(1); pre != nil || full {
+		t.Error("a nil execution has a prefix")
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"pervasive/internal/faults"
 	"pervasive/internal/sim"
+	"pervasive/internal/stats"
 )
 
 func TestCrashedProcessNeitherSendsNorReceives(t *testing.T) {
@@ -155,13 +156,27 @@ func TestFloodDedupStaysBounded(t *testing.T) {
 	}
 }
 
+// deadLink drops every message crossing the undirected link (a, b) and
+// leaves every other link to the embedded model.
+type deadLink struct {
+	sim.DelayModel
+	a, b int
+}
+
+func (m deadLink) Sample(r *stats.RNG, src, dst int) (sim.Duration, bool) {
+	if (src == m.a && dst == m.b) || (src == m.b && dst == m.a) {
+		return 0, true
+	}
+	return m.DelayModel.Sample(r, src, dst)
+}
+
 // TestFloodMasksSingleLinkLoss pins down the redundancy property the
 // delivery-time dedup buys (§4.2.2 graceful degradation): on a cycle, a
 // dead link between 0 and 1 does not stop 1 from hearing 0's flooded
 // strobes via the other arc, whereas a direct broadcast on the same lossy
 // link loses them.
 func TestFloodMasksSingleLinkLoss(t *testing.T) {
-	lossy := sim.LinkLoss{Inner: sim.DeltaBounded{Min: 1, Max: 3}, A: 0, B: 1, P: 1}
+	lossy := deadLink{DelayModel: sim.DeltaBounded{Min: 1, Max: 3}, a: 0, b: 1}
 
 	eng, nt := newTestNet(Ring{Nodes: 4}, lossy)
 	nt.Flood = true

@@ -9,7 +9,6 @@ import (
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
-	"pervasive/internal/trace"
 	"pervasive/internal/workload"
 )
 
@@ -24,9 +23,9 @@ type Run struct {
 	// Workload overrides the scenario's default generator (e.g. a
 	// replayed trace); nil draws the default from Seed.
 	Workload workload.Source
-	// Trace, if non-nil, records every sensor event (for cmd/tracedump);
-	// the builder sizes it to the fleet it wires.
-	Trace *trace.Trace
+	// Record keeps the run record (core.Harness.RunRecord), for
+	// cmd/tracedump.
+	Record bool
 	// Obs, if non-nil, receives runtime metrics (see core.HarnessConfig).
 	Obs *obs.Registry
 	// FlightPerProc, when positive, attaches a causal flight recorder
@@ -76,13 +75,10 @@ func build(r Run, pred predicate.Cond, n int, src workload.Source) Wired {
 	if r.Delay == nil {
 		r.Delay = sim.NewDeltaBounded(100 * sim.Millisecond)
 	}
-	if r.Trace != nil {
-		r.Trace.N = n
-	}
 	h := core.NewHarness(core.HarnessConfig{
 		Seed: r.Seed, N: n, Kind: r.Kind, Delay: r.Delay, Epsilon: r.Epsilon, Horizon: r.Horizon,
 		Pred: pred, Modality: predicate.Instantaneously,
-		Trace: r.Trace, Obs: r.Obs, Flight: flightFor(r.FlightPerProc, n),
+		Record: r.Record, Obs: r.Obs, Flight: flightFor(r.FlightPerProc, n),
 	})
 	w := Wired{Harness: h, Events: evs}
 	for i := 0; i < n; i++ {

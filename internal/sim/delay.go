@@ -60,43 +60,6 @@ func (m DeltaBounded) String() string {
 	return fmt.Sprintf("Δ-bounded[%v,%v]", m.Min, m.Max)
 }
 
-// Unbounded is the asynchronous unbounded regime for worst-case analysis:
-// delays are exponential with the given mean, so any finite bound is
-// exceeded eventually.
-type Unbounded struct {
-	Mean Duration
-}
-
-// Sample implements DelayModel.
-func (m Unbounded) Sample(r *stats.RNG, _, _ int) (Duration, bool) {
-	return Duration(float64(m.Mean)*r.ExpFloat64() + 0.5), false
-}
-
-// Bound implements DelayModel.
-func (Unbounded) Bound() Duration { return Never }
-
-func (m Unbounded) String() string { return fmt.Sprintf("unbounded(exp mean=%v)", m.Mean) }
-
-// HeavyTail is an unbounded Pareto-tailed regime, harsher than Unbounded;
-// useful for stress-testing detectors far outside the paper's assumptions.
-type HeavyTail struct {
-	Scale Duration // minimum delay
-	Alpha float64  // tail index; <=1 gives infinite mean
-}
-
-// Sample implements DelayModel.
-func (m HeavyTail) Sample(r *stats.RNG, _, _ int) (Duration, bool) {
-	d := stats.Pareto{Xm: float64(m.Scale), Alpha: m.Alpha}.Sample(r)
-	return Duration(d + 0.5), false
-}
-
-// Bound implements DelayModel.
-func (HeavyTail) Bound() Duration { return Never }
-
-func (m HeavyTail) String() string {
-	return fmt.Sprintf("heavytail(xm=%v,α=%.2f)", m.Scale, m.Alpha)
-}
-
 // WithLoss wraps a delay model with i.i.d. message loss probability P.
 type WithLoss struct {
 	Inner DelayModel
@@ -148,41 +111,6 @@ func (m LossWindow) String() string {
 	return fmt.Sprintf("%v+losswindow[%v,%v)", m.Inner, m.From, m.To)
 }
 
-// LinkLoss drops messages crossing one undirected link (A,B) with
-// probability P, leaving every other link to the inner model. It isolates
-// the redundancy question: with flooding, do the remaining paths mask the
-// lossy link?
-type LinkLoss struct {
-	Inner DelayModel
-	A, B  int
-	P     float64
-}
-
-// Sample implements DelayModel.
-func (m LinkLoss) Sample(r *stats.RNG, src, dst int) (Duration, bool) {
-	if ((src == m.A && dst == m.B) || (src == m.B && dst == m.A)) && r.Bool(m.P) {
-		return 0, true
-	}
-	return m.Inner.Sample(r, src, dst)
-}
-
-// SampleAt implements TimedSampler by delegating to Sample; defined so
-// wrapping a timed inner model does not silently lose its send-time
-// behaviour.
-func (m LinkLoss) SampleAt(r *stats.RNG, at Time, src, dst int) (Duration, bool) {
-	if ((src == m.A && dst == m.B) || (src == m.B && dst == m.A)) && r.Bool(m.P) {
-		return 0, true
-	}
-	return SampleDelay(m.Inner, r, at, src, dst)
-}
-
-// Bound implements DelayModel.
-func (m LinkLoss) Bound() Duration { return m.Inner.Bound() }
-
-func (m LinkLoss) String() string {
-	return fmt.Sprintf("%v+linkloss(%d↔%d,%.1f%%)", m.Inner, m.A, m.B, 100*m.P)
-}
-
 // LowerBounded is implemented by delay models that can state a minimum
 // possible end-to-end delay. MinDelayBound consults it to compute the
 // sharded engine's conservative lookahead.
@@ -193,9 +121,6 @@ type LowerBounded interface {
 // MinBound implements LowerBounded: no message beats the uniform floor.
 func (m DeltaBounded) MinBound() Duration { return m.Min }
 
-// MinBound implements LowerBounded: the Pareto scale is the minimum draw.
-func (m HeavyTail) MinBound() Duration { return m.Scale }
-
 // MinBound implements LowerBounded for the loss wrapper: losing messages
 // does not speed up the surviving ones.
 func (m WithLoss) MinBound() Duration { return MinDelayBound(m.Inner) }
@@ -203,15 +128,12 @@ func (m WithLoss) MinBound() Duration { return MinDelayBound(m.Inner) }
 // MinBound implements LowerBounded for the windowed-loss wrapper.
 func (m LossWindow) MinBound() Duration { return MinDelayBound(m.Inner) }
 
-// MinBound implements LowerBounded for the link-loss wrapper.
-func (m LinkLoss) MinBound() Duration { return MinDelayBound(m.Inner) }
-
 // MinDelayBound returns the minimum delay any message can experience under
 // m — the conservative lookahead L for a sharded run: a message sent at
 // time t cannot arrive before t+L, so shards that have all executed up to
 // an epoch boundary E cannot be affected by anything sent in (E-L, E]
-// until after E. Models that state no lower bound (Synchronous's Δ=0,
-// Unbounded's exponential) report 0, which restricts them to S=1.
+// until after E. Models that state no lower bound (Synchronous's Δ=0)
+// report 0, which restricts them to S=1.
 func MinDelayBound(m DelayModel) Duration {
 	if lb, ok := m.(LowerBounded); ok {
 		return lb.MinBound()

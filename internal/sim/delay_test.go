@@ -44,37 +44,6 @@ func TestDeltaBoundedDegenerate(t *testing.T) {
 	}
 }
 
-func TestUnboundedMean(t *testing.T) {
-	m := Unbounded{Mean: 10 * Millisecond}
-	r := stats.NewRNG(4)
-	var o stats.Online
-	for i := 0; i < 100000; i++ {
-		d, _ := m.Sample(r, 0, 1)
-		o.Add(float64(d))
-	}
-	want := float64(10 * Millisecond)
-	if math.Abs(o.Mean()-want)/want > 0.02 {
-		t.Fatalf("unbounded mean %v want ~%v", o.Mean(), want)
-	}
-	if m.Bound() != Never {
-		t.Fatal("unbounded bound should be Never")
-	}
-}
-
-func TestHeavyTailFloor(t *testing.T) {
-	m := HeavyTail{Scale: 1 * Millisecond, Alpha: 1.5}
-	r := stats.NewRNG(5)
-	for i := 0; i < 10000; i++ {
-		d, _ := m.Sample(r, 0, 1)
-		if d < 1*Millisecond {
-			t.Fatalf("heavy-tail delay %v below scale", d)
-		}
-	}
-	if m.Bound() != Never {
-		t.Fatal("heavy-tail bound should be Never")
-	}
-}
-
 func TestWithLossRate(t *testing.T) {
 	m := WithLoss{Inner: Synchronous{}, P: 0.25}
 	r := stats.NewRNG(6)
@@ -121,8 +90,6 @@ func TestDelayModelStrings(t *testing.T) {
 	models := []DelayModel{
 		Synchronous{},
 		NewDeltaBounded(Second),
-		Unbounded{Mean: Millisecond},
-		HeavyTail{Scale: Millisecond, Alpha: 2},
 		WithLoss{Inner: Synchronous{}, P: 0.1},
 		LossWindow{Inner: Synchronous{}, From: 0, To: 1},
 	}

@@ -54,7 +54,7 @@ type Shards struct {
 
 // NewShards creates s engines with RNG streams forked deterministically
 // from seed. lookahead must be positive for s > 1; models with a zero
-// minimum delay (Synchronous, Unbounded) cannot be sharded. Note the
+// minimum delay (Synchronous) cannot be sharded. Note the
 // determinism contract: model code must not draw from the shard engines'
 // RNGs — those streams depend on the partitioning. Per-entity streams
 // forked from a workload root are the shard-count-independent replacement.

@@ -108,10 +108,7 @@ type ParetoBursts struct {
 func (g ParetoBursts) Events(horizon sim.Time) []Event {
 	r := stats.NewRNG(g.Seed)
 	size := stats.Pareto{Xm: g.Xm, Alpha: g.Alpha}
-	maxBurst := g.MaxBurst
-	if maxBurst <= 0 {
-		maxBurst = 10000
-	}
+	maxBurst := g.maxBurst()
 	var pulses []interval
 	for now := sim.Time(0); ; {
 		now += expGap(r, g.MeanBurstGap)
@@ -134,6 +131,21 @@ func (g ParetoBursts) Events(horizon sim.Time) []Event {
 		}
 	}
 	return pulsesToEvents(g.Obj, g.Attr, pulses, horizon)
+}
+
+func (g ParetoBursts) maxBurst() int {
+	if g.MaxBurst <= 0 {
+		return 10000
+	}
+	return g.MaxBurst
+}
+
+// worstPulses is the work a train asks for over horizon h in the worst
+// case: h / max(MeanBurstGap, 1 µs) + 1 bursts of min(MaxBurst,
+// h / PulseGap + 1) pulses each. PulseGap must be positive.
+func (g ParetoBursts) worstPulses(h sim.Time) float64 {
+	bursts := float64(h/max(g.MeanBurstGap, 1)) + 1
+	return bursts * min(float64(g.maxBurst()), float64(h/g.PulseGap)+1)
 }
 
 // Cohort is a correlated sensor group: object Objs[0] is the leader,

@@ -115,7 +115,7 @@ func ParseSpec(src string) (*Spec, error) {
 				}
 				g.Args[k] = v
 			}
-			if err := g.check(); err != nil {
+			if err := g.checkObjects(); err != nil {
 				return nil, err
 			}
 			sp.Gens = append(sp.Gens, g)
@@ -129,6 +129,11 @@ func ParseSpec(src string) (*Spec, error) {
 	if len(sp.Gens) == 0 {
 		return nil, fmt.Errorf("spec: no generators")
 	}
+	for _, g := range sp.Gens {
+		if err := g.checkWork(sp.Horizon); err != nil {
+			return nil, err
+		}
+	}
 	return sp, nil
 }
 
@@ -136,7 +141,7 @@ func ParseSpec(src string) (*Spec, error) {
 func (sp *Spec) Source() (Source, error) {
 	srcs := make([]Source, len(sp.Gens))
 	for i, g := range sp.Gens {
-		s, err := buildGen(g, DeriveSeed(sp.Seed, uint64(i)))
+		s, err := buildGen(g, DeriveSeed(sp.Seed, uint64(i)), sp.Horizon)
 		if err != nil {
 			return nil, err
 		}
@@ -258,13 +263,20 @@ const MaxInitialOccupancy = 1_000_000
 // a sine per sampled instant (E16 uses 3).
 const maxHarmonics = 64
 
+// MaxParetoPulses bounds the pulses a pareto directive may ask for over
+// the spec's horizon in the worst case (see ParetoBursts.worstPulses). An
+// E16-shaped train over an hour — burst gap 2 s, pulse gap 50 ms, bursts
+// capped at 10⁴ — asks for 1.8·10⁷.
+const MaxParetoPulses = 25_000_000
+
 // checkWork rejects a directive whose arguments ask for work the horizon
-// does not bound: a hall ramp of more than MaxInitialOccupancy visitors, a
-// pareto burst with a non-positive pulse gap (every pulse of the burst at
-// one instant, which the horizon never clips), and a diurnal profile of
-// more than maxHarmonics harmonics. A value that does not parse is left to
-// the generator's own accessor.
-func (g GenSpec) checkWork() error {
+// does not bound, or bounds only past reach: a hall ramp of more than
+// MaxInitialOccupancy visitors, a pareto burst with a non-positive pulse
+// gap (every pulse of the burst at one instant, which the horizon never
+// clips), a pareto train of more than MaxParetoPulses pulses over the
+// horizon, and a diurnal profile of more than maxHarmonics harmonics. A
+// value that does not parse is left to the generator's own accessor.
+func (g GenSpec) checkWork(horizon sim.Time) error {
 	var err error
 	switch g.Name {
 	case "hall":
@@ -272,10 +284,14 @@ func (g GenSpec) checkWork() error {
 			err = fmt.Errorf("initial: %d is more than %d (one arrival per µs of the one-second ramp)", n, MaxInitialOccupancy)
 		}
 	case "pareto":
-		if v, ok := g.Args["pulsegap"]; ok {
-			if d, perr := parseDur(v); perr == nil && d <= 0 {
-				err = fmt.Errorf("pulsegap: %s puts every pulse of a burst at one instant", v)
-			}
+		a := &genArgs{g: g, used: map[string]bool{}}
+		p := a.pareto()
+		switch {
+		case a.err != nil: // left to buildGen's accessors
+		case p.PulseGap <= 0:
+			err = fmt.Errorf("pulsegap: %s puts every pulse of a burst at one instant", g.Args["pulsegap"])
+		case p.worstPulses(horizon) > MaxParetoPulses:
+			err = fmt.Errorf("up to %.3g pulses over horizon %v is more than %d", p.worstPulses(horizon), horizon, MaxParetoPulses)
 		}
 	case "diurnal":
 		if n, perr := strconv.Atoi(g.Args["harmonics"]); perr == nil && n > maxHarmonics {
@@ -288,13 +304,14 @@ func (g GenSpec) checkWork() error {
 	return nil
 }
 
-// check runs checkObjects and checkWork: ParseSpec and buildGen both call
-// it before any generator is built.
-func (g GenSpec) check() error {
+// check runs checkObjects and checkWork over horizon before buildGen
+// builds a generator. ParseSpec runs the two apart: checkObjects per line,
+// checkWork once the horizon is read.
+func (g GenSpec) check(horizon sim.Time) error {
 	if err := g.checkObjects(); err != nil {
 		return err
 	}
-	return g.checkWork()
+	return g.checkWork(horizon)
 }
 
 // genArgs wraps one directive's arguments with typed, error-collecting
@@ -390,6 +407,19 @@ func (a *genArgs) objs() []int {
 	return out
 }
 
+// pareto reads a pareto directive's train, its seed and attribute aside.
+func (a *genArgs) pareto() ParetoBursts {
+	return ParetoBursts{
+		Obj:          a.num("obj", 0),
+		MeanBurstGap: a.dur("burstgap", 2*sim.Second),
+		Xm:           a.float("xm", 2),
+		Alpha:        a.float("alpha", 1.2),
+		MaxBurst:     a.num("maxburst", 0),
+		PulseGap:     a.dur("pulsegap", 50*sim.Millisecond),
+		Width:        a.dur("width", 40*sim.Millisecond),
+	}
+}
+
 // finish reports the first accessor error or any unknown argument.
 func (a *genArgs) finish() error {
 	if a.err != nil {
@@ -441,9 +471,9 @@ func parseDur(s string) (sim.Duration, error) {
 	return sim.Duration(d / time.Microsecond), nil
 }
 
-// buildGen constructs one generator from its directive.
-func buildGen(g GenSpec, defSeed uint64) (Source, error) {
-	if err := g.check(); err != nil {
+// buildGen constructs one generator from its directive, to run to horizon.
+func buildGen(g GenSpec, defSeed uint64, horizon sim.Time) (Source, error) {
+	if err := g.check(horizon); err != nil {
 		return nil, err
 	}
 	a := &genArgs{g: g, used: map[string]bool{}}
@@ -488,15 +518,9 @@ func buildGen(g GenSpec, defSeed uint64) (Source, error) {
 			Width:     a.dur("width", 150*sim.Millisecond),
 		}
 	case "pareto":
-		src = ParetoBursts{
-			Seed: a.seed(defSeed), Obj: a.num("obj", 0), Attr: attr(),
-			MeanBurstGap: a.dur("burstgap", 2*sim.Second),
-			Xm:           a.float("xm", 2),
-			Alpha:        a.float("alpha", 1.2),
-			MaxBurst:     a.num("maxburst", 0),
-			PulseGap:     a.dur("pulsegap", 50*sim.Millisecond),
-			Width:        a.dur("width", 40*sim.Millisecond),
-		}
+		p := a.pareto()
+		p.Seed, p.Attr = a.seed(defSeed), attr()
+		src = p
 	case "cohort":
 		src = Cohort{
 			Seed: a.seed(defSeed), Objs: a.objs(), Attr: attr(),

@@ -168,9 +168,9 @@ func drawSpec(r *stats.RNG) []string {
 // The lines that fail each check, one family per outcome. The two object
 // ranges at the head of specObject killed `pervasim -workload`: the first
 // with makeslice: cap out of range, the second out of memory. So did the
-// three lines at the tail of specValue once materialized: the hall ramp
-// and the stacked pareto burst ran out of memory, and the diurnal
-// harmonics never returned.
+// four lines at the tail of specValue once materialized: the hall ramp,
+// the stacked pareto burst and the pareto train quadratic in the horizon
+// ran out of memory, and the diurnal harmonics never returned.
 var badSpecLines = [specIncomplete][]string{
 	specDirective: {"foo bar", "generators toggler objs=0-1", "Seed 1"},
 	specShape:     {"seed", "seed 1 2", "horizon", "objects 1 2", "generator", "generator toggler objs"},
@@ -178,6 +178,7 @@ var badSpecLines = [specIncomplete][]string{
 		"generator toggler objs=", "generator diurnal obj=x", "generator hall doors=9223372036854775808",
 		"generator hall doors=4 initial=10000000000",
 		"generator pareto obj=0 burstgap=100ms pulsegap=0s maxburst=1000000000 xm=1000000000",
+		"generator pareto obj=0 burstgap=0s pulsegap=1us xm=100000",
 		"generator diurnal obj=0 harmonics=10000000000"},
 	specObject: {"generator toggler objs=0-9223372036854775807", "generator toggler objs=0-9999999999",
 		"objects 9999999999", "objects -1", "generator diurnal obj=-1", "generator walk obj=2147483647",

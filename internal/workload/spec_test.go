@@ -127,3 +127,27 @@ func TestSpecRefusesAdmissionsWithoutDoors(t *testing.T) {
 		t.Error("admissions doors=1 produced no events")
 	}
 }
+
+// TestSpecBoundsParetoWork pins a spec that ran out of memory under a
+// 1.5 GB address-space limit: with a burst gap at its 1 µs floor and a
+// 1 µs pulse gap, a pareto train asks for work quadratic in the horizon.
+// ParseSpec refuses it naming the line, and so does Source when the
+// horizon grows after the parse (`pervasim -replay`); an E16-shaped train
+// over an hour is well inside MaxParetoPulses.
+func TestSpecBoundsParetoWork(t *testing.T) {
+	const repro = "horizon 1s\npredicate p@0 >= 1\ngenerator pareto obj=0 burstgap=0s pulsegap=1us xm=100000\n"
+	if _, err := ParseSpec(repro); err == nil || !strings.Contains(err.Error(), "spec line 3:") {
+		t.Errorf("ParseSpec(repro): error %v, want one naming spec line 3", err)
+	}
+	sp, err := ParseSpec("horizon 1h\ngenerator pareto obj=0 burstgap=2s pulsegap=50ms\n")
+	if err != nil {
+		t.Fatalf("an E16-shaped train over an hour: %v", err)
+	}
+	if _, err := sp.Source(); err != nil {
+		t.Fatalf("Source over an E16-shaped train: %v", err)
+	}
+	sp.Horizon = 1000 * sim.Hour
+	if _, err := sp.Source(); err == nil || !strings.Contains(err.Error(), "spec line 2:") {
+		t.Errorf("Source over 1000 h: error %v, want one naming spec line 2", err)
+	}
+}
