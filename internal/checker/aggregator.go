@@ -1,9 +1,11 @@
 package checker
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"pervasive/internal/clock"
+	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
 )
 
@@ -20,6 +22,7 @@ type change struct {
 // (superseded values never cross the tier boundary); firstAt survives
 // the overwrite so sync lag measures the oldest unsynced information.
 type pendingEntry struct {
+	proc    int
 	seq     int
 	epoch   int
 	varName string
@@ -41,10 +44,14 @@ type Aggregator struct {
 	// before the bump are dead.
 	epoch int
 
-	vals       []map[string]float64
+	// vals is the region's columnar view, indexed by region-local process.
+	vals      *predicate.View
+	lastSeq   []int
+	lastEpoch []int
+	// stamps (the latest applied vector stamp per process, nil = none) and
+	// lastChange are read only by the race probe, so a race-blind
+	// aggregator leaves both nil.
 	stamps     []clock.Vector
-	lastSeq    []int
-	lastEpoch  []int
 	lastChange []change
 	// recon/stampBuf serve the differential race-aware path exactly as in
 	// the flat checker, lazily and per-region: nil until the first diff
@@ -53,23 +60,27 @@ type Aggregator struct {
 	recon    []clock.Vector
 	stampBuf []clock.Vector
 
-	pending   map[int]*pendingEntry
+	// pending is the set awaiting the next flush, one entry per process in
+	// the order first staged; slot[li] is 1 + the index of li's entry, 0
+	// when li has none. A dense index costs 4 bytes per process where a
+	// dense entry would cost 56, and the list stays at most maxBatch long.
+	pending   []pendingEntry
+	slot      []int32
 	lastFlush sim.Time
 }
 
-func newAggregator(region, lo, hi int) *Aggregator {
+func newAggregator(region, lo, hi int, raceAware bool) *Aggregator {
 	n := hi - lo
 	a := &Aggregator{
 		region: region, lo: lo, hi: hi,
-		vals:       make([]map[string]float64, n),
-		stamps:     make([]clock.Vector, n),
-		lastSeq:    make([]int, n),
-		lastEpoch:  make([]int, n),
-		lastChange: make([]change, n),
-		pending:    make(map[int]*pendingEntry),
+		vals:      predicate.NewView(n),
+		lastSeq:   make([]int, n),
+		lastEpoch: make([]int, n),
+		slot:      make([]int32, n),
 	}
-	for i := range a.vals {
-		a.vals[i] = make(map[string]float64)
+	if raceAware {
+		a.stamps = make([]clock.Vector, n)
+		a.lastChange = make([]change, n)
 	}
 	return a
 }
@@ -77,40 +88,36 @@ func newAggregator(region, lo, hi int) *Aggregator {
 // Epoch returns the regional epoch (recoveries so far).
 func (a *Aggregator) Epoch() int { return a.epoch }
 
-// stage coalesces one applied report into the pending sync set; it
-// reports whether a superseded pending value was overwritten.
-func (a *Aggregator) stage(m Report, now sim.Time) bool {
-	if e, ok := a.pending[m.Proc]; ok {
+// stage coalesces one applied report from region-local process li into
+// the pending sync set; it reports whether a superseded pending value was
+// overwritten.
+func (a *Aggregator) stage(m *Report, li int, now sim.Time) bool {
+	if s := a.slot[li]; s > 0 {
+		e := &a.pending[s-1]
 		e.seq, e.epoch, e.varName, e.value, e.own = m.Seq, m.Epoch, m.Var, m.Value, m.OwnClock()
 		return true
 	}
-	a.pending[m.Proc] = &pendingEntry{
-		seq: m.Seq, epoch: m.Epoch, varName: m.Var, value: m.Value,
+	a.pending = append(a.pending, pendingEntry{ //lint:allow hotpath(amortized growth: a full set forces a flush, so the list stops growing at maxBatch entries and is reused from then on)
+		proc: m.Proc, seq: m.Seq, epoch: m.Epoch, varName: m.Var, value: m.Value,
 		own: m.OwnClock(), firstAt: now,
-	}
+	})
+	a.slot[li] = int32(len(a.pending))
 	return false
 }
 
-// drain empties the pending set into a proc-sorted slice (collect-then-
-// sort: map iteration order must never reach an observable).
-func (a *Aggregator) drain() []int {
-	procs := make([]int, 0, len(a.pending))
-	for p := range a.pending {
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	return procs
+// sortPending puts the pending set in proc order, the order a batch's
+// triples and entries take on the wire; the slot index is stale after
+// it, which is why only a flush, which empties the set, calls it.
+func (a *Aggregator) sortPending() {
+	slices.SortFunc(a.pending, func(x, y pendingEntry) int { return cmp.Compare(x.proc, y.proc) })
 }
 
-// names returns the variable names region-local process li holds, sorted
-// (collect-then-sort: map iteration order must never reach an observable).
-func (a *Aggregator) names(li int) []string {
-	names := make([]string, 0, len(a.vals[li]))
-	for name := range a.vals[li] {
-		names = append(names, name)
+// clearPending empties the pending set.
+func (a *Aggregator) clearPending() {
+	for i := range a.pending {
+		a.slot[a.pending[i].proc-a.lo] = 0
 	}
-	sort.Strings(names)
-	return names
+	a.pending = a.pending[:0]
 }
 
 // reset wipes every piece of regional state — values, stamps, admission,
@@ -119,29 +126,28 @@ func (a *Aggregator) names(li int) []string {
 // it never merges pre-crash regional state.
 func (a *Aggregator) reset() {
 	a.epoch++
-	for i := range a.vals {
-		a.vals[i] = make(map[string]float64)
-		a.stamps[i] = nil
-		a.lastSeq[i] = 0
-		a.lastEpoch[i] = 0
-		a.lastChange[i] = change{}
-	}
+	a.vals.Clear()
+	clear(a.stamps)
+	clear(a.lastSeq)
+	clear(a.lastEpoch)
+	clear(a.lastChange)
 	a.recon = nil
 	a.stampBuf = nil
-	a.pending = make(map[int]*pendingEntry)
+	a.clearPending()
 }
 
 // StateBytes estimates the aggregator's resident footprint: per-process
 // admission and value state, the pending sync set, and the race-aware
-// reconstructions when allocated. The estimate uses the same flat
-// per-entry costs as the clock package's StateBytes accounting.
+// stamps and reconstructions when allocated. The estimate uses the same
+// flat per-entry costs as the clock package's StateBytes accounting.
 func (a *Aggregator) StateBytes() int {
 	n := a.hi - a.lo
-	b := 96 + n*(8+8+8+8+8+32) // headers, slices, lastSeq/lastEpoch/lastChange
-	for _, m := range a.vals {
-		b += 48 + 32*len(m)
+	b := 96 + n*(8+8+4) // headers, lastSeq/lastEpoch, the pending slot index
+	b += len(a.vals.Names()) * (40 + 8*n)
+	b += 24 + 64*cap(a.pending)
+	if a.stamps != nil {
+		b += n * (24 + 32) // stamps and lastChange
 	}
-	b += 48 + 64*len(a.pending)
 	for _, v := range a.recon {
 		b += 8 * cap(v)
 	}

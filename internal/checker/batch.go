@@ -40,29 +40,22 @@ type BatchEntry struct {
 // (clock.AppendStampBatch), then the entry block with proc ids
 // delta-coded the same way.
 func (b *Batch) AppendWire(dst []byte) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	putUv := func(v uint64) {
-		n := binary.PutUvarint(buf[:], v)
-		dst = append(dst, buf[:n]...)
-	}
-	putUv(uint64(b.Region))
-	putUv(uint64(b.Epoch))
-	putUv(uint64(b.At))
+	dst = binary.AppendUvarint(dst, uint64(b.Region))
+	dst = binary.AppendUvarint(dst, uint64(b.Epoch))
+	dst = binary.AppendUvarint(dst, uint64(b.At))
 	dst = clock.AppendStampBatch(dst, b.Triples)
-	putUv(uint64(len(b.Entries)))
+	dst = binary.AppendUvarint(dst, uint64(len(b.Entries)))
 	prev := -1
 	for _, e := range b.Entries {
 		if e.Proc <= prev {
-			panic(fmt.Sprintf("checker: batch entries must be sorted by proc (%d after %d)", e.Proc, prev))
+			panic(fmt.Sprintf("checker: batch entries must be sorted by proc (%d after %d)", e.Proc, prev)) //lint:allow hotpath(cold panic path: batches are built from a sorted pending set, so this is a programming error and the process dies here)
 		}
-		putUv(uint64(e.Proc - prev))
+		dst = binary.AppendUvarint(dst, uint64(e.Proc-prev))
 		prev = e.Proc
-		putUv(uint64(e.Epoch))
-		putUv(uint64(len(e.Var)))
-		dst = append(dst, e.Var...)
-		var fb [8]byte
-		binary.LittleEndian.PutUint64(fb[:], math.Float64bits(e.Value))
-		dst = append(dst, fb[:]...)
+		dst = binary.AppendUvarint(dst, uint64(e.Epoch))
+		dst = binary.AppendUvarint(dst, uint64(len(e.Var)))
+		dst = append(dst, e.Var...) //lint:allow hotpath(amortized growth: the tree encodes into one reused buffer, which stops growing at the largest batch)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Value))
 	}
 	return dst
 }
@@ -71,66 +64,105 @@ func (b *Batch) AppendWire(dst []byte) []byte {
 // the bytes consumed.
 func DecodeBatch(b []byte) (Batch, int, error) {
 	var out Batch
-	off := 0
-	uv := func(what string) (uint64, error) {
-		v, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("checker: batch: bad %s varint", what)
-		}
-		off += n
-		return v, nil
-	}
-	region, err := uv("region")
+	n, err := out.DecodeWire(b)
+	return out, n, err
+}
+
+// DecodeWire decodes one batch from the front of b into bt, returning the
+// bytes consumed. It reuses bt's Triples and Entries arrays, and an entry
+// keeps its slot's previous Var string when the bytes are equal, so
+// decoding batch after batch into one Batch stops allocating once the
+// arrays have grown to the largest batch. On an error bt holds a partial
+// decode.
+func (bt *Batch) DecodeWire(b []byte) (int, error) {
+	d := batchDecoder{b: b}
+	region, err := d.uvarint("region")
 	if err != nil {
-		return out, 0, err
+		return 0, err
 	}
-	epoch, err := uv("epoch")
+	epoch, err := d.uvarint("epoch")
 	if err != nil {
-		return out, 0, err
+		return 0, err
 	}
-	at, err := uv("at")
+	at, err := d.uvarint("at")
 	if err != nil {
-		return out, 0, err
+		return 0, err
 	}
-	out.Region, out.Epoch, out.At = int(region), int(epoch), sim.Time(at)
-	triples, n, err := clock.DecodeStampBatch(b[off:])
+	bt.Region, bt.Epoch, bt.At = int(region), int(epoch), sim.Time(at)
+	triples, n, err := clock.AppendDecodeStampBatch(bt.Triples[:0], b[d.off:])
+	bt.Triples = triples
 	if err != nil {
-		return out, 0, err
+		return 0, err
 	}
-	off += n
-	out.Triples = triples
-	count, err := uv("entry count")
+	d.off += n
+	count, err := d.uvarint("entry count")
 	if err != nil {
-		return out, 0, err
+		return 0, err
 	}
+	ents := bt.Entries[:0]
 	prev := -1
 	for i := uint64(0); i < count; i++ {
-		gap, err := uv("entry proc")
+		gap, err := d.uvarint("entry proc")
 		if err != nil {
-			return out, 0, err
+			return 0, err
 		}
 		if gap == 0 || gap > uint64(math.MaxInt-1-prev) {
-			return out, 0, fmt.Errorf("checker: batch: bad proc delta at entry %d", i)
+			return 0, entryError("bad proc delta at", i)
 		}
 		prev += int(gap)
-		pe, err := uv("entry epoch")
+		pe, err := d.uvarint("entry epoch")
 		if err != nil {
-			return out, 0, err
+			return 0, err
 		}
-		vlen, err := uv("entry var len")
+		vlen, err := d.uvarint("entry var len")
 		if err != nil {
-			return out, 0, err
+			return 0, err
 		}
-		if len(b)-off < 8 || vlen > uint64(len(b)-off-8) {
-			return out, 0, fmt.Errorf("checker: batch: truncated entry %d", i)
+		if len(b)-d.off < 8 || vlen > uint64(len(b)-d.off-8) {
+			return 0, entryError("truncated", i)
 		}
-		name := string(b[off : off+int(vlen)])
-		off += int(vlen)
-		val := math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-		off += 8
-		out.Entries = append(out.Entries, BatchEntry{
-			Proc: prev, Epoch: int(pe), Var: name, Value: val,
-		})
+		name := b[d.off : d.off+int(vlen)]
+		d.off += int(vlen)
+		val := math.Float64frombits(binary.LittleEndian.Uint64(b[d.off:]))
+		d.off += 8
+		if len(ents) == cap(ents) {
+			ents = append(ents, BatchEntry{}) //lint:allow hotpath(amortized growth: the decoded batch is reused, so its entries stop growing at the largest batch)
+		} else {
+			ents = ents[:len(ents)+1]
+		}
+		e := &ents[len(ents)-1]
+		e.Proc, e.Epoch, e.Var, e.Value = prev, int(pe), keepName(e.Var, name), val
 	}
-	return out, off, nil
+	bt.Entries = ents
+	return d.off, nil
+}
+
+// keepName returns old when its bytes equal b, so that a decoded entry
+// keeps its slot's name, and a copy of b otherwise.
+func keepName(old string, b []byte) string { //lint:allow hotpath(a conversion that is only compared does not copy; a name new to its slot is the one copy a fresh decode makes of every name)
+	if old == string(b) {
+		return old
+	}
+	return string(b)
+}
+
+// batchDecoder reads a batch's fields off the front of b.
+type batchDecoder struct {
+	b   []byte
+	off int
+}
+
+func (d *batchDecoder) uvarint(what string) (uint64, error) {
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("checker: batch: bad %s varint", what) //lint:allow hotpath(cold error path: a damaged batch is refused once; the happy path never formats)
+	}
+	d.off += n
+	return v, nil
+}
+
+// entryError is the error for the i-th entry, one that decoded but cannot
+// be right.
+func entryError(what string, i uint64) error {
+	return fmt.Errorf("checker: batch: %s entry %d", what, i) //lint:allow hotpath(cold error path: as in batchDecoder.uvarint)
 }

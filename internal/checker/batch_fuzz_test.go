@@ -85,7 +85,24 @@ func batchHostile(t *testing.T, data []byte) int {
 	if again := back.AppendWire(nil); !bytes.Equal(again, wire) {
 		t.Fatalf("AppendWire is not a fixed point\nfirst:  % x\nsecond: % x", wire, again)
 	}
+	reused := longBatch()
+	if m, err := reused.DecodeWire(data); err != nil || m != n || !sameBatch(b, reused) {
+		t.Fatalf("decoding into a used batch differs from a fresh decode (err %v, %d of %d bytes)\nfresh:  %+v\nreused: %+v", err, m, n, b, reused)
+	}
 	return outDecoded
+}
+
+// longBatch is what batchHostile decodes each input into a second time:
+// a batch longer than the checked-in seeds, so a decode that keeps a stale
+// triple or entry shows, with names at its first slots that the seeds'
+// entries share ("p" at slot 0) and do not, so a stale name shows too.
+func longBatch() Batch {
+	b := Batch{Region: 9, Epoch: 5, At: 777}
+	for p := range 24 {
+		b.Triples = append(b.Triples, clock.StampTriple{Proc: p, Val: uint64(p + 100), Sent: 7})
+		b.Entries = append(b.Entries, BatchEntry{Proc: p, Epoch: 1, Var: []string{"p", "occupancy", "q", ""}[p%4], Value: float64(p) + 0.5})
+	}
+	return b
 }
 
 // batchAllocBytes is what one DecodeBatch of data allocates: the least of three
@@ -215,9 +232,11 @@ func TestDecodeBatchSurvivesHostileBytes(t *testing.T) {
 }
 
 // FuzzDecodeBatch is the same body under the native fuzzer; it reaches
-// clock.DecodeStampBatch both directly and through the batch header. The
-// checked-in corpus in testdata/fuzz/FuzzDecodeBatch holds the two crashers
-// above, a valid batch and the same batch cut short.
+// clock.DecodeStampBatch both directly and through the batch header, and
+// Batch.DecodeWire into a used batch. The checked-in corpus in
+// testdata/fuzz/FuzzDecodeBatch holds the two crashers above, a valid
+// batch, the same batch cut short, and a batch whose entry names equal,
+// differ from and shorten the names longBatch holds at the same slots.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batchHostile(t, data)

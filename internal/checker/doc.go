@@ -40,16 +40,20 @@
 // pending set and periodically flushes one batch — delta-coded
 // (proc, val, sent) strobe-stamp triples (clock.AppendStampBatch) plus
 // value metadata for boundary-relevant processes only (those read by
-// clauses that span regions) — which the root decodes to advance its
-// consolidated watermarks. The codec is load-bearing: watermarks advance
-// only through encode→decode, and the wire bytes are the tree's
-// bandwidth cost model.
+// clauses that span regions, derived from the clauses the evaluator
+// compiled) — which the root decodes to advance its consolidated
+// watermarks. The codec is load-bearing: watermarks advance only through
+// encode→decode, and the wire bytes are the tree's bandwidth cost model.
+// The round trip runs in batch and byte buffers the tree reuses, so a
+// warm report, flush included, allocates nothing.
 //
-// Bounded memory. An aggregator's state is O(region) for values and
-// admission, O(1) histogram/pending bounded at 256 entries (a full pending
-// set forces a flush), and the race-aware reconstructions — the only
-// O(region·p) component — are allocated lazily and only when race
-// detection is on, mirroring the flat checker's memory gate. Aggregator
+// Bounded memory. An aggregator's state is O(region) for values (the flat
+// checker's columnar predicate.View, one region-sized column per name)
+// and admission, a 4-byte dense pending index per process into a pending
+// list bounded at 256 entries (a full pending set forces a flush), and
+// the race-aware stamps, last changes and reconstructions — the last the
+// only O(region·p) component — allocated only when race detection is on,
+// the reconstructions lazily, mirroring the flat checker's memory gate. Aggregator
 // crash/recovery resets the regional state wholesale (values, stamps,
 // admission) and zeroes the region's keys in the evaluator under a bumped
 // regional epoch, so a rejoined aggregator can never merge pre-crash

@@ -88,7 +88,11 @@ type Tree struct {
 	batchInterval sim.Duration
 	maxBatch      int // pending sync entries per aggregator that force a flush: the memory bound
 	root          rootView
-	wireScratch   []byte
+	// out, wire and in are the upward sync's round trip, reused by every
+	// flush: the batch built from a pending set, its encoding, and the
+	// batch the root decodes from those bytes.
+	out, in Batch
+	wire    []byte
 
 	// Stat is the cumulative counter block.
 	Stat Stats
@@ -107,7 +111,7 @@ type Tree struct {
 // New builds the tree: carves [0, N) into Fanout contiguous regions,
 // compiles the predicate into the incremental evaluator at the all-zero
 // view (the same implicit initial view the flat checker starts from), and
-// marks the keys that cross-region clauses read.
+// marks the keys that the clauses it compiled read across regions.
 func New(cfg Config) *Tree {
 	if cfg.N <= 0 {
 		panic("checker: tree needs at least one process")
@@ -134,14 +138,14 @@ func New(cfg Config) *Tree {
 	}
 	t.aggs = make([]*Aggregator, r)
 	for i := 0; i < r; i++ {
-		t.aggs[i] = newAggregator(i, t.regionLo(i), t.regionLo(i+1))
+		t.aggs[i] = newAggregator(i, t.regionLo(i), t.regionLo(i+1), cfg.RaceAware)
 	}
 	t.eval.Init(cfg.Pred, cfg.N)
 	t.boundary = make(map[string][]bool)
-	for _, cl := range predicate.Compile(cfg.Pred) {
-		t.boundaryAll = t.boundaryAll || cl.Untracked
+	t.eval.Conjuncts(func(c predicate.Cond, untracked bool) {
+		t.boundaryAll = t.boundaryAll || untracked
 		home, spans := -1, false // home: the region of the last key read
-		cl.Cond.CollectVars(func(k predicate.Key) {
+		c.CollectVars(func(k predicate.Key) {
 			r := -1 // an aggregate reads every region
 			if k.Proc >= 0 {
 				r = t.RegionOf(k.Proc)
@@ -150,9 +154,9 @@ func New(cfg Config) *Tree {
 			home = r
 		})
 		if spans {
-			cl.Cond.CollectVars(t.markBoundary)
+			c.CollectVars(t.markBoundary)
 		}
-	}
+	})
 	return t
 }
 
@@ -247,8 +251,10 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 	case m.Epoch > a.lastEpoch[li]:
 		a.lastEpoch[li] = m.Epoch
 		a.lastSeq[li] = 0
-		a.stamps[li] = nil
-		a.lastChange[li] = change{}
+		if t.raceAware {
+			a.stamps[li] = nil
+			a.lastChange[li] = change{}
+		}
 		if a.recon != nil {
 			a.recon[li].Reset()
 		}
@@ -278,19 +284,17 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 		m.Vec = a.stampBuf[li]
 	}
 
-	prev := a.vals[li][m.Var]
-	a.vals[li][m.Var] = m.Value
+	prev := a.vals.Set(li, m.Var, m.Value)
 	t.eval.Set(predicate.Key{Proc: m.Proc, Name: m.Var}, m.Value)
 	settled := t.phi()
 
 	race := false
-	if t.raceAware && m.Vec != nil {
-		race = t.detectRace(m, prev)
-	}
-
-	a.lastChange[li] = change{varName: m.Var, prev: prev, valid: true}
-	if m.Vec != nil {
-		a.stamps[li] = m.Vec
+	if t.raceAware {
+		if m.Vec != nil {
+			race = t.detectRace(m, prev)
+			a.stamps[li] = m.Vec
+		}
+		a.lastChange[li] = change{varName: m.Var, prev: prev, valid: true}
 	}
 
 	if race {
@@ -300,7 +304,7 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 	t.flip(settled, race, now)
 
 	// Upward sync: coalesce into the pending set, flush lazily.
-	if a.stage(m, now) {
+	if a.stage(&m, li, now) {
 		t.Stat.Coalesced++
 		t.obsCoalesced.Inc()
 	}
@@ -367,7 +371,7 @@ func (t *Tree) View(proc int, name string) float64 {
 		return 0
 	}
 	a, li := t.aggFor(proc)
-	return a.vals[li][name]
+	return a.vals.Get(li, name)
 }
 
 // MaxAggregatorBytes returns the largest regional node footprint — the
@@ -390,19 +394,23 @@ func (t *Tree) RootSynced(proc int) (own uint64, seq int) {
 }
 
 // flushAgg drains one aggregator's pending set into a batch, encodes it,
-// and advances the root's consolidated view from the *decoded* bytes.
+// and advances the root's consolidated view from the *decoded* bytes. The
+// batch, its bytes and the decoded batch live in buffers the tree reuses,
+// so a flush allocates nothing once they have grown to the largest batch.
 func (t *Tree) flushAgg(a *Aggregator, now sim.Time) {
 	a.lastFlush = now
 	if len(a.pending) == 0 {
 		return
 	}
-	procs := a.drain()
-	b := Batch{Region: a.region, Epoch: a.epoch, At: now}
-	for _, p := range procs {
-		e := a.pending[p]
-		b.Triples = append(b.Triples, clock.StampTriple{Proc: p, Val: e.own, Sent: uint64(e.seq)})
-		if t.boundaryKey(p, e.varName) {
-			b.Entries = append(b.Entries, BatchEntry{Proc: p, Epoch: e.epoch, Var: e.varName, Value: e.value})
+	a.sortPending()
+	b := &t.out
+	b.Region, b.Epoch, b.At = a.region, a.epoch, now
+	b.Triples, b.Entries = b.Triples[:0], b.Entries[:0]
+	for i := range a.pending {
+		e := &a.pending[i]
+		b.Triples = append(b.Triples, clock.StampTriple{Proc: e.proc, Val: e.own, Sent: uint64(e.seq)}) //lint:allow hotpath(amortized growth: the reused batch grows to the largest pending set, at most maxBatch, and stops)
+		if t.boundaryKey(e.proc, e.varName) {
+			b.Entries = append(b.Entries, BatchEntry{Proc: e.proc, Epoch: e.epoch, Var: e.varName, Value: e.value}) //lint:allow hotpath(amortized growth: as the triples above)
 		} else {
 			t.Stat.LocalEntries++
 		}
@@ -413,25 +421,24 @@ func (t *Tree) flushAgg(a *Aggregator, now sim.Time) {
 		}
 		t.Stat.SyncedProcs++
 	}
-	t.wireScratch = b.AppendWire(t.wireScratch[:0])
-	t.Stat.WireBytes += int64(len(t.wireScratch))
-	t.obsWireBytes.Add(int64(len(t.wireScratch)))
-	dec, n, err := DecodeBatch(t.wireScratch)
-	if err != nil || n != len(t.wireScratch) {
-		panic(fmt.Sprintf("checker: batch codec round-trip failed: n=%d/%d err=%v", n, len(t.wireScratch), err))
+	t.wire = b.AppendWire(t.wire[:0])
+	t.Stat.WireBytes += int64(len(t.wire))
+	t.obsWireBytes.Add(int64(len(t.wire)))
+	if n, err := t.in.DecodeWire(t.wire); err != nil || n != len(t.wire) {
+		panic(fmt.Sprintf("checker: batch codec round-trip failed: n=%d/%d err=%v", n, len(t.wire), err)) //lint:allow hotpath(cold panic path: a codec that cannot read its own bytes is a bug, and the process dies here)
 	}
-	t.rootApply(dec)
+	t.rootApply(&t.in)
 	t.Stat.Batches++
 	t.Stat.BatchTriples += int64(len(b.Triples))
 	t.Stat.BatchEntries += int64(len(b.Entries))
 	t.obsBatches.Inc()
-	clear(a.pending)
+	a.clearPending()
 }
 
 // rootApply advances the root watermarks from one decoded batch. Batches
 // under a stale regional epoch (pre-recovery stragglers) are discarded —
 // the aggregator-level counterpart of the per-sensor epoch discipline.
-func (t *Tree) rootApply(b Batch) {
+func (t *Tree) rootApply(b *Batch) {
 	if b.Epoch < t.root.regionEpoch[b.Region] {
 		return
 	}
@@ -451,7 +458,7 @@ func (t *Tree) CrashRegion(r int) {
 	}
 	a.down = true
 	t.Stat.RegionDropped += int64(len(a.pending))
-	clear(a.pending)
+	a.clearPending()
 }
 
 // RecoverRegion brings aggregator r back with wholly fresh regional
@@ -465,9 +472,9 @@ func (t *Tree) RecoverRegion(r int, now sim.Time) {
 		return
 	}
 	a.down = false
-	for li := range a.vals {
-		for _, name := range a.names(li) {
-			t.eval.Set(predicate.Key{Proc: a.lo + li, Name: name}, 0)
+	for _, name := range a.vals.Names() {
+		for p := a.lo; p < a.hi; p++ {
+			t.eval.Set(predicate.Key{Proc: p, Name: name}, 0)
 		}
 	}
 	a.reset()
@@ -506,7 +513,7 @@ func (t *Tree) detectRace(m Report, prevI float64) bool {
 		phi10 := t.phi()
 		t.eval.Set(keyI, prevI) // s00: neither
 		phi00 := t.phi()
-		t.eval.Set(keyJ, ja.vals[jli][ch.varName]) // s01: only e'
+		t.eval.Set(keyJ, ja.vals.Get(jli, ch.varName)) // s01: only e'
 		phi01 := t.phi()
 		t.eval.Set(keyI, m.Value) // restore s11
 

@@ -1,6 +1,8 @@
 package checker
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"pervasive/internal/clock"
@@ -163,7 +165,7 @@ func TestTreeRecoveryDiscardsStaleRegionalBatches(t *testing.T) {
 	tr2.RecoverRegion(1, 15)
 	stale := Batch{Region: 1, Epoch: 0, At: 16,
 		Triples: []clock.StampTriple{{Proc: 2, Val: 9, Sent: 9}}}
-	tr2.rootApply(stale)
+	tr2.rootApply(&stale)
 	if own, seq := tr2.RootSynced(2); own == 9 || seq == 9 {
 		t.Fatalf("stale regional batch advanced root watermarks: own=%d seq=%d", own, seq)
 	}
@@ -208,7 +210,7 @@ func TestTreeBatchCoalescing(t *testing.T) {
 // TestTreeBoundedAggregatorMemory is the bounded-memory claim: with the
 // fan-out scaled with the fleet (fixed region size), the largest
 // aggregator footprint stays flat as p grows 16x, and race-blind trees
-// never allocate reconstruction state.
+// never allocate stamps, last changes or reconstructions.
 func TestTreeBoundedAggregatorMemory(t *testing.T) {
 	perAgg := func(p int) int {
 		tr := sumTree(p, p/256, p/2)
@@ -220,8 +222,8 @@ func TestTreeBoundedAggregatorMemory(t *testing.T) {
 			}
 		}
 		for _, a := range tr.Aggregators() {
-			if a.recon != nil {
-				t.Fatalf("race-blind aggregator allocated reconstructions")
+			if a.recon != nil || a.stamps != nil || a.lastChange != nil {
+				t.Fatalf("race-blind aggregator allocated race-probe state")
 			}
 		}
 		return tr.MaxAggregatorBytes()
@@ -308,4 +310,96 @@ func TestTreeOpaqueMatchesDirectEval(t *testing.T) {
 	check(false)
 	set(2, 3)
 	check(true) // disjunct path
+}
+
+// pilotSrc is the pilot predicate p@0 + … + p@(m-1) >= k of the sharded
+// harness: over the whole fleet it is the fleet-agg benchmark's boundary
+// predicate, over eight sensors it is settled inside the first region.
+func pilotSrc(m, k int) string {
+	terms := make([]string, m)
+	for i := range terms {
+		terms[i] = "p@" + strconv.Itoa(i)
+	}
+	return strings.Join(terms, " + ") + " >= " + strconv.Itoa(k)
+}
+
+// reportFeed drives a race-blind tree with one report per call, each a
+// microsecond after the last under a one-microsecond batch interval, so
+// every report flushes its aggregator. Process p always reports 1 when p
+// is even and 0 when odd: the pilot predicates below never flip, so the
+// occurrence log stays empty and only the report and sync paths run.
+type reportFeed struct {
+	tr   *Tree
+	reps []Report
+	next int
+	now  sim.Time
+}
+
+func newReportFeed(n, fanout int, pred string) *reportFeed {
+	f := &reportFeed{
+		tr:   New(Config{N: n, Pred: predicate.MustParse(pred), Fanout: fanout, BatchInterval: 1}),
+		reps: make([]Report, n),
+	}
+	for p := range f.reps {
+		f.reps[p] = report(p, 0, float64((p+1)%2))
+	}
+	return f
+}
+
+func (f *reportFeed) feed(k int) {
+	for ; k > 0; k-- {
+		m := &f.reps[f.next%len(f.reps)]
+		m.Seq++
+		f.now++
+		f.tr.OnReport(*m, f.now)
+		f.next++
+	}
+}
+
+// reportFeedCases are the fan-outs and predicates the allocation guard and
+// BenchmarkTreeReport run: every value a boundary entry of every batch, or
+// none.
+var reportFeedCases = []struct {
+	name   string
+	fanout int
+	pred   string
+}{
+	{"boundary/R=1", 1, pilotSrc(4096, 2049)},
+	{"boundary/R=16", 16, pilotSrc(4096, 2049)},
+	{"local/R=1", 1, pilotSrc(8, 5)},
+	{"local/R=16", 16, pilotSrc(8, 5)},
+}
+
+// TestTreeReportAllocs holds a warm tree's per-report path — admission,
+// the columnar view, the evaluator, staging, and a flush's encode →
+// decode round trip into reused buffers — to zero allocations.
+func TestTreeReportAllocs(t *testing.T) {
+	for _, c := range reportFeedCases {
+		t.Run(c.name, func(t *testing.T) {
+			f := newReportFeed(4096, c.fanout, c.pred)
+			f.feed(2 * len(f.reps)) // every process reports twice: every column and buffer reaches its size
+			batches := f.tr.Stat.Batches
+			if allocs := testing.AllocsPerRun(1000, func() { f.feed(1) }); allocs != 0 {
+				t.Errorf("%.2f allocations per report, want 0", allocs)
+			}
+			if got := f.tr.Stat.Batches - batches; got != 1001 {
+				t.Errorf("%d flushes over 1001 reports, want one each", got)
+			}
+			if f.tr.cur || len(f.tr.Occurrences()) != 0 {
+				t.Errorf("the predicate flipped: the feed must keep it false")
+			}
+		})
+	}
+}
+
+func BenchmarkTreeReport(b *testing.B) {
+	for _, c := range reportFeedCases {
+		b.Run(c.name, func(b *testing.B) {
+			f := newReportFeed(4096, c.fanout, c.pred)
+			f.feed(2 * len(f.reps))
+			b.ReportAllocs()
+			b.ResetTimer()
+			f.feed(b.N)
+		})
+	}
 }

@@ -2,6 +2,7 @@ package clock
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -33,20 +34,15 @@ type StampTriple struct {
 // sorted per-region state, so an out-of-order triple is a programming
 // error, not input noise.
 func AppendStampBatch(dst []byte, ts []StampTriple) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(ts)))
-	dst = append(dst, buf[:n]...)
+	dst = binary.AppendUvarint(dst, uint64(len(ts)))
 	prev := -1
 	for _, t := range ts {
 		if t.Proc <= prev {
-			panic(fmt.Sprintf("clock: stamp batch triples must be sorted by proc (%d after %d)", t.Proc, prev))
+			panic(fmt.Sprintf("clock: stamp batch triples must be sorted by proc (%d after %d)", t.Proc, prev)) //lint:allow hotpath(cold panic path: an unsorted batch is a programming error and the process dies here)
 		}
-		n = binary.PutUvarint(buf[:], uint64(t.Proc-prev))
-		dst = append(dst, buf[:n]...)
-		n = binary.PutUvarint(buf[:], t.Val)
-		dst = append(dst, buf[:n]...)
-		n = binary.PutUvarint(buf[:], t.Sent)
-		dst = append(dst, buf[:n]...)
+		dst = binary.AppendUvarint(dst, uint64(t.Proc-prev))
+		dst = binary.AppendUvarint(dst, t.Val)
+		dst = binary.AppendUvarint(dst, t.Sent)
 		prev = t.Proc
 	}
 	return dst
@@ -55,37 +51,55 @@ func AppendStampBatch(dst []byte, ts []StampTriple) []byte {
 // DecodeStampBatch decodes one batch from the front of b, returning the
 // triples and the number of bytes consumed.
 func DecodeStampBatch(b []byte) ([]StampTriple, int, error) {
+	return AppendDecodeStampBatch(nil, b)
+}
+
+// AppendDecodeStampBatch decodes one batch from the front of b, appends
+// its triples to dst and returns the extended slice and the number of
+// bytes consumed. It grows dst at most once, by the triple count, so a
+// slice reused batch after batch stops allocating at the largest batch.
+// On an error it returns dst as it was.
+func AppendDecodeStampBatch(dst []StampTriple, b []byte) ([]StampTriple, int, error) {
 	off := 0
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("clock: stamp batch: bad count varint")
+		return dst, 0, errors.New("clock: stamp batch: bad count varint")
 	}
 	off += n
 	// A triple is at least three bytes: a count the rest of b cannot hold
 	// is rejected before it sizes the allocation.
 	if count > uint64(len(b)-off)/3 {
-		return nil, 0, fmt.Errorf("clock: stamp batch: count %d exceeds the %d bytes left", count, len(b)-off)
+		return dst, 0, fmt.Errorf("clock: stamp batch: count %d exceeds the %d bytes left", count, len(b)-off) //lint:allow hotpath(cold error path: a damaged batch is refused once; the happy path never formats)
 	}
-	out := make([]StampTriple, 0, count)
+	start := len(dst)
+	if uint64(cap(dst)-start) < count {
+		dst = append(dst[:cap(dst)], make([]StampTriple, start+int(count)-cap(dst))...) //lint:allow hotpath(growth bounded by the input: the count was checked against the bytes left, and a reused slice stops growing at the largest batch)
+	}
+	out := dst[start : start+int(count)]
 	prev := -1
-	for i := uint64(0); i < count; i++ {
+	for i := range out {
 		gap, n := binary.Uvarint(b[off:])
 		if n <= 0 || gap == 0 || gap > uint64(math.MaxInt-1-prev) {
-			return nil, 0, fmt.Errorf("clock: stamp batch: bad proc delta at triple %d", i)
+			return dst[:start], 0, tripleError("bad proc delta", i)
 		}
 		off += n
 		val, n := binary.Uvarint(b[off:])
 		if n <= 0 {
-			return nil, 0, fmt.Errorf("clock: stamp batch: bad val at triple %d", i)
+			return dst[:start], 0, tripleError("bad val", i)
 		}
 		off += n
 		sent, n := binary.Uvarint(b[off:])
 		if n <= 0 {
-			return nil, 0, fmt.Errorf("clock: stamp batch: bad sent at triple %d", i)
+			return dst[:start], 0, tripleError("bad sent", i)
 		}
 		off += n
 		prev += int(gap)
-		out = append(out, StampTriple{Proc: prev, Val: val, Sent: sent})
+		out[i] = StampTriple{Proc: prev, Val: val, Sent: sent}
 	}
-	return out, off, nil
+	return dst[:start+int(count)], off, nil
+}
+
+// tripleError is the error for the i-th triple's field what.
+func tripleError(what string, i int) error {
+	return fmt.Errorf("clock: stamp batch: %s at triple %d", what, i) //lint:allow hotpath(cold error path: as in AppendDecodeStampBatch)
 }

@@ -27,7 +27,7 @@ type StrobeChecker struct {
 	pred      predicate.Cond
 	raceAware bool
 
-	view      *checkerState
+	view      *predicate.View
 	lastSeq   []int
 	lastEpoch []int // crash/recovery epoch per proc (see StrobeMsg.Epoch)
 	// stamps (the latest applied vector stamp per proc, nil = none) and
@@ -122,7 +122,7 @@ func NewScalarChecker(n int, pred predicate.Cond) *StrobeChecker {
 func newStrobeChecker(n int, pred predicate.Cond, raceAware bool) *StrobeChecker {
 	c := &StrobeChecker{
 		n: n, pred: pred, raceAware: raceAware,
-		view:      &checkerState{n: n},
+		view:      predicate.NewView(n),
 		lastSeq:   make([]int, n),
 		lastEpoch: make([]int, n),
 	}
@@ -145,56 +145,6 @@ func onStrobes(net Receiver, idx int, fn func(m StrobeMsg, now sim.Time)) {
 
 // Register installs the checker on transport node idx.
 func (c *StrobeChecker) Register(net Receiver, idx int) { onStrobes(net, idx, c.OnStrobe) }
-
-// checkerState is a flat checker's view of the sensed world: one column of
-// n values per variable name, created by the first write of that name. A
-// predicate names one to three variables, so finding a column is a scan of
-// a list that short, and the view of n processes is a few slices instead
-// of n maps. It implements predicate.State by pointer (no boxing per
-// Holds) and predicate.Columnar.
-type checkerState struct {
-	n    int
-	cols []stateColumn
-}
-
-type stateColumn struct {
-	name string
-	vals []float64
-}
-
-// Column implements predicate.Columnar: nil for a name never written.
-func (s *checkerState) Column(name string) []float64 {
-	for i := range s.cols {
-		if s.cols[i].name == name {
-			return s.cols[i].vals
-		}
-	}
-	return nil
-}
-
-// Get implements predicate.State: out-of-range processes and names never
-// written read 0.
-func (s *checkerState) Get(proc int, name string) float64 {
-	if col := s.Column(name); col != nil && proc >= 0 && proc < s.n {
-		return col[proc]
-	}
-	return 0
-}
-
-// NumProcs implements predicate.State.
-func (s *checkerState) NumProcs() int { return s.n }
-
-// set writes the value of name at proc (which must be in range) and
-// returns the value it replaces.
-func (s *checkerState) set(proc int, name string, v float64) (prev float64) {
-	col := s.Column(name)
-	if col == nil {
-		col = make([]float64, s.n)
-		s.cols = append(s.cols, stateColumn{name, col})
-	}
-	prev, col[proc] = col[proc], v
-	return prev
-}
 
 // OnStrobe applies one received strobe to the view and updates detection
 // state. Strobes from a process are applied in increasing Seq order;
@@ -273,7 +223,7 @@ func (c *StrobeChecker) OnStrobe(m StrobeMsg, now sim.Time) {
 		m.Vec = c.stampBuf[m.Proc]
 	}
 
-	prev := c.view.set(m.Proc, m.Var, m.Value)
+	prev := c.view.Set(m.Proc, m.Var, m.Value)
 	c.obsEvals.Inc()
 	settled := c.pred.Holds(c.view)
 
@@ -363,13 +313,13 @@ func (c *StrobeChecker) detectRace(m StrobeMsg, prevI float64) bool {
 		ch := c.lastChange[j]
 
 		phi11 := c.phi()
-		curJ := c.view.set(j, ch.varName, ch.prev) // s10: only e
+		curJ := c.view.Set(j, ch.varName, ch.prev) // s10: only e
 		phi10 := c.phi()
-		curI := c.view.set(m.Proc, m.Var, prevI) // s00: neither
+		curI := c.view.Set(m.Proc, m.Var, prevI) // s00: neither
 		phi00 := c.phi()
-		c.view.set(j, ch.varName, curJ) // s01: only e'
+		c.view.Set(j, ch.varName, curJ) // s01: only e'
 		phi01 := c.phi()
-		c.view.set(m.Proc, m.Var, curI) // restore s11
+		c.view.Set(m.Proc, m.Var, curI) // restore s11
 
 		if phi00 == phi11 && phi10 != phi01 {
 			return true

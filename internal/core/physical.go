@@ -29,7 +29,7 @@ type PhysicalChecker struct {
 	pending reportHeap
 	applied int64
 
-	view     *checkerState
+	view     *predicate.View
 	drainFn  sim.Handler // c.drain, bound once
 	lastTS   sim.Time
 	cur      bool
@@ -61,7 +61,7 @@ func (c *PhysicalChecker) SetObs(r *obs.Registry) {
 func NewPhysicalChecker(eng *sim.Engine, n int, pred predicate.Cond, slack sim.Duration) *PhysicalChecker {
 	c := &PhysicalChecker{
 		n: n, pred: pred, Slack: slack, eng: eng,
-		view: &checkerState{n: n},
+		view: predicate.NewView(n),
 	}
 	c.drainFn = c.drain
 	return c
@@ -111,7 +111,7 @@ func (c *PhysicalChecker) apply(m ReportMsg) {
 	}
 	c.applied++
 	c.obsApplied.Inc()
-	c.view.set(m.Proc, m.Var, m.Value)
+	c.view.Set(m.Proc, m.Var, m.Value)
 	c.obsEvals.Inc()
 	settled := c.pred.Holds(c.view)
 	if settled != c.cur {

@@ -45,8 +45,9 @@ type Incremental struct {
 
 // incClause is the evaluator's state for one conjunct.
 type incClause struct {
-	cond Cond
-	op   CmpOp
+	cond      Cond
+	op        CmpOp
+	untracked bool
 	// exact: sum holds the two side values and mag < 2⁵³ bounds them.
 	exact bool
 	sum   [2]float64
@@ -95,7 +96,7 @@ func (e *Incremental) Init(pred Cond, n int) {
 	}
 	for i, cl := range clauses {
 		c := &e.cls[i]
-		c.cond, c.op = cl.Cond, cl.Op
+		c.cond, c.op, c.untracked = cl.Cond, cl.Op, cl.Untracked
 		if cl.Untracked {
 			e.untracked = append(e.untracked, int32(i))
 			continue
@@ -146,6 +147,15 @@ func (e *Incremental) Init(pred Cond, n int) {
 			e.cls[i].truth = true
 			e.refresh(&e.cls[i])
 		}
+	}
+}
+
+// Conjuncts calls fn with each conjunct Init compiled, in source order,
+// and whether it is untracked (Clause.Untracked): what a consumer needs
+// to know about the clauses without compiling the predicate again.
+func (e *Incremental) Conjuncts(fn func(c Cond, untracked bool)) {
+	for i := range e.cls {
+		fn(e.cls[i].cond, e.cls[i].untracked)
 	}
 }
 
