@@ -56,7 +56,7 @@ func DefaultConfig() Config {
 			m + "/internal/workload",
 		},
 		ClockPkg:       m + "/internal/clock",
-		ClockRuleFuncs: []string{"Strobe", "OnStrobe", "Tick", "Send", "Receive", "MergeFrom", "MergeSparse", "Reset"},
+		ClockRuleFuncs: []string{"Strobe", "StrobeInto", "OnStrobe", "Tick", "Send", "Receive", "MergeFrom", "MergeSparse", "Reset"},
 		ObsPkg:         m + "/internal/obs",
 		NoopTypes: map[string][]string{
 			m + "/internal/obs":    {"Counter", "Gauge", "Histogram", "LocalHist", "Registry", "Span"},
@@ -83,8 +83,11 @@ func DefaultConfig() Config {
 			m + "/internal/sim.Engine.AtPri",
 			m + "/internal/sim.Engine.Step",
 			m + "/internal/clock.SparseStrobeVector.Strobe",
+			m + "/internal/clock.SparseStrobeVector.StrobeInto",
 			m + "/internal/clock.Vector.MergeSparse",
 			m + "/internal/clock.SparseStrobeVector.OnStrobe",
+			m + "/internal/core.Sensor.Sense",
+			m + "/internal/network.ShardPart.deliver",
 			m + "/internal/predicate.Incremental.Set",
 			m + "/internal/checker.Aggregator.stage",
 			m + "/internal/checker.Tree.flushAgg",

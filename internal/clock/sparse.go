@@ -108,13 +108,26 @@ func gallop(comps []uint64, from int, key uint64) int {
 // Strobe applies SVC1 and returns the sparse diff to broadcast: every
 // component that changed since this process's previous strobe, in proc
 // order, always including the freshly ticked local component. The stamp
-// is its one allocation, at the exact size the dirty count gives, filled
-// by index: the dirty words below the own proc, the own component, the
-// dirty words above it. With nothing dirty there is no walk at all.
-func (s *SparseStrobeVector) Strobe() SparseStamp {
+// is its one allocation, at the exact size the dirty count gives (see
+// StrobeInto).
+func (s *SparseStrobeVector) Strobe() SparseStamp { return s.StrobeInto(nil) }
+
+// StrobeInto is Strobe writing the stamp into dst's backing array: when
+// dst has room for it, the stamp is dst resliced and costs no allocation;
+// otherwise it is a fresh exact-size array, as Strobe's is. It is the form
+// for a sender that recycles the previous stamp of a dead strobe. The
+// stamp is filled by index: the dirty words below the own proc, the own
+// component, the dirty words above it. With nothing dirty there is no walk
+// at all.
+func (s *SparseStrobeVector) StrobeInto(dst SparseStamp) SparseStamp {
 	// SVC1: tick the own component.
 	s.own++
-	out := make(SparseStamp, 1+int(s.dirty)) //lint:allow hotpath(the stamp escapes to the caller by contract; the dirty count sizes it exactly, so it is the one allocation per strobe)
+	out := dst[:0]
+	if n := 1 + int(s.dirty); cap(out) >= n {
+		out = out[:n]
+	} else {
+		out = make(SparseStamp, n) //lint:allow hotpath(the exact-size fallback when the recycled stamp is too small, or there is none: the dirty count sizes it, so a strobe allocates at most this once)
+	}
 	own := SparseEntry{Proc: int(s.me), Val: s.own}
 	if s.dirty == 0 {
 		out[0] = own
@@ -130,7 +143,7 @@ func (s *SparseStrobeVector) Strobe() SparseStamp {
 
 // take copies the dirty words of comps into out from slot k on, in order,
 // clears their dirty bits and returns the next free slot. It stays out of
-// line: inlined at Strobe's two calls its loop spilled to the stack, and
+// line: inlined at StrobeInto's two calls its loop spilled to the stack, and
 // BenchmarkStrobeSparseFleet/long read ≈ 3.9 µs against ≈ 2.8 µs (one
 // core of a 2-vCPU Xeon).
 //

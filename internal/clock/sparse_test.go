@@ -293,6 +293,45 @@ func TestSparseStrobeEmitsSortedExactDiff(t *testing.T) {
 	}
 }
 
+// TestStrobeIntoReusesRoom: StrobeInto writes the stamp Strobe would
+// return into dst's array when dst has room — stale entries past the
+// stamp's length or in its slots included — and otherwise allocates a
+// fresh exact-size one, leaving dst as it was.
+func TestStrobeIntoReusesRoom(t *testing.T) {
+	a, b := NewSparseStrobeVector(5, 64), NewSparseStrobeVector(5, 64)
+	junk := SparseEntry{Proc: 63, Val: 99}
+	dst := SparseStamp{junk, junk, junk, junk}
+	for step, in := range []SparseStamp{
+		{{Proc: 9, Val: 3}, {Proc: 2, Val: 1}}, // three dirty words with the own: fits in 4
+		nil,                                    // the own alone
+		{{Proc: 1, Val: 1}, {Proc: 2, Val: 4}, {Proc: 7, Val: 2}, {Proc: 9, Val: 5}, {Proc: 60, Val: 1}}, // six: does not fit
+	} {
+		a.OnStrobe(in)
+		b.OnStrobe(in)
+		want := a.Strobe()
+		got := b.StrobeInto(dst)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: StrobeInto = %v, Strobe = %v", step, got, want)
+		}
+		fits := len(want) <= cap(dst)
+		if reused := &got[0] == &dst[0]; reused != fits {
+			t.Fatalf("step %d: a %d-entry stamp into a %d-cap dst reused it: %v", step, len(want), cap(dst), reused)
+		}
+		if !fits && slices.ContainsFunc(dst, func(e SparseEntry) bool { return e != junk }) {
+			t.Fatalf("step %d: a dst too small for the stamp was written: %v", step, dst)
+		}
+		for i := range dst {
+			dst[i] = junk
+		}
+	}
+	if got := b.StrobeInto(nil); !reflect.DeepEqual(got, a.Strobe()) {
+		t.Fatalf("StrobeInto(nil) = %v, want Strobe's stamp", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { dst = b.StrobeInto(dst) }); allocs != 0 {
+		t.Errorf("a clean strobe into a 4-entry dst: %.1f allocs, want 0", allocs)
+	}
+}
+
 // TestSparseOnStrobeIgnoresJunk: out-of-range procs and zero values are
 // no-ops, matching the dense merge.
 func TestSparseOnStrobeIgnoresJunk(t *testing.T) {

@@ -46,10 +46,10 @@ func (o Order) String() string {
 type Vector []uint64
 
 // NewVector returns an all-zero vector for n processes.
-func NewVector(n int) Vector { return make(Vector, n) }
+func NewVector(n int) Vector { return make(Vector, n) } //lint:allow hotpath(a constructor allocates by contract; the dense vector is the classic stack's, reached from a sense only through a local replica or a conjunct)
 
 // Clone returns an independent copy of v.
-func (v Vector) Clone() Vector { return append(Vector(nil), v...) }
+func (v Vector) Clone() Vector { return append(Vector(nil), v...) } //lint:allow hotpath(a fresh copy by contract; a sense clones only for a conjunct's interval, a classic-stack feature)
 
 // Compare returns the partial-order relation between v and w. Vectors of
 // different lengths are compared over the shorter prefix with missing

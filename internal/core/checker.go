@@ -209,8 +209,8 @@ func (c *StrobeChecker) OnStrobe(m StrobeMsg, now sim.Time) {
 	// at scale.
 	if m.Vec == nil && m.Sparse != nil && c.raceAware {
 		if c.recon == nil {
-			c.recon = make([]clock.Vector, c.n)
-			c.stampBuf = make([]clock.Vector, c.n)
+			c.recon = make([]clock.Vector, c.n)    //lint:allow hotpath(lazy, once per race-aware checker)
+			c.stampBuf = make([]clock.Vector, c.n) //lint:allow hotpath(as above)
 		}
 		if c.recon[m.Proc] == nil {
 			c.recon[m.Proc] = clock.NewVector(c.n)
@@ -237,14 +237,14 @@ func (c *StrobeChecker) OnStrobe(m StrobeMsg, now sim.Time) {
 	}
 
 	if race {
-		c.markers = append(c.markers, now)
+		c.markers = append(c.markers, now) //lint:allow hotpath(a race marker is output the run keeps, one per borderline strobe)
 		c.obsRaces.Inc()
 	}
 	if settled != c.cur {
 		if settled {
 			c.obsDetections.Inc()
 			o := Occurrence{Start: now, Borderline: race}
-			c.occ = append(c.occ, o)
+			c.occ = append(c.occ, o) //lint:allow hotpath(an occurrence is output the run keeps, one per detection)
 			if c.Notify != nil {
 				c.Notify(o)
 			}

@@ -86,6 +86,10 @@ type fleet struct {
 	kind ClockKind
 	n    int // fleet size (for fresh clocks on Rejoin)
 	fl   *flight.Recorder
+	// pool, for a DiffVectorStrobe fleet on a recycling transport, is where
+	// its strobe bodies come from and go back to (see network.Recycler);
+	// nil otherwise.
+	pool *network.BodyPool
 }
 
 // errSeqBound is the panic for a sense event past the 2^31-1 a sensor's
@@ -166,6 +170,9 @@ func NewSensors(net Receiver, cfg SensorConfig, place func(i int) Transport) []*
 	for i := 0; i < cfg.N; i++ {
 		s := &slab[i]
 		*s = Sensor{ID: int32(i), f: f, net: place(i)}
+		if r, ok := s.net.(network.Recycler); ok && cfg.Kind == DiffVectorStrobe {
+			f.pool = r.Pool()
+		}
 		if blocks != nil {
 			s.c = &blocks[i]
 			*s.c = classic{checkerIdx: cfg.CheckerIdx, localConj: cfg.LocalConj, record: cfg.Record}
@@ -217,6 +224,11 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 	var stamp clock.Vector
 	var ownClock uint64 // this sensor's logical component at the event
 	msg := StrobeMsg{Proc: id, Seq: int(s.seq), Epoch: int(s.epoch), Var: varName, Value: value}
+	// pm is the strobe inside a pooled body, when the fleet's transport
+	// recycles and no local replica reads the message after the send (a
+	// body can go back to the pool inside it).
+	var body *network.Body
+	var pm *StrobeMsg
 	switch f.kind {
 	case VectorStrobe:
 		stamp = s.c.vec.Strobe() // SVC1
@@ -226,7 +238,12 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 		msg.Scalar = s.c.sc.Strobe() // SSC1
 		ownClock = msg.Scalar
 	case DiffVectorStrobe:
-		msg.Sparse = s.sparse.Strobe() // SVC1 with differential wire format
+		var dst clock.SparseStamp
+		if f.pool != nil && s.Local == nil {
+			body, pm = network.GetBody[StrobeMsg](f.pool)
+			dst = pm.Sparse // the dead strobe's stamp array
+		}
+		msg.Sparse = s.sparse.StrobeInto(dst) // SVC1 with differential wire format
 		ownClock = s.sparse.OwnClock()
 		// Materializing the full vector is O(n); only pay for it when a
 		// consumer actually wants dense stamps — the run record or the
@@ -244,7 +261,13 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 		}, flight.Stamp{Seq: uint64(s.seq)}))
 	}
 	if f.kind != PhysicalReport {
-		s.net.BroadcastBody(id, network.NewBody(msg, flight.Stamp{Epoch: s.epoch, Seq: uint64(s.seq), Clock: ownClock}))
+		st := flight.Stamp{Epoch: s.epoch, Seq: uint64(s.seq), Clock: ownClock}
+		if pm != nil {
+			*pm, body.Stamp = msg, st
+		} else {
+			body = network.NewBody(msg, st)
+		}
+		s.net.BroadcastBody(id, body)
 		if s.Local != nil {
 			s.Local.OnStrobe(msg, now)
 		}
@@ -261,7 +284,7 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 			c.vals[varName] = value
 		}
 		if c.record {
-			c.senses = append(c.senses, flight.Event{
+			c.senses = append(c.senses, flight.Event{ //lint:allow hotpath(the run record keeps every sense by contract; only a fleet built with Record has it)
 				Kind: flight.Sense.String(), Proc: id, At: now, Peer: int(flight.NoPeer),
 				Epoch: int(s.epoch), Seq: uint64(s.seq), Attr: varName, Value: value,
 				Clock: ownClock, Vector: stamp,
@@ -278,7 +301,7 @@ func (s *Sensor) trackConjunct(now sim.Time, stamp clock.Vector) {
 	if c.localConj == nil {
 		return
 	}
-	holds := c.localConj.Holds(localState{proc: int(s.ID), vals: c.vals})
+	holds := c.localConj.Holds(localState{proc: int(s.ID), vals: c.vals}) //lint:allow hotpath(the conjunct is a classic-stack feature: only a fleet built with LocalConj evaluates it)
 	switch {
 	case holds && !c.conjOpen:
 		c.conjOpen = true

@@ -233,8 +233,8 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 				hosted[ev.Object].Sense(ev.At, "p", ev.New)
 			}
 		})
-		workload.InstallRange(sh.Engine(k), w, h.Events, base, end)
 		w.LogBelow(cfg.Pilot - base)
+		workload.InstallRange(sh.Engine(k), w, h.Events, base, end)
 	}
 
 	if cfg.CheckerFanout >= 2 {

@@ -67,6 +67,8 @@ type Dump struct {
 // ordered by (At, Proc, intra-ring order), which is deterministic for
 // any one execution: the DES is single-threaded, and in live mode each
 // ring is already in that process's program order.
+//
+//lint:allow hotpath(a dump is built once per trigger — a detection, a fault, a signal — off the per-event path)
 func (r *Recorder) Snapshot(trigger string, at sim.Time, procs ...int) *Dump {
 	if r == nil {
 		return nil

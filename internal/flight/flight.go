@@ -227,7 +227,7 @@ func (r *Recorder) Intern(name string) uint32 {
 		return id
 	}
 	id = uint32(len(r.names))
-	r.names = append(r.names, name)
+	r.names = append(r.names, name) //lint:allow hotpath(a name interned for the first time; every later call finds it under the read lock)
 	r.ids[name] = id
 	return id
 }
@@ -310,6 +310,8 @@ func (g *ring) put(rec Rec) {
 
 // snapRing copies one ring's contents oldest-first (caller holds the
 // lock in concurrent mode).
+//
+//lint:allow hotpath(a dump's copy: it runs once per trigger, off the per-event path)
 func (g *ring) snap(out []Rec) []Rec {
 	if g.total >= uint64(len(g.buf)) {
 		out = append(out, g.buf[g.next:]...)

@@ -365,9 +365,9 @@ func (nw *Network) transmit(m network.Message) {
 		nw.record(flight.Drop, m)
 		return
 	}
-	time.AfterFunc(d.Std(), func() { nw.arrive(m) })
+	time.AfterFunc(d.Std(), func() { nw.arrive(m) }) //lint:allow hotpath(the live engine delivers each copy on a wall-clock timer of its own; it is not the DES kernel)
 	if d2, dup := network.DupDelay(nw.fault, nw.cfg.Delay, nw.rng, m.Src, m.Dst, now); dup {
-		time.AfterFunc(d2.Std(), func() { nw.arrive(m) })
+		time.AfterFunc(d2.Std(), func() { nw.arrive(m) }) //lint:allow hotpath(the duplicate's timer, as above)
 	}
 }
 

@@ -1,0 +1,156 @@
+package network
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"pervasive/internal/faults"
+	"pervasive/internal/flight"
+	"pervasive/internal/sim"
+)
+
+// serialMsg is a payload that names the send it belongs to.
+type serialMsg struct{ serial int }
+
+func (*serialMsg) WireSize() int { return 8 }
+func (*serialMsg) Kind() string  { return "serial" }
+
+var _ Recycler = (*ShardPart)(nil)
+
+// TestBodiesReleasedOnce: every pooled body a recycling transport sends
+// goes back to the pool exactly once, and only after its last scheduled
+// copy has landed — under crashes (suppressed sends and arrival drops),
+// partition cuts, link loss, and duplicate and reorder windows, at S ∈
+// {1, 4} shards run by 1 or 4 workers. The bodies come from a pool the
+// transport never returns to, so none is reused and each release is seen
+// against the one send it belongs to.
+func TestBodiesReleasedOnce(t *testing.T) {
+	const side, n, rounds = 8, 64, 60
+	plan := faults.NewPlan().
+		Crash(5, 100).Recover(5, 300). // sends from 5 are suppressed, copies to it die on arrival
+		Crash(12, 150).                // for good
+		Crash(n, 420).Recover(n, 460). // the checker, which every sensor reaches
+		Partition([][]int{intRange(0, 32), intRange(32, n+1)}, 200, 400).
+		Duplicate(250, 600, 0.5).
+		Reorder(350, 700, 10)
+	delay := sim.WithLoss{Inner: sim.DeltaBounded{Min: 2, Max: 6}, P: 0.1}
+	for _, shards := range []int{1, 4} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("S=%d/W=%d", shards, workers), func(t *testing.T) {
+				smap := ShardMap{Procs: n + 1, Shards: shards}
+				sh := sim.NewShards(shards, sim.MinDelayBound(delay), 7)
+				sh.SetWorkers(workers)
+				sn := NewSharded(sh, Grid{Rows: side, Cols: side}, delay, smap, 7)
+				sn.NeighborScope = true
+				sn.AlwaysReach = []int{n}
+				in := faults.NewInjector(plan)
+				sn.SetFaults(in)
+
+				var mu sync.Mutex
+				released := make(map[int]int)
+				delivered := 0
+				sn.pool.onPut = func(b *Body) {
+					mu.Lock()
+					released[b.Payload.(*serialMsg).serial]++
+					mu.Unlock()
+				}
+				for i := 0; i <= n; i++ {
+					sn.Register(i, func(m Message, _ sim.Time) {
+						serial := m.Payload.(*serialMsg).serial
+						mu.Lock()
+						defer mu.Unlock()
+						delivered++
+						if released[serial] > 0 {
+							t.Errorf("a copy of send %d landed after its body was released", serial)
+						}
+					})
+				}
+				var fresh BodyPool // never released into: every body is new
+				for i := 0; i <= n; i++ {
+					part := sn.Part(smap.Of(i))
+					for r := 1; r <= rounds; r++ {
+						serial := i*rounds + r
+						sh.Engine(smap.Of(i)).At(sim.Time(10*r+i%7), func(sim.Time) {
+							b, p := GetBody[serialMsg](&fresh)
+							p.serial, b.Stamp = serial, flight.Stamp{Seq: uint64(serial)}
+							if r%4 == 0 && i < n {
+								part.SendBody(i, n, b)
+							} else {
+								part.BroadcastBody(i, b)
+							}
+						})
+					}
+				}
+				sh.RunAll()
+
+				for i := 0; i <= n; i++ {
+					for r := 1; r <= rounds; r++ {
+						if got := released[i*rounds+r]; got != 1 {
+							t.Fatalf("send %d of process %d: body released %d times, want 1", r, i, got)
+						}
+					}
+				}
+				if len(released) != (n+1)*rounds {
+					t.Fatalf("%d bodies released, want %d", len(released), (n+1)*rounds)
+				}
+				st := sn.TotalStats()
+				if int64(delivered) != st.Delivered {
+					t.Fatalf("handlers saw %d copies, transport delivered %d", delivered, st.Delivered)
+				}
+				for _, c := range []struct {
+					name string
+					v    int64
+				}{
+					{"suppressed sends", in.Counts.SuppressedSends.Load()},
+					{"crash drops", in.Counts.CrashDrops.Load()},
+					{"partition drops", in.Counts.PartitionDrops.Load()},
+					{"duplicates", in.Counts.Duplicates.Load()},
+					{"reorders", in.Counts.Reorders.Load()},
+					{"losses", st.Dropped - in.Counts.CrashDrops.Load() - in.Counts.PartitionDrops.Load()},
+				} {
+					if c.v == 0 {
+						t.Errorf("the plan produced no %s: the run does not cover them", c.name)
+					}
+				}
+			})
+		}
+	}
+}
+
+func intRange(lo, hi int) []int {
+	out := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// TestGetBody: a pooled body comes back unstamped, marked pooled and
+// unsent, with the payload it carried last; a pooled body of another
+// payload type is not handed out as this one.
+func TestGetBody(t *testing.T) {
+	var pool BodyPool
+	b, p := GetBody[serialMsg](&pool)
+	if b.Payload != Payload(p) || b.state != pooledBit || p.serial != 0 {
+		t.Fatalf("a new pooled body: payload %v (want %v), state %#x, serial %d", b.Payload, p, b.state, p.serial)
+	}
+	p.serial, b.Stamp = 9, flight.Stamp{Seq: 9}
+	b.Seal(0, 1)
+	b.state = sentBit | pooledBit // every copy landed
+	pool.release(b)
+	again, q := GetBody[serialMsg](&pool)
+	if again.Stamp != (flight.Stamp{}) || again.state != pooledBit {
+		t.Fatalf("a recycled body: stamp %+v, state %#x; want it unstamped and unsent", again.Stamp, again.state)
+	}
+	if again == b && q.serial != 9 {
+		t.Fatalf("the recycled body carries serial %d, want the 9 it was released with", q.serial)
+	}
+
+	other := NewBody(Raw{K: "raw"}, flight.Stamp{})
+	other.state = sentBit | pooledBit
+	pool.release(other)
+	if b, p := GetBody[serialMsg](&pool); b == other || b.Payload != Payload(p) {
+		t.Fatal("a pooled body of another payload type came back as a serialMsg body")
+	}
+}

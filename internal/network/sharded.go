@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"pervasive/internal/faults"
 	"pervasive/internal/obs"
@@ -57,6 +58,10 @@ type ShardedNet struct {
 	AlwaysReach   []int
 
 	fault *faults.Injector
+
+	// pool takes back the bodies senders drew from it with GetBody, each
+	// when its last copy lands (see ShardPart.land).
+	pool BodyPool
 }
 
 // ShardPart is one shard's sending surface. It satisfies core.Transport:
@@ -91,6 +96,9 @@ func NewSharded(sh *sim.Shards, topo Topology, delay sim.DelayModel, smap ShardM
 	if smap.Procs < topo.N() {
 		panic("network: shard map smaller than topology")
 	}
+	if smap.Procs > copyMask/2 { // a body's copies, duplicates included, must fit its count
+		panic("network: shard map past the per-body copy count")
+	}
 	sn := &ShardedNet{
 		sh: sh, topo: topo, delay: delay, smap: smap,
 		parts:    make([]*ShardPart, sh.N()),
@@ -113,6 +121,10 @@ func NewSharded(sh *sim.Shards, topo Topology, delay sim.DelayModel, smap ShardM
 
 // N returns the number of processes.
 func (sn *ShardedNet) N() int { return len(sn.handlers) }
+
+// Pool returns the pool the transport recycles bodies through; every part
+// shares it (Recycler).
+func (p *ShardPart) Pool() *BodyPool { return &p.owner.pool }
 
 // Part returns shard k's sending facade.
 func (sn *ShardedNet) Part(k int) *ShardPart { return sn.parts[k] }
@@ -167,7 +179,7 @@ func (p *ShardPart) N() int { return p.owner.N() }
 // one-destination case of send. Returns the message ID, or 0 when a fault
 // plan has src crashed.
 func (p *ShardPart) SendBody(src, dst int, b *Body) uint64 {
-	p.dsts = append(p.dsts[:0], dst)
+	p.dsts = append(p.dsts[:0], dst) //lint:allow hotpath(the per-part destination scratch: it grows to the widest send once and is reused)
 	return p.send(src, -1, b)
 }
 
@@ -185,10 +197,10 @@ func (p *ShardPart) BroadcastBody(src int, b *Body) uint64 {
 	sn := p.owner
 	dsts := p.dsts[:0]
 	if sn.NeighborScope && src < sn.topo.N() {
-		dsts = append(sn.topo.AppendNeighbors(dsts, src), sn.AlwaysReach...)
+		dsts = append(sn.topo.AppendNeighbors(dsts, src), sn.AlwaysReach...) //lint:allow hotpath(the per-part destination scratch: it grows to the widest broadcast once and is reused)
 	} else {
 		for dst := 0; dst < sn.N(); dst++ {
-			dsts = append(dsts, dst)
+			dsts = append(dsts, dst) //lint:allow hotpath(the same scratch)
 		}
 	}
 	p.dsts = dsts
@@ -199,44 +211,61 @@ func (p *ShardPart) BroadcastBody(src int, b *Body) uint64 {
 // returns its ID, the first priority key minted (0 when src is crashed or
 // nothing was addressed). Every copy shares b, so a copy costs no
 // allocation; Sent, Bytes and ByKind are bumped once, by the copy count.
+// b's count of outstanding copies is the deliveries scheduled — a
+// duplicate counts, a copy lost on the link does not — set once they all
+// are, since none can land before this event returns (same-shard copies
+// run after it, cross-shard ones after the epoch's barrier). A send that
+// scheduled nothing, a suppressed one included, releases b at once.
 func (p *ShardPart) send(src, skip int, b *Body) uint64 {
 	sn := p.owner
 	now := p.eng.Now()
 	b.Seal(src, now)
 	if suppressed(sn.fault, src, now) {
+		sn.pool.release(b)
 		return 0
 	}
+	var id uint64
 	var copies int64
+	scheduled := uint32(0)
 	for _, dst := range p.dsts {
 		if dst == skip {
 			continue
 		}
 		pri := sn.priFor(src)
 		if copies == 0 {
+			id = pri
 			b.id = pri
 		}
-		p.transmit(b, src, dst, pri, now)
+		scheduled += p.transmit(b, src, dst, pri, now)
 		copies++
 	}
 	p.Stats.CountSends(b.Payload, copies)
-	return b.id
+	if scheduled == 0 {
+		sn.pool.release(b)
+	} else {
+		b.state += scheduled
+	}
+	return id
 }
 
 // transmit samples the link delay of one copy from the source's own stream
 // and schedules its delivery under key pri; inside a duplicate window it
-// may schedule a second delivery under a freshly minted key.
-func (p *ShardPart) transmit(b *Body, src, dst int, pri uint64, now sim.Time) {
+// may schedule a second delivery under a freshly minted key. It returns
+// the deliveries it scheduled: 0 for a copy lost on the link, 1, or 2.
+func (p *ShardPart) transmit(b *Body, src, dst int, pri uint64, now sim.Time) uint32 {
 	sn := p.owner
 	r := &sn.rngs[src]
 	d, ok := LinkDelay(sn.fault, sn.delay, r, src, dst, now)
 	if !ok {
 		p.Stats.Dropped++
-		return
+		return 0
 	}
 	p.schedule(b, dst, now+d, pri)
 	if d2, dup := DupDelay(sn.fault, sn.delay, r, src, dst, now); dup {
 		p.schedule(b, dst, now+d2, sn.priFor(src))
+		return 2
 	}
+	return 1
 }
 
 // schedule puts one delivery of body to dst on dst's shard: same shard
@@ -252,14 +281,26 @@ func (p *ShardPart) schedule(body *Body, dst int, at sim.Time, pri uint64) {
 }
 
 // deliver runs at the destination shard: body is the *Body the copy was
-// scheduled with, dst the process it is addressed to.
+// scheduled with, dst the process it is addressed to. The copy lands
+// after the handler returns, or at once when dst is crashed.
 func (p *ShardPart) deliver(now sim.Time, body any, dst int) {
 	sn := p.owner
-	if p.Stats.CrashDropped(sn.fault, dst, now) {
-		return
+	b := body.(*Body)
+	if !p.Stats.CrashDropped(sn.fault, dst, now) {
+		p.Stats.Delivered++
+		if h := sn.handlers[dst]; h != nil {
+			h(b.Message(dst), now)
+		}
 	}
-	p.Stats.Delivered++
-	if h := sn.handlers[dst]; h != nil {
-		h(body.(*Body).Message(dst), now)
+	sn.land(b)
+}
+
+// land retires one scheduled copy of b and, when it was the last copy of
+// a pooled body, puts b back in the pool. The count is atomic: under
+// Workers > 1 the copies of one body land on different shards in the same
+// epoch.
+func (sn *ShardedNet) land(b *Body) {
+	if atomic.AddUint32(&b.state, ^uint32(0)) == sentBit|pooledBit {
+		sn.pool.release(b)
 	}
 }

@@ -38,11 +38,11 @@ type Message struct {
 // Body is one logical send: what every link-level copy of it shares, on
 // every transport — the Message less its destination. The sender fills
 // Payload and Stamp (NewBody builds both in the one allocation a send
-// costs); the transport sets the id, source and send time when it sends.
-// From then on the body is immutable, because copies on other shards read
-// it concurrently, so each body is sent once: a second SendBody or
-// BroadcastBody of it panics. Each copy is the event (fire, body, dst) and
-// costs no allocation of its own.
+// costs; a BodyPool hands out a recycled one); the transport sets the id,
+// source and send time when it sends. From then on the body is immutable,
+// because copies on other shards read it concurrently, so each body is
+// sent once: a second SendBody or BroadcastBody of it panics. Each copy is
+// the event (fire, body, dst) and costs no allocation of its own.
 type Body struct {
 	Payload Payload
 	// Stamp is the payload's logical identity, carried into every copy's
@@ -52,8 +52,17 @@ type Body struct {
 	id     uint64
 	sentAt sim.Time
 	src    int32
-	sent   bool
+	// state is the body's life in one word: sentBit once sealed, pooledBit
+	// on a body from a BodyPool, and below them the copies a recycling
+	// transport has scheduled and not yet landed (see ShardPart.land).
+	state uint32
 }
+
+const (
+	sentBit   = 1 << 31
+	pooledBit = 1 << 30
+	copyMask  = pooledBit - 1 // the outstanding-copy count of state
+)
 
 // NewBody returns a body carrying a copy of p and its logical identity st.
 // The body and the copy are one allocation, and Payload points at the
@@ -63,7 +72,7 @@ func NewBody[P any, PP interface {
 	*P
 	Payload
 }](p P, st flight.Stamp) *Body {
-	b := &struct {
+	b := &struct { //lint:allow hotpath(a send's one allocation by contract: senders on a transport that does not recycle, and a BodyPool that is empty — the first bodies of a run, and those a collection cleared)
 		Body
 		p P
 	}{Body: Body{Stamp: st}, p: p}
@@ -75,10 +84,10 @@ func NewBody[P any, PP interface {
 // a suppressed send included — and panics if b was sent before. The DES
 // transports then set the message ID; the live engine's copies carry none.
 func (b *Body) Seal(src int, now sim.Time) {
-	if b.sent {
+	if b.state&sentBit != 0 {
 		panic("network: a body is sent once")
 	}
-	b.src, b.sentAt, b.sent = int32(src), now, true
+	b.src, b.sentAt, b.state = int32(src), now, b.state|sentBit
 }
 
 // Message materialises the copy of b addressed to dst, at delivery.
@@ -87,7 +96,15 @@ func (b *Body) Message(dst int) Message {
 	return Message{ID: b.id, Src: src, From: src, Dst: dst, SentAt: b.sentAt, Payload: b.Payload, Stamp: b.Stamp}
 }
 
-// Handler receives delivered messages at a process.
+// Handler receives delivered messages at a process. On a recycling
+// transport (see Recycler) a handler must not keep m.Payload, or anything
+// it points to, after it returns: the body behind it goes back to its pool
+// once its last copy has landed, and the next send overwrites it. A
+// handler that needs the content later copies it, as every handler the
+// sharded stack registers does. network.Net and the live engine never
+// reuse a body, and two classic-stack handlers rely on it: the
+// conjunctive checker queues the interval stamps it receives, and the
+// flat checker keeps a dense strobe's stamp as the sender's last.
 type Handler func(m Message, now sim.Time)
 
 // DeliveryPri is the event priority of message deliveries on the

@@ -47,8 +47,8 @@ func (v *View) NumProcs() int { return v.n }
 func (v *View) Set(proc int, name string, x float64) (prev float64) {
 	col := v.Column(name)
 	if col == nil {
-		col = make([]float64, v.n)
-		v.cols = append(v.cols, viewColumn{name, col})
+		col = make([]float64, v.n)                     //lint:allow hotpath(a variable's column, made on its first Set and reused by every later one)
+		v.cols = append(v.cols, viewColumn{name, col}) //lint:allow hotpath(as above)
 	}
 	prev, col[proc] = col[proc], x
 	return prev

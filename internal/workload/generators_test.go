@@ -233,6 +233,49 @@ func TestInstallPumpEquivalence(t *testing.T) {
 	}
 }
 
+// TestInstallSizesTheLogOnce: a pump sizes the world's ground-truth log
+// for the events it will record — those of its range below the world's
+// LogBelow bound — so the run appends into one array and never regrows it.
+func TestInstallSizesTheLogOnce(t *testing.T) {
+	const horizon = sim.Second
+	evs := TogglerFleet{Seed: 3, N: 8, Attr: "p",
+		MeanHigh: 20 * sim.Millisecond, MeanLow: 30 * sim.Millisecond}.Events(horizon)
+	for _, tc := range []struct {
+		name          string
+		lo, hi, bound int
+		install       func(*sim.Engine, *world.World)
+	}{
+		{"Install", 0, 8, 8, func(eng *sim.Engine, w *world.World) { Install(eng, w, evs) }},
+		{"InstallRange below a bound", 2, 6, 3, func(eng *sim.Engine, w *world.World) { InstallRange(eng, w, evs, 2, 6) }},
+	} {
+		eng := sim.NewEngine(1)
+		w := world.New(eng)
+		for range tc.hi - tc.lo {
+			w.AddObject("", nil)
+		}
+		w.LogBelow(tc.bound)
+		tc.install(eng, w)
+		want := 0
+		for _, ev := range evs {
+			if ev.Obj >= tc.lo && ev.Obj < tc.hi && ev.Obj-tc.lo < tc.bound {
+				want++
+			}
+		}
+		sized := cap(w.Log())
+		if sized < want {
+			t.Fatalf("%s: log sized for %d events, the run records %d", tc.name, sized, want)
+		}
+		first := &w.Log()[:1][0]
+		eng.Run(horizon)
+		if got := len(w.Log()); got != want {
+			t.Fatalf("%s: %d events logged, want %d", tc.name, got, want)
+		}
+		if cap(w.Log()) != sized || &w.Log()[0] != first {
+			t.Fatalf("%s: the log regrew from %d to %d slots during the run", tc.name, sized, cap(w.Log()))
+		}
+	}
+}
+
 func TestCombineMergesCanonically(t *testing.T) {
 	const horizon = sim.Second
 	a := TogglerFleet{Seed: 1, N: 2, Attr: "p",

@@ -108,7 +108,9 @@ func (c combined) Events(horizon sim.Time) []Event {
 //
 // evs must be canonically ordered and must not start before the engine's
 // current time. A run driven by Install is exactly reproducible from evs:
-// replaying a recorded stream re-creates the original execution.
+// replaying a recorded stream re-creates the original execution. The
+// world's ground-truth log is sized once for the events it will record
+// (see world.ReserveLog), so set any LogBelow bound before installing.
 func Install(eng *sim.Engine, w *world.World, evs []Event) {
 	InstallRange(eng, w, evs, 0, math.MaxInt)
 }
@@ -125,6 +127,13 @@ func InstallRange(eng *sim.Engine, w *world.World, evs []Event, lo, hi int) {
 	if i == len(evs) {
 		return
 	}
+	logged := 0
+	for j := i; j < len(evs); j++ {
+		if o := evs[j].Obj; o >= lo && o < hi && w.Logs(o-lo) {
+			logged++
+		}
+	}
+	w.ReserveLog(logged)
 	var step func(now sim.Time)
 	step = func(sim.Time) {
 		ev := &evs[i]

@@ -13,6 +13,7 @@ package world
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pervasive/internal/sim"
@@ -192,6 +193,17 @@ func (w *World) SubscribeAll(l Listener) { w.all = append(w.all, l) }
 // Log returns the ground-truth event log so far. The returned slice is the
 // live log; callers must not modify it.
 func (w *World) Log() []Event { return w.log }
+
+// Logs reports whether an event of obj enters the ground-truth log (see
+// LogBelow).
+func (w *World) Logs(obj int) bool { return obj < w.logBound }
+
+// ReserveLog makes room in the ground-truth log for n events beyond those
+// it holds and already has room for, so a pump that knows the stream it
+// installs sizes the log once instead of regrowing it by appends.
+func (w *World) ReserveLog(n int) {
+	w.log = slices.Grow(w.log, cap(w.log)-len(w.log)+n)
+}
 
 // LogBelow restricts ground-truth recording, from now on, to objects with
 // id < n; listeners still fire for every object. Sharded scale runs bound
