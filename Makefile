@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-race fuzz-smoke race-live bench-obs bench-smoke bench bench-pairs tables-diff
+.PHONY: check build vet lint loc test test-race fuzz-smoke race-live bench-obs bench-smoke bench bench-pairs tables-diff
 
 check: build vet lint bench-smoke test-race
 
@@ -77,6 +77,13 @@ lint:
 	$(GO) run ./cmd/pervalint ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
+
+# The size scoreboard (ROADMAP item 2): non-test Go lines, the benchmark's
+# build directory left out, and the non-test //lint:allow waivers outside
+# the linter's own package and fixtures. CI's lint job prints both.
+loc:
+	@echo "non-test Go lines: $$(find . -path ./.bench_build -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "non-test //lint:allow: $$(grep -rn '//lint:allow [a-z]*(' --include='*.go' . | grep -v '_test.go' | grep -v '/testdata/' | grep -v '^./internal/analysis/' | grep -v '^./.bench_build' | wc -l)"
 
 test:
 	$(GO) test ./...

@@ -95,7 +95,10 @@ const (
 
 // ---- detection harness ----
 
-// Harness wires world plane, network plane, sensor fleet and checker.
+// Harness wires world plane, network plane, sensor fleet and checker on
+// the discrete-event kernel: without HarnessConfig.Workload, on one engine
+// with the world plane the caller binds; with a fleet workload, over
+// HarnessConfig.Shards lockstep engines.
 type (
 	Harness       = core.Harness
 	HarnessConfig = core.HarnessConfig

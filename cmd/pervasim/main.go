@@ -22,7 +22,8 @@
 // -trace, -record and -replay. Office and scale have their own
 // constructors with fixed clocks and refuse -kind, -epsilon and -trace;
 // scale records and replays its fleet workload, while the office, whose
-// thermostat walk reads what actuation writes, has none to record.
+// thermostat walk reads what actuation writes, has none to record. Scale
+// also refuses -flight: the recorder is single-writer.
 package main
 
 import (
@@ -56,12 +57,27 @@ func main() {
 var ownConstructor = map[string]string{
 	"office": "office runs fixed strobe-vector clocks, and its thermostat walk reads what " +
 		"actuation writes: a closed loop, with no materialized workload to trace, record or replay",
-	"scale": "scale runs fixed strobe-diff-vector clocks on the sharded kernel, which keeps no event trace",
+	"scale": "scale runs fixed strobe-diff-vector clocks on network.ShardedNet, which keeps no event trace",
 }
 
 // run executes one pervasim invocation and returns its exit status: 0 on
 // success, 2 on a usage or run error (printed to stderr).
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	// A -faults plan naming a process outside the fleet is refused where the
+	// fleet's size is first known for every scenario — a builder scenario
+	// sizes it from its workload — by the harness constructor's range check
+	// (faults.Plan.Check, run in core.ScheduleFaults). That refusal is a
+	// usage error; any other panic goes on.
+	defer func() {
+		if r := recover(); r != nil {
+			msg, ok := r.(string)
+			if !ok || !strings.HasPrefix(msg, "core: fault plan") {
+				panic(r)
+			}
+			fmt.Fprintln(stderr, "pervasim: -faults:", strings.TrimPrefix(msg, "core: "))
+			code = 2
+		}
+	}()
 	fs := flag.NewFlagSet("pervasim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -80,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tracePath   = fs.String("trace", "", "write the run record, every stamped sense event as a JSONL flight dump, to this file (not office, scale)")
 		metricsPath = fs.String("metrics", "", "write a runtime-metrics JSON snapshot to this file and a table to stderr")
 		faultsSpec  = fs.String("faults", "", "fault plan, e.g. 'crash(1,20s);recover(1,40s);partition(0.1|2,10s,30s)'")
-		flightDir   = fs.String("flight", "", "attach the flight recorder; write trigger-scoped dumps (JSONL) into this directory")
+		flightDir   = fs.String("flight", "", "attach the flight recorder; write trigger-scoped dumps (JSONL) into this directory (not scale)")
 		flightK     = fs.Int("flight-k", flight.DefaultPerProc, "flight recorder capacity: last K events kept per process")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060")
 		sensors     = fs.Int("sensors", 1024, "scale: fleet size")
@@ -160,6 +176,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			usage = fmt.Errorf("-%s applies only to builder-wired scenarios; %s", f.Name, own)
 		case effScen == "office" && (f.Name == "record" || f.Name == "replay"):
 			usage = fmt.Errorf("-%s: %s", f.Name, own)
+		case effScen == "scale" && (f.Name == "flight" || f.Name == "flight-k"):
+			usage = fmt.Errorf("-%s: the flight recorder is single-writer; scale runs a fleet on network.ShardedNet", f.Name)
 		}
 	})
 	if usage != nil {
@@ -195,22 +213,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	rc := scenario.Run{
 		Seed: *seed, Kind: kind, Delay: delay, Epsilon: dur(*epsilon), Horizon: hz,
-		Workload: replaySrc, Record: *tracePath != "", Obs: reg, FlightPerProc: perProc,
+		Workload: replaySrc, Record: *tracePath != "", Obs: reg, Faults: plan, FlightPerProc: perProc,
 	}
 
 	var (
 		res core.Results
 		// describe returns the report's scenario lines, read after the run.
 		describe func() string
-		// wired is a builder-wired scenario; harness the classic harness
-		// of every scenario but scale, kept for the flight-dump export.
-		wired   *scenario.Wired
+		// harness is the scenario's, kept for the run record and the
+		// flight-dump export.
 		harness *core.Harness
 		// recorded is the run's materialized workload, written out when
 		// -record is set.
 		recorded []workload.Event
 		recSeed  = *seed
-		clocks   = kind
 	)
 	switch effScen {
 	case "spec":
@@ -227,7 +243,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		wired, recSeed = &sr.Wired, sp.Seed
+		harness, recorded, recSeed = sr.Harness, sr.Events, sp.Seed
 		describe = func() string {
 			return fmt.Sprintf("spec: %s — %d generators over %d objects, %d workload events\npredicate: %s",
 				*specPath, len(sp.Gens), len(sr.Objects), len(sr.Events), sp.Predicate)
@@ -236,43 +252,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		hl := scenario.NewHall(scenario.HallConfig{
 			Run: rc, Doors: *doors, Capacity: *capacity, InitialOccupancy: *initial,
 		})
-		wired = &hl.Wired
+		harness, recorded = hl.Harness, hl.Events
 		describe = func() string { return fmt.Sprintf("predicate: %s", scenario.OccupancyPredicate(*capacity)) }
 	case "hospital":
 		hp := scenario.NewHospital(scenario.HospitalConfig{Run: rc, Alarm: *alarm})
-		wired = &hp.Wired
+		harness, recorded = hp.Harness, hp.Events
 		describe = func() string { return fmt.Sprintf("alarm: %s, raised: %d", *alarm, hp.Alarms) }
 	case "habitat":
-		wired = &scenario.NewHabitat(scenario.HabitatConfig{Run: rc}).Wired
+		hb := scenario.NewHabitat(scenario.HabitatConfig{Run: rc})
+		harness, recorded = hb.Harness, hb.Events
 		describe = func() string { return "predicate: herd congregation (≥2 waterholes occupied)" }
 	case "proximity":
 		px := scenario.NewProximity(scenario.ProximityConfig{Run: rc})
-		wired = &px.Wired
+		harness, recorded = px.Harness, px.Events
 		describe = func() string {
 			return fmt.Sprintf("predicate: visitor within %gm of patient; alarms: %d", px.Cfg.Radius, px.Alarms)
 		}
 	case "office":
 		of := scenario.NewOffice(scenario.OfficeConfig{
 			Seed: *seed, Rooms: 1, Modality: mod, Delay: delay,
-			Horizon: hz, Actuate: true, Obs: reg, FlightPerProc: perProc,
+			Horizon: hz, Actuate: true, Obs: reg, Faults: plan, FlightPerProc: perProc,
 		})
-		harness, clocks = of.Harness, of.Harness.Cfg.Kind
+		harness = of.Harness
 		describe = func() string { return fmt.Sprintf("modality: %v, thermostat actuations: %d", mod, of.Actuations) }
 	case "scale":
-		if err := plan.Check(*sensors); err != nil {
-			return fail(fmt.Errorf("-faults: %w", err))
-		}
 		sc := scenario.NewScale(scenario.ScaleConfig{
 			Seed: *seed, N: *sensors, Shards: *shards, Workers: *workers,
 			Delay: delay, Horizon: hz, CheckerFanout: *checkerFan, Workload: replaySrc,
 			Faults: plan, Obs: reg,
 		})
-		recorded, clocks = sc.Harness.Events, core.DiffVectorStrobe
-		sr := sc.Run()
-		res = sr.Results
+		harness, recorded = sc.Harness, sc.Harness.Events
 		describe = func() string {
 			s := fmt.Sprintf("fleet: %d sensors over %d shard(s), %d epochs, %d cross-shard msgs, %.1f KB clock state",
-				*sensors, *shards, sr.Epochs, sr.CrossSent, float64(sr.ClockBytes)/1024)
+				*sensors, *shards, res.Epochs, res.CrossSent, float64(res.ClockBytes)/1024)
 			if tree := sc.Harness.Tree; tree != nil {
 				s += fmt.Sprintf("\nchecker tree: %d regions, %d batches (%d triples, %d coalesced), %.1f KB sync wire",
 					tree.Fanout(), tree.Stat.Batches, tree.Stat.BatchTriples,
@@ -283,19 +295,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		return fail(fmt.Errorf("unknown scenario %q", *scen))
 	}
-	if wired != nil {
-		harness, recorded = wired.Harness, wired.Events
-	}
-	if harness != nil {
-		if err := plan.Check(len(harness.Sensors)); err != nil {
-			return fail(fmt.Errorf("-faults: %w", err))
-		}
-		harness.InstallFaults(plan)
-		res = harness.Run()
-	}
+	res = harness.Run()
 
 	fmt.Fprintf(stdout, "scenario: %s  clocks: %v  Δ: %v  seed: %d  horizon: %v\n",
-		effScen, clocks, *delta, recSeed, hz)
+		effScen, harness.Cfg.Kind, *delta, recSeed, hz)
 	fmt.Fprintln(stdout, describe())
 	fmt.Fprintf(stdout, "true occurrences:     %d\n", len(res.Truth))
 	fmt.Fprintf(stdout, "detected occurrences: %d (%d borderline)\n",
@@ -347,7 +350,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "workload: %d events recorded to %s\n", len(recorded), *recordPath)
 	}
 
-	if *flightDir != "" && harness != nil {
+	if *flightDir != "" {
 		if err := os.MkdirAll(*flightDir, 0o755); err != nil {
 			return fail(err)
 		}

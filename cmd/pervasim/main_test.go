@@ -35,6 +35,8 @@ func TestRefusedFlags(t *testing.T) {
 		{[]string{"-scenario", "scale", "-kind", "physical"}, []string{"-kind", "scale", "strobe-diff-vector"}},
 		{[]string{"-scenario", "scale", "-epsilon", "1us"}, []string{"-epsilon", "scale"}},
 		{[]string{"-scenario", "scale", "-trace", "t.json"}, []string{"-trace", "scale"}},
+		// The flight recorder is single-writer; a fleet does not feed it.
+		{[]string{"-scenario", "scale", "-flight", "dumps"}, []string{"-flight", "scale", "single-writer"}},
 		// The office's closed loop has no workload to record or replay.
 		{[]string{"-scenario", "office", "-record", "w.pvwl"}, []string{"-record", "office", "closed loop"}},
 		{[]string{"-scenario", "office", "-replay", "w.pvwl"}, []string{"-replay", "office", "closed loop"}},
@@ -167,5 +169,41 @@ func TestReplayRefusesObjectsOutsideTheFleet(t *testing.T) {
 		if code != 2 || out != "" || !strings.Contains(errb, tc.want) || strings.Count(errb, "\n") != 1 {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2, no report and one line naming %q", tc.args, code, out, errb, tc.want)
 		}
+	}
+}
+
+// TestFaultsReachBuilderScenarios: a -faults plan travels in the builder's
+// run config to the harness. A crash/recover plan on hall changes what the
+// network carries and adds the report's faults line; a plan naming a
+// process outside the fleet, whose size the builder takes from the
+// workload, exits 2 with the range check's message and no report.
+func TestFaultsReachBuilderScenarios(t *testing.T) {
+	base := []string{"-scenario", "hall", "-horizon", "60s", "-initial", "190"}
+	network := func(out string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "network:") {
+				return line
+			}
+		}
+		return ""
+	}
+	code, clean, errb := pervasim(base...)
+	if code != 0 {
+		t.Fatalf("clean run: exit %d: %s", code, errb)
+	}
+	const plan = "crash(1,10s);recover(1,25s)"
+	code, faulted, errb := pervasim(append(base, "-faults", plan)...)
+	if code != 0 {
+		t.Fatalf("faulted run: exit %d: %s", code, errb)
+	}
+	if !strings.Contains(faulted, `faults: plan "`+plan+`"`) {
+		t.Errorf("faulted report lacks the plan line:\n%s", faulted)
+	}
+	if network(clean) == "" || network(clean) == network(faulted) {
+		t.Errorf("the plan did not reach the run: %q with it, %q without", network(faulted), network(clean))
+	}
+	code, out, errb := pervasim(append(base, "-faults", "crash(9,1s)")...)
+	if want := "-faults: fault plan event targets process 9; crash/recover is limited to sensors 0..3"; code != 2 || out != "" || !strings.Contains(errb, want) {
+		t.Errorf("out-of-range plan: exit %d, stdout %q, stderr %q; want 2, no report, %q", code, out, errb, want)
 	}
 }

@@ -9,7 +9,8 @@
 // processes P communicating over a logical overlay L (the network plane),
 // observing passive world objects O that influence each other over covert
 // channels C (the world plane). The library simulates both planes — on a
-// deterministic discrete-event engine for experiments, or on a live
+// deterministic discrete-event kernel for experiments (one harness, on one
+// engine or, for a large fleet, on lockstep shards), or on a live
 // goroutine/channel engine — and implements the paper's full design space
 // of time models:
 //

@@ -36,16 +36,18 @@ func BenchmarkShardedBroadcast(b *testing.B) {
 	sh.RunAll()
 }
 
-// BenchmarkShardedHarnessBuild is the cost of wiring a sharded fleet —
+// BenchmarkFleetBuild is the cost of wiring a fleet —
 // sensors, worlds, transport, checker — with a workload too short to add
 // anything: B/op is the per-sensor footprint times N, and allocs/op stays
 // flat in N (TestFleetFootprint holds the slope).
-func BenchmarkShardedHarnessBuild(b *testing.B) {
+func BenchmarkFleetBuild(b *testing.B) {
 	for _, n := range []int{4096, 65536} {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			cfg := fleetConfig(1, n, 800*sim.Millisecond, 1500*sim.Millisecond)
+			cfg.Horizon = sim.Millisecond
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				NewShardedHarness(ShardedConfig{Seed: 1, N: n, Horizon: sim.Millisecond})
+				NewHarness(cfg)
 			}
 		})
 	}

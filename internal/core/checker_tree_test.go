@@ -18,7 +18,7 @@ import (
 // counts, race-aware and race-blind, and under fault plans. The flat
 // checker (CheckerFanout <= 1) is the oracle.
 
-func treeDiffConfig(fanout, shards, workers int, race bool) ShardedConfig {
+func treeDiffConfig(fanout, shards, workers int, race bool) HarnessConfig {
 	cfg := diffConfig(shards, workers)
 	cfg.CheckerFanout = fanout
 	cfg.raceAware = race
@@ -70,7 +70,7 @@ func TestCheckerTreeDifferentialWithFaults(t *testing.T) {
 			From:   600 * sim.Millisecond, To: 1 * sim.Second,
 		}},
 	}
-	mk := func(fanout, shards int, race bool) ShardedConfig {
+	mk := func(fanout, shards int, race bool) HarnessConfig {
 		cfg := treeDiffConfig(fanout, shards, 4, race)
 		cfg.Faults = plan
 		return cfg
@@ -95,14 +95,13 @@ func TestCheckerTreeDifferentialWithFaults(t *testing.T) {
 // the tree active: a 140-sensor fleet (sparse vector state) through
 // R ∈ {4, 16} must match the flat checker byte for byte.
 func TestCheckerTreeSparseFleet(t *testing.T) {
-	mk := func(fanout int) ShardedConfig {
-		return ShardedConfig{
-			Seed: 7, N: 140, Shards: 4, Workers: 2,
-			Delay:         sim.NewDeltaBounded(5 * sim.Millisecond),
-			Horizon:       500 * sim.Millisecond,
-			record:        true,
-			CheckerFanout: fanout,
-		}
+	mk := func(fanout int) HarnessConfig {
+		cfg := fleetConfig(7, 140, 800*sim.Millisecond, 1500*sim.Millisecond)
+		cfg.Shards, cfg.Workers = 4, 2
+		cfg.Horizon = 500 * sim.Millisecond
+		cfg.Record = true
+		cfg.CheckerFanout = fanout
+		return cfg
 	}
 	want := runSharded(t, mk(0))
 	for _, fanout := range []int{4, 16} {
@@ -118,10 +117,9 @@ func TestCheckerTreeBatchingActive(t *testing.T) {
 	cfg := treeDiffConfig(4, 2, 1, false)
 	// Fast togglers: several reports per process per 5ms flush window, so
 	// the pending set genuinely coalesces superseded values.
-	cfg.MeanHigh = 2 * sim.Millisecond
-	cfg.MeanLow = 2 * sim.Millisecond
+	cfg.Workload = fleetConfig(cfg.Seed, cfg.N, 2*sim.Millisecond, 2*sim.Millisecond).Workload
 	cfg.Horizon = 500 * sim.Millisecond
-	h := NewShardedHarness(cfg)
+	h := NewHarness(cfg)
 	h.Run()
 	st := h.Tree.Stat
 	if st.Applied == 0 || st.Batches == 0 || st.BatchTriples == 0 {
@@ -158,12 +156,10 @@ func TestCheckerTreeBatchingActive(t *testing.T) {
 // Finish flushes every aggregator at the horizon — those reports waited
 // zero, not a negative time, so SyncLagTotal may not fall across Finish.
 func TestCheckerTreeFinishBooksNoNegativeLag(t *testing.T) {
-	h := NewShardedHarness(ShardedConfig{
-		Seed: 3, N: 256, Shards: 2, Workers: 1, CheckerFanout: 4,
-		Delay:    sim.NewDeltaBounded(5 * sim.Millisecond),
-		MeanHigh: 40 * sim.Millisecond, MeanLow: 40 * sim.Millisecond,
-		Horizon: 600 * sim.Millisecond,
-	})
+	cfg := fleetConfig(3, 256, 40*sim.Millisecond, 40*sim.Millisecond)
+	cfg.Shards, cfg.Workers, cfg.CheckerFanout = 2, 1, 4
+	cfg.Horizon = 600 * sim.Millisecond
+	h := NewHarness(cfg)
 	h.Sh.Run(h.Cfg.Horizon)
 	h.Sh.RunAll()
 	before := h.Tree.Stat
@@ -187,7 +183,7 @@ func TestCheckerTreeObsCountersMatchFlat(t *testing.T) {
 		cfg := treeDiffConfig(fanout, 2, 1, true)
 		r := obs.NewRegistry()
 		cfg.Obs = r
-		h := NewShardedHarness(cfg)
+		h := NewHarness(cfg)
 		h.Run()
 		out := map[string]int64{}
 		for _, name := range []string{

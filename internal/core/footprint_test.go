@@ -44,7 +44,9 @@ func TestFleetFootprint(t *testing.T) {
 	// world's first touch of an attribute on every object.
 	touched := func(n int) uint64 {
 		objects, _ := least(func() any {
-			h := NewShardedHarness(ShardedConfig{Seed: 1, N: n, Horizon: sim.Millisecond})
+			cfg := fleetConfig(1, n, 800*sim.Millisecond, 1500*sim.Millisecond)
+			cfg.Horizon = sim.Millisecond
+			h := NewHarness(cfg)
 			for o := 0; o < n; o++ {
 				h.Worlds[0].Set(o, "q", 1)
 			}
@@ -67,8 +69,9 @@ func TestFleetFootprint(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		build := func(evs []workload.Event) uint64 {
 			_, bytes := least(func() any {
-				return NewShardedHarness(ShardedConfig{Seed: 1, N: n, Shards: shards,
-					Horizon: horizon, Workload: workload.EventSource(evs)})
+				cfg := fleetConfig(1, n, 800*sim.Millisecond, 1500*sim.Millisecond)
+				cfg.Shards, cfg.Horizon, cfg.Workload = shards, horizon, workload.EventSource(evs)
+				return NewHarness(cfg)
 			})
 			return bytes
 		}
@@ -98,13 +101,11 @@ func TestFleetSensesOnlyP(t *testing.T) {
 	q := workload.TogglerFleet{Seed: 8, N: n, Attr: "q",
 		MeanHigh: 200 * sim.Millisecond, MeanLow: 200 * sim.Millisecond}
 	run := func(shards int, src workload.Source) (sent int64, executed uint64) {
-		h := NewShardedHarness(ShardedConfig{
-			Seed: 42, N: n, Shards: shards,
-			Delay:   sim.NewDeltaBounded(5 * sim.Millisecond),
-			Horizon: horizon, Workload: src,
-		})
+		cfg := fleetConfig(42, n, 800*sim.Millisecond, 1500*sim.Millisecond)
+		cfg.Shards, cfg.Horizon, cfg.Workload = shards, horizon, src
+		h := NewHarness(cfg)
 		h.Run()
-		return h.Net.TotalStats().Sent, h.Sh.ExecutedTotal()
+		return h.Sharded.TotalStats().Sent, h.Sh.ExecutedTotal()
 	}
 	for _, shards := range []int{1, 4} {
 		wantSent, plain := run(shards, p)
@@ -126,7 +127,9 @@ func TestFleetSensesOnlyP(t *testing.T) {
 // rather than wrap to a sequence number the checker would discard as
 // stale.
 func TestSenseSeqBound(t *testing.T) {
-	h := NewShardedHarness(ShardedConfig{Seed: 1, N: 2, Horizon: sim.Millisecond})
+	cfg := fleetConfig(1, 2, 800*sim.Millisecond, 1500*sim.Millisecond)
+	cfg.Horizon = sim.Millisecond
+	h := NewHarness(cfg)
 	s := h.Sensors[0]
 	s.seq = math.MaxInt32 - 1
 	s.Sense(0, "p", 1)

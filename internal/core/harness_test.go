@@ -5,9 +5,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pervasive/internal/faults"
+	"pervasive/internal/flight"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
 	"pervasive/internal/workload"
@@ -309,4 +311,60 @@ func TestHarnessPanicsConjunctiveScalar(t *testing.T) {
 		N: 2, Kind: ScalarStrobe, Modality: predicate.Definitely,
 		Pred: predicate.MustParse("p@0 == 1 && p@1 == 1"),
 	})
+}
+
+// TestHarnessRefusesWhatNoTransportRuns: one constructor makes every
+// combination of transport and option expressible, so each one neither
+// transport can run is refused by a panic naming the field: network.Net
+// runs on one engine; ShardedNet does not flood, cannot carry the
+// single-writer flight recorder or the conjunctive checker, and runs the
+// differential vector protocol; the checker tree reads a fleet's strobes;
+// and several shards need a positive lookahead.
+func TestHarnessRefusesWhatNoTransportRuns(t *testing.T) {
+	classic := func() HarnessConfig {
+		return HarnessConfig{N: 4, Delay: sim.NewDeltaBounded(sim.Millisecond), Pred: predicate.MustParse("p@0 >= 1")}
+	}
+	fleet := func() HarnessConfig { return fleetConfig(1, 4, sim.Second, sim.Second) }
+	for _, tc := range []struct {
+		name string
+		cfg  func() HarnessConfig
+		want string
+	}{
+		{"Shards without a fleet", func() HarnessConfig { c := classic(); c.Shards = 2; return c },
+			"core: Shards > 1 needs a fleet Workload"},
+		{"CheckerFanout without a fleet", func() HarnessConfig { c := classic(); c.CheckerFanout = 4; return c },
+			"core: CheckerFanout >= 2 needs a fleet Workload"},
+		{"Flood with a fleet", func() HarnessConfig { c := fleet(); c.Flood = true; return c },
+			"core: Flood with a fleet Workload"},
+		{"Flight with a fleet", func() HarnessConfig { c := fleet(); c.Flight = flight.New(5, 8); return c },
+			"core: Flight with a fleet Workload"},
+		{"Possibly with a fleet", func() HarnessConfig { c := fleet(); c.Modality = predicate.Possibly; return c },
+			"core: Modality Possibly with a fleet Workload"},
+		{"Definitely with a fleet", func() HarnessConfig { c := fleet(); c.Modality = predicate.Definitely; return c },
+			"core: Modality Definitely with a fleet Workload"},
+		{"Kind with a fleet", func() HarnessConfig { c := fleet(); c.Kind = VectorStrobe; return c },
+			"core: Kind strobe-vector with a fleet Workload"},
+		{"zero lookahead over shards", func() HarnessConfig {
+			c := fleet()
+			c.Shards, c.Delay = 2, sim.Synchronous{}
+			return c
+		}, "sim: sharded run requires a positive minimum cross-shard delay (lookahead)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, tc.want) {
+					t.Errorf("panic %q, want one starting %q", msg, tc.want)
+				}
+			}()
+			NewHarness(tc.cfg())
+		})
+	}
+	// Each refusal is of the combination, not of its parts.
+	c := fleet()
+	c.Shards = 2
+	NewHarness(c)
+	c = classic()
+	c.Flood, c.Flight = true, flight.New(5, 8)
+	NewHarness(c)
 }

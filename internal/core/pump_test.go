@@ -30,13 +30,13 @@ func TestInPlacePumpMatchesPartitionedPumps(t *testing.T) {
 			label := name + "/S=" + itoa(shards)
 			cfg := diffConfig(shards, 1)
 			cfg.Workload = workload.EventSource(evs)
-			got := NewShardedHarness(cfg)
+			got := NewHarness(cfg)
 			if &got.Events[0] != &evs[0] {
 				t.Fatalf("%s: the harness copied its workload", label)
 			}
 
 			cfg.Workload = workload.EventSource(nil)
-			want := NewShardedHarness(cfg)
+			want := NewHarness(cfg)
 			smap := network.ShardMap{Procs: n + 1, Shards: shards}
 			parts := make([][]workload.Event, shards)
 			for _, ev := range evs {
@@ -48,14 +48,14 @@ func TestInPlacePumpMatchesPartitionedPumps(t *testing.T) {
 				workload.Install(want.Sh.Engine(k), want.Worlds[k], part)
 			}
 
-			logs := func(h *ShardedHarness) [][]world.Event {
+			logs := func(h *Harness) [][]world.Event {
 				out := make([][]world.Event, len(h.Worlds))
 				for k, w := range h.Worlds {
 					out[k] = w.Log()
 				}
 				return out
 			}
-			for _, h := range []*ShardedHarness{got, want} {
+			for _, h := range []*Harness{got, want} {
 				for _, w := range h.Worlds {
 					w.LogBelow(math.MaxInt) // log every object, not just the pilot
 				}

@@ -50,7 +50,7 @@ func TestDetectionUnderHeavyTailDelays(t *testing.T) {
 	if r := res.Confusion.Recall(); r < 0.5 {
 		t.Fatalf("recall %.3f under heavy-tail delays", r)
 	}
-	if h.StrobeCk.Stale == 0 {
+	if h.Checker.Stale == 0 {
 		t.Log("note: no stale strobes observed — tail not exercised (seed-dependent)")
 	}
 }

@@ -100,3 +100,76 @@ func TestCorePayloadsAreNotValues(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyDiffVectorSensesTakePooledBodies pins the gate that keeps two
+// classic handlers safe on a recycling transport: the conjunctive checker
+// queues the interval stamps it is delivered and the flat checker keeps a
+// dense strobe's stamp, both past the handler's return. They may, because
+// NewSensors hands the transport's pool to a DiffVectorStrobe fleet alone
+// and a sensor with a Local replica, which reads its strobe after the send,
+// does not take from it. Every kind senses on ShardedNet while the checker's
+// node keeps each delivered message: a pooled body shows as a kept message
+// a later sense overwrote.
+func TestOnlyDiffVectorSensesTakePooledBodies(t *testing.T) {
+	const n, senses = 4, 16
+	pred := predicate.MustParse("p@0 >= 1")
+	for _, tc := range []struct {
+		kind   ClockKind
+		local  bool
+		pooled bool
+	}{
+		{VectorStrobe, false, false},
+		{ScalarStrobe, false, false},
+		{PhysicalReport, false, false},
+		{DiffVectorStrobe, true, false},
+		{DiffVectorStrobe, false, true},
+	} {
+		label := tc.kind.String()
+		if tc.local {
+			label += "+Local"
+		}
+		delay := sim.DeltaBounded{Min: 2, Max: 4}
+		sh := sim.NewShards(1, delay.Min, 7)
+		sn := network.NewSharded(sh, network.FullMesh{Nodes: n + 1}, delay, network.ShardMap{Procs: n + 1, Shards: 1}, 7)
+		sensors := NewSensors(sn, SensorConfig{N: n, Kind: tc.kind, CheckerIdx: n},
+			func(int) Transport { return sn.Part(0) })
+		if got := sensors[0].f.pool != nil; got != (tc.kind == DiffVectorStrobe) {
+			t.Errorf("%s: fleet holds the transport's pool: %v", label, got)
+		}
+		if tc.local {
+			sensors[0].Local = newStrobeChecker(n, pred, false)
+		}
+		type kept struct {
+			seq *int
+			was int
+		}
+		var msgs []kept
+		sn.Register(n, func(m network.Message, _ sim.Time) {
+			switch p := m.Payload.(type) {
+			case *StrobeMsg:
+				msgs = append(msgs, kept{&p.Seq, p.Seq})
+			case *ReportMsg:
+				msgs = append(msgs, kept{&p.Seq, p.Seq})
+			}
+		})
+		for i := range senses {
+			sensors[0].Sense(sh.Now(), "p", float64(i&1))
+			sh.RunAll()
+		}
+		if len(msgs) != senses {
+			t.Fatalf("%s: the checker was delivered %d messages, want %d", label, len(msgs), senses)
+		}
+		overwritten := 0
+		for _, k := range msgs {
+			if *k.seq != k.was {
+				overwritten++
+			}
+		}
+		if tc.pooled && overwritten == 0 {
+			t.Errorf("%s: no delivered body was reused in %d senses; the pooled path is not exercised", label, senses)
+		}
+		if !tc.pooled && overwritten != 0 {
+			t.Errorf("%s: %d delivered messages were overwritten by later senses: a pooled body reached a classic handler", label, overwritten)
+		}
+	}
+}

@@ -8,22 +8,37 @@ import (
 	"pervasive/internal/flight"
 	"pervasive/internal/network"
 	"pervasive/internal/sim"
+	"pervasive/internal/workload"
 	"pervasive/internal/world"
 )
 
-// diffConfig is the shared scenario for the differential tests: 24 sensors
-// on a 6×4 grid, pilot of 8, bounded delays with real jitter.
-func diffConfig(shards, workers int) ShardedConfig {
-	return ShardedConfig{
-		Seed: 42, N: 24, Shards: shards, Workers: workers,
-		Delay:   sim.NewDeltaBounded(5 * sim.Millisecond),
-		Horizon: 2 * sim.Second,
-		record:  true,
+// fleetConfig is a fleet as the scale scenario wires one: n sensors
+// toggling with the given mean dwells, scored on the pilot predicate over
+// the first min(8, n), with 5 ms-bounded delays.
+func fleetConfig(seed uint64, n int, high, low sim.Duration) HarnessConfig {
+	pilot := min(8, n)
+	return HarnessConfig{
+		Seed: seed, N: n, Kind: DiffVectorStrobe,
+		Delay: sim.NewDeltaBounded(5 * sim.Millisecond),
+		Pred:  PilotPred(pilot, pilot/2+1),
+		Workload: workload.TogglerFleet{
+			Seed: workload.DeriveSeed(seed, 0x2), N: n, Attr: "p", MeanHigh: high, MeanLow: low,
+		},
 	}
 }
 
+// diffConfig is the shared scenario for the differential tests: 24 sensors
+// on a 6×4 grid, pilot of 8, bounded delays with real jitter.
+func diffConfig(shards, workers int) HarnessConfig {
+	cfg := fleetConfig(42, 24, 800*sim.Millisecond, 1500*sim.Millisecond)
+	cfg.Shards, cfg.Workers = shards, workers
+	cfg.Horizon = 2 * sim.Second
+	cfg.Record = true
+	return cfg
+}
+
 type diffRun struct {
-	res        ShardedResults
+	res        Results
 	counters   []string
 	senses     []flight.Event // the run record's events
 	deliveries [][]delivery   // per sensor, in delivery order
@@ -38,10 +53,10 @@ type delivery struct {
 // logDeliveries wraps every sensor's handler to log the strobes delivered
 // to it. Each sensor lives on one shard, so its log needs no lock; the
 // returned logs fill in as the harness runs.
-func logDeliveries(h *ShardedHarness) [][]delivery {
+func logDeliveries(h *Harness) [][]delivery {
 	logs := make([][]delivery, len(h.Sensors))
 	for i, s := range h.Sensors {
-		h.Net.Register(i, func(m network.Message, now sim.Time) {
+		h.Sharded.Register(i, func(m network.Message, now sim.Time) {
 			if strobe, ok := m.Payload.(*StrobeMsg); ok && !s.down {
 				logs[i] = append(logs[i], delivery{at: now, peer: strobe.Proc})
 			}
@@ -52,16 +67,16 @@ func logDeliveries(h *ShardedHarness) [][]delivery {
 }
 
 // recordedRun runs a harness built with record, its deliveries logged.
-func recordedRun(h *ShardedHarness) diffRun {
+func recordedRun(h *Harness) diffRun {
 	deliveries := logDeliveries(h)
 	res := h.Run()
 	return diffRun{res: res, counters: h.CounterLines(),
 		senses: runRecord(h.Sensors, 0).Events, deliveries: deliveries}
 }
 
-func runSharded(t *testing.T, cfg ShardedConfig) diffRun {
+func runSharded(t *testing.T, cfg HarnessConfig) diffRun {
 	t.Helper()
-	return recordedRun(NewShardedHarness(cfg))
+	return recordedRun(NewHarness(cfg))
 }
 
 // assertSameRun checks every shard-count-invariant observable.
@@ -131,16 +146,16 @@ func TestShardedDifferentialAgainstSingleHeap(t *testing.T) {
 func TestShardedPilotLogTracksPilotOnly(t *testing.T) {
 	var want []world.Event
 	for _, shards := range []int{1, 4} {
-		h := NewShardedHarness(diffConfig(shards, 1))
+		h := NewHarness(diffConfig(shards, 1))
 		h.Run()
 		for k, w := range h.Worlds {
 			for _, ev := range w.Log() {
-				if g := h.objBase[k] + ev.Object; g >= h.Cfg.Pilot {
-					t.Fatalf("S=%d: world %d logged sensor %d, outside the pilot of %d", shards, k, g, h.Cfg.Pilot)
+				if g := h.objBase[k] + ev.Object; g >= 8 {
+					t.Fatalf("S=%d: world %d logged sensor %d, outside the pilot of 8", shards, k, g)
 				}
 			}
 		}
-		got := h.mergedPilotLog()
+		got := h.mergedLog()
 		if len(got) == 0 {
 			t.Fatalf("S=%d: no pilot event logged", shards)
 		}
@@ -170,7 +185,7 @@ func TestShardedDifferentialWithFaults(t *testing.T) {
 			From:   600 * sim.Millisecond, To: 1 * sim.Second,
 		}},
 	}
-	mk := func(shards, workers int) ShardedConfig {
+	mk := func(shards, workers int) HarnessConfig {
 		cfg := diffConfig(shards, workers)
 		cfg.Faults = plan
 		return cfg
@@ -196,7 +211,7 @@ func TestShardedDifferentialWithFaults(t *testing.T) {
 // reconstructions change race telemetry only (markers, Borderline flags),
 // never the detected intervals or the score.
 func TestShardedRaceAwareMatchesDetection(t *testing.T) {
-	mk := func(race bool) ShardedConfig {
+	mk := func(race bool) HarnessConfig {
 		cfg := diffConfig(3, 1)
 		cfg.raceAware = race
 		return cfg

@@ -10,10 +10,10 @@ import (
 	"pervasive/internal/world"
 )
 
-// The run spine: everything Harness and ShardedHarness wire the same way,
+// The run spine: what the harness does the same way on either transport,
 // written once (ScheduleFaults and FinishAndScore serve the live engine
-// too). What the two stacks do not share is the kernel and the transport's
-// RNG/priority discipline (see DESIGN.md §1.10).
+// too). What network.Net and ShardedNet do not share is their RNG/priority
+// discipline (see DESIGN.md §1.10).
 
 // finiteBound is the delay bound Tol and the Slack default build on: the
 // model's own bound, or 100 ms when it has none.
@@ -27,7 +27,7 @@ func finiteBound(d sim.DelayModel) sim.Duration {
 // ScheduleFaults compiles plan, hands the injector to the transport through
 // setFaults, and schedules every crash/recover transition through at on its
 // target sensor's own executor, driving Sensor.Crash/Rejoin there: the
-// sensor's engine on either DES stack, its node goroutine on the live one.
+// sensor's engine on the DES, its node goroutine on the live engine.
 // Each transition bumps faults.crashes / faults.recoveries and each outage
 // is one faults.down.pN span in reg (a process's transitions all run where
 // its other steps run, so each span has a single writer; the registry itself

@@ -14,9 +14,10 @@ import (
 )
 
 // TestFaultInstallParityAcrossHarnesses runs one crash/recover plan through
-// both harnesses: the shared installer must leave the same transition
-// counters and one closed faults.down.p2 span of the outage's virtual
-// duration in each registry.
+// the harness on both transports — network.Net on one engine and a fleet on
+// ShardedNet over four shards: the shared installer must leave the same
+// transition counters and one closed faults.down.p2 span of the outage's
+// virtual duration in each registry.
 func TestFaultInstallParityAcrossHarnesses(t *testing.T) {
 	const crashAt, recoverAt = 300 * sim.Millisecond, 900 * sim.Millisecond
 	plan := func() *faults.Plan { return faults.NewPlan().Crash(2, crashAt).Recover(2, recoverAt) }
@@ -29,12 +30,12 @@ func TestFaultInstallParityAcrossHarnesses(t *testing.T) {
 	}).Run()
 
 	sharded := obs.NewRegistry()
-	NewShardedHarness(ShardedConfig{
-		Seed: 1, N: 16, Shards: 4, Workers: 2, Horizon: 2 * sim.Second,
-		Faults: plan(), Obs: sharded,
-	}).Run()
+	fleet := fleetConfig(1, 16, 800*sim.Millisecond, 1500*sim.Millisecond)
+	fleet.Shards, fleet.Workers, fleet.Horizon = 4, 2, 2*sim.Second
+	fleet.Faults, fleet.Obs = plan(), sharded
+	NewHarness(fleet).Run()
 
-	for name, reg := range map[string]*obs.Registry{"Harness": classic, "ShardedHarness": sharded} {
+	for name, reg := range map[string]*obs.Registry{"Net": classic, "ShardedNet": sharded} {
 		snap := reg.Snapshot()
 		counters := map[string]int64{}
 		for _, c := range snap.Counters {
@@ -148,15 +149,15 @@ func TestTruthAdapterKeepsBindingSemantics(t *testing.T) {
 // demoted — and the counters stay out of the CounterLines digest surface.
 func TestOracleCountersOnShardedRun(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := NewShardedHarness(ShardedConfig{
-		Seed: 3, N: 64, Shards: 4, Pilot: 64, PilotK: 20, CheckerFanout: 4,
-		Horizon: sim.Second, Obs: reg,
-	})
+	cfg := fleetConfig(3, 64, 800*sim.Millisecond, 1500*sim.Millisecond)
+	cfg.Shards, cfg.CheckerFanout, cfg.Horizon, cfg.Obs = 4, 4, sim.Second, reg
+	cfg.Pred = PilotPred(64, 20)
+	h := NewHarness(cfg)
 	res := h.Run()
 	if len(res.Truth) == 0 {
 		t.Fatal("no ground-truth intervals; the test needs a predicate that flips")
 	}
-	if got, want := reg.Counter("oracle.events").Value(), int64(len(h.mergedPilotLog())); got != want || got == 0 {
+	if got, want := reg.Counter("oracle.events").Value(), int64(len(h.mergedLog())); got != want || got == 0 {
 		t.Errorf("oracle.events = %d, want the pilot log's %d", got, want)
 	}
 	// one comparison at t = 0 and at most one per event: never a whole

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"pervasive/internal/core"
+	"pervasive/internal/scenario"
 	"pervasive/internal/sim"
 )
 
@@ -43,19 +44,19 @@ func E14ScaleSweep(cfg RunConfig) *Table {
 		}
 	}
 	type out struct {
-		res    core.ShardedResults
+		res    core.Results
 		digest string
 	}
 	results := sweep(cfg, points, 1, func(j point, _ uint64) out {
-		h := core.NewShardedHarness(core.ShardedConfig{
+		// The scale scenario's fleet: its long-high dwells keep the pilot
+		// majority reachable, so the recall column measures detection, not
+		// workload rarity.
+		h := scenario.NewScale(scenario.ScaleConfig{
 			Seed: cfg.Seed, N: j.p, Shards: j.shards,
-			Delay: sim.NewDeltaBounded(5 * sim.Millisecond),
-			// Long-high dwells keep the pilot majority reachable, so the
-			// recall column measures detection, not workload rarity.
-			MeanHigh: 1200 * sim.Millisecond, MeanLow: 400 * sim.Millisecond,
+			Delay:   sim.NewDeltaBounded(5 * sim.Millisecond),
 			Horizon: horizon,
 			Faults:  cfg.Faults,
-		})
+		}).Harness
 		res := h.Run()
 		return out{res: res, digest: strings.Join(h.CounterLines(), "\n")}
 	})

@@ -5,7 +5,9 @@ import (
 	"strings"
 
 	"pervasive/internal/core"
+	"pervasive/internal/scenario"
 	"pervasive/internal/sim"
+	"pervasive/internal/workload"
 )
 
 // E15CheckerTree sweeps the hierarchical checker tree across fleet size ×
@@ -66,19 +68,22 @@ func E15CheckerTree(cfg RunConfig) *Table {
 		}
 	}
 	type out struct {
-		res    core.ShardedResults
+		res    core.Results
 		digest string
-		stat   *core.ShardedHarness
+		stat   *core.Harness
 	}
 	results := sweep(cfg, points, 1, func(j point, _ uint64) out {
-		h := core.NewShardedHarness(core.ShardedConfig{
+		h := scenario.NewScale(scenario.ScaleConfig{
 			Seed: cfg.Seed, N: j.p, Shards: 4, Workers: 2,
-			Delay:    sim.NewDeltaBounded(5 * sim.Millisecond),
-			MeanHigh: j.v.hi, MeanLow: j.v.lo,
-			Horizon:       horizon,
+			Delay:   sim.NewDeltaBounded(5 * sim.Millisecond),
+			Horizon: horizon,
+			Workload: workload.TogglerFleet{
+				Seed: workload.DeriveSeed(cfg.Seed, 0x2), N: j.p, Attr: "p",
+				MeanHigh: j.v.hi, MeanLow: j.v.lo,
+			},
 			CheckerFanout: j.fanout,
 			Faults:        cfg.Faults,
-		})
+		}).Harness
 		res := h.Run()
 		return out{res: res, digest: strings.Join(h.CounterLines(), "\n"), stat: h}
 	})

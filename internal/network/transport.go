@@ -100,11 +100,15 @@ func (b *Body) Message(dst int) Message {
 // transport (see Recycler) a handler must not keep m.Payload, or anything
 // it points to, after it returns: the body behind it goes back to its pool
 // once its last copy has landed, and the next send overwrites it. A
-// handler that needs the content later copies it, as every handler the
-// sharded stack registers does. network.Net and the live engine never
-// reuse a body, and two classic-stack handlers rely on it: the
-// conjunctive checker queues the interval stamps it receives, and the
-// flat checker keeps a dense strobe's stamp as the sender's last.
+// handler that needs the content later copies it, as every handler a
+// fleet's checker registers does. Two classic handlers keep what they are
+// handed — the conjunctive checker queues the interval stamps, the flat
+// checker keeps a dense strobe's stamp as the sender's last — and may
+// because of the senders' gate, not the transport: core.NewSensors hands
+// a recycler's pool to a DiffVectorStrobe fleet alone, and a sensor with a
+// Local replica does not take from it (core's
+// TestOnlyDiffVectorSensesTakePooledBodies). network.Net and the live
+// engine reuse no body at all.
 type Handler func(m Message, now sim.Time)
 
 // DeliveryPri is the event priority of message deliveries on the

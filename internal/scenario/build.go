@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"pervasive/internal/core"
+	"pervasive/internal/faults"
 	"pervasive/internal/flight"
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
@@ -28,6 +29,8 @@ type Run struct {
 	Record bool
 	// Obs, if non-nil, receives runtime metrics (see core.HarnessConfig).
 	Obs *obs.Registry
+	// Faults, if non-nil, is the fault plan (see core.HarnessConfig).
+	Faults *faults.Plan
 	// FlightPerProc, when positive, attaches a causal flight recorder
 	// keeping the last FlightPerProc events per process (sensors plus
 	// checker); trigger-scoped dumps land in Harness.Dumps.
@@ -78,7 +81,7 @@ func build(r Run, pred predicate.Cond, n int, src workload.Source) Wired {
 	h := core.NewHarness(core.HarnessConfig{
 		Seed: r.Seed, N: n, Kind: r.Kind, Delay: r.Delay, Epsilon: r.Epsilon, Horizon: r.Horizon,
 		Pred: pred, Modality: predicate.Instantaneously,
-		Record: r.Record, Obs: r.Obs, Flight: flightFor(r.FlightPerProc, n),
+		Record: r.Record, Obs: r.Obs, Faults: r.Faults, Flight: flightFor(r.FlightPerProc, n),
 	})
 	w := Wired{Harness: h, Events: evs}
 	for i := 0; i < n; i++ {

@@ -89,7 +89,7 @@ func NewHospital(cfg HospitalConfig) *Hospital {
 		WardMeanVisit: cfg.WardMeanVisit,
 	}
 	hp := &Hospital{Cfg: cfg, Wired: build(cfg.Run, pred, wardProc+1, src)}
-	if ck := hp.Harness.StrobeCk; ck != nil {
+	if ck := hp.Harness.Checker; ck != nil {
 		ck.Notify = func(core.Occurrence) { hp.Alarms++ }
 	}
 	return hp

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pervasive/internal/core"
+	"pervasive/internal/faults"
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
@@ -36,6 +37,8 @@ type OfficeConfig struct {
 	MeanTempStep sim.Duration
 	// Obs, if non-nil, receives runtime metrics (see core.HarnessConfig).
 	Obs *obs.Registry
+	// Faults, if non-nil, is the fault plan (see core.HarnessConfig).
+	Faults *faults.Plan
 	// FlightPerProc, when positive, attaches a causal flight recorder
 	// keeping the last FlightPerProc events per process (sensors plus
 	// checker); trigger-scoped dumps land in Harness.Dumps.
@@ -95,7 +98,8 @@ func NewOffice(cfg OfficeConfig) *Office {
 
 	hcfg := core.HarnessConfig{
 		Seed: cfg.Seed, N: n, Kind: core.VectorStrobe, Delay: cfg.Delay,
-		Pred: pred, Modality: cfg.Modality, Horizon: cfg.Horizon, Obs: cfg.Obs, Flight: flightFor(cfg.FlightPerProc, n),
+		Pred: pred, Modality: cfg.Modality, Horizon: cfg.Horizon,
+		Obs: cfg.Obs, Faults: cfg.Faults, Flight: flightFor(cfg.FlightPerProc, n),
 	}
 	if cfg.Modality == predicate.Possibly || cfg.Modality == predicate.Definitely {
 		// Local conjunct template: motion sensors report motion==1
@@ -140,8 +144,8 @@ func NewOffice(cfg OfficeConfig) *Office {
 				}
 			}
 		}
-		if h.StrobeCk != nil {
-			h.StrobeCk.Notify = reset
+		if h.Checker != nil {
+			h.Checker.Notify = reset
 		}
 		if h.ConjCk != nil {
 			h.ConjCk.Notify = reset

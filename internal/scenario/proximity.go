@@ -74,7 +74,7 @@ func NewProximity(cfg ProximityConfig) *Proximity {
 	}
 	p := &Proximity{Cfg: cfg, Wired: build(cfg.Run, pred, 2, workload.Combine(walk, bed))}
 	p.Visitor, p.Patient = p.Objects[0], p.Objects[1]
-	if ck := p.Harness.StrobeCk; ck != nil {
+	if ck := p.Harness.Checker; ck != nil {
 		ck.Notify = func(core.Occurrence) { p.Alarms++ }
 	}
 	return p

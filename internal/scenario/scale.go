@@ -13,9 +13,10 @@ import (
 // (§2.2's "very large number of sensors" regime). The scored predicate is
 // a pilot neighborhood — at least PilotK of the Pilot leading sensors
 // active — so the detection problem stays local while the whole fleet
-// carries strobe and clock traffic. This is the only scenario that runs
-// on the sharded kernel; the classic scenarios stay on the single-heap
-// harness.
+// carries strobe and clock traffic. It is the one scenario that passes
+// the harness a fleet workload, so the only one on network.ShardedNet and
+// the only one that may take more than one shard; the classic scenarios
+// run network.Net on one engine of the same kernel.
 type ScaleConfig struct {
 	Seed   uint64
 	N      int // fleet size (default 1024)
@@ -41,10 +42,10 @@ type ScaleConfig struct {
 	Obs      *obs.Registry
 }
 
-// Scale is a wired sharded fleet scenario.
+// Scale is a wired fleet scenario.
 type Scale struct {
 	Cfg     ScaleConfig
-	Harness *core.ShardedHarness
+	Harness *core.Harness
 }
 
 // NewScale wires the scenario.
@@ -58,13 +59,25 @@ func NewScale(cfg ScaleConfig) *Scale {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 2 * sim.Second
 	}
-	h := core.NewShardedHarness(core.ShardedConfig{
-		Seed: cfg.Seed, N: cfg.N, Shards: cfg.Shards, Workers: cfg.Workers,
+	if cfg.Pilot <= 0 || cfg.Pilot > cfg.N {
+		cfg.Pilot = min(8, cfg.N)
+	}
+	if cfg.PilotK <= 0 {
+		cfg.PilotK = cfg.Pilot/2 + 1
+	}
+	if cfg.Workload == nil {
+		// One toggler per sensor, one workload-root fork each in sensor
+		// order; long-high dwells keep the pilot majority reachable.
+		cfg.Workload = workload.TogglerFleet{
+			Seed: workload.DeriveSeed(cfg.Seed, 0x2), N: cfg.N, Attr: "p",
+			MeanHigh: 1200 * sim.Millisecond, MeanLow: 400 * sim.Millisecond,
+		}
+	}
+	h := core.NewHarness(core.HarnessConfig{
+		Seed: cfg.Seed, N: cfg.N, Kind: core.DiffVectorStrobe,
+		Shards: cfg.Shards, Workers: cfg.Workers,
 		Delay: cfg.Delay, Horizon: cfg.Horizon,
-		Pilot: cfg.Pilot, PilotK: cfg.PilotK,
-		// Long-high dwells keep the pilot majority reachable (the same
-		// workload balance E14 sweeps).
-		MeanHigh: 1200 * sim.Millisecond, MeanLow: 400 * sim.Millisecond,
+		Pred:          core.PilotPred(cfg.Pilot, cfg.PilotK),
 		CheckerFanout: cfg.CheckerFanout, Workload: cfg.Workload,
 		Faults: cfg.Faults, Obs: cfg.Obs,
 	})
@@ -72,4 +85,4 @@ func NewScale(cfg ScaleConfig) *Scale {
 }
 
 // Run executes the scenario.
-func (s *Scale) Run() core.ShardedResults { return s.Harness.Run() }
+func (s *Scale) Run() core.Results { return s.Harness.Run() }

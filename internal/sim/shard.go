@@ -53,11 +53,14 @@ type Shards struct {
 }
 
 // NewShards creates s engines with RNG streams forked deterministically
-// from seed. lookahead must be positive for s > 1; models with a zero
+// from seed; at s = 1 the one engine is NewEngine(seed) itself, so a
+// single-engine model draws exactly the streams it draws on a bare Engine.
+// lookahead must be positive for s > 1; models with a zero
 // minimum delay (Synchronous) cannot be sharded. Note the
-// determinism contract: model code must not draw from the shard engines'
-// RNGs — those streams depend on the partitioning. Per-entity streams
-// forked from a workload root are the shard-count-independent replacement.
+// determinism contract: model code that runs sharded must not draw from
+// the shard engines' RNGs — those streams depend on the partitioning.
+// Per-entity streams forked from a workload root are the
+// shard-count-independent replacement.
 func NewShards(s int, lookahead Duration, seed uint64) *Shards {
 	if s < 1 {
 		panic("sim: NewShards needs at least one shard")
@@ -65,13 +68,17 @@ func NewShards(s int, lookahead Duration, seed uint64) *Shards {
 	if s > 1 && lookahead <= 0 {
 		panic("sim: sharded run requires a positive minimum cross-shard delay (lookahead)")
 	}
-	root := stats.NewRNG(seed)
 	sh := &Shards{
 		engines:   make([]*Engine, s),
 		outboxes:  make([][]crossEvent, s),
 		lookahead: lookahead,
 		floor:     -1,
 	}
+	if s == 1 {
+		sh.engines[0] = NewEngine(seed)
+		return sh
+	}
+	root := stats.NewRNG(seed)
 	for k := range sh.engines {
 		sh.engines[k] = NewEngine(root.Uint64())
 	}
@@ -88,8 +95,14 @@ func (sh *Shards) Engine(k int) *Engine { return sh.engines[k] }
 func (sh *Shards) Lookahead() Duration { return sh.lookahead }
 
 // Now returns the global time floor: every shard has executed all events
-// at or before it. It reads 0 until the first epoch ends.
-func (sh *Shards) Now() Time { return max(sh.floor, 0) }
+// at or before it. It reads 0 until the first epoch ends. At S = 1 it is
+// the one engine's clock, live inside a handler as Engine.Now is.
+func (sh *Shards) Now() Time {
+	if len(sh.engines) == 1 {
+		return sh.engines[0].Now()
+	}
+	return max(sh.floor, 0)
+}
 
 // SetWorkers selects how an epoch runs: w <= 1 runs the shards one after
 // another in shard order on the caller's goroutine; any w > 1 runs every

@@ -197,3 +197,26 @@ func TestAtPriOrdersBeforeSeq(t *testing.T) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
+
+// TestOneShardIsOneEngine: at S = 1 the kernel is NewEngine(seed) itself —
+// the same RNG draws — and Now is that engine's clock, read inside a handler
+// as the handler's own time rather than the floor, which moves only when Run
+// returns.
+func TestOneShardIsOneEngine(t *testing.T) {
+	const seed = 99
+	sh, eng := NewShards(1, 0, seed), NewEngine(seed)
+	for i := 0; i < 8; i++ {
+		if got, want := sh.Engine(0).RNG().Uint64(), eng.RNG().Uint64(); got != want {
+			t.Fatalf("draw %d: %d from the one shard, %d from NewEngine(%d)", i, got, want, seed)
+		}
+	}
+	var seen []Time
+	for _, at := range []Time{3 * Millisecond, 7 * Millisecond} {
+		sh.Engine(0).At(at, func(now Time) { seen = append(seen, now, sh.Now()) })
+	}
+	sh.Run(Second)
+	want := []Time{3 * Millisecond, 3 * Millisecond, 7 * Millisecond, 7 * Millisecond}
+	if !reflect.DeepEqual(seen, want) {
+		t.Fatalf("(handler time, Now) pairs %v, want %v", seen, want)
+	}
+}
