@@ -21,7 +21,9 @@ test-race:
 # sparse strobe clock against the dense test reference over fuzzed interleavings of
 # strobes and hostile stamps (DESIGN.md §1.10), the flat checker's
 # columnar view against a predicate.MapState model over fuzzed strobes —
-# out-of-range processes, epoch bumps, stale seqs, race probes (DESIGN.md
+# out-of-range processes, epoch bumps, stale seqs, race probes — with
+# checker trees at R = 1, 2 and n held to the flat checker in the
+# race-aware, race-blind and naive modes (FuzzCheckerView, DESIGN.md
 # §1.1) — lattice.Survey's one walk against the recursive enumerator
 # over fuzzed executions, narrow and too wide for one machine word, with
 # empty processes and dangling or overclaiming stamps (DESIGN.md §1.6), and

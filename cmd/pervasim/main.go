@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		sensors     = fs.Int("sensors", 1024, "scale: fleet size")
 		shards      = fs.Int("shards", 1, "scale: spatial shard count for the parallel kernel")
 		workers     = fs.Int("workers", 1, "scale: >1 runs every shard of an epoch on its own goroutine, else one after another (output identical at any setting)")
-		checkerFan  = fs.Int("checker-fanout", 0, "scale: regional checker-tree aggregators (<=1 runs the flat checker)")
+		checkerFan  = fs.Int("checker-fanout", 0, "scale: regional aggregators of the checker tree that runs detection (<=1 is one region)")
 		specPath    = fs.String("workload", "", "run a workload spec file on the generic spec scenario (replaces -scenario)")
 		recordPath  = fs.String("record", "", "record the run's workload to this trace file (not office)")
 		replayPath  = fs.String("replay", "", "replay a recorded workload trace; its horizon replaces -horizon")

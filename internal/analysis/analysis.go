@@ -75,10 +75,11 @@ func DefaultConfig() Config {
 		// The bench-proven kernels: DES schedule/step (0 allocs/op in
 		// BenchmarkKernelScheduleStep), the strobe stamp/merge kernels,
 		// the incremental clause evaluator's O(1) update (checker tree and
-		// oracle scoring), the checker tree's upward sync (a report's
-		// staging and a flush's encode → decode round trip, 0 allocs per
-		// report in TestTreeReportAllocs), and the workload trace codec's
-		// per-event primitives.
+		// oracle scoring), the checker tree's per-report path (the one
+		// production checker: admission, race probe, staging and a
+		// flush's encode → decode round trip, 0 allocs per report in
+		// TestTreeReportAllocs), and the workload trace codec's per-event
+		// primitives.
 		HotFuncs: []string{
 			m + "/internal/sim.Engine.AtPri",
 			m + "/internal/sim.Engine.Step",
@@ -89,8 +90,7 @@ func DefaultConfig() Config {
 			m + "/internal/core.Sensor.Sense",
 			m + "/internal/network.ShardPart.deliver",
 			m + "/internal/predicate.Incremental.Set",
-			m + "/internal/checker.Aggregator.stage",
-			m + "/internal/checker.Tree.flushAgg",
+			m + "/internal/checker.Tree.OnReport",
 			m + "/internal/workload.appendUvarint",
 			m + "/internal/workload.decoder.uvarint",
 		},

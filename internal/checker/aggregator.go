@@ -48,17 +48,17 @@ type Aggregator struct {
 	vals      *predicate.View
 	lastSeq   []int
 	lastEpoch []int
-	// stamps (the latest applied vector stamp per process, nil = none) and
-	// lastChange are read only by the race probe, so a race-blind
-	// aggregator leaves both nil.
+	// stamps (the latest applied vector stamp per process, empty = none)
+	// and lastChange are read only by the race probe, so a race-blind
+	// aggregator leaves both nil. Each stamp is the tree's own copy, never
+	// a report's vector, and its array is reused by the process's next one.
 	stamps     []clock.Vector
 	lastChange []change
-	// recon/stampBuf serve the differential race-aware path exactly as in
-	// the flat checker, lazily and per-region: nil until the first diff
-	// strobe needs them, and never allocated race-blind — the memory gate
-	// that keeps scale-mode aggregators O(region), not O(region·p).
-	recon    []clock.Vector
-	stampBuf []clock.Vector
+	// recon holds the per-sender reconstructions of the differential
+	// race-aware path: nil until the first diff strobe needs it, and never
+	// allocated race-blind — the memory gate that keeps scale-mode
+	// aggregators O(region), not O(region·p).
+	recon []clock.Vector
 
 	// pending is the set awaiting the next flush, one entry per process in
 	// the order first staged; slot[li] is 1 + the index of li's entry, 0
@@ -132,7 +132,6 @@ func (a *Aggregator) reset() {
 	clear(a.lastEpoch)
 	clear(a.lastChange)
 	a.recon = nil
-	a.stampBuf = nil
 	a.clearPending()
 }
 
@@ -151,7 +150,7 @@ func (a *Aggregator) StateBytes() int {
 	for _, v := range a.recon {
 		b += 8 * cap(v)
 	}
-	for _, v := range a.stampBuf {
+	for _, v := range a.stamps {
 		b += 8 * cap(v)
 	}
 	return b

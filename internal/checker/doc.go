@@ -34,8 +34,10 @@
 // Batched upward sync. Detection itself rides the immediate delta
 // channel: every admitted report updates clause state at once, which is
 // what keeps the tree's detection output byte-identical to the flat
-// checker's at every fan-out (the flat checker is the R=1 fast path and
-// the differential oracle). What the tree batches is the upward state
+// reference checker's at every fan-out. Every strobe-clock detection in
+// production runs on the tree, one region (R = 1) included; the flat
+// core.StrobeChecker is the tests' differential oracle. What the tree
+// batches is the upward state
 // sync: each aggregator coalesces superseded per-process values into a
 // pending set and periodically flushes one batch — delta-coded
 // (proc, val, sent) strobe-stamp triples (clock.AppendStampBatch) plus
@@ -47,15 +49,16 @@
 // The round trip runs in batch and byte buffers the tree reuses, so a
 // warm report, flush included, allocates nothing.
 //
-// Bounded memory. An aggregator's state is O(region) for values (the flat
-// checker's columnar predicate.View, one region-sized column per name)
-// and admission, a 4-byte dense pending index per process into a pending
+// Bounded memory. An aggregator's state is O(region) for values (a
+// columnar predicate.View, one region-sized column per name) and
+// admission, a 4-byte dense pending index per process into a pending
 // list bounded at 256 entries (a full pending set forces a flush), and
-// the race-aware stamps, last changes and reconstructions — the last the
-// only O(region·p) component — allocated only when race detection is on,
-// the reconstructions lazily, mirroring the flat checker's memory gate. Aggregator
-// crash/recovery resets the regional state wholesale (values, stamps,
-// admission) and zeroes the region's keys in the evaluator under a bumped
-// regional epoch, so a rejoined aggregator can never merge pre-crash
-// regional state into its fresh view.
+// the race-aware stamps, last changes and reconstructions — stamps and
+// reconstructions the only O(region·p) components — allocated only when
+// race detection is on, the reconstructions lazily. A kept stamp is the
+// tree's own copy, so the tree holds nothing a delivered report points
+// to. Aggregator crash/recovery resets the regional state wholesale
+// (values, stamps, admission) and zeroes the region's keys in the
+// evaluator under a bumped regional epoch, so a rejoined aggregator can
+// never merge pre-crash regional state into its fresh view.
 package checker

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pervasive/internal/clock"
+	"pervasive/internal/flight"
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
@@ -59,9 +60,10 @@ type rootView struct {
 }
 
 // Tree is the hierarchical checker: R regional aggregators under one
-// root, detection-equivalent to the flat core.StrobeChecker at every
-// fan-out. Like the flat checker it is single-goroutine: all reports are
-// delivered on the checker's home shard.
+// root, detection-equivalent to the flat reference core.StrobeChecker at
+// every fan-out, R = 1 included. It is single-goroutine: all reports are
+// delivered on the checker's home shard (the live engine serializes them
+// under a lock).
 type Tree struct {
 	n, r      int
 	raceAware bool
@@ -82,8 +84,18 @@ type Tree struct {
 	markers  []sim.Time
 	finished bool
 
-	// Notify, if set, is invoked on each detection rising edge.
+	// Notify, if set, is invoked when the predicate becomes true in the
+	// tree's view — the hook through which detection triggers actuation
+	// (the sense→detect→actuate loop of Section 2.2). The occurrence's End
+	// is not yet known at call time.
 	Notify func(o Occurrence)
+
+	// NaiveRace switches race detection to the naive criterion — flag
+	// whenever the applied event is concurrent with any other process's
+	// latest event, regardless of whether the predicate's history depends
+	// on their order. Used by the A2 ablation; the default four-state
+	// criterion flags only order-sensitive races.
+	NaiveRace bool
 
 	batchInterval sim.Duration
 	maxBatch      int // pending sync entries per aggregator that force a flush: the memory bound
@@ -106,6 +118,11 @@ type Tree struct {
 	obsWireBytes  *obs.Counter
 	obsCoalesced  *obs.Counter
 	obsDropped    *obs.Counter
+
+	// Flight recorder wiring; fl nil (no-op) until SetFlight. flSelf is
+	// the checker's own process index on the transport.
+	fl     *flight.Recorder
+	flSelf int32
 }
 
 // New builds the tree: carves [0, N) into Fanout contiguous regions,
@@ -206,9 +223,11 @@ func (t *Tree) Fanout() int { return t.r }
 // Aggregators exposes the regional nodes (tests, memory accounting).
 func (t *Tree) Aggregators() []*Aggregator { return t.aggs }
 
-// SetObs attaches runtime metrics. The checker.* names match the flat
-// checker's so dashboards are checker-implementation agnostic; the
-// checker.tree.* names cover the tree-only machinery.
+// SetObs attaches runtime metrics: predicate evaluations (the four-state
+// probes of race detection included), detections, applied/stale
+// strobes and race markers under checker.*, the names the other
+// checkers share where they count the same thing, and the sync
+// machinery under checker.tree.*. SetObs(nil) detaches.
 func (t *Tree) SetObs(r *obs.Registry) {
 	t.obsEvals = r.Counter("checker.pred_evals")
 	t.obsDetections = r.Counter("checker.detections")
@@ -221,10 +240,23 @@ func (t *Tree) SetObs(r *obs.Registry) {
 	t.obsDropped = r.Counter("checker.tree.region_dropped")
 }
 
-// OnReport applies one received strobe report. The admission discipline,
-// view update, race probe and flip logic replicate the flat checker's
-// OnStrobe step for step — the differential tests hold the two
-// implementations to byte-identical output.
+// SetFlight attaches a flight recorder: applied/stale reports and the
+// predicate's detect/clear edges are recorded at the checker's ring
+// (self is its transport index), and every detection rising edge
+// triggers a full dump — the recent causal context that explains the
+// detection. SetFlight(nil, 0) detaches.
+func (t *Tree) SetFlight(r *flight.Recorder, self int) {
+	t.fl = r
+	t.flSelf = int32(self)
+}
+
+// OnReport applies one received strobe report and updates detection
+// state. Reports from a process are applied in increasing Seq order;
+// older ones that arrive late (reordered or after a loss) are discarded,
+// which keeps the effect of a loss local in time (Section 4.2.2). The
+// differential tests hold the tree to the flat reference checker's
+// output, report for report. The tree keeps no memory m points to: a
+// stamp it needs later is copied into a buffer of its own.
 func (t *Tree) OnReport(m Report, now sim.Time) {
 	if t.finished {
 		return
@@ -243,16 +275,20 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 		t.obsDropped.Inc()
 		return
 	}
+	// Epoch discipline: a recovered process restarts with Seq 1 under a
+	// bumped epoch. Stamps from an older epoch are pre-crash stragglers —
+	// discarding them (and resetting the per-process order state on the
+	// bump) is what keeps the tree from merging pre-crash strobe state
+	// into the rebooted process's fresh causal history.
 	switch {
 	case m.Epoch < a.lastEpoch[li]:
-		t.Stat.Stale++
-		t.obsStale.Inc()
+		t.stale(&m, now)
 		return
 	case m.Epoch > a.lastEpoch[li]:
 		a.lastEpoch[li] = m.Epoch
 		a.lastSeq[li] = 0
 		if t.raceAware {
-			a.stamps[li] = nil
+			a.stamps[li] = a.stamps[li][:0]
 			a.lastChange[li] = change{}
 		}
 		if a.recon != nil {
@@ -260,28 +296,31 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 		}
 	}
 	if m.Seq <= a.lastSeq[li] {
-		t.Stat.Stale++
-		t.obsStale.Inc()
+		t.stale(&m, now)
 		return
 	}
 	a.lastSeq[li] = m.Seq
 	t.Stat.Applied++
 	t.obsApplied.Inc()
+	t.record(flight.Apply, &m, now)
 
-	// Differential strobes: per-sender reconstruction, allocated lazily
-	// per region and only race-aware (the flat checker's memory gate).
+	// Differential strobes: rebuild the sender's full vector by merging
+	// its changed components into the per-sender reconstruction. After a
+	// lost diff the reconstruction under-knows until the missing
+	// components change again — which can only add false concurrency
+	// (more borderline flags), never false order. The reconstructions
+	// exist solely to feed race detection, so a race-blind tree skips
+	// them entirely — that is what keeps its memory O(region), not
+	// O(region·p), at scale. They are allocated lazily, per region.
 	if m.Vec == nil && m.Sparse != nil && t.raceAware {
 		if a.recon == nil {
-			a.recon = make([]clock.Vector, a.hi-a.lo)
-			a.stampBuf = make([]clock.Vector, a.hi-a.lo)
+			a.recon = make([]clock.Vector, a.hi-a.lo) //lint:allow hotpath(lazy, once per race-aware region)
 		}
 		if a.recon[li] == nil {
 			a.recon[li] = clock.NewVector(t.n)
-			a.stampBuf[li] = clock.NewVector(t.n)
 		}
 		a.recon[li].MergeSparse(m.Sparse)
-		copy(a.stampBuf[li], a.recon[li])
-		m.Vec = a.stampBuf[li]
+		m.Vec = a.recon[li]
 	}
 
 	prev := a.vals.Set(li, m.Var, m.Value)
@@ -292,13 +331,13 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 	if t.raceAware {
 		if m.Vec != nil {
 			race = t.detectRace(m, prev)
-			a.stamps[li] = m.Vec
+			a.stamps[li] = keepVec(a.stamps[li], m.Vec)
 		}
 		a.lastChange[li] = change{varName: m.Var, prev: prev, valid: true}
 	}
 
 	if race {
-		t.markers = append(t.markers, now)
+		t.markers = append(t.markers, now) //lint:allow hotpath(a race marker is output the run keeps, one per borderline strobe)
 		t.obsRaces.Inc()
 	}
 	t.flip(settled, race, now)
@@ -311,6 +350,35 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 	if len(a.pending) >= t.maxBatch || now-a.lastFlush >= t.batchInterval {
 		t.flushAgg(a, now)
 	}
+}
+
+// stale counts one discarded report and records it at the checker's ring.
+func (t *Tree) stale(m *Report, now sim.Time) {
+	t.Stat.Stale++
+	t.obsStale.Inc()
+	t.record(flight.Stale, m, now)
+}
+
+// record stamps one applied or discarded report at the checker's ring.
+func (t *Tree) record(kind flight.Kind, m *Report, now sim.Time) {
+	if t.fl == nil {
+		return
+	}
+	t.fl.Record(flight.Rec{
+		Kind: kind, Proc: t.flSelf, Peer: int32(m.Proc),
+		Epoch: int32(m.Epoch), Seq: uint64(m.Seq), At: now,
+		Attr: t.fl.Intern(m.Var), PeerClock: m.OwnClock(), Value: m.Value,
+	})
+}
+
+// keepVec copies v into dst's array, growing it only when v does not fit.
+func keepVec(dst, v clock.Vector) clock.Vector {
+	if cap(dst) < len(v) {
+		dst = clock.NewVector(len(v))
+	}
+	dst = dst[:len(v)]
+	copy(dst, v)
+	return dst
 }
 
 // phi evaluates the predicate at the evaluator's current values; each
@@ -329,14 +397,23 @@ func (t *Tree) flip(settled, race bool, now sim.Time) {
 	if settled {
 		t.obsDetections.Inc()
 		o := Occurrence{Start: now, Borderline: race}
-		t.occ = append(t.occ, o)
+		t.occ = append(t.occ, o) //lint:allow hotpath(an occurrence is output the run keeps, one per detection)
 		if t.Notify != nil {
 			t.Notify(o)
+		}
+		if t.fl != nil {
+			t.fl.Record(flight.Rec{Kind: flight.Detect, Proc: t.flSelf, Peer: flight.NoPeer, At: now, Value: 1})
+			// Dump every ring: the predicate is global, so the causal
+			// context of a detection spans the whole fleet.
+			t.fl.TriggerDump("detect", now)
 		}
 	} else if len(t.occ) > 0 {
 		t.occ[len(t.occ)-1].End = now
 		if race {
 			t.occ[len(t.occ)-1].Borderline = true
+		}
+		if t.fl != nil {
+			t.fl.Record(flight.Rec{Kind: flight.Clear, Proc: t.flSelf, Peer: flight.NoPeer, At: now})
 		}
 	}
 	t.cur = settled
@@ -485,13 +562,25 @@ func (t *Tree) RecoverRegion(r int, now sim.Time) {
 	t.flip(t.eval.Holds(), false, now)
 }
 
-// detectRace replicates the flat checker's four-state probe (see
-// core.StrobeChecker.detectRace for the criterion): processes are
-// scanned in global order across regions, and each probe sets, evaluates
-// and restores the two keys through the evaluator exactly as the flat
-// probe does through its view. The restore is exact: the evaluator keeps
-// a running sum only while every value folded into it is an exact
-// integer.
+// detectRace reports whether the just-applied event e (from m.Proc, whose
+// variable previously held prevI) races with another process's latest
+// event e' in a way that makes the predicate's history ambiguous. The two
+// events race when their stamps are concurrent — the strobe order cannot
+// tell which happened first. Consider the four states over {e, e'}
+// applied/not: s00, s10 (only e), s01 (only e'), s11 (both). The true
+// history passed through s00 → (s10 or s01) → s11 in an unknowable order.
+// The order matters exactly when the endpoints agree (φ(s00) == φ(s11))
+// but the middles differ (φ(s10) ≠ φ(s01)): one order contains a
+// transient φ-change that the other lacks, so whether φ held in between
+// cannot be decided. When the endpoints differ, the net transition
+// happens under either order (only its attribution shifts within the race
+// window) and the observation is robust — e.g. two concurrent rises that
+// jointly push a sum over its threshold are correctly left unflagged.
+//
+// Processes are scanned in global order across regions, and each probe
+// sets, evaluates and restores the two keys through the evaluator. The
+// restore is exact: the evaluator keeps a running sum only while every
+// value folded into it is an exact integer.
 func (t *Tree) detectRace(m Report, prevI float64) bool {
 	keyI := predicate.Key{Proc: m.Proc, Name: m.Var}
 	for j := 0; j < t.n; j++ {
@@ -499,11 +588,14 @@ func (t *Tree) detectRace(m Report, prevI float64) bool {
 			continue
 		}
 		ja, jli := t.aggFor(j)
-		if ja.stamps[jli] == nil || !ja.lastChange[jli].valid {
+		if len(ja.stamps[jli]) == 0 || !ja.lastChange[jli].valid {
 			continue
 		}
 		if !m.Vec.ConcurrentWith(ja.stamps[jli]) {
 			continue
+		}
+		if t.NaiveRace {
+			return true
 		}
 		ch := ja.lastChange[jli]
 		keyJ := predicate.Key{Proc: j, Name: ch.varName}

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -91,6 +92,36 @@ func TestTreeAdmissionDiscipline(t *testing.T) {
 // the sensor epoch-reset tests: when the crashing process is a regional
 // aggregator, rejoin must not merge any pre-crash regional state — not
 // values, not admission watermarks, not the region's keys in the evaluator.
+// TestTreeKeepsNoReportVector: a caller may reuse a report's stamp array
+// once OnReport returns, as a recycling transport reuses a delivered body.
+// Proc 0's x rises under [1 0]; the caller then overwrites that array to
+// [1 1], which would order it after proc 1's [0 1]. The race probe on
+// proc 1's rise must still see the concurrent [1 0] and flag the race
+// x@0 > x@1 cannot order, as a tree fed fresh copies does.
+func TestTreeKeepsNoReportVector(t *testing.T) {
+	pred := predicate.MustParse("x@0 > x@1")
+	for _, fanout := range []int{1, 2} {
+		reused := New(Config{N: 2, Pred: pred, Fanout: fanout, RaceAware: true})
+		fresh := New(Config{N: 2, Pred: pred, Fanout: fanout, RaceAware: true})
+		vec := clock.Vector{1, 0}
+		first := Report{Proc: 0, Seq: 1, Var: "x", Value: 1, Vec: vec}
+		reused.OnReport(first, 1)
+		first.Vec = clock.Vector{1, 0}
+		fresh.OnReport(first, 1)
+		vec[1] = 1
+		second := Report{Proc: 1, Seq: 1, Var: "x", Value: 1, Vec: clock.Vector{0, 1}}
+		reused.OnReport(second, 2)
+		fresh.OnReport(second, 2)
+		want := []sim.Time{2}
+		if got := fresh.Markers(); !slices.Equal(got, want) {
+			t.Fatalf("R=%d: a tree fed fresh copies marked %v, want %v", fanout, got, want)
+		}
+		if got := reused.Markers(); !slices.Equal(got, want) {
+			t.Errorf("R=%d: with the first stamp's array overwritten the tree marked %v, want %v", fanout, got, want)
+		}
+	}
+}
+
 func TestTreeAggregatorCrashRecovery(t *testing.T) {
 	tr := sumTree(8, 4, 3)
 	// Region 1 owns procs 2..3. Drive the predicate true through them.

@@ -11,18 +11,68 @@ import (
 	"pervasive/internal/sim"
 )
 
-// The checker-tree differential oracle: the hierarchical checker at any
-// fan-out must produce byte-identical detection output — occurrences
-// (definite and borderline bins), race markers, scores, counters, run
-// records, delivery orders — to the flat StrobeChecker, across shard counts, worker
-// counts, race-aware and race-blind, and under fault plans. The flat
-// checker (CheckerFanout <= 1) is the oracle.
+// The checker-tree differential oracle: the harness's checker tree, at any
+// fan-out, must produce the detection output of the flat reference
+// StrobeChecker fed the same delivery stream — occurrences (definite and
+// borderline bins), race markers, applied/stale counts and the obs
+// counters the two share — and runs at different fan-outs, shard counts
+// and worker counts must agree on everything else they observe (scores,
+// counters, run records, delivery orders), race-aware and race-blind and
+// under fault plans.
 
 func treeDiffConfig(fanout, shards, workers int, race bool) HarnessConfig {
 	cfg := diffConfig(shards, workers)
 	cfg.CheckerFanout = fanout
 	cfg.raceAware = race
 	return cfg
+}
+
+// flatCounters are the obs counters the tree and the flat checker share.
+var flatCounters = [...]string{
+	"checker.pred_evals", "checker.detections",
+	"checker.strobes_applied", "checker.strobes_stale",
+	"checker.race_markers",
+}
+
+// runTapped runs a fleet with its checker node re-registered so that every
+// strobe delivered there reaches both h.Tree and a flat StrobeChecker,
+// race-aware exactly when the tree is, and fails the test unless the tree
+// matches the flat checker on that one stream. It returns the run and the
+// tree's shared obs counters.
+func runTapped(t *testing.T, label string, cfg HarnessConfig) (diffRun, map[string]int64) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	h := NewHarness(cfg)
+	flat := newStrobeChecker(cfg.N, cfg.Pred, cfg.raceAware)
+	onStrobes(h.Sharded, cfg.N, func(m StrobeMsg, now sim.Time) {
+		h.Tree.OnReport(checker.Report(m), now)
+		flat.OnStrobe(m, now)
+	})
+	run := recordedRun(h)
+	flat.Finish(run.res.Horizon)
+	got := map[string]int64{}
+	for _, name := range flatCounters {
+		got[name] = reg.Counter(name).Value()
+	}
+	want := map[string]int64{
+		"checker.pred_evals": flat.Evals, "checker.detections": int64(len(flat.Occurrences())),
+		"checker.strobes_applied": flat.Applied, "checker.strobes_stale": flat.Stale,
+		"checker.race_markers": int64(len(flat.Markers())),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: tree obs counters %v, the flat checker's %v", label, got, want)
+	}
+	if st := h.Tree.Stat; st.Applied != flat.Applied || st.Stale != flat.Stale {
+		t.Errorf("%s: tree applied %d, stale %d; the flat checker %d, %d", label, st.Applied, st.Stale, flat.Applied, flat.Stale)
+	}
+	if occ := clipToHorizon(flat.Occurrences(), run.res.Horizon); !reflect.DeepEqual(run.res.Occurrences, occ) {
+		t.Errorf("%s: tree occurrences %v, the flat checker's %v", label, run.res.Occurrences, occ)
+	}
+	if !reflect.DeepEqual(run.res.Markers, flat.Markers()) {
+		t.Errorf("%s: tree markers %v, the flat checker's %v", label, run.res.Markers, flat.Markers())
+	}
+	return run, got
 }
 
 func TestCheckerTreeDifferentialAgainstFlat(t *testing.T) {
@@ -32,19 +82,17 @@ func TestCheckerTreeDifferentialAgainstFlat(t *testing.T) {
 			name = "aware"
 		}
 		t.Run(name, func(t *testing.T) {
-			base := diffConfig(1, 1)
-			base.raceAware = race
-			want := runSharded(t, base)
+			want, _ := runTapped(t, "R=1/S=1", treeDiffConfig(1, 1, 1, race))
 			if len(want.res.Occurrences) == 0 {
-				t.Fatalf("flat baseline detected nothing; scenario too quiet for a differential oracle")
+				t.Fatalf("baseline detected nothing; scenario too quiet for a differential oracle")
 			}
 			if race && len(want.res.Markers) == 0 {
 				t.Fatalf("race-aware baseline saw no races; scenario too quiet for the borderline bin")
 			}
 			for _, fanout := range []int{1, 2, 4, 8} {
 				for _, shards := range []int{1, 4} {
-					got := runSharded(t, treeDiffConfig(fanout, shards, 2, race))
 					label := "R=" + itoa(fanout) + "/S=" + itoa(shards)
+					got, _ := runTapped(t, label, treeDiffConfig(fanout, shards, 2, race))
 					assertSameRun(t, label, want, got)
 				}
 			}
@@ -70,22 +118,20 @@ func TestCheckerTreeDifferentialWithFaults(t *testing.T) {
 			From:   600 * sim.Millisecond, To: 1 * sim.Second,
 		}},
 	}
-	mk := func(fanout, shards int, race bool) HarnessConfig {
-		cfg := treeDiffConfig(fanout, shards, 4, race)
+	mk := func(fanout, shards, workers int, race bool) HarnessConfig {
+		cfg := treeDiffConfig(fanout, shards, workers, race)
 		cfg.Faults = plan
 		return cfg
 	}
 	for _, race := range []bool{false, true} {
-		base := diffConfig(1, 1)
-		base.raceAware = race
-		base.Faults = plan
-		want := runSharded(t, base)
+		suffix := ""
+		if race {
+			suffix = "/aware"
+		}
+		want, _ := runTapped(t, "faults/R=1"+suffix, mk(1, 1, 1, race))
 		for _, fanout := range []int{2, 8} {
-			got := runSharded(t, mk(fanout, 4, race))
-			label := "faults/R=" + itoa(fanout)
-			if race {
-				label += "/aware"
-			}
+			label := "faults/R=" + itoa(fanout) + suffix
+			got, _ := runTapped(t, label, mk(fanout, 4, 4, race))
 			assertSameRun(t, label, want, got)
 		}
 	}
@@ -93,7 +139,7 @@ func TestCheckerTreeDifferentialWithFaults(t *testing.T) {
 
 // TestCheckerTreeSparseFleet crosses the dense/sparse clock cutoff with
 // the tree active: a 140-sensor fleet (sparse vector state) through
-// R ∈ {4, 16} must match the flat checker byte for byte.
+// R ∈ {1, 4, 16} must match the flat checker byte for byte.
 func TestCheckerTreeSparseFleet(t *testing.T) {
 	mk := func(fanout int) HarnessConfig {
 		cfg := fleetConfig(7, 140, 800*sim.Millisecond, 1500*sim.Millisecond)
@@ -103,10 +149,11 @@ func TestCheckerTreeSparseFleet(t *testing.T) {
 		cfg.CheckerFanout = fanout
 		return cfg
 	}
-	want := runSharded(t, mk(0))
+	want, _ := runTapped(t, "sparse/R=1", mk(0))
 	for _, fanout := range []int{4, 16} {
-		got := runSharded(t, mk(fanout))
-		assertSameRun(t, "sparse/R="+itoa(fanout), want, got)
+		label := "sparse/R=" + itoa(fanout)
+		got, _ := runTapped(t, label, mk(fanout))
+		assertSameRun(t, label, want, got)
 	}
 }
 
@@ -174,36 +221,16 @@ func TestCheckerTreeFinishBooksNoNegativeLag(t *testing.T) {
 	}
 }
 
-// TestCheckerTreeObsCountersMatchFlat runs flat and tree with obs
-// registries attached: the shared checker.* counters must agree exactly
-// (pred_evals includes the four-state race probes, so this pins the
-// probe replication, not just its verdicts).
+// TestCheckerTreeObsCountersMatchFlat holds the tree's shared checker.*
+// obs counters to the flat checker's on one delivery stream at several
+// fan-outs (runTapped compares them): pred_evals includes the four-state
+// race probes, so this pins the probe replication, not just its verdicts.
 func TestCheckerTreeObsCountersMatchFlat(t *testing.T) {
-	run := func(fanout int) map[string]int64 {
-		cfg := treeDiffConfig(fanout, 2, 1, true)
-		r := obs.NewRegistry()
-		cfg.Obs = r
-		h := NewHarness(cfg)
-		h.Run()
-		out := map[string]int64{}
-		for _, name := range []string{
-			"checker.pred_evals", "checker.detections",
-			"checker.strobes_applied", "checker.strobes_stale",
-			"checker.race_markers",
-		} {
-			out[name] = r.Counter(name).Value()
-		}
-		return out
-	}
-	want := run(1)
-	if want["checker.pred_evals"] <= want["checker.strobes_applied"] {
-		t.Fatalf("baseline ran no race probes (evals %d, applied %d); oracle too weak",
-			want["checker.pred_evals"], want["checker.strobes_applied"])
-	}
-	for _, fanout := range []int{2, 8} {
-		got := run(fanout)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("R=%d: obs counters diverge:\nflat %v\ntree %v", fanout, want, got)
+	for _, fanout := range []int{1, 2, 8} {
+		_, got := runTapped(t, "R="+itoa(fanout), treeDiffConfig(fanout, 2, 1, true))
+		if got["checker.pred_evals"] <= got["checker.strobes_applied"] {
+			t.Fatalf("R=%d ran no race probes (evals %d, applied %d); oracle too weak",
+				fanout, got["checker.pred_evals"], got["checker.strobes_applied"])
 		}
 	}
 }
@@ -237,7 +264,7 @@ func TestCheckerTreeFractionsAndUndeclaredReads(t *testing.T) {
 			m := StrobeMsg{Proc: r.proc, Seq: 1, Var: r.name, Value: r.v}
 			flat.OnStrobe(m, sim.Time(i+1))
 			for _, tr := range trees {
-				tr.OnReport(treeReport(m), sim.Time(i+1))
+				tr.OnReport(checker.Report(m), sim.Time(i+1))
 			}
 		}
 		want := []Occurrence{{Start: sim.Time(len(tc.reps))}}

@@ -16,17 +16,19 @@ import (
 // against the model. The tallies prove the fixed-seed draw reaches every
 // path through OnStrobe that reads or writes the view.
 const (
-	strobeBelow      = iota // proc < 0
-	strobeBeyond            // proc >= n
-	strobeOldEpoch          // epoch below the process's current one
-	strobeEpochBump         // epoch above it: order state resets, the view does not
-	strobeStaleSeq          // seq at or below the last applied
-	strobeApplied           // applied to a column that exists
-	strobeNewColumn         // applied, and the first write of its name
-	strobeProbed            // applied concurrently with another process's latest event: four-state probe
-	strobeFlipped           // applied, and the predicate changed
-	strobeDemoted           // applied a value that demotes a linear clause of linearPred
-	strobeUndeclared        // applied y@0, which undeclaredPred reads without declaring, and flipped it
+	strobeBelow       = iota // proc < 0
+	strobeBeyond             // proc >= n
+	strobeOldEpoch           // epoch below the process's current one
+	strobeEpochBump          // epoch above it: order state resets, the view does not
+	strobeStaleSeq           // seq at or below the last applied
+	strobeApplied            // applied to a column that exists
+	strobeNewColumn          // applied, and the first write of its name
+	strobeProbed             // applied concurrently with another process's latest event: four-state probe
+	strobeFlipped            // applied, and the predicate changed
+	strobeDemoted            // applied a value that demotes a linear clause of linearPred
+	strobeUndeclared         // applied y@0, which undeclaredPred reads without declaring, and flipped it
+	strobeRaceBlinded        // applied, and a race-aware checker marked a race no race-blind one can see
+	strobeNaiveOnly          // applied, and only the naive criterion marked a race: its early return decided
 	strobeCases
 )
 
@@ -53,9 +55,23 @@ var undeclaredPred = predicate.FuncCond{
 	Desc: "y@0 + x@1 >= 2",
 }
 
-// treePreds are the predicates race-aware trees are held to the flat
-// checker on, strobe by strobe.
+// treePreds are the predicates trees are held to the flat checker on,
+// strobe by strobe.
 var treePreds = [...]predicate.Cond{viewPred, linearPred, undeclaredPred}
+
+// raceModes are the race criteria production runs through the tree: the
+// four-state race-aware probe (vector strobes), none (race-blind: scalar
+// strobes and fleets), and A2's naive concurrency flagging.
+var raceModes = [...]struct {
+	name         string
+	aware, naive bool
+}{{"aware", true, false}, {"blind", false, false}, {"naive", true, true}}
+
+const (
+	modeAware = iota
+	modeBlind
+	modeNaive
+)
 
 // checkerVsModel decodes ops into strobes, drives a race-aware
 // StrobeChecker over n processes and a predicate.MapState model of its view
@@ -63,10 +79,10 @@ var treePreds = [...]predicate.Cond{viewPred, linearPred, undeclaredPred}
 // at every (process, name) pair — out-of-range processes and the
 // never-written name included — the same bits from every aggregate over
 // both, the same predicate verdict, columns that agree with Get, and the
-// same applied/stale split. Beside it, for each of treePreds, a flat
-// checker and race-aware checker trees at R = 1, 2 and n take the same
-// strobes and must keep the same occurrences, markers and applied/stale
-// counts. A strobe is 3 + n bytes: proc drawn from [-2, n+2); name and a
+// same applied/stale split. Beside it, for each of treePreds and each of
+// raceModes, a flat checker and checker trees at R = 1, 2 and n take the
+// same strobes and must keep the same occurrences, markers and
+// applied/stale counts. A strobe is 3 + n bytes: proc drawn from [-2, n+2); name and a
 // value in [0, 4), small so the predicate flips often — or, one time in
 // four, from viewFractions; seq and epoch relative to the process's current ones (seq −2 … +5,
 // epoch −1 one time in eight and +1 one time in eight); then one byte per
@@ -76,16 +92,23 @@ func checkerVsModel(t *testing.T, n int, ops []byte) (seen [strobeCases]int) {
 	t.Helper()
 	c := NewVectorChecker(n, viewPred)
 	model := predicate.MapState{N: n, Vals: map[predicate.Key]float64{}}
-	// flats[k] and trees[k] check treePreds[k]; shadow tallies demotions.
-	var flats [len(treePreds)]*StrobeChecker
-	var trees [len(treePreds)][]*checker.Tree
+	// flats[k][md] and trees[k][md] check treePreds[k] in raceModes[md];
+	// shadow tallies demotions.
+	var flats [len(treePreds)][len(raceModes)]*StrobeChecker
+	var trees [len(treePreds)][len(raceModes)][]*checker.Tree
 	for k, pred := range treePreds {
-		flats[k] = c
-		if k > 0 {
-			flats[k] = NewVectorChecker(n, pred)
-		}
-		for _, r := range [...]int{1, 2, n} {
-			trees[k] = append(trees[k], checker.New(checker.Config{N: n, Pred: pred, Fanout: r, RaceAware: true}))
+		for md, mode := range raceModes {
+			f := c
+			if k > 0 || md != modeAware {
+				f = newStrobeChecker(n, pred, mode.aware)
+			}
+			f.NaiveRace = mode.naive
+			flats[k][md] = f
+			for _, r := range [...]int{1, 2, n} {
+				tr := checker.New(checker.Config{N: n, Pred: pred, Fanout: r, RaceAware: mode.aware})
+				tr.NaiveRace = mode.naive
+				trees[k][md] = append(trees[k][md], tr)
+			}
 		}
 	}
 	var shadow predicate.Incremental
@@ -169,17 +192,31 @@ func checkerVsModel(t *testing.T, n int, ops []byte) (seen [strobeCases]int) {
 		}
 
 		now := sim.Time(step + 1)
-		for k, f := range flats {
-			f.OnStrobe(m, now)
-			for _, tr := range trees[k] {
-				tr.OnReport(treeReport(m), now)
-				if tr.Stat.Applied != f.Applied || tr.Stat.Stale != f.Stale ||
-					!reflect.DeepEqual(tr.Occurrences(), f.Occurrences()) || !reflect.DeepEqual(tr.Markers(), f.Markers()) {
-					t.Fatalf("step %d (%+v), %v at R = %d: applied %d, stale %d, occurrences %v, markers %v; the flat checker %d, %d, %v, %v",
-						step, m, treePreds[k], tr.Fanout(), tr.Stat.Applied, tr.Stat.Stale, tr.Occurrences(), tr.Markers(),
-						f.Applied, f.Stale, f.Occurrences(), f.Markers())
+		blinded, naiveOnly := false, false
+		for k := range flats {
+			marked := func(md int) int { return len(flats[k][md].Markers()) }
+			aware, naive := marked(modeAware), marked(modeNaive)
+			for md, f := range flats[k] {
+				f.OnStrobe(m, now)
+				for _, tr := range trees[k][md] {
+					tr.OnReport(checker.Report(m), now)
+					if tr.Stat.Applied != f.Applied || tr.Stat.Stale != f.Stale ||
+						!reflect.DeepEqual(tr.Occurrences(), f.Occurrences()) || !reflect.DeepEqual(tr.Markers(), f.Markers()) {
+						t.Fatalf("step %d (%+v), %v %s at R = %d: applied %d, stale %d, occurrences %v, markers %v; the flat checker %d, %d, %v, %v",
+							step, m, treePreds[k], raceModes[md].name, tr.Fanout(), tr.Stat.Applied, tr.Stat.Stale, tr.Occurrences(), tr.Markers(),
+							f.Applied, f.Stale, f.Occurrences(), f.Markers())
+					}
 				}
 			}
+			awareRace := marked(modeAware) > aware
+			blinded = blinded || awareRace
+			naiveOnly = naiveOnly || marked(modeNaive) > naive && !awareRace
+		}
+		if blinded {
+			seen[strobeRaceBlinded]++
+		}
+		if naiveOnly {
+			seen[strobeNaiveOnly]++
 		}
 
 		if c.Applied != applied || c.Stale != stale {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"pervasive/internal/checker"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 )
@@ -106,9 +107,9 @@ func TestConsensusEndToEnd(t *testing.T) {
 	for seed := uint64(30); seed < 34; seed++ {
 		h := pulseHarness(seed, n, VectorStrobe, sim.NewDeltaBounded(delta),
 			600*sim.Millisecond, 900*sim.Millisecond, 60*sim.Second)
-		replicas := make([]*StrobeChecker, n)
+		replicas := make([]*checker.Tree, n)
 		for i, sn := range h.Sensors {
-			replicas[i] = NewVectorChecker(n, h.Cfg.Pred)
+			replicas[i] = checker.New(checker.Config{N: n, Pred: h.Cfg.Pred, RaceAware: true})
 			sn.Local = replicas[i]
 		}
 		res := h.Run()

@@ -160,9 +160,9 @@ func TestHarnessCrashDegradesVsCleanRun(t *testing.T) {
 	cleanRes := clean.Run()
 	faulty := build(faults.NewPlan().Crash(1, 10*sim.Second).Recover(1, 25*sim.Second))
 	faultyRes := faulty.Run()
-	if faulty.Checker.Applied >= clean.Checker.Applied {
+	if faulty.Tree.Stat.Applied >= clean.Tree.Stat.Applied {
 		t.Fatalf("crash did not reduce applied strobes: %d vs %d",
-			faulty.Checker.Applied, clean.Checker.Applied)
+			faulty.Tree.Stat.Applied, clean.Tree.Stat.Applied)
 	}
 	if faultyRes.Net.Sent >= cleanRes.Net.Sent {
 		t.Fatalf("crash did not reduce traffic: %d vs %d", faultyRes.Net.Sent, cleanRes.Net.Sent)

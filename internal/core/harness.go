@@ -97,9 +97,9 @@ type HarnessConfig struct {
 	// lookahead. Workers > 1 runs each epoch's shards on goroutines of
 	// their own, a wall-clock knob only.
 	Shards, Workers int
-	// CheckerFanout >= 2 routes a fleet's detection through a checker tree
-	// of that many regional aggregators (internal/checker); its output is
-	// the flat checker's, byte for byte.
+	// CheckerFanout is R, the number of regional aggregators of the
+	// checker tree (internal/checker) that runs strobe-clock detection; 0
+	// or 1 is one region. Detection output is the same at every fan-out.
 	CheckerFanout int
 
 	// raceAware, set only by in-package tests, keeps a fleet checker's
@@ -122,13 +122,17 @@ type Harness struct {
 	Sensors  []*Sensor
 	Bindings []Binding
 
-	// Exactly one checker is non-nil, chosen by Modality, Kind and
-	// CheckerFanout; det is that one, as the spine sees it.
+	// Exactly one of PhysCk, ConjCk and Tree is non-nil, chosen by
+	// Modality and Kind; det is that one, as the spine sees it. Tree runs
+	// every strobe-clock detection.
+	PhysCk *PhysicalChecker
+	ConjCk *ConjunctiveChecker
+	Tree   *checker.Tree
+	det    Detector
+	// Checker is always nil: strobe detection runs on Tree. It remains
+	// only because cmd/bench still names it, and goes with the bench's
+	// rewrite (ROADMAP item 1).
 	Checker *StrobeChecker
-	PhysCk  *PhysicalChecker
-	ConjCk  *ConjunctiveChecker
-	Tree    *checker.Tree
-	det     Detector
 
 	// Faults is the compiled fault injector; nil when no plan is installed.
 	Faults *faults.Injector
@@ -161,7 +165,8 @@ type Results struct {
 	Epochs, CrossSent uint64
 }
 
-// ShardedResults is Results under the name cmd/bench uses.
+// ShardedResults is Results under the name cmd/bench uses; it goes with
+// the bench's rewrite (ROADMAP item 1).
 type ShardedResults = Results
 
 // NewHarness wires kernel, world plane, transport, sensor fleet and
@@ -214,23 +219,18 @@ func NewHarness(cfg HarnessConfig) *Harness {
 		h.PhysCk.SetObs(cfg.Obs)
 		h.PhysCk.Register(rx, cfg.N)
 		h.det = h.PhysCk
-	case cfg.CheckerFanout >= 2:
-		h.Tree = checker.New(checker.Config{
-			N: cfg.N, Pred: cfg.Pred, Fanout: cfg.CheckerFanout,
-			RaceAware:     cfg.raceAware,
-			BatchInterval: look,
-		})
-		h.Tree.SetObs(cfg.Obs)
-		onStrobes(rx, cfg.N, func(m StrobeMsg, now sim.Time) { h.Tree.OnReport(treeReport(m), now) })
-		h.det = h.Tree
 	default:
 		// Race-aware for the vector protocols, whose stamps can show races;
 		// a fleet's checker is race-blind (see raceAware).
-		h.Checker = newStrobeChecker(cfg.N, cfg.Pred, cfg.Kind != ScalarStrobe && (!fleet || cfg.raceAware))
-		h.Checker.SetObs(cfg.Obs)
-		h.Checker.SetFlight(cfg.Flight, cfg.N)
-		h.Checker.Register(rx, cfg.N)
-		h.det = h.Checker
+		h.Tree = checker.New(checker.Config{
+			N: cfg.N, Pred: cfg.Pred, Fanout: cfg.CheckerFanout,
+			RaceAware:     cfg.Kind != ScalarStrobe && (!fleet || cfg.raceAware),
+			BatchInterval: look,
+		})
+		h.Tree.SetObs(cfg.Obs)
+		h.Tree.SetFlight(cfg.Flight, cfg.N)
+		RegisterTree(rx, cfg.N, h.Tree)
+		h.det = h.Tree
 	}
 
 	smap := network.ShardMap{Procs: cfg.N + 1, Shards: cfg.Shards}
@@ -240,10 +240,10 @@ func NewHarness(cfg HarnessConfig) *Harness {
 }
 
 // refuse panics, naming the field, on a configuration the harness cannot
-// run. network.Net runs on one engine and feeds the checker tree no
-// fleet; ShardedNet does not flood, is not wired to the single-writer
-// flight recorder nor to the conjunctive checker's interval traffic, and
-// its fleet runs the differential protocol. A zero-lookahead Delay over
+// run. network.Net runs on one engine; ShardedNet does not flood, is not
+// wired to the single-writer flight recorder nor to the conjunctive
+// checker's interval traffic, and its fleet runs the differential
+// protocol. A zero-lookahead Delay over
 // several shards is sim.NewShards' to refuse.
 func refuse(cfg HarnessConfig, fleet bool) {
 	var why string
@@ -252,8 +252,6 @@ func refuse(cfg HarnessConfig, fleet bool) {
 		why = "harness needs at least one sensor"
 	case !fleet && cfg.Shards > 1:
 		why = "Shards > 1 needs a fleet Workload: network.Net runs on one engine"
-	case !fleet && cfg.CheckerFanout >= 2:
-		why = "CheckerFanout >= 2 needs a fleet Workload"
 	case fleet && cfg.Flood:
 		why = "Flood with a fleet Workload: network.ShardedNet does not flood"
 	case fleet && cfg.Flight != nil:
@@ -389,16 +387,6 @@ func PilotPred(m, k int) predicate.Cond {
 		terms[i] = "p@" + strconv.Itoa(i)
 	}
 	return predicate.MustParse(strings.Join(terms, " + ") + " >= " + strconv.Itoa(k))
-}
-
-// treeReport strips the transport envelope off a strobe for the checker
-// tree (the checker package sits below core in the import graph).
-func treeReport(m StrobeMsg) checker.Report {
-	return checker.Report{
-		Proc: m.Proc, Seq: m.Seq, Epoch: m.Epoch,
-		Var: m.Var, Value: m.Value,
-		Vec: m.Vec, Scalar: m.Scalar, Sparse: m.Sparse,
-	}
 }
 
 // gridFor lays N sensors on a near-square grid (row-major, matching the
@@ -549,16 +537,9 @@ func (h *Harness) CounterLines() []string {
 		"net.bytes=" + strconv.FormatInt(t.Bytes, 10),
 		"sim.executed=" + strconv.FormatUint(h.Sh.ExecutedTotal(), 10),
 	}
-	applied, stale := int64(-1), int64(0)
-	switch {
-	case h.Tree != nil:
-		applied, stale = h.Tree.Stat.Applied, h.Tree.Stat.Stale
-	case h.Checker != nil:
-		applied, stale = h.Checker.Applied, h.Checker.Stale
-	}
-	if applied >= 0 { // the strobe checkers count what they apply
-		lines = append(lines, "checker.applied="+strconv.FormatInt(applied, 10),
-			"checker.stale="+strconv.FormatInt(stale, 10))
+	if h.Tree != nil { // the strobe checker counts what it applies
+		lines = append(lines, "checker.applied="+strconv.FormatInt(h.Tree.Stat.Applied, 10),
+			"checker.stale="+strconv.FormatInt(h.Tree.Stat.Stale, 10))
 	}
 	for kind, v := range t.ByKind {
 		lines = append(lines, "net.kind."+kind+"="+strconv.FormatInt(v, 10))

@@ -318,8 +318,8 @@ func TestHarnessPanicsConjunctiveScalar(t *testing.T) {
 // transport can run is refused by a panic naming the field: network.Net
 // runs on one engine; ShardedNet does not flood, cannot carry the
 // single-writer flight recorder or the conjunctive checker, and runs the
-// differential vector protocol; the checker tree reads a fleet's strobes;
-// and several shards need a positive lookahead.
+// differential vector protocol; and several shards need a positive
+// lookahead. The checker tree runs over either transport.
 func TestHarnessRefusesWhatNoTransportRuns(t *testing.T) {
 	classic := func() HarnessConfig {
 		return HarnessConfig{N: 4, Delay: sim.NewDeltaBounded(sim.Millisecond), Pred: predicate.MustParse("p@0 >= 1")}
@@ -332,8 +332,6 @@ func TestHarnessRefusesWhatNoTransportRuns(t *testing.T) {
 	}{
 		{"Shards without a fleet", func() HarnessConfig { c := classic(); c.Shards = 2; return c },
 			"core: Shards > 1 needs a fleet Workload"},
-		{"CheckerFanout without a fleet", func() HarnessConfig { c := classic(); c.CheckerFanout = 4; return c },
-			"core: CheckerFanout >= 2 needs a fleet Workload"},
 		{"Flood with a fleet", func() HarnessConfig { c := fleet(); c.Flood = true; return c },
 			"core: Flood with a fleet Workload"},
 		{"Flight with a fleet", func() HarnessConfig { c := fleet(); c.Flight = flight.New(5, 8); return c },
@@ -365,6 +363,6 @@ func TestHarnessRefusesWhatNoTransportRuns(t *testing.T) {
 	c.Shards = 2
 	NewHarness(c)
 	c = classic()
-	c.Flood, c.Flight = true, flight.New(5, 8)
+	c.Flood, c.Flight, c.CheckerFanout = true, flight.New(5, 8), 4
 	NewHarness(c)
 }

@@ -10,10 +10,12 @@
 //   - Sensor: a network-plane process that observes world-plane attributes
 //     and, on each sense event, ticks its clock and emits the protocol's
 //     control traffic (strobe broadcast or direct checker report);
-//   - VectorChecker / ScalarChecker: detection of *each occurrence* of a
-//     relational predicate under the Instantaneously modality using strobe
-//     vector / scalar clocks, with the race-aware "borderline bin" of
-//     Section 5 (vector only — scalars cannot see races);
+//   - Harness: the wiring of one detection run, whose strobe-clock
+//     detection of *each occurrence* of a relational predicate under the
+//     Instantaneously modality runs on the checker tree (internal/checker)
+//     at every fan-out, with the race-aware "borderline bin" of Section 5
+//     (vector only — scalars cannot see races); StrobeChecker is the flat
+//     reference the tests hold the tree to;
 //   - PhysicalChecker: the ε-synchronized physical-clock detector;
 //   - ConjunctiveChecker: interval-queue detection of Possibly(φ) and
 //     Definitely(φ) for conjunctive φ;
@@ -78,28 +80,6 @@ func (m *StrobeMsg) Kind() string {
 		return "strobe-diff"
 	}
 	return "strobe-scalar"
-}
-
-// FlightStamp is the strobe's logical identity for the flight recorder's
-// checker records. The clock component is the sender's own
-// vector entry (which SVC1 ticked at the emitting sense event, so the
-// differential payload always carries it), or the scalar value.
-func (m *StrobeMsg) FlightStamp() (epoch, seq int, clk uint64) {
-	switch {
-	case m.Vec != nil:
-		if m.Proc >= 0 && m.Proc < len(m.Vec) {
-			return m.Epoch, m.Seq, m.Vec[m.Proc]
-		}
-	case m.Sparse != nil:
-		for _, e := range m.Sparse {
-			if e.Proc == m.Proc {
-				return m.Epoch, m.Seq, e.Val
-			}
-		}
-	default:
-		return m.Epoch, m.Seq, m.Scalar
-	}
-	return m.Epoch, m.Seq, 0
 }
 
 // ReportMsg is the direct sensor→checker report of the physical-clock

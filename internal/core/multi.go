@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"pervasive/internal/checker"
 	"pervasive/internal/intervals"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
@@ -12,27 +13,23 @@ import (
 // the substrate for the relative timing relations of Section 3.1.1.a.ii,
 // where a specification constrains the occurrence streams of *two*
 // predicates ("X before Y by more than 5 seconds"). Each named predicate
-// gets its own full strobe checker; a single transport registration fans
-// the strobes out.
+// gets its own checker tree; a single transport registration fans the
+// strobes out.
 type MultiChecker struct {
-	checkers map[string]*StrobeChecker
+	checkers map[string]*checker.Tree
 	order    []string
 }
 
 // NewMultiChecker builds one checker per named predicate, race-aware when
 // vector is set.
 func NewMultiChecker(n int, preds map[string]predicate.Cond, vector bool) *MultiChecker {
-	m := &MultiChecker{checkers: make(map[string]*StrobeChecker, len(preds))}
+	m := &MultiChecker{checkers: make(map[string]*checker.Tree, len(preds))}
 	for name := range preds {
 		m.order = append(m.order, name)
 	}
 	sort.Strings(m.order)
 	for _, name := range m.order {
-		if vector {
-			m.checkers[name] = NewVectorChecker(n, preds[name])
-		} else {
-			m.checkers[name] = NewScalarChecker(n, preds[name])
-		}
+		m.checkers[name] = checker.New(checker.Config{N: n, Pred: preds[name], RaceAware: vector})
 	}
 	return m
 }
@@ -43,7 +40,7 @@ func (m *MultiChecker) Register(net Receiver, idx int) { onStrobes(net, idx, m.O
 // OnStrobe fans one strobe out to every named checker.
 func (m *MultiChecker) OnStrobe(msg StrobeMsg, now sim.Time) {
 	for _, name := range m.order {
-		m.checkers[name].OnStrobe(msg, now)
+		m.checkers[name].OnReport(checker.Report(msg), now)
 	}
 }
 
@@ -55,7 +52,7 @@ func (m *MultiChecker) Finish(horizon sim.Time) {
 }
 
 // Checker returns the underlying checker for a name (nil if unknown).
-func (m *MultiChecker) Checker(name string) *StrobeChecker { return m.checkers[name] }
+func (m *MultiChecker) Checker(name string) *checker.Tree { return m.checkers[name] }
 
 // Occurrences returns the named predicate's occurrences.
 func (m *MultiChecker) Occurrences(name string) []Occurrence {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pervasive/internal/checker"
 	"pervasive/internal/network"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
@@ -137,7 +138,7 @@ func TestOnlyDiffVectorSensesTakePooledBodies(t *testing.T) {
 			t.Errorf("%s: fleet holds the transport's pool: %v", label, got)
 		}
 		if tc.local {
-			sensors[0].Local = newStrobeChecker(n, pred, false)
+			sensors[0].Local = checker.New(checker.Config{N: n, Pred: pred})
 		}
 		type kept struct {
 			seq *int

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"pervasive/internal/checker"
 	"pervasive/internal/clock"
 	"pervasive/internal/flight"
 	"pervasive/internal/network"
@@ -69,7 +70,7 @@ type Sensor struct {
 	// global predicate itself and actuate locally, instead of relying on
 	// the distinguished root P0. The replica consumes the sensor's own
 	// sense events immediately and remote strobes on receipt.
-	Local *StrobeChecker
+	Local *checker.Tree
 
 	f   *fleet
 	net Transport // per sensor: each live node holds its own links
@@ -269,7 +270,7 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 		}
 		s.net.BroadcastBody(id, body)
 		if s.Local != nil {
-			s.Local.OnStrobe(msg, now)
+			s.Local.OnReport(checker.Report(msg), now)
 		}
 	}
 	if f.fl != nil {
@@ -362,7 +363,7 @@ func (s *Sensor) onMessage(m network.Message, now sim.Time) {
 		}
 	}
 	if s.Local != nil {
-		s.Local.OnStrobe(*strobe, now)
+		s.Local.OnReport(checker.Report(*strobe), now)
 	}
 }
 

@@ -81,7 +81,7 @@ func TestCheckersRegisterOnShardedNet(t *testing.T) {
 		{"MultiChecker", strobe, func(net Receiver, _ *sim.Engine, idx int) func() int64 {
 			m := NewMultiChecker(2, map[string]predicate.Cond{"a": pred}, false)
 			m.Register(net, idx)
-			return func() int64 { return m.Checker("a").Applied }
+			return func() int64 { return m.Checker("a").Stat.Applied }
 		}},
 	}
 	for _, tc := range cases {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"pervasive/internal/checker"
 	"pervasive/internal/network"
+	"pervasive/internal/sim"
 )
 
 // Transport is the sending surface a sensor needs: direct sends to the
@@ -29,3 +31,21 @@ var (
 	_ Receiver  = (*network.Net)(nil)
 	_ Receiver  = (*network.ShardedNet)(nil)
 )
+
+// onStrobes installs fn on transport node idx as the consumer of every
+// strobe delivered there; other payloads are ignored.
+func onStrobes(net Receiver, idx int, fn func(m StrobeMsg, now sim.Time)) {
+	net.Register(idx, func(m network.Message, now sim.Time) {
+		if strobe, ok := m.Payload.(*StrobeMsg); ok {
+			fn(*strobe, now)
+		}
+	})
+}
+
+// RegisterTree installs the checker tree t on transport node idx as the
+// consumer of every strobe delivered there. A StrobeMsg converts to a
+// checker.Report field for field: the tree sees the strobe without its
+// transport envelope.
+func RegisterTree(net Receiver, idx int, t *checker.Tree) {
+	onStrobes(net, idx, func(m StrobeMsg, now sim.Time) { t.OnReport(checker.Report(m), now) })
+}

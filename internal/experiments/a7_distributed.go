@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"pervasive/internal/checker"
 	"pervasive/internal/core"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
@@ -51,9 +52,9 @@ func A7DistributedCheckers(cfg RunConfig) *Table {
 		}
 		h := pw.build(cfg.Seed + s)
 		// Attach a replica to every sensor.
-		replicas := make([]*core.StrobeChecker, pw.N)
+		replicas := make([]*checker.Tree, pw.N)
 		for i, sn := range h.Sensors {
-			replicas[i] = core.NewVectorChecker(pw.N, pw.pred())
+			replicas[i] = checker.New(checker.Config{N: pw.N, Pred: pw.pred(), RaceAware: true})
 			sn.Local = replicas[i]
 		}
 		res := h.Run()

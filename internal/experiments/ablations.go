@@ -106,7 +106,7 @@ func A2RaceCriterion(cfg RunConfig) *Table {
 			Faults:  cfg.Faults,
 		}
 		h := pw.build(cfg.Seed + s)
-		h.Checker.NaiveRace = naive
+		h.Tree.NaiveRace = naive
 		res := h.Run()
 		c := counts{conf: res.Confusion}
 		for _, o := range res.Occurrences {

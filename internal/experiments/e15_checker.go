@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"pervasive/internal/checker"
 	"pervasive/internal/core"
 	"pervasive/internal/scenario"
 	"pervasive/internal/sim"
@@ -15,9 +16,10 @@ import (
 // upward sync channel's mean staleness (how long a report waits before
 // its watermark crosses the tier boundary — the detection-latency cost
 // batching buys throughput with), the coalesce rate (superseded values
-// that never cross the wire), and the encoded sync traffic. The R=1 row
-// of each (p, volume) group runs the flat checker and anchors the "same"
-// column: every tree cell's full counter digest must be byte-identical
+// that never cross the wire), and the encoded sync traffic. Every row
+// runs the tree; the R=1 row of each (p, volume) group is the tree with
+// one region, whose sync channel still batches, and it anchors the "same"
+// column: every wider cell's full counter digest must be byte-identical
 // to it, so the table doubles as the checker-tree determinism regression
 // (detection itself rides the immediate delta channel; only watermark
 // sync is batched, which is why recall is identical at every fan-out).
@@ -70,7 +72,7 @@ func E15CheckerTree(cfg RunConfig) *Table {
 	type out struct {
 		res    core.Results
 		digest string
-		stat   *core.Harness
+		tree   *checker.Tree
 	}
 	results := sweep(cfg, points, 1, func(j point, _ uint64) out {
 		h := scenario.NewScale(scenario.ScaleConfig{
@@ -85,7 +87,7 @@ func E15CheckerTree(cfg RunConfig) *Table {
 			Faults:        cfg.Faults,
 		}).Harness
 		res := h.Run()
-		return out{res: res, digest: strings.Join(h.CounterLines(), "\n"), stat: h}
+		return out{res: res, digest: strings.Join(h.CounterLines(), "\n"), tree: h.Tree}
 	})
 
 	var baseline string
@@ -99,22 +101,17 @@ func E15CheckerTree(cfg RunConfig) *Table {
 			same = "NO"
 		}
 		recall := ratio(o.res.Confusion.TP, o.res.Confusion.TP+o.res.Confusion.FN)
-		reports, lag, coalesce, wire := "-", "-", "-", "-"
-		if tree := o.stat.Tree; tree != nil {
-			st := tree.Stat
-			reports = fmt.Sprintf("%d", st.Applied)
-			if st.SyncedProcs > 0 {
-				lag = fmt.Sprintf("%.2f", (sim.Time(st.SyncLagTotal) / sim.Time(st.SyncedProcs)).Millis())
-			}
-			coalesce = fmt.Sprintf("%.1f", 100*float64(st.Coalesced)/float64(st.Applied))
-			wire = fmt.Sprintf("%.1f", float64(st.WireBytes)/1024)
-		} else {
-			reports = fmt.Sprintf("%d", o.stat.Checker.Applied)
+		st := o.tree.Stat
+		lag := "-"
+		if st.SyncedProcs > 0 {
+			lag = fmt.Sprintf("%.2f", (sim.Time(st.SyncLagTotal) / sim.Time(st.SyncedProcs)).Millis())
 		}
-		t.AddRow(j.p, j.v.name, j.fanout, reports, recall, lag, coalesce, wire, same)
+		coalesce := fmt.Sprintf("%.1f", 100*float64(st.Coalesced)/float64(st.Applied))
+		wire := fmt.Sprintf("%.1f", float64(st.WireBytes)/1024)
+		t.AddRow(j.p, j.v.name, j.fanout, st.Applied, recall, lag, coalesce, wire, same)
 	}
 	t.Notes = append(t.Notes,
-		"R=1 runs the flat checker (the differential oracle); 'same' compares each cell's full counter digest against it",
+		"R=1 is the tree with one region; 'same' compares each cell's full counter digest against it",
 		"sync lag is the mean wait before a report's watermark crosses the tier boundary (simulated time, not wall) — the latency cost of batching, paid by the sync channel only, never by detection",
 		"coalesce% is the share of applied reports whose pending sync value was superseded before flushing — the traffic batching saves at dense report volume",
 		"cmd/bench measures root throughput as checker.drill_flat_report_ns vs checker.drill_tree_report_ns (flat O(p)-per-report aggregate evaluation vs the tree's O(1) incremental fold)")

@@ -189,7 +189,7 @@ func TestLiveCheckerCopiesGetDuplicateWindow(t *testing.T) {
 	}
 	// Zero-delay timers may still reorder two strobes, so Applied is not
 	// pinned; every strobe arriving twice is: at least one discard each.
-	applied, stale := nw.checker.Applied, nw.checker.Stale
+	applied, stale := nw.checker.Stat.Applied, nw.checker.Stat.Stale
 	if applied+stale != 2*senses || stale < senses {
 		t.Errorf("checker applied %d stale %d, want %d arrivals with stale >= %d", applied, stale, 2*senses, senses)
 	}

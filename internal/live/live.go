@@ -4,7 +4,8 @@
 // natural Go realization of the paper's asynchronous message-passing
 // system model (Section 2). Only the substrate is live. Each node
 // goroutine runs a core.Sensor (SVC/SSC rules, sequence numbers, crash
-// epoch), the checker is a core.StrobeChecker registered as on the DES,
+// epoch), the checker is a one-region checker.Tree registered as on the
+// DES (its deliveries serialized under a lock),
 // every link copy takes its fate from network.LinkDelay/DupDelay and is
 // counted in a network.Stats, crash/recover transitions come from
 // core.ScheduleFaults, and Stop scores through core.FinishAndScore into a
@@ -21,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pervasive/internal/checker"
 	"pervasive/internal/core"
 	"pervasive/internal/faults"
 	"pervasive/internal/flight"
@@ -79,7 +81,7 @@ type Network struct {
 	handlers []network.Handler
 
 	checkerMu sync.Mutex
-	checker   *core.StrobeChecker
+	checker   *checker.Tree
 
 	// linkMu guards the link RNG stream and the transport's counts.
 	linkMu sync.Mutex
@@ -182,15 +184,11 @@ func Start(cfg Config) *Network {
 		r.Counter("live.mailbox_drops").Store(nw.mailboxDrops.Load())
 		r.Counter("live.mailbox_drained").Store(nw.drained.Load())
 	})
-	if cfg.Kind == core.VectorStrobe {
-		nw.checker = core.NewVectorChecker(cfg.N, cfg.Pred)
-	} else {
-		nw.checker = core.NewScalarChecker(cfg.N, cfg.Pred)
-	}
+	nw.checker = checker.New(checker.Config{N: cfg.N, Pred: cfg.Pred, RaceAware: cfg.Kind == core.VectorStrobe})
 	nw.checker.SetObs(cfg.Obs)
 	nw.checker.SetFlight(cfg.Flight, cfg.N)
 	tx := (*links)(nw)
-	nw.checker.Register(tx, cfg.N)
+	core.RegisterTree(tx, cfg.N, nw.checker)
 	sensors := core.NewSensors(tx, core.SensorConfig{N: cfg.N, Kind: cfg.Kind, CheckerIdx: cfg.N, Flight: cfg.Flight},
 		func(int) core.Transport { return tx })
 	for i, s := range sensors {

@@ -144,8 +144,8 @@ func NewOffice(cfg OfficeConfig) *Office {
 				}
 			}
 		}
-		if h.Checker != nil {
-			h.Checker.Notify = reset
+		if h.Tree != nil {
+			h.Tree.Notify = reset
 		}
 		if h.ConjCk != nil {
 			h.ConjCk.Notify = reset

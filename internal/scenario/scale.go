@@ -30,9 +30,8 @@ type ScaleConfig struct {
 	Horizon sim.Time
 	Pilot   int
 	PilotK  int
-	// CheckerFanout >= 2 routes detection through the hierarchical
-	// checker tree with that many regional aggregators; <= 1 keeps the
-	// flat checker (the differential oracle).
+	// CheckerFanout is the number of regional aggregators of the checker
+	// tree that runs detection; 0 or 1 is one region.
 	CheckerFanout int
 	// Workload overrides the fleet workload (e.g. a replayed trace,
 	// objects = global sensor indices); nil uses the default per-sensor
