@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"pervasive/internal/obs"
 	"pervasive/internal/sim"
 	"pervasive/internal/workload"
 )
@@ -205,5 +207,37 @@ func TestFaultsReachBuilderScenarios(t *testing.T) {
 	code, out, errb := pervasim(append(base, "-faults", "crash(9,1s)")...)
 	if want := "-faults: fault plan event targets process 9; crash/recover is limited to sensors 0..3"; code != 2 || out != "" || !strings.Contains(errb, want) {
 		t.Errorf("out-of-range plan: exit %d, stdout %q, stderr %q; want 2, no report, %q", code, out, errb, want)
+	}
+}
+
+// TestScaleRunSpanIsShardInvariant: the harness.run span of a scale run
+// ends at the last event the run executed whatever the shard count, not
+// at the epoch barrier past it that a multi-shard drain stops on.
+func TestScaleRunSpanIsShardInvariant(t *testing.T) {
+	dir := t.TempDir()
+	end := func(shards string) sim.Time {
+		path := filepath.Join(dir, "m"+shards+".json")
+		code, _, errb := pervasim("-scenario", "scale", "-sensors", "512", "-horizon", "3s", "-shards", shards, "-metrics", path)
+		if code != 0 {
+			t.Fatalf("-shards %s: exit %d: %s", shards, code, errb)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap obs.Snapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range snap.Spans {
+			if s.Name == "harness.run" {
+				return s.End
+			}
+		}
+		t.Fatalf("-shards %s: no harness.run span in %s", shards, raw)
+		return 0
+	}
+	if one, four := end("1"), end("4"); one != four || one < 3*sim.Second {
+		t.Errorf("harness.run ends at %v at -shards 1 and %v at -shards 4, want one time at or past the 3s horizon", one, four)
 	}
 }

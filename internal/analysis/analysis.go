@@ -78,7 +78,9 @@ func DefaultConfig() Config {
 		// oracle scoring), the checker tree's per-report path (the one
 		// production checker: admission, race probe, staging and a
 		// flush's encode → decode round trip, 0 allocs per report in
-		// TestTreeReportAllocs), and the workload trace codec's per-event
+		// TestTreeReportAllocs), the duty-cycle MAC's two event functions
+		// (no closure per wake or beacon copy, TestRunAllocationsDoNotGrow-
+		// WithHorizon), and the workload trace codec's per-event
 		// primitives.
 		HotFuncs: []string{
 			m + "/internal/sim.Engine.AtPri",
@@ -91,6 +93,8 @@ func DefaultConfig() Config {
 			m + "/internal/network.ShardPart.deliver",
 			m + "/internal/predicate.Incremental.Set",
 			m + "/internal/checker.Tree.OnReport",
+			m + "/internal/mac.dutyRun.wake",
+			m + "/internal/mac.dutyRun.hear",
 			m + "/internal/workload.appendUvarint",
 			m + "/internal/workload.decoder.uvarint",
 		},

@@ -59,6 +59,12 @@ type rootView struct {
 	regionEpoch []int
 }
 
+// boundaryColumn is one name's boundary marks (see Tree.boundary).
+type boundaryColumn struct {
+	name  string
+	procs []bool
+}
+
 // Tree is the hierarchical checker: R regional aggregators under one
 // root, detection-equivalent to the flat reference core.StrobeChecker at
 // every fan-out, R = 1 included. It is single-goroutine: all reports are
@@ -72,11 +78,11 @@ type Tree struct {
 	// eval is the root's verdict: every applied report sets its key there,
 	// and the race probe sets, evaluates and restores keys through it.
 	eval predicate.Incremental
-	// boundary[name][p] says a cross-region clause reads name@p (an
-	// aggregate reads name at every p); boundaryAll says an untracked
-	// clause may read any key. Only boundary values ride a sync batch's
-	// entries.
-	boundary    map[string][]bool
+	// boundary holds a column per name a cross-region clause reads, whose
+	// procs[p] says the clause reads name@p (an aggregate reads name at
+	// every p); boundaryAll says an untracked clause may read any key.
+	// Only boundary values ride a sync batch's entries.
+	boundary    []boundaryColumn
 	boundaryAll bool
 
 	cur      bool
@@ -158,7 +164,6 @@ func New(cfg Config) *Tree {
 		t.aggs[i] = newAggregator(i, t.regionLo(i), t.regionLo(i+1), cfg.RaceAware)
 	}
 	t.eval.Init(cfg.Pred, cfg.N)
-	t.boundary = make(map[string][]bool)
 	t.eval.Conjuncts(func(c predicate.Cond, untracked bool) {
 		t.boundaryAll = t.boundaryAll || untracked
 		home, spans := -1, false // home: the region of the last key read
@@ -182,10 +187,10 @@ func (t *Tree) markBoundary(k predicate.Key) {
 	if k.Proc >= t.n {
 		return // no report ever carries it
 	}
-	b := t.boundary[k.Name]
+	b := t.boundaryProcs(k.Name)
 	if b == nil {
 		b = make([]bool, t.n)
-		t.boundary[k.Name] = b
+		t.boundary = append(t.boundary, boundaryColumn{name: k.Name, procs: b})
 	}
 	if k.Proc >= 0 {
 		b[k.Proc] = true
@@ -200,8 +205,19 @@ func (t *Tree) markBoundary(k predicate.Key) {
 // settled inside proc's region — the criterion for forwarding the value
 // upward in a sync batch.
 func (t *Tree) boundaryKey(proc int, name string) bool {
-	b := t.boundary[name]
+	b := t.boundaryProcs(name)
 	return t.boundaryAll || b != nil && b[proc]
+}
+
+// boundaryProcs returns name's boundary marks, nil when no cross-region
+// clause reads name.
+func (t *Tree) boundaryProcs(name string) []bool {
+	for i := range t.boundary {
+		if t.boundary[i].name == name {
+			return t.boundary[i].procs
+		}
+	}
+	return nil
 }
 
 // RegionOf returns the region owning process p — the same proportional
@@ -330,7 +346,7 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 	race := false
 	if t.raceAware {
 		if m.Vec != nil {
-			race = t.detectRace(m, prev)
+			race = t.detectRace(&m, prev)
 			a.stamps[li] = keepVec(a.stamps[li], m.Vec)
 		}
 		a.lastChange[li] = change{varName: m.Var, prev: prev, valid: true}
@@ -577,40 +593,38 @@ func (t *Tree) RecoverRegion(r int, now sim.Time) {
 // window) and the observation is robust — e.g. two concurrent rises that
 // jointly push a sum over its threshold are correctly left unflagged.
 //
-// Processes are scanned in global order across regions, and each probe
-// sets, evaluates and restores the two keys through the evaluator. The
-// restore is exact: the evaluator keeps a running sum only while every
-// value folded into it is an exact integer.
-func (t *Tree) detectRace(m Report, prevI float64) bool {
+// Processes are scanned in global order, region by region, and each
+// probe sets, evaluates and restores the two keys through the evaluator.
+// The restore is exact: the evaluator keeps a running sum only while
+// every value folded into it is an exact integer.
+func (t *Tree) detectRace(m *Report, prevI float64) bool {
 	keyI := predicate.Key{Proc: m.Proc, Name: m.Var}
-	for j := 0; j < t.n; j++ {
-		if j == m.Proc {
-			continue
-		}
-		ja, jli := t.aggFor(j)
-		if len(ja.stamps[jli]) == 0 || !ja.lastChange[jli].valid {
-			continue
-		}
-		if !m.Vec.ConcurrentWith(ja.stamps[jli]) {
-			continue
-		}
-		if t.NaiveRace {
-			return true
-		}
-		ch := ja.lastChange[jli]
-		keyJ := predicate.Key{Proc: j, Name: ch.varName}
+	for _, ja := range t.aggs {
+		for jli, stamp := range ja.stamps {
+			ch := &ja.lastChange[jli]
+			if len(stamp) == 0 || !ch.valid || ja.lo+jli == m.Proc {
+				continue
+			}
+			if !m.Vec.ConcurrentWith(stamp) {
+				continue
+			}
+			if t.NaiveRace {
+				return true
+			}
+			keyJ := predicate.Key{Proc: ja.lo + jli, Name: ch.varName}
 
-		phi11 := t.phi()
-		t.eval.Set(keyJ, ch.prev) // s10: only e
-		phi10 := t.phi()
-		t.eval.Set(keyI, prevI) // s00: neither
-		phi00 := t.phi()
-		t.eval.Set(keyJ, ja.vals.Get(jli, ch.varName)) // s01: only e'
-		phi01 := t.phi()
-		t.eval.Set(keyI, m.Value) // restore s11
+			phi11 := t.phi()
+			t.eval.Set(keyJ, ch.prev) // s10: only e
+			phi10 := t.phi()
+			t.eval.Set(keyI, prevI) // s00: neither
+			phi00 := t.phi()
+			t.eval.Set(keyJ, ja.vals.Get(jli, ch.varName)) // s01: only e'
+			phi01 := t.phi()
+			t.eval.Set(keyI, m.Value) // restore s11
 
-		if phi00 == phi11 && phi10 != phi01 {
-			return true
+			if phi00 == phi11 && phi10 != phi01 {
+				return true
+			}
 		}
 	}
 	return false

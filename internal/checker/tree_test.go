@@ -354,11 +354,11 @@ func pilotSrc(m, k int) string {
 	return strings.Join(terms, " + ") + " >= " + strconv.Itoa(k)
 }
 
-// reportFeed drives a race-blind tree with one report per call, each a
-// microsecond after the last under a one-microsecond batch interval, so
-// every report flushes its aggregator. Process p always reports 1 when p
-// is even and 0 when odd: the pilot predicates below never flip, so the
-// occurrence log stays empty and only the report and sync paths run.
+// reportFeed drives a tree with one report per call, each a microsecond
+// after the last under a one-microsecond batch interval, so every report
+// flushes its aggregator. Process p always reports 1 when p is even and 0
+// when odd: the pilot predicates below never flip, so the occurrence log
+// stays empty and only the report, race-probe and sync paths run.
 type reportFeed struct {
 	tr   *Tree
 	reps []Report
@@ -366,13 +366,30 @@ type reportFeed struct {
 	now  sim.Time
 }
 
-func newReportFeed(n, fanout int, pred string) *reportFeed {
+// newReportFeed builds the feed over n processes. Race-aware, every report
+// carries a dense vector stamp in E7's shape, half of them concurrent: an
+// odd process's stamp is its own unit vector, an even one's is all ones
+// but 2 at its own component, so two stamps of one parity are concurrent
+// and an even stamp is after an odd one. The race probe then runs its four
+// evaluations against every other process of the sender's parity; the
+// values never change, so no probe finds a race and no marker is kept.
+func newReportFeed(n, fanout int, pred string, race bool) *reportFeed {
 	f := &reportFeed{
-		tr:   New(Config{N: n, Pred: predicate.MustParse(pred), Fanout: fanout, BatchInterval: 1}),
+		tr:   New(Config{N: n, Pred: predicate.MustParse(pred), Fanout: fanout, RaceAware: race, BatchInterval: 1}),
 		reps: make([]Report, n),
 	}
 	for p := range f.reps {
 		f.reps[p] = report(p, 0, float64((p+1)%2))
+		if race {
+			v := clock.NewVector(n)
+			if p%2 == 0 {
+				for i := range v {
+					v[i] = 1
+				}
+			}
+			v[p]++
+			f.reps[p].Vec, f.reps[p].Sparse = v, nil
+		}
 	}
 	return f
 }
@@ -387,18 +404,22 @@ func (f *reportFeed) feed(k int) {
 	}
 }
 
-// reportFeedCases are the fan-outs and predicates the allocation guard and
-// BenchmarkTreeReport run: every value a boundary entry of every batch, or
-// none.
+// reportFeedCases are the fleets, fan-outs and predicates the allocation
+// guard and BenchmarkTreeReport run: every value a boundary entry of every
+// batch, or none, race-blind over 4096 processes; and the classic stack's
+// race-aware tree at R = 1 over E7's 64.
 var reportFeedCases = []struct {
 	name   string
+	n      int
 	fanout int
 	pred   string
+	race   bool
 }{
-	{"boundary/R=1", 1, pilotSrc(4096, 2049)},
-	{"boundary/R=16", 16, pilotSrc(4096, 2049)},
-	{"local/R=1", 1, pilotSrc(8, 5)},
-	{"local/R=16", 16, pilotSrc(8, 5)},
+	{"boundary/R=1", 4096, 1, pilotSrc(4096, 2049), false},
+	{"boundary/R=16", 4096, 16, pilotSrc(4096, 2049), false},
+	{"local/R=1", 4096, 1, pilotSrc(8, 5), false},
+	{"local/R=16", 4096, 16, pilotSrc(8, 5), false},
+	{"race/n=64/R=1", 64, 1, "sum(p) >= 33", true},
 }
 
 // TestTreeReportAllocs holds a warm tree's per-report path — admission,
@@ -407,7 +428,7 @@ var reportFeedCases = []struct {
 func TestTreeReportAllocs(t *testing.T) {
 	for _, c := range reportFeedCases {
 		t.Run(c.name, func(t *testing.T) {
-			f := newReportFeed(4096, c.fanout, c.pred)
+			f := newReportFeed(c.n, c.fanout, c.pred, c.race)
 			f.feed(2 * len(f.reps)) // every process reports twice: every column and buffer reaches its size
 			batches := f.tr.Stat.Batches
 			if allocs := testing.AllocsPerRun(1000, func() { f.feed(1) }); allocs != 0 {
@@ -426,7 +447,7 @@ func TestTreeReportAllocs(t *testing.T) {
 func BenchmarkTreeReport(b *testing.B) {
 	for _, c := range reportFeedCases {
 		b.Run(c.name, func(b *testing.B) {
-			f := newReportFeed(4096, c.fanout, c.pred)
+			f := newReportFeed(c.n, c.fanout, c.pred, c.race)
 			f.feed(2 * len(f.reps))
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -15,6 +15,8 @@
 // receive and are piggybacked only on computation messages.
 package clock
 
+import "math/bits"
+
 // Order is the outcome of comparing two timestamps in a partial order.
 type Order int
 
@@ -90,8 +92,29 @@ func (v Vector) Compare(w Vector) Order {
 // HappensBefore reports v → w (strictly less in the partial order).
 func (v Vector) HappensBefore(w Vector) bool { return v.Compare(w) == Before }
 
-// ConcurrentWith reports that neither v → w nor w → v.
-func (v Vector) ConcurrentWith(w Vector) bool { return v.Compare(w) == Concurrent }
+// ConcurrentWith reports that neither v → w nor w → v: Compare(w) ==
+// Concurrent. Over vectors of one length it is one pass that returns at
+// the first component pair that disagrees the other way from an earlier
+// one; vectors of different lengths take Compare and its zero padding.
+func (v Vector) ConcurrentWith(w Vector) bool {
+	if len(v) != len(w) {
+		return v.Compare(w) == Concurrent
+	}
+	w = w[:len(v)]
+	// lt and gt turn 1 at the first component below and above w's; a
+	// subtraction's borrow sets them without a branch.
+	var lt, gt uint64
+	for i, a := range v {
+		_, below := bits.Sub64(a, w[i], 0)
+		_, above := bits.Sub64(w[i], a, 0)
+		lt |= below
+		gt |= above
+		if lt&gt != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // MergeFrom sets v to the componentwise maximum of v and w, growing v if
 // needed, and returns v.

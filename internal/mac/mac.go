@@ -89,115 +89,140 @@ type node struct {
 	awake []sim.Time // flat [start, end, start, end, ...]
 }
 
-// arm schedules the node's wake at its current nextWake, superseding any
+// beacon is one broadcast, shared by all of its copies: the sender and
+// the next wake it announced.
+type beacon struct {
+	from int
+	next sim.Time
+}
+
+// dutyRun is one simulation's shared state. Its two event functions are
+// bound once per run: a wake's body is the waking node and its arg the
+// timer's generation, a beacon copy's body the receiving node and its
+// arg the index of its broadcast in beacons, so no event carries a
+// closure.
+type dutyRun struct {
+	cfg      Config
+	eng      *sim.Engine
+	delayRNG *stats.RNG
+	nodes    []*node
+	beacons  []beacon
+	res      Result
+	wakeFn   sim.EventFunc
+	hearFn   sim.EventFunc
+}
+
+// arm schedules nd's wake at its current nextWake, superseding any
 // previously armed timer.
-func (nd *node) arm(eng *sim.Engine, h func(now sim.Time)) {
+func (r *dutyRun) arm(nd *node) {
 	nd.gen++
-	g := nd.gen
-	eng.At(nd.nextWake, func(now sim.Time) {
-		if nd.gen != g {
-			return
+	r.eng.AtFunc(nd.nextWake, 0, r.wakeFn, nd, nd.gen)
+}
+
+// windowTrue is nd's wake window in true time: a window of W local units
+// lasts W/(1+drift) true units; the deviation is negligible (ppm) but
+// kept for fidelity.
+func (r *dutyRun) windowTrue(nd *node) sim.Duration {
+	return sim.Duration(float64(r.cfg.Window) / (1 + nd.hw.DriftPPM/1e6))
+}
+
+// periodTrue is nd's period in true time.
+func (r *dutyRun) periodTrue(nd *node) sim.Duration {
+	return sim.Duration(float64(r.cfg.Period) / (1 + nd.hw.DriftPPM/1e6))
+}
+
+// wake is a wake timer firing at node body, armed under generation gen.
+func (r *dutyRun) wake(now sim.Time, body any, gen int) {
+	nd := body.(*node)
+	if nd.gen != gen {
+		return
+	}
+	r.res.Wakes++
+	nd.wakes++
+	wEnd := now + r.windowTrue(nd)
+	if r.cfg.Sync && r.cfg.ScanEvery > 0 && nd.wakes%r.cfg.ScanEvery == 0 {
+		// Resync scan: listen for a full period.
+		wEnd = now + r.periodTrue(nd)
+	}
+	nd.awake = append(nd.awake, now, wEnd) //lint:allow hotpath(amortized growth: the spans are the run's scoring record, one pair per wake)
+	nd.nextWake = now + r.periodTrue(nd)
+
+	if r.cfg.Sync {
+		r.res.Beacons++
+		// Beacon carries the duration to the sender's next wake;
+		// durations transfer across clocks up to ppm error.
+		b := len(r.beacons)
+		r.beacons = append(r.beacons, beacon{from: nd.id, next: nd.nextWake}) //lint:allow hotpath(amortized growth: one record per broadcast, shared by its copies)
+		for _, peer := range r.nodes {
+			if peer == nd {
+				continue
+			}
+			d, dropped := r.cfg.Delay.Sample(r.delayRNG, nd.id, peer.id)
+			if dropped {
+				continue
+			}
+			r.eng.AtFunc(now+d, 0, r.hearFn, peer, b)
 		}
-		h(now)
-	})
+	}
+	// Schedule the next wake at the node's own timer.
+	r.arm(nd)
+}
+
+// hear is node body receiving a copy of broadcast beacons[b].
+func (r *dutyRun) hear(at sim.Time, body any, b int) {
+	peer := body.(*node)
+	// Only an awake radio hears the beacon.
+	if !isAwake(peer, at) {
+		return
+	}
+	// S-MAC-style cluster merge: adopt the schedule of any lower-id node
+	// by aligning the next wake to the sender's phase (its announced next
+	// wake, pulled back whole periods to the first instant at or after
+	// now).
+	if bc := r.beacons[b]; bc.from < peer.id {
+		target := bc.next
+		pt := r.periodTrue(peer)
+		for target-pt >= at {
+			target -= pt
+		}
+		if target != peer.nextWake {
+			peer.nextWake = target
+			r.arm(peer)
+		}
+	}
 }
 
 // Run executes one duty-cycle simulation.
 func Run(cfg Config) Result {
 	cfg.fill()
 	eng := sim.NewEngine(cfg.Seed)
-	r := eng.RNG().Fork()
-	delayRNG := eng.RNG().Fork()
+	rng := eng.RNG().Fork()
+	r := &dutyRun{cfg: cfg, eng: eng, delayRNG: eng.RNG().Fork()}
+	r.wakeFn, r.hearFn = r.wake, r.hear
 
-	nodes := make([]*node, cfg.N)
-	for i := range nodes {
+	r.nodes = make([]*node, cfg.N)
+	for i := range r.nodes {
 		phase := sim.Time(0)
 		if cfg.MaxPhase > 0 {
-			phase = sim.Time(r.Int63n(int64(cfg.MaxPhase)))
+			phase = sim.Time(rng.Int63n(int64(cfg.MaxPhase)))
 		}
-		nodes[i] = &node{
+		r.nodes[i] = &node{
 			id: i,
 			hw: clock.Drifting{
-				DriftPPM: (2*r.Float64() - 1) * cfg.DriftPPM,
+				DriftPPM: (2*rng.Float64() - 1) * cfg.DriftPPM,
 			},
 			nextWake: 1 + phase,
 		}
 	}
-
-	var res Result
-	windowTrue := func(nd *node) sim.Duration {
-		// A window of W local units lasts W/(1+drift) true units; the
-		// deviation is negligible (ppm) but kept for fidelity.
-		return sim.Duration(float64(cfg.Window) / (1 + nd.hw.DriftPPM/1e6))
-	}
-	periodTrue := func(nd *node) sim.Duration {
-		return sim.Duration(float64(cfg.Period) / (1 + nd.hw.DriftPPM/1e6))
-	}
-
-	var wake func(nd *node) sim.Handler
-	wake = func(nd *node) sim.Handler {
-		return func(now sim.Time) {
-			res.Wakes++
-			nd.wakes++
-			wEnd := now + windowTrue(nd)
-			if cfg.Sync && cfg.ScanEvery > 0 && nd.wakes%cfg.ScanEvery == 0 {
-				// Resync scan: listen for a full period.
-				wEnd = now + periodTrue(nd)
-			}
-			nd.awake = append(nd.awake, now, wEnd)
-			nd.nextWake = now + periodTrue(nd)
-
-			if cfg.Sync {
-				res.Beacons++
-				// Beacon carries the duration to the sender's next wake;
-				// durations transfer across clocks up to ppm error.
-				for _, peer := range nodes {
-					if peer == nd {
-						continue
-					}
-					peer := peer
-					d, dropped := cfg.Delay.Sample(delayRNG, nd.id, peer.id)
-					if dropped {
-						continue
-					}
-					arrival := now + d
-					senderNext := nd.nextWake
-					eng.At(arrival, func(at sim.Time) {
-						// Only an awake radio hears the beacon.
-						if !isAwake(peer, at) {
-							return
-						}
-						// S-MAC-style cluster merge: adopt the schedule of
-						// any lower-id node by aligning the next wake to
-						// the sender's phase (its announced next wake,
-						// pulled back whole periods to the first instant
-						// at or after now).
-						if nd.id < peer.id {
-							target := senderNext
-							pt := periodTrue(peer)
-							for target-pt >= at {
-								target -= pt
-							}
-							if target != peer.nextWake {
-								peer.nextWake = target
-								peer.arm(eng, wake(peer))
-							}
-						}
-					})
-				}
-			}
-			// Schedule the next wake at the node's own timer.
-			nd.arm(eng, wake(nd))
-		}
-	}
-	for _, nd := range nodes {
-		nd.arm(eng, wake(nd))
+	for _, nd := range r.nodes {
+		r.arm(nd)
 	}
 	eng.Run(cfg.Horizon)
 
-	res.Overlap = meanPairwiseOverlap(nodes, cfg, cfg.Horizon)
+	res := r.res
+	res.Overlap = meanPairwiseOverlap(r.nodes, cfg, cfg.Horizon)
 	var awake sim.Duration
-	for _, nd := range nodes {
+	for _, nd := range r.nodes {
 		for i := 0; i+1 < len(nd.awake); i += 2 {
 			hi := nd.awake[i+1]
 			if hi > cfg.Horizon {

@@ -182,3 +182,27 @@ func TestOverlapMatchesQuadraticScan(t *testing.T) {
 		t.Errorf("drew %d interrupted scans and %d spans straddling the final quarter; want at least 100 of each", interrupted, straddling)
 	}
 }
+
+// TestRunAllocationsDoNotGrowWithHorizon: a wake and a beacon copy are
+// scheduled with the run's two bound event functions, so stretching the
+// horizon eightfold adds only the amortized growth of the run's slices —
+// each node's awake spans, the beacon records and the engine's slot pool
+// and heap, at most ten regrowths each (past 256 elements append grows a
+// slice by about 1.25×, and 1.25¹⁰ > 8) — and not one closure per event
+// (the beacon-sync run below schedules ≈ 7 000 events per simulated
+// minute; one closure each adds ≈ 54 000 objects here).
+func TestRunAllocationsDoNotGrowWithHorizon(t *testing.T) {
+	cfg := Config{
+		N: 8, Seed: 3, Period: sim.Second, Window: 100 * sim.Millisecond,
+		DriftPPM: 40, MaxPhase: sim.Second, Sync: true, ScanEvery: 5,
+	}
+	allocs := func(h sim.Time) float64 {
+		cfg.Horizon = h
+		return testing.AllocsPerRun(3, func() { Run(cfg) })
+	}
+	short, long := allocs(sim.Minute), allocs(8*sim.Minute)
+	if bound := float64(10 * (cfg.N + 3)); long-short > bound {
+		t.Errorf("Run allocates %.0f objects at an 8 min horizon, %.0f at 1 min: %.0f more, want at most %.0f",
+			long, short, long-short, bound)
+	}
+}

@@ -17,11 +17,18 @@ import "math"
 // untracked ones (a FuncCond inside) on every Holds.
 //
 // Every variable a tracked conjunct reads (aggregates expanded over the n
-// processes) owns a slot: slot maps its key to an index into vals, and
-// hooks[hookAt[s]:hookAt[s+1]] are the conjuncts reading slot s.
+// processes) owns a slot, an index into vals, and hooks[hookAt[s]:hookAt[s+1]]
+// are the conjuncts reading slot s. A key finds its slot without hashing:
+// cols holds one column per name read, the shape View uses, whose entry
+// at a process is 1 + the slot of name@proc (0: no tracked conjunct reads
+// it). A column ends at the largest process read below n; the literals
+// x@p with p ≥ n, which no process can report, keep their slots in far,
+// nil unless the predicate names one, so such a literal costs one map
+// entry and not a column p long.
 type Incremental struct {
 	n      int
-	slot   map[Key]int32
+	cols   []slotColumn
+	far    map[Key]int32
 	vals   []float64
 	hookAt []int32
 	hooks  []hook
@@ -56,6 +63,12 @@ type incClause struct {
 	dirty bool
 }
 
+// slotColumn is one name's process → slot index (see Incremental).
+type slotColumn struct {
+	name string
+	slot []int32
+}
+
 // hook says that a slot's value feeds side `side` of clause `clause` with
 // weight ±1; for clauses that are not exact only the clause matters.
 type hook struct {
@@ -71,29 +84,6 @@ func (e *Incremental) Init(pred Cond, n int) {
 	clauses := Compile(pred)
 	e.cls = make([]incClause, len(clauses))
 	e.dirty = make([]int32, len(clauses))
-
-	// Pass 1: assign slots and list every (slot, hook) pair in clause order.
-	type pair struct {
-		slot int32
-		h    hook
-	}
-	var pairs []pair
-	e.slot = make(map[Key]int32)
-	read := func(k Key, h hook) {
-		lo, hi := k.Proc, k.Proc+1
-		if k.Proc == -1 { // aggregate: every process's k.Name
-			lo, hi = 0, n
-		}
-		for p := lo; p < hi; p++ {
-			key := Key{Proc: p, Name: k.Name}
-			s, ok := e.slot[key]
-			if !ok {
-				s = int32(len(e.slot))
-				e.slot[key] = s
-			}
-			pairs = append(pairs, pair{slot: s, h: h})
-		}
-	}
 	for i, cl := range clauses {
 		c := &e.cls[i]
 		c.cond, c.op, c.untracked = cl.Cond, cl.Op, cl.Untracked
@@ -109,23 +99,27 @@ func (e *Incremental) Init(pred Cond, n int) {
 				e.Demoted++
 			}
 		}
-		if c.exact {
-			for side := range cl.Sides {
-				for _, t := range cl.Sides[side].Terms {
-					read(t.Key, hook{clause: int32(i), side: int8(side), neg: t.Neg})
-				}
-			}
-		} else {
-			cl.Cond.CollectVars(func(k Key) { read(k, hook{clause: int32(i)}) })
-		}
 	}
 	if len(e.untracked) > 0 {
 		e.extra = make(map[Key]float64)
 	}
 
-	// Pass 2: bucket the pairs by slot (counting sort keeps clause order).
-	e.vals = make([]float64, len(e.slot))
-	e.hookAt = make([]int32, len(e.slot)+1)
+	// Pass 1 sizes every column and counts the (slot, hook) pairs; pass 2
+	// assigns slots in first-read order and lists the pairs in clause
+	// order, growing nothing.
+	b := slotBuilder{e: e, sizing: true}
+	b.size = b.sizeBuf[:0]
+	b.visit(clauses)
+	for c := range e.cols {
+		e.cols[c].slot = make([]int32, b.size[c])
+	}
+	b.sizing, b.pairs = false, make([]slotPair, 0, b.nPairs)
+	b.visit(clauses)
+	pairs, nSlots := b.pairs, b.nSlots
+
+	// Pass 3: bucket the pairs by slot (counting sort keeps clause order).
+	e.vals = make([]float64, nSlots)
+	e.hookAt = make([]int32, nSlots+1)
 	for _, p := range pairs {
 		e.hookAt[p.slot+1]++
 	}
@@ -150,6 +144,93 @@ func (e *Incremental) Init(pred Cond, n int) {
 	}
 }
 
+// slotBuilder is Init's two passes over the variables the tracked clauses
+// read: sizing the columns, then assigning the slots.
+type slotBuilder struct {
+	e      *Incremental
+	sizing bool
+	// size is, per column, the largest process read below n plus one;
+	// sizeBuf holds it for the one to four names a predicate reads.
+	size    []int
+	sizeBuf [4]int
+	nPairs  int
+	pairs   []slotPair
+	nSlots  int32
+}
+
+// slotPair is one (slot, hook) read, bucketed by slot at the end of Init.
+type slotPair struct {
+	slot int32
+	h    hook
+}
+
+// visit reads every variable of every tracked clause, in clause order: an
+// exact clause's terms with their sides and signs, any other clause's
+// variables as CollectVars reports them.
+func (b *slotBuilder) visit(clauses []Clause) {
+	for i, cl := range clauses {
+		switch {
+		case cl.Untracked:
+		case b.e.cls[i].exact:
+			for side := range cl.Sides {
+				for _, t := range cl.Sides[side].Terms {
+					b.read(t.Key, hook{clause: int32(i), side: int8(side), neg: t.Neg})
+				}
+			}
+		default:
+			cl.Cond.CollectVars(func(k Key) { b.read(k, hook{clause: int32(i)}) })
+		}
+	}
+}
+
+// read takes one variable read; an aggregate (Proc -1) reads name at every
+// process.
+func (b *slotBuilder) read(k Key, h hook) {
+	e, c := b.e, b.e.column(k.Name)
+	if b.sizing {
+		if c == len(b.size) {
+			b.size = append(b.size, 0)
+		}
+		switch {
+		case k.Proc == -1:
+			b.size[c] = e.n
+			b.nPairs += e.n
+		case k.Proc >= e.n:
+			if e.far == nil {
+				e.far = make(map[Key]int32)
+			}
+			b.nPairs++
+		case k.Proc >= 0:
+			b.size[c] = max(b.size[c], k.Proc+1)
+			b.nPairs++
+		}
+		return
+	}
+	col := e.cols[c].slot
+	switch {
+	case k.Proc == -1:
+		for p := range col {
+			b.assign(&col[p], h)
+		}
+	case k.Proc >= e.n:
+		s := e.far[k]
+		b.assign(&s, h)
+		e.far[k] = s
+	case k.Proc >= 0:
+		b.assign(&col[k.Proc], h)
+	}
+}
+
+// assign lists one read of the slot *s holds (1 + slot, 0: none yet),
+// numbering the slot first if it has none.
+func (b *slotBuilder) assign(s *int32, h hook) {
+	if *s == 0 {
+		b.nSlots++
+		*s = b.nSlots
+	}
+	b.pairs = append(b.pairs, slotPair{slot: *s - 1, h: h})
+}
+
 // Conjuncts calls fn with each conjunct Init compiled, in source order,
 // and whether it is untracked (Clause.Untracked): what a consumer needs
 // to know about the clauses without compiling the predicate again.
@@ -159,13 +240,43 @@ func (e *Incremental) Conjuncts(fn func(c Cond, untracked bool)) {
 	}
 }
 
+// column returns the index of name's column, appending an empty one
+// when no column has that name yet (Init only).
+func (e *Incremental) column(name string) int {
+	for c := range e.cols {
+		if e.cols[c].name == name {
+			return c
+		}
+	}
+	e.cols = append(e.cols, slotColumn{name: name})
+	return len(e.cols) - 1
+}
+
+// slotOf returns the slot of (proc, name), or -1 when no tracked conjunct
+// reads it.
+func (e *Incremental) slotOf(proc int, name string) int32 {
+	for c := range e.cols {
+		if col := e.cols[c].slot; e.cols[c].name == name {
+			if uint(proc) < uint(len(col)) {
+				return col[proc] - 1
+			}
+			break
+		}
+	}
+	if e.far != nil && proc >= e.n {
+		if s, ok := e.far[Key{Proc: proc, Name: name}]; ok {
+			return s - 1
+		}
+	}
+	return -1
+}
+
 // Get implements State over the evaluator's own values.
 func (e *Incremental) Get(proc int, name string) float64 {
-	k := Key{Proc: proc, Name: name}
-	if s, ok := e.slot[k]; ok {
+	if s := e.slotOf(proc, name); s >= 0 {
 		return e.vals[s]
 	}
-	return e.extra[k]
+	return e.extra[Key{Proc: proc, Name: name}]
 }
 
 // NumProcs implements State.
@@ -174,8 +285,8 @@ func (e *Incremental) NumProcs() int { return e.n }
 // Set gives key k the value v. A key no conjunct reads is dropped unless
 // an untracked conjunct might read it.
 func (e *Incremental) Set(k Key, v float64) {
-	s, ok := e.slot[k]
-	if !ok {
+	s := e.slotOf(k.Proc, k.Name)
+	if s < 0 {
 		if e.extra != nil {
 			e.extra[k] = v
 		}

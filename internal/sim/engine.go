@@ -69,6 +69,9 @@ type Engine struct {
 	// obs.CollectEngine (sim cannot import obs, which uses sim.Time).
 	Scheduled    uint64
 	MaxHeapDepth int
+	// ranTo is the clock at the end of the latest sharded epoch in which
+	// the engine ran an event, before the barrier pinned it (see runTo).
+	ranTo Time
 }
 
 // NewEngine creates an engine whose randomness derives from seed.

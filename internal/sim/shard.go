@@ -44,6 +44,9 @@ type Shards struct {
 	// epoch is (floor, floor+L] like every other.
 	floor   Time
 	workers int
+	// drained says the latest Run ended with every event list and outbox
+	// empty; Now then reads the latest event any shard executed.
+	drained bool
 
 	// Epochs counts barrier rounds; CrossSent counts cross-shard events
 	// staged through mailboxes. Plain fields: they are touched only between
@@ -95,11 +98,22 @@ func (sh *Shards) Engine(k int) *Engine { return sh.engines[k] }
 func (sh *Shards) Lookahead() Duration { return sh.lookahead }
 
 // Now returns the global time floor: every shard has executed all events
-// at or before it. It reads 0 until the first epoch ends. At S = 1 it is
-// the one engine's clock, live inside a handler as Engine.Now is.
+// at or before it. It reads 0 until the first epoch ends, and after a Run
+// that drained every shard it reads the latest event any shard executed,
+// not the barrier past it: what the one engine's clock reads at S = 1.
+// At S = 1 it is that clock, live inside a handler as Engine.Now is.
 func (sh *Shards) Now() Time {
-	if len(sh.engines) == 1 {
+	switch {
+	case len(sh.engines) == 1:
 		return sh.engines[0].Now()
+	case sh.drained:
+		// The last epoch in which an engine ran an event left its list
+		// empty, or it would have run a later one: its ranTo is that event.
+		var last Time
+		for _, e := range sh.engines {
+			last = max(last, e.ranTo)
+		}
+		return last
 	}
 	return max(sh.floor, 0)
 }
@@ -168,9 +182,15 @@ func (sh *Shards) nextEventAt() (next Time, ok bool) {
 }
 
 // runTo executes the engine's events up to end and pins its clock there,
-// even when its event list drained earlier.
+// even when its event list drained earlier. When it ran an event it
+// first notes the clock in ranTo: the time of its latest event whenever
+// its list drained.
 func (e *Engine) runTo(end Time) {
+	n := e.Executed
 	e.Run(end)
+	if e.Executed > n {
+		e.ranTo = e.now
+	}
 	e.AdvanceTo(end)
 }
 
@@ -210,6 +230,7 @@ func (sh *Shards) Run(until Time) Time {
 		sh.floor = e.Now()
 		return sh.Now()
 	}
+	sh.drained = false // a handler reads the floor
 	for sh.floor < until {
 		sh.collect()
 		next, ok := sh.nextEventAt()
@@ -232,7 +253,19 @@ func (sh *Shards) Run(until Time) Time {
 		sh.runEpoch(end)
 		sh.floor = end
 	}
+	sh.drained = sh.empty()
 	return sh.Now()
+}
+
+// empty reports that every event list and outbox is empty.
+func (sh *Shards) empty() bool {
+	for _, box := range sh.outboxes {
+		if len(box) > 0 {
+			return false
+		}
+	}
+	_, pending := sh.nextEventAt()
+	return !pending
 }
 
 // RunAll runs until every event list and cross-shard mailbox is empty. Use

@@ -181,6 +181,45 @@ func TestShardRunHorizon(t *testing.T) {
 	}
 }
 
+// TestShardNowAfterDrain: Now reads what the one engine's clock reads at
+// S = 1 at every shard count — the horizon after a Run that stops with
+// events still pending, and the latest event executed after one that
+// drains, not the barrier past it.
+func TestShardNowAfterDrain(t *testing.T) {
+	const look = 100 * Microsecond
+	nows := func(s int) []Time {
+		sh := NewShards(s, look, 5)
+		net := &shardNet{sh: sh, procs: 8, seqs: make([]uint32, 8)}
+		var hop func(p, left int) Handler
+		hop = func(p, left int) Handler {
+			return func(now Time) {
+				if left > 0 {
+					dst := (p*5 + 3) % 8
+					net.send(p, dst, now+look+Duration(7*p+left)*Microsecond, hop(dst, left-1))
+				}
+			}
+		}
+		for p := 0; p < 8; p++ {
+			net.send(p, p, Time(p+1)*30*Microsecond, hop(p, 40))
+		}
+		var got []Time
+		for _, until := range []Time{2 * Millisecond, 3 * Millisecond, Never} {
+			sh.Run(until)
+			got = append(got, sh.Now())
+		}
+		// A drain inside a Run whose horizon lies past the last event.
+		net.send(0, 0, sh.Now()+Millisecond, hop(0, 2))
+		sh.Run(sh.Now() + Second)
+		return append(got, sh.Now())
+	}
+	want := nows(1)
+	for _, s := range []int{2, 4} {
+		if got := nows(s); !reflect.DeepEqual(got, want) {
+			t.Errorf("S=%d: Now after each Run %v, want %v as at S=1", s, got, want)
+		}
+	}
+}
+
 // TestAtPriOrdersBeforeSeq: at equal timestamps, pri dominates insertion
 // order; seq only breaks pri ties.
 func TestAtPriOrdersBeforeSeq(t *testing.T) {
