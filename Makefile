@@ -15,13 +15,11 @@ check: build vet lint bench-smoke test-race
 test-race:
 	$(GO) test -race ./...
 
-# Ten seconds of the native fuzzer on each of fifteen targets. Seven are
+# Ten seconds of the native fuzzer on each of fourteen targets. Six are
 # differential: the incremental ground-truth scorer against
 # world.TrueIntervals over fuzzed predicates and logs (DESIGN.md §1.1), the
 # sparse strobe clock against the dense test reference over fuzzed interleavings of
-# strobes and hostile stamps (DESIGN.md §1.10), the race probe's one-pass
-# clock.Vector.ConcurrentWith against Compare over fuzzed vectors of equal
-# and unequal length (FuzzVectorOrder, DESIGN.md §1.11), the flat checker's
+# strobes and hostile stamps (DESIGN.md §1.10), the flat checker's
 # columnar view against a predicate.MapState model over fuzzed strobes —
 # out-of-range processes, epoch bumps, stale seqs, race probes — with
 # checker trees at R = 1, 2 and n held to the flat checker in the
@@ -52,7 +50,6 @@ test-race:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTruthOracle -fuzztime=10s ./internal/world/
 	$(GO) test -run='^$$' -fuzz=FuzzSparseOnStrobe -fuzztime=10s ./internal/clock/
-	$(GO) test -run='^$$' -fuzz=FuzzVectorOrder -fuzztime=10s ./internal/clock/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckerView -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzConjunctiveSoundness -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzSurveyOracle -fuzztime=10s ./internal/lattice/

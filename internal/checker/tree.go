@@ -59,12 +59,6 @@ type rootView struct {
 	regionEpoch []int
 }
 
-// boundaryColumn is one name's boundary marks (see Tree.boundary).
-type boundaryColumn struct {
-	name  string
-	procs []bool
-}
-
 // Tree is the hierarchical checker: R regional aggregators under one
 // root, detection-equivalent to the flat reference core.StrobeChecker at
 // every fan-out, R = 1 included. It is single-goroutine: all reports are
@@ -78,11 +72,11 @@ type Tree struct {
 	// eval is the root's verdict: every applied report sets its key there,
 	// and the race probe sets, evaluates and restores keys through it.
 	eval predicate.Incremental
-	// boundary holds a column per name a cross-region clause reads, whose
-	// procs[p] says the clause reads name@p (an aggregate reads name at
-	// every p); boundaryAll says an untracked clause may read any key.
-	// Only boundary values ride a sync batch's entries.
-	boundary    []boundaryColumn
+	// boundary[s] says a clause spanning regions reads the key in eval's
+	// slot s (an aggregate reads its name at every process); boundaryAll
+	// says an untracked clause may read any key. Only boundary values
+	// ride a sync batch's entries.
+	boundary    []bool
 	boundaryAll bool
 
 	cur      bool
@@ -164,6 +158,7 @@ func New(cfg Config) *Tree {
 		t.aggs[i] = newAggregator(i, t.regionLo(i), t.regionLo(i+1), cfg.RaceAware)
 	}
 	t.eval.Init(cfg.Pred, cfg.N)
+	t.boundary = make([]bool, t.eval.NumSlots())
 	t.eval.Conjuncts(func(c predicate.Cond, untracked bool) {
 		t.boundaryAll = t.boundaryAll || untracked
 		home, spans := -1, false // home: the region of the last key read
@@ -182,22 +177,25 @@ func New(cfg Config) *Tree {
 	return t
 }
 
-// markBoundary marks k as read by a clause spanning regions.
+// markBoundary marks k as read by a clause spanning regions. A tracked
+// clause's keys all have slots; an untracked clause sets boundaryAll.
 func (t *Tree) markBoundary(k predicate.Key) {
-	if k.Proc >= t.n {
+	switch {
+	case k.Proc >= t.n:
 		return // no report ever carries it
+	case k.Proc >= 0:
+		t.markSlot(k.Proc, k.Name)
+	default:
+		for p := 0; p < t.n; p++ {
+			t.markSlot(p, k.Name)
+		}
 	}
-	b := t.boundaryProcs(k.Name)
-	if b == nil {
-		b = make([]bool, t.n)
-		t.boundary = append(t.boundary, boundaryColumn{name: k.Name, procs: b})
-	}
-	if k.Proc >= 0 {
-		b[k.Proc] = true
-		return
-	}
-	for p := range b {
-		b[p] = true
+}
+
+// markSlot marks the slot of (proc, name), if it has one.
+func (t *Tree) markSlot(proc int, name string) {
+	if s := t.eval.Slot(proc, name); s >= 0 {
+		t.boundary[s] = true
 	}
 }
 
@@ -205,19 +203,11 @@ func (t *Tree) markBoundary(k predicate.Key) {
 // settled inside proc's region — the criterion for forwarding the value
 // upward in a sync batch.
 func (t *Tree) boundaryKey(proc int, name string) bool {
-	b := t.boundaryProcs(name)
-	return t.boundaryAll || b != nil && b[proc]
-}
-
-// boundaryProcs returns name's boundary marks, nil when no cross-region
-// clause reads name.
-func (t *Tree) boundaryProcs(name string) []bool {
-	for i := range t.boundary {
-		if t.boundary[i].name == name {
-			return t.boundary[i].procs
-		}
+	if t.boundaryAll {
+		return true
 	}
-	return nil
+	s := t.eval.Slot(proc, name)
+	return s >= 0 && t.boundary[s]
 }
 
 // RegionOf returns the region owning process p — the same proportional

@@ -55,66 +55,53 @@ func (v Vector) Clone() Vector { return append(Vector(nil), v...) } //lint:allow
 
 // Compare returns the partial-order relation between v and w. Vectors of
 // different lengths are compared over the shorter prefix with missing
-// components treated as zero.
+// components treated as zero. It returns Concurrent at the first
+// component that disagrees the other way from an earlier one.
 func (v Vector) Compare(w Vector) Order {
-	leq, geq := true, true
-	n := len(v)
-	if len(w) > n {
-		n = len(w)
+	n := min(len(v), len(w))
+	a, b := v[:n], w[:n]
+	// lt and gt turn 1 at the first component of v below and above w's; a
+	// subtraction's borrow sets them without a branch.
+	var lt, gt uint64
+	for i, x := range a {
+		_, below := bits.Sub64(x, b[i], 0)
+		_, above := bits.Sub64(b[i], x, 0)
+		lt |= below
+		gt |= above
+		if lt&gt != 0 {
+			return Concurrent
+		}
 	}
-	for i := 0; i < n; i++ {
-		var a, b uint64
-		if i < len(v) {
-			a = v[i]
+	// The longer vector's tail against the other's zero padding.
+	for _, x := range v[n:] {
+		if x != 0 {
+			gt = 1
+			break
 		}
-		if i < len(w) {
-			b = w[i]
-		}
-		if a < b {
-			geq = false
-		}
-		if a > b {
-			leq = false
+	}
+	for _, y := range w[n:] {
+		if y != 0 {
+			lt = 1
+			break
 		}
 	}
 	switch {
-	case leq && geq:
-		return Same
-	case leq:
+	case lt&gt != 0:
+		return Concurrent
+	case lt != 0:
 		return Before
-	case geq:
+	case gt != 0:
 		return After
 	default:
-		return Concurrent
+		return Same
 	}
 }
 
 // HappensBefore reports v → w (strictly less in the partial order).
 func (v Vector) HappensBefore(w Vector) bool { return v.Compare(w) == Before }
 
-// ConcurrentWith reports that neither v → w nor w → v: Compare(w) ==
-// Concurrent. Over vectors of one length it is one pass that returns at
-// the first component pair that disagrees the other way from an earlier
-// one; vectors of different lengths take Compare and its zero padding.
-func (v Vector) ConcurrentWith(w Vector) bool {
-	if len(v) != len(w) {
-		return v.Compare(w) == Concurrent
-	}
-	w = w[:len(v)]
-	// lt and gt turn 1 at the first component below and above w's; a
-	// subtraction's borrow sets them without a branch.
-	var lt, gt uint64
-	for i, a := range v {
-		_, below := bits.Sub64(a, w[i], 0)
-		_, above := bits.Sub64(w[i], a, 0)
-		lt |= below
-		gt |= above
-		if lt&gt != 0 {
-			return true
-		}
-	}
-	return false
-}
+// ConcurrentWith reports that neither v → w nor w → v.
+func (v Vector) ConcurrentWith(w Vector) bool { return v.Compare(w) == Concurrent }
 
 // MergeFrom sets v to the componentwise maximum of v and w, growing v if
 // needed, and returns v.

@@ -33,6 +33,41 @@ func TestVectorCompareDifferentLengths(t *testing.T) {
 	}
 }
 
+// TestVectorCompareCases runs Compare both ways over pairs where the
+// early exit and the zero-padded tail decide: a relation settled only at
+// the last component or in the longer vector's tail, one-sided
+// differences that must not read as Concurrent, and both ends of the
+// component range.
+func TestVectorCompareCases(t *testing.T) {
+	top := ^uint64(0)
+	flip := map[Order]Order{Same: Same, Before: After, After: Before, Concurrent: Concurrent}
+	for _, c := range []struct {
+		v, w Vector
+		want Order
+	}{
+		{Vector{0, 2, 1}, Vector{1, 1, 1}, Concurrent},
+		{Vector{1, 1, 2}, Vector{1, 2, 1}, Concurrent},
+		{Vector{1, 0, 0}, Vector{1, 1, 1}, Before},
+		{Vector{top, 0}, Vector{0, 0}, After},
+		{Vector{2, 1}, Vector{1, 1, 5}, Concurrent},
+		{Vector{1, 1, 5}, Vector{1, 2}, Concurrent},
+		{Vector{1, 2, 3}, Vector{1, 2}, After},
+		{Vector{1, 2, 0, 0}, Vector{1, 2}, Same},
+		{Vector{}, Vector{0, 0}, Same},
+		{nil, Vector{0, top}, Before},
+	} {
+		if got := c.v.Compare(c.w); got != c.want {
+			t.Errorf("%v.Compare(%v) = %v, want %v", c.v, c.w, got, c.want)
+		}
+		if got := c.w.Compare(c.v); got != flip[c.want] {
+			t.Errorf("%v.Compare(%v) = %v, want %v", c.w, c.v, got, flip[c.want])
+		}
+		if got := c.v.ConcurrentWith(c.w); got != (c.want == Concurrent) {
+			t.Errorf("%v.ConcurrentWith(%v) = %v", c.v, c.w, got)
+		}
+	}
+}
+
 func TestHappensBeforeAndConcurrent(t *testing.T) {
 	a := Vector{0, 1}
 	b := Vector{1, 1}

@@ -252,28 +252,33 @@ func (e *Incremental) column(name string) int {
 	return len(e.cols) - 1
 }
 
-// slotOf returns the slot of (proc, name), or -1 when no tracked conjunct
-// reads it.
-func (e *Incremental) slotOf(proc int, name string) int32 {
+// Slot returns the slot of (proc, name), an index in [0, NumSlots()), or
+// -1 when no tracked conjunct reads it. A consumer keeping a mark per
+// variable the predicate reads indexes it by slot.
+func (e *Incremental) Slot(proc int, name string) int {
 	for c := range e.cols {
 		if col := e.cols[c].slot; e.cols[c].name == name {
 			if uint(proc) < uint(len(col)) {
-				return col[proc] - 1
+				return int(col[proc]) - 1
 			}
 			break
 		}
 	}
 	if e.far != nil && proc >= e.n {
 		if s, ok := e.far[Key{Proc: proc, Name: name}]; ok {
-			return s - 1
+			return int(s) - 1
 		}
 	}
 	return -1
 }
 
+// NumSlots returns the number of slots: the variables tracked conjuncts
+// read.
+func (e *Incremental) NumSlots() int { return len(e.vals) }
+
 // Get implements State over the evaluator's own values.
 func (e *Incremental) Get(proc int, name string) float64 {
-	if s := e.slotOf(proc, name); s >= 0 {
+	if s := e.Slot(proc, name); s >= 0 {
 		return e.vals[s]
 	}
 	return e.extra[Key{Proc: proc, Name: name}]
@@ -285,7 +290,7 @@ func (e *Incremental) NumProcs() int { return e.n }
 // Set gives key k the value v. A key no conjunct reads is dropped unless
 // an untracked conjunct might read it.
 func (e *Incremental) Set(k Key, v float64) {
-	s := e.slotOf(k.Proc, k.Name)
+	s := e.Slot(k.Proc, k.Name)
 	if s < 0 {
 		if e.extra != nil {
 			e.extra[k] = v

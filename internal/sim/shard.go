@@ -44,9 +44,6 @@ type Shards struct {
 	// epoch is (floor, floor+L] like every other.
 	floor   Time
 	workers int
-	// drained says the latest Run ended with every event list and outbox
-	// empty; Now then reads the latest event any shard executed.
-	drained bool
 
 	// Epochs counts barrier rounds; CrossSent counts cross-shard events
 	// staged through mailboxes. Plain fields: they are touched only between
@@ -100,20 +97,12 @@ func (sh *Shards) Lookahead() Duration { return sh.lookahead }
 // Now returns the global time floor: every shard has executed all events
 // at or before it. It reads 0 until the first epoch ends, and after a Run
 // that drained every shard it reads the latest event any shard executed,
-// not the barrier past it: what the one engine's clock reads at S = 1.
-// At S = 1 it is that clock, live inside a handler as Engine.Now is.
+// as every engine's clock then does (see Run): what the one engine's
+// clock reads at S = 1. At S = 1 it is that clock, live inside a handler
+// as Engine.Now is.
 func (sh *Shards) Now() Time {
-	switch {
-	case len(sh.engines) == 1:
+	if len(sh.engines) == 1 {
 		return sh.engines[0].Now()
-	case sh.drained:
-		// The last epoch in which an engine ran an event left its list
-		// empty, or it would have run a later one: its ranTo is that event.
-		var last Time
-		for _, e := range sh.engines {
-			last = max(last, e.ranTo)
-		}
-		return last
 	}
 	return max(sh.floor, 0)
 }
@@ -217,8 +206,12 @@ func (sh *Shards) runEpoch(end Time) {
 }
 
 // Run advances the whole sharded world to until (events exactly at until
-// still run, matching Engine.Run) and returns the global floor at exit. It
-// returns early when every event list and mailbox drains.
+// still run, matching Engine.Run) and returns Now at exit. It returns
+// early when every event list and mailbox drains; when they are all empty
+// at exit, the floor and every engine's clock are set back from the last
+// barrier to the latest event any shard executed, as the one engine's
+// clock stops there at S = 1. Nothing is pending, so no engine's past
+// changes, and code between runs may schedule on any engine from Now on.
 func (sh *Shards) Run(until Time) Time {
 	if len(sh.engines) == 1 {
 		// Single-heap fast path: no barriers, no epoch slicing. Setup-time
@@ -230,7 +223,6 @@ func (sh *Shards) Run(until Time) Time {
 		sh.floor = e.Now()
 		return sh.Now()
 	}
-	sh.drained = false // a handler reads the floor
 	for sh.floor < until {
 		sh.collect()
 		next, ok := sh.nextEventAt()
@@ -253,8 +245,28 @@ func (sh *Shards) Run(until Time) Time {
 		sh.runEpoch(end)
 		sh.floor = end
 	}
-	sh.drained = sh.empty()
+	if sh.empty() {
+		sh.rewind()
+	}
 	return sh.Now()
+}
+
+// rewind sets the floor and every engine's clock back to the latest event
+// any shard executed. The last epoch in which an engine ran an event left
+// its list empty, or it would have run a later one, so its ranTo is that
+// event; a floor still before the first event stays.
+func (sh *Shards) rewind() {
+	var last Time
+	for _, e := range sh.engines {
+		last = max(last, e.ranTo)
+	}
+	if last >= sh.floor {
+		return
+	}
+	sh.floor = last
+	for _, e := range sh.engines {
+		e.now = last
+	}
 }
 
 // empty reports that every event list and outbox is empty.

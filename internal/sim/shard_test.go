@@ -184,7 +184,8 @@ func TestShardRunHorizon(t *testing.T) {
 // TestShardNowAfterDrain: Now reads what the one engine's clock reads at
 // S = 1 at every shard count — the horizon after a Run that stops with
 // events still pending, and the latest event executed after one that
-// drains, not the barrier past it.
+// drains, not the barrier past it — and every engine accepts an event
+// scheduled just after it.
 func TestShardNowAfterDrain(t *testing.T) {
 	const look = 100 * Microsecond
 	nows := func(s int) []Time {
@@ -207,8 +208,12 @@ func TestShardNowAfterDrain(t *testing.T) {
 			sh.Run(until)
 			got = append(got, sh.Now())
 		}
-		// A drain inside a Run whose horizon lies past the last event.
-		net.send(0, 0, sh.Now()+Millisecond, hop(0, 2))
+		// A drain inside a Run whose horizon lies past the last event,
+		// started on every engine a microsecond after Now: after a drain
+		// no engine's clock lies past it.
+		for p := 0; p < 8; p++ {
+			net.send(p, p, sh.Now()+Microsecond, hop(p, 2))
+		}
 		sh.Run(sh.Now() + Second)
 		return append(got, sh.Now())
 	}
