@@ -69,10 +69,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific invariants over the module-wide call graph
-# (determinism with its interprocedural taint, clock rules, fast paths,
-# hot-path allocations — see DESIGN.md §1.8) plus a
-# gofmt gate. Exits 1 on any finding, an unused or duplicate allow
+# Project-specific invariants over the module-wide call graph: five
+# analyzers (determinism with its interprocedural taint, clock rules,
+# fast paths, hot-path allocations, and testonly: no code under
+# internal/ that no main, init or root-package API reaches — see
+# DESIGN.md §1.8) plus a gofmt gate. Exits 1 on any finding, an unused or duplicate allow
 # included. Suppressions use //lint:allow <analyzer>(<reason>); see
 # cmd/pervalint. `pervalint -why file:line` explains a boundary crossing.
 lint:

@@ -148,9 +148,12 @@ func NewHabitat(cfg HabitatConfig) *Habitat { return scenario.NewHabitat(cfg) }
 // ---- live engine ----
 
 // Live engine types: every sensor is a goroutine, links are channels.
+// MetricsServer is the HTTP endpoint LiveNetwork.Metrics holds when
+// LiveConfig.MetricsAddr is set; its Addr is where it listens.
 type (
-	LiveConfig  = live.Config
-	LiveNetwork = live.Network
+	LiveConfig    = live.Config
+	LiveNetwork   = live.Network
+	MetricsServer = obs.MetricsServer
 )
 
 // StartLive starts a goroutine-per-sensor network.

@@ -2,8 +2,10 @@
 // loads and type-checks every package in the module with only the
 // standard library (go/parser + go/types; no x/tools) and runs the
 // project-specific analyzers that enforce the determinism, clock-rule,
-// fast-path and hot-path-allocation invariants over a module-wide call
-// graph (DESIGN.md §1.8).
+// fast-path, hot-path-allocation and test-only-code invariants over a
+// module-wide call graph (DESIGN.md §1.8). testonly reports only when
+// every package of the module is analyzed: its entry points (every main
+// and init, the root package's API) must all be loaded.
 //
 // Usage:
 //

@@ -9,14 +9,14 @@ import (
 	"testing"
 )
 
-// TestListAnalyzers smoke-tests the -list flag: all four analyzers
+// TestListAnalyzers smoke-tests the -list flag: all five analyzers
 // must be advertised.
 func TestListAnalyzers(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("run(-list) = %d, stderr: %s", code, errb.String())
 	}
-	for _, name := range []string{"determinism", "clockrule", "fastpath", "hotpath"} {
+	for _, name := range []string{"determinism", "clockrule", "fastpath", "hotpath", "testonly"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, out.String())
 		}
@@ -39,6 +39,17 @@ func TestJSONClean(t *testing.T) {
 	}
 	if rep.Count != 0 || len(rep.Diagnostics) != 0 {
 		t.Errorf("repo not lint-clean: count=%d diagnostics=%v", rep.Count, rep.Diagnostics)
+	}
+}
+
+// TestSubsetRunQuiet: a run on a package subset loads no entry points,
+// so testonly reports nothing there — no finding, and no unused allow on
+// the checker tree's declared test hooks — and the run is clean.
+func TestSubsetRunQuiet(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-C", "../..", "internal/checker"}, &out, &errb)
+	if code != 0 || strings.Contains(out.String(), "testonly") {
+		t.Fatalf("run(internal/checker) = %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
 }
 

@@ -87,7 +87,14 @@ func main() {
 	fmt.Printf("world plane: %d legitimate sessions, %d attacks\n", legit, attacks)
 	fmt.Printf("detected: %d password entries, %d biometric presentations\n",
 		len(pw), len(bio))
-	fmt.Printf("authenticated (password before biometric ≤ 30s): %d\n", len(auth))
+	var gap sim.Duration
+	for _, m := range auth {
+		gap += bio[m.YIdx].Lo - pw[m.XIdx].Hi
+	}
+	if len(auth) > 0 {
+		gap /= sim.Duration(len(auth))
+	}
+	fmt.Printf("authenticated (password before biometric ≤ 30s): %d, mean gap %v\n", len(auth), gap)
 	fmt.Printf("ALARMS (biometric with no preceding password):   %d\n", len(alarms))
 	for _, yi := range alarms {
 		fmt.Printf("  suspicious presentation at %v\n", bio[yi].Lo)

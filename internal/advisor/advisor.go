@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 
+	"pervasive/internal/clock"
 	"pervasive/internal/core"
 	"pervasive/internal/sim"
 )
@@ -25,7 +26,9 @@ type Deployment struct {
 	// MeanEventGap is the mean time between relevant sensed events at a
 	// process — the rate §3.3 compares against Δ.
 	MeanEventGap sim.Duration
-	// Delta is the message-delay bound of the network (§3.2.2).
+	// Delta is the message-delay bound of the network (§3.2.2); 0 means
+	// messages arrive at once (§4.2.3 item 5), and a negative bound
+	// reads as 0.
 	Delta sim.Duration
 	// SyncAvailable: a lower-layer physically-synchronized clock service
 	// exists (§3.3 limitation 1 when false — e.g. remote terrain).
@@ -47,7 +50,8 @@ type Deployment struct {
 	// identified (the borderline bin of §5) — only vector strobes can.
 	NeedRaceFlagging bool
 	// BytesBudget restricts per-event control traffic (favours O(1)
-	// scalar strobes over O(n) vectors, §4.2.2).
+	// scalar strobes over O(n) vectors, §4.2.2): the bytes one sensed
+	// event puts on the air, every copy of its strobe counted.
 	BytesBudget int
 }
 
@@ -69,9 +73,6 @@ type Advice struct {
 	Summary string
 }
 
-// Best returns the top option.
-func (a Advice) Best() Option { return a.Options[0] }
-
 // Advise applies the paper's criteria to the deployment.
 func Advise(d Deployment) Advice {
 	if d.N <= 0 {
@@ -80,8 +81,8 @@ func Advise(d Deployment) Advice {
 	if d.MeanEventGap <= 0 {
 		d.MeanEventGap = sim.Second
 	}
-	if d.Delta <= 0 {
-		d.Delta = 100 * sim.Millisecond
+	if d.Delta < 0 {
+		d.Delta = 0
 	}
 
 	// rateRatio ≫ 1 means events are slow relative to Δ — the strobe
@@ -139,9 +140,22 @@ func scorePhysical(d Deployment) Option {
 	return o
 }
 
+// vectorOverBudget reports whether an event's vector strobes exceed the
+// byte budget, and what they cost: the strobe goes to the n−1 peers and
+// the checker, n copies, each the message plus the transport's 8-byte
+// header — the bytes/event E7 measures.
+func vectorOverBudget(d Deployment) (bool, int) {
+	b := d.N * ((&core.StrobeMsg{Vec: make(clock.Vector, d.N)}).WireSize() + 8)
+	return d.BytesBudget > 0 && b > d.BytesBudget, b
+}
+
 func scoreVector(d Deployment, rateRatio float64) Option {
 	o := Option{Kind: core.VectorStrobe}
 	switch {
+	case d.Delta == 0:
+		o.Score = 0.95
+		o.Rationale = append(o.Rationale,
+			"with Δ = 0 no sensed event races another in the network (§4.2.3 item 5)")
 	case rateRatio >= 10:
 		o.Score = 0.95
 		o.Rationale = append(o.Rationale, fmt.Sprintf(
@@ -164,11 +178,11 @@ func scoreVector(d Deployment, rateRatio float64) Option {
 		o.Rationale = append(o.Rationale,
 			"vector strobes support the borderline bin: race-affected detections are identified (§5)")
 	}
-	if d.BytesBudget > 0 && d.N*8 > d.BytesBudget {
+	if over, b := vectorOverBudget(d); over {
 		o.Score *= 0.6
 		o.Rationale = append(o.Rationale, fmt.Sprintf(
-			"O(n)=%dB strobes exceed the %dB budget; consider differential strobes or scalars (§4.2.2)",
-			d.N*8, d.BytesBudget))
+			"an event's %d vector strobes of O(n) stamps put %dB on the air, over the %dB budget; consider differential strobes or scalars (§4.2.2)",
+			d.N, b, d.BytesBudget))
 	}
 	o.ErrorMode = "false negatives on races within Δ; race-affected detections flagged borderline"
 	if o.Score > 1 {
@@ -193,7 +207,7 @@ func scoreScalar(d Deployment, rateRatio float64, vectorScore float64) Option {
 		o.Rationale = append(o.Rationale,
 			"the application needs race flagging, which scalar strobes cannot provide (§5)")
 	}
-	if d.BytesBudget > 0 && d.N*8 > d.BytesBudget {
+	if over, _ := vectorOverBudget(d); over {
 		o.Score *= 1.3
 		o.Rationale = append(o.Rationale,
 			"the byte budget favours O(1) scalar strobes over O(n) vectors (§4.2.2)")
@@ -213,6 +227,10 @@ func summarize(d Deployment, opts []Option, rateRatio float64) string {
 	case core.PhysicalReport:
 		b.WriteString("Synchronized physical clocks are available, affordable, and precise enough — the desirable option (§6).")
 	case core.VectorStrobe:
+		if d.Delta == 0 {
+			fmt.Fprintf(&b, "Δ = 0 with sync %s — the conditions under which the paper advocates strobe clocks (§6).", syncDesc(d))
+			break
+		}
 		fmt.Fprintf(&b, "Event gap %.0f× Δ with sync %s — the conditions under which the paper advocates strobe clocks (§6).",
 			rateRatio, syncDesc(d))
 	case core.ScalarStrobe:

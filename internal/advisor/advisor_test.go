@@ -15,8 +15,8 @@ func TestUrbanWithSyncPrefersPhysical(t *testing.T) {
 		SyncAvailable: true, SyncAffordable: true,
 		SyncEpsilon: 100 * sim.Microsecond, MinOverlap: 50 * sim.Millisecond,
 	})
-	if a.Best().Kind != core.PhysicalReport {
-		t.Fatalf("best = %v; synchronized clocks should win when available and affordable", a.Best().Kind)
+	if a.Options[0].Kind != core.PhysicalReport {
+		t.Fatalf("best = %v; synchronized clocks should win when available and affordable", a.Options[0].Kind)
 	}
 }
 
@@ -26,11 +26,11 @@ func TestWildTerrainPrefersVectorStrobes(t *testing.T) {
 		N: 5, MeanEventGap: 2 * sim.Minute, Delta: 2 * sim.Second,
 		SyncAvailable: false, NeedRaceFlagging: true,
 	})
-	if a.Best().Kind != core.VectorStrobe {
-		t.Fatalf("best = %v; the wild is the strobe clocks' regime (§6)", a.Best().Kind)
+	if a.Options[0].Kind != core.VectorStrobe {
+		t.Fatalf("best = %v; the wild is the strobe clocks' regime (§6)", a.Options[0].Kind)
 	}
-	if a.Best().Score < 0.9 {
-		t.Fatalf("score %.2f too low for the favourable regime", a.Best().Score)
+	if a.Options[0].Score < 0.9 {
+		t.Fatalf("score %.2f too low for the favourable regime", a.Options[0].Score)
 	}
 	// Physical must be eliminated outright.
 	for _, o := range a.Options {
@@ -45,8 +45,45 @@ func TestTightByteBudgetFavoursScalars(t *testing.T) {
 		N: 64, MeanEventGap: sim.Minute, Delta: 100 * sim.Millisecond,
 		SyncAvailable: false, BytesBudget: 64,
 	})
-	if a.Best().Kind != core.ScalarStrobe {
-		t.Fatalf("best = %v; 64-node vectors blow a 64B budget", a.Best().Kind)
+	if a.Options[0].Kind != core.ScalarStrobe {
+		t.Fatalf("best = %v; 64-node vectors blow a 64B budget", a.Options[0].Kind)
+	}
+}
+
+// TestByteBudgetPricesTheBroadcast: the budget is per event, and an
+// event's strobe goes to every peer and the checker, so at n = 4 vector
+// strobes cost 4·(24 + 32) = 224 B and scalars 4·(24 + 8) = 128 B, as E7
+// measures. A budget between them leaves only scalars; one above both
+// leaves vectors first.
+func TestByteBudgetPricesTheBroadcast(t *testing.T) {
+	for _, tc := range []struct {
+		budget int
+		want   core.ClockKind
+	}{{176, core.ScalarStrobe}, {224, core.VectorStrobe}} {
+		a := Advise(Deployment{N: 4, MeanEventGap: 300 * sim.Millisecond, Delta: 20 * sim.Millisecond, BytesBudget: tc.budget})
+		if a.Options[0].Kind != tc.want {
+			t.Errorf("budget %dB: best = %v, want %v", tc.budget, a.Options[0].Kind, tc.want)
+		}
+	}
+}
+
+// TestZeroDeltaScalarsMatchVectors: Δ = 0 is a bound, not a missing one,
+// so §4.2.3 item 5 applies — scalars replace vectors without loss — and a
+// negative Δ reads as 0.
+func TestZeroDeltaScalarsMatchVectors(t *testing.T) {
+	for _, delta := range []sim.Duration{0, -sim.Millisecond} {
+		a := Advise(Deployment{N: 4, MeanEventGap: sim.Second, Delta: delta})
+		score := map[core.ClockKind]float64{}
+		cited := false
+		for _, o := range a.Options {
+			score[o.Kind] = o.Score
+			for _, r := range o.Rationale {
+				cited = cited || o.Kind == core.ScalarStrobe && strings.Contains(r, "§4.2.3 item 5")
+			}
+		}
+		if score[core.ScalarStrobe] != score[core.VectorStrobe] || !cited {
+			t.Errorf("Δ = %v: scalar %.2f, vector %.2f, §4.2.3 item 5 cited %v", delta, score[core.ScalarStrobe], score[core.VectorStrobe], cited)
+		}
 	}
 }
 
@@ -117,7 +154,7 @@ func TestCrossDomainPenalty(t *testing.T) {
 	private := base
 	private.CrossDomain = true
 	a := Advise(private)
-	if a.Best().Kind == core.PhysicalReport {
+	if a.Options[0].Kind == core.PhysicalReport {
 		t.Fatalf("cross-domain privacy (§3.3 limitation 5) should dethrone physical sync here")
 	}
 }

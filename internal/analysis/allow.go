@@ -30,7 +30,6 @@ const allowPrefix = "//lint:allow "
 type allowEntry struct {
 	pos       token.Position
 	analyzer  string
-	reason    string
 	used      bool
 	duplicate bool // same analyzer already allowed on this line
 }
@@ -49,7 +48,7 @@ func parseAllows(fset *token.FileSet, files []*ast.File) (*allowIndex, []Diagnos
 	var diags []Diagnostic
 	report := func(pos token.Position, msg string) {
 		diags = append(diags, Diagnostic{
-			Pos: pos, File: pos.Filename, Line: pos.Line, Col: pos.Column,
+			File: pos.Filename, Line: pos.Line, Col: pos.Column,
 			Analyzer: "allow", Message: msg,
 		})
 	}
@@ -83,16 +82,6 @@ func parseAllows(fset *token.FileSet, files []*ast.File) (*allowIndex, []Diagnos
 		}
 		lines[line] = append(lines[line], e)
 	}
-	// covers reports whether an already-indexed allow for analyzer name
-	// covers line.
-	covers := func(file string, line int, name string) bool {
-		for _, prev := range idx.byLine[file][line] {
-			if prev.analyzer == name {
-				return true
-			}
-		}
-		return false
-	}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -111,8 +100,7 @@ func parseAllows(fset *token.FileSet, files []*ast.File) (*allowIndex, []Diagnos
 					continue
 				}
 				name := strings.TrimSpace(rest[:open])
-				reason := strings.TrimSpace(rest[open+1 : len(rest)-1])
-				if reason == "" {
+				if strings.TrimSpace(rest[open+1:len(rest)-1]) == "" {
 					report(pos, "//lint:allow "+name+" needs a non-empty reason")
 					continue
 				}
@@ -120,7 +108,7 @@ func parseAllows(fset *token.FileSet, files []*ast.File) (*allowIndex, []Diagnos
 					report(pos, "//lint:allow names unknown analyzer "+name)
 					continue
 				}
-				e := &allowEntry{pos: pos, analyzer: name, reason: reason}
+				e := &allowEntry{pos: pos, analyzer: name}
 				idx.all = append(idx.all, e)
 				// A trailing comment covers its own line; a full-line
 				// comment covers the next. Covering both is harmless and
@@ -144,7 +132,7 @@ func parseAllows(fset *token.FileSet, files []*ast.File) (*allowIndex, []Diagnos
 				// so deleting the earlier allow revives this one.
 				dup := true
 				for _, line := range lines {
-					if !covers(pos.Filename, line, name) {
+					if !idx.covers(token.Position{Filename: pos.Filename, Line: line}, name) {
 						dup = false
 						break
 					}
@@ -162,6 +150,17 @@ func parseAllows(fset *token.FileSet, files []*ast.File) (*allowIndex, []Diagnos
 	return idx, diags
 }
 
+// covers reports whether an indexed allow for analyzer covers pos's
+// line, without marking it used.
+func (idx *allowIndex) covers(pos token.Position, analyzer string) bool {
+	for _, e := range idx.byLine[pos.Filename][pos.Line] {
+		if e.analyzer == analyzer {
+			return true
+		}
+	}
+	return false
+}
+
 // suppress reports whether an allow covers d, marking it used.
 func (idx *allowIndex) suppress(d Diagnostic) bool {
 	hit := false
@@ -175,11 +174,11 @@ func (idx *allowIndex) suppress(d Diagnostic) bool {
 }
 
 // unused returns diagnostics for allows that suppressed nothing,
-// duplicates included.
-func (idx *allowIndex) unused() []Diagnostic {
+// duplicates included, except those for the quiet analyzer.
+func (idx *allowIndex) unused(quiet string) []Diagnostic {
 	var out []Diagnostic
 	for _, e := range idx.all {
-		if e.used {
+		if e.used || e.analyzer == quiet {
 			continue
 		}
 		msg := "unused //lint:allow " + e.analyzer + " annotation (no diagnostic suppressed; delete it)"
@@ -187,7 +186,7 @@ func (idx *allowIndex) unused() []Diagnostic {
 			msg = "duplicate //lint:allow " + e.analyzer + " (earlier allows for this analyzer already cover every line it covers; delete it)"
 		}
 		out = append(out, Diagnostic{
-			Pos: e.pos, File: e.pos.Filename, Line: e.pos.Line, Col: e.pos.Column,
+			File: e.pos.Filename, Line: e.pos.Line, Col: e.pos.Column,
 			Analyzer: "allow",
 			Message:  msg,
 		})

@@ -112,12 +112,11 @@ func contains(list []string, s string) bool {
 
 // Diagnostic is one finding, positioned in the analyzed source.
 type Diagnostic struct {
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Analyzer string         `json:"analyzer"`
-	Message  string         `json:"message"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
 func (d Diagnostic) String() string {
@@ -136,9 +135,14 @@ type Module struct {
 	// Pkgs are the packages being analyzed this run, in request order.
 	Pkgs []*Package
 
-	allows map[string]*allowIndex // import path -> parsed allows
-	taint  *taintResult           // memoized by the determinism analyzer
-	hot    *hotResult             // memoized by the hotpath analyzer
+	allows   map[string]*allowIndex       // import path -> parsed allows
+	taint    *taintResult                 // memoized by the determinism analyzer
+	hot      *hotResult                   // memoized by the hotpath analyzer
+	testonly map[string][]testonlyFinding // memoized by the testonly analyzer
+
+	// whole is set when the run analyzes every package of the module,
+	// so every entry point is loaded: testonly reports only then.
+	whole bool
 
 	clockSanct map[*types.Func]bool   // memoized by clockrule (graph-sanctioned writers)
 	regLookups map[*types.Func]string // memoized by fastpath (helpers doing registry lookups)
@@ -191,7 +195,6 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      position,
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
@@ -216,7 +219,7 @@ type Analyzer struct {
 var allAnalyzers []*Analyzer
 
 func init() {
-	allAnalyzers = []*Analyzer{Determinism, ClockRule, FastPath, HotPath}
+	allAnalyzers = []*Analyzer{Determinism, ClockRule, FastPath, HotPath, TestOnly}
 }
 
 // All returns the full analyzer suite in reporting order.
@@ -234,8 +237,9 @@ type Result struct {
 
 // Run loads each import path with the loader (pulling its module-local
 // dependency closure in), builds the call graph once over everything
-// loaded, runs every analyzer over each requested package — so every
-// pass sees the same module-wide graph — then applies //lint:allow
+// loaded, notes whether the paths cover the whole module, runs every
+// analyzer over each requested package — so every pass sees the same
+// module-wide graph — then applies //lint:allow
 // suppression and reports unused or malformed allow annotations.
 // Suppression runs after every pass, because the determinism analyzer
 // marks allows used across package boundaries (a seed waiver in a
@@ -254,7 +258,17 @@ func Run(l *Loader, cfg Config, paths []string) (*Result, error) {
 		}
 		mod.Pkgs = append(mod.Pkgs, pkg)
 	}
-	mod.Graph = BuildCallGraph(l.Fset, l.Packages())
+	mod.Graph = BuildCallGraph(l.Packages())
+	discovered, err := l.Discover()
+	if err != nil {
+		return nil, err
+	}
+	mod.whole = true
+	for _, path := range discovered {
+		if !contains(paths, path) {
+			mod.whole = false
+		}
+	}
 
 	// Phase 1: run every analyzer over every package, collecting raw
 	// diagnostics per package. Allow indexes are built (and their
@@ -290,7 +304,12 @@ func Run(l *Loader, cfg Config, paths []string) (*Result, error) {
 		}
 	}
 
-	// Phase 2: suppression, then unused-allow reporting.
+	// Phase 2: suppression, then unused-allow reporting. A subset run
+	// cannot tell a testonly allow's use, so it does not judge one.
+	quiet := ""
+	if !mod.whole {
+		quiet = "testonly"
+	}
 	var all []Diagnostic
 	for i, pkg := range mod.Pkgs {
 		idx := mod.allows[pkg.ImportPath]
@@ -301,7 +320,7 @@ func Run(l *Loader, cfg Config, paths []string) (*Result, error) {
 			}
 			kept = append(kept, d)
 		}
-		kept = append(kept, idx.unused()...)
+		kept = append(kept, idx.unused(quiet)...)
 		all = append(all, kept...)
 	}
 	sort.Slice(all, func(i, j int) bool {

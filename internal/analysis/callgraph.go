@@ -22,8 +22,6 @@ import (
 // resolvable without dataflow and are deliberately out of scope; the
 // repo's invariant-bearing indirection is interface-shaped.
 type CallGraph struct {
-	Fset *token.FileSet
-
 	// Callees maps a function to its outgoing call edges, in source
 	// order. Callers is the reverse index.
 	Callees map[*types.Func][]CallEdge
@@ -34,6 +32,8 @@ type CallGraph struct {
 	// linkage, which the module does not use) are absent.
 	DeclOf map[*types.Func]*ast.FuncDecl
 	PkgOf  map[*types.Func]*Package
+
+	impls map[*types.Func][]*types.Func // interface method -> module implementations
 }
 
 // CallEdge is one call site: Caller invokes Callee at Pos. Dynamic
@@ -52,9 +52,8 @@ type CallEdge struct {
 // literals are attributed to the declaration lexically enclosing them:
 // a call made inside a closure is an edge out of the declaring
 // function, which is the right granularity for reachability analyses.
-func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
+func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
-		Fset:    fset,
 		Callees: make(map[*types.Func][]CallEdge),
 		Callers: make(map[*types.Func][]CallEdge),
 		DeclOf:  make(map[*types.Func]*ast.FuncDecl),
@@ -81,9 +80,9 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 			}
 		}
 	}
-	impls := buildImplementsSets(sorted, g)
+	g.impls = buildImplementsSets(sorted, g)
 	for fn, fd := range g.DeclOf {
-		g.addEdges(fn, fd, g.PkgOf[fn], impls)
+		g.addEdges(fn, fd, g.PkgOf[fn])
 	}
 	// Source-order edges make path output and tests reproducible.
 	for fn := range g.Callees {
@@ -194,7 +193,7 @@ func derefType(t types.Type) types.Type {
 }
 
 // addEdges walks fn's body (closures included) and records every call.
-func (g *CallGraph) addEdges(fn *types.Func, fd *ast.FuncDecl, pkg *Package, impls map[*types.Func][]*types.Func) {
+func (g *CallGraph) addEdges(fn *types.Func, fd *ast.FuncDecl, pkg *Package) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -204,21 +203,29 @@ func (g *CallGraph) addEdges(fn *types.Func, fd *ast.FuncDecl, pkg *Package, imp
 		if callee == nil {
 			return true // a conversion, a builtin, or a function-value call
 		}
-		callee = canonFunc(callee)
-		if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
-				// Interface dispatch: fan out to the implements-set.
-				for _, cm := range impls[callee] {
-					g.link(CallEdge{Caller: fn, Callee: cm, Pos: call.Pos(), Dynamic: true, Iface: callee})
-				}
-				return true
-			}
-		}
-		if _, declared := g.DeclOf[callee]; declared {
-			g.link(CallEdge{Caller: fn, Callee: callee, Pos: call.Pos()})
+		for _, e := range g.resolve(canonFunc(callee)) {
+			e.Caller, e.Pos = fn, call.Pos()
+			g.link(e)
 		}
 		return true
 	})
+}
+
+// resolve is what a use of callee can run, as edges without Caller and
+// Pos: an interface method fans out to its implements-set (Dynamic), a
+// module function is itself, anything else (the standard library) none.
+func (g *CallGraph) resolve(callee *types.Func) []CallEdge {
+	if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
+		es := make([]CallEdge, len(g.impls[callee]))
+		for i, cm := range g.impls[callee] {
+			es[i] = CallEdge{Callee: cm, Dynamic: true, Iface: callee}
+		}
+		return es
+	}
+	if _, declared := g.DeclOf[callee]; declared {
+		return []CallEdge{{Callee: callee}}
+	}
+	return nil
 }
 
 func (g *CallGraph) link(e CallEdge) {

@@ -192,3 +192,39 @@ func TestRepoClean(t *testing.T) {
 		t.Errorf("repo not lint-clean: %s", d)
 	}
 }
+
+// TestTestOnlyGolden runs the suite over the testonly fixture, a module
+// of its own (root package, a main, an internal package) so that the run
+// covers every package and the analyzer reports. The same module
+// analyzed one package at a time must stay quiet: a subset run has no
+// entry points loaded, and cannot judge a testonly allow either.
+func TestTestOnlyGolden(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "testonly"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader := NewLoader(root, "tofix")
+	paths, err := loader.Discover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 3 {
+		t.Fatalf("fixture module holds %v, want the root, cmd/tool and internal/lib", paths)
+	}
+	res, err := Run(loader, Config{}, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		checkGolden(t, filepath.Join(root, strings.TrimPrefix(strings.TrimPrefix(path, "tofix"), "/")), res.Diagnostics)
+	}
+	for _, path := range paths {
+		res, err := Run(NewLoader(root, "tofix"), Config{}, []string{path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range res.Diagnostics {
+			t.Errorf("subset run of %s reported %s", path, d)
+		}
+	}
+}

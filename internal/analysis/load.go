@@ -1,8 +1,8 @@
 // Package analysis is pervalint's engine: a stdlib-only static-analysis
 // driver (go/parser + go/types, no x/tools) that loads and type-checks
 // every package in the module and runs the project-specific analyzers
-// enforcing the repo's determinism, clock-rule, fast-path and hot-path
-// invariants. See DESIGN.md §1.8 for the invariant each analyzer guards
+// enforcing the repo's determinism, clock-rule, fast-path, hot-path and
+// test-only-code invariants. See DESIGN.md §1.8 for the invariant each analyzer guards
 // and the regression no test would catch.
 package analysis
 
@@ -26,7 +26,6 @@ import (
 // production-code disciplines, and tests legitimately poke at internals.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
@@ -145,7 +144,7 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s: %v", path, err)
 	}
-	p := &Package{ImportPath: path, Dir: dir, Files: files, Types: tpkg, Info: info}
+	p := &Package{ImportPath: path, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = p
 	return p, nil
 }

@@ -40,18 +40,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// isPkgFunc reports whether fn is the package-level function pkgPath.name.
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
 // namedType unwraps aliases and reports the named type of t, or nil.
 func namedType(t types.Type) *types.Named {
 	if t == nil {

@@ -85,9 +85,6 @@ func newAggregator(region, lo, hi int, raceAware bool) *Aggregator {
 	return a
 }
 
-// Epoch returns the regional epoch (recoveries so far).
-func (a *Aggregator) Epoch() int { return a.epoch }
-
 // stage coalesces one applied report from region-local process li into
 // the pending sync set; it reports whether a superseded pending value was
 // overwritten.
@@ -133,25 +130,4 @@ func (a *Aggregator) reset() {
 	clear(a.lastChange)
 	a.recon = nil
 	a.clearPending()
-}
-
-// StateBytes estimates the aggregator's resident footprint: per-process
-// admission and value state, the pending sync set, and the race-aware
-// stamps and reconstructions when allocated. The estimate uses the same
-// flat per-entry costs as the clock package's StateBytes accounting.
-func (a *Aggregator) StateBytes() int {
-	n := a.hi - a.lo
-	b := 96 + n*(8+8+4) // headers, lastSeq/lastEpoch, the pending slot index
-	b += len(a.vals.Names()) * (40 + 8*n)
-	b += 24 + 64*cap(a.pending)
-	if a.stamps != nil {
-		b += n * (24 + 32) // stamps and lastChange
-	}
-	for _, v := range a.recon {
-		b += 8 * cap(v)
-	}
-	for _, v := range a.stamps {
-		b += 8 * cap(v)
-	}
-	return b
 }

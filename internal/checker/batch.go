@@ -60,14 +60,6 @@ func (b *Batch) AppendWire(dst []byte) []byte {
 	return dst
 }
 
-// DecodeBatch decodes one batch from the front of b, returning it and
-// the bytes consumed.
-func DecodeBatch(b []byte) (Batch, int, error) {
-	var out Batch
-	n, err := out.DecodeWire(b)
-	return out, n, err
-}
-
 // DecodeWire decodes one batch from the front of b into bt, returning the
 // bytes consumed. It reuses bt's Triples and Entries arrays, and an entry
 // keeps its slot's previous Var string when the bytes are equal, so

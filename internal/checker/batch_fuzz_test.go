@@ -14,8 +14,8 @@ import (
 	"pervasive/internal/stats"
 )
 
-// What DecodeBatch made of one input. The tallies prove the fixed-seed
-// draw reaches every check in DecodeBatch and in clock.DecodeStampBatch
+// What DecodeWire made of one input. The tallies prove the fixed-seed
+// draw reaches every check in DecodeWire and in clock.AppendDecodeStampBatch
 // under it.
 const (
 	outVarint    = iota // the bytes end (or a varint runs past 64 bits) inside a field
@@ -41,7 +41,7 @@ func batchOutcome(t *testing.T, err error) int {
 			}
 		}
 	}
-	t.Fatalf("DecodeBatch returned an error no check owns: %v", err)
+	t.Fatalf("DecodeWire returned an error no check owns: %v", err)
 	return -1
 }
 
@@ -60,22 +60,24 @@ func sameBatch(a, b Batch) bool {
 // encode → decode unchanged, consuming exactly what was encoded.
 func batchHostile(t *testing.T, data []byte) int {
 	t.Helper()
-	if ts, n, err := clock.DecodeStampBatch(data); err == nil {
+	if ts, n, err := clock.AppendDecodeStampBatch(nil, data); err == nil {
 		wire := clock.AppendStampBatch(nil, ts)
-		back, m, err := clock.DecodeStampBatch(wire)
+		back, m, err := clock.AppendDecodeStampBatch(nil, wire)
 		if err != nil || m != len(wire) || !slices.Equal(back, ts) || n > len(data) {
 			t.Fatalf("stamp batch changed across encode → decode (err %v, %d of %d bytes)\nfirst:  %v\nsecond: %v", err, m, len(wire), ts, back)
 		}
 	}
-	b, n, err := DecodeBatch(data)
+	var b Batch
+	n, err := b.DecodeWire(data)
 	if err != nil {
 		return batchOutcome(t, err)
 	}
 	if n > len(data) {
-		t.Fatalf("DecodeBatch consumed %d of %d bytes", n, len(data))
+		t.Fatalf("DecodeWire consumed %d of %d bytes", n, len(data))
 	}
 	wire := b.AppendWire(nil)
-	back, m, err := DecodeBatch(wire)
+	var back Batch
+	m, err := back.DecodeWire(wire)
 	if err != nil || m != len(wire) {
 		t.Fatalf("re-encoded batch does not decode: %v (%d of %d bytes)\ninput % x\nre-encoded % x", err, m, len(wire), data, wire)
 	}
@@ -105,7 +107,7 @@ func longBatch() Batch {
 	return b
 }
 
-// batchAllocBytes is what one DecodeBatch of data allocates: the least of three
+// batchAllocBytes is what one DecodeWire of data allocates: the least of three
 // TotalAlloc deltas. The delta is process-wide, so whatever the runtime
 // allocates meanwhile lands in it too; the decode is deterministic, so that
 // noise only adds and the minimum is the decode's own cost.
@@ -114,14 +116,15 @@ func batchAllocBytes(data []byte) uint64 {
 	for range 3 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		DecodeBatch(data)
+		var b Batch
+		b.DecodeWire(data)
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
 	return least
 }
 
-// The two inputs that crashed DecodeBatch before it bounded what it read:
+// The two inputs that crashed DecodeWire before it bounded what it read:
 // a triple count no slice can have, and a name length that is negative as
 // an int and so passed a truncation check done in int.
 const (
@@ -138,7 +141,7 @@ func TestDecodeBatchRejectsHostileLengths(t *testing.T) {
 			t.Errorf("% x: outcome %d, want %d", in, got, want)
 		}
 		if got := batchAllocBytes([]byte(in)); got > 4096 {
-			t.Errorf("% x: DecodeBatch allocated %d bytes for a %d-byte input", in, got, len(in))
+			t.Errorf("% x: DecodeWire allocated %d bytes for a %d-byte input", in, got, len(in))
 		}
 	}
 }
@@ -170,7 +173,7 @@ func mutateBatch(r *stats.RNG, wire []byte) []byte {
 	triples := width(0)
 	triples += width(triples)
 	triples += width(triples) // past region, epoch, at
-	_, n, _ := clock.DecodeStampBatch(out[triples:])
+	_, n, _ := clock.AppendDecodeStampBatch(nil, out[triples:])
 	entries := triples + n // the entry count
 	big := uint64(1) << (32 + r.Intn(32))
 	switch r.Intn(12) {
@@ -203,7 +206,7 @@ func mutateBatch(r *stats.RNG, wire []byte) []byte {
 
 // TestDecodeBatchSurvivesHostileBytes is the property at a fixed seed:
 // every outcome is reached, nothing panics, every batch that decodes
-// round-trips, and no input makes DecodeBatch allocate more than a constant
+// round-trips, and no input makes DecodeWire allocate more than a constant
 // times its length.
 func TestDecodeBatchSurvivesHostileBytes(t *testing.T) {
 	r := stats.NewRNG(29)
@@ -212,13 +215,14 @@ func TestDecodeBatchSurvivesHostileBytes(t *testing.T) {
 	for trial := 0; trial < 3000; trial++ {
 		b := drawBatch(r)
 		wire := b.AppendWire(nil)
-		if back, n, err := DecodeBatch(wire); err != nil || n != len(wire) || !sameBatch(b, back) {
+		var back Batch
+		if n, err := back.DecodeWire(wire); err != nil || n != len(wire) || !sameBatch(b, back) {
 			t.Fatalf("a drawn batch changed across encode → decode (err %v)\ndrawn:   %+v\ndecoded: %+v", err, b, back)
 		}
 		data := mutateBatch(r, wire)
 		got, limit := batchAllocBytes(data), uint64(64*len(data)+4096)
 		if got > limit {
-			t.Fatalf("DecodeBatch allocated %d bytes for a %d-byte input (limit %d): % x", got, len(data), limit, data)
+			t.Fatalf("DecodeWire allocated %d bytes for a %d-byte input (limit %d): % x", got, len(data), limit, data)
 		}
 		worst = max(worst, float64(got)/float64(limit))
 		seen[batchHostile(t, data)]++
@@ -232,7 +236,7 @@ func TestDecodeBatchSurvivesHostileBytes(t *testing.T) {
 }
 
 // FuzzDecodeBatch is the same body under the native fuzzer; it reaches
-// clock.DecodeStampBatch both directly and through the batch header, and
+// clock.AppendDecodeStampBatch both directly and through the batch header, and
 // Batch.DecodeWire into a used batch. The checked-in corpus in
 // testdata/fuzz/FuzzDecodeBatch holds the two crashers above, a valid
 // batch, the same batch cut short, and a batch whose entry names equal,

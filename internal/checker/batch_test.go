@@ -21,7 +21,8 @@ func TestBatchWireRoundTrip(t *testing.T) {
 		},
 	}
 	wire := b.AppendWire(nil)
-	got, n, err := DecodeBatch(wire)
+	var got Batch
+	n, err := got.DecodeWire(wire)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -33,8 +34,9 @@ func TestBatchWireRoundTrip(t *testing.T) {
 	}
 	// Concatenated batches decode independently.
 	wire2 := b.AppendWire(wire)
-	_, n1, _ := DecodeBatch(wire2)
-	got2, n2, err := DecodeBatch(wire2[n1:])
+	var first, got2 Batch
+	n1, _ := first.DecodeWire(wire2)
+	n2, err := got2.DecodeWire(wire2[n1:])
 	if err != nil || n1+n2 != len(wire2) || !reflect.DeepEqual(got2, b) {
 		t.Fatalf("concatenated decode failed: n=%d+%d of %d err=%v", n1, n2, len(wire2), err)
 	}
@@ -43,7 +45,8 @@ func TestBatchWireRoundTrip(t *testing.T) {
 func TestBatchWireEmpty(t *testing.T) {
 	b := Batch{Region: 0, Epoch: 0, At: 0}
 	wire := b.AppendWire(nil)
-	got, n, err := DecodeBatch(wire)
+	var got Batch
+	n, err := got.DecodeWire(wire)
 	if err != nil || n != len(wire) {
 		t.Fatalf("empty batch decode: n=%d/%d err=%v", n, len(wire), err)
 	}
@@ -60,7 +63,7 @@ func TestBatchWireTruncationErrors(t *testing.T) {
 	}
 	wire := b.AppendWire(nil)
 	for cut := 0; cut < len(wire); cut++ {
-		if _, _, err := DecodeBatch(wire[:cut]); err == nil {
+		if _, err := new(Batch).DecodeWire(wire[:cut]); err == nil {
 			t.Errorf("truncation at %d of %d decoded without error", cut, len(wire))
 		}
 	}

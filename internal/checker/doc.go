@@ -43,9 +43,10 @@
 // (proc, val, sent) strobe-stamp triples (clock.AppendStampBatch) plus
 // value metadata for boundary-relevant processes only (those read by
 // clauses that span regions, derived from the clauses the evaluator
-// compiled) — which the root decodes to advance its consolidated
-// watermarks. The codec is load-bearing: watermarks advance only through
-// encode→decode, and the wire bytes are the tree's bandwidth cost model.
+// compiled) — which the root decodes for its regional epoch fence. The
+// round trip is the codec's self-check in production (a batch that does
+// not decode to its own bytes panics), and the wire bytes are the tree's
+// bandwidth cost model.
 // The round trip runs in batch and byte buffers the tree reuses, so a
 // warm report, flush included, allocates nothing.
 //

@@ -30,32 +30,25 @@ type Config struct {
 type Stats struct {
 	// Applied / Stale mirror the flat checker's admission counters.
 	Applied, Stale int64
-	// Batches / BatchTriples / BatchEntries count upward sync flushes,
-	// their stamp-watermark triples, and their boundary value entries.
-	Batches, BatchTriples, BatchEntries int64
+	// Batches / BatchTriples count upward sync flushes and their
+	// stamp-watermark triples.
+	Batches, BatchTriples int64
 	// Coalesced counts superseded pending values overwritten before they
 	// ever crossed the tier boundary.
 	Coalesced int64
-	// LocalEntries counts pending values filtered as region-local (read
-	// only by clauses homed in the owning region).
-	LocalEntries int64
 	// WireBytes is the total encoded size of every flushed batch.
 	WireBytes int64
-	// RegionDropped counts reports dropped because the owning regional
-	// aggregator was crashed.
-	RegionDropped int64
 	// SyncedProcs / SyncLagTotal measure the upward channel's staleness:
 	// per flushed process, how long its oldest unsynced report waited.
 	SyncedProcs  int64
 	SyncLagTotal sim.Duration
 }
 
-// rootView is the root's batch-synced consolidated state: per-process
-// strobe watermarks, advanced only by decoding flushed batches (the wire
-// codec is load-bearing).
+// rootView is what the root keeps of the decoded batches: each region's
+// latest epoch, the fence that discards a pre-recovery straggler. The
+// verdict itself comes from the evaluator, which every applied report
+// sets directly; the decode round trip checks the codec in production.
 type rootView struct {
-	own         []uint64
-	seq         []int
 	regionEpoch []int
 }
 
@@ -147,11 +140,7 @@ func New(cfg Config) *Tree {
 		n: cfg.N, r: r,
 		raceAware:     cfg.RaceAware,
 		batchInterval: cfg.BatchInterval, maxBatch: 256,
-		root: rootView{
-			own:         make([]uint64, cfg.N),
-			seq:         make([]int, cfg.N),
-			regionEpoch: make([]int, r),
-		},
+		root: rootView{regionEpoch: make([]int, r)},
 	}
 	t.aggs = make([]*Aggregator, r)
 	for i := 0; i < r; i++ {
@@ -226,9 +215,6 @@ func (t *Tree) aggFor(p int) (*Aggregator, int) {
 // Fanout returns R, the number of regional aggregators.
 func (t *Tree) Fanout() int { return t.r }
 
-// Aggregators exposes the regional nodes (tests, memory accounting).
-func (t *Tree) Aggregators() []*Aggregator { return t.aggs }
-
 // SetObs attaches runtime metrics: predicate evaluations (the four-state
 // probes of race detection included), detections, applied/stale
 // strobes and race markers under checker.*, the names the other
@@ -275,9 +261,8 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 	a, li := t.aggFor(m.Proc)
 	if a.down {
 		// A crashed aggregator drops its region's reports on the floor;
-		// the root's last-synced view of the region persists, exactly as
-		// the flat checker's view of a dead sensor does.
-		t.Stat.RegionDropped++
+		// the evaluator keeps the region's last values, exactly as the
+		// flat checker's view of a dead sensor does.
 		t.obsDropped.Inc()
 		return
 	}
@@ -449,6 +434,8 @@ func (t *Tree) Occurrences() []Occurrence { return t.occ }
 func (t *Tree) Markers() []sim.Time { return t.markers }
 
 // View returns the tree's current value of (proc, var).
+//
+//lint:allow testonly(the core differential tests read the tree's view through it, against the flat oracle's)
 func (t *Tree) View(proc int, name string) float64 {
 	if proc < 0 || proc >= t.n {
 		return 0
@@ -457,27 +444,8 @@ func (t *Tree) View(proc int, name string) float64 {
 	return a.vals.Get(li, name)
 }
 
-// MaxAggregatorBytes returns the largest regional node footprint — the
-// quantity the bounded-memory claim is about (sublinear in p at fixed
-// region size).
-func (t *Tree) MaxAggregatorBytes() int {
-	max := 0
-	for _, a := range t.aggs {
-		if b := a.StateBytes(); b > max {
-			max = b
-		}
-	}
-	return max
-}
-
-// RootSynced returns the root's batch-synced watermark for proc: its own
-// strobe-clock component and report seq as of the last decoded batch.
-func (t *Tree) RootSynced(proc int) (own uint64, seq int) {
-	return t.root.own[proc], t.root.seq[proc]
-}
-
 // flushAgg drains one aggregator's pending set into a batch, encodes it,
-// and advances the root's consolidated view from the *decoded* bytes. The
+// and hands the root the *decoded* bytes for its epoch fence. The
 // batch, its bytes and the decoded batch live in buffers the tree reuses,
 // so a flush allocates nothing once they have grown to the largest batch.
 func (t *Tree) flushAgg(a *Aggregator, now sim.Time) {
@@ -494,8 +462,6 @@ func (t *Tree) flushAgg(a *Aggregator, now sim.Time) {
 		b.Triples = append(b.Triples, clock.StampTriple{Proc: e.proc, Val: e.own, Sent: uint64(e.seq)}) //lint:allow hotpath(amortized growth: the reused batch grows to the largest pending set, at most maxBatch, and stops)
 		if t.boundaryKey(e.proc, e.varName) {
 			b.Entries = append(b.Entries, BatchEntry{Proc: e.proc, Epoch: e.epoch, Var: e.varName, Value: e.value}) //lint:allow hotpath(amortized growth: as the triples above)
-		} else {
-			t.Stat.LocalEntries++
 		}
 		// Finish flushes at the horizon what the post-horizon drain staged
 		// after it: a report flushed before it was staged waited zero.
@@ -513,34 +479,30 @@ func (t *Tree) flushAgg(a *Aggregator, now sim.Time) {
 	t.rootApply(&t.in)
 	t.Stat.Batches++
 	t.Stat.BatchTriples += int64(len(b.Triples))
-	t.Stat.BatchEntries += int64(len(b.Entries))
 	t.obsBatches.Inc()
 	a.clearPending()
 }
 
-// rootApply advances the root watermarks from one decoded batch. Batches
-// under a stale regional epoch (pre-recovery stragglers) are discarded —
-// the aggregator-level counterpart of the per-sensor epoch discipline.
+// rootApply takes one decoded batch at the root. A batch under a stale
+// regional epoch (a pre-recovery straggler) is discarded — the
+// aggregator-level counterpart of the per-sensor epoch discipline.
 func (t *Tree) rootApply(b *Batch) {
 	if b.Epoch < t.root.regionEpoch[b.Region] {
 		return
 	}
 	t.root.regionEpoch[b.Region] = b.Epoch
-	for _, tr := range b.Triples {
-		t.root.own[tr.Proc] = tr.Val
-		t.root.seq[tr.Proc] = int(tr.Sent)
-	}
 }
 
 // CrashRegion takes regional aggregator r down: its pending sync is lost
 // and subsequent reports from its region are dropped until recovery.
+//
+//lint:allow testonly(regional fault injection, ROADMAP item 17(c), is its first production caller; until then the tree tests drive it)
 func (t *Tree) CrashRegion(r int) {
 	a := t.aggs[r]
 	if a.down {
 		return
 	}
 	a.down = true
-	t.Stat.RegionDropped += int64(len(a.pending))
 	a.clearPending()
 }
 
@@ -549,6 +511,8 @@ func (t *Tree) CrashRegion(r int) {
 // epoch, and the region's keys read 0 in the evaluator, so nothing
 // pre-crash can be merged back in. If forgetting the region flips the
 // predicate, the edge is recorded at the recovery time.
+//
+//lint:allow testonly(CrashRegion's other half, for the same planned caller)
 func (t *Tree) RecoverRegion(r int, now sim.Time) {
 	a := t.aggs[r]
 	if !a.down {

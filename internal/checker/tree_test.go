@@ -134,7 +134,7 @@ func TestTreeAggregatorCrashRecovery(t *testing.T) {
 
 	tr.CrashRegion(1)
 	tr.OnReport(report(2, 6, 0), 30) // dropped: aggregator down
-	if tr.Stat.RegionDropped == 0 {
+	if len(tr.aggs[1].pending) != 0 {
 		t.Fatalf("crashed region accepted a report")
 	}
 	if got := tr.View(2, "p"); got != 1 {
@@ -154,8 +154,8 @@ func TestTreeAggregatorCrashRecovery(t *testing.T) {
 	if len(occ) != 1 || occ[0].End != 40 {
 		t.Fatalf("occurrence = %v, want one closed at 40", occ)
 	}
-	if a := tr.Aggregators()[1]; a.Epoch() != 1 {
-		t.Fatalf("regional epoch = %d, want 1", a.Epoch())
+	if a := tr.aggs[1]; a.epoch != 1 {
+		t.Fatalf("regional epoch = %d, want 1", a.epoch)
 	}
 
 	// Fresh admission state: a seq far below the pre-crash watermark is
@@ -180,25 +180,22 @@ func TestTreeAggregatorCrashRecovery(t *testing.T) {
 
 // TestTreeRecoveryDiscardsStaleRegionalBatches pins the root-side epoch
 // discipline: a batch stamped with a pre-recovery regional epoch must
-// not advance the root watermarks.
+// not move the root's fence back.
 func TestTreeRecoveryDiscardsStaleRegionalBatches(t *testing.T) {
-	tr := sumTree(8, 4, 2)
-	tr.OnReport(report(2, 5, 1), 10)
-	tr.Finish(20) // flush: root sees proc 2 at seq 5
-	if _, seq := tr.RootSynced(2); seq != 5 {
-		t.Fatalf("root seq = %d, want 5", seq)
-	}
 	// Hand-deliver a stale batch (regional epoch 0) after a recovery
 	// bumped the region to epoch 1.
-	tr2 := sumTree(8, 4, 2)
-	tr2.OnReport(report(2, 5, 1), 10)
-	tr2.CrashRegion(1)
-	tr2.RecoverRegion(1, 15)
+	tr := sumTree(8, 4, 2)
+	tr.OnReport(report(2, 5, 1), 10)
+	tr.CrashRegion(1)
+	tr.RecoverRegion(1, 15)
+	if got := tr.root.regionEpoch[1]; got != 1 {
+		t.Fatalf("recovery left the root fence at epoch %d, want 1", got)
+	}
 	stale := Batch{Region: 1, Epoch: 0, At: 16,
 		Triples: []clock.StampTriple{{Proc: 2, Val: 9, Sent: 9}}}
-	tr2.rootApply(&stale)
-	if own, seq := tr2.RootSynced(2); own == 9 || seq == 9 {
-		t.Fatalf("stale regional batch advanced root watermarks: own=%d seq=%d", own, seq)
+	tr.rootApply(&stale)
+	if got := tr.root.regionEpoch[1]; got != 1 {
+		t.Fatalf("stale regional batch moved the root fence to epoch %d", got)
 	}
 }
 
@@ -225,8 +222,13 @@ func TestTreeBatchCoalescing(t *testing.T) {
 	if tr.Stat.BatchTriples != 4 {
 		t.Fatalf("batch triples = %d, want 4", tr.Stat.BatchTriples)
 	}
-	if _, seq := tr.RootSynced(0); seq != 3 {
-		t.Fatalf("root synced seq %d for proc 0, want the coalesced 3", seq)
+	// The root decoded the coalesced report: proc 0 at seq 3, with its
+	// value among the entries, since sum(p) spans both regions.
+	if tr.in.Triples[0] != (clock.StampTriple{Proc: 0, Val: tr.in.Triples[0].Val, Sent: 3}) {
+		t.Fatalf("root decoded %+v for proc 0, want the coalesced seq 3", tr.in.Triples[0])
+	}
+	if len(tr.in.Entries) != 4 || tr.in.Entries[0] != (BatchEntry{Proc: 0, Var: "p", Value: 1}) {
+		t.Fatalf("root decoded entries %+v, want the four boundary values, proc 0's coalesced 1 first", tr.in.Entries)
 	}
 	// Interval flush: next report after the window flushes the rest.
 	tr.OnReport(report(4, 1, 1), 200)
@@ -236,6 +238,27 @@ func TestTreeBatchCoalescing(t *testing.T) {
 	if lag := tr.Stat.SyncLagTotal; lag <= 0 {
 		t.Fatalf("sync lag total = %v, want > 0", lag)
 	}
+}
+
+// StateBytes estimates the aggregator's resident footprint: per-process
+// admission and value state, the pending sync set, and the race-aware
+// stamps and reconstructions when allocated. The estimate uses the same
+// flat per-entry costs as the clock package's StateBytes accounting.
+func (a *Aggregator) StateBytes() int {
+	n := a.hi - a.lo
+	b := 96 + n*(8+8+4) // headers, lastSeq/lastEpoch, the pending slot index
+	b += len(a.vals.Names()) * (40 + 8*n)
+	b += 24 + 64*cap(a.pending)
+	if a.stamps != nil {
+		b += n * (24 + 32) // stamps and lastChange
+	}
+	for _, v := range a.recon {
+		b += 8 * cap(v)
+	}
+	for _, v := range a.stamps {
+		b += 8 * cap(v)
+	}
+	return b
 }
 
 // TestTreeBoundedAggregatorMemory is the bounded-memory claim: with the
@@ -252,12 +275,16 @@ func TestTreeBoundedAggregatorMemory(t *testing.T) {
 				tr.OnReport(report(proc, seq, float64(round%2)), sim.Time(round*10+1))
 			}
 		}
-		for _, a := range tr.Aggregators() {
+		max := 0
+		for _, a := range tr.aggs {
 			if a.recon != nil || a.stamps != nil || a.lastChange != nil {
 				t.Fatalf("race-blind aggregator allocated race-probe state")
 			}
+			if b := a.StateBytes(); b > max {
+				max = b
+			}
 		}
-		return tr.MaxAggregatorBytes()
+		return max
 	}
 	small := perAgg(1024) // 4 aggregators of 256
 	big := perAgg(16384)  // 64 aggregators of 256

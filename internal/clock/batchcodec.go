@@ -15,7 +15,7 @@ import (
 // delta-coded (the gap to the previous id, always >= 1) and every field
 // is a uvarint — a fleet-contiguous region encodes in ~3 bytes per
 // process instead of the 18 a flat (proc, val, sent) record would take.
-// The codec is exact and self-delimiting: DecodeStampBatch returns the
+// The codec is exact and self-delimiting: AppendDecodeStampBatch returns the
 // triples plus the bytes consumed, so batches can be concatenated.
 
 // StampTriple is one per-process entry of a batched strobe-stamp sync.
@@ -46,12 +46,6 @@ func AppendStampBatch(dst []byte, ts []StampTriple) []byte {
 		prev = t.Proc
 	}
 	return dst
-}
-
-// DecodeStampBatch decodes one batch from the front of b, returning the
-// triples and the number of bytes consumed.
-func DecodeStampBatch(b []byte) ([]StampTriple, int, error) {
-	return AppendDecodeStampBatch(nil, b)
 }
 
 // AppendDecodeStampBatch decodes one batch from the front of b, appends

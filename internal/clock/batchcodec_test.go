@@ -18,7 +18,7 @@ func TestStampBatchRoundTrip(t *testing.T) {
 		// Concatenate a second batch to prove self-delimiting decode.
 		tail := []StampTriple{{Proc: 2, Val: 4, Sent: 4}}
 		b = AppendStampBatch(b, tail)
-		got, n, err := DecodeStampBatch(b)
+		got, n, err := AppendDecodeStampBatch(nil, b)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
@@ -29,7 +29,7 @@ func TestStampBatchRoundTrip(t *testing.T) {
 		} else if !reflect.DeepEqual(got, ts) {
 			t.Fatalf("case %d: got %v, want %v", i, got, ts)
 		}
-		got2, n2, err := DecodeStampBatch(b[n:])
+		got2, n2, err := AppendDecodeStampBatch(nil, b[n:])
 		if err != nil || !reflect.DeepEqual(got2, tail) || n+n2 != len(b) {
 			t.Fatalf("case %d: second batch got %v (n=%d+%d of %d), err=%v", i, got2, n, n2, len(b), err)
 		}
@@ -59,19 +59,19 @@ func TestStampBatchRejectsUnsorted(t *testing.T) {
 }
 
 func TestStampBatchDecodeErrors(t *testing.T) {
-	if _, _, err := DecodeStampBatch(nil); err == nil {
+	if _, _, err := AppendDecodeStampBatch(nil, nil); err == nil {
 		t.Error("nil buffer: want error")
 	}
 	// Truncated after count.
 	b := AppendStampBatch(nil, []StampTriple{{Proc: 1, Val: 300, Sent: 300}})
 	for cut := 1; cut < len(b); cut++ {
-		if _, _, err := DecodeStampBatch(b[:cut]); err == nil {
+		if _, _, err := AppendDecodeStampBatch(nil, b[:cut]); err == nil {
 			t.Errorf("truncated at %d of %d: want error", cut, len(b))
 		}
 	}
 	// A zero proc-delta is invalid (procs strictly increase).
 	bad := []byte{1, 0}
-	if _, _, err := DecodeStampBatch(bad); err == nil {
+	if _, _, err := AppendDecodeStampBatch(nil, bad); err == nil {
 		t.Error("zero proc delta: want error")
 	}
 }

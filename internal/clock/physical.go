@@ -34,9 +34,6 @@ func (d Drifting) Read(now sim.Time) sim.Time {
 	return t
 }
 
-// SkewAt returns the signed error of the reading at true time now.
-func (d Drifting) SkewAt(now sim.Time) sim.Time { return d.Read(now) - now }
-
 // EpsilonSynced models the output of a clock synchronization service with
 // skew bound ε: each process's reading differs from true time by a fixed
 // per-run offset with |offset| ≤ ε/2, so any two readings differ by at
@@ -76,54 +73,4 @@ func NewDriftingFleet(r *stats.RNG, n int, maxOffset sim.Duration, maxDriftPPM f
 		}
 	}
 	return fleet
-}
-
-// PhysicalVector is a physical (asynchronous) vector clock (Section
-// 3.2.1.b.ii): the vector components are the monotonic local physical
-// clock readings of each process, merged on message receipt. It relates
-// locally observed wall times across locations; the paper notes it is an
-// overkill for causality but useful when predicates mention local wall
-// times.
-type PhysicalVector struct {
-	me int
-	hw Physical
-	v  []sim.Time
-}
-
-// NewPhysicalVector returns process me's physical vector clock backed by
-// hardware clock hw in an n-process system. Unset components are the zero
-// time.
-func NewPhysicalVector(me, n int, hw Physical) *PhysicalVector {
-	if me < 0 || me >= n {
-		panic("clock: process index out of range")
-	}
-	return &PhysicalVector{me: me, hw: hw, v: make([]sim.Time, n)}
-}
-
-// Snapshot returns a copy of the component readings.
-func (p *PhysicalVector) Snapshot() []sim.Time {
-	return append([]sim.Time(nil), p.v...)
-}
-
-// Tick records a local relevant event at true time now and returns a copy
-// of the vector to piggyback.
-func (p *PhysicalVector) Tick(now sim.Time) []sim.Time {
-	r := p.hw.Read(now)
-	if r > p.v[p.me] {
-		p.v[p.me] = r
-	} else {
-		p.v[p.me]++ // enforce monotonicity past granularity plateaus
-	}
-	return p.Snapshot()
-}
-
-// Receive merges a piggybacked physical vector t and records the local
-// receive at true time now.
-func (p *PhysicalVector) Receive(now sim.Time, t []sim.Time) []sim.Time {
-	for i, x := range t {
-		if i < len(p.v) && x > p.v[i] {
-			p.v[i] = x
-		}
-	}
-	return p.Tick(now)
 }

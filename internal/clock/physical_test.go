@@ -16,7 +16,7 @@ func TestDriftingClockOffsetAndDrift(t *testing.T) {
 	if got := d.Read(sim.Second); got != 100+sim.Second+40 {
 		t.Fatalf("read at 1s = %v", got)
 	}
-	if sk := d.SkewAt(sim.Second); sk != 140 {
+	if sk := d.Read(sim.Second) - sim.Second; sk != 140 {
 		t.Fatalf("skew = %v", sk)
 	}
 }
@@ -71,53 +71,6 @@ func TestEpsilonFleetZero(t *testing.T) {
 			t.Fatal("ε=0 fleet should be perfectly synchronized")
 		}
 	}
-}
-
-func TestPhysicalVector(t *testing.T) {
-	hwA := Drifting{Offset: 0}
-	hwB := Drifting{Offset: 500}
-	a := NewPhysicalVector(0, 2, hwA)
-	b := NewPhysicalVector(1, 2, hwB)
-
-	va := a.Tick(1000)
-	if va[0] != 1000 || va[1] != 0 {
-		t.Fatalf("a tick = %v", va)
-	}
-	vb := b.Receive(2000, va)
-	// b's local reading at 2000 is 2500; merged a-component is 1000.
-	if vb[0] != 1000 || vb[1] != 2500 {
-		t.Fatalf("b receive = %v", vb)
-	}
-}
-
-func TestPhysicalVectorMonotoneOnPlateau(t *testing.T) {
-	// A coarse-granularity clock can return the same reading twice; the
-	// vector must still advance.
-	hw := Drifting{Granularity: 1000}
-	p := NewPhysicalVector(0, 1, hw)
-	v1 := p.Tick(100)
-	v2 := p.Tick(150) // same granule
-	if v2[0] <= v1[0] {
-		t.Fatalf("vector not monotone on plateau: %v then %v", v1, v2)
-	}
-}
-
-func TestPhysicalVectorSnapshotIsCopy(t *testing.T) {
-	p := NewPhysicalVector(0, 2, Drifting{})
-	s := p.Snapshot()
-	s[1] = 42
-	if p.Snapshot()[1] != 0 {
-		t.Fatal("snapshot aliases internal state")
-	}
-}
-
-func TestPhysicalVectorPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range index did not panic")
-		}
-	}()
-	NewPhysicalVector(2, 2, Drifting{})
 }
 
 func TestDriftingNegativeGranularityPath(t *testing.T) {

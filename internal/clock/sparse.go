@@ -323,18 +323,6 @@ func (s *SparseStrobeVector) Snapshot() Vector {
 	return v
 }
 
-// Reset zeroes the clock in place, releasing the component storage: the
-// epoch-reset rule for a crashed-and-rejoining process.
-func (s *SparseStrobeVector) Reset() {
-	s.own = 0
-	s.comps = nil
-	s.dirty = 0
-}
-
-// ActivePeers returns how many non-own components this process has heard
-// of — the quantity the O(active peers) memory claim is about.
-func (s *SparseStrobeVector) ActivePeers() int { return len(s.comps) }
-
 // StateBytes is the resident footprint of the clock state: the struct
 // itself plus the component array it owns, as the compiler lays them out.
 func (s *SparseStrobeVector) StateBytes() int {

@@ -59,9 +59,6 @@ type StrobeChecker struct {
 	Applied int64
 	// Stale counts strobes discarded as stale/duplicate/out-of-order.
 	Stale int64
-	// Evals counts predicate evaluations, the four-state probes of race
-	// detection included.
-	Evals int64
 }
 
 type change struct {
@@ -72,6 +69,8 @@ type change struct {
 
 // NewVectorChecker creates the race-aware checker for the strobe-vector
 // protocol over n sensor processes.
+//
+//lint:allow testonly(builds the flat oracle that the core and live differential tests hold checker.Tree to)
 func NewVectorChecker(n int, pred predicate.Cond) *StrobeChecker {
 	return newStrobeChecker(n, pred, true)
 }
@@ -97,6 +96,8 @@ func newStrobeChecker(n int, pred predicate.Cond, raceAware bool) *StrobeChecker
 }
 
 // Register installs the checker on transport node idx.
+//
+//lint:allow testonly(installs the flat oracle on a transport for the differential tests)
 func (c *StrobeChecker) Register(net Receiver, idx int) { onStrobes(net, idx, c.OnStrobe) }
 
 // OnStrobe applies one received strobe to the view and updates detection
@@ -214,7 +215,6 @@ func (c *StrobeChecker) detectRace(m StrobeMsg, prevI float64) bool {
 
 // phi evaluates the predicate against the checker's current view.
 func (c *StrobeChecker) phi() bool {
-	c.Evals++
 	return c.pred.Holds(c.view)
 }
 
@@ -236,6 +236,8 @@ func (c *StrobeChecker) Markers() []sim.Time { return c.markers }
 
 // View returns the checker's current value of (proc, var) — the evolving
 // "map of the physical world" of Section 1.
+//
+//lint:allow testonly(the flat oracle's view, which FuzzCheckerView holds the tree's to)
 func (c *StrobeChecker) View(proc int, name string) float64 {
 	return c.view.Get(proc, name)
 }

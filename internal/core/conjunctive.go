@@ -26,22 +26,17 @@ type ConjunctiveChecker struct {
 	n        int
 	modality predicate.Modality
 
-	queues  [][]IntervalMsg
-	next    []int // next expected Index per proc (for de-dup and ordering)
-	occ     []Occurrence
-	matches int64
+	queues [][]IntervalMsg
+	next   []int // next expected Index per proc (for de-dup and ordering)
+	occ    []Occurrence
 	// Once restricts the checker to detect-once-and-hang semantics, as a
 	// baseline for experiment E10.
 	Once bool
 	done bool
 
-	// Notify, if set, is invoked on each match — the actuation hook.
+	// Notify, if set, is invoked on each match — the actuation hook. It
+	// runs before the queues advance, so their heads are the matched set.
 	Notify func(o Occurrence)
-
-	// KeepSets records each matched interval tuple in MatchedSets, for
-	// post-hoc soundness verification in tests.
-	KeepSets    bool
-	MatchedSets [][]IntervalMsg
 
 	// Resolved obs instruments; nil (no-ops) until SetObs.
 	obsDetections *obs.Counter
@@ -91,7 +86,9 @@ func (c *ConjunctiveChecker) Register(net Receiver, idx int) {
 
 // OnInterval enqueues one reported interval and attempts matching.
 // Intervals that arrive out of order are inserted in Index position;
-// intervals already consumed (late after a loss) are dropped.
+// intervals already consumed (late after a loss) are dropped. The queue
+// keeps its own copy of a queued interval's stamps: the delivered ones
+// belong to the payload, which a handler may not keep.
 func (c *ConjunctiveChecker) OnInterval(m IntervalMsg, _ sim.Time) {
 	if c.done || m.Proc < 0 || m.Proc >= c.n || m.Index < c.next[m.Proc] {
 		return
@@ -101,6 +98,7 @@ func (c *ConjunctiveChecker) OnInterval(m IntervalMsg, _ sim.Time) {
 	if pos < len(q) && q[pos].Index == m.Index {
 		return // duplicate
 	}
+	m.Open, m.Close = m.Open.Clone(), m.Close.Clone()
 	q = append(q, IntervalMsg{})
 	copy(q[pos+1:], q[pos:])
 	q[pos] = m
@@ -115,7 +113,7 @@ func (c *ConjunctiveChecker) OnInterval(m IntervalMsg, _ sim.Time) {
 
 // po converts a reported interval to its partial-order form.
 func po(m IntervalMsg) intervals.POInterval {
-	return intervals.POInterval{Proc: m.Proc, Start: m.Open, End: m.Close}
+	return intervals.POInterval{Start: m.Open, End: m.Close}
 }
 
 // match advances the queues until some queue is empty, reporting every
@@ -190,11 +188,7 @@ func earliestClose(heads []IntervalMsg) int {
 // which case a zero-length occurrence at the latest open time is recorded
 // and flagged borderline (it possibly-but-not-definitely happened).
 func (c *ConjunctiveChecker) report(heads []IntervalMsg) {
-	c.matches++
 	c.obsDetections.Inc()
-	if c.KeepSets {
-		c.MatchedSets = append(c.MatchedSets, append([]IntervalMsg(nil), heads...))
-	}
 	start := heads[0].OpenAt
 	end := heads[0].CloseAt
 	for _, h := range heads[1:] {
@@ -237,6 +231,3 @@ func (c *ConjunctiveChecker) Finish(sim.Time) {}
 // Markers returns nil: ambiguity is carried per occurrence (Borderline),
 // not as view-time markers.
 func (c *ConjunctiveChecker) Markers() []sim.Time { return nil }
-
-// Matches returns the number of matched interval sets.
-func (c *ConjunctiveChecker) Matches() int64 { return c.matches }

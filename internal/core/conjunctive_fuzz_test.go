@@ -59,8 +59,16 @@ func conjunctiveSoundness(t *testing.T, n int, ops []byte) (seen [conjCases]int)
 		NewConjunctiveChecker(n, predicate.Possibly),
 		NewConjunctiveChecker(n, predicate.Definitely),
 	}
-	for _, c := range checkers {
-		c.KeepSets = true
+	// Notify runs before the queues advance: their heads are the match.
+	var sets [len(checkers)][][]IntervalMsg
+	for k, c := range checkers {
+		c.Notify = func(Occurrence) {
+			set := make([]IntervalMsg, n)
+			for i, q := range c.queues {
+				set[i] = q[0]
+			}
+			sets[k] = append(sets[k], set)
+		}
 	}
 	deliver := func(p, i int) {
 		m := streams[p][i]
@@ -143,11 +151,11 @@ func conjunctiveSoundness(t *testing.T, n int, ops []byte) (seen [conjCases]int)
 		}
 	}
 
-	for _, c := range checkers {
-		if got := int64(len(c.MatchedSets)); got != c.Matches() || got != int64(len(c.Occurrences())) {
-			t.Fatalf("%v: %d matched sets, %d matches, %d occurrences", c.modality, got, c.Matches(), len(c.Occurrences()))
+	for ci, c := range checkers {
+		if got := len(sets[ci]); got != len(c.Occurrences()) {
+			t.Fatalf("%v: %d matched sets, %d occurrences", c.modality, got, len(c.Occurrences()))
 		}
-		for k, set := range c.MatchedSets {
+		for k, set := range sets[ci] {
 			if len(set) != n {
 				t.Fatalf("%v: matched set %d holds %d intervals for %d processes", c.modality, k, len(set), n)
 			}
@@ -178,7 +186,7 @@ func conjunctiveSoundness(t *testing.T, n int, ops []byte) (seen [conjCases]int)
 			}
 		}
 	}
-	if checkers[0].Matches() > checkers[1].Matches() {
+	if len(checkers[0].Occurrences()) > len(checkers[1].Occurrences()) {
 		seen[conjPossiblyOnly]++
 	}
 	return seen

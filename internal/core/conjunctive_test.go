@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"pervasive/internal/clock"
@@ -34,6 +35,32 @@ func TestConjunctiveDefinitelyDetects(t *testing.T) {
 	}
 	if occ[0].Borderline {
 		t.Fatal("definite detection flagged borderline")
+	}
+}
+
+// TestConjunctiveKeepsNoPayloadStamps: the checker queues its own copy
+// of an interval's stamps, so a payload overwritten after delivery — a
+// recycled body — moves no verdict. Each interval is delivered, then its
+// stamps are overwritten before the next one arrives.
+func TestConjunctiveKeepsNoPayloadStamps(t *testing.T) {
+	for _, mod := range []predicate.Modality{predicate.Possibly, predicate.Definitely} {
+		fresh := NewConjunctiveChecker(2, mod)
+		reused := NewConjunctiveChecker(2, mod)
+		for _, m := range []IntervalMsg{
+			ivmsg(0, 0, clock.Vector{1, 0}, clock.Vector{3, 2}, 100, 300),
+			ivmsg(1, 0, clock.Vector{0, 1}, clock.Vector{2, 3}, 120, 280),
+		} {
+			fresh.OnInterval(m, 0)
+			m.Open, m.Close = m.Open.Clone(), m.Close.Clone()
+			reused.OnInterval(m, 0)
+			for i := range m.Open {
+				m.Open[i], m.Close[i] = 9, 9
+			}
+		}
+		want, got := fresh.Occurrences(), reused.Occurrences()
+		if len(want) != 1 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: with the delivered stamps overwritten the checker matched %v, want %v", mod, got, want)
+		}
 	}
 }
 
@@ -91,8 +118,8 @@ func TestConjunctiveEveryOccurrence(t *testing.T) {
 		c.OnInterval(ivmsg(1, k, o1, c1, int64(100*k)+20, int64(100*k)+80), 0)
 		base += 4
 	}
-	if c.Matches() != 3 {
-		t.Fatalf("matches %d want 3 (no hang after the first!)", c.Matches())
+	if got := len(c.Occurrences()); got != 3 {
+		t.Fatalf("matches %d want 3 (no hang after the first!)", got)
 	}
 }
 
@@ -109,8 +136,8 @@ func TestConjunctiveOnceSemantics(t *testing.T) {
 		c.OnInterval(ivmsg(1, k, o1, c1, int64(100*k)+20, int64(100*k)+80), 0)
 		base += 4
 	}
-	if c.Matches() != 1 {
-		t.Fatalf("detect-once matched %d", c.Matches())
+	if got := len(c.Occurrences()); got != 1 {
+		t.Fatalf("detect-once matched %d", got)
 	}
 }
 
@@ -138,8 +165,8 @@ func TestConjunctiveIgnoresConsumedIndices(t *testing.T) {
 	c.OnInterval(ivmsg(0, 0, clock.Vector{1}, clock.Vector{2}, 0, 50), 0)
 	// Index 0 was consumed (matched); a late duplicate must be dropped.
 	c.OnInterval(ivmsg(0, 0, clock.Vector{1}, clock.Vector{2}, 0, 50), 0)
-	if c.Matches() != 1 {
-		t.Fatalf("matches %d", c.Matches())
+	if got := len(c.Occurrences()); got != 1 {
+		t.Fatalf("matches %d", got)
 	}
 }
 

@@ -305,7 +305,7 @@ func (h *Harness) wireNet(scfg SensorConfig) (Receiver, func(*faults.Injector)) 
 			if !ok || len(cjs) == 0 {
 				panic("core: predicate is not conjunctive and no LocalConj given")
 			}
-			scfg.LocalConj = cjs[0].Cond
+			scfg.LocalConj = cjs[0]
 		}
 	}
 	h.Sensors = NewSensors(nt, scfg, func(int) Transport { return nt })

@@ -86,7 +86,6 @@ func (m *StrobeMsg) Kind() string {
 // detector: the sensed change with its local physical timestamp.
 type ReportMsg struct {
 	Proc  int
-	Seq   int
 	Var   string
 	Value float64
 	// TS is the sensor's physical clock reading at the sense event; with
@@ -94,7 +93,8 @@ type ReportMsg struct {
 	TS sim.Time
 }
 
-// WireSize implements network.Payload.
+// WireSize implements network.Payload: proc 2, the per-process seq 4
+// (carried in the body's stamp), var 2, value 8, TS 8.
 func (m *ReportMsg) WireSize() int { return 2 + 4 + 2 + 8 + 8 }
 
 // Kind implements network.Payload.

@@ -51,9 +51,6 @@ func (m *MultiChecker) Finish(horizon sim.Time) {
 	}
 }
 
-// Checker returns the underlying checker for a name (nil if unknown).
-func (m *MultiChecker) Checker(name string) *checker.Tree { return m.checkers[name] }
-
 // Occurrences returns the named predicate's occurrences.
 func (m *MultiChecker) Occurrences(name string) []Occurrence {
 	if c := m.checkers[name]; c != nil {

@@ -63,8 +63,8 @@ func TestMultiCheckerCheckerAccessorAndFinish(t *testing.T) {
 	m := NewMultiChecker(1, map[string]predicate.Cond{
 		"a": predicate.MustParse("x@0 > 0"),
 	}, false) // scalar variant
-	if m.Checker("a") == nil || m.Checker("zzz") != nil {
-		t.Fatal("Checker accessor broken")
+	if m.checkers["a"] == nil || m.checkers["zzz"] != nil {
+		t.Fatal("checker map broken")
 	}
 	m.OnStrobe(StrobeMsg{Proc: 0, Seq: 1, Var: "x", Value: 1, Scalar: 1}, 5)
 	m.Finish(100)

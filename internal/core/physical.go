@@ -27,7 +27,6 @@ type PhysicalChecker struct {
 
 	eng     *sim.Engine
 	pending reportHeap
-	applied int64
 
 	view     *predicate.View
 	drainFn  sim.Handler // c.drain, bound once
@@ -109,7 +108,6 @@ func (c *PhysicalChecker) apply(m ReportMsg) {
 	} else {
 		c.lastTS = m.TS
 	}
-	c.applied++
 	c.obsApplied.Inc()
 	c.view.Set(m.Proc, m.Var, m.Value)
 	c.obsEvals.Inc()
@@ -144,9 +142,6 @@ func (c *PhysicalChecker) Occurrences() []Occurrence { return c.occ }
 // Markers returns nil: physical timestamps are totally ordered, so the
 // checker never observes a race.
 func (c *PhysicalChecker) Markers() []sim.Time { return nil }
-
-// Applied returns the number of reports replayed.
-func (c *PhysicalChecker) Applied() int64 { return c.applied }
 
 // reportHeap is a binary min-heap of reports by timestamp. push and pop
 // are container/heap's up and down loops on the concrete type — no report

@@ -44,7 +44,7 @@ func TestPhysicalCheckerAppliesInContainerHeapOrder(t *testing.T) {
 		ts := sim.Time(10 * r.Intn(reports/16)) // many reports per timestamp
 		stream[i] = arrival{
 			at: ts + sim.Time(r.Intn(2*slack)), // some later than the slack covers
-			m:  ReportMsg{Proc: r.Intn(n), Seq: i, Var: "x", Value: float64(i + 1), TS: ts},
+			m:  ReportMsg{Proc: r.Intn(n), Var: "x", Value: float64(i + 1), TS: ts},
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pervasive/internal/clock"
+	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
@@ -18,13 +19,13 @@ func TestPhysicalCheckerReplaysInTimestampOrder(t *testing.T) {
 	// Reports arrive out of order; timestamps tell the true story:
 	// p0 up @100, p1 up @120, p0 down @140 → overlap [120,140).
 	eng.At(200, func(now sim.Time) {
-		c.OnReport(ReportMsg{Proc: 0, Seq: 2, Var: "x", Value: 0, TS: 140}, now)
+		c.OnReport(ReportMsg{Proc: 0, Var: "x", Value: 0, TS: 140}, now)
 	})
 	eng.At(210, func(now sim.Time) {
-		c.OnReport(ReportMsg{Proc: 0, Seq: 1, Var: "x", Value: 1, TS: 100}, now)
+		c.OnReport(ReportMsg{Proc: 0, Var: "x", Value: 1, TS: 100}, now)
 	})
 	eng.At(220, func(now sim.Time) {
-		c.OnReport(ReportMsg{Proc: 1, Seq: 1, Var: "x", Value: 1, TS: 120}, now)
+		c.OnReport(ReportMsg{Proc: 1, Var: "x", Value: 1, TS: 120}, now)
 	})
 	eng.RunAll()
 	c.Finish(1000)
@@ -54,7 +55,7 @@ func TestPhysicalCheckerSkewFalseNegative(t *testing.T) {
 	c := NewPhysicalChecker(eng, 2, pred, 100)
 	send := func(at sim.Time, proc int, val float64, ts sim.Time) {
 		eng.At(at, func(now sim.Time) {
-			c.OnReport(ReportMsg{Proc: proc, Seq: int(at), Var: "x", Value: val, TS: ts}, now)
+			c.OnReport(ReportMsg{Proc: proc, Var: "x", Value: val, TS: ts}, now)
 		})
 	}
 	// True: p0 [100,110), p1 [105,300). Clocks: p0 −20, p1 +20.
@@ -116,22 +117,27 @@ func TestEpsilonFleetPairwiseSkewBound(t *testing.T) {
 func TestPhysicalCheckerAccessors(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := NewPhysicalChecker(eng, 1, predicate.MustParse("x@0 > 0"), 10)
-	c.OnReport(ReportMsg{Proc: 0, Seq: 1, Var: "x", Value: 1, TS: 5}, 5)
+	reg := obs.NewRegistry()
+	c.SetObs(reg)
+	applied := reg.Counter("checker.reports_applied")
+	c.OnReport(ReportMsg{Proc: 0, Var: "x", Value: 1, TS: 5}, 5)
 	eng.RunAll()
 	c.Finish(100)
-	if c.Applied() != 1 {
-		t.Fatalf("applied %d", c.Applied())
+	if applied.Value() != 1 {
+		t.Fatalf("applied %d", applied.Value())
 	}
 	// Reports after Finish are ignored.
-	c.OnReport(ReportMsg{Proc: 0, Seq: 2, Var: "x", Value: 0, TS: 50}, 50)
-	if c.Applied() != 1 {
+	c.OnReport(ReportMsg{Proc: 0, Var: "x", Value: 0, TS: 50}, 50)
+	if applied.Value() != 1 {
 		t.Fatal("report applied after Finish")
 	}
 	// Out-of-range proc dropped.
 	c2 := NewPhysicalChecker(eng, 1, predicate.MustParse("x@0 > 0"), 10)
-	c2.OnReport(ReportMsg{Proc: 9, Seq: 1, Var: "x", Value: 1, TS: 5}, 5)
+	reg2 := obs.NewRegistry()
+	c2.SetObs(reg2)
+	c2.OnReport(ReportMsg{Proc: 9, Var: "x", Value: 1, TS: 5}, 5)
 	c2.Finish(100)
-	if c2.Applied() != 0 {
+	if reg2.Counter("checker.reports_applied").Value() != 0 {
 		t.Fatal("bad proc applied")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"pervasive/internal/checker"
 	"pervasive/internal/network"
+	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
 )
@@ -64,8 +65,10 @@ func TestSenseAllocations(t *testing.T) {
 		}},
 		{PhysicalReport, func(nt *network.Net, eng *sim.Engine) func() int64 {
 			c := NewPhysicalChecker(eng, 4, pred, sim.Millisecond)
+			reg := obs.NewRegistry()
+			c.SetObs(reg)
 			c.Register(nt, 4)
-			return c.Applied
+			return reg.Counter("checker.reports_applied").Value
 		}},
 	} {
 		eng := sim.NewEngine(7)
@@ -140,17 +143,17 @@ func TestOnlyDiffVectorSensesTakePooledBodies(t *testing.T) {
 		if tc.local {
 			sensors[0].Local = checker.New(checker.Config{N: n, Pred: pred})
 		}
-		type kept struct {
-			seq *int
-			was int
-		}
-		var msgs []kept
+		// Each delivered payload, with a test of whether a later sense
+		// has overwritten it.
+		var msgs []func() bool
 		sn.Register(n, func(m network.Message, _ sim.Time) {
 			switch p := m.Payload.(type) {
 			case *StrobeMsg:
-				msgs = append(msgs, kept{&p.Seq, p.Seq})
+				was := p.Seq
+				msgs = append(msgs, func() bool { return p.Seq != was })
 			case *ReportMsg:
-				msgs = append(msgs, kept{&p.Seq, p.Seq})
+				was := *p
+				msgs = append(msgs, func() bool { return *p != was })
 			}
 		})
 		for i := range senses {
@@ -161,8 +164,8 @@ func TestOnlyDiffVectorSensesTakePooledBodies(t *testing.T) {
 			t.Fatalf("%s: the checker was delivered %d messages, want %d", label, len(msgs), senses)
 		}
 		overwritten := 0
-		for _, k := range msgs {
-			if *k.seq != k.was {
+		for _, changed := range msgs {
+			if changed() {
 				overwritten++
 			}
 		}

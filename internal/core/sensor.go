@@ -257,7 +257,7 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 		// Physical reports carry no logical clock; the stamp is just the
 		// per-process seq.
 		s.net.SendBody(id, s.c.checkerIdx, network.NewBody(ReportMsg{
-			Proc: id, Seq: int(s.seq), Var: varName, Value: value,
+			Proc: id, Var: varName, Value: value,
 			TS: s.c.phys.Read(now),
 		}, flight.Stamp{Seq: uint64(s.seq)}))
 	}

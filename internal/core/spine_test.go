@@ -73,15 +73,17 @@ func TestCheckersRegisterOnShardedNet(t *testing.T) {
 			c.Register(net, idx)
 			return func() int64 { return c.Applied }
 		}},
-		{"PhysicalChecker", &ReportMsg{Proc: 0, Seq: 1, Var: "x", Value: 1, TS: 1}, func(net Receiver, eng *sim.Engine, idx int) func() int64 {
+		{"PhysicalChecker", &ReportMsg{Proc: 0, Var: "x", Value: 1, TS: 1}, func(net Receiver, eng *sim.Engine, idx int) func() int64 {
 			c := NewPhysicalChecker(eng, 2, pred, sim.Millisecond)
+			reg := obs.NewRegistry()
+			c.SetObs(reg)
 			c.Register(net, idx)
-			return c.Applied
+			return reg.Counter("checker.reports_applied").Value
 		}},
 		{"MultiChecker", strobe, func(net Receiver, _ *sim.Engine, idx int) func() int64 {
 			m := NewMultiChecker(2, map[string]predicate.Cond{"a": pred}, false)
 			m.Register(net, idx)
-			return func() int64 { return m.Checker("a").Stat.Applied }
+			return func() int64 { return m.checkers["a"].Stat.Applied }
 		}},
 	}
 	for _, tc := range cases {

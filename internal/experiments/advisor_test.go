@@ -43,13 +43,7 @@ func column(t *testing.T, tbl *Table, name string) int {
 // option is not the one the tables measure best, each a finding recorded
 // in EXPERIMENTS.md ("The advisor held to the tables"). A new or vanished
 // disagreement fails TestAdviseAgreesWithTables.
-var knownAdvisorDisagreements = []string{
-	// The byte rule prices one stamp (8n B) against the per-event budget;
-	// a strobe goes to n receivers, so the measured vector traffic is
-	// ~n times that and only scalars fit.
-	"E7 n=4",
-	"E7 n=16",
-}
+var knownAdvisorDisagreements []string
 
 // TestAdviseAgreesWithTables holds advisor.Advise, the executable form of
 // §3.3/§6's clock-choice rules, to what the quick tables measure. Each

@@ -68,12 +68,11 @@ func E2TwoEpsilon(cfg RunConfig) *Table {
 			{0, t0 + L, 0},
 			{1, t0 + 2*L - overlap, 0},
 		}
-		for i, ev := range events {
+		for _, ev := range events {
 			ev := ev
-			seq := i/2 + 1
 			eng.At(ev.at, func(now sim.Time) {
 				checker.OnReport(core.ReportMsg{
-					Proc: ev.proc, Seq: seq, Var: "x", Value: ev.val,
+					Proc: ev.proc, Var: "x", Value: ev.val,
 					TS: fleet[ev.proc].Read(now),
 				}, now)
 			})

@@ -150,6 +150,8 @@ func New(n, perProc int) *Recorder {
 
 // NewConcurrent builds a recorder safe for concurrent Record calls from
 // goroutine-per-node engines: each process ring has its own mutex.
+//
+//lint:allow testonly(the only constructor live.Config.Flight accepts; the flight and live tests build one)
 func NewConcurrent(n, perProc int) *Recorder {
 	return newRecorder(n, perProc, true)
 }

@@ -6,7 +6,6 @@ import "pervasive/internal/clock"
 // events: Start and End are the vector timestamps of its first and last
 // events, with Start ≤ End in the vector order.
 type POInterval struct {
-	Proc       int
 	Start, End clock.Vector
 }
 
@@ -20,6 +19,8 @@ func Precedes(x, y POInterval) bool {
 // PossiblyOverlap reports the Possibly(overlap) modality [10]: there is at
 // least one consistent observation in which x and y intersect, i.e.
 // neither wholly precedes the other.
+//
+//lint:allow testonly(oracle: FuzzConjunctiveSoundness holds the conjunctive checker's Possibly matches to it)
 func PossiblyOverlap(x, y POInterval) bool {
 	return !Precedes(x, y) && !Precedes(y, x)
 }

@@ -7,14 +7,14 @@ import (
 )
 
 // iv builds a POInterval from literal vectors.
-func iv(proc int, start, end clock.Vector) POInterval {
-	return POInterval{Proc: proc, Start: start, End: end}
+func iv(start, end clock.Vector) POInterval {
+	return POInterval{Start: start, End: end}
 }
 
 func TestPrecedes(t *testing.T) {
 	// x entirely causally precedes y.
-	x := iv(0, clock.Vector{1, 0}, clock.Vector{2, 0})
-	y := iv(1, clock.Vector{2, 1}, clock.Vector{2, 3})
+	x := iv(clock.Vector{1, 0}, clock.Vector{2, 0})
+	y := iv(clock.Vector{2, 1}, clock.Vector{2, 3})
 	if !Precedes(x, y) || Precedes(y, x) {
 		t.Fatal("precedence misreported")
 	}
@@ -26,8 +26,8 @@ func TestPrecedes(t *testing.T) {
 func TestPossiblyButNotDefinitely(t *testing.T) {
 	// Two intervals on independent processes with no communication:
 	// concurrent endpoints — possibly overlap, but not definitely.
-	x := iv(0, clock.Vector{1, 0}, clock.Vector{2, 0})
-	y := iv(1, clock.Vector{0, 1}, clock.Vector{0, 2})
+	x := iv(clock.Vector{1, 0}, clock.Vector{2, 0})
+	y := iv(clock.Vector{0, 1}, clock.Vector{0, 2})
 	if !PossiblyOverlap(x, y) {
 		t.Fatal("independent intervals should possibly overlap")
 	}
@@ -39,8 +39,8 @@ func TestPossiblyButNotDefinitely(t *testing.T) {
 func TestDefinitelyOverlap(t *testing.T) {
 	// Cross communication: x starts before y ends and vice versa.
 	// x = [ (1,0) .. (3,2) ], y = [ (0,1) .. (2,3) ] with message exchange.
-	x := iv(0, clock.Vector{1, 0}, clock.Vector{3, 2})
-	y := iv(1, clock.Vector{0, 1}, clock.Vector{2, 3})
+	x := iv(clock.Vector{1, 0}, clock.Vector{3, 2})
+	y := iv(clock.Vector{0, 1}, clock.Vector{2, 3})
 	if !DefinitelyOverlap(x, y) {
 		t.Fatal("cross-linked intervals should definitely overlap")
 	}

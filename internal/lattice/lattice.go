@@ -103,6 +103,8 @@ func (e *Execution) ConsistentCut(cut []int) bool {
 // should use Survey, which walks the lattice once with an incremental
 // consistency check instead of once per statistic with an O(n²)
 // pairwise check.
+//
+//lint:allow testonly(oracle: FuzzSurveyOracle holds lattice.Survey to it)
 func (e *Execution) Enumerate(limit int64, fn func(cut []int) bool) int64 {
 	n := e.N()
 	cut := make([]int, n)

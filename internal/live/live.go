@@ -331,7 +331,7 @@ func (l *links) Register(i int, h network.Handler) { l.handlers[i] = h }
 // SendBody implements core.Transport: one copy, to dst.
 func (l *links) SendBody(src, dst int, b *network.Body) uint64 {
 	nw := (*Network)(l)
-	b.Seal(src, nw.Now())
+	b.Seal(src)
 	nw.transmit(b.Message(dst))
 	return 0
 }
@@ -340,7 +340,7 @@ func (l *links) SendBody(src, dst int, b *network.Body) uint64 {
 // then the checker's.
 func (l *links) BroadcastBody(src int, b *network.Body) uint64 {
 	nw := (*Network)(l)
-	b.Seal(src, nw.Now())
+	b.Seal(src)
 	for dst := 0; dst <= nw.cfg.N; dst++ {
 		if dst != src {
 			nw.transmit(b.Message(dst))

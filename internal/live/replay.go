@@ -23,8 +23,8 @@ type Feed struct {
 // generator's output, in canonical order) through the running network:
 // each event becomes a Sense call on its bound node, paced by the
 // events' virtual times scaled by Speed. It returns the bound stream
-// actually sensed — compare workload.ValuesDigest of the return value
-// against the network's TruthLog to verify the replay.
+// actually sensed — compare the return value's (object, attribute,
+// value) stream against the network's TruthLog to verify the replay.
 //
 // This is the live leg of cross-engine record/replay, and it carries
 // the honest guarantee: the world plane (the truth log's values and

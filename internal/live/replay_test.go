@@ -1,6 +1,7 @@
 package live
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -9,6 +10,16 @@ import (
 	"pervasive/internal/sim"
 	"pervasive/internal/workload"
 )
+
+// values drops the times of evs: the live engine honors the (obj,
+// attr, value) stream of a replay, but not its wall-clock timestamps.
+func values(evs []workload.Event) []workload.Event {
+	out := make([]workload.Event, len(evs))
+	for i, ev := range evs {
+		out[i] = workload.Event{Obj: ev.Obj, Attr: ev.Attr, Val: ev.Val}
+	}
+	return out
+}
 
 // TestLiveReplayMatchesTrace is the live leg of cross-engine
 // record/replay: feeding a decoded trace through the goroutine engine
@@ -46,12 +57,12 @@ func TestLiveReplayMatchesTrace(t *testing.T) {
 	if len(truth) != len(dec.Events) {
 		t.Fatalf("truth log has %d events, trace has %d", len(truth), len(dec.Events))
 	}
-	if workload.ValuesDigest(truth) != workload.ValuesDigest(bound) {
+	if !slices.Equal(values(truth), values(bound)) {
 		t.Fatal("live truth log diverged from the fed trace stream")
 	}
 	// The identity binding keeps (obj, attr, val) unchanged, so the
-	// digest must also match the trace itself.
-	if workload.ValuesDigest(truth) != workload.ValuesDigest(dec.Events) {
+	// stream must also match the trace itself.
+	if !slices.Equal(values(truth), values(dec.Events)) {
 		t.Fatal("identity-bound replay diverged from the decoded trace")
 	}
 	// Detection sanity only: the checker saw the strobes the feed drove.

@@ -69,8 +69,6 @@ type Result struct {
 	Overlap float64
 	// Beacons is the number of beacon transmissions.
 	Beacons int64
-	// Wakes is the total number of wake windows.
-	Wakes int64
 	// AwakeFraction is total radio-on time over N·horizon — the energy
 	// proxy; scans make it exceed W/T.
 	AwakeFraction float64
@@ -137,7 +135,6 @@ func (r *dutyRun) wake(now sim.Time, body any, gen int) {
 	if nd.gen != gen {
 		return
 	}
-	r.res.Wakes++
 	nd.wakes++
 	wEnd := now + r.windowTrue(nd)
 	if r.cfg.Sync && r.cfg.ScanEvery > 0 && nd.wakes%r.cfg.ScanEvery == 0 {

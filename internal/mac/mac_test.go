@@ -80,8 +80,9 @@ func TestWakeCountsMatchPeriods(t *testing.T) {
 		N: 4, Seed: 4, Period: sim.Second, Window: 50 * sim.Millisecond,
 		Horizon: sim.Minute,
 	})
-	// ~60 wakes per node.
-	perNode := float64(res.Wakes) / 4
+	// ~60 wakes per node: without drift or scans each is one 50ms
+	// window of radio-on time.
+	perNode := res.AwakeFraction * float64(sim.Minute) / float64(50*sim.Millisecond)
 	if perNode < 55 || perNode > 65 {
 		t.Fatalf("wakes per node %.1f, want ~60", perNode)
 	}
@@ -89,7 +90,7 @@ func TestWakeCountsMatchPeriods(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	res := Run(Config{Seed: 5, Horizon: 30 * sim.Second})
-	if res.Wakes == 0 {
+	if res.AwakeFraction == 0 {
 		t.Fatal("defaults produced no wakes")
 	}
 }

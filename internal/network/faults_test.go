@@ -28,7 +28,7 @@ func TestCrashedProcessNeitherSendsNorReceives(t *testing.T) {
 	if counts[1] != 1 {
 		t.Fatalf("crashed process received %d deliveries, want 1 post-recovery", counts[1])
 	}
-	f := nt.Faults()
+	f := nt.fault
 	if f.Counts.SuppressedSends.Load() != 1 {
 		t.Fatalf("suppressed sends %d", f.Counts.SuppressedSends.Load())
 	}
@@ -59,7 +59,7 @@ func TestPartitionCutsBothDirectAndFloodTraffic(t *testing.T) {
 		if counts[2] != 0 || counts[3] != 0 {
 			t.Fatalf("flood=%v: traffic crossed the partition: %v", flood, counts)
 		}
-		if nt.Faults().Counts.PartitionDrops.Load() == 0 {
+		if nt.fault.Counts.PartitionDrops.Load() == 0 {
 			t.Fatalf("flood=%v: no partition drops counted", flood)
 		}
 		// After the window heals, traffic crosses again.
@@ -82,8 +82,8 @@ func TestDuplicateWindowRedelivers(t *testing.T) {
 	if got != 2 {
 		t.Fatalf("deliveries %d, want original + duplicate", got)
 	}
-	if nt.Faults().Counts.Duplicates.Load() != 1 {
-		t.Fatalf("duplicates %d", nt.Faults().Counts.Duplicates.Load())
+	if nt.fault.Counts.Duplicates.Load() != 1 {
+		t.Fatalf("duplicates %d", nt.fault.Counts.Duplicates.Load())
 	}
 	if nt.Stats.Sent != 1 {
 		t.Fatalf("duplicates must not count as sends: %d", nt.Stats.Sent)
@@ -114,7 +114,7 @@ func TestReorderWindowJittersDelays(t *testing.T) {
 	if !jittered {
 		t.Fatal("no message got reorder jitter")
 	}
-	if nt.Faults().Counts.Reorders.Load() == 0 {
+	if nt.fault.Counts.Reorders.Load() == 0 {
 		t.Fatal("reorders not counted")
 	}
 }
@@ -260,7 +260,7 @@ func TestDupReorderParityAcrossTransports(t *testing.T) {
 		eng.At(sim.Time(i*100), func(sim.Time) { netSend(nt, 0, 1, Raw{Size: 1}) })
 	}
 	eng.RunAll()
-	check("Net", nt.Faults(), nt.Stats.Sent, nt.Stats.Delivered)
+	check("Net", nt.fault, nt.Stats.Sent, nt.Stats.Delivered)
 
 	sh := sim.NewShards(2, delay.Min, 7)
 	sn := NewSharded(sh, FullMesh{Nodes: 2}, delay, ShardMap{Procs: 2, Shards: 2}, 7)

@@ -136,7 +136,7 @@ func TestGetBody(t *testing.T) {
 		t.Fatalf("a new pooled body: payload %v (want %v), state %#x, serial %d", b.Payload, p, b.state, p.serial)
 	}
 	p.serial, b.Stamp = 9, flight.Stamp{Seq: 9}
-	b.Seal(0, 1)
+	b.Seal(0)
 	b.state = sentBit | pooledBit // every copy landed
 	pool.release(b)
 	again, q := GetBody[serialMsg](&pool)

@@ -172,9 +172,6 @@ func (sn *ShardedNet) priFor(src int) uint64 {
 	return pri
 }
 
-// N returns the number of processes (core.Transport surface).
-func (p *ShardPart) N() int { return p.owner.N() }
-
 // SendBody transmits a direct logical message (see Net.SendBody): the
 // one-destination case of send. Returns the message ID, or 0 when a fault
 // plan has src crashed.
@@ -219,7 +216,7 @@ func (p *ShardPart) BroadcastBody(src int, b *Body) uint64 {
 func (p *ShardPart) send(src, skip int, b *Body) uint64 {
 	sn := p.owner
 	now := p.eng.Now()
-	b.Seal(src, now)
+	b.Seal(src)
 	if suppressed(sn.fault, src, now) {
 		sn.pool.release(b)
 		return 0

@@ -11,19 +11,16 @@
 package network
 
 import (
-	"fmt"
 	"slices"
 
 	"pervasive/internal/stats"
 )
 
 // Topology describes the overlay L. Implementations must be symmetric:
-// Connected(i, j) == Connected(j, i).
+// j is among i's neighbours exactly when i is among j's.
 type Topology interface {
 	// N returns the number of processes.
 	N() int
-	// Connected reports whether a link i—j currently exists.
-	Connected(i, j int) bool
 	// AppendNeighbors appends the processes adjacent to i to dst, in a
 	// deterministic order, and returns the extended slice: callers that ask
 	// once per message keep a scratch buffer.
@@ -38,9 +35,6 @@ type FullMesh struct{ Nodes int }
 
 // N implements Topology.
 func (m FullMesh) N() int { return m.Nodes }
-
-// Connected implements Topology.
-func (m FullMesh) Connected(i, j int) bool { return i != j && inRange(m.Nodes, i, j) }
 
 // AppendNeighbors implements Topology.
 //
@@ -61,18 +55,6 @@ type Ring struct{ Nodes int }
 // N implements Topology.
 func (r Ring) N() int { return r.Nodes }
 
-// Connected implements Topology.
-func (r Ring) Connected(i, j int) bool {
-	if !inRange(r.Nodes, i, j) || i == j || r.Nodes < 2 {
-		return false
-	}
-	d := i - j
-	if d < 0 {
-		d = -d
-	}
-	return d == 1 || d == r.Nodes-1
-}
-
 // AppendNeighbors implements Topology.
 //
 //lint:allow hotpath(appends into the caller's scratch, which grows to the node degree once and is reused by every later send)
@@ -91,23 +73,6 @@ type Grid struct{ Rows, Cols int }
 
 // N implements Topology.
 func (g Grid) N() int { return g.Rows * g.Cols }
-
-// Connected implements Topology.
-func (g Grid) Connected(i, j int) bool {
-	if !inRange(g.N(), i, j) || i == j {
-		return false
-	}
-	ri, ci := i/g.Cols, i%g.Cols
-	rj, cj := j/g.Cols, j%g.Cols
-	dr, dc := ri-rj, ci-cj
-	if dr < 0 {
-		dr = -dr
-	}
-	if dc < 0 {
-		dc = -dc
-	}
-	return dr+dc == 1
-}
 
 // AppendNeighbors implements Topology.
 //
@@ -155,11 +120,6 @@ func (m *Mutable) AddLink(i, j int) {
 	}
 	m.adj[i][j] = true
 	m.adj[j][i] = true
-}
-
-// Connected implements Topology.
-func (m *Mutable) Connected(i, j int) bool {
-	return inRange(m.n, i, j) && m.adj[i][j]
 }
 
 // AppendNeighbors implements Topology.
@@ -252,12 +212,3 @@ func BFSTree(t Topology, root int) []int {
 }
 
 func inRange(n, i, j int) bool { return i >= 0 && i < n && j >= 0 && j < n }
-
-// Describe renders a short human-readable topology summary.
-func Describe(t Topology) string {
-	links := 0
-	for i := 0; i < t.N(); i++ {
-		links += len(Neighbors(t, i))
-	}
-	return fmt.Sprintf("%T(n=%d, links=%d)", t, t.N(), links/2)
-}

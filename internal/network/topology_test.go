@@ -8,16 +8,57 @@ import (
 	"pervasive/internal/stats"
 )
 
+// Each topology's link predicate, written independently of its
+// AppendNeighbors so the tests can hold one to the other.
+
+func (m FullMesh) Connected(i, j int) bool { return i != j && inRange(m.Nodes, i, j) }
+
+func (r Ring) Connected(i, j int) bool {
+	if !inRange(r.Nodes, i, j) || i == j || r.Nodes < 2 {
+		return false
+	}
+	d := i - j
+	if d < 0 {
+		d = -d
+	}
+	return d == 1 || d == r.Nodes-1
+}
+
+func (g Grid) Connected(i, j int) bool {
+	if !inRange(g.N(), i, j) || i == j {
+		return false
+	}
+	ri, ci := i/g.Cols, i%g.Cols
+	rj, cj := j/g.Cols, j%g.Cols
+	dr, dc := ri-rj, ci-cj
+	if dr < 0 {
+		dr = -dr
+	}
+	if dc < 0 {
+		dc = -dc
+	}
+	return dr+dc == 1
+}
+
+func (m *Mutable) Connected(i, j int) bool {
+	return inRange(m.n, i, j) && m.adj[i][j]
+}
+
+// connected asks topo's link predicate whether i—j exists.
+func connected(topo Topology, i, j int) bool {
+	return topo.(interface{ Connected(i, j int) bool }).Connected(i, j)
+}
+
 func checkSymmetric(t *testing.T, topo Topology) {
 	t.Helper()
 	n := topo.N()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if topo.Connected(i, j) != topo.Connected(j, i) {
-				t.Fatalf("%s asymmetric at (%d,%d)", Describe(topo), i, j)
+			if connected(topo, i, j) != connected(topo, j, i) {
+				t.Fatalf("%T asymmetric at (%d,%d)", topo, i, j)
 			}
-			if i == j && topo.Connected(i, j) {
-				t.Fatalf("%s has self-loop at %d", Describe(topo), i)
+			if i == j && connected(topo, i, j) {
+				t.Fatalf("%T has self-loop at %d", topo, i)
 			}
 		}
 	}
@@ -32,9 +73,8 @@ func checkNeighborsMatchConnected(t *testing.T, topo Topology) {
 			nbrs[j] = true
 		}
 		for j := 0; j < n; j++ {
-			if topo.Connected(i, j) != nbrs[j] {
-				t.Fatalf("%s: Neighbors/Connected disagree at (%d,%d)",
-					Describe(topo), i, j)
+			if connected(topo, i, j) != nbrs[j] {
+				t.Fatalf("%T: Neighbors/Connected disagree at (%d,%d)", topo, i, j)
 			}
 		}
 	}
@@ -204,7 +244,7 @@ func TestAppendNeighborsMatchesNeighbors(t *testing.T) {
 			buf = append(buf, 99, 98, 97)[:2] // stale values past the prefix
 			got := topo.AppendNeighbors(buf, i)
 			if len(got) < 2 || got[0] != -7 || got[1] != -8 {
-				t.Fatalf("%s node %d: AppendNeighbors returned %v, prefix [-7 -8] disturbed", Describe(topo), i, got)
+				t.Fatalf("%T node %d: AppendNeighbors returned %v, prefix [-7 -8] disturbed", topo, i, got)
 			}
 			listed := make(map[int]int)
 			for _, j := range got[2:] {
@@ -212,19 +252,18 @@ func TestAppendNeighborsMatchesNeighbors(t *testing.T) {
 			}
 			for j := -1; j <= topo.N(); j++ {
 				want := 0
-				if topo.Connected(i, j) {
+				if connected(topo, i, j) {
 					want = 1
 				}
 				if listed[j] != want {
-					t.Fatalf("%s node %d: appended %v lists %d %d times, Connected says %d",
-						Describe(topo), i, got[2:], j, listed[j], want)
+					t.Fatalf("%T node %d: appended %v lists %d %d times, Connected says %d", topo, i, got[2:], j, listed[j], want)
 				}
 			}
 			if len(listed) != len(got)-2 {
-				t.Fatalf("%s node %d: appended %v repeats a neighbour", Describe(topo), i, got[2:])
+				t.Fatalf("%T node %d: appended %v repeats a neighbour", topo, i, got[2:])
 			}
 			if fresh := Neighbors(topo, i); !slices.Equal(fresh, got[2:]) {
-				t.Fatalf("%s node %d: appended %v, Neighbors %v", Describe(topo), i, got[2:], fresh)
+				t.Fatalf("%T node %d: appended %v, Neighbors %v", topo, i, got[2:], fresh)
 			}
 		}
 	}

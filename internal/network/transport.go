@@ -22,8 +22,6 @@ type Message struct {
 	Src     int    // originating process
 	From    int    // previous hop (== Src for direct delivery)
 	Dst     int    // destination process
-	SentAt  sim.Time
-	Hops    int
 	Payload Payload
 
 	// Stamp is the payload's logical identity (epoch, seq, sender clock
@@ -49,9 +47,8 @@ type Body struct {
 	// Message (see Message.Stamp).
 	Stamp flight.Stamp
 
-	id     uint64
-	sentAt sim.Time
-	src    int32
+	id  uint64
+	src int32
 	// state is the body's life in one word: sentBit once sealed, pooledBit
 	// on a body from a BodyPool, and below them the copies a recycling
 	// transport has scheduled and not yet landed (see ShardPart.land).
@@ -80,20 +77,20 @@ func NewBody[P any, PP interface {
 	return &b.Body
 }
 
-// Seal marks b sent from src at now, before any copy of it is scheduled —
-// a suppressed send included — and panics if b was sent before. The DES
+// Seal marks b sent from src, before any copy of it is scheduled — a
+// suppressed send included — and panics if b was sent before. The DES
 // transports then set the message ID; the live engine's copies carry none.
-func (b *Body) Seal(src int, now sim.Time) {
+func (b *Body) Seal(src int) {
 	if b.state&sentBit != 0 {
 		panic("network: a body is sent once")
 	}
-	b.src, b.sentAt, b.state = int32(src), now, b.state|sentBit
+	b.src, b.state = int32(src), b.state|sentBit
 }
 
 // Message materialises the copy of b addressed to dst, at delivery.
 func (b *Body) Message(dst int) Message {
 	src := int(b.src)
-	return Message{ID: b.id, Src: src, From: src, Dst: dst, SentAt: b.sentAt, Payload: b.Payload, Stamp: b.Stamp}
+	return Message{ID: b.id, Src: src, From: src, Dst: dst, Payload: b.Payload, Stamp: b.Stamp}
 }
 
 // Handler receives delivered messages at a process. On a recycling
@@ -101,13 +98,8 @@ func (b *Body) Message(dst int) Message {
 // it points to, after it returns: the body behind it goes back to its pool
 // once its last copy has landed, and the next send overwrites it. A
 // handler that needs the content later copies it, as the checker tree
-// does with every stamp it keeps. One classic handler keeps what it is
-// handed — the conjunctive checker queues the interval stamps — and may
-// because of the senders' gate, not the transport: core.NewSensors hands
-// a recycler's pool to a DiffVectorStrobe fleet alone, and a sensor with a
-// Local replica does not take from it (core's
-// TestOnlyDiffVectorSensesTakePooledBodies). network.Net and the live
-// engine reuse no body at all.
+// does with every stamp it keeps and the conjunctive checker with every
+// interval it queues.
 type Handler func(m Message, now sim.Time)
 
 // DeliveryPri is the event priority of message deliveries on the
@@ -252,9 +244,6 @@ func (nt *Net) recordDrop(dst, src int, st flight.Stamp, now sim.Time) {
 // this transport. See package faults for the semantics.
 func (nt *Net) SetFaults(in *faults.Injector) { nt.fault = in }
 
-// Faults returns the installed fault injector (nil when none).
-func (nt *Net) Faults() *faults.Injector { return nt.fault }
-
 // New creates a transport over the topology with the given delay model.
 func New(eng *sim.Engine, topo Topology, delay sim.DelayModel) *Net {
 	n := topo.N()
@@ -289,7 +278,7 @@ func (nt *Net) Register(i int, h Handler) { nt.handlers[i] = h }
 // so the stamp costs nothing per delivery.
 func (nt *Net) SendBody(src, dst int, b *Body) uint64 {
 	now := nt.eng.Now()
-	b.Seal(src, now)
+	b.Seal(src)
 	if suppressed(nt.fault, src, now) {
 		return 0
 	}
@@ -307,7 +296,7 @@ func (nt *Net) SendBody(src, dst int, b *Body) uint64 {
 // message ID, or 0 when a fault plan has src crashed.
 func (nt *Net) BroadcastBody(src int, b *Body) uint64 {
 	now := nt.eng.Now()
-	b.Seal(src, now)
+	b.Seal(src)
 	if suppressed(nt.fault, src, now) {
 		return 0
 	}
@@ -402,9 +391,9 @@ func (nt *Net) handle(m Message, now sim.Time) {
 	}
 }
 
-// relay floods m one hop on: from m.From, which holds it at m.Hops, to
-// every current neighbour that has not seen it. The copies of one relay
-// step share one wave body — m with this hop's From and Hops, Dst unset —
+// relay floods m one hop on, from m.From to every current neighbour that
+// has not seen it. The copies of one relay step share one wave body — m
+// with this hop's From, Dst unset —
 // allocated with the first copy scheduled; each is the event
 // (fireHop, wave, dst). Receivers both consume and re-relay. Dedup is done
 // at delivery time, not at scheduling time: a copy lost in flight leaves
@@ -412,7 +401,6 @@ func (nt *Net) handle(m Message, now sim.Time) {
 // flood paths mask single-link loss.
 func (nt *Net) relay(m Message) {
 	now := nt.eng.Now()
-	m.Hops++
 	var wave *Message
 	var copies int64
 	nt.dsts = nt.topo.AppendNeighbors(nt.dsts[:0], m.From)
@@ -471,14 +459,4 @@ func (nt *Net) flightDone(id uint64) {
 	for i := range nt.seen {
 		delete(nt.seen[i], id)
 	}
-}
-
-// dedupEntries reports the total number of live flood-dedup entries
-// across all processes (test hook for the bounded-memory guarantee).
-func (nt *Net) dedupEntries() int {
-	n := 0
-	for i := range nt.seen {
-		n += len(nt.seen[i])
-	}
-	return n
 }

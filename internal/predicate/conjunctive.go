@@ -25,23 +25,6 @@ func (m Modality) String() string {
 	}
 }
 
-// Spec couples a predicate with the modality under which it must be
-// detected — one point in the paper's specification design space.
-type Spec struct {
-	Pred     Cond
-	Modality Modality
-}
-
-// String renders the spec as Modality(pred).
-func (s Spec) String() string { return s.Modality.String() + "(" + s.Pred.String() + ")" }
-
-// Conjunct is one locally evaluable piece of a conjunctive predicate: it
-// reads variables of a single process.
-type Conjunct struct {
-	Proc int
-	Cond Cond
-}
-
 // SplitAnd flattens nested top-level conjunctions into a list.
 func SplitAnd(c Cond) []Cond { return appendAnd(nil, c) }
 
@@ -77,10 +60,12 @@ func homeProc(c Cond) (int, bool) {
 // AsConjunctive decomposes c into per-process conjuncts if every top-level
 // conjunct is locally evaluable at one process (the conjunctive class of
 // Section 3.1.2.a, detectable with the Garg–Waldecker family of
-// algorithms). Multiple conjuncts at the same process are AND-combined.
-// The second result reports whether the decomposition succeeded; a false
-// result means the predicate is relational (Section 3.1.2.b).
-func AsConjunctive(c Cond) ([]Conjunct, bool) {
+// algorithms): one conjunct per process it reads, in the order the
+// processes first appear, each reading only its process's variables.
+// Multiple conjuncts at the same process are AND-combined. The second
+// result reports whether the decomposition succeeded; a false result
+// means the predicate is relational (Section 3.1.2.b).
+func AsConjunctive(c Cond) ([]Cond, bool) {
 	byProc := make(map[int]Cond)
 	var order []int
 	for _, part := range SplitAnd(c) {
@@ -95,9 +80,9 @@ func AsConjunctive(c Cond) ([]Conjunct, bool) {
 			order = append(order, proc)
 		}
 	}
-	out := make([]Conjunct, 0, len(order))
+	out := make([]Cond, 0, len(order))
 	for _, p := range order {
-		out = append(out, Conjunct{Proc: p, Cond: byProc[p]})
+		out = append(out, byProc[p])
 	}
 	return out, len(out) > 0
 }

@@ -2,6 +2,14 @@ package predicate
 
 import "testing"
 
+// home is the one process conjunct c reads, or -1.
+func home(c Cond) int {
+	if p, ok := homeProc(c); ok {
+		return p
+	}
+	return -1
+}
+
 func TestAsConjunctiveSimple(t *testing.T) {
 	// ψ = (x_i = 5) ∧ (y_j > 7) from §3.1.2.a.
 	c := MustParse("x@1 == 5 && y@2 > 7")
@@ -9,7 +17,7 @@ func TestAsConjunctiveSimple(t *testing.T) {
 	if !ok {
 		t.Fatal("ψ should be conjunctive")
 	}
-	if len(cjs) != 2 || cjs[0].Proc != 1 || cjs[1].Proc != 2 {
+	if len(cjs) != 2 || home(cjs[0]) != 1 || home(cjs[1]) != 2 {
 		t.Fatalf("conjuncts %+v", cjs)
 	}
 }
@@ -18,11 +26,11 @@ func TestAsConjunctiveMergesSameProcess(t *testing.T) {
 	// χ = temp_i = 20 ∧ person_in_room_i: two conjuncts at one process.
 	c := MustParse("temp@0 == 20 && person@0 == 1")
 	cjs, ok := AsConjunctive(c)
-	if !ok || len(cjs) != 1 || cjs[0].Proc != 0 {
+	if !ok || len(cjs) != 1 || home(cjs[0]) != 0 {
 		t.Fatalf("conjuncts %+v ok=%v", cjs, ok)
 	}
 	s := st(1, map[Key]float64{{0, "temp"}: 20, {0, "person"}: 1})
-	if !cjs[0].Cond.Holds(s) {
+	if !cjs[0].Holds(s) {
 		t.Fatal("merged conjunct should hold")
 	}
 }
@@ -67,11 +75,7 @@ func TestSplitAnd(t *testing.T) {
 }
 
 func TestSpecString(t *testing.T) {
-	spec := Spec{Pred: MustParse("x@0 > 1"), Modality: Definitely}
-	if got := spec.String(); got != "Definitely(x@0 > 1)" {
-		t.Fatalf("spec string %q", got)
-	}
-	if Instantaneously.String() != "Instantaneously" || Possibly.String() != "Possibly" {
+	if Instantaneously.String() != "Instantaneously" || Possibly.String() != "Possibly" || Definitely.String() != "Definitely" {
 		t.Fatal("modality names")
 	}
 }

@@ -47,9 +47,7 @@ func (c *ProximityConfig) fill() {
 type Proximity struct {
 	Cfg ProximityConfig
 	Wired
-	Visitor int // world objects
-	Patient int
-	Alarms  int
+	Alarms int
 }
 
 // NewProximity wires the scenario: sensor 0 tracks the visitor badge,
@@ -73,7 +71,6 @@ func NewProximity(cfg ProximityConfig) *Proximity {
 		Speed: cfg.Speed, Tick: 200 * sim.Millisecond, Pause: 5 * sim.Second,
 	}
 	p := &Proximity{Cfg: cfg, Wired: build(cfg.Run, pred, 2, workload.Combine(walk, bed))}
-	p.Visitor, p.Patient = p.Objects[0], p.Objects[1]
 	if ck := p.Harness.Tree; ck != nil {
 		ck.Notify = func(core.Occurrence) { p.Alarms++ }
 	}

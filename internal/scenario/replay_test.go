@@ -46,7 +46,7 @@ func TestHallRecordReplayByteIdentical(t *testing.T) {
 	}
 	orig := NewHall(cfg)
 	resA := orig.Run()
-	logA := workload.LogDigest(orig.Harness.World.Log())
+	logA := orig.Harness.World.Log()
 
 	replayed := roundTrip(t, orig.Events, cfg.Horizon, "hall")
 	cfg2 := cfg
@@ -57,8 +57,8 @@ func TestHallRecordReplayByteIdentical(t *testing.T) {
 	}
 	resB := rep.Run()
 
-	if logB := workload.LogDigest(rep.Harness.World.Log()); logB != logA {
-		t.Fatalf("world log diverged: %s vs %s", logB, logA)
+	if logB := rep.Harness.World.Log(); !reflect.DeepEqual(logB, logA) {
+		t.Fatalf("world log diverged: %d vs %d events", len(logB), len(logA))
 	}
 	if !reflect.DeepEqual(resB.Occurrences, resA.Occurrences) {
 		t.Fatalf("occurrences diverged: %d vs %d", len(resB.Occurrences), len(resA.Occurrences))
@@ -83,7 +83,7 @@ func TestHospitalRecordReplayByteIdentical(t *testing.T) {
 	}
 	orig := NewHospital(cfg)
 	resA := orig.Run()
-	logA := workload.LogDigest(orig.Harness.World.Log())
+	logA := orig.Harness.World.Log()
 
 	replayed := roundTrip(t, orig.Events, cfg.Horizon, "hospital")
 	cfg2 := cfg
@@ -91,7 +91,7 @@ func TestHospitalRecordReplayByteIdentical(t *testing.T) {
 	rep := NewHospital(cfg2)
 	resB := rep.Run()
 
-	if logB := workload.LogDigest(rep.Harness.World.Log()); logB != logA {
+	if logB := rep.Harness.World.Log(); !reflect.DeepEqual(logB, logA) {
 		t.Fatal("world log diverged")
 	}
 	if !reflect.DeepEqual(resB.Occurrences, resA.Occurrences) {

@@ -43,7 +43,6 @@ type ScaleConfig struct {
 
 // Scale is a wired fleet scenario.
 type Scale struct {
-	Cfg     ScaleConfig
 	Harness *core.Harness
 }
 
@@ -80,7 +79,7 @@ func NewScale(cfg ScaleConfig) *Scale {
 		CheckerFanout: cfg.CheckerFanout, Workload: cfg.Workload,
 		Faults: cfg.Faults, Obs: cfg.Obs,
 	})
-	return &Scale{Cfg: cfg, Harness: h}
+	return &Scale{Harness: h}
 }
 
 // Run executes the scenario.

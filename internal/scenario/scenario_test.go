@@ -221,8 +221,9 @@ func TestProximityGroundTruthMatchesGeometry(t *testing.T) {
 	for _, iv := range res.Truth {
 		mid := iv.Start + (iv.End-iv.Start)/2
 		st := w.StateAt(mid)
-		dx := st[worldKey(p.Visitor, "x")] - st[worldKey(p.Patient, "x")]
-		dy := st[worldKey(p.Visitor, "y")] - st[worldKey(p.Patient, "y")]
+		visitor, patient := p.Objects[0], p.Objects[1]
+		dx := st[worldKey(visitor, "x")] - st[worldKey(patient, "x")]
+		dy := st[worldKey(visitor, "y")] - st[worldKey(patient, "y")]
 		if dx*dx+dy*dy >= p.Cfg.Radius*p.Cfg.Radius {
 			t.Fatalf("truth interval midpoint %v outside radius: d²=%.2f", mid, dx*dx+dy*dy)
 		}

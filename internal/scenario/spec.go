@@ -20,7 +20,6 @@ type SpecConfig struct {
 
 // SpecRun is a wired spec-driven scenario.
 type SpecRun struct {
-	Cfg SpecConfig
 	Wired
 }
 
@@ -47,5 +46,5 @@ func NewSpecRun(cfg SpecConfig) (*SpecRun, error) {
 		}
 	}
 	cfg.Seed, cfg.Horizon = sp.Seed, sp.Horizon
-	return &SpecRun{Cfg: cfg, Wired: build(cfg.Run, pred, max(sp.Objects, sp.MaxObject()+1), src)}, nil
+	return &SpecRun{Wired: build(cfg.Run, pred, max(sp.Objects, sp.MaxObject()+1), src)}, nil
 }

@@ -23,7 +23,7 @@ type Handler func(now Time)
 // value is opaque to the call graph, as Handler always was.
 type EventFunc func(now Time, body any, arg int)
 
-// runHandler is the EventFunc behind At/AtPri/After/CrossFrom: the body is
+// runHandler is the EventFunc behind At/AtPri/After: the body is
 // the Handler. Func values are pointer-shaped, so the conversion to any
 // does not allocate.
 func runHandler(now Time, body any, _ int) { body.(Handler)(now) }

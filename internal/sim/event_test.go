@@ -123,7 +123,7 @@ func TestCollectClearsOutbox(t *testing.T) {
 	got := 0
 	body := new([64]byte)
 	sh.CrossFromFunc(0, 1, 20*Microsecond, 1, func(Time, any, int) { got++ }, body, 7)
-	sh.CrossFrom(1, 0, 20*Microsecond, 2, func(Time) { got++ })
+	crossFrom(sh, 1, 0, 20*Microsecond, 2, func(Time) { got++ })
 	sh.RunAll()
 	if got != 2 {
 		t.Fatalf("%d cross events delivered, want 2", got)

@@ -115,18 +115,11 @@ func (sh *Shards) Now() Time {
 // clock.
 func (sh *Shards) SetWorkers(w int) { sh.workers = w }
 
-// CrossFrom stages a delivery from shard src into shard dst at time at with
-// priority key pri. It must be called either from src's goroutine during an
-// epoch or from the coordinating goroutine between runs (setup).
-func (sh *Shards) CrossFrom(src, dst int, at Time, pri uint64, fn Handler) {
-	if fn == nil {
-		panic("sim: nil handler")
-	}
-	sh.CrossFromFunc(src, dst, at, pri, runHandler, fn, 0)
-}
-
-// CrossFromFunc is CrossFrom for the engine's native event form (see
+// CrossFromFunc stages a delivery from shard src into shard dst at time
+// at with priority key pri, in the engine's native event form (see
 // Engine.AtFunc): the staged triple is scheduled unchanged at the barrier.
+// It must be called either from src's goroutine during an epoch or from
+// the coordinating goroutine between runs (setup).
 func (sh *Shards) CrossFromFunc(src, dst int, at Time, pri uint64, fn EventFunc, body any, arg int) {
 	if fn == nil {
 		panic("sim: nil handler")

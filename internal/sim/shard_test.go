@@ -10,11 +10,16 @@ import (
 
 // shardNet is a minimal transport over a Shards engine, mimicking what
 // internal/network does: per-source priority keys, direct AtPri for
-// same-shard sends, CrossFrom for cross-shard sends.
+// same-shard sends, crossFrom for cross-shard sends.
 type shardNet struct {
 	sh    *Shards
 	procs int
 	seqs  []uint32
+}
+
+// crossFrom stages a plain handler across shards.
+func crossFrom(sh *Shards, src, dst int, at Time, pri uint64, fn Handler) {
+	sh.CrossFromFunc(src, dst, at, pri, runHandler, fn, 0)
 }
 
 func (n *shardNet) shardOf(p int) int { return p * n.sh.N() / n.procs }
@@ -26,7 +31,7 @@ func (n *shardNet) send(from, to int, at Time, fn Handler) {
 	if src == dst {
 		n.sh.Engine(src).AtPri(at, pri, fn)
 	} else {
-		n.sh.CrossFrom(src, dst, at, pri, fn)
+		crossFrom(n.sh, src, dst, at, pri, fn)
 	}
 }
 
@@ -90,9 +95,9 @@ func TestShardMailboxMergeOrder(t *testing.T) {
 	}
 	// Stage cross events into shard 2 in scrambled priority order, from
 	// two different source shards.
-	sh.CrossFrom(0, 2, at, 30, mark("pri30"))
-	sh.CrossFrom(1, 2, at, 10, mark("pri10"))
-	sh.CrossFrom(0, 2, at, 20, mark("pri20"))
+	crossFrom(sh, 0, 2, at, 30, mark("pri30"))
+	crossFrom(sh, 1, 2, at, 10, mark("pri10"))
+	crossFrom(sh, 0, 2, at, 20, mark("pri20"))
 	sh.Engine(2).At(at, mark("local"))
 	sh.RunAll()
 	want := []string{"local", "pri10", "pri20", "pri30"}
@@ -107,7 +112,7 @@ func TestShardLookaheadViolationPanics(t *testing.T) {
 	sh := NewShards(2, 10*Microsecond, 1)
 	sh.Engine(0).At(5*Microsecond, func(now Time) {
 		// Arrival at now — below the minimum delay — beats the lookahead.
-		sh.CrossFrom(0, 1, now, 1, func(Time) {})
+		crossFrom(sh, 0, 1, now, 1, func(Time) {})
 	})
 	defer func() {
 		if recover() == nil {
@@ -125,7 +130,7 @@ func TestShardSendAtTimeZeroWithLookaheadDelay(t *testing.T) {
 	sh := NewShards(2, look, 1)
 	var got []Time
 	sh.Engine(0).At(0, func(now Time) {
-		sh.CrossFrom(0, 1, now+look, 1, func(at Time) { got = append(got, at) })
+		crossFrom(sh, 0, 1, now+look, 1, func(at Time) { got = append(got, at) })
 	})
 	if now := sh.Now(); now != 0 {
 		t.Fatalf("Now() before the first epoch = %v, want 0", now)

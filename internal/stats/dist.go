@@ -7,8 +7,6 @@ import "math"
 type Dist interface {
 	// Sample draws one variate.
 	Sample(r *RNG) float64
-	// Mean returns the distribution mean (may be +Inf).
-	Mean() float64
 }
 
 // Constant is a degenerate distribution that always returns V.
@@ -17,17 +15,11 @@ type Constant struct{ V float64 }
 // Sample implements Dist.
 func (c Constant) Sample(*RNG) float64 { return c.V }
 
-// Mean implements Dist.
-func (c Constant) Mean() float64 { return c.V }
-
 // Uniform is the continuous uniform distribution on [Lo, Hi).
 type Uniform struct{ Lo, Hi float64 }
 
 // Sample implements Dist.
 func (u Uniform) Sample(r *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
-
-// Mean implements Dist.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
 
 // Exponential is the exponential distribution with the given mean
 // (i.e. rate = 1/Mean). It models Poisson inter-arrival times.
@@ -35,9 +27,6 @@ type Exponential struct{ MeanV float64 }
 
 // Sample implements Dist.
 func (e Exponential) Sample(r *RNG) float64 { return e.MeanV * r.ExpFloat64() }
-
-// Mean implements Dist.
-func (e Exponential) Mean() float64 { return e.MeanV }
 
 // Pareto is a heavy-tailed Pareto distribution with scale Xm > 0 and shape
 // Alpha > 0. For Alpha <= 1 the mean is infinite; it models the
@@ -57,14 +46,6 @@ func (p Pareto) Sample(r *RNG) float64 {
 	}
 }
 
-// Mean implements Dist.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
 // Normal is the normal distribution with the given mean and standard
 // deviation. Sampling is not truncated; callers that need non-negative
 // values (e.g. delays) should clamp.
@@ -72,6 +53,3 @@ type Normal struct{ Mu, Sigma float64 }
 
 // Sample implements Dist.
 func (n Normal) Sample(r *RNG) float64 { return n.Mu + n.Sigma*r.NormFloat64() }
-
-// Mean implements Dist.
-func (n Normal) Mean() float64 { return n.Mu }

@@ -128,14 +128,16 @@ func TestExpFloat64Mean(t *testing.T) {
 func TestNormFloat64Moments(t *testing.T) {
 	r := NewRNG(23)
 	var o Online
-	for i := 0; i < 200000; i++ {
-		o.Add(r.NormFloat64())
+	xs := make([]float64, 200000)
+	for i := range xs {
+		xs[i] = r.NormFloat64()
+		o.Add(xs[i])
 	}
 	if math.Abs(o.Mean()) > 0.02 {
 		t.Fatalf("normal mean = %.4f, want ~0", o.Mean())
 	}
-	if math.Abs(o.Std()-1) > 0.02 {
-		t.Fatalf("normal std = %.4f, want ~1", o.Std())
+	if std := sampleStd(xs); math.Abs(std-1) > 0.02 {
+		t.Fatalf("normal std = %.4f, want ~1", std)
 	}
 }
 

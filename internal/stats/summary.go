@@ -2,12 +2,11 @@ package stats
 
 import "math"
 
-// Online accumulates running mean and variance using Welford's algorithm.
-// The zero value is ready to use.
+// Online accumulates a running mean and maximum. The zero value is ready
+// to use.
 type Online struct {
 	n    int64
 	mean float64
-	m2   float64
 	max  float64
 }
 
@@ -17,24 +16,11 @@ func (o *Online) Add(x float64) {
 	if o.n == 1 || x > o.max {
 		o.max = x
 	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
+	o.mean += (x - o.mean) / float64(o.n)
 }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (o *Online) Mean() float64 { return o.mean }
-
-// Var returns the unbiased sample variance.
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
 
 // Max returns the largest sample seen, or 0 with no samples.
 func (o *Online) Max() float64 { return o.max }

@@ -7,6 +7,19 @@ import (
 	"testing/quick"
 )
 
+// sampleStd is the unbiased standard deviation of xs.
+func sampleStd(xs []float64) float64 {
+	var sum, ss float64
+	for _, x := range xs {
+		sum += x
+	}
+	mean := sum / float64(len(xs))
+	for _, x := range xs {
+		ss += (x - mean) * (x - mean)
+	}
+	return math.Sqrt(ss / float64(len(xs)-1))
+}
+
 func TestOnlineAgainstDirect(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
 	var o Online
@@ -19,14 +32,6 @@ func TestOnlineAgainstDirect(t *testing.T) {
 	if math.Abs(o.Mean()-mean) > 1e-12 {
 		t.Fatalf("online mean %.6f direct %.6f", o.Mean(), mean)
 	}
-	var ss float64
-	for _, x := range xs {
-		ss += (x - mean) * (x - mean)
-	}
-	wantVar := ss / float64(len(xs)-1)
-	if math.Abs(o.Var()-wantVar) > 1e-12 {
-		t.Fatalf("online var %.6f direct %.6f", o.Var(), wantVar)
-	}
 	if o.Max() != 9 {
 		t.Fatalf("max = %v", o.Max())
 	}
@@ -34,11 +39,11 @@ func TestOnlineAgainstDirect(t *testing.T) {
 
 func TestOnlineEmptyAndSingle(t *testing.T) {
 	var o Online
-	if o.Mean() != 0 || o.Var() != 0 || o.Max() != 0 {
+	if o.Mean() != 0 || o.Max() != 0 {
 		t.Fatal("empty accumulator should report zeros")
 	}
 	o.Add(7)
-	if o.Mean() != 7 || o.Var() != 0 {
+	if o.Mean() != 7 || o.Max() != 7 {
 		t.Fatal("single sample stats wrong")
 	}
 }
@@ -52,7 +57,7 @@ func TestOnlineMeanWithinBoundsProperty(t *testing.T) {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				return true // skip degenerate inputs
 			}
-			// Avoid float overflow in Welford's m2 accumulation.
+			// Avoid float overflow in the running mean's differences.
 			if math.Abs(x) > 1e100 {
 				return true
 			}
@@ -65,7 +70,6 @@ func TestOnlineMeanWithinBoundsProperty(t *testing.T) {
 		}
 		m := o.Mean()
 		ok = ok && m >= lo-1e-9*(1+math.Abs(lo)) && m <= hi+1e-9*(1+math.Abs(hi))
-		ok = ok && o.Var() >= 0
 		return ok
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -102,9 +102,8 @@ func (s Spec) Holds(x, y intervals.Span) bool {
 	return false
 }
 
-// Match is one satisfied (x, y) pair.
+// Match is one satisfied (x, y) pair, as indices into the two streams.
 type Match struct {
-	X, Y       intervals.Span
 	XIdx, YIdx int
 }
 
@@ -130,7 +129,7 @@ func (m Matcher) PairsOneToOne(xs, ys []intervals.Span) []Match {
 		}
 		if best >= 0 {
 			used[best] = true
-			out = append(out, Match{X: xs[best], Y: y, XIdx: best, YIdx: yi})
+			out = append(out, Match{XIdx: best, YIdx: yi})
 		}
 	}
 	return out

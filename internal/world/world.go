@@ -266,6 +266,8 @@ func (w *World) applyRules(ev Event) {
 
 // StateAt replays the log and returns all attribute values as of time t
 // (inclusive).
+//
+//lint:allow testonly(oracle: the world and scenario tests check ground truth against the replayed state)
 func (w *World) StateAt(t sim.Time) map[AttrKey]float64 {
 	state := make(map[AttrKey]float64)
 	for _, ev := range w.log {
