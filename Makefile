@@ -1,12 +1,12 @@
 # Developer entry points. `make check` is the gate for every change:
-# build, vet, lint (pervalint + gofmt), and the full test suite under
-# the race detector.
+# build, vet, lint (pervalint + gofmt), the full test suite under the
+# race detector, and the sharded kernel's crew tests at GOMAXPROCS 1 and 4.
 
 GO ?= go
 
-.PHONY: check build vet lint loc test test-race fuzz-smoke race-live bench-obs bench-smoke bench bench-pairs tables-diff
+.PHONY: check build vet lint loc test test-race test-shards fuzz-smoke race-live bench-obs bench-smoke bench bench-pairs tables-diff
 
-check: build vet lint bench-smoke test-race
+check: build vet lint bench-smoke test-race test-shards
 
 # The full suite under the race detector, each test once: the
 # determinism, live-stress, fault, shard and checker-tree regressions are
@@ -15,12 +15,23 @@ check: build vet lint bench-smoke test-race
 test-race:
 	$(GO) test -race ./...
 
+# The sharded kernel's crew tests — determinism across shard and worker
+# counts, a handler panic on a helper, no goroutine outliving a run, a
+# crew with fewer processors than members, the allocation-free epoch —
+# and every shard/worker regression of the transport, harness and scale
+# scenario, three times under the race detector, once on one processor
+# (no helper starts; the alloc test's crew runs on one) and once on four
+# (more members than this box may have cores).
+test-shards:
+	GOMAXPROCS=1 $(GO) test -race -count=3 -timeout 5m -run 'Shard|Worker|Crew' ./internal/sim/ ./internal/network/ ./internal/core/ ./internal/scenario/
+	GOMAXPROCS=4 $(GO) test -race -count=3 -timeout 5m -run 'Shard|Worker|Crew' ./internal/sim/ ./internal/network/ ./internal/core/ ./internal/scenario/
+
 # Ten seconds of the native fuzzer on each of fourteen targets. Six are
 # differential: the incremental ground-truth scorer against
 # world.TrueIntervals over fuzzed predicates and logs (DESIGN.md §1.1), the
 # sparse strobe clock against the dense test reference over fuzzed interleavings of
 # strobes and hostile stamps (DESIGN.md §1.10), the flat checker's
-# columnar view against a predicate.MapState model over fuzzed strobes —
+# columnar view against a map-backed model over fuzzed strobes —
 # out-of-range processes, epoch bumps, stale seqs, race probes — with
 # checker trees at R = 1, 2 and n held to the flat checker in the
 # race-aware, race-blind and naive modes (FuzzCheckerView, DESIGN.md

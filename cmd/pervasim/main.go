@@ -101,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060")
 		sensors     = fs.Int("sensors", 1024, "scale: fleet size")
 		shards      = fs.Int("shards", 1, "scale: spatial shard count for the parallel kernel")
-		workers     = fs.Int("workers", 1, "scale: >1 runs every shard of an epoch on its own goroutine, else one after another (output identical at any setting)")
+		workers     = fs.Int("workers", 1, "scale: goroutines an epoch's shards run on, at most one per shard and per processor; 1 runs them one after another (output identical at any setting)")
 		checkerFan  = fs.Int("checker-fanout", 0, "scale: regional aggregators of the checker tree that runs detection (<=1 is one region)")
 		specPath    = fs.String("workload", "", "run a workload spec file on the generic spec scenario (replaces -scenario)")
 		recordPath  = fs.String("record", "", "record the run's workload to this trace file (not office)")

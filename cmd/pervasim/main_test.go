@@ -241,3 +241,23 @@ func TestScaleRunSpanIsShardInvariant(t *testing.T) {
 		t.Errorf("harness.run ends at %v at -shards 1 and %v at -shards 4, want one time at or past the 3s horizon", one, four)
 	}
 }
+
+// TestScaleMetricsAttributeShards: a multi-shard scale run's metrics table
+// carries each shard's events, busy and barrier-wait time and the
+// imbalance; a one-shard run, which has no epochs, carries none of them.
+func TestScaleMetricsAttributeShards(t *testing.T) {
+	dir := t.TempDir()
+	for _, shards := range []string{"1", "4"} {
+		path := filepath.Join(dir, "m"+shards+".json")
+		code, _, errb := pervasim("-scenario", "scale", "-sensors", "256", "-horizon", "1s", "-shards", shards, "-workers", "2", "-metrics", path)
+		if code != 0 {
+			t.Fatalf("-shards %s: exit %d: %s", shards, code, errb)
+		}
+		rows := []string{"sim.shard.0.events", "sim.shard.3.busy_us", "sim.shard.3.wait_us", "sim.shards.imbalance_permille"}
+		for _, row := range rows {
+			if got, want := strings.Contains(errb, row), shards == "4"; got != want {
+				t.Errorf("-shards %s: metrics table has row %s: %v, want %v\n%s", shards, row, got, want, errb)
+			}
+		}
+	}
+}

@@ -73,7 +73,9 @@ func DefaultConfig() Config {
 			m + "/internal/network",
 		},
 		// The bench-proven kernels: DES schedule/step (0 allocs/op in
-		// BenchmarkKernelScheduleStep), the strobe stamp/merge kernels,
+		// BenchmarkKernelScheduleStep), a sharded epoch over the crew
+		// (0 allocs per warm epoch in TestCrewEpochAllocations), the
+		// strobe stamp/merge kernels,
 		// the incremental clause evaluator's O(1) update (checker tree and
 		// oracle scoring), the checker tree's per-report path (the one
 		// production checker: admission, race probe, staging and a
@@ -85,6 +87,7 @@ func DefaultConfig() Config {
 		HotFuncs: []string{
 			m + "/internal/sim.Engine.AtPri",
 			m + "/internal/sim.Engine.Step",
+			m + "/internal/sim.Shards.runEpoch",
 			m + "/internal/clock.SparseStrobeVector.Strobe",
 			m + "/internal/clock.SparseStrobeVector.StrobeInto",
 			m + "/internal/clock.Vector.MergeSparse",

@@ -73,8 +73,21 @@ const (
 	modeNaive
 )
 
+// mapState is the model's predicate.State: a map, a missing key reading
+// as zero.
+type mapState struct {
+	n    int
+	vals map[predicate.Key]float64
+}
+
+func (m mapState) Get(proc int, name string) float64 {
+	return m.vals[predicate.Key{Proc: proc, Name: name}]
+}
+
+func (m mapState) NumProcs() int { return m.n }
+
 // checkerVsModel decodes ops into strobes, drives a race-aware
-// StrobeChecker over n processes and a predicate.MapState model of its view
+// StrobeChecker over n processes and a mapState model of its view
 // through them side by side, and after every strobe demands the same value
 // at every (process, name) pair — out-of-range processes and the
 // never-written name included — the same bits from every aggregate over
@@ -91,7 +104,7 @@ const (
 func checkerVsModel(t *testing.T, n int, ops []byte) (seen [strobeCases]int) {
 	t.Helper()
 	c := NewVectorChecker(n, viewPred)
-	model := predicate.MapState{N: n, Vals: map[predicate.Key]float64{}}
+	model := mapState{n: n, vals: map[predicate.Key]float64{}}
 	// flats[k][md] and trees[k][md] check treePreds[k] in raceModes[md];
 	// shadow tallies demotions.
 	var flats [len(treePreds)][len(raceModes)]*StrobeChecker
@@ -179,7 +192,7 @@ func checkerVsModel(t *testing.T, n int, ops []byte) (seen [strobeCases]int) {
 			if shadow.Set(key, m.Value); shadow.Demoted > demoted {
 				seen[strobeDemoted]++
 			}
-			model.Vals[key] = m.Value
+			model.vals[key] = m.Value
 			if now := viewPred.Holds(model); now != holds {
 				seen[strobeFlipped]++
 				holds = now

@@ -94,8 +94,9 @@ type HarnessConfig struct {
 	Workload workload.Source
 	// Shards (default 1, at most N) partitions a fleet contiguously; the
 	// checker sits on the last. Above 1 Delay's minimum bound is the
-	// lookahead. Workers > 1 runs each epoch's shards on goroutines of
-	// their own, a wall-clock knob only.
+	// lookahead. Workers > 1 spreads each epoch's shards over a crew of up
+	// to Workers goroutines (bounded by the shards and GOMAXPROCS), started
+	// once per run; a wall-clock knob only.
 	Shards, Workers int
 	// CheckerFanout is R, the number of regional aggregators of the
 	// checker tree (internal/checker) that runs strobe-clock detection; 0
@@ -322,6 +323,7 @@ func (h *Harness) wireFleet(scfg SensorConfig) (Receiver, func(*faults.Injector)
 	snet.NeighborScope = true
 	snet.AlwaysReach = []int{cfg.N}
 	snet.SetObs(cfg.Obs)
+	obs.CollectShards(cfg.Obs, sh)
 	h.Sharded = snet
 
 	h.Worlds = make([]*world.World, cfg.Shards)

@@ -1,6 +1,12 @@
 package obs
 
-import "pervasive/internal/sim"
+import (
+	"fmt"
+	"math"
+	"strconv"
+
+	"pervasive/internal/sim"
+)
 
 // CollectEngine registers a snapshot-time collector that mirrors the DES
 // kernel's plain counters (events scheduled/executed, heap
@@ -19,5 +25,39 @@ func CollectEngine(r *Registry, e *sim.Engine) {
 		scheduled.Store(int64(e.Scheduled))
 		executed.Store(int64(e.Executed))
 		depth.SetWithMax(int64(e.Pending()), int64(e.MaxHeapDepth))
+	})
+}
+
+// CollectShards registers a snapshot-time collector for a multi-shard
+// kernel's attribution and turns on its epoch timing: per shard the events
+// it executed and the wall-clock microseconds it spent running epochs and
+// waiting at their barriers for the other shards (sim.shard.K.events,
+// .busy_us, .wait_us, K zero-padded to sort), and the imbalance Σ_epochs
+// max / Σ_epochs mean of per-shard events, in thousandths
+// (sim.shards.imbalance_permille). Values are read when r.Snapshot()
+// runs, which must happen between runs. A nil registry, or a single
+// shard, which runs no epochs, is a no-op, and the epoch loop then reads
+// no wall clock.
+func CollectShards(r *Registry, sh *sim.Shards) {
+	if r == nil || sh == nil || sh.N() < 2 {
+		return
+	}
+	sh.TimeEpochs()
+	type row struct{ events, busy, wait *Counter }
+	rows := make([]row, sh.N())
+	width := len(strconv.Itoa(sh.N() - 1))
+	for k := range rows {
+		name := fmt.Sprintf("sim.shard.%0*d.", width, k)
+		rows[k] = row{r.Counter(name + "events"), r.Counter(name + "busy_us"), r.Counter(name + "wait_us")}
+	}
+	imbalance := r.Gauge("sim.shards.imbalance_permille")
+	r.RegisterCollector(func(*Registry) {
+		for k, row := range rows {
+			st := sh.Stat(k)
+			row.events.Store(int64(st.Events))
+			row.busy.Store(st.Busy.Microseconds())
+			row.wait.Store(st.Wait.Microseconds())
+		}
+		imbalance.Set(int64(math.Round(sh.Imbalance() * 1000)))
 	})
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -305,5 +306,61 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	}
 	if len(snap.Counters) != 1 || snap.Counters[0].Value != 7 {
 		t.Fatalf("endpoint snapshot %+v", snap)
+	}
+}
+
+// TestCollectShards: the collector mirrors each shard's events, busy and
+// barrier-wait time under zero-padded names that sort in shard order, and
+// the imbalance in thousandths; without a registry the epochs stay untimed.
+func TestCollectShards(t *testing.T) {
+	const look = 10 * sim.Microsecond
+	build := func() *sim.Shards {
+		sh := sim.NewShards(12, look, 1)
+		sh.SetWorkers(2)
+		for k := 0; k < sh.N(); k++ {
+			e, n := sh.Engine(k), 1+k/11 // shard 11 runs two events an epoch
+			for i := 0; i < n; i++ {
+				var tick sim.Handler
+				tick = func(now sim.Time) { e.At(now+look, tick) }
+				e.At(look, tick)
+			}
+		}
+		return sh
+	}
+
+	untimed := build()
+	CollectShards(nil, untimed)
+	untimed.Run(2000 * look)
+	if st := untimed.Stat(11); st.Busy != 0 || st.Wait != 0 {
+		t.Fatalf("nil registry: shard 11 busy %v wait %v, want untimed", st.Busy, st.Wait)
+	}
+
+	r := NewRegistry()
+	sh := build()
+	CollectShards(r, sh)
+	sh.Run(2000 * look)
+	snap := r.Snapshot()
+	counters := map[string]int64{}
+	var names []string
+	for _, c := range snap.Counters {
+		counters[c.Name] = c.Value
+		names = append(names, c.Name)
+	}
+	if names[0] != "sim.shard.00.busy_us" || names[len(names)-1] != "sim.shard.11.wait_us" || len(names) != 36 {
+		t.Fatalf("counters %v, want busy_us/events/wait_us for shards 00 … 11", names)
+	}
+	if counters["sim.shard.00.events"] != 2000 || counters["sim.shard.11.events"] != 4000 {
+		t.Errorf("events %d and %d, want 2000 and 4000", counters["sim.shard.00.events"], counters["sim.shard.11.events"])
+	}
+	var busy int64
+	for k := 0; k < sh.N(); k++ {
+		busy += counters[fmt.Sprintf("sim.shard.%02d.busy_us", k)]
+	}
+	if busy <= 0 {
+		t.Errorf("summed busy time %d µs, want it timed", busy)
+	}
+	// max 2 over a mean of 13/12 an epoch: 24/13.
+	if len(snap.Gauges) != 1 || snap.Gauges[0].Name != "sim.shards.imbalance_permille" || snap.Gauges[0].Value != 1846 {
+		t.Errorf("gauges %+v, want sim.shards.imbalance_permille 1846", snap.Gauges)
 	}
 }

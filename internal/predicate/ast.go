@@ -44,19 +44,6 @@ type Columnar interface {
 	Column(name string) []float64
 }
 
-// MapState is a simple State backed by a map; the zero value of the map is
-// treated as all-zeros.
-type MapState struct {
-	N    int
-	Vals map[Key]float64
-}
-
-// Get implements State.
-func (m MapState) Get(proc int, name string) float64 { return m.Vals[Key{proc, name}] }
-
-// NumProcs implements State.
-func (m MapState) NumProcs() int { return m.N }
-
 // Expr is a numeric expression.
 type Expr interface {
 	// Eval computes the expression's value in state s.

@@ -5,6 +5,19 @@ import (
 	"testing"
 )
 
+// MapState is a State backed by a map, the model these tests evaluate
+// predicates over; a missing key reads as zero.
+type MapState struct {
+	N    int
+	Vals map[Key]float64
+}
+
+// Get implements State.
+func (m MapState) Get(proc int, name string) float64 { return m.Vals[Key{proc, name}] }
+
+// NumProcs implements State.
+func (m MapState) NumProcs() int { return m.N }
+
 func st(n int, kv map[Key]float64) MapState { return MapState{N: n, Vals: kv} }
 
 func TestConstVarEval(t *testing.T) {

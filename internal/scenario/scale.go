@@ -21,10 +21,10 @@ type ScaleConfig struct {
 	Seed   uint64
 	N      int // fleet size (default 1024)
 	Shards int
-	// Workers selects how an epoch runs: 0/1 run the shards one after
-	// another, any value > 1 runs every shard of the epoch on its own
-	// goroutine — a switch, not a bound. Results are identical at any
-	// setting.
+	// Workers bounds the goroutines an epoch runs on: 0/1 run the shards
+	// one after another; above that a crew of min(Workers, Shards,
+	// GOMAXPROCS) goroutines, started once per run, claims each epoch's
+	// shards heaviest first. Results are identical at any setting.
 	Workers int
 	Delay   sim.DelayModel
 	Horizon sim.Time

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sync"
+	"time"
 
 	"pervasive/internal/stats"
 )
@@ -44,12 +44,42 @@ type Shards struct {
 	// epoch is (floor, floor+L] like every other.
 	floor   Time
 	workers int
+	// crew is the running Run's helper goroutines; nil between runs and
+	// whenever the epochs run on the caller alone.
+	crew *crew
+
+	// stats is each shard's attribution, nil at S = 1, which runs no
+	// epochs; timed turns on its wall-clock half (see TimeEpochs). sumMax
+	// and sumEvents add up, over epochs, the most events one shard ran and
+	// the events all shards ran.
+	stats             []shardStat
+	timed             bool
+	sumMax, sumEvents uint64
 
 	// Epochs counts barrier rounds; CrossSent counts cross-shard events
 	// staged through mailboxes. Plain fields: they are touched only between
 	// epochs, on the coordinating goroutine.
 	Epochs    uint64
 	CrossSent uint64
+}
+
+// shardStat is one shard's share of the epochs. last is written by the
+// crew member that ran the shard's latest epoch and read by the
+// coordinator after the barrier; busy, wait and done stay zero unless the
+// epochs are timed.
+type shardStat struct {
+	last       uint64 // events run in the latest epoch
+	busy, wait time.Duration
+	done       time.Time // when the latest epoch's run ended
+}
+
+// ShardStat is one shard's attribution over the epochs run so far: the
+// events it executed, and, when the epochs are timed (TimeEpochs), the
+// wall time it spent running them and waiting at barriers for the other
+// shards.
+type ShardStat struct {
+	Events     uint64
+	Busy, Wait time.Duration
 }
 
 // NewShards creates s engines with RNG streams forked deterministically
@@ -78,6 +108,7 @@ func NewShards(s int, lookahead Duration, seed uint64) *Shards {
 		sh.engines[0] = NewEngine(seed)
 		return sh
 	}
+	sh.stats = make([]shardStat, s)
 	root := stats.NewRNG(seed)
 	for k := range sh.engines {
 		sh.engines[k] = NewEngine(root.Uint64())
@@ -107,13 +138,41 @@ func (sh *Shards) Now() Time {
 	return max(sh.floor, 0)
 }
 
-// SetWorkers selects how an epoch runs: w <= 1 runs the shards one after
-// another in shard order on the caller's goroutine; any w > 1 runs every
-// shard of the epoch on its own goroutine (w is a switch, not a bound on
-// their number). Either way the outcome is identical — shards share no
-// mutable state during an epoch — so this only trades goroutines for wall
-// clock.
+// SetWorkers bounds how many goroutines run an epoch's shards: w <= 1
+// runs them one after another in shard order on the caller's goroutine.
+// Above that each multi-shard Run starts min(w, shards, GOMAXPROCS) − 1
+// helper goroutines once and stops them before it returns; in every epoch
+// the caller and the helpers claim shards heaviest first (by the events
+// each ran in the previous epoch). The outcome is identical at every w —
+// shards share no mutable state during an epoch — so this only trades
+// processors for wall clock.
 func (sh *Shards) SetWorkers(w int) { sh.workers = w }
+
+// TimeEpochs turns on the wall-clock half of the shard attribution: each
+// shard's busy time and its wait at the barrier. Untimed, the epoch loop
+// reads no wall clock; the per-shard events and the imbalance are kept
+// either way.
+func (sh *Shards) TimeEpochs() { sh.timed = true }
+
+// Stat returns shard k's attribution. It must be read between runs. A
+// single shard runs no epochs and keeps no attribution beyond its events.
+func (sh *Shards) Stat(k int) ShardStat {
+	st := ShardStat{Events: sh.engines[k].Executed}
+	if sh.stats != nil {
+		st.Busy, st.Wait = sh.stats[k].busy, sh.stats[k].wait
+	}
+	return st
+}
+
+// Imbalance is Σ_epochs max / Σ_epochs mean of the events each shard ran
+// in an epoch: 1 when every epoch splits evenly, S when one shard runs
+// them all. It reads 1 before any epoch has run an event.
+func (sh *Shards) Imbalance() float64 {
+	if sh.sumEvents == 0 {
+		return 1
+	}
+	return float64(sh.sumMax) * float64(len(sh.engines)) / float64(sh.sumEvents)
+}
 
 // CrossFromFunc stages a delivery from shard src into shard dst at time
 // at with priority key pri, in the engine's native event form (see
@@ -176,26 +235,54 @@ func (e *Engine) runTo(end Time) {
 	e.AdvanceTo(end)
 }
 
-// runEpoch executes every shard up to end. With workers > 1 shards run on
-// their own goroutines; they share no mutable state during the epoch
-// (outboxes are single-writer), so the join is the only synchronization.
-func (sh *Shards) runEpoch(end Time) {
-	if sh.workers > 1 {
-		var wg sync.WaitGroup
-		wg.Add(len(sh.engines))
-		for _, e := range sh.engines {
-			go func(e *Engine) {
-				defer wg.Done()
-				e.runTo(end)
-			}(e)
-		}
-		wg.Wait()
+// runShard runs shard k's engine to end and records the events it ran,
+// and when timed, its busy time and when it finished.
+func (sh *Shards) runShard(k int, end Time) {
+	e, st := sh.engines[k], &sh.stats[k]
+	n := e.Executed
+	if sh.timed {
+		start := wallClock()
+		e.runTo(end)
+		st.done = wallClock()
+		st.busy += st.done.Sub(start)
 	} else {
-		for _, e := range sh.engines {
-			e.runTo(end)
+		e.runTo(end)
+	}
+	st.last = e.Executed - n
+}
+
+// runEpoch executes every shard up to end, over the crew when one is
+// running, and then accounts the epoch. The shards share no mutable state
+// during the epoch (outboxes are single-writer), so the barrier is the only
+// synchronization.
+func (sh *Shards) runEpoch(end Time) {
+	if sh.crew != nil {
+		sh.crew.epoch(end)
+	} else {
+		for k := range sh.engines {
+			sh.runShard(k, end)
 		}
 	}
+	var barrier time.Time
+	if sh.timed {
+		barrier = wallClock()
+	}
+	var most, all uint64
+	for k := range sh.stats {
+		st := &sh.stats[k]
+		most, all = max(most, st.last), all+st.last
+		if sh.timed {
+			st.wait += barrier.Sub(st.done)
+		}
+	}
+	sh.sumMax += most
+	sh.sumEvents += all
 	sh.Epochs++
+}
+
+// wallClock reads the wall clock for the shard attribution.
+func wallClock() time.Time {
+	return time.Now() //lint:allow determinism(shard attribution: busy and barrier-wait times feed obs only, never the schedule or a result)
 }
 
 // Run advances the whole sharded world to until (events exactly at until
@@ -215,6 +302,10 @@ func (sh *Shards) Run(until Time) Time {
 		e.Run(until)
 		sh.floor = e.Now()
 		return sh.Now()
+	}
+	if n := sh.crewSize(); n > 0 && sh.floor < until && !sh.empty() {
+		sh.startCrew(n)
+		defer sh.stopCrew()
 	}
 	for sh.floor < until {
 		sh.collect()

@@ -38,11 +38,15 @@ func (n *shardNet) send(from, to int, at Time, fn Handler) {
 // pingLog runs a deterministic ping workload over s shards and returns the
 // per-proc execution logs. Every proc forwards a hop-limited token with a
 // per-proc RNG (never the engines' RNGs — those are shard-dependent).
-func pingLog(t *testing.T, procs, s, hops int, workers int) [][]Time {
+// setup, if any, runs on the wired shards before the run.
+func pingLog(t *testing.T, procs, s, hops int, workers int, setup ...func(*Shards)) [][]Time {
 	t.Helper()
 	const look = 100 * Microsecond
 	sh := NewShards(s, look, 42)
 	sh.SetWorkers(workers)
+	for _, f := range setup {
+		f(sh)
+	}
 	net := &shardNet{sh: sh, procs: procs, seqs: make([]uint32, procs)}
 	logs := make([][]Time, procs)
 	rngs := make([]*stats.RNG, procs)
@@ -70,11 +74,12 @@ func pingLog(t *testing.T, procs, s, hops int, workers int) [][]Time {
 
 // TestShardsByteIdenticalAcrossShardCounts is the kernel-level determinism
 // oracle: the same workload must produce identical per-proc execution logs
-// at every shard count and worker count.
+// at every shard count and worker count, workers beyond the shards and
+// the processors included.
 func TestShardsByteIdenticalAcrossShardCounts(t *testing.T) {
 	ref := pingLog(t, 12, 1, 40, 1)
 	for _, s := range []int{2, 3, 4, 7, 12} {
-		for _, w := range []int{1, 4} {
+		for _, w := range []int{1, 2, 4, 16} {
 			got := pingLog(t, 12, s, 40, w)
 			if !reflect.DeepEqual(ref, got) {
 				t.Fatalf("S=%d workers=%d: execution log diverged from S=1", s, w)

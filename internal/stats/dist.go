@@ -15,12 +15,6 @@ type Constant struct{ V float64 }
 // Sample implements Dist.
 func (c Constant) Sample(*RNG) float64 { return c.V }
 
-// Uniform is the continuous uniform distribution on [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample implements Dist.
-func (u Uniform) Sample(r *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
-
 // Exponential is the exponential distribution with the given mean
 // (i.e. rate = 1/Mean). It models Poisson inter-arrival times.
 type Exponential struct{ MeanV float64 }

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// Uniform is the continuous uniform distribution on [Lo, Hi): a Dist
+// only these tests draw from.
+type Uniform struct{ Lo, Hi float64 }
+
+// Sample implements Dist.
+func (u Uniform) Sample(r *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
+
 // The analytic means the sampled ones are held to (may be +Inf).
 
 func (c Constant) Mean() float64 { return c.V }
