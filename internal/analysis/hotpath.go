@@ -11,7 +11,8 @@ import (
 // schedule/step, the strobe stamp/merge kernels, the incremental clause
 // evaluator's update, the workload codec primitives) it computes the
 // transitive call closure over the module call graph (interface
-// dispatch resolved through the implements-sets) and flags
+// dispatch resolved through the implements-sets, a generic function's
+// calls, explicitly instantiated or not, to its one declaration) and flags
 // every allocation-inducing construct anywhere in that closure:
 //
 //   - escaping composite literals (&T{...}) and new/make

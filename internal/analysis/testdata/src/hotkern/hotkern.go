@@ -10,6 +10,7 @@ type Kernel struct {
 	buf     []int
 	scratch [4]int
 	name    string
+	words   []uint32
 }
 
 type point struct{ x, y int }
@@ -20,6 +21,8 @@ func (k *Kernel) Step(x int) {
 	k.helper(x)
 	k.label("tick")
 	k.grow(nil)
+	k.scratch[0] = len(pad[int](k.buf, x))
+	k.words = growWords[uint32](k.words, x)
 }
 
 // helper is one edge from Step: flagged transitively, with every
@@ -63,6 +66,31 @@ func (k *Kernel) grow(xs []int) {
 	for _, x := range xs {
 		k.buf = append(k.buf, x)
 	}
+}
+
+// pad reaches the hot path only through an explicit instantiation,
+// pad[int](...): the call graph must see through the index expression.
+func pad[T any](xs []T, n int) []T {
+	return widen(xs, n)
+}
+
+// widen is a generic callee of a generic function, called with the
+// type inferred: flagged like any other function in the closure.
+func widen[T any](xs []T, n int) []T {
+	out := make([]T, len(xs)+n) // want `make allocates on the hot path of hotkern...Kernel..Step`
+	copy(out, xs)
+	return out
+}
+
+// growWords is generic amortized growth with its waiver on the one
+// allocating line: reached from Step through growWords[uint32](...), the
+// waiver suppresses the finding (an unreached waiver would be reported
+// unused).
+func growWords[W ~uint32 | ~uint64](ws []W, need int) []W {
+	if need <= cap(ws) {
+		return ws[:need]
+	}
+	return append(ws[:0:0], make([]W, need)...)[:need] //lint:allow hotpath(fixture: amortized growth in a generic function)
 }
 
 // Cold is not reachable from any hot root: the same constructs pass.

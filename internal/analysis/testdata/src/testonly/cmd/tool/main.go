@@ -13,5 +13,5 @@ func main() {
 	c.Hit()
 	report := c.Report
 	report()
-	fmt.Println(sh.Area(), lib.Apply(lib.Double, 3), lib.Table[0](), c.Total, lib.Keys(), lib.Covered())
+	fmt.Println(sh.Area(), lib.Apply(lib.Double, 3), lib.Table[0](), c.Total, lib.Keys(), lib.Covered(), lib.Tagged{})
 }

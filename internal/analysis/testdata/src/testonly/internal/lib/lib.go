@@ -12,6 +12,32 @@ func (s Square) Area() int      { return s.Side * s.Side }
 func (s Square) Perim() int     { return 4 * s.Side } // want `lib\.Square\.Perim is reached by no main`
 func (s Square) String() string { return "square" }   // fmt.Stringer's method: the standard library may call it
 
+// Circle is a Shape, but no production code builds one: Shape.Area's
+// dispatch cannot land on it, and fmt can never print one.
+type Circle struct{ R int } // want `field Circle\.R is never read outside tests`
+
+func (c Circle) Area() int      { return 3 * c.R * c.R } // want `lib\.Circle\.Area is reached by no main`
+func (c Circle) String() string { return "circle" }      // want `lib\.Circle\.String is reached by no main`
+
+// Kept is a Stringer no production code builds, declared on purpose:
+// the allow covers String, and String's callee is covered with it.
+type Kept struct{}
+
+//lint:allow testonly(fixture: a Stringer kept for tests)
+func (Kept) String() string { return keptName() }
+
+func keptName() string { return "kept" }
+
+// Label appears only as the type of a field of Tagged, which main
+// builds and prints: fmt may call its String.
+type Label int
+
+func (l Label) String() string { return "label" }
+
+type Tagged struct {
+	L Label `json:"l"`
+}
+
 // Double is reached as a function value, tabled through Table.
 func Apply(f func(int) int, x int) int { return f(x) }
 func Double(x int) int                 { return 2 * x }

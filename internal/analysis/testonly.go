@@ -14,11 +14,16 @@ import (
 // init; the root package's exported declarations and the exported
 // methods and fields of the types it exports (aliases included); a
 // method matching a method of an interface from outside the module
-// (String, Error, Less, ...); or a declaration waived with
-// //lint:allow testonly(reason), whose callees are then covered too. Any
-// use of a function reaches it, as a value too, and so does any use of a
-// package-level variable whose initializer holds it; an interface method
-// reaches its implements-set. A field is reached only when reached code
+// (String, Error, Less, ...), once its receiver type appears in reached
+// code; or a declaration waived with //lint:allow testonly(reason), whose
+// callees are then covered too. Any use of a function reaches it, as a
+// value too, and so does any use of a package-level variable whose
+// initializer holds it; an interface method reaches the methods of its
+// implements-set whose receiver types appear in reached code. A type
+// appears where a reached expression has it (behind pointers, in
+// slices, arrays, maps and channels), and with it the types of its
+// fields: code that never holds a value of a type cannot call its
+// methods. A field is reached only when reached code
 // reads it: stores (x.f = v, x.f[i] = v), increments and literal keys do
 // not read; comparing, converting or keying a map by a struct, and a
 // JSON tag, read every field. Only a whole-module run reports.
@@ -64,9 +69,47 @@ func (m *Module) testonlyFindings() map[string][]testonlyFinding {
 			work = append(work, it)
 		}
 	}
+	reach := func(fn *types.Func) { visit(fn, scanItem{g.DeclOf[fn].Body, g.PkgOf[fn].Info}) }
+	appeared := make(map[*types.TypeName]bool)
+	pending := make(map[*types.TypeName][]*types.Func) // methods waiting for their receiver type
+	byRecv := func(fn *types.Func) {                   // reach fn once its receiver type has appeared
+		tn := namedType(derefType(fn.Type().(*types.Signature).Recv().Type())).Origin().Obj()
+		if appeared[tn] {
+			reach(fn)
+		} else {
+			pending[tn] = append(pending[tn], fn)
+		}
+	}
+	var appear func(t types.Type)
+	appear = func(t types.Type) {
+		switch u := types.Unalias(t).(type) {
+		case *types.Map:
+			appear(u.Key())
+			appear(u.Elem())
+		case interface{ Elem() types.Type }: // pointer, slice, array, channel
+			appear(u.Elem())
+		case *types.Struct:
+			for i := range u.NumFields() {
+				appear(u.Field(i).Type())
+			}
+		case *types.Named:
+			if tn := u.Origin().Obj(); !appeared[tn] {
+				appeared[tn] = true
+				for _, fn := range pending[tn] {
+					reach(fn)
+				}
+				delete(pending, tn)
+				appear(u.Underlying())
+			}
+		}
+	}
 	enter := func(fn *types.Func) {
 		for _, e := range g.resolve(canonFunc(fn)) {
-			visit(e.Callee, scanItem{g.DeclOf[e.Callee].Body, g.PkgOf[e.Callee].Info})
+			if e.Dynamic {
+				byRecv(e.Callee)
+			} else {
+				reach(e.Callee)
+			}
 		}
 	}
 
@@ -117,6 +160,7 @@ func (m *Module) testonlyFindings() map[string][]testonlyFinding {
 			// methods are entry points, its exported fields read. (An
 			// interface's methods are reached where they are called.)
 			named := namedType(tn.Type()).Origin()
+			appear(named)
 			ms := types.NewMethodSet(types.NewPointer(named))
 			for i := range ms.Len() {
 				if fn := ms.At(i).Obj().(*types.Func); fn.Exported() {
@@ -144,8 +188,11 @@ func (m *Module) testonlyFindings() map[string][]testonlyFinding {
 		pkg := g.PkgOf[fn]
 		switch {
 		case fd.Recv == nil && (fn.Name() == "init" || fn.Name() == "main" && pkg.Types.Name() == "main"),
-			fn.Exported() && pkg.ImportPath == root, fd.Recv != nil && external(fn):
+			fn.Exported() && pkg.ImportPath == root:
 			enter(fn)
+		case fd.Recv != nil && external(fn):
+			byRecv(fn)
+			fallthrough // until its type appears, an allow may still cover it
 		case internal(pkg):
 			// Scanned, not reached: the allow still has a finding to
 			// suppress unless something else reaches the declaration.
@@ -165,6 +212,9 @@ func (m *Module) testonlyFindings() map[string][]testonlyFinding {
 			stores[lhs] = true
 		}
 		ast.Inspect(it.node, func(n ast.Node) bool {
+			if e, ok := n.(ast.Expr); ok {
+				appear(it.info.TypeOf(e))
+			}
 			switch n := n.(type) {
 			case *ast.Ident:
 				switch obj := it.info.Uses[n].(type) {

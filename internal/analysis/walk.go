@@ -25,10 +25,18 @@ func inspectStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 }
 
 // calleeFunc resolves a call expression to the *types.Func it invokes
-// (package-level function or method), or nil.
+// (package-level function or method, an explicitly instantiated generic
+// one included), or nil.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) { // f[T](x), f[T, U](x): the call is to f
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		obj = info.Uses[fun]
 	case *ast.SelectorExpr:

@@ -47,7 +47,7 @@ func BenchmarkMergeSparseDense(b *testing.B) {
 	}
 	for _, sh := range fleetShapes {
 		b.Run(sh.name, func(b *testing.B) {
-			s, stamps := fleetReceiver(sh.n, sh.known, sh.stamp, sh.unseen)
+			s, stamps := fleetReceiver(sh.n, sh.known, sh.stamp, sh.unseen, sh.wide)
 			d := NewDiffStrobeVector(0, sh.n)
 			d.inner.v = s.Snapshot()
 			b.ReportAllocs()
@@ -110,20 +110,27 @@ func BenchmarkClockResetSparse(b *testing.B) {
 // ~15 % name peers it has not heard of; on fleet-wide it knows ~60 of
 // 65536 and the stamps carry 14 entries; in the tables' small fleets (E7,
 // A4) a warm clock knows every peer and a stamp can name all of them, the
-// direct-index merge. Run with:
+// direct-index merge. A component is 4 bytes on every shape but the two
+// 64-bit ones: long-64 and wide-64 are long and wide with every value
+// above the narrow word's bound, so their clocks hold 8-byte components,
+// the width a clock takes once a peer has sensed more often than 32 bits
+// beside the proc field count. Run with:
 //
 //	go test -run xxx -bench 'SparseFleet|SparseDense' ./internal/clock/
 var fleetShapes = []struct {
 	name                    string
 	n, known, stamp, unseen int
+	wide                    bool
 }{
-	{"long", 4096, 1300, 146, 22},
-	{"wide", 65536, 60, 14, 2},
-	{"full-4", 4, 3, 3, 0},
-	{"full-8", 8, 7, 7, 0},
-	{"full-32", 32, 31, 31, 0},
-	{"full-64", 64, 63, 63, 0},
-	{"full-128", 128, 127, 127, 0},
+	{"long", 4096, 1300, 146, 22, false},
+	{"wide", 65536, 60, 14, 2, false},
+	{"long-64", 4096, 1300, 146, 22, true},
+	{"wide-64", 65536, 60, 14, 2, true},
+	{"full-4", 4, 3, 3, 0, false},
+	{"full-8", 8, 7, 7, 0, false},
+	{"full-32", 32, 31, 31, 0, false},
+	{"full-64", 64, 63, 63, 0, false},
+	{"full-128", 128, 127, 127, 0, false},
 }
 
 // fleetCycle is how many stamps a merge benchmark delivers before it puts
@@ -134,8 +141,13 @@ const fleetCycle = 8
 // fleetReceiver builds process 0's clock knowing `known` random peers at
 // value 1, and one cycle of sorted stamps as Strobe() would emit them:
 // each names `unseen` peers no earlier stamp of the cycle has named and
-// otherwise raises known ones.
-func fleetReceiver(n, known, stamp, unseen int) (*SparseStrobeVector, []SparseStamp) {
+// otherwise raises known ones. With wide set every value is offset past
+// the narrow word's bound, so the clock is wide from its first merge.
+func fleetReceiver(n, known, stamp, unseen int, wide bool) (*SparseStrobeVector, []SparseStamp) {
+	var base uint64
+	if wide {
+		base = narrowTop(n)
+	}
 	r := stats.NewRNG(uint64(n))
 	perm := func(n int) []int { // inside-out Fisher–Yates
 		p := make([]int, n)
@@ -147,20 +159,20 @@ func fleetReceiver(n, known, stamp, unseen int) (*SparseStrobeVector, []SparseSt
 	}
 	peers := perm(n - 1) // proc-1 of every peer, shuffled: the first `known` are known
 	s := NewSparseStrobeVector(0, n)
-	base := make(SparseStamp, known)
-	for i := range base {
-		base[i] = SparseEntry{Proc: peers[i] + 1, Val: 1}
+	first := make(SparseStamp, known)
+	for i := range first {
+		first[i] = SparseEntry{Proc: peers[i] + 1, Val: base + 1}
 	}
-	s.OnStrobe(base)
+	s.OnStrobe(first)
 	s.Strobe()
 	stamps := make([]SparseStamp, fleetCycle)
 	for c := range stamps {
 		st := make(SparseStamp, 0, stamp)
 		for _, p := range peers[known+c*unseen:][:unseen] {
-			st = append(st, SparseEntry{Proc: p + 1, Val: uint64(c + 2)})
+			st = append(st, SparseEntry{Proc: p + 1, Val: base + uint64(c+2)})
 		}
 		for _, i := range perm(known)[:stamp-unseen] {
-			st = append(st, SparseEntry{Proc: peers[i] + 1, Val: uint64(c + 2)})
+			st = append(st, SparseEntry{Proc: peers[i] + 1, Val: base + uint64(c+2)})
 		}
 		slices.SortFunc(st, func(a, b SparseEntry) int { return a.Proc - b.Proc })
 		stamps[c] = st
@@ -170,14 +182,15 @@ func fleetReceiver(n, known, stamp, unseen int) (*SparseStrobeVector, []SparseSt
 
 // BenchmarkMergeSparseFleet prices one stamp's merge per op on each
 // fleet shape, the receiver put back to its starting knowledge, capacity
-// kept, every fleetCycle stamps. The grow shape is a cycle of stamps that
+// kept, every fleetCycle stamps (the words are restored as 32-bit
+// halves, which copies a wide clock's 64-bit words whole). The grow shape is a cycle of stamps that
 // each name three new peers, delivered to an empty clock, one op a cycle,
 // so that allocs/op counts how often a short component list outgrows its
 // array while it comes to know its first peers a few at a time.
 func BenchmarkMergeSparseFleet(b *testing.B) {
 	for _, sh := range fleetShapes {
 		b.Run(sh.name, func(b *testing.B) {
-			s, stamps := fleetReceiver(sh.n, sh.known, sh.stamp, sh.unseen)
+			s, stamps := fleetReceiver(sh.n, sh.known, sh.stamp, sh.unseen, sh.wide)
 			start := slices.Clone(s.comps)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -190,7 +203,7 @@ func BenchmarkMergeSparseFleet(b *testing.B) {
 		})
 	}
 	b.Run("grow", func(b *testing.B) {
-		s, stamps := fleetReceiver(1<<16, 0, 3, 3)
+		s, stamps := fleetReceiver(1<<16, 0, 3, 3, false)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -209,24 +222,35 @@ func BenchmarkMergeSparseFleet(b *testing.B) {
 func BenchmarkStrobeSparseFleet(b *testing.B) {
 	for _, sh := range fleetShapes {
 		b.Run(sh.name, func(b *testing.B) {
-			s, stamps := fleetReceiver(sh.n, sh.known, sh.stamp, sh.unseen)
+			s, stamps := fleetReceiver(sh.n, sh.known, sh.stamp, sh.unseen, sh.wide)
 			s.OnStrobe(stamps[0])
-			var marks []int
-			for i, w := range s.comps {
-				if w&1 != 0 {
-					marks = append(marks, i)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, j := range marks {
-					s.comps[j] |= 1
-				}
-				s.dirty = int32(len(marks))
-				benchSink = s.Strobe()
+			if s.wide() {
+				strobeFleet[uint64](b, s)
+			} else {
+				strobeFleet[uint32](b, s)
 			}
 		})
+	}
+}
+
+// strobeFleet is one BenchmarkStrobeSparseFleet shape on a clock of W
+// words.
+func strobeFleet[W word](b *testing.B, s *SparseStrobeVector) {
+	comps := words[W](s)
+	var marks []int
+	for i, w := range comps {
+		if w&1 != 0 {
+			marks = append(marks, i)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range marks {
+			comps[j] |= 1
+		}
+		s.dirty = int32(len(marks))
+		benchSink = s.Strobe()
 	}
 }
 

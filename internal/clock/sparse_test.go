@@ -2,6 +2,7 @@ package clock
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"reflect"
 	"slices"
@@ -11,13 +12,10 @@ import (
 	"pervasive/internal/stats"
 )
 
-// Reset zeroes the clock in place, releasing the component storage: the
-// epoch-reset rule for a crashed-and-rejoining process.
-func (s *SparseStrobeVector) Reset() {
-	s.own = 0
-	s.comps = nil
-	s.dirty = 0
-}
+// Reset zeroes the clock in place, releasing the component storage and
+// starting narrow again: the epoch-reset rule for a crashed-and-rejoining
+// process.
+func (s *SparseStrobeVector) Reset() { s.Init(int(s.me), int(s.n)) }
 
 // TestSparseEquivalentToDense drives the dense and sparse representations
 // through an identical random rule sequence and requires byte-identical
@@ -80,17 +78,16 @@ func TestSparseStateSublinear(t *testing.T) {
 	}
 }
 
-// TestSparseStateBytesFollowsLayout: the state is one slice of 8-byte
-// words, the struct fits the 56 bytes a sensor slab entry budgets for it,
-// and StateBytes — what clock.state_bytes, pervasim's fleet:
-// line and E14's "clock KB" column report — is the struct plus that
-// slice's capacity as the compiler lays them out, not a hand-kept figure.
+// TestSparseStateBytesFollowsLayout: the state is one slice of 4-byte
+// words while the clock is narrow and, viewed through the same slice, of
+// 8-byte ones once it is wide; the struct is the 48 bytes a sensor slab
+// entry budgets for it; and StateBytes — what clock.state_bytes,
+// pervasim's fleet: line and E14's "clock KB" column report — is the
+// struct plus that array's size as the compiler lays them out, not a
+// hand-kept figure.
 func TestSparseStateBytesFollowsLayout(t *testing.T) {
-	if got := unsafe.Sizeof(SparseStrobeVector{}.comps[0]); got != 8 {
-		t.Errorf("a component is %d bytes, want 8 (proc, value and dirty bit share one word)", got)
-	}
-	if got := unsafe.Sizeof(SparseStrobeVector{}); got > 56 {
-		t.Errorf("SparseStrobeVector is %d bytes, want at most 56", got)
+	if got := unsafe.Sizeof(SparseStrobeVector{}); got != 48 {
+		t.Errorf("SparseStrobeVector is %d bytes, want 48", got)
 	}
 	slices := 0
 	for typ, i := reflect.TypeOf(SparseStrobeVector{}), 0; i < typ.NumField(); i++ {
@@ -101,7 +98,8 @@ func TestSparseStateBytesFollowsLayout(t *testing.T) {
 	if slices != 1 {
 		t.Errorf("SparseStrobeVector holds %d slices, want 1 (a second column is a second growth sequence)", slices)
 	}
-	s := NewSparseStrobeVector(0, 4096)
+	const n = 4096
+	s := NewSparseStrobeVector(0, n)
 	if got, want := s.StateBytes(), int(unsafe.Sizeof(*s)); got != want {
 		t.Errorf("empty StateBytes = %d, want the struct's %d", got, want)
 	}
@@ -110,25 +108,49 @@ func TestSparseStateBytesFollowsLayout(t *testing.T) {
 		st = append(st, SparseEntry{Proc: p * 5, Val: 1})
 	}
 	s.OnStrobe(st)
-	want := int(unsafe.Sizeof(*s)) + cap(s.comps)*int(unsafe.Sizeof(s.comps[0]))
-	if got := s.StateBytes(); got != want {
-		t.Errorf("StateBytes = %d, want %d (struct + cap × component)", got, want)
+	if s.wide() {
+		t.Fatal("values of 1 widened the clock")
+	}
+	if got := unsafe.Sizeof(words[uint32](s)[0]); got != 4 {
+		t.Errorf("a narrow component is %d bytes, want 4", got)
+	}
+	if got, want := s.StateBytes(), int(unsafe.Sizeof(*s))+cap(words[uint32](s))*4; got != want {
+		t.Errorf("narrow StateBytes = %d, want %d (struct + cap × 4)", got, want)
+	}
+	s.OnStrobe(SparseStamp{{Proc: 5, Val: narrowTop(n) + 1}})
+	if !s.wide() {
+		t.Fatal("a value above the narrow bound left the clock narrow")
+	}
+	ws := words[uint64](s)
+	if got := unsafe.Sizeof(ws[0]); got != 8 {
+		t.Errorf("a wide component is %d bytes, want 8", got)
+	}
+	if got, want := s.StateBytes(), int(unsafe.Sizeof(*s))+cap(ws)*8; got != want || len(ws) != 37 {
+		t.Errorf("wide StateBytes = %d over %d words, want %d (struct + cap × 8) over 37", got, len(ws), want)
 	}
 }
 
 // TestSparseValueBound: a component value takes the bits between the proc
-// field and the dirty bit, so the largest one a clock of n processes holds
-// is 2^(63-bits.Len(n-1)) - 1. That value merges, strobes and snapshots
-// exactly, next to the highest proc; one above it panics with
-// errValueBound; a re-initialised (rejoined) or reset clock keeps the
-// width.
+// field and the dirty bit. A narrow clock holds its narrow bound, 2^(31 -
+// bits.Len(n-1)) - 1, without widening; one above it widens the clock,
+// which then holds 2^(63-bits.Len(n-1)) - 1 — merged, strobed and
+// snapshotted exactly, next to the highest proc — and panics with
+// errValueBound only one above that. A re-initialised (rejoined) or reset
+// clock starts narrow again. Where 32 bits leave no value bit beside the
+// proc field, the clock starts wide.
 func TestSparseValueBound(t *testing.T) {
 	for _, n := range []int{129, 4096, 1 << 16, 1 << 20} {
-		top := uint64(1)<<(63-bits.Len(uint(n-1))) - 1
+		top, edge := uint64(1)<<(63-bits.Len(uint(n-1)))-1, narrowTop(n)
 		s := NewSparseStrobeVector(1, n)
 		holds := func(stage string) {
 			t.Helper()
+			if s.OnStrobe(SparseStamp{{Proc: 0, Val: edge}}); s.wide() {
+				t.Fatalf("n=%d %s: the narrow bound %d widened the clock", n, stage, edge)
+			}
 			s.OnStrobe(SparseStamp{{Proc: 0, Val: top - 1}, {Proc: n - 1, Val: top}})
+			if !s.wide() {
+				t.Fatalf("n=%d %s: value %d left the clock narrow", n, stage, top)
+			}
 			s.OnStrobe(SparseStamp{{Proc: 0, Val: top}})
 			want := SparseStamp{{Proc: 0, Val: top}, {Proc: 1, Val: s.OwnClock() + 1}, {Proc: n - 1, Val: top}}
 			if got := s.Strobe(); !reflect.DeepEqual(got, want) {
@@ -152,24 +174,84 @@ func TestSparseValueBound(t *testing.T) {
 		s.Reset()
 		holds("reset")
 	}
+	for _, c := range []struct {
+		n    int
+		wide bool
+	}{{2, false}, {1 << 30, false}, {1<<30 + 1, true}, {math.MaxInt32, true}} {
+		if got := NewSparseStrobeVector(0, c.n).wide(); got != c.wide {
+			t.Errorf("n=%d: starts wide = %v, want %v", c.n, got, c.wide)
+		}
+	}
 }
 
-// TestSparseAllocations pins the kernels' allocation contracts, beside
-// TestDiffStrobeSingleAllocation: Strobe allocates exactly its stamp,
-// dirty or clean; a merge that only hits allocates nothing; a sorted
-// stamp of k new peers costs nothing into spare capacity and one grow —
-// not k — into a full slice.
+// TestSparseAllocations pins the kernels' allocation contracts at either
+// width, beside TestDiffStrobeSingleAllocation: Strobe allocates exactly
+// its stamp, dirty or clean, and StrobeInto a roomy stamp nothing; a
+// merge that only hits allocates nothing; a sorted stamp of k new peers
+// costs nothing into spare capacity and one grow — not k — into a full
+// slice; and a widening, in the middle of a merge that raised words
+// before it, costs one array.
 func TestSparseAllocations(t *testing.T) {
+	t.Run("narrow", func(t *testing.T) { sparseAllocations[uint32](t) })
+	t.Run("wide", func(t *testing.T) { sparseAllocations[uint64](t) })
+	t.Run("widen", func(t *testing.T) {
+		const n, known = 4096, 200
+		s := NewSparseStrobeVector(0, n)
+		for i := 1; i <= known; i++ {
+			s.OnStrobe(SparseStamp{{Proc: 2 * i, Val: 1}})
+		}
+		s.Strobe()
+		narrow, shift := slices.Clone(s.comps), s.shift
+		buf := make([]uint32, len(narrow), cap(s.comps))
+		st := SparseStamp{{Proc: 2, Val: 5}, {Proc: 4, Val: 5}, {Proc: 6, Val: narrowTop(n) + 1}, {Proc: 7, Val: 1}}
+		if allocs := testing.AllocsPerRun(100, func() {
+			s.comps, s.shift, s.dirty = append(buf[:0], narrow...), shift, 0
+			s.OnStrobe(st)
+		}); allocs != 1+growTemp[uint64](known) {
+			t.Errorf("a widening merge: %.1f allocs, want %.0f: one array", allocs, 1+growTemp[uint64](known))
+		}
+		if !s.wide() || len(words[uint64](s)) != known+1 || s.dirty != 4 {
+			t.Errorf("after the widening merge: wide %v, %d peers, %d dirty; want true, %d, 4", s.wide(), len(words[uint64](s)), s.dirty, known+1)
+		}
+	})
+}
+
+// growTemp is the allocations a grow into a fresh W array makes beyond
+// the array itself. A grow is append(comps[:0:old], make([]W, size)...),
+// which the compiler turns into one allocation — except in instrumented
+// (-race) builds, where the make is a real temporary: one more
+// allocation per grow that is the build's, not the kernel's.
+// (The probe's size is an argument: a make of constant size may stay on
+// the stack where grow's cannot.)
+func growTemp[W word](size int) float64 {
+	roomy := make([]W, 0, size)
+	var extended []W
+	temp := testing.AllocsPerRun(10, func() { extended = append(roomy[:0], make([]W, size)...) })
+	if len(extended) != size {
+		panic("the probe did not extend")
+	}
+	return temp
+}
+
+// sparseAllocations is TestSparseAllocations at W's width.
+func sparseAllocations[W word](t *testing.T) {
 	const n, known, fresh = 4096, 200, 24
+	base := uint64(0) // values from 1 up: narrow words
+	if unsafe.Sizeof(W(0)) == 8 {
+		base = narrowTop(n) // values past the narrow bound: the first merge widens
+	}
 	var hits, news SparseStamp
 	for i := 1; i <= known; i++ {
-		hits = append(hits, SparseEntry{Proc: 2 * i, Val: 1})
+		hits = append(hits, SparseEntry{Proc: 2 * i, Val: base + 1})
 	}
 	for i := 1; i <= fresh; i++ {
-		news = append(news, SparseEntry{Proc: 16*i + 1, Val: 1}) // odd: between the known ones
+		news = append(news, SparseEntry{Proc: 16*i + 1, Val: base + 1}) // odd: between the known ones
 	}
 	s := NewSparseStrobeVector(0, n)
 	s.OnStrobe(hits)
+	if s.wide() != (unsafe.Sizeof(W(0)) == 8) {
+		t.Fatalf("a %d-byte run on a clock with wide = %v", unsafe.Sizeof(W(0)), s.wide())
+	}
 	s.Strobe()
 	if allocs := testing.AllocsPerRun(100, func() { s.Strobe() }); allocs != 1 {
 		t.Errorf("clean strobe: %.1f allocs, want 1", allocs)
@@ -185,37 +267,42 @@ func TestSparseAllocations(t *testing.T) {
 	}); allocs != 1 {
 		t.Errorf("all-hits merge + dirty strobe: %.1f allocs, want 1 (the stamp)", allocs)
 	}
+	dst := make(SparseStamp, known+1)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := range hits {
+			hits[i].Val++
+		}
+		s.OnStrobe(hits)
+		if dst = s.StrobeInto(dst); len(dst) != known+1 {
+			t.Fatal("the raised components were not all stamped")
+		}
+	}); allocs != 0 {
+		t.Errorf("all-hits merge + dirty StrobeInto a roomy stamp: %.1f allocs, want 0", allocs)
+	}
 	if allocs := testing.AllocsPerRun(100, func() { s.OnStrobe(hits) }); allocs != 0 {
 		t.Errorf("all-hits merge: %.1f allocs, want 0", allocs)
 	}
 
-	// A grow into a fresh array is append(comps[:0:old], make([]uint64,
-	// size)...), which the compiler turns into one allocation — except in
-	// instrumented (-race) builds, where the make is a real temporary: one
-	// more allocation per grow that is the build's, not the kernel's.
-	roomy := make([]uint64, known, known+fresh)
-	var extended []uint64
-	temp := testing.AllocsPerRun(10, func() { extended = append(roomy[:0], make([]uint64, len(news))...) })
-	if len(extended) != fresh {
-		t.Fatalf("probe extended to %d, want %d", len(extended), fresh)
-	}
-
-	full := make([]uint64, known) // len == cap
-	copy(full, s.comps)
+	temp := growTemp[W](fresh)
+	full := make([]W, known) // len == cap
+	copy(full, words[W](s))
+	roomy := make([]W, known, known+fresh)
 	if allocs := testing.AllocsPerRun(100, func() {
-		s.comps, s.dirty = full, 0 // the grow leaves full's array as it was
+		setWords(s, full) // the grow leaves full's array as it was
+		s.dirty = 0
 		s.OnStrobe(news)
 	}); allocs != 1+temp {
 		t.Errorf("%d new peers into a full slice: %.1f allocs, want %.0f: one grow", fresh, allocs, 1+temp)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		s.comps, s.dirty = roomy[:copy(roomy, full)], 0 // the merge shifts in place: restore
+		setWords(s, roomy[:copy(roomy, full)]) // the merge shifts in place: restore
+		s.dirty = 0
 		s.OnStrobe(news)
 	}); allocs != 0 {
 		t.Errorf("%d new peers into spare capacity: %.1f allocs, want 0", fresh, allocs)
 	}
-	if len(s.comps) != known+fresh || s.dirty != fresh {
-		t.Errorf("after the merge: %d peers, %d dirty; want %d, %d", len(s.comps), s.dirty, known+fresh, fresh)
+	if len(words[W](s)) != known+fresh || s.dirty != fresh {
+		t.Errorf("after the merge: %d peers, %d dirty; want %d, %d", len(words[W](s)), s.dirty, known+fresh, fresh)
 	}
 }
 
@@ -229,7 +316,7 @@ func TestSparseAllocations(t *testing.T) {
 func TestSparseGrowthHeadroom(t *testing.T) {
 	const n = 4096
 	// class is the capacity the allocator's size class gives c words.
-	class := func(c int) int { return cap(append([]uint64(nil), make([]uint64, c)...)) }
+	class := func(c int) int { return cap(append([]uint32(nil), make([]uint32, c)...)) }
 	r := stats.NewRNG(41)
 	peers := make([]int, n-1) // proc-1 of each peer, in order of first sighting
 	for i := range peers {    // inside-out Fisher–Yates
@@ -264,7 +351,7 @@ func TestSparseGrowthHeadroom(t *testing.T) {
 			}
 		default:
 			grew[false]++
-			if want := cap(append(make([]uint64, len(old), cap(old)), make([]uint64, len(st))...)); cap(got) != want {
+			if want := cap(append(make([]uint32, len(old), cap(old)), make([]uint32, len(st))...)); cap(got) != want {
 				t.Fatalf("%d → %d words: capacity %d, want append's %d", len(old), need, cap(got), want)
 			}
 		}
