@@ -92,8 +92,11 @@ func DefaultConfig() Config {
 			m + "/internal/clock.SparseStrobeVector.StrobeInto",
 			m + "/internal/clock.Vector.MergeSparse",
 			m + "/internal/clock.SparseStrobeVector.OnStrobe",
+			m + "/internal/clock.StrobeVector.StrobeInto",
 			m + "/internal/core.Sensor.Sense",
 			m + "/internal/network.ShardPart.deliver",
+			m + "/internal/network.Net.deliverCopy",
+			m + "/internal/network.Net.deliverHop",
 			m + "/internal/predicate.Incremental.Set",
 			m + "/internal/checker.Tree.OnReport",
 			m + "/internal/mac.dutyRun.wake",

@@ -48,10 +48,10 @@ func (o Order) String() string {
 type Vector []uint64
 
 // NewVector returns an all-zero vector for n processes.
-func NewVector(n int) Vector { return make(Vector, n) } //lint:allow hotpath(a constructor allocates by contract; the dense vector is the classic stack's, reached from a sense only through a local replica or a conjunct)
+func NewVector(n int) Vector { return make(Vector, n) } //lint:allow hotpath(a constructor allocates by contract; a sense reaches it only for what a sender keeps — a local replica's stamps, the run record's and a conjunct's snapshots — never for the strobe it sends)
 
 // Clone returns an independent copy of v.
-func (v Vector) Clone() Vector { return append(Vector(nil), v...) } //lint:allow hotpath(a fresh copy by contract; a sense clones only for a conjunct's interval, a classic-stack feature)
+func (v Vector) Clone() Vector { return append(Vector(nil), v...) } //lint:allow hotpath(a fresh copy by contract: a dense strobe clones only when the stamp of a dead strobe is too small or there is none — the first strobes of a run, and a sender with a Local replica — the run record's copy of a dense stamp, and a sense for a conjunct's interval)
 
 // Compare returns the partial-order relation between v and w. Vectors of
 // different lengths are compared over the shorter prefix with missing

@@ -54,10 +54,22 @@ func (s *StrobeVector) Snapshot() Vector { return s.v.Clone() }
 
 // Strobe applies SVC1 on a relevant (sensed) event: tick the local
 // component and return the vector that the caller must system-wide
-// broadcast as a control message.
-func (s *StrobeVector) Strobe() Vector {
+// broadcast as a control message, in a fresh array (see StrobeInto).
+func (s *StrobeVector) Strobe() Vector { return s.StrobeInto(nil) }
+
+// StrobeInto is Strobe writing the stamp into dst's backing array, the
+// dense twin of SparseStrobeVector.StrobeInto: when dst has room for n
+// components the stamp is dst resliced and costs no allocation; otherwise
+// it is a fresh copy, as Strobe's is. It is the form for a sender that
+// recycles the stamp of a dead strobe.
+func (s *StrobeVector) StrobeInto(dst Vector) Vector {
 	s.v[s.me]++
-	return s.v.Clone()
+	if cap(dst) < len(s.v) {
+		return s.v.Clone()
+	}
+	dst = dst[:len(s.v)]
+	copy(dst, s.v)
+	return dst
 }
 
 // OnStrobe applies SVC2 on receipt of strobe t: componentwise max, no

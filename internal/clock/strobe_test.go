@@ -59,6 +59,38 @@ func TestStrobeVectorRules(t *testing.T) {
 	}
 }
 
+// TestStrobeVectorIntoReusesRoom: the dense StrobeInto writes the stamp
+// Strobe would return into dst's array when dst holds n components, and
+// otherwise returns a fresh copy, leaving dst as it was; a stamp it
+// returns never aliases the clock.
+func TestStrobeVectorIntoReusesRoom(t *testing.T) {
+	a, b := NewStrobeVector(1, 3), NewStrobeVector(1, 3)
+	for step, dst := range []Vector{make(Vector, 2, 3), {9, 9}, nil, {9, 9, 9, 9}} {
+		a.OnStrobe(Vector{uint64(step), 0, 2})
+		b.OnStrobe(Vector{uint64(step), 0, 2})
+		before := dst.Clone()
+		want, got := a.Strobe(), b.StrobeInto(dst)
+		if got.Compare(want) != Same || len(got) != 3 {
+			t.Fatalf("step %d: StrobeInto = %v, Strobe = %v", step, got, want)
+		}
+		fits := cap(dst) >= 3
+		if reused := cap(dst) > 0 && &got[0] == &dst[:1][0]; fits != reused {
+			t.Fatalf("step %d: a 3-component stamp into a %d-cap dst reused it: %v", step, cap(dst), reused)
+		}
+		if !fits && dst.Compare(before) != Same {
+			t.Fatalf("step %d: a dst too small for the stamp was written: %v", step, dst)
+		}
+		got[1] = 77
+		if b.Snapshot()[1] == 77 {
+			t.Fatalf("step %d: the stamp aliases the clock", step)
+		}
+	}
+	dst := make(Vector, 3)
+	if allocs := testing.AllocsPerRun(100, func() { dst = b.StrobeInto(dst) }); allocs != 0 {
+		t.Errorf("a strobe into a 3-component dst: %.1f allocs, want 0", allocs)
+	}
+}
+
 func TestStrobeVectorMonotone(t *testing.T) {
 	r := stats.NewRNG(5)
 	s := NewStrobeVector(1, 4)

@@ -30,19 +30,16 @@ type StrobeChecker struct {
 	view      *predicate.View
 	lastSeq   []int
 	lastEpoch []int // crash/recovery epoch per proc (see StrobeMsg.Epoch)
-	// stamps (the latest applied vector stamp per proc, nil = none) and
-	// lastChange are read only by detectRace, so a race-blind checker
-	// leaves both nil.
+	// stamps (a copy of the latest applied vector stamp per proc, empty =
+	// none) and lastChange are read only by detectRace, so a race-blind
+	// checker leaves both nil. A stamp is copied into its proc's array, as
+	// the tree's keepVec does: the delivered one belongs to a body the
+	// transport may reuse once the handler returns.
 	stamps     []clock.Vector
 	lastChange []change
 	// recon reconstructs each sender's full vector from differential
 	// strobes (DiffVectorStrobe protocol); nil entries until first diff.
 	recon []clock.Vector
-	// stampBuf holds one reusable vector per proc for the differential
-	// path: the reconstruction is copied into the scratch buffer instead
-	// of cloned per strobe (the previous stamp of that proc is being
-	// replaced anyway, so no live reader aliases it).
-	stampBuf []clock.Vector
 
 	cur      bool
 	occ      []Occurrence
@@ -122,7 +119,7 @@ func (c *StrobeChecker) OnStrobe(m StrobeMsg, now sim.Time) {
 		c.lastEpoch[m.Proc] = m.Epoch
 		c.lastSeq[m.Proc] = 0
 		if c.raceAware {
-			c.stamps[m.Proc] = nil
+			c.stamps[m.Proc] = c.stamps[m.Proc][:0]
 			c.lastChange[m.Proc] = change{}
 		}
 		if c.recon != nil {
@@ -141,17 +138,12 @@ func (c *StrobeChecker) OnStrobe(m StrobeMsg, now sim.Time) {
 	if m.Vec == nil && m.Sparse != nil && c.raceAware {
 		if c.recon == nil {
 			c.recon = make([]clock.Vector, c.n)
-			c.stampBuf = make([]clock.Vector, c.n)
 		}
 		if c.recon[m.Proc] == nil {
 			c.recon[m.Proc] = clock.NewVector(c.n)
-			c.stampBuf[m.Proc] = clock.NewVector(c.n)
 		}
 		c.recon[m.Proc].MergeSparse(m.Sparse)
-		// Copy into the per-proc scratch stamp rather than cloning: only
-		// c.stamps[m.Proc] can alias the buffer, and it is replaced below.
-		copy(c.stampBuf[m.Proc], c.recon[m.Proc])
-		m.Vec = c.stampBuf[m.Proc]
+		m.Vec = c.recon[m.Proc] // copied into stamps below
 	}
 
 	prev := c.view.Set(m.Proc, m.Var, m.Value)
@@ -161,7 +153,7 @@ func (c *StrobeChecker) OnStrobe(m StrobeMsg, now sim.Time) {
 	if c.raceAware {
 		if m.Vec != nil {
 			race = c.detectRace(m, prev)
-			c.stamps[m.Proc] = m.Vec
+			c.stamps[m.Proc] = append(c.stamps[m.Proc][:0], m.Vec...)
 		}
 		c.lastChange[m.Proc] = change{varName: m.Var, prev: prev, valid: true}
 	}
@@ -186,7 +178,7 @@ func (c *StrobeChecker) OnStrobe(m StrobeMsg, now sim.Time) {
 // for the criterion), run against the checker's view.
 func (c *StrobeChecker) detectRace(m StrobeMsg, prevI float64) bool {
 	for j := 0; j < c.n; j++ {
-		if j == m.Proc || c.stamps[j] == nil || !c.lastChange[j].valid {
+		if j == m.Proc || len(c.stamps[j]) == 0 || !c.lastChange[j].valid {
 			continue
 		}
 		if !m.Vec.ConcurrentWith(c.stamps[j]) {

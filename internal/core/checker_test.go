@@ -38,6 +38,27 @@ func TestVectorCheckerDetectsFlips(t *testing.T) {
 	}
 }
 
+// TestVectorCheckerCopiesStamps: the flat checker keeps a copy of each
+// stamp it applies, not the delivered slice, which belongs to a body the
+// transport reuses once the handler returns. p0's stamp is overwritten
+// after delivery, as a recycled strobe would overwrite it, with one
+// concurrent to p1's next strobe; p1's strobe follows p0's, so the flip
+// it causes is no race.
+func TestVectorCheckerCopiesStamps(t *testing.T) {
+	c := NewVectorChecker(2, predicate.MustParse("x@0 > x@1"))
+	vec := clock.Vector{1, 0}
+	c.OnStrobe(handStrobe(0, 1, "x", 1, vec), 10)
+	copy(vec, clock.Vector{0, 5})
+	c.OnStrobe(handStrobe(1, 1, "x", 1, clock.Vector{1, 1}), 20)
+	c.Finish(100)
+	if m := c.Markers(); len(m) != 0 {
+		t.Fatalf("race markers %v: the checker read a stamp overwritten after delivery", m)
+	}
+	if occ := c.Occurrences(); len(occ) != 1 || occ[0].Borderline {
+		t.Fatalf("occurrences %+v, want one definite", occ)
+	}
+}
+
 func TestVectorCheckerEveryOccurrence(t *testing.T) {
 	pred := predicate.MustParse("x@0 == 1")
 	c := NewVectorChecker(1, pred)

@@ -87,9 +87,9 @@ type fleet struct {
 	kind ClockKind
 	n    int // fleet size (for fresh clocks on Rejoin)
 	fl   *flight.Recorder
-	// pool, for a DiffVectorStrobe fleet on a recycling transport, is where
-	// its strobe bodies come from and go back to (see network.Recycler);
-	// nil otherwise.
+	// pool, for a fleet on a recycling transport, is where its strobe and
+	// report bodies come from and go back to (see network.Recycler); nil
+	// otherwise.
 	pool *network.BodyPool
 }
 
@@ -171,7 +171,7 @@ func NewSensors(net Receiver, cfg SensorConfig, place func(i int) Transport) []*
 	for i := 0; i < cfg.N; i++ {
 		s := &slab[i]
 		*s = Sensor{ID: int32(i), f: f, net: place(i)}
-		if r, ok := s.net.(network.Recycler); ok && cfg.Kind == DiffVectorStrobe {
+		if r, ok := s.net.(network.Recycler); ok {
 			f.pool = r.Pool()
 		}
 		if blocks != nil {
@@ -225,26 +225,28 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 	var stamp clock.Vector
 	var ownClock uint64 // this sensor's logical component at the event
 	msg := StrobeMsg{Proc: id, Seq: int(s.seq), Epoch: int(s.epoch), Var: varName, Value: value}
-	// pm is the strobe inside a pooled body, when the fleet's transport
-	// recycles and no local replica reads the message after the send (a
-	// body can go back to the pool inside it).
+	// The body comes from the fleet's pool unless a local replica reads the
+	// message after the send (a body can go back to the pool inside it). A
+	// pooled strobe pm is the dead one's, whose stamp array this one reuses.
+	pool := f.pool
+	if s.Local != nil {
+		pool = nil
+	}
 	var body *network.Body
 	var pm *StrobeMsg
+	if f.kind != PhysicalReport {
+		body, pm = network.GetBody[StrobeMsg](pool)
+	}
 	switch f.kind {
 	case VectorStrobe:
-		stamp = s.c.vec.Strobe() // SVC1
+		stamp = s.c.vec.StrobeInto(pm.Vec) // SVC1
 		ownClock = stamp[id]
 		msg.Vec = stamp
 	case ScalarStrobe:
 		msg.Scalar = s.c.sc.Strobe() // SSC1
 		ownClock = msg.Scalar
 	case DiffVectorStrobe:
-		var dst clock.SparseStamp
-		if f.pool != nil && s.Local == nil {
-			body, pm = network.GetBody[StrobeMsg](f.pool)
-			dst = pm.Sparse // the dead strobe's stamp array
-		}
-		msg.Sparse = s.sparse.StrobeInto(dst) // SVC1 with differential wire format
+		msg.Sparse = s.sparse.StrobeInto(pm.Sparse) // SVC1 with differential wire format
 		ownClock = s.sparse.OwnClock()
 		// Materializing the full vector is O(n); only pay for it when a
 		// consumer actually wants dense stamps — the run record or the
@@ -256,18 +258,12 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 	case PhysicalReport:
 		// Physical reports carry no logical clock; the stamp is just the
 		// per-process seq.
-		s.net.SendBody(id, s.c.checkerIdx, network.NewBody(ReportMsg{
-			Proc: id, Var: varName, Value: value,
-			TS: s.c.phys.Read(now),
-		}, flight.Stamp{Seq: uint64(s.seq)}))
+		b, rep := network.GetBody[ReportMsg](pool)
+		*rep, b.Stamp = ReportMsg{Proc: id, Var: varName, Value: value, TS: s.c.phys.Read(now)}, flight.Stamp{Seq: uint64(s.seq)}
+		s.net.SendBody(id, s.c.checkerIdx, b)
 	}
 	if f.kind != PhysicalReport {
-		st := flight.Stamp{Epoch: s.epoch, Seq: uint64(s.seq), Clock: ownClock}
-		if pm != nil {
-			*pm, body.Stamp = msg, st
-		} else {
-			body = network.NewBody(msg, st)
-		}
+		*pm, body.Stamp = msg, flight.Stamp{Epoch: s.epoch, Seq: uint64(s.seq), Clock: ownClock}
 		s.net.BroadcastBody(id, body)
 		if s.Local != nil {
 			s.Local.OnReport(checker.Report(msg), now)
@@ -285,10 +281,14 @@ func (s *Sensor) Sense(now sim.Time, varName string, value float64) {
 			c.vals[varName] = value
 		}
 		if c.record {
+			kept := stamp
+			if f.kind == VectorStrobe {
+				kept = stamp.Clone() // stamp is the body's array, which a recycling transport reuses
+			}
 			c.senses = append(c.senses, flight.Event{ //lint:allow hotpath(the run record keeps every sense by contract; only a fleet built with Record has it)
 				Kind: flight.Sense.String(), Proc: id, At: now, Peer: int(flight.NoPeer),
 				Epoch: int(s.epoch), Seq: uint64(s.seq), Attr: varName, Value: value,
-				Clock: ownClock, Vector: stamp,
+				Clock: ownClock, Vector: kept,
 			})
 		}
 		s.trackConjunct(now, stamp)

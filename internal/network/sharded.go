@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"pervasive/internal/faults"
 	"pervasive/internal/obs"
@@ -96,9 +95,7 @@ func NewSharded(sh *sim.Shards, topo Topology, delay sim.DelayModel, smap ShardM
 	if smap.Procs < topo.N() {
 		panic("network: shard map smaller than topology")
 	}
-	if smap.Procs > copyMask/2 { // a body's copies, duplicates included, must fit its count
-		panic("network: shard map past the per-body copy count")
-	}
+	checkCopyRoom(smap.Procs, "shard map")
 	sn := &ShardedNet{
 		sh: sh, topo: topo, delay: delay, smap: smap,
 		parts:    make([]*ShardPart, sh.N()),
@@ -208,11 +205,9 @@ func (p *ShardPart) BroadcastBody(src int, b *Body) uint64 {
 // returns its ID, the first priority key minted (0 when src is crashed or
 // nothing was addressed). Every copy shares b, so a copy costs no
 // allocation; Sent, Bytes and ByKind are bumped once, by the copy count.
-// b's count of outstanding copies is the deliveries scheduled — a
-// duplicate counts, a copy lost on the link does not — set once they all
-// are, since none can land before this event returns (same-shard copies
-// run after it, cross-shard ones after the epoch's barrier). A send that
-// scheduled nothing, a suppressed one included, releases b at once.
+// b's copies are counted as on Net (see BodyPool.hold): none can land
+// before this event returns, since same-shard copies run after it and
+// cross-shard ones after the epoch's barrier.
 func (p *ShardPart) send(src, skip int, b *Body) uint64 {
 	sn := p.owner
 	now := p.eng.Now()
@@ -237,11 +232,7 @@ func (p *ShardPart) send(src, skip int, b *Body) uint64 {
 		copies++
 	}
 	p.Stats.CountSends(b.Payload, copies)
-	if scheduled == 0 {
-		sn.pool.release(b)
-	} else {
-		b.state += scheduled
-	}
+	sn.pool.hold(b, scheduled)
 	return id
 }
 
@@ -289,15 +280,7 @@ func (p *ShardPart) deliver(now sim.Time, body any, dst int) {
 			h(b.Message(dst), now)
 		}
 	}
-	sn.land(b)
-}
-
-// land retires one scheduled copy of b and, when it was the last copy of
-// a pooled body, puts b back in the pool. The count is atomic: under
-// Workers > 1 the copies of one body land on different shards in the same
-// epoch.
-func (sn *ShardedNet) land(b *Body) {
-	if atomic.AddUint32(&b.state, ^uint32(0)) == sentBit|pooledBit {
+	if b.land() {
 		sn.pool.release(b)
 	}
 }

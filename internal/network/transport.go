@@ -16,12 +16,11 @@ type Payload interface {
 	Kind() string
 }
 
-// Message is one network-plane message in flight or delivered.
+// Message is one network-plane message as its handler receives it: seven
+// words, so a delivery passes it in registers.
 type Message struct {
-	ID      uint64 // unique per logical send/broadcast (shared by flood copies)
-	Src     int    // originating process
-	From    int    // previous hop (== Src for direct delivery)
-	Dst     int    // destination process
+	Src     int // originating process
+	Dst     int // destination process
 	Payload Payload
 
 	// Stamp is the payload's logical identity (epoch, seq, sender clock
@@ -50,8 +49,8 @@ type Body struct {
 	id  uint64
 	src int32
 	// state is the body's life in one word: sentBit once sealed, pooledBit
-	// on a body from a BodyPool, and below them the copies a recycling
-	// transport has scheduled and not yet landed (see ShardPart.land).
+	// on a body from a BodyPool, and below them the copies the transport
+	// has scheduled and not yet landed (see land).
 	state uint32
 }
 
@@ -69,7 +68,7 @@ func NewBody[P any, PP interface {
 	*P
 	Payload
 }](p P, st flight.Stamp) *Body {
-	b := &struct { //lint:allow hotpath(a send's one allocation by contract: senders on a transport that does not recycle, and a BodyPool that is empty — the first bodies of a run, and those a collection cleared)
+	b := &struct { //lint:allow hotpath(a send's one allocation by contract, through GetBody: a BodyPool that is empty — the first bodies of a run, and those a collection cleared — and the senders no pool serves: a Local replica, the live engine's links)
 		Body
 		p P
 	}{Body: Body{Stamp: st}, p: p}
@@ -89,17 +88,16 @@ func (b *Body) Seal(src int) {
 
 // Message materialises the copy of b addressed to dst, at delivery.
 func (b *Body) Message(dst int) Message {
-	src := int(b.src)
-	return Message{ID: b.id, Src: src, From: src, Dst: dst, Payload: b.Payload, Stamp: b.Stamp}
+	return Message{Src: int(b.src), Dst: dst, Payload: b.Payload, Stamp: b.Stamp}
 }
 
 // Handler receives delivered messages at a process. On a recycling
-// transport (see Recycler) a handler must not keep m.Payload, or anything
-// it points to, after it returns: the body behind it goes back to its pool
-// once its last copy has landed, and the next send overwrites it. A
-// handler that needs the content later copies it, as the checker tree
-// does with every stamp it keeps and the conjunctive checker with every
-// interval it queues.
+// transport (see Recycler: both DES transports) a handler must not keep
+// m.Payload, or anything it points to, after it returns: the body behind
+// it goes back to its pool once its last copy has landed, and the next
+// send overwrites it. A handler that needs the content later copies it, as
+// the checker tree and the flat checker do with every stamp they keep and
+// the conjunctive checker with every interval it queues.
 type Handler func(m Message, now sim.Time)
 
 // DeliveryPri is the event priority of message deliveries on the
@@ -135,8 +133,8 @@ type Net struct {
 	nextID   uint64
 
 	// fire and fireHop are deliverCopy and deliverHop bound once: the event
-	// functions of every direct copy (body *Body) and of every flood
-	// copy (body *Message, the wave it belongs to).
+	// functions of every direct copy and of every flood copy, each the
+	// event (fn, body, dst).
 	fire, fireHop sim.EventFunc
 	// dsts is the neighbour scratch of the relay step in progress; a relay
 	// schedules and returns without running a handler, so it never nests.
@@ -146,14 +144,16 @@ type Net struct {
 	// when false, BroadcastBody sends one direct logical message per peer.
 	Flood bool
 
-	seen []map[uint64]bool // per-process flood duplicate suppression
-	// inflight refcounts the scheduled (not yet fired) deliveries of each
-	// flood message ID. When a count reaches zero no further copy of that
-	// ID can ever be created (relays only originate from deliveries of
-	// the same ID), so its seen entries are pruned — the horizon that
-	// keeps the dedup state bounded by the concurrently in-flight
-	// broadcasts instead of growing with the run's total broadcast count.
-	inflight map[uint64]int
+	// seen is the per-process flood duplicate suppression. A flood's seen
+	// entries are pruned when its body's last scheduled copy lands: no
+	// further copy of that ID can then be created (relays only originate
+	// from deliveries of the same ID), so the dedup state stays bounded by
+	// the broadcasts in flight instead of growing with the run.
+	seen []map[uint64]bool
+
+	// pool takes back the bodies senders drew from it with GetBody, each
+	// when its last copy lands (see land).
+	pool BodyPool
 
 	// fault, when non-nil, gates this transport on a fault plan: crashed
 	// processes neither send, relay, nor take deliveries; partitioned
@@ -247,12 +247,12 @@ func (nt *Net) SetFaults(in *faults.Injector) { nt.fault = in }
 // New creates a transport over the topology with the given delay model.
 func New(eng *sim.Engine, topo Topology, delay sim.DelayModel) *Net {
 	n := topo.N()
+	checkCopyRoom(n, "topology")
 	nt := &Net{
 		eng: eng, topo: topo, delay: delay,
 		rng:      eng.RNG().Fork(),
 		handlers: make([]Handler, n),
 		seen:     make([]map[uint64]bool, n),
-		inflight: make(map[uint64]int),
 	}
 	nt.fire, nt.fireHop = nt.deliverCopy, nt.deliverHop
 	nt.Stats.ByKind = make(map[string]int64)
@@ -265,6 +265,9 @@ func New(eng *sim.Engine, topo Topology, delay sim.DelayModel) *Net {
 // N returns the number of processes.
 func (nt *Net) N() int { return len(nt.handlers) }
 
+// Pool returns the pool the transport recycles bodies through (Recycler).
+func (nt *Net) Pool() *BodyPool { return &nt.pool }
+
 // Register installs the delivery handler for process i (replacing any
 // previous handler).
 func (nt *Net) Register(i int, h Handler) { nt.handlers[i] = h }
@@ -275,16 +278,20 @@ func (nt *Net) Register(i int, h Handler) { nt.handlers[i] = h }
 // crashed (a crashed process sends nothing). b.Stamp rides in the Message
 // and surfaces as the Epoch/Seq/PeerClock columns of the flight Recv/Drop
 // records at the destination: the transport never type-asserts payloads,
-// so the stamp costs nothing per delivery.
+// so the stamp costs nothing per delivery. b goes back to the transport's
+// pool when its last copy lands, or at once when none was scheduled, a
+// suppressed send included (see BodyPool.hold).
 func (nt *Net) SendBody(src, dst int, b *Body) uint64 {
 	now := nt.eng.Now()
 	b.Seal(src)
 	if suppressed(nt.fault, src, now) {
+		nt.pool.release(b)
 		return 0
 	}
 	b.id = nt.newID()
-	nt.transmit(b, dst)
+	scheduled := nt.transmit(b, dst)
 	nt.Stats.CountSends(b.Payload, 1)
+	nt.pool.hold(b, scheduled)
 	return b.id
 }
 
@@ -292,30 +299,35 @@ func (nt *Net) SendBody(src, dst int, b *Body) uint64 {
 // is delivered to every process except src. With Flood unset each peer
 // gets an independent direct transmission, all sharing b; with Flood set
 // the message floods hop-by-hop over the overlay with duplicate
-// suppression, every hop's copy inheriting b's Stamp. It returns the
-// message ID, or 0 when a fault plan has src crashed.
+// suppression, every hop's copy sharing b too. It returns the message ID,
+// or 0 when a fault plan has src crashed. b's copy count is kept as
+// SendBody's.
 func (nt *Net) BroadcastBody(src int, b *Body) uint64 {
 	now := nt.eng.Now()
 	b.Seal(src)
 	if suppressed(nt.fault, src, now) {
+		nt.pool.release(b)
 		return 0
 	}
 	b.id = nt.newID()
 	if nt.Flood {
 		nt.seen[src][b.id] = true
-		nt.inflight[b.id]++      // guard the entry while the first wave schedules
-		nt.relay(b.Message(src)) // the wave's Dst is set per copy at delivery
-		nt.flightDone(b.id)
+		nt.relay(b, src)
+		if b.state&copyMask == 0 {
+			nt.retire(b)
+		}
 		return b.id
 	}
 	var copies int64
+	var scheduled uint32
 	for dst := 0; dst < nt.N(); dst++ {
 		if dst != src {
-			nt.transmit(b, dst)
+			scheduled += nt.transmit(b, dst)
 			copies++
 		}
 	}
 	nt.Stats.CountSends(b.Payload, copies)
+	nt.pool.hold(b, scheduled)
 	return b.id
 }
 
@@ -339,35 +351,43 @@ func (nt *Net) sampleLink(from, to int, now sim.Time) (d sim.Duration, ok bool) 
 }
 
 // transmit schedules one direct copy of body to dst; inside a duplicate
-// window it may schedule a second delivery of the same copy.
-func (nt *Net) transmit(b *Body, dst int) {
+// window it may schedule a second delivery of the same copy. It returns
+// the deliveries it scheduled: 0 for a copy lost on the link, 1, or 2.
+func (nt *Net) transmit(b *Body, dst int) uint32 {
 	now, src := nt.eng.Now(), int(b.src)
 	d, ok := nt.sampleLink(src, dst, now)
 	if !ok {
 		nt.recordDrop(dst, src, b.Stamp, now)
-		return
+		return 0
 	}
 	nt.eng.AtFunc(now+d, DeliveryPri, nt.fire, b, dst)
 	if d2, dup := DupDelay(nt.fault, nt.delay, nt.rng, src, dst, now); dup {
 		nt.eng.AtFunc(now+d2, DeliveryPri, nt.fire, b, dst)
+		return 2
 	}
+	return 1
 }
 
 // deliverCopy runs at a direct copy's arrival: body is the *Body the copy
-// was scheduled with, dst the process it is addressed to.
+// was scheduled with, dst the process it is addressed to. The copy lands
+// after the handler returns, or at once when dst is crashed.
 func (nt *Net) deliverCopy(now sim.Time, body any, dst int) {
 	b := body.(*Body)
 	if nt.Stats.CrashDropped(nt.fault, dst, now) {
 		nt.recordDrop(dst, int(b.src), b.Stamp, now)
-		return
+	} else {
+		nt.handle(b, dst, now)
 	}
-	nt.handle(b.Message(dst), now)
+	if b.land() {
+		nt.pool.release(b)
+	}
 }
 
-// handle invokes the destination's handler (fault gating already done).
-// The Recv record lands before the handler runs, so a checker's Apply
-// follows its Recv in the destination's ring order.
-func (nt *Net) handle(m Message, now sim.Time) {
+// handle delivers b's copy at dst to the destination's handler (fault
+// gating already done). The Recv record lands before the handler runs, so
+// a checker's Apply follows its Recv in the destination's ring order. The
+// Message is built once, in the handler's argument registers.
+func (nt *Net) handle(b *Body, dst int, now sim.Time) {
 	nt.Stats.Delivered++
 	// The Recv record is built in place rather than through a helper: this
 	// is the one per-delivery site (drops go through recordDrop), and with
@@ -377,8 +397,8 @@ func (nt *Net) handle(m Message, now sim.Time) {
 	// a call-based path measures more than double).
 	if r := nt.flightRec; r != nil {
 		rec := flight.Rec{
-			Kind: flight.Recv, Proc: int32(m.Dst), Peer: int32(m.Src), At: now,
-			Epoch: m.Stamp.Epoch, Seq: m.Stamp.Seq, PeerClock: m.Stamp.Clock,
+			Kind: flight.Recv, Proc: int32(dst), Peer: b.src, At: now,
+			Epoch: b.Stamp.Epoch, Seq: b.Stamp.Seq, PeerClock: b.Stamp.Clock,
 		}
 		if r.Concurrent() {
 			r.Record(rec)
@@ -386,77 +406,62 @@ func (nt *Net) handle(m Message, now sim.Time) {
 			r.RecordUnlocked(rec)
 		}
 	}
-	if h := nt.handlers[m.Dst]; h != nil {
-		h(m, now)
+	if h := nt.handlers[dst]; h != nil {
+		h(b.Message(dst), now)
 	}
 }
 
-// relay floods m one hop on, from m.From to every current neighbour that
-// has not seen it. The copies of one relay step share one wave body — m
-// with this hop's From, Dst unset —
-// allocated with the first copy scheduled; each is the event
-// (fireHop, wave, dst). Receivers both consume and re-relay. Dedup is done
-// at delivery time, not at scheduling time: a copy lost in flight leaves
-// later copies via other paths eligible, which is what lets redundant
-// flood paths mask single-link loss.
-func (nt *Net) relay(m Message) {
+// relay floods b one hop on, from process from to every current neighbour
+// that has not seen it. Each copy is the event (fireHop, b, dst) and
+// counts against b, so a relay allocates nothing. Receivers both consume
+// and re-relay. Dedup is done at delivery time, not at scheduling time: a
+// copy lost in flight leaves later copies via other paths eligible, which
+// is what lets redundant flood paths mask single-link loss.
+func (nt *Net) relay(b *Body, from int) {
 	now := nt.eng.Now()
-	var wave *Message
 	var copies int64
-	nt.dsts = nt.topo.AppendNeighbors(nt.dsts[:0], m.From)
+	nt.dsts = nt.topo.AppendNeighbors(nt.dsts[:0], from)
 	for _, j := range nt.dsts {
-		if nt.seen[j][m.ID] {
+		if nt.seen[j][b.id] {
 			continue
 		}
 		copies++
-		d, ok := nt.sampleLink(m.From, j, now)
+		d, ok := nt.sampleLink(from, j, now)
 		if !ok {
-			nt.recordDrop(j, m.Src, m.Stamp, now)
+			nt.recordDrop(j, int(b.src), b.Stamp, now)
 			continue
 		}
-		if wave == nil {
-			w := m
-			wave = &w
-		}
-		nt.inflight[m.ID]++
-		nt.eng.AtFunc(now+d, DeliveryPri, nt.fireHop, wave, j)
+		b.state++
+		nt.eng.AtFunc(now+d, DeliveryPri, nt.fireHop, b, j)
 	}
-	nt.Stats.CountSends(m.Payload, copies)
+	nt.Stats.CountSends(b.Payload, copies)
 }
 
-// deliverHop runs at a flood copy's arrival: body is the wave (*Message)
-// the copy belongs to, dst the neighbour it was sent to. The copy's
-// in-flight reference is released last, after any re-relay has taken its
-// own.
+// deliverHop runs at a flood copy's arrival: body is the flood's *Body,
+// dst the neighbour the copy was sent to. The copy lands last, after any
+// re-relay has counted its own copies, so the flood's count cannot reach
+// zero while one of its copies is still to be scheduled.
 func (nt *Net) deliverHop(now sim.Time, body any, dst int) {
-	wave := body.(*Message)
-	defer nt.flightDone(wave.ID)
-	if nt.seen[dst][wave.ID] {
-		return // duplicate arrived first via another path
+	b := body.(*Body)
+	switch {
+	case nt.seen[dst][b.id]: // a duplicate arrived first via another path
+	case nt.Stats.CrashDropped(nt.fault, dst, now): // crashed receivers neither deliver nor relay
+		nt.recordDrop(dst, int(b.src), b.Stamp, now)
+	default:
+		nt.seen[dst][b.id] = true
+		nt.handle(b, dst, now)
+		nt.relay(b, dst)
 	}
-	if nt.Stats.CrashDropped(nt.fault, dst, now) { // crashed receivers neither deliver nor relay
-		nt.recordDrop(dst, wave.Src, wave.Stamp, now)
-		return
+	if b.land() {
+		nt.retire(b)
 	}
-	nt.seen[dst][wave.ID] = true
-	hop := *wave
-	hop.Dst = dst
-	nt.handle(hop, now)
-	hop.From = dst
-	nt.relay(hop)
 }
 
-// flightDone releases one scheduled copy of a flood message; the last
-// release prunes the ID from every per-process dedup set (see the
-// inflight field). Dropped copies are never scheduled, so they hold no
-// reference.
-func (nt *Net) flightDone(id uint64) {
-	if n := nt.inflight[id] - 1; n > 0 {
-		nt.inflight[id] = n
-		return
-	}
-	delete(nt.inflight, id)
+// retire ends a flood whose last copy has landed: its ID is pruned from
+// every per-process dedup set (see the seen field), then b is released.
+func (nt *Net) retire(b *Body) {
 	for i := range nt.seen {
-		delete(nt.seen[i], id)
+		delete(nt.seen[i], b.id)
 	}
+	nt.pool.release(b)
 }

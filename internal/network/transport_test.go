@@ -162,28 +162,25 @@ func TestUnregisteredHandlerIsSafe(t *testing.T) {
 }
 
 func TestMessageIDsUniquePerLogicalSend(t *testing.T) {
-	eng, nt := newTestNet(FullMesh{Nodes: 3}, sim.Synchronous{})
-	ids := make(map[uint64][]int)
-	for i := 0; i < 3; i++ {
-		i := i
-		nt.Register(i, func(m Message, _ sim.Time) { ids[m.ID] = append(ids[m.ID], i) })
-	}
-	eng.At(0, func(sim.Time) {
-		netBroadcast(nt, 0, Raw{})
-		netSend(nt, 1, 2, Raw{})
-	})
-	eng.RunAll()
-	if len(ids) != 2 {
-		t.Fatalf("expected 2 distinct IDs, got %v", ids)
+	for _, flood := range []bool{false, true} {
+		eng, nt := newTestNet(FullMesh{Nodes: 3}, sim.Synchronous{})
+		nt.Flood = flood
+		var ids []uint64
+		eng.At(0, func(sim.Time) {
+			ids = append(ids, netBroadcast(nt, 0, Raw{}), netSend(nt, 1, 2, Raw{}), netBroadcast(nt, 2, Raw{}))
+		})
+		eng.RunAll()
+		if ids[0] == 0 || ids[0] == ids[1] || ids[1] == ids[2] || ids[0] == ids[2] {
+			t.Fatalf("flood=%v: ids %v, want three distinct non-zero", flood, ids)
+		}
 	}
 }
 
 // TestNetSendAllocations pins the single-heap send path's allocation
 // contract, the one TestShardedSendAllocations pins on the sharded
 // transport: a direct logical send allocates the body its copies share (the
-// one netSend/netBroadcast make) and nothing per copy, scheduled or delivered; a
-// flood allocates one wave body per relaying node, not one closure per copy
-// (56 on this mesh).
+// one netSend/netBroadcast make) and nothing per copy, scheduled or
+// delivered; a flood's hop copies share that body too (56 on this mesh).
 func TestNetSendAllocations(t *testing.T) {
 	const n = 8
 	eng, nt := newTestNet(FullMesh{Nodes: n}, sim.DeltaBounded{Min: 2, Max: 4})
@@ -216,8 +213,8 @@ func TestNetSendAllocations(t *testing.T) {
 
 	nt.Flood = true
 	warmUp()
-	if allocs := testing.AllocsPerRun(runs, broadcast); allocs > n+1 {
-		t.Errorf("flooded broadcast: %.1f allocs, want at most %d (one wave per relaying node)", allocs, n+1)
+	if allocs := testing.AllocsPerRun(runs, broadcast); allocs != 1 {
+		t.Errorf("flooded broadcast: %.1f allocs, want 1 (the body every hop shares)", allocs)
 	}
 	if delivered != (n-1)*(runs+1) {
 		t.Errorf("%d deliveries from %d flooded broadcasts, want %d each", delivered, runs+1, n-1)
